@@ -29,7 +29,7 @@ from .harness import (
 from .formulas import formulas_report
 from .model import PPM, CollateralError, ModelParams
 from .policies import POLICY_KINDS
-from .workloads import WorkloadSpec
+from .workloads import InvalidSpec, WorkloadSpec
 
 
 def _add_param_flags(sub: argparse.ArgumentParser) -> None:
@@ -59,7 +59,11 @@ def _workload_from_arg(arg: str) -> WorkloadSpec:
     if not arg.lstrip().startswith("{"):
         with open(arg) as fh:
             text = fh.read()
-    return WorkloadSpec.from_json_obj(json.loads(text))
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as err:
+        raise InvalidSpec(f"workload is not valid JSON: {err}") from None
+    return WorkloadSpec.from_json_obj(obj)
 
 
 def _config_from_args(args, oracle: str | None = None) -> ExperimentConfig:
@@ -172,7 +176,12 @@ def cmd_adversary(args) -> int:
 
 
 def cmd_exhaust(args) -> int:
-    values = tuple(int(v) for v in args.values.split(","))
+    try:
+        values = tuple(int(v) for v in args.values.split(","))
+    except ValueError:
+        raise CollateralError(
+            f"--values must be comma-separated integers, got {args.values!r}"
+        ) from None
     space = ExhaustSpace(
         C=args.C, k=args.k, T=args.T, F=args.F, max_len=args.max_len, values=values
     )
@@ -200,6 +209,8 @@ def cmd_exhaust(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    if not args.step > 0:
+        raise CollateralError(f"--step must be positive, got {args.step}")
     config = _config_from_args(args)
     values = []
     v = args.from_
@@ -319,6 +330,13 @@ def main(argv=None) -> int:
         return args.func(args)
     except CollateralError as err:
         print(f"error: {err}", file=sys.stderr)
+        return 2
+    except OSError as err:
+        where = f"{err.filename}: " if err.filename else ""
+        print(f"error: {where}{err.strerror or err}", file=sys.stderr)
+        return 2
+    except UnicodeDecodeError as err:
+        print(f"error: input is not UTF-8 text: {err}", file=sys.stderr)
         return 2
 
 

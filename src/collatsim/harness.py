@@ -62,8 +62,6 @@ class ConfigError(CollateralError):
 
 ORACLE_KINDS = ("brute-general", "brute-kwallet", "brute-utility", "window-bound")
 
-BOUND_TOLERANCE = 1e-9
-
 
 def run_sequence(
     policy,
@@ -321,27 +319,27 @@ def _ratio_row(
     )
     # pick the bound: utility bound for the threshold policy when
     # utility numbers exist, else the value bound
-    bound = None
+    exact = None
     bound_kind = None
     slack = Fraction(0)
     if config.policy == "eta" and opt_utility is not None:
         exact = utility_bound_fraction(params)
         if exact is not None:
-            bound = float(exact)
             bound_kind = "utility"
             slack = params.p * params.C + params.tau
-    if bound is None:
+    if exact is None:
         exact = value_bound_fraction(config.policy, params)
         if exact is not None:
-            bound = float(exact)
             bound_kind = "value"
+    bound = None
     bound_ok = None
-    if bound is not None:
+    if exact is not None:
+        bound = float(exact)
         if bound_kind == "value":
             lhs, rhs = opt_value, result.settled_value
         else:
             lhs, rhs = opt_utility, result.utility
-        bound_ok = float(lhs) <= bound * float(rhs) + float(slack) + BOUND_TOLERANCE
+        bound_ok = lhs <= exact * rhs + slack
     return RatioRow(
         run_id=rep,
         seed=config.seed + rep,

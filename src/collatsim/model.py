@@ -100,9 +100,7 @@ class TransactionSequence:
 
     def prefix(self, slot: int) -> "TransactionSequence":
         """The sequence truncated to slots 1..slot (horizon = slot)."""
-        return TransactionSequence(
-            (t for t in self.txs if t.slot <= slot), min(slot, self.horizon) if slot <= self.horizon else slot
-        )
+        return TransactionSequence((t for t in self.txs if t.slot <= slot), slot)
 
     def offered_value(self) -> int:
         return sum(t.value for t in self.txs)
@@ -222,6 +220,8 @@ DISCARD = "discard"
 FLUSH = "flush"
 ONLINE = "online"
 
+_NDJSON = json.JSONEncoder(separators=(",", ":"))
+
 
 @dataclass(frozen=True)
 class Event:
@@ -273,7 +273,7 @@ class EventTrace:
 
     def to_ndjson(self) -> str:
         return "\n".join(
-            json.dumps(e.to_json_obj(), separators=(",", ":")) for e in self.events
+            _NDJSON.encode(e.to_json_obj()) for e in self.events
         ) + ("\n" if self.events else "")
 
     def clone(self) -> "EventTrace":
@@ -471,18 +471,45 @@ class RunResult:
         )
 
 
+def first_overfull_window(
+    pairs: list[tuple[int, int]], C: int, F: int
+) -> tuple[int, int] | None:
+    """The window law: the first F+1-slot window carrying more than C.
+
+    ``pairs`` are (slot, value) in nondecreasing slot order.  Returns
+    ``(s, total)`` for the first pair whose window [s, s+F] sums above C,
+    or None when every window fits.  Two pointers, so O(n): the window
+    grows at its right end and drops each pair once it starts past it.
+    """
+    n = len(pairs)
+    total = 0
+    j = 0
+    for s, v in pairs:
+        end = s + F
+        while j < n and pairs[j][0] <= end:
+            total += pairs[j][1]
+            j += 1
+        if total > C:
+            return s, total
+        total -= v
+    return None
+
+
 def validate_window_bound(trace: EventTrace, params: ModelParams) -> None:
     """Check that settled value in any F+1 consecutive slots is <= C.
 
     This holds for every correct run of either machine: a unit of
     collateral settles at most one transaction in any window of F+1
-    slots, because flushed collateral is unusable for F slots.
+    slots, because flushed collateral is unusable for F slots.  The
+    check is linear and every run pays it.  The error names the first
+    failing window in slot order, which is settle order in any trace
+    the machines write.
     """
-    settles = [(e.slot, e.value) for e in trace.events if e.kind == SETTLE]
-    for i, (s, _) in enumerate(settles):
-        total = sum(v for t, v in settles if s <= t <= s + params.F)
-        if total > params.C:
-            raise CollateralError(
-                f"window bound violated: {total} > C={params.C} in slots "
-                f"[{s}, {s + params.F}]"
-            )
+    settles = sorted((e.slot, e.value) for e in trace.events if e.kind == SETTLE)
+    bad = first_overfull_window(settles, params.C, params.F)
+    if bad is not None:
+        s, total = bad
+        raise CollateralError(
+            f"window bound violated: {total} > C={params.C} in slots "
+            f"[{s}, {s + params.F}]"
+        )

@@ -26,6 +26,7 @@ from .model import (
     EventTrace,
     ModelParams,
     TransactionSequence,
+    first_overfull_window,
 )
 
 
@@ -63,15 +64,7 @@ def feasible_window_check(txs, C: int, F: int) -> bool:
     settled greedily with available C minus the last F slots' settles.
     """
     items = sorted((t.slot, t.value) for t in txs)
-    for i, (s, _) in enumerate(items):
-        total = 0
-        for t, v in items[i:]:
-            if t > s + F:
-                break
-            total += v
-        if total > C:
-            return False
-    return True
+    return first_overfull_window(items, C, F) is None
 
 
 def opt_general_value(
@@ -85,23 +78,13 @@ def opt_general_value(
     txs = list(seq)
     budget.check_n(len(txs))
     n = len(txs)
-    slots = [t.slot for t in txs]
-    vals = [t.value for t in txs]
+    pairs = [(t.slot, t.value) for t in txs]
     best = 0
     best_mask = 0
     for mask in range(1, 1 << n):
-        members = [i for i in range(n) if mask >> i & 1]
-        total = sum(vals[i] for i in members)
-        if total <= best:
-            continue
-        ok = True
-        for i in members:
-            s = slots[i]
-            window = sum(vals[j] for j in members if s <= slots[j] <= s + F)
-            if window > C:
-                ok = False
-                break
-        if ok:
+        members = [pairs[i] for i in range(n) if mask >> i & 1]
+        total = sum(v for _, v in members)
+        if total > best and first_overfull_window(members, C, F) is None:
             best = total
             best_mask = mask
     if return_witness:
@@ -123,24 +106,13 @@ def opt_value_extend(
     verifier, which walks prefixes anyway.
     """
     n = len(pairs)
-    slots = [s for s, _ in pairs]
-    vals = [v for _, v in pairs]
+    newest = pairs[-1]
     best = prev_best
-    newest = 1 << (n - 1)
     for sub in range(1 << (n - 1)):
-        mask = newest | sub
-        members = [i for i in range(n) if mask >> i & 1]
-        total = sum(vals[i] for i in members)
-        if total <= best:
-            continue
-        ok = True
-        for i in members:
-            s = slots[i]
-            window = sum(vals[j] for j in members if s <= slots[j] <= s + F)
-            if window > C:
-                ok = False
-                break
-        if ok:
+        members = [pairs[i] for i in range(n - 1) if sub >> i & 1]
+        members.append(newest)
+        total = sum(v for _, v in members)
+        if total > best and first_overfull_window(members, C, F) is None:
             best = total
     return best
 

@@ -73,6 +73,19 @@ class WorkloadSpec:
             raise InvalidSpec(f"horizon must be nonnegative, got {self.horizon}")
         if self.max_value < 1:
             raise InvalidSpec(f"max_value must be positive, got {self.max_value}")
+        if not isinstance(self.value_params, dict):
+            raise InvalidSpec(f"valueParams must be an object, got {self.value_params!r}")
+        if self.kind in ("poisson-uniform", "bursty"):
+            lo, hi = self.value_range()
+            if not (isinstance(lo, int) and isinstance(hi, int) and 1 <= lo <= hi):
+                raise InvalidSpec(f"bad uniform range [{lo}, {hi}]")
+
+    def value_range(self) -> tuple:
+        """The [min, max] of a uniform value draw (poisson-uniform, bursty)."""
+        return (
+            self.value_params.get("min", 1),
+            self.value_params.get("max", self.max_value),
+        )
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "WorkloadSpec":
@@ -126,6 +139,7 @@ def gen_stochastic(spec: WorkloadSpec) -> TransactionSequence:
     txs = []
     burst_len = vp.get("burstLen", 1)
     gap_len = vp.get("gapLen", 0)
+    lo, hi = spec.value_range()
     if spec.kind == "bursty" and (burst_len < 1 or gap_len < 0):
         raise InvalidSpec(f"bursty needs burstLen >= 1, gapLen >= 0, got {vp}")
     for slot in range(1, spec.horizon + 1):
@@ -135,11 +149,7 @@ def gen_stochastic(spec: WorkloadSpec) -> TransactionSequence:
                 continue
         elif rng.random() >= rate:
             continue
-        if spec.kind == "poisson-uniform":
-            lo = vp.get("min", 1)
-            hi = vp.get("max", spec.max_value)
-            if not 1 <= lo <= hi:
-                raise InvalidSpec(f"bad uniform range [{lo}, {hi}]")
+        if spec.kind in ("poisson-uniform", "bursty"):
             value = _clamp(rng.randint(lo, hi), spec.max_value)
         elif spec.kind == "poisson-exponential":
             mean = vp.get("mean", spec.max_value / 2)
@@ -151,12 +161,8 @@ def gen_stochastic(spec: WorkloadSpec) -> TransactionSequence:
             if tail <= 0:
                 raise InvalidSpec(f"pareto tail index must be positive, got {tail}")
             value = _clamp(rng.paretovariate(tail), spec.max_value)
-        elif spec.kind == "constant":
+        else:  # constant
             value = _clamp(vp.get("value", spec.max_value), spec.max_value)
-        else:  # bursty
-            lo = vp.get("min", 1)
-            hi = vp.get("max", spec.max_value)
-            value = _clamp(rng.randint(lo, hi), spec.max_value)
         txs.append(Transaction(slot, value))
     return TransactionSequence(txs, spec.horizon)
 
@@ -303,5 +309,14 @@ def read_sequence_csv(path: str, horizon: int | None = None) -> TransactionSeque
         header = next(reader, None)
         if header != ["slot", "value"]:
             raise InvalidSpec(f"expected header slot,value, got {header}")
-        txs = [Transaction(int(row[0]), int(row[1])) for row in reader if row]
+        txs = []
+        for row in reader:
+            if not row:
+                continue
+            try:
+                txs.append(Transaction(int(row[0]), int(row[1])))
+            except (ValueError, IndexError):
+                raise InvalidSpec(
+                    f"{path} line {reader.line_num}: expected slot,value integers, got {row}"
+                ) from None
     return TransactionSequence(txs, horizon)

@@ -124,3 +124,71 @@ def test_sweep(capsys, tmp_path):
     assert code == 0
     assert len(out["rows"]) == 3
     assert out_csv.read_text().splitlines()[0].startswith("param,value")
+
+
+def run_cli_error(capsys, *argv):
+    code = main(list(argv))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ")
+    return err
+
+
+@pytest.mark.parametrize("step", ["0", "-0.05"])
+def test_sweep_rejects_nonpositive_step(capsys, step):
+    err = run_cli_error(
+        capsys, "sweep", "--param", "eta", "--from", "0.35", "--to", "0.5",
+        f"--step={step}", "--policy", "eta",
+        "--C", "200", "--T", "60", "--F", "1", "--p-ppm", "100000", "--tau", "5",
+        "--workload", json.dumps(
+            {"kind": "constant", "arrivalRatePerMille": 600, "horizon": 20,
+             "seed": 0, "maxValue": 60}
+        ),
+    )
+    assert "--step must be positive" in err
+
+
+def test_missing_seq_file(capsys, tmp_path):
+    missing = str(tmp_path / "absent.csv")
+    err = run_cli_error(
+        capsys, "ratio", "--policy", "fa",
+        "--C", "20", "--k", "2", "--T", "6", "--F", "1", "--seq", missing,
+    )
+    assert missing in err
+
+
+def test_non_integer_csv_cell(capsys, tmp_path):
+    path = tmp_path / "seq.csv"
+    path.write_text("slot,value\n1,6\n2,six\n")
+    err = run_cli_error(
+        capsys, "simulate", "--policy", "fa",
+        "--C", "20", "--k", "2", "--T", "6", "--F", "1", "--seq", str(path),
+    )
+    assert "line 3" in err
+
+
+def test_malformed_inline_workload(capsys):
+    err = run_cli_error(
+        capsys, "simulate", "--policy", "fa",
+        "--C", "20", "--k", "2", "--T", "6", "--F", "1",
+        "--workload", '{"kind": "constant",',
+    )
+    assert "not valid JSON" in err
+
+
+def test_exhaust_rejects_non_integer_values(capsys):
+    err = run_cli_error(
+        capsys, "exhaust", "--C", "4", "--k", "2", "--T", "2", "--F", "1",
+        "--max-len", "3", "--values", "1,two",
+    )
+    assert "--values" in err
+
+
+def test_non_utf8_seq_file(capsys, tmp_path):
+    path = tmp_path / "seq.csv"
+    path.write_bytes(b"\xff\xfeslot,value\n")
+    err = run_cli_error(
+        capsys, "simulate", "--policy", "fa",
+        "--C", "20", "--k", "2", "--T", "6", "--F", "1", "--seq", str(path),
+    )
+    assert "not UTF-8" in err

@@ -7,7 +7,6 @@ from fractions import Fraction
 import pytest
 
 from collatsim.harness import (
-    BOUND_TOLERANCE,
     ConfigError,
     ExhaustSpace,
     ExperimentConfig,

@@ -1,0 +1,86 @@
+"""The window law "every F+1 consecutive slots settle at most C", checked
+against a direct quadratic reference at each place the program uses it."""
+
+import pytest
+from hypothesis import given, strategies as st
+
+from collatsim.model import (
+    ARRIVE,
+    FLUSH,
+    SETTLE,
+    CollateralError,
+    EventTrace,
+    ModelParams,
+    Transaction,
+    first_overfull_window,
+    validate_window_bound,
+)
+from collatsim.oracles import feasible_window_check
+
+
+def reference_first_overfull(pairs, C, F):
+    """Sum every window [s, s+F] from scratch, in the order given."""
+    for s, _ in pairs:
+        total = sum(v for t, v in pairs if s <= t <= s + F)
+        if total > C:
+            return s, total
+    return None
+
+
+pair_lists = st.lists(
+    st.tuples(st.integers(min_value=1, max_value=30), st.integers(min_value=1, max_value=10)),
+    max_size=25,
+)
+capacities = st.integers(min_value=1, max_value=40)
+outages = st.integers(min_value=0, max_value=6)
+
+
+@given(pair_lists, capacities, outages)
+def test_first_overfull_window_matches_reference(pairs, C, F):
+    pairs.sort()
+    assert first_overfull_window(pairs, C, F) == reference_first_overfull(pairs, C, F)
+
+
+@given(pair_lists, capacities, outages.filter(lambda f: f >= 1))
+def test_validate_window_bound_matches_reference(pairs, C, F):
+    params = ModelParams(C=C, T=1, F=F)
+    trace = EventTrace()
+    for slot, value in sorted(pairs):
+        trace.add(slot, ARRIVE, value=value)
+        trace.add(slot, SETTLE, value=value)
+        trace.add(slot, FLUSH, flush_amount=value)
+    expected = reference_first_overfull(sorted(pairs), C, F)
+    if expected is None:
+        validate_window_bound(trace, params)
+        return
+    s, total = expected
+    with pytest.raises(CollateralError) as err:
+        validate_window_bound(trace, params)
+    assert str(err.value) == (
+        f"window bound violated: {total} > C={C} in slots [{s}, {s + F}]"
+    )
+
+
+@given(pair_lists, capacities, outages, st.randoms(use_true_random=False))
+def test_feasible_window_check_matches_reference_on_any_order(pairs, C, F, rng):
+    rng.shuffle(pairs)
+    txs = [Transaction(s, v) for s, v in pairs]
+    assert feasible_window_check(txs, C, F) == (
+        reference_first_overfull(pairs, C, F) is None
+    )
+
+
+def test_only_a_later_window_fails():
+    # [1, 3] carries 7 and [2, 4] carries 3; [5, 7] carries 11 > 10
+    pairs = [(1, 4), (2, 3), (5, 6), (6, 5)]
+    assert first_overfull_window(pairs, 10, 2) == (5, 11)
+    assert not feasible_window_check(
+        [Transaction(s, v) for s, v in reversed(pairs)], 10, 2
+    )
+    trace = EventTrace()
+    for slot, value in pairs:
+        trace.add(slot, SETTLE, value=value)
+    message = r"^window bound violated: 11 > C=10 in slots \[5, 7\]$"
+    with pytest.raises(CollateralError, match=message):
+        validate_window_bound(trace, ModelParams(C=10, T=6, F=2))
+

@@ -37,6 +37,23 @@ def test_spec_rejects_bad_rate():
         WorkloadSpec("martian", 100, 10, 0, 5)
 
 
+@pytest.mark.parametrize("kind", ["poisson-uniform", "bursty"])
+@pytest.mark.parametrize("rate", [0, 600])
+@pytest.mark.parametrize("bad", [{"min": 5, "max": 2}, {"min": 0}, {"max": 0}, {"min": "1"}])
+def test_spec_rejects_bad_value_range(kind, rate, bad):
+    # checked when the spec is made, not when an arrival first draws a value
+    with pytest.raises(InvalidSpec, match="bad uniform range"):
+        WorkloadSpec(kind, rate, 10, 0, 6, bad)
+
+
+def test_spec_rejects_non_object_value_params():
+    with pytest.raises(InvalidSpec):
+        WorkloadSpec.from_json_obj(
+            {"kind": "constant", "arrivalRatePerMille": 500, "horizon": 5,
+             "seed": 0, "maxValue": 3, "valueParams": [1, 3]}
+        )
+
+
 def test_gen_deterministic_per_seed():
     spec = WorkloadSpec("poisson-uniform", 500, 60, 3, 6)
     a = gen_stochastic(spec)
