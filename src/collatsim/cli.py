@@ -66,6 +66,14 @@ def _workload_from_arg(arg: str) -> WorkloadSpec:
     return WorkloadSpec.from_json_obj(obj)
 
 
+def _require_flags(flags: dict, context: str = "") -> None:
+    missing = [name for name, v in flags.items() if v is None]
+    if missing:
+        raise CollateralError(
+            f"missing required flags{context}: {', '.join('--' + m for m in missing)}"
+        )
+
+
 def _config_from_args(args, oracle: str | None = None) -> ExperimentConfig:
     if args.config:
         config = ExperimentConfig.from_file(args.config)
@@ -78,12 +86,9 @@ def _config_from_args(args, oracle: str | None = None) -> ExperimentConfig:
         if args.csv:
             config.csv_path = args.csv
         return config
-    required = {"policy": args.policy, "C": args.C, "T": args.T, "F": args.F}
-    missing = [name for name, v in required.items() if v is None]
-    if missing:
-        raise CollateralError(
-            f"missing required flags without --config: {', '.join('--' + m for m in missing)}"
-        )
+    _require_flags(
+        {"policy": args.policy, "C": args.C, "T": args.T, "F": args.F}, " without --config"
+    )
     params = ModelParams(
         C=args.C, T=args.T, F=args.F, k=args.k,
         p_ppm=args.p_ppm, tau=args.tau, eta_ppm=args.eta_ppm,
@@ -154,6 +159,7 @@ def cmd_ratio(args) -> int:
 
 
 def cmd_adversary(args) -> int:
+    _require_flags({"C": args.C, "F": args.F})
     params = ModelParams(
         C=args.C, T=args.T if args.T is not None else args.C, F=args.F,
         k=args.k, p_ppm=args.p_ppm, tau=args.tau, eta_ppm=args.eta_ppm,

@@ -373,6 +373,13 @@ class ExhaustSpace:
     values: tuple[int, ...]
     max_sequences: int = 5**7
 
+    def __post_init__(self) -> None:
+        if self.max_len < 1:
+            raise ConfigError(f"max_len must be positive, got {self.max_len}")
+        outside = [v for v in self.values if not 1 <= v <= self.T]
+        if outside:
+            raise ConfigError(f"values must lie in [1, T={self.T}], got {outside}")
+
     def sequence_count(self) -> int:
         return (len(self.values) + 1) ** self.max_len
 
@@ -404,8 +411,6 @@ def default_exhaust_policies(params: ModelParams) -> dict[str, Fraction]:
     """Policies with a per-sequence guarantee at these params, with exact bounds."""
     out: dict[str, Fraction] = {}
     for kind in ("fa", "fwf", "ftwf"):
-        if kind == "ftwf" and params.k % 2 != 0:
-            continue
         b = value_bound_fraction(kind, params)
         if b is not None:
             out[kind] = b

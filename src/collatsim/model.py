@@ -347,9 +347,6 @@ class WalletBank:
         self.trace.add(slot, FLUSH, wallet=i, flush_amount=self.committed(i))
         self.offline_until[i - 1] = slot + self.params.F
 
-    def all_available(self, slot: int) -> bool:
-        return all(u < slot for u in self.offline_until)
-
     def clone(self, trace: EventTrace | None = None) -> "WalletBank":
         other = object.__new__(WalletBank)
         other.params = self.params

@@ -8,9 +8,12 @@ collateral only when asked (utility accounting), the threshold policy
 always does.  Policies are deterministic given params and seed, and
 support ``clone`` so exhaustive drivers can fork mid-run.
 
-Wallet-model rules shared by the first-fit family: the transaction that
-triggers a flush is discarded, never retried elsewhere, and arrivals
-during an outage of the active wallet(s) are discarded as well.
+The three deterministic wallet policies are one rule, ``GroupFlushPolicy``:
+first fit within an active group of g wallets; on a misfit, discard the
+transaction, flush the group and rotate to the next group.  Arrivals
+during an outage of the active group are discarded as well.  The presets
+differ only in g: FlushAll ("fa") is g = k, FlushWhenFull ("fwf") g = 1
+and FlushTwoWhenFull ("ftwf") g = 2.
 """
 
 from __future__ import annotations
@@ -57,65 +60,28 @@ class PolicyDecision:
 NO_ARRIVAL = PolicyDecision(None)
 
 
-class FlushAllPolicy:
-    """First fit into wallets W_1..W_k; on a misfit, flush all wallets.
+class GroupFlushPolicy:
+    """First fit within the active group of g wallets; flush it on a misfit.
 
-    The misfit transaction is discarded.  While the bank is offline
-    (all wallets flush together) every arrival is discarded.
+    The k wallets form k/g groups of consecutive wallets, (W_1..W_g),
+    (W_g+1..W_2g), ..., and the first group starts active.  While any
+    wallet of the active group is offline every arrival is discarded.
+    Otherwise the transaction settles in the group's first wallet with
+    room for it; if none has room it is discarded, the group's wallets
+    are flushed in index order and the next group becomes active in
+    cyclic order, even if a later group would be online sooner.
     """
 
-    name = "fa"
+    name = "group"
 
-    def __init__(self, params: ModelParams, trace: EventTrace | None = None):
+    def __init__(self, params: ModelParams, g: int, trace: EventTrace | None = None):
+        if g < 1 or params.k % g != 0:
+            # sweep rows report this text, so the pair preset keeps its wording
+            if g == 2:
+                raise OddWalletCount(f"pair policy needs even k, got {params.k}")
+            raise OddWalletCount(f"groups of {g} need k divisible by {g}, got {params.k}")
         self.params = params
-        self.bank = WalletBank(params, trace)
-
-    @property
-    def trace(self) -> EventTrace:
-        return self.bank.trace
-
-    def step(self, slot: int, tx: Transaction | None) -> PolicyDecision:
-        bank = self.bank
-        bank.begin_slot(slot)
-        if tx is None:
-            return NO_ARRIVAL
-        bank.trace.add(slot, ARRIVE, value=tx.value)
-        if not bank.all_available(slot):
-            bank.trace.add(slot, DISCARD, value=tx.value)
-            return PolicyDecision("discard")
-        for i in range(1, self.params.k + 1):
-            if tx.value <= bank.remaining[i - 1]:
-                bank.settle(i, tx, slot)
-                return PolicyDecision("settle", wallet=i)
-        bank.trace.add(slot, DISCARD, value=tx.value)
-        for i in range(1, self.params.k + 1):
-            bank.flush(i, slot)
-        return PolicyDecision("discard", flushed=tuple(range(1, self.params.k + 1)))
-
-    def finish(self, slot: int, terminal_flushes: bool = False) -> list[int]:
-        if not terminal_flushes:
-            return []
-        return _flush_leftovers(self.bank, slot)
-
-    def clone(self) -> "FlushAllPolicy":
-        other = object.__new__(FlushAllPolicy)
-        other.params = self.params
-        other.bank = self.bank.clone()
-        return other
-
-
-class FlushWhenFullPolicy:
-    """One active wallet in strict cyclic order; flush it on a misfit.
-
-    After flushing, the successor wallet becomes active even if a later
-    wallet happens to be online; arrivals are discarded while the active
-    wallet is offline.
-    """
-
-    name = "fwf"
-
-    def __init__(self, params: ModelParams, trace: EventTrace | None = None):
-        self.params = params
+        self.g = g
         self.bank = WalletBank(params, trace)
         self.active = 1
 
@@ -129,86 +95,62 @@ class FlushWhenFullPolicy:
         if tx is None:
             return NO_ARRIVAL
         bank.trace.add(slot, ARRIVE, value=tx.value)
-        i = self.active
-        if not bank.wallet_available(i, slot):
+        hi = self.active * self.g
+        lo = hi - self.g
+        if max(bank.offline_until[lo:hi]) >= slot:
             bank.trace.add(slot, DISCARD, value=tx.value)
             return PolicyDecision("discard")
-        if tx.value <= bank.remaining[i - 1]:
-            bank.settle(i, tx, slot)
-            return PolicyDecision("settle", wallet=i)
+        remaining = bank.remaining
+        for i in range(lo, hi):
+            if tx.value <= remaining[i]:
+                bank.settle(i + 1, tx, slot)
+                return PolicyDecision("settle", wallet=i + 1)
         bank.trace.add(slot, DISCARD, value=tx.value)
-        bank.flush(i, slot)
-        self.active = i % self.params.k + 1
-        return PolicyDecision("discard", flushed=(i,))
+        group = tuple(range(lo + 1, hi + 1))
+        for i in group:
+            bank.flush(i, slot)
+        self.active = self.active % (self.params.k // self.g) + 1
+        return PolicyDecision("discard", flushed=group)
 
     def finish(self, slot: int, terminal_flushes: bool = False) -> list[int]:
         if not terminal_flushes:
             return []
         return _flush_leftovers(self.bank, slot)
 
-    def clone(self) -> "FlushWhenFullPolicy":
-        other = object.__new__(FlushWhenFullPolicy)
+    def clone(self) -> "GroupFlushPolicy":
+        other = object.__new__(type(self))
         other.params = self.params
+        other.g = self.g
         other.bank = self.bank.clone()
         other.active = self.active
         return other
 
 
-class FlushTwoWhenFullPolicy:
-    """Wallets paired (W_1,W_2), (W_3,W_4), ...; one active pair.
+class FlushAllPolicy(GroupFlushPolicy):
+    """FlushAll: one group of all k wallets, flushed together."""
 
-    A transaction goes to the first wallet of the pair if it fits, else
-    to the second; if it fits neither, both are flushed together, the
-    transaction is discarded, and the next pair becomes active.
-    """
+    name = "fa"
+
+    def __init__(self, params: ModelParams, trace: EventTrace | None = None):
+        super().__init__(params, params.k, trace)
+
+
+class FlushWhenFullPolicy(GroupFlushPolicy):
+    """FlushWhenFull: one active wallet in strict cyclic order."""
+
+    name = "fwf"
+
+    def __init__(self, params: ModelParams, trace: EventTrace | None = None):
+        super().__init__(params, 1, trace)
+
+
+class FlushTwoWhenFullPolicy(GroupFlushPolicy):
+    """FlushTwoWhenFull: wallets paired (W_1,W_2), (W_3,W_4), ...; needs even k."""
 
     name = "ftwf"
 
     def __init__(self, params: ModelParams, trace: EventTrace | None = None):
-        if params.k % 2 != 0:
-            raise OddWalletCount(f"pair policy needs even k, got {params.k}")
-        self.params = params
-        self.bank = WalletBank(params, trace)
-        self.active_pair = 1
-
-    @property
-    def trace(self) -> EventTrace:
-        return self.bank.trace
-
-    def step(self, slot: int, tx: Transaction | None) -> PolicyDecision:
-        bank = self.bank
-        bank.begin_slot(slot)
-        if tx is None:
-            return NO_ARRIVAL
-        bank.trace.add(slot, ARRIVE, value=tx.value)
-        w1 = 2 * self.active_pair - 1
-        w2 = w1 + 1
-        if not (bank.wallet_available(w1, slot) and bank.wallet_available(w2, slot)):
-            bank.trace.add(slot, DISCARD, value=tx.value)
-            return PolicyDecision("discard")
-        if tx.value <= bank.remaining[w1 - 1]:
-            bank.settle(w1, tx, slot)
-            return PolicyDecision("settle", wallet=w1)
-        if tx.value <= bank.remaining[w2 - 1]:
-            bank.settle(w2, tx, slot)
-            return PolicyDecision("settle", wallet=w2)
-        bank.trace.add(slot, DISCARD, value=tx.value)
-        bank.flush(w1, slot)
-        bank.flush(w2, slot)
-        self.active_pair = self.active_pair % (self.params.k // 2) + 1
-        return PolicyDecision("discard", flushed=(w1, w2))
-
-    def finish(self, slot: int, terminal_flushes: bool = False) -> list[int]:
-        if not terminal_flushes:
-            return []
-        return _flush_leftovers(self.bank, slot)
-
-    def clone(self) -> "FlushTwoWhenFullPolicy":
-        other = object.__new__(FlushTwoWhenFullPolicy)
-        other.params = self.params
-        other.bank = self.bank.clone()
-        other.active_pair = self.active_pair
-        return other
+        super().__init__(params, 2, trace)
 
 
 class RandTwoPolicy:
@@ -218,8 +160,7 @@ class RandTwoPolicy:
     arrivals.  Each time the real wallet comes online (including at the
     start) a fair coin picks one shadow wallet; the real wallet then
     settles exactly the transactions that shadow wallet settles and
-    flushes when the shadow run flushes.  With ``half_size_shadow`` the
-    shadow wallets are C/2 each (total C) instead.
+    flushes when the shadow run flushes.
 
     Coins come from ``coins`` (a zero-argument callable returning 0 or 1)
     when given, else from a seeded RNG.
@@ -233,7 +174,6 @@ class RandTwoPolicy:
         seed: int | None = None,
         coins=None,
         trace: EventTrace | None = None,
-        half_size_shadow: bool = False,
     ):
         if params.k != 1:
             raise InvalidParams(f"rand2 runs a single wallet, got k={params.k}")
@@ -241,9 +181,8 @@ class RandTwoPolicy:
             raise InvalidParams("rand2 needs a seed or an explicit coin source")
         self.params = params
         self.bank = WalletBank(params, trace)
-        shadow_c = params.C if half_size_shadow else 2 * params.C
         self.shadow = FlushAllPolicy(
-            ModelParams(C=shadow_c, T=params.T, F=params.F, k=2),
+            ModelParams(C=2 * params.C, T=params.T, F=params.F, k=2),
             trace=EventTrace(),
         )
         if coins is not None:
@@ -374,7 +313,6 @@ def make_policy(
     seed: int | None = None,
     trace: EventTrace | None = None,
     coins=None,
-    half_size_shadow: bool = False,
 ):
     """Build a policy from its configuration string."""
     if kind == "fa":
@@ -384,9 +322,7 @@ def make_policy(
     if kind == "ftwf":
         return FlushTwoWhenFullPolicy(params, trace)
     if kind == "rand2":
-        return RandTwoPolicy(
-            params, seed=seed, coins=coins, trace=trace, half_size_shadow=half_size_shadow
-        )
+        return RandTwoPolicy(params, seed=seed, coins=coins, trace=trace)
     if kind == "eta":
         return ThresholdPolicy(params, trace)
     raise InvalidParams(f"unknown policy kind {kind!r}; expected one of {POLICY_KINDS}")

@@ -192,3 +192,24 @@ def test_non_utf8_seq_file(capsys, tmp_path):
         "--C", "20", "--k", "2", "--T", "6", "--F", "1", "--seq", str(path),
     )
     assert "not UTF-8" in err
+
+
+def test_exhaust_rejects_values_above_T(capsys):
+    err = run_cli_error(
+        capsys, "exhaust", "--C", "12", "--k", "2", "--T", "3", "--F", "2",
+        "--max-len", "3", "--values", "5",
+    )
+    assert "[1, T=3]" in err
+
+
+def test_exhaust_rejects_nonpositive_max_len(capsys):
+    err = run_cli_error(
+        capsys, "exhaust", "--C", "12", "--k", "2", "--T", "3", "--F", "2",
+        "--max-len", "-1", "--values", "1,2",
+    )
+    assert "max_len" in err
+
+
+def test_adversary_missing_flags(capsys):
+    err = run_cli_error(capsys, "adversary", "--type", "thm3", "--target", "fa")
+    assert "missing required flags: --C, --F" in err

@@ -1,5 +1,7 @@
 """Online policies: hand-checked traces, guards, determinism, mirroring."""
 
+import hashlib
+import random
 from fractions import Fraction
 
 import pytest
@@ -91,6 +93,15 @@ def test_flush_two_when_full_advances_pairs():
 def test_flush_two_needs_even_k():
     with pytest.raises(OddWalletCount):
         FlushTwoWhenFullPolicy(ModelParams(C=9, T=3, F=1, k=3))
+
+
+@pytest.mark.parametrize("g", [0, 3, 8])
+def test_group_size_must_divide_k(g):
+    # imported here so the golden traces above also run on the three-class code
+    from collatsim.policies import GroupFlushPolicy
+
+    with pytest.raises(OddWalletCount):
+        GroupFlushPolicy(ModelParams(C=12, T=3, F=1, k=4), g)
 
 
 def test_threshold_trace_integral():
@@ -221,3 +232,49 @@ def test_settled_never_exceeds_offered(values, kind):
     res = run_sequence(make_policy(kind, params), seq, terminal_flushes=True)
     assert 0 <= res.settled_value <= res.offered_value
     assert res.n_tx == len(values)
+
+
+# sha256 of the NDJSON trace, flush_actions and utility, with terminal
+# flushes off and on; recorded from the three-class implementation so
+# the one-rule policy is held to the same bytes
+GOLDEN = {
+    ("fa", 1): (("f896525694afda6472ed152f9084f6004c122376a097b251d93e198260dcd6c0", 14, "20"),
+                ("01acc6ce1076ff1ce850833a33c8154c1b42042d80da9593edb6c33fbf534742", 15, "19")),
+    ("fa", 2): (("cecdb7e6f1cacc882ccea17a2d23c8ec4244d38f7b8b4e2c68428737deb9f9d9", 10, "61/2"),
+                ("cecdb7e6f1cacc882ccea17a2d23c8ec4244d38f7b8b4e2c68428737deb9f9d9", 10, "61/2")),
+    ("fa", 3): (("ce9389c3263bfe69428687c15a702ac13c96fbb53fea0899d0ce5c1476139386", 7, "33"),
+                ("ce9389c3263bfe69428687c15a702ac13c96fbb53fea0899d0ce5c1476139386", 7, "33")),
+    ("fa", 4): (("b584a0579b2fc93063b88a0fe1bcbf0634f14854290405267b3a43976d808d9a", 5, "40"),
+                ("c3a92063abd0e68a50965d949b233eb58de9f169a7ec7f02d82812c09bd83e1c", 6, "37")),
+    ("fwf", 2): (("f5958ff14d3b96f2f458135cea9a0a006a908dcc12ad99dad059d0c38c873ad3", 19, "65/2"),
+                 ("9ac3b59c891de7a52172f30e658c2b441f376db79223add30aea3f5f34d2226e", 20, "63/2")),
+    ("fwf", 3): (("8b4f6d568726f616a366baab19bf30f1d3008773d60a60de3ffc11fa9ce235d3", 19, "30"),
+                 ("2f3a711995e39a4d33883caf9795e6adc1c247369ef9da77c52444f843656fac", 20, "29")),
+    ("fwf", 4): (("5c109b4cdedff8979923428082517d4c2a3c60a4bfebf3b768827ad6ad31bbec", 20, "30"),
+                 ("5c109b4cdedff8979923428082517d4c2a3c60a4bfebf3b768827ad6ad31bbec", 20, "30")),
+    ("ftwf", 2): (("cecdb7e6f1cacc882ccea17a2d23c8ec4244d38f7b8b4e2c68428737deb9f9d9", 10, "61/2"),
+                  ("cecdb7e6f1cacc882ccea17a2d23c8ec4244d38f7b8b4e2c68428737deb9f9d9", 10, "61/2")),
+    ("ftwf", 4): (("34c943d3f1dffbda918a40d7099fe94a2fdd5dfeca5ef0f596be1676a3b12ba1", 11, "38"),
+                  ("a19a31bbd4749a92e8805e56d7b4ad7751201d4eef982674e43d14e2bb99e943", 12, "37")),
+    ("ftwf", 6): (("a61763101aeaa6e83966ab3678a6a4ba958bc9722713724f1bfc4ab2001ddb48", 11, "77/2"),
+                  ("a6efa635544c7c39e08be6e7f0e2e94438574cb7dfc6c2c8418d30e69d473f73", 12, "75/2")),
+}
+
+
+def golden_sequence(seed, T, slots=80):
+    rng = random.Random(seed)
+    pairs = [(s, 1 + int(rng.random() * T)) for s in range(1, slots + 1) if rng.random() < 0.8]
+    return TransactionSequence.from_pairs(pairs)
+
+
+@pytest.mark.parametrize("kind,k", sorted(GOLDEN))
+def test_golden_traces(kind, k):
+    params = ModelParams(C=6 * k, T=4, F=2, k=k, p_ppm=500000, tau=1)
+    seq = golden_sequence(1000 + k, params.T)
+    for terminal_flushes, expected in zip((False, True), GOLDEN[(kind, k)]):
+        res = run_sequence(make_policy(kind, params), seq, terminal_flushes=terminal_flushes)
+        digest = hashlib.sha256(res.trace.to_ndjson().encode()).hexdigest()
+        assert (digest, res.flush_actions, str(res.utility)) == expected
+    # the rotation wraps: wallet 1 flushes again after wallet k has flushed
+    flushed = [e.wallet for e in res.trace.events if e.kind == FLUSH]
+    assert 1 in flushed[flushed.index(k) + 1:]
