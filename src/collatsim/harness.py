@@ -379,6 +379,8 @@ class ExhaustSpace:
         outside = [v for v in self.values if not 1 <= v <= self.T]
         if outside:
             raise ConfigError(f"values must lie in [1, T={self.T}], got {outside}")
+        if len(set(self.values)) != len(self.values):
+            raise ConfigError(f"values must be distinct, got {list(self.values)}")
 
     def sequence_count(self) -> int:
         return (len(self.values) + 1) ** self.max_len
@@ -485,7 +487,7 @@ def exhaustive_verify(
                     f"on {pairs}"
                 )
 
-    def walk(depth: int, pairs: list, states: list, opt_prev: int) -> None:
+    def walk(depth: int, pairs: list, states: list, opt_states: dict) -> None:
         slot = depth + 1
         for sym in symbols:
             tx = Transaction(slot, sym) if sym is not None else None
@@ -500,7 +502,8 @@ def exhaustive_verify(
                 new_states.append((kind, p2, v_alg))
             if sym is not None:
                 new_pairs = pairs + [(slot, sym)]
-                opt_here = opt_value_extend(new_pairs, space.C, space.F, opt_prev)
+                opt_next = opt_value_extend(opt_states, slot, sym, space.C, space.F)
+                opt_here = max(opt_next.values())
                 summary.prefixes_checked += 1
                 for kind, _, v_alg in new_states:
                     b = policies[kind]
@@ -512,14 +515,14 @@ def exhaustive_verify(
                         )
             else:
                 new_pairs = pairs
-                opt_here = opt_prev
+                opt_next = opt_states
             if slot < space.max_len:
-                walk(depth + 1, new_pairs, new_states, opt_here)
+                walk(depth + 1, new_pairs, new_states, opt_next)
             else:
                 summary.sequences += 1
 
     roots = [(kind, make_policy(kind, params, seed=0), 0) for kind in policies]
-    walk(0, [], roots, 0)
+    walk(0, [], roots, {(): 0})
     return summary
 
 

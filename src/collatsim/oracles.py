@@ -2,11 +2,11 @@
 
 The general-model optimum has a clean combinatorial shape: a subset of
 transactions is settleable with free immediate flushing iff every window
-of F+1 consecutive slots carries at most C of its value.  The brute
-oracles enumerate against that characterization; a separate routine
-re-derives the optimum by simulating the pool state machine so the two
-routes can be cross-checked.  Everything here refuses inputs above an
-explicit budget rather than silently taking forever.
+of F+1 consecutive slots carries at most C of its value.  The value
+oracle is a DP over the settles of the last F slots; the tests re-derive
+it by subset enumeration and by simulating the pool state machine.  The
+exact oracles refuse inputs above an explicit budget rather than silently
+taking forever.
 
 Two exchange arguments justify the pruned searches and are relied on
 throughout: flushing everything when flushing at all is loss-free (the
@@ -22,8 +22,6 @@ from fractions import Fraction
 
 from .model import (
     CollateralError,
-    CollateralPool,
-    EventTrace,
     ModelParams,
     TransactionSequence,
     first_overfull_window,
@@ -37,18 +35,11 @@ class BudgetExceeded(CollateralError):
 @dataclass(frozen=True)
 class OracleBudget:
     max_transactions: int = 12
-    max_flush_slots: int = 64
 
     def check_n(self, n: int) -> None:
         if n > self.max_transactions:
             raise BudgetExceeded(
                 f"{n} transactions exceed oracle budget {self.max_transactions}"
-            )
-
-    def check_horizon(self, horizon: int) -> None:
-        if horizon > self.max_flush_slots:
-            raise BudgetExceeded(
-                f"horizon {horizon} exceeds oracle budget {self.max_flush_slots}"
             )
 
 
@@ -67,6 +58,42 @@ def feasible_window_check(txs, C: int, F: int) -> bool:
     return first_overfull_window(items, C, F) is None
 
 
+def opt_value_extend(
+    states: dict, slot: int, value: int, C: int, F: int
+) -> dict:
+    """One step of the general-model optimum: offer (slot, value) to a DP.
+
+    A state is the tuple of settled (slot, value) pairs that can still
+    share an F+1-slot window with a later offer, those of the last F
+    slots, mapped to the best settled total that reaches it.  Start from
+    ``{(): 0}`` and feed transactions in slot order; as a slot holds one
+    transaction there are at most 2^F states.  The offer is discarded, or
+    settled when the window ending at its slot stays within C.  Checking
+    only windows that end at a settle is the whole window law, since the
+    heaviest window can slide left until it ends at one.
+    """
+    lo = slot - F
+    new = ((slot, value),) if F else ()
+    out: dict = {}
+    get = out.get
+    for state, total in states.items():
+        while state and state[0][0] < lo:
+            state = state[1:]
+        load = value
+        for _, v in state:
+            load += v
+        if state and state[0][0] == lo:  # in this window, in no later one
+            state = state[1:]
+        if get(state, -1) < total:
+            out[state] = total
+        if load <= C:
+            key = state + new
+            total += value
+            if get(key, -1) < total:
+                out[key] = total
+    return out
+
+
 def opt_general_value(
     seq: TransactionSequence,
     C: int,
@@ -74,47 +101,32 @@ def opt_general_value(
     budget: OracleBudget = DEFAULT_BUDGET,
     return_witness: bool = False,
 ):
-    """Exact general-model optimum settled value, by subset enumeration."""
+    """Exact general-model optimum settled value, in O(n * 2^F).
+
+    Folds opt_value_extend over the sequence; the witness follows
+    back-pointers from the best final state through the kept layers.
+    """
     txs = list(seq)
     budget.check_n(len(txs))
-    n = len(txs)
-    pairs = [(t.slot, t.value) for t in txs]
-    best = 0
-    best_mask = 0
-    for mask in range(1, 1 << n):
-        members = [pairs[i] for i in range(n) if mask >> i & 1]
-        total = sum(v for _, v in members)
-        if total > best and first_overfull_window(members, C, F) is None:
-            best = total
-            best_mask = mask
-    if return_witness:
-        witness = tuple(txs[i] for i in range(n) if best_mask >> i & 1)
-        return best, witness
-    return best
-
-
-def opt_value_extend(
-    pairs: list[tuple[int, int]], C: int, F: int, prev_best: int
-) -> int:
-    """Brute optimum for a prefix extended by one transaction.
-
-    ``pairs`` is the full (slot, value) prefix including the new last
-    element and ``prev_best`` the brute optimum without it.  Every
-    subset either omits the new element (covered by prev_best) or
-    contains it (enumerated here), so this equals opt_general_value on
-    the whole prefix while doing half the work.  Used by the exhaustive
-    verifier, which walks prefixes anyway.
-    """
-    n = len(pairs)
-    newest = pairs[-1]
-    best = prev_best
-    for sub in range(1 << (n - 1)):
-        members = [pairs[i] for i in range(n - 1) if sub >> i & 1]
-        members.append(newest)
-        total = sum(v for _, v in members)
-        if total > best and first_overfull_window(members, C, F) is None:
-            best = total
-    return best
+    layers = [{(): 0}]
+    for t in txs:
+        layers.append(opt_value_extend(layers[-1], t.slot, t.value, C, F))
+    state = max(layers[-1], key=layers[-1].get)
+    best = total = layers[-1][state]
+    if not return_witness:
+        return best
+    witness = []
+    for t, layer in zip(reversed(txs), reversed(layers[:-1])):
+        # back-pointer: a state of the previous layer whose step reaches this one
+        state, prev = next(
+            (s, v)
+            for s, v in layer.items()
+            if opt_value_extend({s: v}, t.slot, t.value, C, F).get(state) == total
+        )
+        if prev < total:
+            witness.append(t)
+        total = prev
+    return best, tuple(reversed(witness))
 
 
 def greedy_feasible_value(
@@ -132,46 +144,6 @@ def greedy_feasible_value(
             chosen.append(t)
     chosen.sort(key=lambda t: t.slot)
     return sum(t.value for t in chosen), chosen
-
-
-def opt_general_value_sim(
-    seq: TransactionSequence,
-    C: int,
-    F: int,
-    budget: OracleBudget = DEFAULT_BUDGET,
-) -> int:
-    """General-model optimum via the pool state machine, for cross-checks.
-
-    Enumerates every settle/discard decision tree and drives the actual
-    CollateralPool through it, flushing the whole reserve every slot
-    (loss-free when flushes cost nothing).  Infeasible branches die when
-    the machine refuses a settle.
-    """
-    txs = list(seq)
-    budget.check_n(len(txs))
-    budget.check_horizon(seq.horizon)
-    params = ModelParams(C=C, T=C, F=F)
-    n = len(txs)
-    best = 0
-    for mask in range(1 << n):
-        pool = CollateralPool(params, EventTrace())
-        value = 0
-        ok = True
-        picked = {txs[i].slot: txs[i] for i in range(n) if mask >> i & 1}
-        for slot in range(1, seq.horizon + 1):
-            pool.begin_slot(slot)
-            tx = picked.get(slot)
-            if tx is not None:
-                if pool.available(slot) < tx.value:
-                    ok = False
-                    break
-                pool.settle(tx, slot)
-                value += tx.value
-            if pool.committed > 0:
-                pool.flush(pool.committed, slot)
-        if ok and value > best:
-            best = value
-    return best
 
 
 def opt_kwallet_value(

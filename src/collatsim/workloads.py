@@ -252,6 +252,8 @@ class Thm3Adversary:
             raise EpsilonDoesNotDivideC(
                 f"epsilon must divide C, got epsilon={epsilon} C={params.C}"
             )
+        if rounds < 1:
+            raise InvalidParams(f"rounds must be positive, got {rounds}")
         self.params = params
         self.epsilon = epsilon
         self.rounds = rounds

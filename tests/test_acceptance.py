@@ -47,12 +47,12 @@ from collatsim.oracles import (
     feasible_window_check,
     opt_general_utility,
     opt_general_value,
-    opt_general_value_sim,
     opt_utility_upper_bound,
     window_upper_bound,
 )
 from collatsim.policies import make_policy
 from collatsim.workloads import WorkloadSpec, gen_stochastic
+from oracle_reference import opt_general_value_sim
 
 EXACT = 1e-12
 

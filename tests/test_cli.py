@@ -213,3 +213,20 @@ def test_exhaust_rejects_nonpositive_max_len(capsys):
 def test_adversary_missing_flags(capsys):
     err = run_cli_error(capsys, "adversary", "--type", "thm3", "--target", "fa")
     assert "missing required flags: --C, --F" in err
+
+
+def test_exhaust_rejects_repeated_values(capsys):
+    err = run_cli_error(
+        capsys, "exhaust", "--C", "4", "--k", "2", "--T", "2", "--F", "1",
+        "--max-len", "2", "--values", "1,1",
+    )
+    assert "distinct" in err
+
+
+@pytest.mark.parametrize("rounds", ["-3", "0"])
+def test_thm3_adversary_rejects_nonpositive_rounds(capsys, rounds):
+    err = run_cli_error(
+        capsys, "adversary", "--type", "thm3", "--target", "fwf",
+        "--C", "4", "--F", "1", f"--rounds={rounds}",
+    )
+    assert f"rounds must be positive, got {rounds}" in err

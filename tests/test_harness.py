@@ -195,6 +195,87 @@ def test_exhaustive_verify_explicit_bound_can_fail():
     assert ce.opt_value > ce.alg_value
 
 
+# The four spaces of the exhaust benchmark at L = 5, values 1-3:
+# (sequences, prefixes checked, flush events checked), as recorded with the
+# subset-enumeration optimum.
+EXHAUST_COUNTS_L5 = {
+    (12, 1): (1024, 1023, 373),
+    (12, 2): (1024, 1023, 373),
+    (6, 1): (1024, 1023, 1264),
+    (6, 2): (1024, 1023, 1264),
+}
+
+
+@pytest.mark.parametrize("C,F", sorted(EXHAUST_COUNTS_L5))
+def test_exhaustive_verify_counts_pinned(C, F):
+    summary = exhaustive_verify(
+        ExhaustSpace(C=C, k=2, T=3, F=F, max_len=5, values=(1, 2, 3))
+    )
+    assert summary.ok()
+    counts = (
+        summary.sequences, summary.prefixes_checked, summary.flush_events_checked
+    )
+    assert counts == EXHAUST_COUNTS_L5[(C, F)]
+
+
+# Every counterexample to fa at bound 1 at L = 4 (k = 2, T = 3, values 1-3),
+# in walk order, as recorded with the subset-enumeration optimum.  Each
+# entry is the sequence, one character per slot ("." a gap), then
+# opt_value/alg_value.  At C = 12 there are none.
+FA_COUNTEREXAMPLES_L4 = {
+    (12, 1): "",
+    (12, 2): "",
+    (6, 1): """
+        1122:6/4 1123:7/4 1132:7/5 1133:8/5 1213:7/4 1222:7/5 1223:8/5
+        1231:7/6 1232:8/6 1233:9/6 1312:7/5 1313:8/5 1321:7/6 1322:8/6
+        1323:9/6 133:7/4 1331:8/4 1332:9/4 1333:10/4 13.3:7/4 1.33:7/4
+        2113:7/4 2122:7/5 2123:8/5 2131:7/6 2132:8/6 2133:9/6 2212:7/5
+        2213:8/5 222:6/4 2221:7/4 2222:8/4 2223:9/4 223:7/4 2231:8/4 2232:9/4
+        2233:10/4 22.2:6/4 22.3:7/4 2311:7/6 2312:8/6 2313:9/6 232:7/5
+        2321:8/5 2322:9/5 2323:10/5 233:8/5 2331:9/5 2332:10/5 2333:11/5
+        23.2:7/5 23.3:8/5 2.22:6/4 2.23:7/4 2.32:7/5 2.33:8/5 3112:7/5
+        3113:8/5 3121:7/6 3122:8/6 3123:9/6 313:7/4 3131:8/4 3132:9/4
+        3133:10/4 31.3:7/4 3211:7/6 3212:8/6 3213:9/6 322:7/5 3221:8/5
+        3222:9/5 3223:10/5 323:8/5 3231:9/5 3232:10/5 3233:11/5 32.2:7/5
+        32.3:8/5 331:7/6 3311:8/6 3312:9/6 3313:10/6 332:8/6 3321:9/6
+        3322:10/6 3323:11/6 333:9/6 3331:10/6 3332:11/6 3333:12/6 33.1:7/6
+        33.2:8/6 33.3:9/6 3.13:7/4 3.22:7/5 3.23:8/5 3.31:7/6 3.32:8/6
+        3.33:9/6 .133:7/4 .222:6/4 .223:7/4 .232:7/5 .233:8/5 .313:7/4
+        .322:7/5 .323:8/5 .331:7/6 .332:8/6 .333:9/6
+    """,
+    (6, 2): """
+        1122:6/4 1123:7/4 1132:7/5 1133:7/5 1213:7/4 1222:7/5 1223:6/5
+        1231:7/6 1233:7/6 1312:7/5 1313:7/5 1321:7/6 1323:7/6 133:6/4 1331:6/4
+        1332:6/4 1333:7/4 13.3:7/4 1.33:7/4 2113:7/4 2122:7/5 2123:8/5
+        2131:7/6 2132:8/6 2133:8/6 2212:7/5 2213:8/5 222:6/4 2221:7/4 2222:8/4
+        2223:7/4 223:5/4 2231:6/4 2232:7/4 2233:8/4 22.2:6/4 22.3:7/4 2311:7/6
+        2312:8/6 2313:8/6 2321:6/5 2322:7/5 2323:8/5 233:6/5 2331:6/5 2332:7/5
+        2333:8/5 23.2:7/5 23.3:8/5 2.22:6/4 2.23:7/4 2.32:7/5 2.33:8/5
+        3112:7/5 3113:8/5 3121:7/6 3122:8/6 3123:9/6 313:6/4 3131:7/4 3132:8/4
+        3133:9/4 31.3:7/4 3211:7/6 3212:8/6 3213:9/6 3221:6/5 3222:7/5
+        3223:8/5 323:6/5 3231:7/5 3232:8/5 3233:9/5 32.2:7/5 32.3:8/5 3311:7/6
+        3312:8/6 3313:9/6 3321:7/6 3322:8/6 3323:9/6 3331:7/6 3332:8/6
+        3333:9/6 33.1:7/6 33.2:8/6 33.3:9/6 3.13:7/4 3.22:7/5 3.23:8/5
+        3.31:7/6 3.32:8/6 3.33:9/6 .133:6/4 .222:6/4 .223:5/4 .233:6/5
+        .313:6/4 .323:6/5
+    """,
+}
+
+
+@pytest.mark.parametrize("C,F", sorted(FA_COUNTEREXAMPLES_L4))
+def test_exhaustive_verify_counterexamples_pinned(C, F):
+    space = ExhaustSpace(C=C, k=2, T=3, F=F, max_len=4, values=(1, 2, 3))
+    summary = exhaustive_verify(space, policies={"fa": Fraction(1)})
+    got = []
+    for ce in summary.counterexamples:
+        assert ce.policy == "fa" and ce.bound == 1
+        by_slot = dict(ce.pairs)
+        last = ce.pairs[-1][0]
+        cells = "".join(str(by_slot.get(s, ".")) for s in range(1, last + 1))
+        got.append(f"{cells}:{ce.opt_value}/{ce.alg_value}")
+    assert got == FA_COUNTEREXAMPLES_L4[(C, F)].split()
+
+
 def test_default_exhaust_policies():
     got = default_exhaust_policies(ModelParams(C=12, T=3, F=1, k=2))
     assert got == {"fa": 3, "fwf": 3, "ftwf": None} or set(got) == {"fa", "fwf"}

@@ -14,12 +14,12 @@ from collatsim.oracles import (
     greedy_feasible_value,
     opt_general_utility,
     opt_general_value,
-    opt_general_value_sim,
     opt_kwallet_value,
     opt_utility_upper_bound,
     opt_value_extend,
     window_upper_bound,
 )
+from oracle_reference import opt_general_value_sim, subset_optima, window_law_holds
 
 
 def seq_of(pairs):
@@ -60,6 +60,16 @@ def test_opt_value_budget():
     assert opt_general_value(seq, 20, 1, budget=OracleBudget(max_transactions=13)) == 13
 
 
+def fold_optima(pairs, C, F):
+    """The DP's optimum after each transaction, checking its state bound."""
+    states, optima = {(): 0}, []
+    for slot, value in pairs:
+        states = opt_value_extend(states, slot, value, C, F)
+        assert len(states) <= 2**F
+        optima.append(max(states.values()))
+    return optima
+
+
 def test_opt_value_extend_matches_full_recompute():
     rng = random.Random(11)
     for _ in range(30):
@@ -67,12 +77,39 @@ def test_opt_value_extend_matches_full_recompute():
         F = rng.randint(1, 3)
         pairs = []
         slot = 0
-        prev = 0
         for _ in range(rng.randint(1, 8)):
             slot += rng.randint(1, 3)
             pairs.append((slot, rng.randint(1, C)))
-            prev = opt_value_extend(pairs, C, F, prev)
-            assert prev == opt_general_value(seq_of(pairs), C, F)
+        optima = fold_optima(pairs, C, F)
+        assert optima == subset_optima(pairs, C, F)
+        assert optima[-1] == opt_general_value(seq_of(pairs), C, F)
+
+
+@st.composite
+def instances(draw):
+    C = draw(st.integers(min_value=1, max_value=15))
+    F = draw(st.integers(min_value=0, max_value=3))
+    gaps = draw(st.lists(st.integers(min_value=1, max_value=3), max_size=10))
+    pairs, slot = [], 0
+    for gap in gaps:
+        slot += gap
+        pairs.append((slot, draw(st.integers(min_value=1, max_value=C + 2))))
+    return pairs, C, F
+
+
+@given(instances())
+@settings(max_examples=150, deadline=None)
+def test_dp_matches_subset_reference(instance):
+    pairs, C, F = instance
+    optima = subset_optima(pairs, C, F)
+    assert fold_optima(pairs, C, F) == optima
+    seq = seq_of(pairs) if pairs else TransactionSequence([], horizon=1)
+    best, witness = opt_general_value(seq, C, F, return_witness=True)
+    assert best == (optima[-1] if optima else 0)
+    assert sum(t.value for t in witness) == best
+    chosen = [(t.slot, t.value) for t in witness]
+    assert set(chosen) <= set(pairs) and chosen == sorted(chosen)
+    assert window_law_holds(chosen, C, F)
 
 
 def test_greedy_is_feasible_lower_bound():
