@@ -214,9 +214,17 @@ def cmd_exhaust(args) -> int:
     return 0 if summary.ok() else 1
 
 
+MAX_SWEEP_VALUES = 10_000
+
+
 def cmd_sweep(args) -> int:
     if not args.step > 0:
         raise CollateralError(f"--step must be positive, got {args.step}")
+    # below one ulp of the largest endpoint, v += step can stop advancing
+    if args.step < math.ulp(max(abs(args.from_), abs(args.to + 1e-12))):
+        raise CollateralError(f"--step {args.step} is too small to advance")
+    if (args.to - args.from_) / args.step > MAX_SWEEP_VALUES:
+        raise CollateralError(f"sweep would exceed {MAX_SWEEP_VALUES} values")
     config = _config_from_args(args)
     values = []
     v = args.from_

@@ -68,7 +68,6 @@ def run_sequence(
     seq: TransactionSequence,
     terminal_flushes: bool = False,
     charge: str = "per-wallet",
-    validate: bool = True,
 ) -> RunResult:
     """Drive a policy over a sequence; returns exact totals.
 
@@ -87,15 +86,15 @@ def run_sequence(
         decision = policy.step(slot, seq.at(slot))
         if decision.flushed or decision.flush_amount is not None:
             actions += 1
-    before = policy.trace.flush_count()
-    policy.finish(seq.horizon, terminal_flushes)
-    if policy.trace.flush_count() > before:
+    return _close_run(policy, seq, actions, terminal_flushes, charge)
+
+
+def _close_run(policy, seq, actions, terminal_flushes, charge) -> RunResult:
+    """Both drivers' tail: the final flushes, the window check and the totals."""
+    if policy.finish(seq.horizon, terminal_flushes):  # falsy if nothing flushed
         actions += 1
-    if validate:
-        validate_window_bound(policy.trace, policy.params)
-    return RunResult.from_trace(
-        policy.trace, policy.params, flush_actions=actions, charge=charge
-    )
+    validate_window_bound(policy.machine.trace, policy.params)
+    return RunResult.from_machine(policy.machine, seq, actions, charge)
 
 
 def value_bound_fraction(kind: str, params: ModelParams) -> Fraction | None:
@@ -360,6 +359,8 @@ def _ratio_row(
 # ---------------------------------------------------------------------------
 # exhaustive verification
 
+MAX_EXHAUST_SEQUENCES = 5**7
+
 
 @dataclass(frozen=True)
 class ExhaustSpace:
@@ -371,7 +372,6 @@ class ExhaustSpace:
     F: int
     max_len: int
     values: tuple[int, ...]
-    max_sequences: int = 5**7
 
     def __post_init__(self) -> None:
         if self.max_len < 1:
@@ -431,9 +431,9 @@ def exhaustive_verify(
     at r = 1 a flush-all event carries at least C/2 total (pair flushes
     likewise carry at least C/k).
     """
-    if space.sequence_count() > space.max_sequences:
+    if space.sequence_count() > MAX_EXHAUST_SEQUENCES:
         raise BudgetExceeded(
-            f"{space.sequence_count()} sequences exceed cap {space.max_sequences}"
+            f"{space.sequence_count()} sequences exceed cap {MAX_EXHAUST_SEQUENCES}"
         )
     params = ModelParams(C=space.C, T=space.T, F=space.F, k=space.k)
     params.require_kwallet()
@@ -454,10 +454,8 @@ def exhaustive_verify(
     )
     symbols = tuple(space.values) + (None,)
 
-    def check_flushes(kind: str, trace: EventTrace, start: int, slot: int, pairs) -> None:
-        new_flushes = [
-            e for e in trace.events[start:] if e.kind == "flush" and e.slot == slot
-        ]
+    def check_flushes(kind: str, trace: EventTrace, slot: int, pairs) -> None:
+        new_flushes = [e for e in trace.events if e.kind == "flush"]
         if not new_flushes:
             return
         summary.flush_events_checked += len(new_flushes)
@@ -492,20 +490,19 @@ def exhaustive_verify(
         for sym in symbols:
             tx = Transaction(slot, sym) if sym is not None else None
             new_states = []
-            for kind, policy, v_alg in states:
+            for kind, policy in states:
+                # a clone's trace holds only the events of this step
                 p2 = policy.clone()
-                start = len(p2.trace)
-                decision = p2.step(slot, tx)
-                if decision.action == "settle":
-                    v_alg = v_alg + tx.value
-                check_flushes(kind, p2.trace, start, slot, tuple(pairs))
-                new_states.append((kind, p2, v_alg))
+                p2.step(slot, tx)
+                check_flushes(kind, p2.machine.trace, slot, tuple(pairs))
+                new_states.append((kind, p2))
             if sym is not None:
                 new_pairs = pairs + [(slot, sym)]
                 opt_next = opt_value_extend(opt_states, slot, sym, space.C, space.F)
                 opt_here = max(opt_next.values())
                 summary.prefixes_checked += 1
-                for kind, _, v_alg in new_states:
+                for kind, p2 in new_states:
+                    v_alg = p2.machine.settled
                     b = policies[kind]
                     if opt_here * b.denominator > b.numerator * v_alg:
                         summary.counterexamples.append(
@@ -521,7 +518,7 @@ def exhaustive_verify(
             else:
                 summary.sequences += 1
 
-    roots = [(kind, make_policy(kind, params, seed=0), 0) for kind in policies]
+    roots = [(kind, make_policy(kind, params, seed=0)) for kind in policies]
     walk(0, [], roots, {(): 0})
     return summary
 
@@ -546,6 +543,7 @@ def run_adversary(policy, adversary: Thm3Adversary):
     last: bool | None = None
     txs = []
     slot = 0
+    actions = 0
     while True:
         out = adversary.next_emission(last)
         if out is DONE:
@@ -557,16 +555,15 @@ def run_adversary(policy, adversary: Thm3Adversary):
                 f"adversary emitted slot {tx.slot}, driver is at {slot}"
             )
         decision = policy.step(slot, tx)
+        if decision.flushed or decision.flush_amount is not None:
+            actions += 1
         if tx is not None:
             txs.append(tx)
             last = decision.action == "settle"
         else:
             last = None
     seq = TransactionSequence(txs, horizon=slot)
-    policy.finish(seq.horizon, False)
-    validate_window_bound(policy.trace, policy.params)
-    result = RunResult.from_trace(policy.trace, policy.params)
-    return seq, result
+    return seq, _close_run(policy, seq, actions, False, "per-wallet")
 
 
 ADVERSARY_KINDS = ("thm3", "fwfkiller", "burst")

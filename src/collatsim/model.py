@@ -249,7 +249,7 @@ class Event:
 
 
 class EventTrace:
-    """Append-only event log for one run."""
+    """Append-only event log for one run; the machines count the totals."""
 
     __slots__ = ("events",)
 
@@ -259,31 +259,10 @@ class EventTrace:
     def add(self, slot: int, kind: str, **kw) -> None:
         self.events.append(Event(slot, kind, **kw))
 
-    def settled_value(self) -> int:
-        return sum(e.value for e in self.events if e.kind == SETTLE)
-
-    def offered_value(self) -> int:
-        return sum(e.value for e in self.events if e.kind == ARRIVE)
-
-    def arrival_count(self) -> int:
-        return sum(1 for e in self.events if e.kind == ARRIVE)
-
-    def flush_count(self) -> int:
-        return sum(1 for e in self.events if e.kind == FLUSH)
-
     def to_ndjson(self) -> str:
         return "\n".join(
             _NDJSON.encode(e.to_json_obj()) for e in self.events
         ) + ("\n" if self.events else "")
-
-    def clone(self) -> "EventTrace":
-        return EventTrace(self.events)
-
-    def __len__(self) -> int:
-        return len(self.events)
-
-    def __iter__(self):
-        return iter(self.events)
 
 
 class WalletBank:
@@ -292,18 +271,22 @@ class WalletBank:
     A wallet flushed at slot t is offline for slots t+1..t+F and comes
     back online with remaining capacity restored to C/k at slot t+F+1.
     `begin_slot` must be called once per slot, in order, before any other
-    operation for that slot; it performs the restorations.
+    operation for that slot; it performs the restorations.  `settled` and
+    `flushes` are the run's totals; `clone` copies them with an empty trace.
     """
 
-    __slots__ = ("params", "size", "remaining", "offline_until", "trace")
+    __slots__ = ("params", "size", "remaining", "offline_until",
+                 "settled", "flushes", "trace")
 
-    def __init__(self, params: ModelParams, trace: EventTrace | None = None):
+    def __init__(self, params: ModelParams):
         params.require_kwallet()
         self.params = params
         self.size = params.C // params.k
         self.remaining = [self.size] * params.k
         self.offline_until = [0] * params.k
-        self.trace = trace if trace is not None else EventTrace()
+        self.settled = 0
+        self.flushes = 0
+        self.trace = EventTrace()
 
     def _check_index(self, i: int) -> None:
         if not 1 <= i <= self.params.k:
@@ -337,6 +320,7 @@ class WalletBank:
                 f"wallet {i} has {self.remaining[i - 1]}, needs {tx.value}"
             )
         self.remaining[i - 1] -= tx.value
+        self.settled += tx.value
         self.trace.add(slot, SETTLE, wallet=i, value=tx.value)
 
     def flush(self, i: int, slot: int) -> None:
@@ -346,14 +330,17 @@ class WalletBank:
             raise WalletOffline(f"wallet {i} already offline at slot {slot}")
         self.trace.add(slot, FLUSH, wallet=i, flush_amount=self.committed(i))
         self.offline_until[i - 1] = slot + self.params.F
+        self.flushes += 1
 
-    def clone(self, trace: EventTrace | None = None) -> "WalletBank":
+    def clone(self) -> "WalletBank":
         other = object.__new__(WalletBank)
         other.params = self.params
         other.size = self.size
         other.remaining = list(self.remaining)
         other.offline_until = list(self.offline_until)
-        other.trace = trace if trace is not None else self.trace.clone()
+        other.settled = self.settled
+        other.flushes = self.flushes
+        other.trace = EventTrace()
         return other
 
 
@@ -363,16 +350,19 @@ class CollateralPool:
     Flushing amount a at slot t moves it to an in-flight tranche that
     rejoins the available balance at slot t+F+1.  Tranches are retired
     lazily whenever the pool is observed, so `available` is always
-    consistent with the current slot.
+    consistent with the current slot.  `settled` and `flushes` count the
+    run's settled value and flushed tranches.
     """
 
-    __slots__ = ("params", "committed", "inflight", "trace")
+    __slots__ = ("params", "committed", "inflight", "settled", "flushes", "trace")
 
-    def __init__(self, params: ModelParams, trace: EventTrace | None = None):
+    def __init__(self, params: ModelParams):
         self.params = params
         self.committed: int | Fraction = 0
         self.inflight: list[tuple[int | Fraction, int]] = []  # (amount, back at slot)
-        self.trace = trace if trace is not None else EventTrace()
+        self.settled = 0
+        self.flushes = 0
+        self.trace = EventTrace()
 
     def _retire(self, slot: int) -> None:
         keep = []
@@ -402,6 +392,7 @@ class CollateralPool:
                 f"pool has {self.available(slot)} available, needs {tx.value}"
             )
         self.committed += tx.value
+        self.settled += tx.value
         self.trace.add(
             slot, SETTLE, value=tx.value,
             available=self.params.C - self.committed - self.pending(),
@@ -417,18 +408,21 @@ class CollateralPool:
             )
         self.committed -= amount
         self.inflight.append((amount, slot + self.params.F + 1))
+        self.flushes += 1
         self.trace.add(
             slot, FLUSH, flush_amount=amount,
             available=self.params.C - self.committed - self.pending(),
             committed=self.committed,
         )
 
-    def clone(self, trace: EventTrace | None = None) -> "CollateralPool":
+    def clone(self) -> "CollateralPool":
         other = object.__new__(CollateralPool)
         other.params = self.params
         other.committed = self.committed
         other.inflight = list(self.inflight)
-        other.trace = trace if trace is not None else self.trace.clone()
+        other.settled = self.settled
+        other.flushes = self.flushes
+        other.trace = EventTrace()
         return other
 
 
@@ -445,26 +439,24 @@ class RunResult:
     n_tx: int
 
     @classmethod
-    def from_trace(
+    def from_machine(
         cls,
-        trace: EventTrace,
-        params: ModelParams,
-        flush_actions: int | None = None,
+        machine: "WalletBank | CollateralPool",
+        seq: TransactionSequence,
+        flush_actions: int,
         charge: str = "per-wallet",
     ) -> "RunResult":
-        v = trace.settled_value()
-        f = trace.flush_count()
-        actions = flush_actions if flush_actions is not None else f
-        charged = f if charge == "per-wallet" else actions
-        utility = params.p * v - params.tau * charged
+        """Totals from the machine's counters after it was stepped over seq."""
+        params = machine.params
+        charged = machine.flushes if charge == "per-wallet" else flush_actions
         return cls(
-            trace=trace,
-            settled_value=v,
-            flush_count=f,
-            flush_actions=actions,
-            utility=utility,
-            offered_value=trace.offered_value(),
-            n_tx=trace.arrival_count(),
+            trace=machine.trace,
+            settled_value=machine.settled,
+            flush_count=machine.flushes,
+            flush_actions=flush_actions,
+            utility=params.p * machine.settled - params.tau * charged,
+            offered_value=seq.offered_value(),
+            n_tx=len(seq),
         )
 
 

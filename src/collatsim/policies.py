@@ -5,8 +5,11 @@ called once per slot, in order, with the arriving transaction or None,
 and returns the decision taken.  ``finish(slot, terminal_flushes)`` runs
 once after the last slot; wallet policies flush leftover committed
 collateral only when asked (utility accounting), the threshold policy
-always does.  Policies are deterministic given params and seed, and
-support ``clone`` so exhaustive drivers can fork mid-run.
+always does.  Policies are deterministic given params and seed.  Each
+keeps its state machine under ``machine``; the machine's counters are the
+run's totals and its trace only logs events.  ``clone`` copies the state,
+counters included, and gives the copy an empty trace, so exhaustive
+drivers can fork mid-run and read off the events of one step.
 
 The three deterministic wallet policies are one rule, ``GroupFlushPolicy``:
 first fit within an active group of g wallets; on a misfit, discard the
@@ -26,7 +29,6 @@ from .model import (
     ARRIVE,
     DISCARD,
     CollateralPool,
-    EventTrace,
     InvalidParams,
     ModelParams,
     Transaction,
@@ -74,7 +76,7 @@ class GroupFlushPolicy:
 
     name = "group"
 
-    def __init__(self, params: ModelParams, g: int, trace: EventTrace | None = None):
+    def __init__(self, params: ModelParams, g: int):
         if g < 1 or params.k % g != 0:
             # sweep rows report this text, so the pair preset keeps its wording
             if g == 2:
@@ -82,15 +84,11 @@ class GroupFlushPolicy:
             raise OddWalletCount(f"groups of {g} need k divisible by {g}, got {params.k}")
         self.params = params
         self.g = g
-        self.bank = WalletBank(params, trace)
+        self.machine = WalletBank(params)
         self.active = 1
 
-    @property
-    def trace(self) -> EventTrace:
-        return self.bank.trace
-
     def step(self, slot: int, tx: Transaction | None) -> PolicyDecision:
-        bank = self.bank
+        bank = self.machine
         bank.begin_slot(slot)
         if tx is None:
             return NO_ARRIVAL
@@ -115,13 +113,13 @@ class GroupFlushPolicy:
     def finish(self, slot: int, terminal_flushes: bool = False) -> list[int]:
         if not terminal_flushes:
             return []
-        return _flush_leftovers(self.bank, slot)
+        return _flush_leftovers(self.machine, slot)
 
     def clone(self) -> "GroupFlushPolicy":
         other = object.__new__(type(self))
         other.params = self.params
         other.g = self.g
-        other.bank = self.bank.clone()
+        other.machine = self.machine.clone()
         other.active = self.active
         return other
 
@@ -131,8 +129,8 @@ class FlushAllPolicy(GroupFlushPolicy):
 
     name = "fa"
 
-    def __init__(self, params: ModelParams, trace: EventTrace | None = None):
-        super().__init__(params, params.k, trace)
+    def __init__(self, params: ModelParams):
+        super().__init__(params, params.k)
 
 
 class FlushWhenFullPolicy(GroupFlushPolicy):
@@ -140,8 +138,8 @@ class FlushWhenFullPolicy(GroupFlushPolicy):
 
     name = "fwf"
 
-    def __init__(self, params: ModelParams, trace: EventTrace | None = None):
-        super().__init__(params, 1, trace)
+    def __init__(self, params: ModelParams):
+        super().__init__(params, 1)
 
 
 class FlushTwoWhenFullPolicy(GroupFlushPolicy):
@@ -149,8 +147,8 @@ class FlushTwoWhenFullPolicy(GroupFlushPolicy):
 
     name = "ftwf"
 
-    def __init__(self, params: ModelParams, trace: EventTrace | None = None):
-        super().__init__(params, 2, trace)
+    def __init__(self, params: ModelParams):
+        super().__init__(params, 2)
 
 
 class RandTwoPolicy:
@@ -168,22 +166,15 @@ class RandTwoPolicy:
 
     name = "rand2"
 
-    def __init__(
-        self,
-        params: ModelParams,
-        seed: int | None = None,
-        coins=None,
-        trace: EventTrace | None = None,
-    ):
+    def __init__(self, params: ModelParams, seed: int | None = None, coins=None):
         if params.k != 1:
             raise InvalidParams(f"rand2 runs a single wallet, got k={params.k}")
         if coins is None and seed is None:
             raise InvalidParams("rand2 needs a seed or an explicit coin source")
         self.params = params
-        self.bank = WalletBank(params, trace)
+        self.machine = WalletBank(params)
         self.shadow = FlushAllPolicy(
-            ModelParams(C=2 * params.C, T=params.T, F=params.F, k=2),
-            trace=EventTrace(),
+            ModelParams(C=2 * params.C, T=params.T, F=params.F, k=2)
         )
         if coins is not None:
             self._coin = coins
@@ -194,12 +185,8 @@ class RandTwoPolicy:
         self.chosen: int | None = None
         self.coins_drawn = 0
 
-    @property
-    def trace(self) -> EventTrace:
-        return self.bank.trace
-
     def step(self, slot: int, tx: Transaction | None) -> PolicyDecision:
-        bank = self.bank
+        bank = self.machine
         bank.begin_slot(slot)
         if bank.wallet_available(1, slot) and self.chosen is None:
             self.chosen = 1 + self._coin()
@@ -221,14 +208,14 @@ class RandTwoPolicy:
     def finish(self, slot: int, terminal_flushes: bool = False) -> list[int]:
         if not terminal_flushes:
             return []
-        return _flush_leftovers(self.bank, slot)
+        return _flush_leftovers(self.machine, slot)
 
     def clone(self) -> "RandTwoPolicy":
         if self._rng is None:
             raise InvalidParams("cannot clone a rand2 policy with an external coin source")
         other = object.__new__(RandTwoPolicy)
         other.params = self.params
-        other.bank = self.bank.clone()
+        other.machine = self.machine.clone()
         other.shadow = self.shadow.clone()
         other._rng = random.Random()
         other._rng.setstate(self._rng.getstate())
@@ -251,19 +238,15 @@ class ThresholdPolicy:
 
     name = "eta"
 
-    def __init__(self, params: ModelParams, trace: EventTrace | None = None):
+    def __init__(self, params: ModelParams):
         if params.eta_ppm is None:
             raise InvalidEta("threshold policy needs eta_ppm")
         self.params = params
-        self.pool = CollateralPool(params, trace)
+        self.machine = CollateralPool(params)
         self.eta_c = params.eta_collateral
 
-    @property
-    def trace(self) -> EventTrace:
-        return self.pool.trace
-
     def step(self, slot: int, tx: Transaction | None) -> PolicyDecision:
-        pool = self.pool
+        pool = self.machine
         pool.begin_slot(slot)
         if tx is None:
             return NO_ARRIVAL
@@ -280,16 +263,16 @@ class ThresholdPolicy:
 
     def finish(self, slot: int, terminal_flushes: bool = True) -> int | Fraction | None:
         # the final partial tranche is part of the policy, not optional
-        if self.pool.committed > 0:
-            amount = self.pool.committed
-            self.pool.flush(amount, slot)
+        if self.machine.committed > 0:
+            amount = self.machine.committed
+            self.machine.flush(amount, slot)
             return amount
         return None
 
     def clone(self) -> "ThresholdPolicy":
         other = object.__new__(ThresholdPolicy)
         other.params = self.params
-        other.pool = self.pool.clone()
+        other.machine = self.machine.clone()
         other.eta_c = self.eta_c
         return other
 
@@ -307,22 +290,16 @@ def _flush_leftovers(bank: WalletBank, slot: int) -> list[int]:
 POLICY_KINDS = ("fa", "fwf", "ftwf", "rand2", "eta")
 
 
-def make_policy(
-    kind: str,
-    params: ModelParams,
-    seed: int | None = None,
-    trace: EventTrace | None = None,
-    coins=None,
-):
+def make_policy(kind: str, params: ModelParams, seed: int | None = None, coins=None):
     """Build a policy from its configuration string."""
     if kind == "fa":
-        return FlushAllPolicy(params, trace)
+        return FlushAllPolicy(params)
     if kind == "fwf":
-        return FlushWhenFullPolicy(params, trace)
+        return FlushWhenFullPolicy(params)
     if kind == "ftwf":
-        return FlushTwoWhenFullPolicy(params, trace)
+        return FlushTwoWhenFullPolicy(params)
     if kind == "rand2":
-        return RandTwoPolicy(params, seed=seed, coins=coins, trace=trace)
+        return RandTwoPolicy(params, seed=seed, coins=coins)
     if kind == "eta":
-        return ThresholdPolicy(params, trace)
+        return ThresholdPolicy(params)
     raise InvalidParams(f"unknown policy kind {kind!r}; expected one of {POLICY_KINDS}")

@@ -65,6 +65,10 @@ class WorkloadSpec:
     def __post_init__(self) -> None:
         if self.kind not in WORKLOAD_KINDS:
             raise InvalidSpec(f"unknown workload kind {self.kind!r}")
+        for name in ("arrival_rate_per_mille", "horizon", "seed", "max_value"):
+            v = getattr(self, name)
+            if not isinstance(v, int) or isinstance(v, bool):
+                raise InvalidSpec(f"{name} must be an integer, got {v!r}")
         if not 0 <= self.arrival_rate_per_mille <= 1000:
             raise InvalidSpec(
                 f"arrival rate must be in [0, 1000], got {self.arrival_rate_per_mille}"
@@ -89,6 +93,8 @@ class WorkloadSpec:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "WorkloadSpec":
+        if not isinstance(obj, dict):
+            raise InvalidSpec(f"workload spec must be an object, got {obj!r}")
         try:
             return cls(
                 kind=obj["kind"],

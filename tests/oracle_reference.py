@@ -7,7 +7,7 @@ settle/discard choice.  Both are exponential in the number of transactions
 and meant for n <= 12.
 """
 
-from collatsim.model import CollateralPool, EventTrace, ModelParams
+from collatsim.model import CollateralPool, ModelParams
 
 
 def window_law_holds(pairs, C, F):
@@ -48,7 +48,7 @@ def opt_general_value_sim(seq, C, F):
     n = len(txs)
     best = 0
     for mask in range(1 << n):
-        pool = CollateralPool(params, EventTrace())
+        pool = CollateralPool(params)
         value = 0
         ok = True
         picked = {txs[i].slot: txs[i] for i in range(n) if mask >> i & 1}

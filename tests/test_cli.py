@@ -230,3 +230,61 @@ def test_thm3_adversary_rejects_nonpositive_rounds(capsys, rounds):
         "--C", "4", "--F", "1", f"--rounds={rounds}",
     )
     assert f"rounds must be positive, got {rounds}" in err
+
+
+@pytest.mark.parametrize(
+    "span, expected",
+    [
+        # 1e16 + 1.0 == 1e16: the loop would never advance
+        (("1e16", "2e16", "1"), "too small to advance"),
+        # 2**53 - 2 advances twice, then 2**53 + 1.0 rounds back to 2**53
+        (("9007199254740990", "9007199254740994", "1"), "too small to advance"),
+        (("0", "inf", "1"), "too small to advance"),
+        (("0", "1", "1e-9"), "exceed 10000 values"),
+    ],
+)
+def test_sweep_rejects_endless_or_huge_ranges(capsys, span, expected):
+    lo, hi, step = span
+    err = run_cli_error(
+        capsys, "sweep", "--param", "eta", f"--from={lo}", f"--to={hi}",
+        f"--step={step}", "--policy", "eta",
+        "--C", "200", "--T", "60", "--F", "1", "--p-ppm", "100000", "--tau", "5",
+        "--workload", json.dumps(
+            {"kind": "constant", "arrivalRatePerMille": 600, "horizon": 20,
+             "seed": 0, "maxValue": 60}
+        ),
+    )
+    assert expected in err
+
+
+WORKLOAD = {"kind": "constant", "arrivalRatePerMille": 500, "horizon": 10,
+            "seed": 1, "maxValue": 3}
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("horizon", "10"),
+        ("horizon", 10.5),
+        ("seed", "x"),
+        ("arrivalRatePerMille", 500.0),
+        ("maxValue", True),
+    ],
+)
+def test_wrong_typed_workload_field(capsys, field, value):
+    err = run_cli_error(
+        capsys, "simulate", "--policy", "fa",
+        "--C", "20", "--k", "2", "--T", "6", "--F", "1",
+        "--workload", json.dumps(dict(WORKLOAD, **{field: value})),
+    )
+    assert "must be an integer" in err
+
+
+def test_workload_file_not_an_object(capsys, tmp_path):
+    path = tmp_path / "wl.json"
+    path.write_text("[1]")
+    err = run_cli_error(
+        capsys, "simulate", "--policy", "fa",
+        "--C", "20", "--k", "2", "--T", "6", "--F", "1", "--workload", str(path),
+    )
+    assert "must be an object" in err

@@ -217,48 +217,57 @@ def test_ndjson_shapes():
 
 
 def test_trace_totals():
-    trace = EventTrace()
+    # the bank counts its own totals; a clone copies them with an empty trace
     params = ModelParams(C=20, T=6, F=1, k=2)
-    bank = WalletBank(params, trace=trace)
+    bank = WalletBank(params)
     bank.begin_slot(1)
     bank.settle(1, Transaction(1, 6), 1)
     bank.settle(2, Transaction(2, 4), 2)
     bank.flush(1, 2)
-    assert trace.settled_value() == 10
-    assert trace.flush_count() == 1
-    clone = trace.clone()
+    assert (bank.settled, bank.flushes) == (10, 1)
+    clone = bank.clone()
+    assert (clone.settled, clone.flushes, clone.trace.events) == (10, 1, [])
     bank.flush(2, 2)
-    assert clone.flush_count() == 1
-    assert trace.flush_count() == 2
+    assert clone.flushes == 1
+    assert bank.flushes == 2
+    assert [e.kind for e in bank.trace.events] == [SETTLE, SETTLE, FLUSH, FLUSH]
+    pool = CollateralPool(params)
+    pool.begin_slot(1)
+    pool.settle(Transaction(1, 6), 1)
+    pool.flush(Fraction(5, 2), 1)
+    pool_clone = pool.clone()
+    pool.flush(Fraction(7, 2), 1)
+    assert (pool.settled, pool.flushes) == (6, 2)
+    assert (pool_clone.settled, pool_clone.flushes, pool_clone.trace.events) == (6, 1, [])
 
 
 def test_run_result_charging_modes():
-    trace = EventTrace()
     params = ModelParams(C=40, T=10, F=1, k=2, p_ppm=500000, tau=2)
-    bank = WalletBank(params, trace=trace)
+    seq = TransactionSequence.from_pairs([(1, 10), (2, 10)])
+    bank = WalletBank(params)
     bank.begin_slot(1)
-    bank.settle(1, Transaction(1, 10), 1)
-    bank.settle(2, Transaction(2, 10), 2)
+    bank.settle(1, seq.at(1), 1)
+    bank.settle(2, seq.at(2), 2)
     bank.flush(1, 2)
     bank.flush(2, 2)
-    per_wallet = RunResult.from_trace(trace, params, flush_actions=1)
+    per_wallet = RunResult.from_machine(bank, seq, flush_actions=1)
     assert per_wallet.settled_value == 20
     assert per_wallet.flush_count == 2
+    assert (per_wallet.n_tx, per_wallet.offered_value) == (2, 20)
     assert per_wallet.utility == Fraction(1, 2) * 20 - 2 * 2
-    per_action = RunResult.from_trace(trace, params, flush_actions=1, charge="per-action")
+    per_action = RunResult.from_machine(bank, seq, flush_actions=1, charge="per-action")
     assert per_action.utility == Fraction(1, 2) * 20 - 2 * 1
 
 
 def test_window_bound_validator():
     params = ModelParams(C=10, T=10, F=2)
-    trace = EventTrace()
-    pool = CollateralPool(params, trace=trace)
+    pool = CollateralPool(params)
     pool.begin_slot(1)
     pool.settle(Transaction(1, 10), 1)
     pool.flush(10, 1)
-    validate_window_bound(trace, params)
+    validate_window_bound(pool.trace, params)
     # forge a settle inside the outage window; the validator must object
-    bad = trace.clone()
+    bad = EventTrace(list(pool.trace.events))
     bad.add(slot=2, kind=SETTLE, value=10)
     with pytest.raises(Exception):
         validate_window_bound(bad, params)

@@ -1,6 +1,7 @@
 """Online policies: hand-checked traces, guards, determinism, mirroring."""
 
 import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -232,6 +233,62 @@ def test_settled_never_exceeds_offered(values, kind):
     res = run_sequence(make_policy(kind, params), seq, terminal_flushes=True)
     assert 0 <= res.settled_value <= res.offered_value
     assert res.n_tx == len(values)
+
+
+def rescan(ndjson):
+    """The run totals read back from the NDJSON trace alone."""
+    events = [json.loads(line) for line in ndjson.splitlines()]
+    return {
+        "settled_value": sum(e["value"] for e in events if e["kind"] == "settle"),
+        "flush_count": sum(1 for e in events if e["kind"] == "flush"),
+        "n_tx": sum(1 for e in events if e["kind"] == "arrive"),
+        "offered_value": sum(e["value"] for e in events if e["kind"] == "arrive"),
+    }
+
+
+COUNTER_PARAMS = {
+    "fa": ModelParams(C=12, T=3, F=2, k=4),
+    "fwf": ModelParams(C=12, T=3, F=2, k=2),
+    "ftwf": ModelParams(C=12, T=3, F=2, k=4),
+    "rand2": ModelParams(C=6, T=3, F=2),
+    # eta*C = 18/5, so tranches are not integral
+    "eta": ModelParams(C=12, T=3, F=2, eta_ppm=300000),
+}
+
+
+@given(
+    st.lists(st.one_of(st.none(), st.integers(min_value=1, max_value=3)), max_size=30),
+    st.sampled_from(sorted(COUNTER_PARAMS)),
+    st.booleans(),
+    st.integers(min_value=0, max_value=2**16),
+)
+@settings(max_examples=150, deadline=None)
+def test_counters_match_trace(symbols, kind, terminal_flushes, seed):
+    params = COUNTER_PARAMS[kind]
+    pairs = [(i + 1, v) for i, v in enumerate(symbols) if v is not None]
+    seq = TransactionSequence.from_pairs(pairs, horizon=len(symbols))
+    res = run_sequence(
+        make_policy(kind, params, seed=seed), seq, terminal_flushes=terminal_flushes
+    )
+    expected = rescan(res.trace.to_ndjson())
+    assert {name: getattr(res, name) for name in expected} == expected
+    # stepping a clone leaves the original's counters and trace alone
+    cut = len(symbols) // 2
+    policy = make_policy(kind, params, seed=seed)
+    for slot in range(1, cut + 1):
+        policy.step(slot, seq.at(slot))
+    machine = policy.machine
+    before = (machine.settled, machine.flushes, machine.trace.to_ndjson())
+    fork = policy.clone()
+    for slot in range(cut + 1, seq.horizon + 1):
+        fork.step(slot, seq.at(slot))
+    fork.finish(seq.horizon, terminal_flushes)
+    assert (machine.settled, machine.flushes, machine.trace.to_ndjson()) == before
+    # the fork carried the counters on and logged only its own slots
+    assert (fork.machine.settled, fork.machine.flushes) == (
+        res.settled_value, res.flush_count
+    )
+    assert fork.machine.trace.events == [e for e in res.trace.events if e.slot > cut]
 
 
 # sha256 of the NDJSON trace, flush_actions and utility, with terminal
