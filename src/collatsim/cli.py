@@ -174,7 +174,6 @@ def cmd_adversary(args) -> int:
             "nTx": len(report.seq),
             "algValue": report.result.settled_value,
             "optValue": report.opt_value,
-            "optExact": report.opt_exact,
             "ratio": _frac(report.ratio),
         }
     )

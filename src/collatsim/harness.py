@@ -18,7 +18,8 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import partial
 from fractions import Fraction
 
 from . import formulas
@@ -29,13 +30,11 @@ from .model import (
     RunResult,
     Transaction,
     TransactionSequence,
+    typed_field,
     validate_window_bound,
 )
 from .oracles import (
-    DEFAULT_BUDGET,
     BudgetExceeded,
-    OracleBudget,
-    greedy_feasible_value,
     opt_general_utility,
     opt_general_value,
     opt_kwallet_value,
@@ -182,7 +181,6 @@ class ExperimentConfig:
     trace_path: str | None = None
     utility: bool | None = None
     flush_charge: str = "per-wallet"
-    budget: OracleBudget = field(default_factory=lambda: DEFAULT_BUDGET)
 
     def __post_init__(self) -> None:
         if self.oracle not in ORACLE_KINDS:
@@ -217,19 +215,22 @@ class ExperimentConfig:
                 eta_ppm=pp.get("eta_ppm"),
             )
             workload = obj.get("workload")
-            outputs = obj.get("outputs", {})
+            check = partial(typed_field, ConfigError)
+            outputs = check("outputs", obj.get("outputs", {}), "an object")
             return cls(
                 params=params,
-                policy=obj["policy"],
-                seed=obj.get("seed", 0),
+                policy=check("policy", obj["policy"], "a string"),
+                seed=check("seed", obj.get("seed", 0), "an integer"),
                 workload=WorkloadSpec.from_json_obj(workload) if workload else None,
-                seq_file=obj.get("seqFile"),
-                oracle=obj.get("oracle", "brute-general"),
-                repetitions=obj.get("repetitions", 1),
-                csv_path=outputs.get("csv"),
-                trace_path=outputs.get("trace"),
-                utility=obj.get("utility"),
-                flush_charge=obj.get("flushCharge", "per-wallet"),
+                seq_file=check("seqFile", obj.get("seqFile"), "a string", True),
+                oracle=check("oracle", obj.get("oracle", "brute-general"), "a string"),
+                repetitions=check("repetitions", obj.get("repetitions", 1), "an integer"),
+                csv_path=check("outputs.csv", outputs.get("csv"), "a string", True),
+                trace_path=check("outputs.trace", outputs.get("trace"), "a string", True),
+                utility=check("utility", obj.get("utility"), "a boolean", True),
+                flush_charge=check(
+                    "flushCharge", obj.get("flushCharge", "per-wallet"), "a string"
+                ),
             )
         except KeyError as missing:
             raise ConfigError(f"config missing field {missing}") from None
@@ -302,12 +303,12 @@ def _ratio_row(
     opt_utility = None
     upper = False
     if config.oracle == "brute-general":
-        opt_value = opt_general_value(seq, params.C, params.F, config.budget)
+        opt_value = opt_general_value(seq, params.C, params.F)
     elif config.oracle == "brute-kwallet":
-        opt_value = opt_kwallet_value(seq, params, config.budget)
+        opt_value = opt_kwallet_value(seq, params)
     elif config.oracle == "brute-utility":
-        opt_value = opt_general_value(seq, params.C, params.F, config.budget)
-        opt_utility = opt_general_utility(seq, params, config.budget)
+        opt_value = opt_general_value(seq, params.C, params.F)
+        opt_utility = opt_general_utility(seq, params)
     else:  # window-bound
         opt_value = window_upper_bound(seq, params.C, params.F)
         opt_utility = opt_utility_upper_bound(opt_value, params)
@@ -534,7 +535,6 @@ class AdversaryReport:
     seq: TransactionSequence
     result: RunResult
     opt_value: int
-    opt_exact: bool
     ratio: Fraction | float
 
 
@@ -576,13 +576,12 @@ def run_adversary_demo(
     epsilon: int,
     rounds: int,
     seed: int = 0,
-    budget: OracleBudget = DEFAULT_BUDGET,
 ) -> AdversaryReport:
     """Run one adversarial construction against a target policy.
 
-    The reported optimum is the exact brute value when the sequence fits
-    the oracle budget, else a certified feasible lower bound, so the
-    reported ratio never overstates the truth.
+    The reported optimum is the exact general-model value from the window
+    DP at any length; a sequence whose DP would pass the oracle's
+    state-step cap raises BudgetExceeded instead.
     """
     policy = make_policy(target, params, seed=seed)
     if kind == "thm3":
@@ -596,19 +595,13 @@ def run_adversary_demo(
         result = run_sequence(policy, seq)
     else:
         raise ConfigError(f"unknown adversary {kind!r}; expected {ADVERSARY_KINDS}")
-    if len(seq) <= budget.max_transactions:
-        opt_value = opt_general_value(seq, params.C, params.F, budget)
-        exact = True
-    else:
-        opt_value, _ = greedy_feasible_value(seq, params.C, params.F)
-        exact = False
+    opt_value = opt_general_value(seq, params.C, params.F)
     return AdversaryReport(
         kind=kind,
         target=target,
         seq=seq,
         result=result,
         opt_value=opt_value,
-        opt_exact=exact,
         ratio=ratio_of(opt_value, result.settled_value),
     )
 

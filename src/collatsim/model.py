@@ -18,6 +18,7 @@ t+1 .. t+F; it is usable again at slot t+F+1.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -50,6 +51,29 @@ class FlushExceedsCommitted(CollateralError):
 
 class ZeroFlush(CollateralError):
     pass
+
+
+FIELD_KINDS = {
+    "an integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "a finite number": lambda v: (
+        isinstance(v, (int, float)) and not isinstance(v, bool) and -math.inf < v < math.inf
+    ),
+    "a string": lambda v: isinstance(v, str),
+    "a boolean": lambda v: isinstance(v, bool),
+    "an object": lambda v: isinstance(v, dict),
+}
+
+
+def typed_field(error: type, name: str, value, kind: str, optional: bool = False):
+    """Return an input field's ``value`` if it is ``kind``, else raise ``error``.
+
+    ``kind`` is a key of FIELD_KINDS, and a bool is never a number.
+    ``optional`` also admits None, as read for a field left out.
+    """
+    if not (optional and value is None or FIELD_KINDS[kind](value)):
+        allowed = f"{kind} or null" if optional else kind
+        raise error(f"{name} must be {allowed}, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)

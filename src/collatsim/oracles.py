@@ -3,10 +3,12 @@
 The general-model optimum has a clean combinatorial shape: a subset of
 transactions is settleable with free immediate flushing iff every window
 of F+1 consecutive slots carries at most C of its value.  The value
-oracle is a DP over the settles of the last F slots; the tests re-derive
-it by subset enumeration and by simulating the pool state machine.  The
-exact oracles refuse inputs above an explicit budget rather than silently
-taking forever.
+oracle is a DP over the settles of the last F slots, exact at any length;
+it refuses an input only when its layers would hold more than
+MAX_DP_STATE_STEPS states in all.  The tests re-derive it by subset
+enumeration and by simulating the pool state machine.  The utility and
+k-wallet oracles are branch-and-bound searches that refuse more than
+MAX_SEARCH_TRANSACTIONS transactions rather than silently taking forever.
 
 Two exchange arguments justify the pruned searches and are relied on
 throughout: flushing everything when flushing at all is loss-free (the
@@ -17,45 +19,27 @@ settle that fed it (the tranche only returns later).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .model import (
-    CollateralError,
-    ModelParams,
-    TransactionSequence,
-    first_overfull_window,
-)
+from .model import CollateralError, ModelParams, TransactionSequence
 
 
 class BudgetExceeded(CollateralError):
     pass
 
 
-@dataclass(frozen=True)
-class OracleBudget:
-    max_transactions: int = 12
-
-    def check_n(self, n: int) -> None:
-        if n > self.max_transactions:
-            raise BudgetExceeded(
-                f"{n} transactions exceed oracle budget {self.max_transactions}"
-            )
+# The window DP's cost is the sum of its layer sizes, O(n * 2^F), times the
+# length of a state; with short states this cap is a few seconds.  Any input
+# of at most 12 transactions stays below 2^13.
+MAX_DP_STATE_STEPS = 2**22
+MAX_SEARCH_TRANSACTIONS = 12
 
 
-DEFAULT_BUDGET = OracleBudget()
-
-
-def feasible_window_check(txs, C: int, F: int) -> bool:
-    """True iff every F+1-slot window of this transaction set sums to <= C.
-
-    This is exactly general-model feasibility: settled collateral is
-    unusable for the F slots after its (immediate) flush, so any window
-    of F+1 slots spends at most C; conversely a set passing the check is
-    settled greedily with available C minus the last F slots' settles.
-    """
-    items = sorted((t.slot, t.value) for t in txs)
-    return first_overfull_window(items, C, F) is None
+def _check_search_size(n: int) -> None:
+    if n > MAX_SEARCH_TRANSACTIONS:
+        raise BudgetExceeded(
+            f"{n} transactions exceed oracle budget {MAX_SEARCH_TRANSACTIONS}"
+        )
 
 
 def opt_value_extend(
@@ -95,22 +79,31 @@ def opt_value_extend(
 
 
 def opt_general_value(
-    seq: TransactionSequence,
-    C: int,
-    F: int,
-    budget: OracleBudget = DEFAULT_BUDGET,
-    return_witness: bool = False,
+    seq: TransactionSequence, C: int, F: int, return_witness: bool = False
 ):
     """Exact general-model optimum settled value, in O(n * 2^F).
 
-    Folds opt_value_extend over the sequence; the witness follows
-    back-pointers from the best final state through the kept layers.
+    Folds opt_value_extend over the sequence, keeping only the current
+    layer unless a witness is asked for; the witness follows back-pointers
+    from the best final state through the kept layers.  Raises
+    BudgetExceeded once the layers built hold more than MAX_DP_STATE_STEPS
+    states in all.
     """
     txs = list(seq)
-    budget.check_n(len(txs))
     layers = [{(): 0}]
-    for t in txs:
-        layers.append(opt_value_extend(layers[-1], t.slot, t.value, C, F))
+    steps = 0
+    for i, t in enumerate(txs):
+        layer = opt_value_extend(layers[-1], t.slot, t.value, C, F)
+        steps += len(layer)
+        if steps > MAX_DP_STATE_STEPS:
+            raise BudgetExceeded(
+                f"window DP exceeds {MAX_DP_STATE_STEPS} state-steps at "
+                f"transaction {i + 1} of {len(txs)} (F={F})"
+            )
+        if return_witness:
+            layers.append(layer)
+        else:
+            layers[-1] = layer
     state = max(layers[-1], key=layers[-1].get)
     best = total = layers[-1][state]
     if not return_witness:
@@ -129,28 +122,7 @@ def opt_general_value(
     return best, tuple(reversed(witness))
 
 
-def greedy_feasible_value(
-    seq: TransactionSequence, C: int, F: int
-) -> tuple[int, list]:
-    """Certified lower bound on the general-model optimum, any size.
-
-    Greedily admits transactions in decreasing value order while the
-    window check still passes; the result is a feasible schedule, so
-    its value never overstates the optimum.
-    """
-    chosen: list = []
-    for t in sorted(seq, key=lambda t: (-t.value, t.slot)):
-        if feasible_window_check(chosen + [t], C, F):
-            chosen.append(t)
-    chosen.sort(key=lambda t: t.slot)
-    return sum(t.value for t in chosen), chosen
-
-
-def opt_kwallet_value(
-    seq: TransactionSequence,
-    params: ModelParams,
-    budget: OracleBudget = DEFAULT_BUDGET,
-) -> int:
+def opt_kwallet_value(seq: TransactionSequence, params: ModelParams) -> int:
     """Exact k-wallet optimum settled value.
 
     Searches assignments of transactions to wallets (or the bin), where
@@ -161,7 +133,7 @@ def opt_kwallet_value(
     """
     params.require_kwallet()
     txs = sorted(seq, key=lambda t: t.slot)
-    budget.check_n(len(txs))
+    _check_search_size(len(txs))
     n = len(txs)
     size = params.C // params.k
     F = params.F
@@ -206,11 +178,7 @@ def opt_kwallet_value(
     return best
 
 
-def opt_general_utility(
-    seq: TransactionSequence,
-    params: ModelParams,
-    budget: OracleBudget = DEFAULT_BUDGET,
-) -> Fraction:
+def opt_general_utility(seq: TransactionSequence, params: ModelParams) -> Fraction:
     """Exact general-model optimum utility p*V - tau*f.
 
     Searches every schedule by deciding, per transaction, discard / settle /
@@ -224,7 +192,7 @@ def opt_general_utility(
     sequence fits without it.
     """
     txs = sorted(seq, key=lambda t: t.slot)
-    budget.check_n(len(txs))
+    _check_search_size(len(txs))
     n = len(txs)
     C, F, p, tau = params.C, params.F, params.p, params.tau
     suffix = [0] * (n + 1)

@@ -22,6 +22,7 @@ from .model import (
     ModelParams,
     Transaction,
     TransactionSequence,
+    typed_field,
 )
 
 
@@ -45,6 +46,14 @@ WORKLOAD_KINDS = (
     "bursty",
 )
 
+# valueParams knobs that each kind reads as plain numbers
+NUMBER_KNOBS = {
+    "poisson-exponential": ("mean",),
+    "poisson-pareto": ("tailIndex",),
+    "constant": ("value",),
+    "bursty": ("burstLen", "gapLen"),
+}
+
 
 @dataclass(frozen=True)
 class WorkloadSpec:
@@ -66,9 +75,7 @@ class WorkloadSpec:
         if self.kind not in WORKLOAD_KINDS:
             raise InvalidSpec(f"unknown workload kind {self.kind!r}")
         for name in ("arrival_rate_per_mille", "horizon", "seed", "max_value"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or isinstance(v, bool):
-                raise InvalidSpec(f"{name} must be an integer, got {v!r}")
+            typed_field(InvalidSpec, name, getattr(self, name), "an integer")
         if not 0 <= self.arrival_rate_per_mille <= 1000:
             raise InvalidSpec(
                 f"arrival rate must be in [0, 1000], got {self.arrival_rate_per_mille}"
@@ -77,12 +84,17 @@ class WorkloadSpec:
             raise InvalidSpec(f"horizon must be nonnegative, got {self.horizon}")
         if self.max_value < 1:
             raise InvalidSpec(f"max_value must be positive, got {self.max_value}")
-        if not isinstance(self.value_params, dict):
-            raise InvalidSpec(f"valueParams must be an object, got {self.value_params!r}")
+        vp = typed_field(InvalidSpec, "valueParams", self.value_params, "an object")
+        for knob in NUMBER_KNOBS.get(self.kind, ()):
+            if knob in vp:
+                typed_field(InvalidSpec, knob, vp[knob], "a finite number")
         if self.kind in ("poisson-uniform", "bursty"):
             lo, hi = self.value_range()
             if not (isinstance(lo, int) and isinstance(hi, int) and 1 <= lo <= hi):
                 raise InvalidSpec(f"bad uniform range [{lo}, {hi}]")
+        if self.kind == "bursty":
+            if vp.get("burstLen", 1) < 1 or vp.get("gapLen", 0) < 0:
+                raise InvalidSpec(f"bursty needs burstLen >= 1, gapLen >= 0, got {vp}")
 
     def value_range(self) -> tuple:
         """The [min, max] of a uniform value draw (poisson-uniform, bursty)."""
@@ -93,8 +105,7 @@ class WorkloadSpec:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "WorkloadSpec":
-        if not isinstance(obj, dict):
-            raise InvalidSpec(f"workload spec must be an object, got {obj!r}")
+        typed_field(InvalidSpec, "workload spec", obj, "an object")
         try:
             return cls(
                 kind=obj["kind"],
@@ -146,8 +157,6 @@ def gen_stochastic(spec: WorkloadSpec) -> TransactionSequence:
     burst_len = vp.get("burstLen", 1)
     gap_len = vp.get("gapLen", 0)
     lo, hi = spec.value_range()
-    if spec.kind == "bursty" and (burst_len < 1 or gap_len < 0):
-        raise InvalidSpec(f"bursty needs burstLen >= 1, gapLen >= 0, got {vp}")
     for slot in range(1, spec.horizon + 1):
         if spec.kind == "bursty":
             in_burst = (slot - 1) % (burst_len + gap_len) < burst_len

@@ -4,7 +4,8 @@ Two slow routes that share no code with ``collatsim.oracles``:
 ``subset_optima`` enumerates subsets against a quadratic window check, and
 ``opt_general_value_sim`` drives the real CollateralPool through every
 settle/discard choice.  Both are exponential in the number of transactions
-and meant for n <= 12.
+and meant for n <= 12.  ``greedy_feasible_value`` is a feasible lower bound
+at any size.
 """
 
 from collatsim.model import CollateralPool, ModelParams
@@ -15,6 +16,19 @@ def window_law_holds(pairs, C, F):
     return all(
         sum(v for t, v in pairs if s - F <= t <= s) <= C for s, _ in pairs
     )
+
+
+def greedy_feasible_value(pairs, C, F):
+    """Admit pairs by decreasing value while the window law still holds.
+
+    The result is a feasible schedule, so its value never overstates the
+    optimum.  Returns the value and the chosen pairs in slot order.
+    """
+    chosen = []
+    for pair in sorted(pairs, key=lambda p: (-p[1], p[0])):
+        if window_law_holds(chosen + [pair], C, F):
+            chosen.append(pair)
+    return sum(v for _, v in chosen), sorted(chosen)
 
 
 def subset_optima(pairs, C, F):

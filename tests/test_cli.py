@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from collatsim import oracles
 from collatsim.cli import main
 
 
@@ -288,3 +289,68 @@ def test_workload_file_not_an_object(capsys, tmp_path):
         "--C", "20", "--k", "2", "--T", "6", "--F", "1", "--workload", str(path),
     )
     assert "must be an object" in err
+
+
+# 40 offers of 6 where a 3-slot window fits 12
+FORTY_SIXES = ("ratio", "--policy", "fa", "--oracle", "brute-general",
+               "--C", "12", "--k", "2", "--T", "6", "--F", "2", "--workload",
+               json.dumps({"kind": "constant", "arrivalRatePerMille": 1000,
+                           "horizon": 40, "seed": 0, "maxValue": 6,
+                           "valueParams": {"value": 6}}))
+
+
+def test_ratio_brute_general_beyond_twelve_offers(capsys):
+    code, out = run_cli(capsys, *FORTY_SIXES)
+    assert code == 0
+    # every third offer has to go
+    assert out["rows"][0]["optValue"] == 6 * (40 - 40 // 3)
+
+
+def test_oracle_state_step_cap(capsys, monkeypatch):
+    monkeypatch.setattr(oracles, "MAX_DP_STATE_STEPS", 100)
+    err = run_cli_error(capsys, *FORTY_SIXES)
+    assert "exceeds 100 state-steps" in err
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"seed": "x"}, "seed must be an integer"),
+        ({"repetitions": 1.5}, "repetitions must be an integer"),
+        ({"seqFile": 5}, "seqFile must be a string or null"),
+        ({"outputs": {"csv": 1}}, "outputs.csv must be a string or null"),
+        ({"outputs": {"trace": 1}}, "outputs.trace must be a string or null"),
+        ({"outputs": [1]}, "outputs must be an object"),
+        ({"policy": 3}, "policy must be a string"),
+        ({"oracle": ["window-bound"]}, "oracle must be a string"),
+        ({"flushCharge": None}, "flushCharge must be a string"),
+        ({"utility": "no"}, "utility must be a boolean or null"),
+    ],
+)
+def test_wrong_typed_config_field(capsys, tmp_path, seq_csv, fields, message):
+    config = {"params": {"C": 20, "k": 2, "T": 6, "F": 1}, "policy": "fa",
+              "seqFile": seq_csv}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(dict(config, **fields)))
+    err = run_cli_error(capsys, "simulate", "--config", str(path))
+    assert message in err
+
+
+@pytest.mark.parametrize(
+    "kind, knob, value",
+    [
+        ("poisson-exponential", "mean", "x"),
+        ("bursty", "burstLen", "x"),
+        ("bursty", "gapLen", True),
+        ("constant", "value", "x"),
+        ("constant", "value", float("inf")),
+        ("poisson-pareto", "tailIndex", None),
+    ],
+)
+def test_wrong_typed_value_knob(capsys, kind, knob, value):
+    err = run_cli_error(
+        capsys, "simulate", "--policy", "fa",
+        "--C", "20", "--k", "2", "--T", "6", "--F", "1",
+        "--workload", json.dumps(dict(WORKLOAD, kind=kind, valueParams={knob: value})),
+    )
+    assert f"{knob} must be a finite number" in err

@@ -6,12 +6,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from collatsim.model import ModelParams, Transaction, TransactionSequence
+from collatsim import oracles
+from collatsim.model import ModelParams, TransactionSequence, first_overfull_window
 from collatsim.oracles import (
     BudgetExceeded,
-    OracleBudget,
-    feasible_window_check,
-    greedy_feasible_value,
     opt_general_utility,
     opt_general_value,
     opt_kwallet_value,
@@ -19,7 +17,12 @@ from collatsim.oracles import (
     opt_value_extend,
     window_upper_bound,
 )
-from oracle_reference import opt_general_value_sim, subset_optima, window_law_holds
+from oracle_reference import (
+    greedy_feasible_value,
+    opt_general_value_sim,
+    subset_optima,
+    window_law_holds,
+)
 
 
 def seq_of(pairs):
@@ -31,10 +34,14 @@ THREE_TENS = [(1, 10), (2, 10), (3, 10)]
 
 
 def test_window_check():
-    assert feasible_window_check([Transaction(s, v) for s, v in FIVE_SIXES], 20, 1)
-    assert not feasible_window_check([Transaction(s, v) for s, v in THREE_TENS], 10, 2)
-    assert feasible_window_check([Transaction(1, 10)], 10, 2)
-    assert feasible_window_check([], 1, 1)
+    for pairs, C, F, holds in [
+        (FIVE_SIXES, 20, 1, True),
+        (THREE_TENS, 10, 2, False),
+        ([(1, 10)], 10, 2, True),
+        ([], 1, 1, True),
+    ]:
+        assert window_law_holds(pairs, C, F) is holds
+        assert (first_overfull_window(pairs, C, F) is None) is holds
 
 
 def test_opt_value_examples():
@@ -50,14 +57,53 @@ def test_opt_value_witness():
     best, witness = opt_general_value(seq, 10, 2, return_witness=True)
     assert best == 10
     assert sum(t.value for t in witness) == best
-    assert feasible_window_check(witness, 10, 2)
+    assert window_law_holds([(t.slot, t.value) for t in witness], 10, 2)
 
 
 def test_opt_value_budget():
-    seq = seq_of([(t, 1) for t in range(1, 14)])
-    with pytest.raises(BudgetExceeded):
-        opt_general_value(seq, 20, 1)
-    assert opt_general_value(seq, 20, 1, budget=OracleBudget(max_transactions=13)) == 13
+    # no length budget: one offer per slot, and a 3-slot window fits one of them
+    seq = seq_of([(t, 10) for t in range(1, 2001)])
+    assert opt_general_value(seq, 10, 2) == 10 * 667
+    # 12 offers whose every subset is a state: 2^13 - 2 state-steps
+    assert opt_general_value(seq_of([(t, 1) for t in range(1, 13)]), 12, 12) == 12
+    # dense and wide: about 21,700 states per layer, refused at the cap
+    dense = seq_of([(t, 1) for t in range(1, 301)])
+    with pytest.raises(BudgetExceeded, match=r"exceeds 4194304 state-steps"):
+        opt_general_value(dense, 5, 20)
+
+
+def test_state_step_cap_is_exact(monkeypatch):
+    # every subset of 5 offers is a state: layers of 2, 4, 8, 16, 32
+    seq = seq_of([(t, 1) for t in range(1, 6)])
+    monkeypatch.setattr(oracles, "MAX_DP_STATE_STEPS", 62)
+    assert opt_general_value(seq, 5, 5) == 5
+    assert opt_general_value(seq, 5, 5, return_witness=True)[0] == 5
+    monkeypatch.setattr(oracles, "MAX_DP_STATE_STEPS", 61)
+    with pytest.raises(BudgetExceeded, match="at transaction 5 of 5"):
+        opt_general_value(seq, 5, 5)
+
+
+def test_opt_value_sums_separated_segments():
+    """Segments more than F slots apart share no window, so the optimum of
+    the whole is the sum of the segments' subset optima."""
+    rng = random.Random(5)
+    for _ in range(40):
+        C = rng.randint(1, 15)
+        F = rng.randint(1, 4)
+        pairs, expected, slot = [], 0, 0
+        while len(pairs) < 20 or rng.random() < 0.8 and len(pairs) < 54:
+            slot += F + 1 + rng.randint(0, 2)
+            segment = []
+            for _ in range(rng.randint(1, 8)):
+                segment.append((slot, rng.randint(1, C + 2)))
+                slot += rng.randint(1, 2)
+            expected += subset_optima(segment, C, F)[-1]
+            pairs += segment
+        best, witness = opt_general_value(seq_of(pairs), C, F, return_witness=True)
+        assert best == expected
+        chosen = [(t.slot, t.value) for t in witness]
+        assert sum(v for _, v in chosen) == best
+        assert window_law_holds(chosen, C, F)
 
 
 def fold_optima(pairs, C, F):
@@ -113,11 +159,11 @@ def test_dp_matches_subset_reference(instance):
 
 
 def test_greedy_is_feasible_lower_bound():
-    seq = seq_of([(1, 8), (2, 8), (3, 8), (5, 8)])
-    value, chosen = greedy_feasible_value(seq, 12, 2)
-    assert feasible_window_check(chosen, 12, 2)
-    assert value == sum(t.value for t in chosen)
-    assert value <= opt_general_value(seq, 12, 2)
+    pairs = [(1, 8), (2, 8), (3, 8), (5, 8)]
+    value, chosen = greedy_feasible_value(pairs, 12, 2)
+    assert window_law_holds(chosen, 12, 2)
+    assert value == sum(v for _, v in chosen)
+    assert value <= opt_general_value(seq_of(pairs), 12, 2)
 
 
 def test_sim_oracle_agrees():
@@ -206,7 +252,7 @@ def test_window_bound_dominates_opt(values, C, F):
     seq = seq_of(pairs) if pairs else TransactionSequence([], horizon=1)
     opt = opt_general_value(seq, C, F)
     assert opt <= window_upper_bound(seq, C, F)
-    greedy, _ = greedy_feasible_value(seq, C, F)
+    greedy, _ = greedy_feasible_value(pairs, C, F)
     assert greedy <= opt
 
 

@@ -11,11 +11,9 @@ from collatsim.model import (
     CollateralError,
     EventTrace,
     ModelParams,
-    Transaction,
     first_overfull_window,
     validate_window_bound,
 )
-from collatsim.oracles import feasible_window_check
 
 
 def reference_first_overfull(pairs, C, F):
@@ -61,22 +59,10 @@ def test_validate_window_bound_matches_reference(pairs, C, F):
     )
 
 
-@given(pair_lists, capacities, outages, st.randoms(use_true_random=False))
-def test_feasible_window_check_matches_reference_on_any_order(pairs, C, F, rng):
-    rng.shuffle(pairs)
-    txs = [Transaction(s, v) for s, v in pairs]
-    assert feasible_window_check(txs, C, F) == (
-        reference_first_overfull(pairs, C, F) is None
-    )
-
-
 def test_only_a_later_window_fails():
     # [1, 3] carries 7 and [2, 4] carries 3; [5, 7] carries 11 > 10
     pairs = [(1, 4), (2, 3), (5, 6), (6, 5)]
     assert first_overfull_window(pairs, 10, 2) == (5, 11)
-    assert not feasible_window_check(
-        [Transaction(s, v) for s, v in reversed(pairs)], 10, 2
-    )
     trace = EventTrace()
     for slot, value in pairs:
         trace.add(slot, SETTLE, value=value)

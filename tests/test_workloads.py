@@ -46,6 +46,13 @@ def test_spec_rejects_bad_value_range(kind, rate, bad):
         WorkloadSpec(kind, rate, 10, 0, 6, bad)
 
 
+@pytest.mark.parametrize("bad", [{"burstLen": 0}, {"gapLen": -1}])
+def test_spec_rejects_bad_burst_shape(bad):
+    # like the value range, checked when the spec is made
+    with pytest.raises(InvalidSpec, match="bursty needs burstLen >= 1"):
+        WorkloadSpec("bursty", 0, 10, 0, 6, bad)
+
+
 def test_spec_rejects_non_object_value_params():
     with pytest.raises(InvalidSpec):
         WorkloadSpec.from_json_obj(
