@@ -17,10 +17,10 @@ t+1 .. t+F; it is usable again at slot t+F+1.
 
 from __future__ import annotations
 
-import json
-import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 PPM = 10**6
 
@@ -55,8 +55,10 @@ class ZeroFlush(CollateralError):
 
 FIELD_KINDS = {
     "an integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    # bounded by the float range, since the generators draw with these as floats
     "a finite number": lambda v: (
-        isinstance(v, (int, float)) and not isinstance(v, bool) and -math.inf < v < math.inf
+        isinstance(v, (int, float)) and not isinstance(v, bool)
+        and -sys.float_info.max <= v <= sys.float_info.max
     ),
     "a string": lambda v: isinstance(v, str),
     "a boolean": lambda v: isinstance(v, bool),
@@ -228,15 +230,6 @@ class ModelParams:
             raise InvalidParams(f"need k*T <= C, got k={self.k} T={self.T} C={self.C}")
 
 
-def _json_amount(x):
-    """Ints pass through; integral Fractions collapse; the rest become 'num/den'."""
-    if isinstance(x, Fraction):
-        if x.denominator == 1:
-            return int(x)
-        return f"{x.numerator}/{x.denominator}"
-    return x
-
-
 # trace event kinds
 ARRIVE = "arrive"
 SETTLE = "settle"
@@ -244,11 +237,14 @@ DISCARD = "discard"
 FLUSH = "flush"
 ONLINE = "online"
 
-_NDJSON = json.JSONEncoder(separators=(",", ":"))
 
+class Event(NamedTuple):
+    """One trace record; a field the event's kind does not use is None.
 
-@dataclass(frozen=True)
-class Event:
+    The amounts ``flush_amount``, ``available`` and ``committed`` are ints,
+    or Fractions where a pool tranche of eta*C is not integral.
+    """
+
     slot: int
     kind: str
     wallet: int | None = None
@@ -257,36 +253,69 @@ class Event:
     available: int | Fraction | None = None
     committed: int | Fraction | None = None
 
-    def to_json_obj(self) -> dict:
-        obj = {"slot": self.slot, "kind": self.kind}
-        if self.wallet is not None:
-            obj["wallet"] = self.wallet
-        if self.value is not None:
-            obj["value"] = self.value
-        if self.flush_amount is not None:
-            obj["flushAmount"] = _json_amount(self.flush_amount)
-        if self.available is not None:
-            obj["available"] = _json_amount(self.available)
-        if self.committed is not None:
-            obj["committed"] = _json_amount(self.committed)
-        return obj
+
+def _amount(x: int | Fraction) -> str:
+    """An amount as NDJSON: an int, or a quoted "num/den" when not integral."""
+    text = str(x)  # a Fraction with denominator 1 prints as its numerator
+    return f'"{text}"' if "/" in text else text
 
 
 class EventTrace:
-    """Append-only event log for one run; the machines count the totals."""
+    """Append-only event log for one run; the machines count the totals.
+
+    Besides ``slot`` and ``kind``, the bank logs ``settle`` with ``wallet``
+    and ``value``, ``flush`` with ``wallet`` and ``flush_amount`` (the
+    wallet's committed value) and ``online`` with ``wallet``.  The pool
+    logs ``settle`` with ``value``, ``available`` and ``committed``,
+    ``flush`` with ``flush_amount``, ``available`` and ``committed``, and
+    ``online`` with ``flush_amount`` (the returning tranche) and
+    ``committed``.  The policies log ``arrive`` and ``discard`` with
+    ``value``.
+    """
 
     __slots__ = ("events",)
 
     def __init__(self, events=None):
         self.events = list(events) if events else []
 
-    def add(self, slot: int, kind: str, **kw) -> None:
-        self.events.append(Event(slot, kind, **kw))
+    def add(
+        self,
+        slot: int,
+        kind: str,
+        wallet: int | None = None,
+        value: int | None = None,
+        flush_amount: int | Fraction | None = None,
+        available: int | Fraction | None = None,
+        committed: int | Fraction | None = None,
+    ) -> None:
+        self.events.append(
+            Event(slot, kind, wallet, value, flush_amount, available, committed)
+        )
 
     def to_ndjson(self) -> str:
-        return "\n".join(
-            _NDJSON.encode(e.to_json_obj()) for e in self.events
-        ) + ("\n" if self.events else "")
+        """One compact JSON object per event and line, "" for no events.
+
+        Keys follow the field order: ``slot``, ``kind``, ``wallet``,
+        ``value``, ``flushAmount``, ``available``, ``committed``; a field
+        that is None is left out.  Each line is built from one template per
+        field, and the bytes equal the json module's encoding of the same
+        object with separators ``(",", ":")``.
+        """
+        lines = []
+        for slot, kind, wallet, value, flush_amount, available, committed in self.events:
+            line = f'{{"slot":{slot},"kind":"{kind}"'
+            if wallet is not None:
+                line += f',"wallet":{wallet}'
+            if value is not None:
+                line += f',"value":{value}'
+            if flush_amount is not None:
+                line += f',"flushAmount":{_amount(flush_amount)}'
+            if available is not None:
+                line += f',"available":{_amount(available)}'
+            if committed is not None:
+                line += f',"committed":{_amount(committed)}'
+            lines.append(line + "}\n")
+        return "".join(lines)
 
 
 class WalletBank:
@@ -323,7 +352,7 @@ class WalletBank:
             if self.offline_until[j] != 0 and self.offline_until[j] == slot - 1:
                 self.remaining[j] = self.size
                 self.offline_until[j] = 0
-                self.trace.add(slot, ONLINE, wallet=j + 1)
+                self.trace.add(slot, ONLINE, j + 1)
                 came_online.append(j + 1)
         return came_online
 
@@ -345,14 +374,14 @@ class WalletBank:
             )
         self.remaining[i - 1] -= tx.value
         self.settled += tx.value
-        self.trace.add(slot, SETTLE, wallet=i, value=tx.value)
+        self.trace.add(slot, SETTLE, i, tx.value)
 
     def flush(self, i: int, slot: int) -> None:
         """Take wallet i offline; the whole wallet goes, committed or not."""
         self._check_index(i)
         if not self.wallet_available(i, slot):
             raise WalletOffline(f"wallet {i} already offline at slot {slot}")
-        self.trace.add(slot, FLUSH, wallet=i, flush_amount=self.committed(i))
+        self.trace.add(slot, FLUSH, i, None, self.committed(i))
         self.offline_until[i - 1] = slot + self.params.F
         self.flushes += 1
 
@@ -392,10 +421,7 @@ class CollateralPool:
         keep = []
         for amount, back_at in self.inflight:
             if back_at <= slot:
-                self.trace.add(
-                    slot, ONLINE, flush_amount=amount,
-                    available=None, committed=self.committed,
-                )
+                self.trace.add(slot, ONLINE, None, None, amount, None, self.committed)
             else:
                 keep.append((amount, back_at))
         self.inflight = keep
@@ -418,9 +444,8 @@ class CollateralPool:
         self.committed += tx.value
         self.settled += tx.value
         self.trace.add(
-            slot, SETTLE, value=tx.value,
-            available=self.params.C - self.committed - self.pending(),
-            committed=self.committed,
+            slot, SETTLE, None, tx.value, None,
+            self.params.C - self.committed - self.pending(), self.committed,
         )
 
     def flush(self, amount: int | Fraction, slot: int) -> None:
@@ -434,9 +459,8 @@ class CollateralPool:
         self.inflight.append((amount, slot + self.params.F + 1))
         self.flushes += 1
         self.trace.add(
-            slot, FLUSH, flush_amount=amount,
-            available=self.params.C - self.committed - self.pending(),
-            committed=self.committed,
+            slot, FLUSH, None, None, amount,
+            self.params.C - self.committed - self.pending(), self.committed,
         )
 
     def clone(self) -> "CollateralPool":

@@ -92,18 +92,18 @@ class GroupFlushPolicy:
         bank.begin_slot(slot)
         if tx is None:
             return NO_ARRIVAL
-        bank.trace.add(slot, ARRIVE, value=tx.value)
+        bank.trace.add(slot, ARRIVE, None, tx.value)
         hi = self.active * self.g
         lo = hi - self.g
         if max(bank.offline_until[lo:hi]) >= slot:
-            bank.trace.add(slot, DISCARD, value=tx.value)
+            bank.trace.add(slot, DISCARD, None, tx.value)
             return PolicyDecision("discard")
         remaining = bank.remaining
         for i in range(lo, hi):
             if tx.value <= remaining[i]:
                 bank.settle(i + 1, tx, slot)
                 return PolicyDecision("settle", wallet=i + 1)
-        bank.trace.add(slot, DISCARD, value=tx.value)
+        bank.trace.add(slot, DISCARD, None, tx.value)
         group = tuple(range(lo + 1, hi + 1))
         for i in group:
             bank.flush(i, slot)
@@ -194,11 +194,11 @@ class RandTwoPolicy:
         shadow_decision = self.shadow.step(slot, tx)
         if tx is None:
             return NO_ARRIVAL
-        bank.trace.add(slot, ARRIVE, value=tx.value)
+        bank.trace.add(slot, ARRIVE, None, tx.value)
         if shadow_decision.action == "settle" and shadow_decision.wallet == self.chosen:
             bank.settle(1, tx, slot)
             return PolicyDecision("settle", wallet=1)
-        bank.trace.add(slot, DISCARD, value=tx.value)
+        bank.trace.add(slot, DISCARD, None, tx.value)
         if shadow_decision.flushed:
             bank.flush(1, slot)
             self.chosen = None
@@ -250,9 +250,9 @@ class ThresholdPolicy:
         pool.begin_slot(slot)
         if tx is None:
             return NO_ARRIVAL
-        pool.trace.add(slot, ARRIVE, value=tx.value)
+        pool.trace.add(slot, ARRIVE, None, tx.value)
         if pool.available(slot) < tx.value:
-            pool.trace.add(slot, DISCARD, value=tx.value)
+            pool.trace.add(slot, DISCARD, None, tx.value)
             return PolicyDecision("discard")
         pool.settle(tx, slot)
         flushed: int | Fraction | None = None

@@ -95,6 +95,10 @@ class WorkloadSpec:
         if self.kind == "bursty":
             if vp.get("burstLen", 1) < 1 or vp.get("gapLen", 0) < 0:
                 raise InvalidSpec(f"bursty needs burstLen >= 1, gapLen >= 0, got {vp}")
+        if self.kind == "poisson-exponential" and vp.get("mean", 1) <= 0:
+            raise InvalidSpec(f"exponential mean must be positive, got {vp['mean']}")
+        if self.kind == "poisson-pareto" and vp.get("tailIndex", 1) <= 0:
+            raise InvalidSpec(f"pareto tail index must be positive, got {vp['tailIndex']}")
 
     def value_range(self) -> tuple:
         """The [min, max] of a uniform value draw (poisson-uniform, bursty)."""
@@ -136,7 +140,7 @@ class WorkloadSpec:
 
 
 def _clamp(v: float, max_value: int) -> int:
-    return max(1, min(max_value, int(v)))
+    return max(1, int(min(max_value, v)))  # caps an infinite draw too
 
 
 def gen_stochastic(spec: WorkloadSpec) -> TransactionSequence:
@@ -168,14 +172,13 @@ def gen_stochastic(spec: WorkloadSpec) -> TransactionSequence:
             value = _clamp(rng.randint(lo, hi), spec.max_value)
         elif spec.kind == "poisson-exponential":
             mean = vp.get("mean", spec.max_value / 2)
-            if mean <= 0:
-                raise InvalidSpec(f"exponential mean must be positive, got {mean}")
             value = _clamp(1 + rng.expovariate(1.0 / mean), spec.max_value)
         elif spec.kind == "poisson-pareto":
-            tail = vp.get("tailIndex", 1.5)
-            if tail <= 0:
-                raise InvalidSpec(f"pareto tail index must be positive, got {tail}")
-            value = _clamp(rng.paretovariate(tail), spec.max_value)
+            try:
+                draw = rng.paretovariate(vp.get("tailIndex", 1.5))
+            except OverflowError:  # a variate past the float range is past any cap
+                draw = math.inf
+            value = _clamp(draw, spec.max_value)
         else:  # constant
             value = _clamp(vp.get("value", spec.max_value), spec.max_value)
         txs.append(Transaction(slot, value))

@@ -1,14 +1,50 @@
-"""Test-side references for the general-model optimum value.
+"""Test-side references for the general-model optimum value and the trace.
 
 Two slow routes that share no code with ``collatsim.oracles``:
 ``subset_optima`` enumerates subsets against a quadratic window check, and
 ``opt_general_value_sim`` drives the real CollateralPool through every
 settle/discard choice.  Both are exponential in the number of transactions
 and meant for n <= 12.  ``greedy_feasible_value`` is a feasible lower bound
-at any size.
+at any size.  ``reference_ndjson`` writes a trace through the json module,
+as the reference for ``EventTrace.to_ndjson``.
 """
 
+import json
+from fractions import Fraction
+
 from collatsim.model import CollateralPool, ModelParams
+
+_NDJSON = json.JSONEncoder(separators=(",", ":"))
+
+
+def json_amount(x):
+    """Ints pass through; integral Fractions collapse; the rest become 'num/den'."""
+    if isinstance(x, Fraction):
+        if x.denominator == 1:
+            return int(x)
+        return f"{x.numerator}/{x.denominator}"
+    return x
+
+
+def to_json_obj(event) -> dict:
+    """One trace event as a dict, leaving out the fields that are None."""
+    obj = {"slot": event.slot, "kind": event.kind}
+    if event.wallet is not None:
+        obj["wallet"] = event.wallet
+    if event.value is not None:
+        obj["value"] = event.value
+    if event.flush_amount is not None:
+        obj["flushAmount"] = json_amount(event.flush_amount)
+    if event.available is not None:
+        obj["available"] = json_amount(event.available)
+    if event.committed is not None:
+        obj["committed"] = json_amount(event.committed)
+    return obj
+
+
+def reference_ndjson(events) -> str:
+    """The NDJSON of ``events``, one json-module encoding per line."""
+    return "".join(_NDJSON.encode(to_json_obj(e)) + "\n" for e in events)
 
 
 def window_law_holds(pairs, C, F):

@@ -1,9 +1,14 @@
 """Command-line entry points, driven through main() directly."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import collatsim
 from collatsim import oracles
 from collatsim.cli import main
 
@@ -107,6 +112,22 @@ def test_formulas(capsys):
     assert code == 0
     assert out["fwfRatio"] == pytest.approx(3.75)
     assert out["kStar"]["integer"] >= 1
+
+
+def test_python_dash_m(capsys):
+    argv = ["formulas", "--C", "200", "--T", "60", "--k", "2", "--p-ppm", "100000", "--tau", "5"]
+    assert main(argv) == 0
+    in_process = capsys.readouterr().out
+    src = str(Path(collatsim.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
+    done = subprocess.run(
+        [sys.executable, "-m", "collatsim", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == in_process
 
 
 def test_sweep(capsys, tmp_path):
@@ -354,3 +375,26 @@ def test_wrong_typed_value_knob(capsys, kind, knob, value):
         "--workload", json.dumps(dict(WORKLOAD, kind=kind, valueParams={knob: value})),
     )
     assert f"{knob} must be a finite number" in err
+
+
+@pytest.mark.parametrize(
+    "kind, rate, knobs, message",
+    [
+        # past the float range, the draw would overflow
+        ("poisson-exponential", 600, {"mean": 10**400}, "mean must be a finite number"),
+        ("poisson-pareto", 600, {"tailIndex": 10**400}, "tailIndex must be a finite number"),
+        # checked when the spec is made, even if no arrival ever draws a value
+        ("poisson-exponential", 0, {"mean": -1}, "exponential mean must be positive"),
+        ("poisson-pareto", 0, {"tailIndex": 0}, "pareto tail index must be positive"),
+    ],
+)
+def test_out_of_range_value_knob(capsys, tmp_path, kind, rate, knobs, message):
+    path = tmp_path / "W.json"
+    path.write_text(json.dumps(
+        dict(WORKLOAD, kind=kind, arrivalRatePerMille=rate, valueParams=knobs)
+    ))
+    err = run_cli_error(
+        capsys, "simulate", "--policy", "fa",
+        "--C", "12", "--k", "4", "--T", "3", "--F", "2", "--workload", str(path),
+    )
+    assert message in err

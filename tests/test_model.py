@@ -7,10 +7,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from collatsim.model import (
+    ARRIVE,
+    DISCARD,
     FLUSH,
     ONLINE,
     SETTLE,
     CollateralPool,
+    Event,
     EventTrace,
     FlushExceedsCommitted,
     InsufficientCollateral,
@@ -24,6 +27,7 @@ from collatsim.model import (
     ZeroFlush,
     validate_window_bound,
 )
+from oracle_reference import reference_ndjson
 
 
 def test_transaction_validation():
@@ -214,6 +218,40 @@ def test_ndjson_shapes():
     # non-integral amounts serialize as exact num/den strings
     assert lines[1]["flushAmount"] == "209/25"
     assert lines[1]["committed"] == "1291/25"
+
+
+# ints, integral Fractions and Fractions that need not be integral
+AMOUNTS = st.one_of(
+    st.none(),
+    st.integers(min_value=0, max_value=10**9),
+    st.integers(min_value=0, max_value=10**9).map(Fraction),
+    st.builds(
+        Fraction,
+        st.integers(min_value=0, max_value=10**9),
+        st.integers(min_value=2, max_value=10**4),
+    ),
+)
+
+EVENTS = st.builds(
+    Event,
+    st.integers(min_value=1, max_value=10**9),
+    st.sampled_from([ARRIVE, SETTLE, DISCARD, FLUSH, ONLINE]),
+    st.one_of(st.none(), st.integers(min_value=1, max_value=64)),
+    st.one_of(st.none(), st.integers(min_value=1, max_value=10**9)),
+    AMOUNTS,
+    AMOUNTS,
+    AMOUNTS,
+)
+
+
+@given(st.lists(EVENTS, max_size=12))
+def test_ndjson_matches_json_module(events):
+    # the template writer gives the json module's bytes for any None mix
+    assert EventTrace(events).to_ndjson() == reference_ndjson(events)
+
+
+def test_empty_trace_ndjson():
+    assert EventTrace().to_ndjson() == ""
 
 
 def test_trace_totals():

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from collatsim.model import FLUSH, SETTLE, InvalidParams, ModelParams, TransactionSequence
 from collatsim.policies import (
+    POLICY_KINDS,
     InvalidEta,
     OddWalletCount,
     FlushAllPolicy,
@@ -20,6 +21,7 @@ from collatsim.policies import (
     make_policy,
 )
 from collatsim.harness import run_sequence
+from oracle_reference import reference_ndjson
 
 
 def settle_slots(result):
@@ -217,9 +219,7 @@ def test_policies_are_online(symbols):
         if head:
             part = run_sequence(make_policy(kind, params), TransactionSequence.from_pairs(head))
             prefix_events = [e for e in whole.trace.events if e.slot <= cut]
-            assert [e.to_json_obj() for e in prefix_events] == [
-                e.to_json_obj() for e in part.trace.events if e.slot <= cut
-            ]
+            assert prefix_events == [e for e in part.trace.events if e.slot <= cut]
 
 
 @given(
@@ -335,3 +335,21 @@ def test_golden_traces(kind, k):
     # the rotation wraps: wallet 1 flushes again after wallet k has flushed
     flushed = [e.wallet for e in res.trace.events if e.kind == FLUSH]
     assert 1 in flushed[flushed.index(k) + 1:]
+
+
+# eta*C = 418/5 at C = 200, so the threshold policy's tranches are not integral
+NDJSON_PARAMS = {
+    **COUNTER_PARAMS,
+    "eta": ModelParams(C=200, T=60, F=2, p_ppm=100000, tau=5, eta_ppm=418000),
+}
+
+
+@pytest.mark.parametrize("kind", POLICY_KINDS)
+def test_run_ndjson_matches_json_module(kind):
+    params = NDJSON_PARAMS[kind]
+    seq = golden_sequence(7, params.T, slots=300)
+    res = run_sequence(make_policy(kind, params, seed=7), seq, terminal_flushes=True)
+    ndjson = res.trace.to_ndjson()
+    assert ndjson == reference_ndjson(res.trace.events)
+    if kind == "eta":
+        assert '"flushAmount":"418/5"' in ndjson

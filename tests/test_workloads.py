@@ -53,6 +53,16 @@ def test_spec_rejects_bad_burst_shape(bad):
         WorkloadSpec("bursty", 0, 10, 0, 6, bad)
 
 
+@pytest.mark.parametrize(
+    "kind, knobs",
+    [("poisson-pareto", {"tailIndex": 1e-300}), ("poisson-exponential", {"mean": 1.7e308})],
+)
+def test_draws_past_the_float_range_are_capped(kind, knobs):
+    # such draws overflow a float; they are past any cap, so they take the cap
+    seq = gen_stochastic(WorkloadSpec(kind, 1000, 50, 3, 4, knobs))
+    assert [t.value for t in seq] == [4] * 50
+
+
 def test_spec_rejects_non_object_value_params():
     with pytest.raises(InvalidSpec):
         WorkloadSpec.from_json_obj(
