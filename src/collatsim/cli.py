@@ -61,7 +61,7 @@ def _workload_from_arg(arg: str) -> WorkloadSpec:
             text = fh.read()
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as err:
+    except ValueError as err:  # bad syntax, or an int past the digit limit
         raise InvalidSpec(f"workload is not valid JSON: {err}") from None
     return WorkloadSpec.from_json_obj(obj)
 

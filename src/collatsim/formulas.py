@@ -226,8 +226,8 @@ def formulas_report(
         p = p_ppm / PPM
         out["p"] = p
         out["tau"] = tau
+        raw = eta_star_raw(C, T, p, tau)  # checks p > 0 before beta divides by it
         out["beta"] = tau / (p * C)
-        raw = eta_star_raw(C, T, p, tau)
         clamped = eta_star(C, T, p, tau)
         out["etaStar"] = {
             "raw": raw,

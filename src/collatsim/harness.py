@@ -241,11 +241,13 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path: str) -> "ExperimentConfig":
+        # read before parsing: a UnicodeDecodeError is a ValueError as well
         with open(path) as fh:
-            try:
-                obj = json.load(fh)
-            except json.JSONDecodeError as err:
-                raise ConfigError(f"config is not valid JSON: {err}") from None
+            text = fh.read()
+        try:
+            obj = json.loads(text)
+        except ValueError as err:  # bad syntax, or an int past the digit limit
+            raise ConfigError(f"config is not valid JSON: {err}") from None
         return cls.from_json_obj(obj)
 
     def sequence_for(self, rep: int) -> TransactionSequence:

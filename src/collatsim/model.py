@@ -13,6 +13,11 @@ fixed: collateral that finished its outage returns, then at most one
 transaction arrives, then the settle-or-discard decision, then any flush.
 A flush at slot t puts the flushed collateral offline for slots
 t+1 .. t+F; it is usable again at slot t+F+1.
+
+Both machines are ledgers: they store their balances (a wallet's
+``remaining``, the pool's ``free`` and ``committed``) and update them in
+place on each operation, and their ``begin_slot`` is the only place
+collateral returns from an outage.
 """
 
 from __future__ import annotations
@@ -175,6 +180,9 @@ class ModelParams:
     eta_ppm: int | None = None
 
     def __post_init__(self) -> None:
+        for name in ("C", "T", "F", "k", "p_ppm", "tau"):
+            typed_field(InvalidParams, name, getattr(self, name), "an integer")
+        typed_field(InvalidParams, "eta_ppm", self.eta_ppm, "an integer", optional=True)
         if self.C < 1:
             raise InvalidParams(f"C must be positive, got {self.C}")
         if not 1 <= self.T <= self.C:
@@ -345,16 +353,13 @@ class WalletBank:
         if not 1 <= i <= self.params.k:
             raise IndexOutOfRange(f"wallet index {i} out of 1..{self.params.k}")
 
-    def begin_slot(self, slot: int) -> list[int]:
-        """Restore wallets whose outage ended; returns their indices."""
-        came_online = []
+    def begin_slot(self, slot: int) -> None:
+        """Restore the wallets whose outage ended."""
         for j in range(self.params.k):
             if self.offline_until[j] != 0 and self.offline_until[j] == slot - 1:
                 self.remaining[j] = self.size
                 self.offline_until[j] = 0
                 self.trace.add(slot, ONLINE, j + 1)
-                came_online.append(j + 1)
-        return came_online
 
     def wallet_available(self, i: int, slot: int) -> bool:
         self._check_index(i)
@@ -400,53 +405,44 @@ class WalletBank:
 class CollateralPool:
     """A single pool of C collateral; any committed portion may flush.
 
-    Flushing amount a at slot t moves it to an in-flight tranche that
-    rejoins the available balance at slot t+F+1.  Tranches are retired
-    lazily whenever the pool is observed, so `available` is always
-    consistent with the current slot.  `settled` and `flushes` count the
-    run's settled value and flushed tranches.
+    A ledger of three balances that always sum to C: ``free`` collateral,
+    ``committed`` (settled, not yet flushed) and the in-flight tranches, a
+    FIFO of ``(amount, back_at)``.  Settling moves value from free to
+    committed; flushing amount a at slot t moves it from committed to a
+    tranche that is offline for slots t+1..t+F.  `begin_slot` must be
+    called once per slot, in order, before any other operation for that
+    slot; it is the only place a tranche returns to ``free``, at slot
+    t+F+1.  `settled` and `flushes` count the run's settled value and
+    flushed tranches.
     """
 
-    __slots__ = ("params", "committed", "inflight", "settled", "flushes", "trace")
+    __slots__ = ("params", "free", "committed", "inflight", "settled", "flushes", "trace")
 
     def __init__(self, params: ModelParams):
         self.params = params
+        self.free: int | Fraction = params.C
         self.committed: int | Fraction = 0
         self.inflight: list[tuple[int | Fraction, int]] = []  # (amount, back at slot)
         self.settled = 0
         self.flushes = 0
         self.trace = EventTrace()
 
-    def _retire(self, slot: int) -> None:
-        keep = []
-        for amount, back_at in self.inflight:
-            if back_at <= slot:
-                self.trace.add(slot, ONLINE, None, None, amount, None, self.committed)
-            else:
-                keep.append((amount, back_at))
-        self.inflight = keep
-
     def begin_slot(self, slot: int) -> None:
-        self._retire(slot)
-
-    def pending(self) -> int | Fraction:
-        return sum(a for a, _ in self.inflight)
-
-    def available(self, slot: int) -> int | Fraction:
-        self._retire(slot)
-        return self.params.C - self.committed - self.pending()
+        """Return the tranches whose outage ended to the free balance."""
+        while self.inflight and self.inflight[0][1] <= slot:
+            amount = self.inflight.pop(0)[0]
+            self.free += amount
+            self.trace.add(slot, ONLINE, None, None, amount, None, self.committed)
 
     def settle(self, tx: Transaction, slot: int) -> None:
-        if self.available(slot) < tx.value:
+        if self.free < tx.value:
             raise InsufficientCollateral(
-                f"pool has {self.available(slot)} available, needs {tx.value}"
+                f"pool has {self.free} available, needs {tx.value}"
             )
+        self.free -= tx.value
         self.committed += tx.value
         self.settled += tx.value
-        self.trace.add(
-            slot, SETTLE, None, tx.value, None,
-            self.params.C - self.committed - self.pending(), self.committed,
-        )
+        self.trace.add(slot, SETTLE, None, tx.value, None, self.free, self.committed)
 
     def flush(self, amount: int | Fraction, slot: int) -> None:
         if amount <= 0:
@@ -458,14 +454,12 @@ class CollateralPool:
         self.committed -= amount
         self.inflight.append((amount, slot + self.params.F + 1))
         self.flushes += 1
-        self.trace.add(
-            slot, FLUSH, None, None, amount,
-            self.params.C - self.committed - self.pending(), self.committed,
-        )
+        self.trace.add(slot, FLUSH, None, None, amount, self.free, self.committed)
 
     def clone(self) -> "CollateralPool":
         other = object.__new__(CollateralPool)
         other.params = self.params
+        other.free = self.free
         other.committed = self.committed
         other.inflight = list(self.inflight)
         other.settled = self.settled

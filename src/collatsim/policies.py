@@ -228,12 +228,11 @@ class RandTwoPolicy:
 class ThresholdPolicy:
     """Pool policy A_eta: settle whenever possible, flush in eta*C tranches.
 
-    A transaction settles iff the available balance covers it.  After a
-    settle, while the committed reserve is at least eta*C, exactly eta*C
-    is flushed (at most one tranche can trigger per settle since the
-    reserve was below eta*C beforehand and T <= eta*C).  At the end of a
-    run the residual reserve is flushed in one final tranche regardless
-    of accounting mode, so the flush count is always ceil(V / (eta*C)).
+    A transaction settles iff the free balance covers it.  After a
+    settle, once the committed reserve reaches eta*C, exactly eta*C is
+    flushed.  At the end of a run the residual reserve is flushed in one
+    final tranche regardless of accounting mode, so the flush count is
+    always ceil(V / (eta*C)).
     """
 
     name = "eta"
@@ -251,15 +250,15 @@ class ThresholdPolicy:
         if tx is None:
             return NO_ARRIVAL
         pool.trace.add(slot, ARRIVE, None, tx.value)
-        if pool.available(slot) < tx.value:
+        if pool.free < tx.value:
             pool.trace.add(slot, DISCARD, None, tx.value)
             return PolicyDecision("discard")
         pool.settle(tx, slot)
-        flushed: int | Fraction | None = None
-        while pool.committed >= self.eta_c:
+        # one tranche at most: the reserve was below eta*C, and ModelParams has T <= eta*C
+        if pool.committed >= self.eta_c:
             pool.flush(self.eta_c, slot)
-            flushed = self.eta_c if flushed is None else flushed + self.eta_c
-        return PolicyDecision("settle", flush_amount=flushed)
+            return PolicyDecision("settle", flush_amount=self.eta_c)
+        return PolicyDecision("settle")
 
     def finish(self, slot: int, terminal_flushes: bool = True) -> int | Fraction | None:
         # the final partial tranche is part of the policy, not optional

@@ -323,7 +323,7 @@ def write_sequence_csv(seq: TransactionSequence, path: str) -> None:
             writer.writerow([t.slot, t.value])
 
 
-def read_sequence_csv(path: str, horizon: int | None = None) -> TransactionSequence:
+def read_sequence_csv(path: str) -> TransactionSequence:
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -339,4 +339,4 @@ def read_sequence_csv(path: str, horizon: int | None = None) -> TransactionSeque
                 raise InvalidSpec(
                     f"{path} line {reader.line_num}: expected slot,value integers, got {row}"
                 ) from None
-    return TransactionSequence(txs, horizon)
+    return TransactionSequence(txs)

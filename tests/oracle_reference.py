@@ -106,7 +106,7 @@ def opt_general_value_sim(seq, C, F):
             pool.begin_slot(slot)
             tx = picked.get(slot)
             if tx is not None:
-                if pool.available(slot) < tx.value:
+                if pool.free < tx.value:
                     ok = False
                     break
                 pool.settle(tx, slot)

@@ -398,3 +398,51 @@ def test_out_of_range_value_knob(capsys, tmp_path, kind, rate, knobs, message):
         "--C", "12", "--k", "4", "--T", "3", "--F", "2", "--workload", str(path),
     )
     assert message in err
+
+
+@pytest.mark.parametrize(
+    "policy, params, message",
+    [
+        ("fa", {"F": 1.5}, "F must be an integer"),
+        ("fa", {"tau": 0.5}, "tau must be an integer"),
+        ("fa", {"k": 2.0}, "k must be an integer"),
+        ("fa", {"C": "20"}, "C must be an integer"),
+        ("fa", {"p_ppm": True}, "p_ppm must be an integer"),
+        ("eta", {"k": 1, "eta_ppm": 418000.5}, "eta_ppm must be an integer or null"),
+    ],
+)
+def test_wrong_typed_model_param(capsys, tmp_path, seq_csv, policy, params, message):
+    config = {"params": dict({"C": 20, "k": 2, "T": 6, "F": 1}, **params),
+              "policy": policy, "seqFile": seq_csv}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    err = run_cli_error(capsys, "simulate", "--config", str(path))
+    assert message in err
+
+
+HUGE_INT = "1" + "0" * 5000  # past the interpreter's 4300-digit limit
+
+
+@pytest.mark.parametrize("flag", ["--workload", "--config"])
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (HUGE_INT.encode(), "not valid JSON"),
+        (b"\xff\xfe{}", "input is not UTF-8 text"),
+    ],
+    ids=["huge-int", "not-utf8"],
+)
+def test_unparsable_json_file(capsys, tmp_path, flag, content, message):
+    path = tmp_path / "in.json"
+    path.write_bytes(b'{"horizon": ' + content + b"}")
+    flags = ["--config", str(path)] if flag == "--config" else [
+        "--policy", "fa", "--C", "20", "--k", "2", "--T", "6", "--F", "1",
+        "--workload", str(path),
+    ]
+    err = run_cli_error(capsys, "simulate", *flags)
+    assert message in err
+
+
+def test_formulas_zero_p(capsys):
+    err = run_cli_error(capsys, "formulas", "--C", "10", "--T", "3", "--p-ppm", "0", "--tau", "1")
+    assert "need p > 0" in err

@@ -115,12 +115,18 @@ def test_wallet_outage_window():
     bank.settle(1, Transaction(1, 6), 1)
     bank.flush(1, 1)
     assert bank.offline_until == [3, 0]
-    assert bank.begin_slot(2) == []
+
+    def came_online(slot):
+        bank.begin_slot(slot)
+        return [e.wallet for e in bank.trace.events if e.kind == ONLINE and e.slot == slot]
+
+    assert came_online(2) == []
     assert not bank.wallet_available(1, 2)
     assert bank.wallet_available(2, 2)
-    assert bank.begin_slot(3) == []
+    assert came_online(3) == []
     assert not bank.wallet_available(1, 3)
-    assert bank.begin_slot(4) == [1]
+    assert bank.remaining == [4, 10]
+    assert came_online(4) == [1]
     assert bank.wallet_available(1, 4)
     assert bank.remaining == [10, 10]
     kinds = [e.kind for e in bank.trace.events]
@@ -172,10 +178,14 @@ def test_pool_lifecycle():
     pool.settle(Transaction(1, 60), 1)
     pool.flush(Fraction(836, 100), 1)
     assert pool.committed == Fraction(1291, 25)
-    assert pool.pending() == Fraction(209, 25)
+    assert pool.inflight == [(Fraction(209, 25), 3)]
     # flushed amount is out for slot 2 and back for slot 3
-    assert pool.available(2) == 140
-    assert pool.available(3) == Fraction(3709, 25)
+    pool.begin_slot(2)
+    assert pool.free == 140
+    pool.begin_slot(3)
+    assert pool.free == Fraction(3709, 25)
+    assert not pool.inflight
+    assert pool.free + pool.committed == params.C
 
 
 def test_pool_guards():
@@ -201,7 +211,8 @@ def test_pool_flushing_uncommitted_is_legal():
     pool.settle(Transaction(1, 3), 1)
     pool.flush(2, 1)
     assert pool.committed == 1
-    assert pool.available(2) == 7
+    pool.begin_slot(2)
+    assert pool.free == 7
 
 
 def test_ndjson_shapes():
@@ -316,17 +327,16 @@ def test_window_bound_validator():
     st.integers(min_value=1, max_value=4),
 )
 def test_pool_never_overdraws(values, F):
-    # settle-if-fits with immediate full flush keeps available within [0, C]
+    # settle-if-fits with immediate full flush keeps free within [0, C]
     params = ModelParams(C=12, T=6, F=F)
     pool = CollateralPool(params)
     slot = 0
     for v in values:
         slot += 1
         pool.begin_slot(slot)
-        avail = pool.available(slot)
-        assert 0 <= avail <= params.C
-        if avail >= v:
+        assert 0 <= pool.free <= params.C
+        if pool.free >= v:
             pool.settle(Transaction(slot, v), slot)
         if pool.committed > 0:
             pool.flush(pool.committed, slot)
-        assert pool.committed + pool.pending() <= params.C
+        assert pool.free + pool.committed + sum(a for a, _ in pool.inflight) == params.C

@@ -8,7 +8,16 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from collatsim.model import FLUSH, SETTLE, InvalidParams, ModelParams, TransactionSequence
+from collatsim.model import (
+    FLUSH,
+    ONLINE,
+    PPM,
+    SETTLE,
+    InvalidParams,
+    ModelParams,
+    Transaction,
+    TransactionSequence,
+)
 from collatsim.policies import (
     POLICY_KINDS,
     InvalidEta,
@@ -291,6 +300,50 @@ def test_counters_match_trace(symbols, kind, terminal_flushes, seed):
     assert fork.machine.trace.events == [e for e in res.trace.events if e.slot > cut]
 
 
+@st.composite
+def threshold_runs(draw):
+    """Valid threshold-policy params and a slot-by-slot arrival list."""
+    C = draw(st.integers(min_value=1, max_value=60))
+    T = draw(st.integers(min_value=1, max_value=C))
+    eta_ppm = draw(st.integers(min_value=-(-T * PPM // C), max_value=PPM))
+    F = draw(st.integers(min_value=1, max_value=4))
+    values = st.one_of(st.none(), st.integers(min_value=1, max_value=T))
+    return ModelParams(C=C, T=T, F=F, eta_ppm=eta_ppm), draw(st.lists(values, max_size=30))
+
+
+@given(threshold_runs())
+@settings(max_examples=150, deadline=None)
+def test_threshold_pool_ledger(run):
+    params, symbols = run
+    policy = ThresholdPolicy(params)
+    pool = policy.machine
+    for slot, v in enumerate(symbols, 1):
+        policy.step(slot, None if v is None else Transaction(slot, v))
+        assert pool.free + pool.committed + sum(a for a, _ in pool.inflight) == params.C
+        assert pool.committed < params.eta_collateral
+    policy.finish(len(symbols))
+    # rebuild the balances and the tranche queue from the NDJSON alone
+    free, committed, inflight = Fraction(params.C), Fraction(0), []
+    for line in pool.trace.to_ndjson().splitlines():
+        e = json.loads(line)
+        if e["kind"] == SETTLE:
+            free -= e["value"]
+            committed += e["value"]
+        elif e["kind"] == FLUSH:
+            committed -= Fraction(e["flushAmount"])
+            inflight.append((Fraction(e["flushAmount"]), e["slot"] + params.F + 1))
+        elif e["kind"] == ONLINE:
+            assert inflight.pop(0) == (Fraction(e["flushAmount"]), e["slot"])
+            free += Fraction(e["flushAmount"])
+        if "available" in e:
+            assert Fraction(e["available"]) == free
+        if "committed" in e:
+            assert Fraction(e["committed"]) == committed
+    # every tranche due by the last slot came back
+    assert all(back_at > len(symbols) for _, back_at in inflight)
+    assert free + committed + sum(a for a, _ in inflight) == params.C
+
+
 # sha256 of the NDJSON trace, flush_actions and utility, with terminal
 # flushes off and on; recorded from the three-class implementation so
 # the one-rule policy is held to the same bytes
@@ -315,7 +368,16 @@ GOLDEN = {
                   ("a19a31bbd4749a92e8805e56d7b4ad7751201d4eef982674e43d14e2bb99e943", 12, "37")),
     ("ftwf", 6): (("a61763101aeaa6e83966ab3678a6a4ba958bc9722713724f1bfc4ab2001ddb48", 11, "77/2"),
                   ("a6efa635544c7c39e08be6e7f0e2e94438574cb7dfc6c2c8418d30e69d473f73", 12, "75/2")),
+    # eta and rand2 were recorded before the pool became a ledger, which is
+    # held to the same bytes
+    ("eta", 1): (("53588076c72bdd83dfd07152dcf264150a00c9658cd1b29cb50f6dfad33cf0c9", 24, "769/10"),
+                 ("53588076c72bdd83dfd07152dcf264150a00c9658cd1b29cb50f6dfad33cf0c9", 24, "769/10")),
+    ("rand2", 1): (("774314bf8cec79a61988313b97c44939b84fc2ce06844e2748ca8930ad5ea29f", 9, "29/2"),
+                   ("2db83ef90c027716c1503b1a9e39eee20cc217da17c3170e27db525cdd989f15", 10, "27/2")),
 }
+
+# eta*C = 418/5 at C = 200, so the threshold policy's tranches are not integral
+ETA_418 = ModelParams(C=200, T=60, F=2, p_ppm=100000, tau=5, eta_ppm=418000)
 
 
 def golden_sequence(seed, T, slots=80):
@@ -326,22 +388,26 @@ def golden_sequence(seed, T, slots=80):
 
 @pytest.mark.parametrize("kind,k", sorted(GOLDEN))
 def test_golden_traces(kind, k):
-    params = ModelParams(C=6 * k, T=4, F=2, k=k, p_ppm=500000, tau=1)
+    if kind == "eta":
+        params = ETA_418
+    else:
+        params = ModelParams(C=6 * k, T=4, F=2, k=k, p_ppm=500000, tau=1)
     seq = golden_sequence(1000 + k, params.T)
     for terminal_flushes, expected in zip((False, True), GOLDEN[(kind, k)]):
-        res = run_sequence(make_policy(kind, params), seq, terminal_flushes=terminal_flushes)
-        digest = hashlib.sha256(res.trace.to_ndjson().encode()).hexdigest()
+        policy = make_policy(kind, params, seed=1000 + k)
+        res = run_sequence(policy, seq, terminal_flushes=terminal_flushes)
+        ndjson = res.trace.to_ndjson()
+        digest = hashlib.sha256(ndjson.encode()).hexdigest()
         assert (digest, res.flush_actions, str(res.utility)) == expected
+    if kind == "eta":
+        assert '"flushAmount":"418/5"' in ndjson
+        return
     # the rotation wraps: wallet 1 flushes again after wallet k has flushed
     flushed = [e.wallet for e in res.trace.events if e.kind == FLUSH]
     assert 1 in flushed[flushed.index(k) + 1:]
 
 
-# eta*C = 418/5 at C = 200, so the threshold policy's tranches are not integral
-NDJSON_PARAMS = {
-    **COUNTER_PARAMS,
-    "eta": ModelParams(C=200, T=60, F=2, p_ppm=100000, tau=5, eta_ppm=418000),
-}
+NDJSON_PARAMS = {**COUNTER_PARAMS, "eta": ETA_418}
 
 
 @pytest.mark.parametrize("kind", POLICY_KINDS)

@@ -176,5 +176,4 @@ def test_sequence_csv_round_trip(tmp_path):
     assert text[0] == "slot,value"
     back = read_sequence_csv(str(path))
     assert back.txs == seq.txs
-    widened = read_sequence_csv(str(path), horizon=20)
-    assert widened.horizon == 20
+    assert back.horizon == 9
