@@ -48,12 +48,12 @@ from .oracles import (
 )
 from .workloads import (
     WORKLOAD_KINDS,
-    Thm3Adversary,
     WorkloadSpec,
     epoch_burst_seq,
     fwf_killer_seq,
     gen_stochastic,
     read_sequence_csv,
+    thm3_seq,
     write_sequence_csv,
 )
 from .formulas import (
@@ -72,7 +72,6 @@ from .harness import (
     ExperimentConfig,
     exhaustive_verify,
     measure_ratio,
-    run_adversary,
     run_policy,
     run_sequence,
     sweep,
@@ -113,12 +112,12 @@ __all__ = [
     "opt_value_extend",
     "window_upper_bound",
     "WORKLOAD_KINDS",
-    "Thm3Adversary",
     "WorkloadSpec",
     "epoch_burst_seq",
     "fwf_killer_seq",
     "gen_stochastic",
     "read_sequence_csv",
+    "thm3_seq",
     "write_sequence_csv",
     "DomainError",
     "eta_alpha",
@@ -133,7 +132,6 @@ __all__ = [
     "ExperimentConfig",
     "exhaustive_verify",
     "measure_ratio",
-    "run_adversary",
     "run_policy",
     "run_sequence",
     "sweep",

@@ -164,17 +164,17 @@ def cmd_adversary(args) -> int:
         C=args.C, T=args.T if args.T is not None else args.C, F=args.F,
         k=args.k, p_ppm=args.p_ppm, tau=args.tau, eta_ppm=args.eta_ppm,
     )
-    report = run_adversary_demo(
+    row = run_adversary_demo(
         args.type, args.target, params, args.epsilon, args.rounds, seed=args.seed
     )
     _emit(
         {
-            "adversary": report.kind,
-            "target": report.target,
-            "nTx": len(report.seq),
-            "algValue": report.result.settled_value,
-            "optValue": report.opt_value,
-            "ratio": _frac(report.ratio),
+            "adversary": args.type,
+            "target": args.target,
+            "nTx": row.result.n_tx,
+            "algValue": row.result.settled_value,
+            "optValue": row.opt_value,
+            "ratio": _frac(row.ratio_value),
         }
     )
     return 0

@@ -206,6 +206,11 @@ def formulas_report(
     out: dict = {"C": C, "T": T}
     real_k, int_k = k_star(C, T)
     out["kStar"] = {"real": real_k, "integer": int_k}
+    # the bounds ModelParams puts on the same inputs, in its words
+    if k is not None and k < 1:
+        raise DomainError(f"k must be positive, got {k}")
+    if p_ppm is not None and not 1 <= p_ppm <= PPM:
+        raise DomainError(f"p_ppm must be in [1, {PPM}], got {p_ppm}")
     if k is not None:
         r = k * T / C
         out["k"] = k
@@ -226,7 +231,7 @@ def formulas_report(
         p = p_ppm / PPM
         out["p"] = p
         out["tau"] = tau
-        raw = eta_star_raw(C, T, p, tau)  # checks p > 0 before beta divides by it
+        raw = eta_star_raw(C, T, p, tau)
         out["beta"] = tau / (p * C)
         clamped = eta_star(C, T, p, tau)
         out["etaStar"] = {

@@ -6,8 +6,8 @@ sequence and validates the window invariant on the produced trace;
 ``exhaustive_verify`` enumerates every sequence over a small alphabet and
 checks the competitive bound on every prefix with exact integer
 arithmetic; ``sweep`` scans eta or k and marks the empirical optimum
-next to the formula one; ``run_adversary`` plays an adaptive adversary
-against a policy in lockstep.
+next to the formula one; ``run_adversary_demo`` measures an adversarial
+sequence against its target like any other ratio run.
 
 Results serialize to a fixed-column CSV; traces to newline-delimited
 JSON.  Identical config and seed reproduce byte-identical outputs.
@@ -44,14 +44,12 @@ from .oracles import (
 )
 from .policies import make_policy
 from .workloads import (
-    DONE,
-    GAP,
-    Thm3Adversary,
     WorkloadSpec,
     epoch_burst_seq,
     fwf_killer_seq,
     gen_stochastic,
     read_sequence_csv,
+    thm3_seq,
 )
 
 
@@ -85,11 +83,6 @@ def run_sequence(
         decision = policy.step(slot, seq.at(slot))
         if decision.flushed or decision.flush_amount is not None:
             actions += 1
-    return _close_run(policy, seq, actions, terminal_flushes, charge)
-
-
-def _close_run(policy, seq, actions, terminal_flushes, charge) -> RunResult:
-    """Both drivers' tail: the final flushes, the window check and the totals."""
     if policy.finish(seq.horizon, terminal_flushes):  # falsy if nothing flushed
         actions += 1
     validate_window_bound(policy.machine.trace, policy.params)
@@ -530,44 +523,6 @@ def exhaustive_verify(
 # adversaries
 
 
-@dataclass
-class AdversaryReport:
-    kind: str
-    target: str
-    seq: TransactionSequence
-    result: RunResult
-    opt_value: int
-    ratio: Fraction | float
-
-
-def run_adversary(policy, adversary: Thm3Adversary):
-    """Lockstep drive: the adversary sees each decision before its next move."""
-    last: bool | None = None
-    txs = []
-    slot = 0
-    actions = 0
-    while True:
-        out = adversary.next_emission(last)
-        if out is DONE:
-            break
-        slot += 1
-        tx = None if out is GAP else out
-        if tx is not None and tx.slot != slot:
-            raise CollateralError(
-                f"adversary emitted slot {tx.slot}, driver is at {slot}"
-            )
-        decision = policy.step(slot, tx)
-        if decision.flushed or decision.flush_amount is not None:
-            actions += 1
-        if tx is not None:
-            txs.append(tx)
-            last = decision.action == "settle"
-        else:
-            last = None
-    seq = TransactionSequence(txs, horizon=slot)
-    return seq, _close_run(policy, seq, actions, False, "per-wallet")
-
-
 ADVERSARY_KINDS = ("thm3", "fwfkiller", "burst")
 
 
@@ -578,34 +533,26 @@ def run_adversary_demo(
     epsilon: int,
     rounds: int,
     seed: int = 0,
-) -> AdversaryReport:
-    """Run one adversarial construction against a target policy.
+) -> RatioRow:
+    """Measure one adversarial construction against a target policy.
 
-    The reported optimum is the exact general-model value from the window
-    DP at any length; a sequence whose DP would pass the oracle's
-    state-step cap raises BudgetExceeded instead.
+    The target is made first, so its own parameter errors come before the
+    construction's.  thm3 builds its sequence against that policy, a
+    private copy of the measured one with the same seed.  The sequence
+    then runs through ``measure_ratio`` with the exact window-DP optimum;
+    one whose DP would pass the oracle's cap raises BudgetExceeded.
     """
     policy = make_policy(target, params, seed=seed)
     if kind == "thm3":
-        adversary = Thm3Adversary(params, epsilon, rounds)
-        seq, result = run_adversary(policy, adversary)
+        seq = thm3_seq(params, epsilon, rounds, policy)
     elif kind == "fwfkiller":
         seq = fwf_killer_seq(params, epsilon, rounds)
-        result = run_sequence(policy, seq)
     elif kind == "burst":
         seq = epoch_burst_seq(params, rounds)
-        result = run_sequence(policy, seq)
     else:
         raise ConfigError(f"unknown adversary {kind!r}; expected {ADVERSARY_KINDS}")
-    opt_value = opt_general_value(seq, params.C, params.F)
-    return AdversaryReport(
-        kind=kind,
-        target=target,
-        seq=seq,
-        result=result,
-        opt_value=opt_value,
-        ratio=ratio_of(opt_value, result.settled_value),
-    )
+    config = ExperimentConfig(params, target, seed=seed, sequence=seq)
+    return measure_ratio(config).rows[0]
 
 
 # ---------------------------------------------------------------------------

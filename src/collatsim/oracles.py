@@ -4,11 +4,12 @@ The general-model optimum has a clean combinatorial shape: a subset of
 transactions is settleable with free immediate flushing iff every window
 of F+1 consecutive slots carries at most C of its value.  The value
 oracle is a DP over the settles of the last F slots, exact at any length;
-it refuses an input only when its layers would hold more than
-MAX_DP_STATE_STEPS states in all.  The tests re-derive it by subset
-enumeration and by simulating the pool state machine.  The utility and
-k-wallet oracles are branch-and-bound searches that refuse more than
-MAX_SEARCH_TRANSACTIONS transactions rather than silently taking forever.
+it refuses an input only when its layers would hold more than MAX_DP_CELLS
+cells in all, a cell being a state or one settle a state lists.  The tests
+re-derive it by subset enumeration and by simulating the pool state
+machine.  The utility and k-wallet oracles are branch-and-bound searches
+that refuse more than MAX_SEARCH_TRANSACTIONS transactions rather than
+silently taking forever.
 
 Two exchange arguments justify the pruned searches and are relied on
 throughout: flushing everything when flushing at all is loss-free (the
@@ -28,10 +29,12 @@ class BudgetExceeded(CollateralError):
     pass
 
 
-# The window DP's cost is the sum of its layer sizes, O(n * 2^F), times the
-# length of a state; with short states this cap is a few seconds.  Any input
-# of at most 12 transactions stays below 2^13.
-MAX_DP_STATE_STEPS = 2**22
+# The window DP's time and memory both grow with its states and their
+# lengths, so the cap counts each layer's states plus the settles they list.
+# Forty offers of 1 at C = F = 40 are refused after 1.2 s at 117 MB peak on a
+# 2-vCPU VM (CPython 3.11); any input of at most 12 transactions stays below
+# 2^16 cells.
+MAX_DP_CELLS = 2**23
 MAX_SEARCH_TRANSACTIONS = 12
 
 
@@ -86,19 +89,19 @@ def opt_general_value(
     Folds opt_value_extend over the sequence, keeping only the current
     layer unless a witness is asked for; the witness follows back-pointers
     from the best final state through the kept layers.  Raises
-    BudgetExceeded once the layers built hold more than MAX_DP_STATE_STEPS
-    states in all.
+    BudgetExceeded once the layers built hold more than MAX_DP_CELLS cells
+    (states plus the settles they list) in all.
     """
     txs = list(seq)
     layers = [{(): 0}]
-    steps = 0
+    cells = 0
     for i, t in enumerate(txs):
         layer = opt_value_extend(layers[-1], t.slot, t.value, C, F)
-        steps += len(layer)
-        if steps > MAX_DP_STATE_STEPS:
+        cells += len(layer) + sum(map(len, layer))
+        if cells > MAX_DP_CELLS:
             raise BudgetExceeded(
-                f"window DP exceeds {MAX_DP_STATE_STEPS} state-steps at "
-                f"transaction {i + 1} of {len(txs)} (F={F})"
+                f"window DP exceeds {MAX_DP_CELLS} cells (states plus their "
+                f"settles) at transaction {i + 1} of {len(txs)} (F={F})"
             )
         if return_witness:
             layers.append(layer)

@@ -1,9 +1,9 @@
 """Workload generators: stochastic streams and adversarial constructions.
 
-Static generators return a TransactionSequence.  The adaptive adversary
-is a session object stepped in lockstep with a target policy: each call
-hands back the next emission (a transaction, a quiet slot, or the end
-marker) and may depend on every decision the target made so far.
+Every generator returns a TransactionSequence.  The starvation sequence
+(thm3_seq) is built against a private copy of its target policy, so it
+reacts to each decision the target makes and still runs like any other
+sequence.
 
 All generated values are ints in [1, max_value] and at most one
 transaction occupies a slot.  Generation is deterministic per seed.
@@ -244,75 +244,49 @@ def epoch_burst_seq(params: ModelParams, epochs: int) -> TransactionSequence:
     return TransactionSequence(txs)
 
 
-GAP = object()  # quiet slot
-DONE = object()  # adversary finished
+def thm3_seq(
+    params: ModelParams, epsilon: int, rounds: int, target
+) -> TransactionSequence:
+    """Probe-then-big rounds that starve a single-wallet policy.
 
+    Requires T = C.  Each round offers value-epsilon probes, one per
+    slot, until the target settles one, then a single value-C offer in
+    the next slot; after C/epsilon discarded probes the round ends
+    without the big offer.  F quiet slots separate rounds, F - 1 trail
+    the last one.  A policy that settles the probe cannot take the big
+    offer; one that keeps discarding forfeits the probes.
 
-class Thm3Adversary:
-    """Adaptive adversary against any deterministic single-wallet policy.
-
-    Round structure: emit value-epsilon probes one per slot until the
-    target settles one, then emit a single value-C transaction in the
-    next slot; if C/epsilon probes all get discarded, give up on the
-    round.  Either way, F quiet slots follow before the next round.  A
-    policy that settles the probe cannot take the big transaction; one
-    that keeps discarding forfeits the probes.
-
-    Step with ``next_emission(last_settled)`` where the argument reports
-    whether the previous slot's emission was settled (None on the first
-    call or after a quiet slot).
+    The decisions come from stepping ``target``, a private copy of the
+    policy under attack made with the same seed, which this consumes.
+    Against a deterministic policy a sequence fixed in advance this way
+    is as strong as an adversary that adapts during the run.
     """
-
-    def __init__(self, params: ModelParams, epsilon: int, rounds: int):
-        if params.k != 1:
-            raise NotSingleWallet(f"adversary targets one wallet, got k={params.k}")
-        if epsilon < 1 or params.C % epsilon != 0:
-            raise EpsilonDoesNotDivideC(
-                f"epsilon must divide C, got epsilon={epsilon} C={params.C}"
-            )
-        if rounds < 1:
-            raise InvalidParams(f"rounds must be positive, got {rounds}")
-        self.params = params
-        self.epsilon = epsilon
-        self.rounds = rounds
-        self.max_probes = params.C // epsilon
-        self.slot = 0
-        self.round_no = 1
-        self.phase = "probe"  # probe | big | gap
-        self.probes_sent = 0
-        self.gaps_left = 0
-
-    def next_emission(self, last_settled: bool | None):
-        """Return the next Transaction, GAP, or DONE."""
-        if self.round_no > self.rounds:
-            return DONE
-        self.slot += 1
-        if self.phase == "probe":
-            if self.probes_sent > 0 and last_settled:
-                self.phase = "gap"
-                self.gaps_left = self.params.F
-                self.probes_sent = 0
-                return Transaction(self.slot, self.params.C)
-            if self.probes_sent == self.max_probes:
-                # nothing settled; skip the big transaction this round
-                self.probes_sent = 0
-                self.phase = "gap"
-                self.gaps_left = self.params.F
-                # fall through to gap handling below
-            else:
-                self.probes_sent += 1
-                return Transaction(self.slot, self.epsilon)
-        if self.phase == "gap":
-            if self.gaps_left > 0:
-                self.gaps_left -= 1
-                if self.gaps_left == 0:
-                    self.phase = "probe"
-                    self.round_no += 1
-                    if self.round_no > self.rounds:
-                        self.slot -= 1
-                        return DONE
-                return GAP
-        raise AssertionError("unreachable adversary state")
+    if params.k != 1:
+        raise NotSingleWallet(f"adversary targets one wallet, got k={params.k}")
+    if epsilon < 1 or params.C % epsilon != 0:
+        raise EpsilonDoesNotDivideC(
+            f"epsilon must divide C, got epsilon={epsilon} C={params.C}"
+        )
+    if rounds < 1:
+        raise InvalidParams(f"rounds must be positive, got {rounds}")
+    if params.T != params.C:
+        raise InvalidParams(f"thm3 needs T = C, got T={params.T} C={params.C}")
+    txs = []
+    slot = 0
+    for round_no in range(rounds):
+        if round_no:
+            for _ in range(params.F):
+                slot += 1
+                target.step(slot, None)
+        for _ in range(params.C // epsilon):
+            slot += 1
+            txs.append(Transaction(slot, epsilon))
+            if target.step(slot, txs[-1]).action == "settle":
+                slot += 1
+                txs.append(Transaction(slot, params.C))
+                target.step(slot, txs[-1])
+                break
+    return TransactionSequence(txs, horizon=slot + params.F - 1)
 
 
 def write_sequence_csv(seq: TransactionSequence, path: str) -> None:

@@ -185,12 +185,12 @@ def test_c03_exhaustive_ftwf_full_load(exhaust_full_load):
 def test_c04_adaptive_adversary_starves_single_wallet(thm3_demo):
     assert thm3_demo.result.settled_value == 5  # one probe per round
     assert thm3_demo.opt_value == 50  # the five big offers instead
-    assert thm3_demo.ratio == 10  # exactly 1/epsilon
-    report(4, f"ratio {thm3_demo.ratio} = 1/epsilon, exact optimum")
+    assert thm3_demo.ratio_value == 10  # exactly 1/epsilon
+    report(4, f"ratio {thm3_demo.ratio_value} = 1/epsilon, exact optimum")
 
 
 def test_c05_fwf_unbounded_at_full_load(killer_demos):
-    ratios = {eps: demo.ratio for eps, demo in killer_demos.items()}
+    ratios = {eps: demo.ratio_value for eps, demo in killer_demos.items()}
     assert ratios[1] >= 5  # asserted floor (C/k)/(2 eps)
     assert ratios[1] > ratios[2] > ratios[4]  # grows as epsilon halves
     for demo in killer_demos.values():

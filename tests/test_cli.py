@@ -94,6 +94,195 @@ def test_adversary(capsys):
     assert out["ratio"] == {"num": 2, "den": 1}
 
 
+# the adversary's parameter sets: rand2 at two seeds, eta with tau > 0,
+# epsilon and rounds variants, wallet banks, and caps below C
+ADVERSARY_PARAMS = {
+    "C10T10F2": "--C 10 --T 10 --F 2",
+    "C12T3k4F2": "--C 12 --T 3 --k 4 --F 2",
+    "C8T4k2F1e2r3": "--C 8 --T 4 --k 2 --F 1 --epsilon 2 --rounds 3",
+    "C6T6F1e2r4": "--C 6 --T 6 --F 1 --epsilon 2 --rounds 4",
+    "C12T12F3e3r2": "--C 12 --T 12 --F 3 --epsilon 3 --rounds 2",
+    "C8T8F2s2": "--C 8 --T 8 --F 2 --rounds 3 --seed 2",
+    "C8T8F2s4": "--C 8 --T 8 --F 2 --rounds 3 --seed 4",
+    "C10T10F2eta": "--C 10 --T 10 --F 2 --eta-ppm 1000000 --p-ppm 500000 --tau 2",
+    "C20T5F2eta": "--C 20 --T 5 --F 2 --eta-ppm 500000 --p-ppm 500000 --tau 3 --rounds 2",
+    "C10T5F2r2": "--C 10 --T 5 --F 2 --rounds 2",
+}
+
+# "type target params": (nTx, algValue, optValue, ratio), or the error text.
+# thm3 offers value C, so below T = C it is refused rather than run with
+# offers above the cap.
+ADVERSARY_GOLDEN = {
+    "thm3 fa C10T10F2": (10, 5, 50, "10"),
+    "thm3 fwf C10T10F2": (10, 5, 50, "10"),
+    "thm3 ftwf C10T10F2": "pair policy needs even k, got 1",
+    "thm3 rand2 C10T10F2": (26, 3, 50, "50/3"),
+    "thm3 eta C10T10F2": "threshold policy needs eta_ppm",
+    "fwfkiller fa C10T10F2": (10, 22, 50, "25/11"),
+    "fwfkiller fwf C10T10F2": (10, 22, 50, "25/11"),
+    "fwfkiller ftwf C10T10F2": "pair policy needs even k, got 1",
+    "fwfkiller rand2 C10T10F2": (10, 20, 50, "5/2"),
+    "fwfkiller eta C10T10F2": "threshold policy needs eta_ppm",
+    "burst fa C10T10F2": (20, 50, 70, "7/5"),
+    "burst fwf C10T10F2": (20, 50, 70, "7/5"),
+    "burst ftwf C10T10F2": "pair policy needs even k, got 1",
+    "burst rand2 C10T10F2": (20, 40, 70, "7/4"),
+    "burst eta C10T10F2": "threshold policy needs eta_ppm",
+    "thm3 fa C12T3k4F2": "adversary targets one wallet, got k=4",
+    "thm3 fwf C12T3k4F2": "adversary targets one wallet, got k=4",
+    "thm3 ftwf C12T3k4F2": "adversary targets one wallet, got k=4",
+    "thm3 rand2 C12T3k4F2": "rand2 runs a single wallet, got k=4",
+    "thm3 eta C12T3k4F2": "threshold policy needs eta_ppm",
+    "fwfkiller fa C12T3k4F2": (10, 15, 20, "4/3"),
+    "fwfkiller fwf C12T3k4F2": (10, 5, 20, "4"),
+    "fwfkiller ftwf C12T3k4F2": (10, 14, 20, "10/7"),
+    "fwfkiller rand2 C12T3k4F2": "rand2 runs a single wallet, got k=4",
+    "fwfkiller eta C12T3k4F2": "threshold policy needs eta_ppm",
+    "burst fa C12T3k4F2": (35, 60, 105, "7/4"),
+    "burst fwf C12T3k4F2": (35, 54, 105, "35/18"),
+    "burst ftwf C12T3k4F2": (35, 72, 105, "35/24"),
+    "burst rand2 C12T3k4F2": "rand2 runs a single wallet, got k=4",
+    "burst eta C12T3k4F2": "threshold policy needs eta_ppm",
+    "thm3 fa C8T4k2F1e2r3": "adversary targets one wallet, got k=2",
+    "thm3 fwf C8T4k2F1e2r3": "adversary targets one wallet, got k=2",
+    "thm3 ftwf C8T4k2F1e2r3": "adversary targets one wallet, got k=2",
+    "thm3 rand2 C8T4k2F1e2r3": "rand2 runs a single wallet, got k=2",
+    "thm3 eta C8T4k2F1e2r3": "threshold policy needs eta_ppm",
+    "fwfkiller fa C8T4k2F1e2r3": (6, 12, 18, "3/2"),
+    "fwfkiller fwf C8T4k2F1e2r3": (6, 6, 18, "3"),
+    "fwfkiller ftwf C8T4k2F1e2r3": (6, 12, 18, "3/2"),
+    "fwfkiller rand2 C8T4k2F1e2r3": "rand2 runs a single wallet, got k=2",
+    "fwfkiller eta C8T4k2F1e2r3": "threshold policy needs eta_ppm",
+    "burst fa C8T4k2F1e2r3": (12, 24, 48, "2"),
+    "burst fwf C8T4k2F1e2r3": (12, 24, 48, "2"),
+    "burst ftwf C8T4k2F1e2r3": (12, 24, 48, "2"),
+    "burst rand2 C8T4k2F1e2r3": "rand2 runs a single wallet, got k=2",
+    "burst eta C8T4k2F1e2r3": "threshold policy needs eta_ppm",
+    "thm3 fa C6T6F1e2r4": (8, 8, 24, "3"),
+    "thm3 fwf C6T6F1e2r4": (8, 8, 24, "3"),
+    "thm3 ftwf C6T6F1e2r4": "pair policy needs even k, got 1",
+    "thm3 rand2 C6T6F1e2r4": (9, 6, 24, "4"),
+    "thm3 eta C6T6F1e2r4": "threshold policy needs eta_ppm",
+    "fwfkiller fa C6T6F1e2r4": (8, 10, 24, "12/5"),
+    "fwfkiller fwf C6T6F1e2r4": (8, 10, 24, "12/5"),
+    "fwfkiller ftwf C6T6F1e2r4": "pair policy needs even k, got 1",
+    "fwfkiller rand2 C6T6F1e2r4": (8, 12, 24, "2"),
+    "fwfkiller eta C6T6F1e2r4": "threshold policy needs eta_ppm",
+    "burst fa C6T6F1e2r4": (12, 24, 36, "3/2"),
+    "burst fwf C6T6F1e2r4": (12, 24, 36, "3/2"),
+    "burst ftwf C6T6F1e2r4": "pair policy needs even k, got 1",
+    "burst rand2 C6T6F1e2r4": (12, 18, 36, "2"),
+    "burst eta C6T6F1e2r4": "threshold policy needs eta_ppm",
+    "thm3 fa C12T12F3e3r2": (4, 6, 24, "4"),
+    "thm3 fwf C12T12F3e3r2": (4, 6, 24, "4"),
+    "thm3 ftwf C12T12F3e3r2": "pair policy needs even k, got 1",
+    "thm3 rand2 C12T12F3e3r2": (6, 3, 24, "8"),
+    "thm3 eta C12T12F3e3r2": "threshold policy needs eta_ppm",
+    "fwfkiller fa C12T12F3e3r2": (4, 15, 24, "8/5"),
+    "fwfkiller fwf C12T12F3e3r2": (4, 15, 24, "8/5"),
+    "fwfkiller ftwf C12T12F3e3r2": "pair policy needs even k, got 1",
+    "fwfkiller rand2 C12T12F3e3r2": (4, 12, 24, "2"),
+    "fwfkiller eta C12T12F3e3r2": "threshold policy needs eta_ppm",
+    "burst fa C12T12F3e3r2": (10, 24, 36, "3/2"),
+    "burst fwf C12T12F3e3r2": (10, 24, 36, "3/2"),
+    "burst ftwf C12T12F3e3r2": "pair policy needs even k, got 1",
+    "burst rand2 C12T12F3e3r2": (10, 24, 36, "3/2"),
+    "burst eta C12T12F3e3r2": "threshold policy needs eta_ppm",
+    "thm3 fa C8T8F2s2": (6, 3, 24, "8"),
+    "thm3 fwf C8T8F2s2": (6, 3, 24, "8"),
+    "thm3 ftwf C8T8F2s2": "pair policy needs even k, got 1",
+    "thm3 rand2 C8T8F2s2": (18, 1, 24, "24"),
+    "thm3 eta C8T8F2s2": "threshold policy needs eta_ppm",
+    "fwfkiller fa C8T8F2s2": (6, 9, 24, "8/3"),
+    "fwfkiller fwf C8T8F2s2": (6, 9, 24, "8/3"),
+    "fwfkiller ftwf C8T8F2s2": "pair policy needs even k, got 1",
+    "fwfkiller rand2 C8T8F2s2": (6, 8, 24, "3"),
+    "fwfkiller eta C8T8F2s2": "threshold policy needs eta_ppm",
+    "burst fa C8T8F2s2": (12, 24, 32, "4/3"),
+    "burst fwf C8T8F2s2": (12, 24, 32, "4/3"),
+    "burst ftwf C8T8F2s2": "pair policy needs even k, got 1",
+    "burst rand2 C8T8F2s2": (12, 24, 32, "4/3"),
+    "burst eta C8T8F2s2": "threshold policy needs eta_ppm",
+    "thm3 fa C8T8F2s4": (6, 3, 24, "8"),
+    "thm3 fwf C8T8F2s4": (6, 3, 24, "8"),
+    "thm3 ftwf C8T8F2s4": "pair policy needs even k, got 1",
+    "thm3 rand2 C8T8F2s4": (6, 3, 24, "8"),
+    "thm3 eta C8T8F2s4": "threshold policy needs eta_ppm",
+    "fwfkiller fa C8T8F2s4": (6, 9, 24, "8/3"),
+    "fwfkiller fwf C8T8F2s4": (6, 9, 24, "8/3"),
+    "fwfkiller ftwf C8T8F2s4": "pair policy needs even k, got 1",
+    "fwfkiller rand2 C8T8F2s4": (6, 10, 24, "12/5"),
+    "fwfkiller eta C8T8F2s4": "threshold policy needs eta_ppm",
+    "burst fa C8T8F2s4": (12, 24, 32, "4/3"),
+    "burst fwf C8T8F2s4": (12, 24, 32, "4/3"),
+    "burst ftwf C8T8F2s4": "pair policy needs even k, got 1",
+    "burst rand2 C8T8F2s4": (12, 24, 32, "4/3"),
+    "burst eta C8T8F2s4": "threshold policy needs eta_ppm",
+    "thm3 fa C10T10F2eta": (10, 5, 50, "10"),
+    "thm3 fwf C10T10F2eta": (10, 5, 50, "10"),
+    "thm3 ftwf C10T10F2eta": "pair policy needs even k, got 1",
+    "thm3 rand2 C10T10F2eta": (26, 3, 50, "50/3"),
+    "thm3 eta C10T10F2eta": (10, 5, 50, "10"),
+    "fwfkiller fa C10T10F2eta": (10, 22, 50, "25/11"),
+    "fwfkiller fwf C10T10F2eta": (10, 22, 50, "25/11"),
+    "fwfkiller ftwf C10T10F2eta": "pair policy needs even k, got 1",
+    "fwfkiller rand2 C10T10F2eta": (10, 20, 50, "5/2"),
+    "fwfkiller eta C10T10F2eta": (10, 5, 50, "10"),
+    "burst fa C10T10F2eta": (20, 50, 70, "7/5"),
+    "burst fwf C10T10F2eta": (20, 50, 70, "7/5"),
+    "burst ftwf C10T10F2eta": "pair policy needs even k, got 1",
+    "burst rand2 C10T10F2eta": (20, 40, 70, "7/4"),
+    "burst eta C10T10F2eta": (20, 70, 70, "1"),
+    "thm3 fa C20T5F2eta": "thm3 needs T = C, got T=5 C=20",
+    "thm3 fwf C20T5F2eta": "thm3 needs T = C, got T=5 C=20",
+    "thm3 ftwf C20T5F2eta": "pair policy needs even k, got 1",
+    "thm3 rand2 C20T5F2eta": "thm3 needs T = C, got T=5 C=20",
+    "thm3 eta C20T5F2eta": "thm3 needs T = C, got T=5 C=20",
+    "fwfkiller fa C20T5F2eta": "killer sequence needs T = C/k, got T=5 C=20 k=1",
+    "fwfkiller fwf C20T5F2eta": "killer sequence needs T = C/k, got T=5 C=20 k=1",
+    "fwfkiller ftwf C20T5F2eta": "pair policy needs even k, got 1",
+    "fwfkiller rand2 C20T5F2eta": "killer sequence needs T = C/k, got T=5 C=20 k=1",
+    "fwfkiller eta C20T5F2eta": "killer sequence needs T = C/k, got T=5 C=20 k=1",
+    "burst fa C20T5F2eta": (14, 40, 70, "7/4"),
+    "burst fwf C20T5F2eta": (14, 40, 70, "7/4"),
+    "burst ftwf C20T5F2eta": "pair policy needs even k, got 1",
+    "burst rand2 C20T5F2eta": (14, 35, 70, "2"),
+    "burst eta C20T5F2eta": (14, 70, 70, "1"),
+    "thm3 fa C10T5F2r2": "thm3 needs T = C, got T=5 C=10",
+    "thm3 fwf C10T5F2r2": "thm3 needs T = C, got T=5 C=10",
+    "thm3 ftwf C10T5F2r2": "pair policy needs even k, got 1",
+    "thm3 rand2 C10T5F2r2": "thm3 needs T = C, got T=5 C=10",
+    "thm3 eta C10T5F2r2": "threshold policy needs eta_ppm",
+    "fwfkiller fa C10T5F2r2": "killer sequence needs T = C/k, got T=5 C=10 k=1",
+    "fwfkiller fwf C10T5F2r2": "killer sequence needs T = C/k, got T=5 C=10 k=1",
+    "fwfkiller ftwf C10T5F2r2": "pair policy needs even k, got 1",
+    "fwfkiller rand2 C10T5F2r2": "killer sequence needs T = C/k, got T=5 C=10 k=1",
+    "fwfkiller eta C10T5F2r2": "threshold policy needs eta_ppm",
+    "burst fa C10T5F2r2": (10, 20, 35, "7/4"),
+    "burst fwf C10T5F2r2": (10, 20, 35, "7/4"),
+    "burst ftwf C10T5F2r2": "pair policy needs even k, got 1",
+    "burst rand2 C10T5F2r2": (10, 20, 35, "7/4"),
+    "burst eta C10T5F2r2": "threshold policy needs eta_ppm",
+}
+
+
+@pytest.mark.parametrize("case", ADVERSARY_GOLDEN)
+def test_adversary_golden(capsys, case):
+    kind, target, params = case.split()
+    argv = ["adversary", "--type", kind, "--target", target,
+            *ADVERSARY_PARAMS[params].split()]
+    expected = ADVERSARY_GOLDEN[case]
+    if isinstance(expected, str):
+        assert run_cli_error(capsys, *argv) == f"error: {expected}\n"
+        return
+    n_tx, alg, opt, ratio = expected
+    num, _, den = ratio.partition("/")
+    assert run_cli(capsys, *argv) == (0, {
+        "adversary": kind, "target": target, "nTx": n_tx, "algValue": alg,
+        "optValue": opt, "ratio": {"num": int(num), "den": int(den or 1)},
+    })
+
+
 def test_exhaust(capsys):
     code, out = run_cli(
         capsys, "exhaust", "--C", "4", "--k", "2", "--T", "2", "--F", "1",
@@ -328,9 +517,9 @@ def test_ratio_brute_general_beyond_twelve_offers(capsys):
 
 
 def test_oracle_state_step_cap(capsys, monkeypatch):
-    monkeypatch.setattr(oracles, "MAX_DP_STATE_STEPS", 100)
+    monkeypatch.setattr(oracles, "MAX_DP_CELLS", 100)
     err = run_cli_error(capsys, *FORTY_SIXES)
-    assert "exceeds 100 state-steps" in err
+    assert "exceeds 100 cells" in err
 
 
 @pytest.mark.parametrize(
@@ -445,4 +634,17 @@ def test_unparsable_json_file(capsys, tmp_path, flag, content, message):
 
 def test_formulas_zero_p(capsys):
     err = run_cli_error(capsys, "formulas", "--C", "10", "--T", "3", "--p-ppm", "0", "--tau", "1")
-    assert "need p > 0" in err
+    assert "p_ppm must be in [1, 1000000], got 0" in err
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (("--p-ppm", "2000000", "--tau", "1"), "p_ppm must be in [1, 1000000], got 2000000"),
+        (("--k", "0"), "k must be positive, got 0"),
+        (("--k", "-2"), "k must be positive, got -2"),
+    ],
+)
+def test_formulas_rejects_out_of_range_inputs(capsys, flags, message):
+    err = run_cli_error(capsys, "formulas", "--C", "10", "--T", "3", *flags)
+    assert err == f"error: {message}\n"

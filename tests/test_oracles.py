@@ -64,21 +64,23 @@ def test_opt_value_budget():
     # no length budget: one offer per slot, and a 3-slot window fits one of them
     seq = seq_of([(t, 10) for t in range(1, 2001)])
     assert opt_general_value(seq, 10, 2) == 10 * 667
-    # 12 offers whose every subset is a state: 2^13 - 2 state-steps
+    # 12 offers whose every subset is a state: 2^13 - 2 states listing
+    # 11 * 2^12 + 1 settles, below 2^16 cells
     assert opt_general_value(seq_of([(t, 1) for t in range(1, 13)]), 12, 12) == 12
     # dense and wide: about 21,700 states per layer, refused at the cap
     dense = seq_of([(t, 1) for t in range(1, 301)])
-    with pytest.raises(BudgetExceeded, match=r"exceeds 4194304 state-steps"):
+    with pytest.raises(BudgetExceeded, match=r"exceeds 8388608 cells"):
         opt_general_value(dense, 5, 20)
 
 
 def test_state_step_cap_is_exact(monkeypatch):
-    # every subset of 5 offers is a state: layers of 2, 4, 8, 16, 32
+    # every subset of 5 offers is a state: layers of 2, 4, 8, 16, 32 states
+    # listing 1, 4, 12, 32, 80 settles, 191 cells in all
     seq = seq_of([(t, 1) for t in range(1, 6)])
-    monkeypatch.setattr(oracles, "MAX_DP_STATE_STEPS", 62)
+    monkeypatch.setattr(oracles, "MAX_DP_CELLS", 191)
     assert opt_general_value(seq, 5, 5) == 5
     assert opt_general_value(seq, 5, 5, return_witness=True)[0] == 5
-    monkeypatch.setattr(oracles, "MAX_DP_STATE_STEPS", 61)
+    monkeypatch.setattr(oracles, "MAX_DP_CELLS", 190)
     with pytest.raises(BudgetExceeded, match="at transaction 5 of 5"):
         opt_general_value(seq, 5, 5)
 

@@ -1,21 +1,21 @@
 """Workload generators, adversaries, and sequence files."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from collatsim.model import InvalidParams, ModelParams, TransactionSequence
 from collatsim.workloads import (
-    DONE,
-    GAP,
     EpsilonDoesNotDivideC,
     InvalidSpec,
     NotSingleWallet,
-    Thm3Adversary,
     WORKLOAD_KINDS,
     WorkloadSpec,
     epoch_burst_seq,
     fwf_killer_seq,
     gen_stochastic,
     read_sequence_csv,
+    thm3_seq,
     write_sequence_csv,
 )
 
@@ -129,43 +129,64 @@ def test_epoch_burst_shape():
     assert len(seq.txs) == 2 * (4 + 1 + 2)
 
 
+class ScriptedTarget:
+    """Settles the offers whose 1-based numbers are listed; logs every step."""
+
+    def __init__(self, settles=()):
+        self.settles = set(settles)
+        self.steps = []
+
+    def step(self, slot, tx):
+        self.steps.append((slot, tx and tx.value))
+        if tx is None:
+            return SimpleNamespace(action=None)
+        offers = sum(v is not None for _, v in self.steps)
+        return SimpleNamespace(action="settle" if offers in self.settles else "discard")
+
+
+THM3_PARAMS = ModelParams(C=4, T=4, F=2)
+
+
 def test_thm3_settling_probe_draws_the_big_one():
-    adv = Thm3Adversary(ModelParams(C=4, T=4, F=2), epsilon=2, rounds=1)
-    first = adv.next_emission(None)
-    assert (first.slot, first.value) == (1, 2)
-    big = adv.next_emission(True)
-    assert (big.slot, big.value) == (2, 4)
-    assert adv.next_emission(False) is GAP
-    assert adv.next_emission(None) is DONE
+    target = ScriptedTarget(settles={1})
+    seq = thm3_seq(THM3_PARAMS, epsilon=2, rounds=1, target=target)
+    # the big offer takes the next slot; F - 1 quiet slots trail
+    assert seq == TransactionSequence.from_pairs([(1, 2), (2, 4)], horizon=3)
+    assert target.steps == [(1, 2), (2, 4)]
+    # a later settled probe draws it just the same
+    seq = thm3_seq(THM3_PARAMS, epsilon=2, rounds=1, target=ScriptedTarget({2}))
+    assert seq == TransactionSequence.from_pairs([(1, 2), (2, 2), (3, 4)], horizon=4)
 
 
 def test_thm3_gives_up_after_budget():
-    # C/epsilon failed probes end the round without the big transaction
-    adv = Thm3Adversary(ModelParams(C=4, T=4, F=2), epsilon=2, rounds=1)
-    assert adv.next_emission(None).value == 2
-    assert adv.next_emission(False).value == 2
-    assert adv.next_emission(False) is GAP
-    assert adv.next_emission(None) is DONE
+    # C/epsilon discarded probes end the round without the big offer
+    target = ScriptedTarget()
+    seq = thm3_seq(THM3_PARAMS, epsilon=2, rounds=2, target=target)
+    assert seq == TransactionSequence.from_pairs(
+        [(1, 2), (2, 2), (5, 2), (6, 2)], horizon=7
+    )
+    assert target.steps == [(1, 2), (2, 2), (3, None), (4, None), (5, 2), (6, 2)]
 
 
 def test_thm3_rounds_are_separated_by_f_gaps():
-    adv = Thm3Adversary(ModelParams(C=4, T=4, F=2), epsilon=4, rounds=2)
-    kinds = []
-    last = None
-    while True:
-        em = adv.next_emission(last)
-        if em is DONE:
-            break
-        kinds.append("gap" if em is GAP else f"v{em.value}")
-        last = None if em is GAP else True
-    assert kinds == ["v4", "v4", "gap", "gap", "v4", "v4", "gap"]
+    target = ScriptedTarget(settles=range(1, 100))
+    seq = thm3_seq(THM3_PARAMS, epsilon=4, rounds=2, target=target)
+    cells = ["gap" if seq.at(s) is None else f"v{seq.at(s).value}"
+             for s in range(1, seq.horizon + 1)]
+    # F = 2 quiet slots between rounds, F - 1 = 1 after the last
+    assert cells == ["v4", "v4", "gap", "gap", "v4", "v4", "gap"]
+    assert [s for s, v in target.steps if v is None] == [3, 4]
 
 
 def test_thm3_guards():
-    with pytest.raises(NotSingleWallet):
-        Thm3Adversary(ModelParams(C=4, T=2, F=1, k=2), epsilon=2, rounds=1)
-    with pytest.raises(EpsilonDoesNotDivideC):
-        Thm3Adversary(ModelParams(C=4, T=4, F=1), epsilon=3, rounds=1)
+    with pytest.raises(NotSingleWallet, match="adversary targets one wallet, got k=2"):
+        thm3_seq(ModelParams(C=4, T=2, F=1, k=2), 2, 1, ScriptedTarget())
+    with pytest.raises(EpsilonDoesNotDivideC, match="epsilon must divide C"):
+        thm3_seq(ModelParams(C=4, T=4, F=1), 3, 1, ScriptedTarget())
+    with pytest.raises(InvalidParams, match="rounds must be positive, got 0"):
+        thm3_seq(ModelParams(C=4, T=4, F=1), 2, 0, ScriptedTarget())
+    with pytest.raises(InvalidParams, match="thm3 needs T = C, got T=3 C=4"):
+        thm3_seq(ModelParams(C=4, T=3, F=1), 2, 1, ScriptedTarget())
 
 
 def test_sequence_csv_round_trip(tmp_path):
