@@ -3,9 +3,11 @@
 The pieces, bottom up: ``run_sequence`` drives one policy over one
 sequence and validates the window invariant on the produced trace;
 ``measure_ratio`` adds an oracle and the formula bound for the policy;
-``exhaustive_verify`` enumerates every sequence over a small alphabet and
-checks the competitive bound on every prefix with exact integer
-arithmetic; ``sweep`` scans eta or k and marks the empirical optimum
+``exhaustive_verify`` checks the competitive bound with exact integer
+arithmetic on every prefix of every sequence over a small alphabet,
+walking each subtree once per key of slot, policy states and value-DP
+layer and skipping a repeat when its stored margins show no
+counterexample below; ``sweep`` scans eta or k and marks the empirical optimum
 next to the formula one; ``run_adversary_demo`` measures an adversarial
 sequence against its target like any other ratio run.
 
@@ -21,6 +23,7 @@ import math
 from dataclasses import dataclass, replace
 from functools import partial
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import formulas
 from .model import (
@@ -40,9 +43,10 @@ from .oracles import (
     opt_kwallet_value,
     opt_utility_upper_bound,
     opt_value_extend,
+    opt_value_key,
     window_upper_bound,
 )
-from .policies import make_policy
+from .policies import GroupFlushPolicy, make_policy
 from .workloads import (
     WorkloadSpec,
     epoch_burst_seq,
@@ -405,6 +409,20 @@ class ExhaustSummary:
         return not self.counterexamples and not self.invariant_violations
 
 
+class _Subtree(NamedTuple):
+    """What exhaustive_verify remembers of the subtree below one node.
+
+    ``margins`` holds, per policy, the largest den*dV_opt - num*dV_alg
+    over the subtree's prefixes, measured from the node (-inf if none).
+    """
+
+    sequences: int
+    prefixes: int
+    flushes: int
+    dirty: bool  # an invariant broke somewhere below
+    margins: tuple
+
+
 def default_exhaust_policies(params: ModelParams) -> dict[str, Fraction]:
     """Policies with a per-sequence guarantee at these params, with exact bounds."""
     out: dict[str, Fraction] = {}
@@ -426,6 +444,19 @@ def exhaustive_verify(
     committed, simultaneous flush-all wallets pairwise exceed C/k, and
     at r = 1 a flush-all event carries at least C/2 total (pair flushes
     likewise carry at least C/k).
+
+    The walk forks every policy and extends the value DP at each node, in
+    depth-first order over the values then the gap, and memoises subtrees.
+    A node's key is its slot, each policy's ``state(slot)`` and the DP
+    layer's ``opt_value_key``; nodes with equal keys have equal subtrees.
+    The memo keeps, per key, the subtree's counts, whether it broke an
+    invariant, and per policy the largest ``den*dV_opt - num*dV_alg`` over
+    its prefixes, measured from the node.  A node whose key is known skips
+    its subtree when that subtree broke no invariant and every such margin
+    is at most ``num*V_alg - den*V_opt`` at the node, so the subtree holds
+    no counterexample; any other node is walked, so counterexamples and
+    violation texts come out in walk order.  Only the ``GroupFlushPolicy``
+    presets have such a state; other policies raise ConfigError.
     """
     if space.sequence_count() > MAX_EXHAUST_SEQUENCES:
         raise BudgetExceeded(
@@ -437,6 +468,13 @@ def exhaustive_verify(
         policies = default_exhaust_policies(params)
     if not policies:
         raise ConfigError("no policy has a checkable bound at these parameters")
+    roots = [(kind, make_policy(kind, params, seed=0)) for kind in policies]
+    for kind, policy in roots:
+        if not isinstance(policy, GroupFlushPolicy):
+            raise ConfigError(
+                f"exhaustive verification needs a wallet-group policy, got {kind!r}"
+            )
+    bounds = [(b.numerator, b.denominator) for b in policies.values()]
     size = params.C // params.k
     saturated = params.load_ratio == 1
     summary = ExhaustSummary(
@@ -449,18 +487,19 @@ def exhaustive_verify(
         flush_events_checked=0,
     )
     symbols = tuple(space.values) + (None,)
+    memo: dict[tuple, _Subtree] = {}
 
-    def check_flushes(kind: str, trace: EventTrace, slot: int, pairs) -> None:
+    def check_flushes(kind: str, trace: EventTrace, slot: int, pairs: list) -> int:
+        """Check one step's flushes against the invariants; returns their count."""
         new_flushes = [e for e in trace.events if e.kind == "flush"]
         if not new_flushes:
-            return
-        summary.flush_events_checked += len(new_flushes)
+            return 0
         amounts = [e.flush_amount for e in new_flushes]
         if kind == "fwf":
             if amounts[0] <= size - params.T:
                 summary.invariant_violations.append(
                     f"fwf flush at slot {slot} carries {amounts[0]} <= C/k-T "
-                    f"on {pairs}"
+                    f"on {tuple(pairs)}"
                 )
         elif kind == "fa":
             for i in range(len(amounts)):
@@ -468,54 +507,84 @@ def exhaustive_verify(
                     if amounts[i] + amounts[j] <= size:
                         summary.invariant_violations.append(
                             f"fa flush at slot {slot}: wallets {i + 1},{j + 1} "
-                            f"carry {amounts[i]}+{amounts[j]} <= C/k on {pairs}"
+                            f"carry {amounts[i]}+{amounts[j]} <= C/k on {tuple(pairs)}"
                         )
             if saturated and 2 * sum(amounts) < params.C:
                 summary.invariant_violations.append(
-                    f"fa flush at slot {slot} carries {sum(amounts)} < C/2 on {pairs}"
+                    f"fa flush at slot {slot} carries {sum(amounts)} < C/2 "
+                    f"on {tuple(pairs)}"
                 )
         elif kind == "ftwf" and saturated:
             if sum(amounts) < size:
                 summary.invariant_violations.append(
                     f"ftwf pair flush at slot {slot} carries {sum(amounts)} < C/k "
-                    f"on {pairs}"
+                    f"on {tuple(pairs)}"
                 )
+        return len(new_flushes)
 
-    def walk(depth: int, pairs: list, states: list, opt_states: dict) -> None:
-        slot = depth + 1
+    def walk(slot: int, pairs: list, states: list, opt_states: dict) -> _Subtree:
+        """Visit the subtree below a node; returns its memo entry."""
+        key = (slot, *[x for _, p in states for x in p.state(slot)],
+               *opt_value_key(opt_states, slot, space.F))
+        opt_here = max(opt_states.values())
+        known = memo.get(key)
+        if known is not None and not known.dirty and all(
+            m <= num * p.machine.settled - den * opt_here
+            for m, (num, den), (_, p) in zip(known.margins, bounds, states)
+        ):
+            return known
+        violations_before = len(summary.invariant_violations)
+        sequences = prefixes = flushes = 0
+        margins = [-math.inf] * len(states)
+        nxt = slot + 1
         for sym in symbols:
-            tx = Transaction(slot, sym) if sym is not None else None
+            if sym is None:
+                tx, new_pairs, opt_next, opt_child = None, pairs, opt_states, opt_here
+            else:
+                tx = Transaction(nxt, sym)
+                new_pairs = pairs + [(nxt, sym)]
+                opt_next = opt_value_extend(opt_states, nxt, sym, space.C, space.F)
+                opt_child = max(opt_next.values())
+                prefixes += 1
             new_states = []
-            for kind, policy in states:
+            edges = []  # each policy's margin along this edge
+            for i, ((kind, policy), (num, den)) in enumerate(zip(states, bounds)):
                 # a clone's trace holds only the events of this step
                 p2 = policy.clone()
-                p2.step(slot, tx)
-                check_flushes(kind, p2.machine.trace, slot, tuple(pairs))
+                p2.step(nxt, tx)
+                flushes += check_flushes(kind, p2.machine.trace, nxt, pairs)
                 new_states.append((kind, p2))
-            if sym is not None:
-                new_pairs = pairs + [(slot, sym)]
-                opt_next = opt_value_extend(opt_states, slot, sym, space.C, space.F)
-                opt_here = max(opt_next.values())
-                summary.prefixes_checked += 1
-                for kind, p2 in new_states:
-                    v_alg = p2.machine.settled
-                    b = policies[kind]
-                    if opt_here * b.denominator > b.numerator * v_alg:
+                v_alg = p2.machine.settled
+                edge = den * (opt_child - opt_here) - num * (v_alg - policy.machine.settled)
+                edges.append(edge)
+                if sym is not None:
+                    if edge > margins[i]:
+                        margins[i] = edge
+                    if opt_child * den > num * v_alg:
                         summary.counterexamples.append(
                             Counterexample(
-                                kind, tuple(new_pairs), opt_here, v_alg, b
+                                kind, tuple(new_pairs), opt_child, v_alg, policies[kind]
                             )
                         )
+            if nxt < space.max_len:
+                child = walk(nxt, new_pairs, new_states, opt_next)
+                sequences += child.sequences
+                prefixes += child.prefixes
+                flushes += child.flushes
+                for i, m in enumerate(child.margins):
+                    if edges[i] + m > margins[i]:
+                        margins[i] = edges[i] + m
             else:
-                new_pairs = pairs
-                opt_next = opt_states
-            if slot < space.max_len:
-                walk(depth + 1, new_pairs, new_states, opt_next)
-            else:
-                summary.sequences += 1
+                sequences += 1
+        dirty = len(summary.invariant_violations) > violations_before
+        memo[key] = entry = _Subtree(sequences, prefixes, flushes, dirty, tuple(margins))
+        return entry
 
-    roots = [(kind, make_policy(kind, params, seed=0)) for kind in policies]
-    walk(0, [], roots, {(): 0})
+    root = walk(0, [], roots, {(): 0})
+    summary.sequences = root.sequences
+    summary.prefixes_checked = root.prefixes
+    summary.flush_events_checked = root.flushes
+    memo.clear()  # walk's closure refers to itself, so the memo would outlive the call
     return summary
 
 
@@ -538,9 +607,13 @@ def run_adversary_demo(
 
     The target is made first, so its own parameter errors come before the
     construction's.  thm3 builds its sequence against that policy, a
-    private copy of the measured one with the same seed.  The sequence
-    then runs through ``measure_ratio`` with the exact window-DP optimum;
-    one whose DP would pass the oracle's cap raises BudgetExceeded.
+    private copy of the measured one with the same seed; for rand2 the
+    copy shares the measured run's coins, so the row measures an
+    adversary that knows them, not rand2's expected ratio against an
+    oblivious one.  The sequence then runs through ``measure_ratio`` with
+    the exact window-DP optimum; one whose DP would pass the oracle's cap
+    raises BudgetExceeded, and one past MAX_ADVERSARY_OFFERS offers is
+    refused while it is built.
     """
     policy = make_policy(target, params, seed=seed)
     if kind == "thm3":

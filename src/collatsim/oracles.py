@@ -81,6 +81,32 @@ def opt_value_extend(
     return out
 
 
+def opt_value_key(states: dict, slot: int, F: int) -> tuple[int, ...]:
+    """A layer of opt_value_extend as a flat tuple free of absolute slots.
+
+    ``states`` is a layer whose offers all lie at or before ``slot``.  Each
+    state becomes the F values it settled in slots slot-F+1 .. slot, 0
+    where it settled none, followed by how far its total lies below the
+    layer's best.  Older settles share no window with a later offer, so
+    states that differ only in them merge and keep the smaller gap.  Two
+    layers with equal keys gain the same best total on every continuation
+    offered after ``slot``.
+    """
+    best = max(states.values())
+    base = slot - F + 1
+    rows: dict = {}
+    for state, total in states.items():
+        row = [0] * F
+        for s, v in state:
+            if s >= base:
+                row[s - base] = v
+        row = tuple(row)
+        gap = best - total
+        if rows.get(row, gap) >= gap:
+            rows[row] = gap
+    return tuple(x for row in sorted(rows) for x in (*row, rows[row]))
+
+
 def opt_general_value(
     seq: TransactionSequence, C: int, F: int, return_witness: bool = False
 ):

@@ -115,6 +115,24 @@ class GroupFlushPolicy:
             return []
         return _flush_leftovers(self.machine, slot)
 
+    def state(self, slot: int) -> tuple[int, ...]:
+        """Everything later steps depend on, as a flat tuple, after step(slot).
+
+        The active group, each wallet's capacity when next online (its
+        remaining capacity, or the full C/k it returns with when offline),
+        then each wallet's outage end relative to ``slot`` (-1 while
+        online).  Two policies of the same params and g with equal states
+        make the same decisions and flushes on any continuation, so a
+        search may treat them as one node.
+        """
+        bank = self.machine
+        ends = bank.offline_until
+        return (
+            self.active,
+            *(bank.size if end else left for left, end in zip(bank.remaining, ends)),
+            *(end - slot if end else -1 for end in ends),
+        )
+
     def clone(self) -> "GroupFlushPolicy":
         other = object.__new__(type(self))
         other.params = self.params

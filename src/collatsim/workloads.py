@@ -6,7 +6,10 @@ reacts to each decision the target makes and still runs like any other
 sequence.
 
 All generated values are ints in [1, max_value] and at most one
-transaction occupies a slot.  Generation is deterministic per seed.
+transaction occupies a slot.  Generation is deterministic per seed.  The
+three adversarial builders raise TooManyOffers as soon as a sequence would
+hold more than MAX_ADVERSARY_OFFERS offers, so no rounds, C/epsilon or F
+makes one grow without bound.
 """
 
 from __future__ import annotations
@@ -36,6 +39,28 @@ class NotSingleWallet(CollateralError):
 
 class EpsilonDoesNotDivideC(CollateralError):
     pass
+
+
+class TooManyOffers(CollateralError):
+    pass
+
+
+# The adversarial builders refuse to offer more than this.  The run, its
+# trace and the exact window DP that measure a sequence all grow with it:
+# through the CLI (CPython 3.11) a burst of 140,000 offers peaked at 101 MB,
+# one of 14,000 at 25 MB.
+MAX_ADVERSARY_OFFERS = 20_000
+
+
+def _offer(txs: list, slot: int, value: int) -> Transaction:
+    """Append an adversary's next offer; TooManyOffers past the cap."""
+    if len(txs) == MAX_ADVERSARY_OFFERS:
+        raise TooManyOffers(
+            f"adversary sequence exceeds {MAX_ADVERSARY_OFFERS} offers at slot {slot}"
+        )
+    tx = Transaction(slot, value)
+    txs.append(tx)
+    return tx
 
 
 WORKLOAD_KINDS = (
@@ -211,8 +236,8 @@ def fwf_killer_seq(
     txs = []
     slot = 1
     for _ in range(rounds):
-        txs.append(Transaction(slot, epsilon))
-        txs.append(Transaction(slot + 1, params.T))
+        _offer(txs, slot, epsilon)
+        _offer(txs, slot + 1, params.T)
         slot += max(step, 2)
     return TransactionSequence(txs)
 
@@ -235,11 +260,11 @@ def epoch_burst_seq(params: ModelParams, epochs: int) -> TransactionSequence:
     slot = 1
     for _ in range(epochs):
         for _ in range(fills):
-            txs.append(Transaction(slot, params.T))
+            _offer(txs, slot, params.T)
             slot += 1
-        txs.append(Transaction(slot, params.T))  # trigger, discarded by FA
+        _offer(txs, slot, params.T)  # trigger, discarded by FA
         for j in range(1, params.F + 1):
-            txs.append(Transaction(slot + j, params.T))
+            _offer(txs, slot + j, params.T)
         slot += params.F + 1
     return TransactionSequence(txs)
 
@@ -259,7 +284,12 @@ def thm3_seq(
     The decisions come from stepping ``target``, a private copy of the
     policy under attack made with the same seed, which this consumes.
     Against a deterministic policy a sequence fixed in advance this way
-    is as strong as an adversary that adapts during the run.
+    is as strong as an adversary that adapts during the run.  Against
+    rand2 the copy holds the measured run's own coins, so the sequence
+    is built by an adversary that knows them.  Its ratio is a per-seed
+    outcome of that adversary (50/3 at seed 0 and 25 at seed 2 for
+    C = T = 10, F = 2), not rand2's guarantee, which holds in expectation
+    against an adversary fixed before the coins are drawn.
     """
     if params.k != 1:
         raise NotSingleWallet(f"adversary targets one wallet, got k={params.k}")
@@ -280,11 +310,9 @@ def thm3_seq(
                 target.step(slot, None)
         for _ in range(params.C // epsilon):
             slot += 1
-            txs.append(Transaction(slot, epsilon))
-            if target.step(slot, txs[-1]).action == "settle":
+            if target.step(slot, _offer(txs, slot, epsilon)).action == "settle":
                 slot += 1
-                txs.append(Transaction(slot, params.C))
-                target.step(slot, txs[-1])
+                target.step(slot, _offer(txs, slot, params.C))
                 break
     return TransactionSequence(txs, horizon=slot + params.F - 1)
 

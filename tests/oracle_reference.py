@@ -1,4 +1,5 @@
-"""Test-side references for the general-model optimum value and the trace.
+"""Test-side references for the general-model optimum value, the trace and
+the exhaustive verifier.
 
 Two slow routes that share no code with ``collatsim.oracles``:
 ``subset_optima`` enumerates subsets against a quadratic window check, and
@@ -6,13 +7,25 @@ Two slow routes that share no code with ``collatsim.oracles``:
 settle/discard choice.  Both are exponential in the number of transactions
 and meant for n <= 12.  ``greedy_feasible_value`` is a feasible lower bound
 at any size.  ``reference_ndjson`` writes a trace through the json module,
-as the reference for ``EventTrace.to_ndjson``.
+as the reference for ``EventTrace.to_ndjson``.  ``exhaustive_verify_reference``
+walks every prefix of every short sequence explicitly, as the reference
+for the memoised ``exhaustive_verify``.
 """
 
 import json
 from fractions import Fraction
 
-from collatsim.model import CollateralPool, ModelParams
+from collatsim.harness import (
+    MAX_EXHAUST_SEQUENCES,
+    ConfigError,
+    Counterexample,
+    ExhaustSpace,
+    ExhaustSummary,
+    default_exhaust_policies,
+)
+from collatsim.model import CollateralPool, EventTrace, ModelParams, Transaction
+from collatsim.oracles import BudgetExceeded, opt_value_extend
+from collatsim.policies import make_policy
 
 _NDJSON = json.JSONEncoder(separators=(",", ":"))
 
@@ -116,3 +129,106 @@ def opt_general_value_sim(seq, C, F):
         if ok and value > best:
             best = value
     return best
+
+
+def exhaustive_verify_reference(
+    space: ExhaustSpace, policies: dict[str, Fraction] | None = None
+) -> ExhaustSummary:
+    """The explicit walk that ``exhaustive_verify`` memoises.
+
+    Clones and steps every policy and extends the value DP once per
+    prefix, in the same order, with the same flush-shape invariants and
+    the same texts, so its summary must equal the memoised one field for
+    field.  It forks at every node of the full tree, whose
+    (|values| + 1)^L leaves are the sequences.
+    """
+    if space.sequence_count() > MAX_EXHAUST_SEQUENCES:
+        raise BudgetExceeded(
+            f"{space.sequence_count()} sequences exceed cap {MAX_EXHAUST_SEQUENCES}"
+        )
+    params = ModelParams(C=space.C, T=space.T, F=space.F, k=space.k)
+    params.require_kwallet()
+    if policies is None:
+        policies = default_exhaust_policies(params)
+    if not policies:
+        raise ConfigError("no policy has a checkable bound at these parameters")
+    size = params.C // params.k
+    saturated = params.load_ratio == 1
+    summary = ExhaustSummary(
+        space=space,
+        policies=dict(policies),
+        sequences=0,
+        prefixes_checked=0,
+        counterexamples=[],
+        invariant_violations=[],
+        flush_events_checked=0,
+    )
+    symbols = tuple(space.values) + (None,)
+
+    def check_flushes(kind: str, trace: EventTrace, slot: int, pairs) -> None:
+        new_flushes = [e for e in trace.events if e.kind == "flush"]
+        if not new_flushes:
+            return
+        summary.flush_events_checked += len(new_flushes)
+        amounts = [e.flush_amount for e in new_flushes]
+        if kind == "fwf":
+            if amounts[0] <= size - params.T:
+                summary.invariant_violations.append(
+                    f"fwf flush at slot {slot} carries {amounts[0]} <= C/k-T "
+                    f"on {pairs}"
+                )
+        elif kind == "fa":
+            for i in range(len(amounts)):
+                for j in range(i + 1, len(amounts)):
+                    if amounts[i] + amounts[j] <= size:
+                        summary.invariant_violations.append(
+                            f"fa flush at slot {slot}: wallets {i + 1},{j + 1} "
+                            f"carry {amounts[i]}+{amounts[j]} <= C/k on {pairs}"
+                        )
+            if saturated and 2 * sum(amounts) < params.C:
+                summary.invariant_violations.append(
+                    f"fa flush at slot {slot} carries {sum(amounts)} < C/2 on {pairs}"
+                )
+        elif kind == "ftwf" and saturated:
+            if sum(amounts) < size:
+                summary.invariant_violations.append(
+                    f"ftwf pair flush at slot {slot} carries {sum(amounts)} < C/k "
+                    f"on {pairs}"
+                )
+
+    def walk(depth: int, pairs: list, states: list, opt_states: dict) -> None:
+        slot = depth + 1
+        for sym in symbols:
+            tx = Transaction(slot, sym) if sym is not None else None
+            new_states = []
+            for kind, policy in states:
+                # a clone's trace holds only the events of this step
+                p2 = policy.clone()
+                p2.step(slot, tx)
+                check_flushes(kind, p2.machine.trace, slot, tuple(pairs))
+                new_states.append((kind, p2))
+            if sym is not None:
+                new_pairs = pairs + [(slot, sym)]
+                opt_next = opt_value_extend(opt_states, slot, sym, space.C, space.F)
+                opt_here = max(opt_next.values())
+                summary.prefixes_checked += 1
+                for kind, p2 in new_states:
+                    v_alg = p2.machine.settled
+                    b = policies[kind]
+                    if opt_here * b.denominator > b.numerator * v_alg:
+                        summary.counterexamples.append(
+                            Counterexample(
+                                kind, tuple(new_pairs), opt_here, v_alg, b
+                            )
+                        )
+            else:
+                new_pairs = pairs
+                opt_next = opt_states
+            if slot < space.max_len:
+                walk(depth + 1, new_pairs, new_states, opt_next)
+            else:
+                summary.sequences += 1
+
+    roots = [(kind, make_policy(kind, params, seed=0)) for kind in policies]
+    walk(0, [], roots, {(): 0})
+    return summary

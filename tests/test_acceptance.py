@@ -64,11 +64,11 @@ def report(n, detail):
 
 @pytest.fixture(scope="module")
 def exhaust_half_load():
-    """C=12, k=2, T=3 (r=1/2), every sequence of length <= 6 over {1,2,3,gap}."""
+    """C=12, k=2, T=3 (r=1/2), every sequence of length <= 7 over {1,2,3,gap}."""
     t0 = time.time()
     out = {}
     for F in (1, 2):
-        space = ExhaustSpace(C=12, k=2, T=3, F=F, max_len=6, values=(1, 2, 3))
+        space = ExhaustSpace(C=12, k=2, T=3, F=F, max_len=7, values=(1, 2, 3))
         out[F] = exhaustive_verify(
             space, policies={"fwf": Fraction(3), "fa": Fraction(7, 2)}
         )
@@ -81,7 +81,7 @@ def exhaust_full_load():
     """C=6, k=2, T=3 (r=1), same enumeration."""
     out = {}
     for F in (1, 2):
-        space = ExhaustSpace(C=6, k=2, T=3, F=F, max_len=6, values=(1, 2, 3))
+        space = ExhaustSpace(C=6, k=2, T=3, F=F, max_len=7, values=(1, 2, 3))
         out[F] = exhaustive_verify(
             space, policies={"fa": Fraction(3), "ftwf": Fraction(3)}
         )
@@ -156,7 +156,7 @@ def test_c01_exhaustive_fwf_half_load(exhaust_half_load):
         fwf_ces = [c for c in summary.counterexamples if c.policy == "fwf"]
         assert fwf_ces == []
         assert summary.policies["fwf"] == 3
-        assert summary.sequences == 4 ** 6
+        assert summary.sequences == 4 ** 7
         total += summary.prefixes_checked
     report(1, f"{total} prefixes vs exact optimum at bound 3, {elapsed:.1f}s")
 

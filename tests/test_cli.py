@@ -443,6 +443,32 @@ def test_thm3_adversary_rejects_nonpositive_rounds(capsys, rounds):
     assert f"rounds must be positive, got {rounds}" in err
 
 
+# each adversary one offer past MAX_ADVERSARY_OFFERS = 20,000: 7 offers an
+# epoch for burst, 2 a round for the killer, and against rand2 at seed 0 the
+# real wallet discards every probe of a round of C/epsilon = 10^6 probes
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "--type burst --target fa --C 12 --T 3 --k 4 --F 2 --rounds 2858",
+        "--type burst --target fa --C 12 --T 3 --k 4 --F 2 --rounds 20000",
+        "--type fwfkiller --target fwf --C 10 --T 5 --k 2 --F 1 --rounds 10001",
+        "--type thm3 --target rand2 --C 1000000 --F 2 --rounds 1 --seed 0",
+    ],
+)
+def test_adversary_refuses_more_than_the_offer_cap(capsys, argv):
+    err = run_cli_error(capsys, "adversary", *argv.split())
+    assert err == "error: adversary sequence exceeds 20000 offers at slot 20001\n"
+
+
+def test_adversary_runs_up_to_the_offer_cap(capsys):
+    code, out = run_cli(
+        capsys, "adversary", "--type", "fwfkiller", "--target", "fwf",
+        "--C", "10", "--T", "5", "--k", "2", "--F", "1", "--rounds", "10000",
+    )
+    assert code == 0
+    assert out["nTx"] == 20000
+
+
 @pytest.mark.parametrize(
     "span, expected",
     [

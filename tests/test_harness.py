@@ -3,6 +3,7 @@
 import csv
 import json
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -24,8 +25,9 @@ from collatsim.harness import (
 )
 from collatsim.model import InvalidParams, ModelParams, TransactionSequence
 from collatsim.oracles import opt_general_value
-from collatsim.policies import make_policy
+from collatsim.policies import GroupFlushPolicy, make_policy
 from collatsim.workloads import WorkloadSpec, thm3_seq
+from oracle_reference import exhaustive_verify_reference
 
 PARAMS = ModelParams(C=20, T=6, F=1, k=2)
 SIXES = WorkloadSpec(
@@ -273,6 +275,62 @@ def test_exhaustive_verify_counterexamples_pinned(C, F):
         cells = "".join(str(by_slot.get(s, ".")) for s in range(1, last + 1))
         got.append(f"{cells}:{ce.opt_value}/{ce.alg_value}")
     assert got == FA_COUNTEREXAMPLES_L4[(C, F)].split()
+
+
+def verify_both_routes(space, policies):
+    """Both routes' summaries, or both routes' ConfigError texts."""
+    out = []
+    for verify in (exhaustive_verify, exhaustive_verify_reference):
+        try:
+            out.append(verify(space, policies))
+        except ConfigError as err:
+            out.append(str(err))
+    return out
+
+
+@pytest.mark.parametrize("k,F", list(product((1, 2, 3, 4), (1, 2, 3))))
+def test_exhaustive_verify_matches_the_explicit_walk(k, F):
+    # the memo may skip only subtrees that the explicit walk finds clean, so
+    # every field agrees, counterexamples in walk order included; bounds 1
+    # and 3/2 fail often and make the memo walk its subtrees again
+    kinds = ("fa", "fwf", "ftwf") if k % 2 == 0 else ("fa", "fwf")
+    bounds = [None] + [{kind: b for kind in kinds} for b in (Fraction(1), Fraction(3, 2))]
+    for L, values, C, policies in product(
+        (3, 4, 5), ((1,), (1, 2), (1, 2, 3)), (3 * k, 6 * k), bounds
+    ):
+        space = ExhaustSpace(C=C, k=k, T=3, F=F, max_len=L, values=values)
+        memoised, explicit = verify_both_routes(space, policies)
+        assert memoised == explicit, (space, policies)
+
+
+def test_exhaustive_verify_matches_the_explicit_walk_on_violations(monkeypatch):
+    # a broken flush rule, shared by both routes: the group also flushes
+    # right after settling a 1, which breaks the flush-shape invariants on
+    # some subtrees and leaves others clean
+    step = GroupFlushPolicy.step
+
+    def flush_after_settling_one(self, slot, tx):
+        decision = step(self, slot, tx)
+        if decision.action == "settle" and tx.value == 1:
+            hi = self.active * self.g
+            for i in range(hi - self.g + 1, hi + 1):
+                self.machine.flush(i, slot)
+            self.active = self.active % (self.params.k // self.g) + 1
+        return decision
+
+    monkeypatch.setattr(GroupFlushPolicy, "step", flush_after_settling_one)
+    for C in (6, 12):
+        space = ExhaustSpace(C=C, k=2, T=3, F=2, max_len=5, values=(1, 2, 3))
+        memoised, explicit = verify_both_routes(space, None)
+        assert memoised.invariant_violations
+        assert len(memoised.invariant_violations) < memoised.flush_events_checked
+        assert memoised == explicit
+
+
+def test_exhaustive_verify_refuses_a_policy_without_a_state():
+    space = ExhaustSpace(C=4, k=1, T=2, F=1, max_len=3, values=(1, 2))
+    with pytest.raises(ConfigError, match="rand2"):
+        exhaustive_verify(space, policies={"rand2": Fraction(2)})
 
 
 def test_default_exhaust_policies():

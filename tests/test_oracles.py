@@ -15,6 +15,7 @@ from collatsim.oracles import (
     opt_kwallet_value,
     opt_utility_upper_bound,
     opt_value_extend,
+    opt_value_key,
     window_upper_bound,
 )
 from oracle_reference import (
@@ -131,6 +132,26 @@ def test_opt_value_extend_matches_full_recompute():
         optima = fold_optima(pairs, C, F)
         assert optima == subset_optima(pairs, C, F)
         assert optima[-1] == opt_general_value(seq_of(pairs), C, F)
+
+
+def test_opt_value_key_drops_absolute_slots():
+    C, F = 5, 2
+
+    def layer(pairs):
+        states = {(): 0}
+        for slot, value in pairs:
+            states = opt_value_extend(states, slot, value, C, F)
+        return states
+
+    pairs = [(1, 2), (2, 3), (4, 1), (5, 3)]
+    key = opt_value_key(layer(pairs), 5, F)
+    assert key == opt_value_key(layer([(s + 7, v) for s, v in pairs]), 12, F)
+    # rows sort by the settles of slots 4 and 5; settling both reaches the
+    # best total, 9, and settling neither falls 4 below it
+    assert key[:3] == (0, 0, 4) and key[-3:] == (1, 3, 0)
+    # after F quiet slots no settle shares a window with a later offer, and
+    # the states merge into one at the best total
+    assert opt_value_key(layer(pairs), 5 + F, F) == (0, 0, 0)
 
 
 @st.composite

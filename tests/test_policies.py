@@ -116,6 +116,25 @@ def test_group_size_must_divide_k(g):
         GroupFlushPolicy(ModelParams(C=12, T=3, F=1, k=4), g)
 
 
+def test_group_state_is_relative_to_the_slot():
+    params = ModelParams(C=12, T=3, F=2, k=2)
+    early, late = FlushAllPolicy(params), FlushAllPolicy(params)
+    early.step(1, Transaction(1, 3))
+    # active group, capacity when next online per wallet, outage ends (-1 online)
+    assert early.state(1) == (1, 3, 6, -1, -1)
+    for slot in range(2, 6):  # fills both wallets, then flushes them at slot 5
+        early.step(slot, Transaction(slot, 3))
+    assert early.state(5) == (1, 6, 6, 2, 2)
+    # the same offers two quiet slots later reach the same state
+    for slot in range(1, 8):
+        late.step(slot, Transaction(slot, 3) if slot > 2 else None)
+    assert late.state(7) == early.state(5)
+    fwf = FlushWhenFullPolicy(params)
+    for slot in range(1, 4):  # wallet 1 fills, then flushes and wallet 2 is active
+        fwf.step(slot, Transaction(slot, 3))
+    assert fwf.state(3) == (2, 6, 6, 2, -1)
+
+
 def test_threshold_trace_integral():
     # x10 units: C=200, T=60, tau=5 stands for C=20, T=6, tau=0.5
     params = ModelParams(C=200, T=60, F=1, p_ppm=100000, tau=5, eta_ppm=500000)
