@@ -5,11 +5,12 @@ sequence and validates the window invariant on the produced trace;
 ``measure_ratio`` adds an oracle and the formula bound for the policy;
 ``exhaustive_verify`` checks the competitive bound with exact integer
 arithmetic on every prefix of every sequence over a small alphabet,
-walking each subtree once per key of slot, policy states and value-DP
-layer and skipping a repeat when its stored margins show no
-counterexample below; ``sweep`` scans eta or k and marks the empirical optimum
-next to the formula one; ``run_adversary_demo`` measures an adversarial
-sequence against its target like any other ratio run.
+stepping each policy state and value-DP key once per offer, walking each
+subtree once per key of slot, policy states and DP key and skipping a
+repeat when its stored margins show no counterexample below; ``sweep``
+scans eta or k and marks the empirical optimum next to the formula one;
+``run_adversary_demo`` measures an adversarial sequence against its
+target like any other ratio run.
 
 Results serialize to a fixed-column CSV; traces to newline-delimited
 JSON.  Identical config and seed reproduce byte-identical outputs.
@@ -27,6 +28,7 @@ from typing import NamedTuple
 
 from . import formulas
 from .model import (
+    FLUSH,
     CollateralError,
     EventTrace,
     ModelParams,
@@ -49,6 +51,7 @@ from .oracles import (
 from .policies import GroupFlushPolicy, make_policy
 from .workloads import (
     WorkloadSpec,
+    check_horizon,
     epoch_burst_seq,
     fwf_killer_seq,
     gen_stochastic,
@@ -77,11 +80,13 @@ def run_sequence(
     threshold policy always flushes its residue.  ``charge`` picks how
     utility counts flushes: per wallet flushed ("per-wallet", the
     default) or per flush action ("per-action", where a simultaneous
-    multi-wallet flush costs one fee).
+    multi-wallet flush costs one fee).  A horizon past MAX_SLOTS raises
+    TooManySlots before any slot is stepped.
     """
     if charge not in ("per-wallet", "per-action"):
         raise ConfigError(f"unknown flush charge mode {charge!r}")
     seq.validate_values(policy.params.T)
+    check_horizon(seq.horizon)
     actions = 0
     for slot in range(1, seq.horizon + 1):
         decision = policy.step(slot, seq.at(slot))
@@ -423,6 +428,38 @@ class _Subtree(NamedTuple):
     margins: tuple
 
 
+class _StateTable:
+    """States met by exhaustive_verify's walk and their transitions.
+
+    Each state gets a small id on first sight.  ``reps[id]`` is one object
+    in that state, kept with its slot, and ``rows[id]`` holds one
+    transition per symbol, filled when first asked for by stepping a copy
+    of that object.  A state's transitions do not depend on the object or
+    slot it was met with, so one representative serves every node.
+    """
+
+    __slots__ = ("ids", "reps", "rows", "width")
+
+    def __init__(self, width: int):
+        self.ids: dict = {}
+        self.reps: list = []
+        self.rows: list = []
+        self.width = width
+
+    def intern(self, state, rep) -> int:
+        sid = self.ids.get(state)
+        if sid is None:
+            sid = self.ids[state] = len(self.reps)
+            self.reps.append(rep)
+            self.rows.append([None] * self.width)
+        return sid
+
+    def clear(self) -> None:
+        self.ids.clear()
+        self.reps.clear()
+        self.rows.clear()
+
+
 def default_exhaust_policies(params: ModelParams) -> dict[str, Fraction]:
     """Policies with a per-sequence guarantee at these params, with exact bounds."""
     out: dict[str, Fraction] = {}
@@ -445,16 +482,23 @@ def exhaustive_verify(
     at r = 1 a flush-all event carries at least C/2 total (pair flushes
     likewise carry at least C/k).
 
-    The walk forks every policy and extends the value DP at each node, in
-    depth-first order over the values then the gap, and memoises subtrees.
-    A node's key is its slot, each policy's ``state(slot)`` and the DP
-    layer's ``opt_value_key``; nodes with equal keys have equal subtrees.
-    The memo keeps, per key, the subtree's counts, whether it broke an
-    invariant, and per policy the largest ``den*dV_opt - num*dV_alg`` over
-    its prefixes, measured from the node.  A node whose key is known skips
-    its subtree when that subtree broke no invariant and every such margin
-    is at most ``num*V_alg - den*V_opt`` at the node, so the subtree holds
-    no counterexample; any other node is walked, so counterexamples and
+    The walk goes depth first over the values then the gap and carries
+    per node only each policy's ``state(slot)``, the value DP's
+    ``opt_value_key`` and the absolute V_alg and V_opt.  Two transition
+    tables, local to the call, hold what one offer does: per policy and
+    state the next state, the settled delta and the invariants its flushes
+    break; per DP key the next key and the gain in V_opt.  A missing entry
+    is filled once, by stepping a copy of one object kept per state (a
+    policy, or a DP layer with its slot).
+
+    Subtrees are memoised on the node's slot, policy states and DP key,
+    since nodes with equal keys have equal subtrees.  The memo keeps, per
+    key, the subtree's counts, whether it broke an invariant, and per
+    policy the largest ``den*dV_opt - num*dV_alg`` over its prefixes,
+    measured from the node.  A node whose key is known skips its subtree
+    when that subtree broke no invariant and every such margin is at most
+    ``num*V_alg - den*V_opt`` at the node, so the subtree holds no
+    counterexample; any other node is walked, so counterexamples and
     violation texts come out in walk order.  Only the ``GroupFlushPolicy``
     presets have such a state; other policies raise ConfigError.
     """
@@ -468,8 +512,9 @@ def exhaustive_verify(
         policies = default_exhaust_policies(params)
     if not policies:
         raise ConfigError("no policy has a checkable bound at these parameters")
-    roots = [(kind, make_policy(kind, params, seed=0)) for kind in policies]
-    for kind, policy in roots:
+    kinds = list(policies)
+    roots = [make_policy(kind, params, seed=0) for kind in kinds]
+    for kind, policy in zip(kinds, roots):
         if not isinstance(policy, GroupFlushPolicy):
             raise ConfigError(
                 f"exhaustive verification needs a wallet-group policy, got {kind!r}"
@@ -488,86 +533,122 @@ def exhaustive_verify(
     )
     symbols = tuple(space.values) + (None,)
     memo: dict[tuple, _Subtree] = {}
+    tables = [_StateTable(len(symbols)) for _ in kinds]
+    dp_table = _StateTable(len(symbols))
 
-    def check_flushes(kind: str, trace: EventTrace, slot: int, pairs: list) -> int:
-        """Check one step's flushes against the invariants; returns their count."""
-        new_flushes = [e for e in trace.events if e.kind == "flush"]
-        if not new_flushes:
-            return 0
-        amounts = [e.flush_amount for e in new_flushes]
+    def broken_invariants(kind: str, amounts: list) -> tuple[str, ...]:
+        """The invariants one step's flushes break, as texts to format with
+        the slot ({0}) and the pairs before the step ({1})."""
+        if not amounts:
+            return ()
+        faults = []
         if kind == "fwf":
             if amounts[0] <= size - params.T:
-                summary.invariant_violations.append(
-                    f"fwf flush at slot {slot} carries {amounts[0]} <= C/k-T "
-                    f"on {tuple(pairs)}"
-                )
+                faults.append(f"fwf flush at slot {{0}} carries {amounts[0]} <= C/k-T")
         elif kind == "fa":
             for i in range(len(amounts)):
                 for j in range(i + 1, len(amounts)):
                     if amounts[i] + amounts[j] <= size:
-                        summary.invariant_violations.append(
-                            f"fa flush at slot {slot}: wallets {i + 1},{j + 1} "
-                            f"carry {amounts[i]}+{amounts[j]} <= C/k on {tuple(pairs)}"
+                        faults.append(
+                            f"fa flush at slot {{0}}: wallets {i + 1},{j + 1} "
+                            f"carry {amounts[i]}+{amounts[j]} <= C/k"
                         )
             if saturated and 2 * sum(amounts) < params.C:
-                summary.invariant_violations.append(
-                    f"fa flush at slot {slot} carries {sum(amounts)} < C/2 "
-                    f"on {tuple(pairs)}"
-                )
+                faults.append(f"fa flush at slot {{0}} carries {sum(amounts)} < C/2")
         elif kind == "ftwf" and saturated:
             if sum(amounts) < size:
-                summary.invariant_violations.append(
-                    f"ftwf pair flush at slot {slot} carries {sum(amounts)} < C/k "
-                    f"on {tuple(pairs)}"
+                faults.append(
+                    f"ftwf pair flush at slot {{0}} carries {sum(amounts)} < C/k"
                 )
-        return len(new_flushes)
+        return tuple(f + " on {1}" for f in faults)
 
-    def walk(slot: int, pairs: list, states: list, opt_states: dict) -> _Subtree:
+    def policy_step(i: int, sid: int, s: int) -> tuple:
+        """Fill and return policy i's transition from state sid on symbol s."""
+        table = tables[i]
+        policy, slot = table.reps[sid]
+        sym = symbols[s]
+        nxt = slot + 1
+        # a clone's trace holds only the events of this step
+        p2 = policy.clone()
+        p2.step(nxt, None if sym is None else Transaction(nxt, sym))
+        amounts = [e.flush_amount for e in p2.machine.trace.events if e.kind == FLUSH]
+        table.rows[sid][s] = edge = (
+            table.intern(p2.state(nxt), (p2, nxt)),
+            p2.machine.settled - policy.machine.settled,
+            len(amounts),
+            broken_invariants(kinds[i], amounts),
+        )
+        return edge
+
+    def dp_step(kid: int, s: int) -> tuple:
+        """Fill and return the value DP's transition from key kid on symbol s."""
+        layer, slot, best = dp_table.reps[kid]
+        sym = symbols[s]
+        nxt = slot + 1
+        if sym is not None:
+            layer = opt_value_extend(layer, nxt, sym, space.C, space.F)
+        gain = max(layer.values()) - best
+        key = opt_value_key(layer, nxt, space.F)
+        dp_table.rows[kid][s] = edge = (
+            dp_table.intern(key, (layer, nxt, best + gain)),
+            gain,
+        )
+        return edge
+
+    path: list = []  # the (slot, value) pairs from the root to the node
+    violations = summary.invariant_violations
+    counterexamples = summary.counterexamples
+    n = len(kinds)
+
+    def walk(slot: int, sids: list, kid: int, v_algs: list, v_opt: int) -> _Subtree:
         """Visit the subtree below a node; returns its memo entry."""
-        key = (slot, *[x for _, p in states for x in p.state(slot)],
-               *opt_value_key(opt_states, slot, space.F))
-        opt_here = max(opt_states.values())
+        key = (slot, *sids, kid)
         known = memo.get(key)
         if known is not None and not known.dirty and all(
-            m <= num * p.machine.settled - den * opt_here
-            for m, (num, den), (_, p) in zip(known.margins, bounds, states)
+            m <= num * v - den * v_opt
+            for m, (num, den), v in zip(known.margins, bounds, v_algs)
         ):
             return known
-        violations_before = len(summary.invariant_violations)
+        violations_before = len(violations)
         sequences = prefixes = flushes = 0
-        margins = [-math.inf] * len(states)
+        margins = [-math.inf] * n
         nxt = slot + 1
-        for sym in symbols:
-            if sym is None:
-                tx, new_pairs, opt_next, opt_child = None, pairs, opt_states, opt_here
-            else:
-                tx = Transaction(nxt, sym)
-                new_pairs = pairs + [(nxt, sym)]
-                opt_next = opt_value_extend(opt_states, nxt, sym, space.C, space.F)
-                opt_child = max(opt_next.values())
-                prefixes += 1
-            new_states = []
+        dp_row = dp_table.rows[kid]
+        rows = [table.rows[sid] for table, sid in zip(tables, sids)]
+        for s, sym in enumerate(symbols):
+            child_kid, gain = dp_row[s] or dp_step(kid, s)
+            opt_child = v_opt + gain
+            child_sids = []
+            child_algs = []
             edges = []  # each policy's margin along this edge
-            for i, ((kind, policy), (num, den)) in enumerate(zip(states, bounds)):
-                # a clone's trace holds only the events of this step
-                p2 = policy.clone()
-                p2.step(nxt, tx)
-                flushes += check_flushes(kind, p2.machine.trace, nxt, pairs)
-                new_states.append((kind, p2))
-                v_alg = p2.machine.settled
-                edge = den * (opt_child - opt_here) - num * (v_alg - policy.machine.settled)
+            for i in range(n):
+                child_sid, delta, flushed, faults = rows[i][s] or policy_step(
+                    i, sids[i], s
+                )
+                flushes += flushed
+                for fault in faults:
+                    violations.append(fault.format(nxt, tuple(path)))
+                num, den = bounds[i]
+                v_alg = v_algs[i] + delta
+                edge = den * gain - num * delta
+                child_sids.append(child_sid)
+                child_algs.append(v_alg)
                 edges.append(edge)
                 if sym is not None:
                     if edge > margins[i]:
                         margins[i] = edge
                     if opt_child * den > num * v_alg:
-                        summary.counterexamples.append(
+                        counterexamples.append(
                             Counterexample(
-                                kind, tuple(new_pairs), opt_child, v_alg, policies[kind]
+                                kinds[i], (*path, (nxt, sym)), opt_child, v_alg,
+                                policies[kinds[i]],
                             )
                         )
+            if sym is not None:
+                prefixes += 1
+                path.append((nxt, sym))
             if nxt < space.max_len:
-                child = walk(nxt, new_pairs, new_states, opt_next)
+                child = walk(nxt, child_sids, child_kid, child_algs, opt_child)
                 sequences += child.sequences
                 prefixes += child.prefixes
                 flushes += child.flushes
@@ -576,15 +657,23 @@ def exhaustive_verify(
                         margins[i] = edges[i] + m
             else:
                 sequences += 1
-        dirty = len(summary.invariant_violations) > violations_before
+            if sym is not None:
+                path.pop()
+        dirty = len(violations) > violations_before
         memo[key] = entry = _Subtree(sequences, prefixes, flushes, dirty, tuple(margins))
         return entry
 
-    root = walk(0, [], roots, {(): 0})
+    root_sids = [table.intern(p.state(0), (p, 0)) for table, p in zip(tables, roots)]
+    root_kid = dp_table.intern(opt_value_key({(): 0}, 0, space.F), ({(): 0}, 0, 0))
+    root = walk(0, root_sids, root_kid, [0] * n, 0)
     summary.sequences = root.sequences
     summary.prefixes_checked = root.prefixes
     summary.flush_events_checked = root.flushes
-    memo.clear()  # walk's closure refers to itself, so the memo would outlive the call
+    # walk's closure refers to itself, so its tables would outlive the call
+    memo.clear()
+    dp_table.clear()
+    for table in tables:
+        table.clear()
     return summary
 
 

@@ -109,33 +109,41 @@ ETA_PPMS = (350000, 418000, 500000)
 
 @pytest.fixture(scope="module")
 def eta_study():
-    """1,000 seeded workloads per threshold, in x10 units (tau=5 is 0.5)."""
+    """1,000 seeded workloads per threshold, in x10 units (tau=5 is 0.5).
+
+    The thresholds share each workload and F, so each instance's optimum,
+    which does not depend on eta, is computed once.
+    """
+    instances = []
+    for i in range(1000):
+        F = 1 if i % 2 == 0 else 2
+        spec = WorkloadSpec(
+            kind="poisson-uniform",
+            arrival_rate_per_mille=600,
+            horizon=18 if i % 5 == 4 else 40,
+            seed=9000 + i,
+            max_value=60,
+            value_params={"min": 10, "max": 60},
+        )
+        seq = gen_stochastic(spec)
+        params = ModelParams(C=200, T=60, F=F, p_ppm=100000, tau=5)
+        if len(seq.txs) <= MAX_SEARCH_TRANSACTIONS:
+            u_opt = opt_general_utility(seq, params)
+            brute = True
+        else:
+            u_opt = opt_utility_upper_bound(
+                window_upper_bound(seq, params.C, params.F), params
+            )
+            brute = False
+        instances.append((F, seq, u_opt, brute))
     records = []
     for eta_ppm in ETA_PPMS:
         alpha = eta_alpha_exact(eta_ppm, 200, 60, 100000, 5)
-        for i in range(1000):
+        for F, seq, u_opt, brute in instances:
             params = ModelParams(
-                C=200, T=60, F=1 if i % 2 == 0 else 2,
-                p_ppm=100000, tau=5, eta_ppm=eta_ppm,
+                C=200, T=60, F=F, p_ppm=100000, tau=5, eta_ppm=eta_ppm,
             )
-            spec = WorkloadSpec(
-                kind="poisson-uniform",
-                arrival_rate_per_mille=600,
-                horizon=18 if i % 5 == 4 else 40,
-                seed=9000 + i,
-                max_value=60,
-                value_params={"min": 10, "max": 60},
-            )
-            seq = gen_stochastic(spec)
             res = run_sequence(make_policy("eta", params), seq, terminal_flushes=True)
-            if len(seq.txs) <= MAX_SEARCH_TRANSACTIONS:
-                u_opt = opt_general_utility(seq, params)
-                brute = True
-            else:
-                u_opt = opt_utility_upper_bound(
-                    window_upper_bound(seq, params.C, params.F), params
-                )
-                brute = False
             records.append(
                 {
                     "params": params, "seq": seq, "result": res,

@@ -469,6 +469,43 @@ def test_adversary_runs_up_to_the_offer_cap(capsys):
     assert out["nTx"] == 20000
 
 
+# a run steps every slot up to its horizon, so a horizon past MAX_SLOTS =
+# 10^5 is refused before any slot is stepped: a sparse CSV, a workload, the
+# killer's rounds ceil(F/k) + 1 slots apart, a thm3 round's trailing F - 1
+# quiet slots, and the F quiet slots before thm3's second round
+@pytest.mark.parametrize(
+    "argv, slot",
+    [
+        ("simulate --policy fa --C 12 --T 3 --k 2 --F 1 --seq {far}", 10**8),
+        ("ratio --policy fwf --C 12 --T 3 --k 2 --F 1 --seq {far}", 10**8),
+        ("simulate --policy fa --C 12 --T 3 --k 2 --F 1 --workload {workload}", 100001),
+        ("adversary --type fwfkiller --target fwf --C 10 --T 5 --k 2 --F 100000000 "
+         "--rounds 2", 50000003),
+        ("adversary --type thm3 --target fwf --C 10 --T 10 --F 100000000 --rounds 1",
+         100000001),
+        ("adversary --type thm3 --target fwf --C 10 --T 10 --F 100000000 --rounds 2",
+         100000002),
+    ],
+)
+def test_runs_refuse_more_than_the_slot_cap(capsys, tmp_path, argv, slot):
+    far = tmp_path / "far.csv"
+    far.write_text("slot,value\n1,2\n100000000,3\n")
+    workload = json.dumps({**WORKLOAD, "horizon": 100001}).replace(" ", "")
+    err = run_cli_error(capsys, *argv.format(far=far, workload=workload).split())
+    assert err == f"error: sequence runs to slot {slot}, past 100000 slots\n"
+
+
+def test_simulate_runs_up_to_the_slot_cap(capsys, tmp_path):
+    path = tmp_path / "far.csv"
+    path.write_text("slot,value\n1,2\n100000,3\n")
+    code, out = run_cli(
+        capsys, "simulate", "--policy", "fa", "--C", "12", "--T", "3", "--k", "2",
+        "--F", "1", "--seq", str(path),
+    )
+    assert code == 0
+    assert out["settledValue"] == 5
+
+
 @pytest.mark.parametrize(
     "span, expected",
     [

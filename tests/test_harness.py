@@ -303,6 +303,16 @@ def test_exhaustive_verify_matches_the_explicit_walk(k, F):
         assert memoised == explicit, (space, policies)
 
 
+def test_exhaustive_verify_matches_the_explicit_walk_where_most_prefixes_fail():
+    # at bound 1 for all three policies nearly every stored margin fails its
+    # test, so the memo skips little and the transition tables carry the walk
+    space = ExhaustSpace(C=6, k=2, T=3, F=2, max_len=6, values=(1, 2, 3))
+    policies = {kind: Fraction(1) for kind in ("fa", "fwf", "ftwf")}
+    memoised, explicit = verify_both_routes(space, policies)
+    assert len(memoised.counterexamples) == 10_624
+    assert memoised == explicit
+
+
 def test_exhaustive_verify_matches_the_explicit_walk_on_violations(monkeypatch):
     # a broken flush rule, shared by both routes: the group also flushes
     # right after settling a 1, which breaks the flush-shape invariants on

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -152,6 +153,40 @@ def test_opt_value_key_drops_absolute_slots():
     # after F quiet slots no settle shares a window with a later offer, and
     # the states merge into one at the best total
     assert opt_value_key(layer(pairs), 5 + F, F) == (0, 0, 0)
+
+
+@given(
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=1, max_value=3),
+    st.lists(st.integers(min_value=1, max_value=7), min_size=1, max_size=3, unique=True),
+)
+@settings(max_examples=40, deadline=None)
+def test_equal_value_keys_gain_alike(C, F, values):
+    # exhaustive_verify steps one layer per key and reuses its gain and next
+    # key at every node with that key, whatever its slots and history.  The
+    # histories are every sequence of at most 4 slots, each slot offering
+    # one of the values or nothing (None), so leading quiet slots shift
+    # them and trailing ones merge states that differ only in older settles
+    by_key = {}
+    for length in range(5):
+        for symbols in product((None, *values), repeat=length):
+            layer = {(): 0}
+            for slot, value in enumerate(symbols, 1):
+                if value is not None:
+                    layer = opt_value_extend(layer, slot, value, C, F)
+            by_key.setdefault(opt_value_key(layer, length, F), []).append((layer, length))
+
+    def step(layer, slot, value):
+        after = layer
+        if value is not None:
+            after = opt_value_extend(layer, slot + 1, value, C, F)
+        return max(after.values()) - max(layer.values()), opt_value_key(after, slot + 1, F)
+
+    for (first, slot), *others in by_key.values():
+        for value in (None, *range(1, C + 2)):
+            want = step(first, slot, value)
+            for layer, at in others:
+                assert step(layer, at, value) == want
 
 
 @st.composite

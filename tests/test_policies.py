@@ -4,6 +4,7 @@ import hashlib
 import json
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -133,6 +134,49 @@ def test_group_state_is_relative_to_the_slot():
     for slot in range(1, 4):  # wallet 1 fills, then flushes and wallet 2 is active
         fwf.step(slot, Transaction(slot, 3))
     assert fwf.state(3) == (2, 6, 6, 2, -1)
+
+
+@st.composite
+def group_policies(draw):
+    """A wallet-group preset and params small enough for states to repeat."""
+    kind = draw(st.sampled_from(["fa", "fwf", "ftwf"]))
+    k = draw(st.sampled_from([2, 4] if kind == "ftwf" else [1, 2, 3]))
+    T = draw(st.integers(min_value=1, max_value=3))
+    size = draw(st.integers(min_value=T, max_value=2 * T + 1))
+    F = draw(st.integers(min_value=1, max_value=3))
+    return kind, ModelParams(C=k * size, T=T, F=F, k=k)
+
+
+def step_once(policy, slot, value):
+    """A stepped copy's settled delta, flush amounts and state after slot."""
+    fork = policy.clone()
+    fork.step(slot, None if value is None else Transaction(slot, value))
+    amounts = [e.flush_amount for e in fork.machine.trace.events if e.kind == FLUSH]
+    return fork.machine.settled - policy.machine.settled, amounts, fork.state(slot)
+
+
+@given(group_policies(), st.data())
+@settings(max_examples=40, deadline=None)
+def test_equal_group_states_step_alike(case, data):
+    # exhaustive_verify steps one policy per state and reuses the result at
+    # every node in that state, whatever its slot and history.  The
+    # histories are every sequence of at most 4 slots over some values and
+    # the quiet slot (None), so leading quiet slots shift them
+    kind, params = case
+    offers = (None, *range(1, params.T + 1))
+    values = data.draw(st.lists(st.sampled_from(offers[1:]), min_size=1, unique=True))
+    by_state = {}
+    for length in range(5):
+        for symbols in product((None, *values), repeat=length):
+            policy = make_policy(kind, params)
+            for slot, value in enumerate(symbols, 1):
+                policy.step(slot, None if value is None else Transaction(slot, value))
+            by_state.setdefault(policy.state(length), []).append((policy, length))
+    for (first, slot), *others in by_state.values():
+        for value in offers:
+            want = step_once(first, slot + 1, value)
+            for policy, at in others:
+                assert step_once(policy, at + 1, value) == want
 
 
 def test_threshold_trace_integral():
