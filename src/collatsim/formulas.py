@@ -1,13 +1,12 @@
 """Closed-form competitive ratios and optimal parameter choices.
 
-These are plain real-valued functions of the model parameters, used to
-label plots, pick sweep markers, and supply the bounds the harness
-checks runs against.  Domain violations raise DomainError with a
-message naming the offending precondition.  Ratios that are genuinely
-unbounded (saturated single-wallet regimes) come back as math.inf.
-
-Exact rational twins are provided for the two bounds the acceptance
-checks compare exactly against run utilities.
+These are plain arithmetic on the model parameters, used to label
+plots, pick sweep markers, and supply the bounds the harness checks runs
+against.  Each competitive bound has this one implementation: fed floats
+it returns a float, and fed Fractions (k, T and tau integers) the exact
+Fraction.  Domain violations raise DomainError with a message naming the
+offending precondition.  Ratios that are genuinely unbounded (saturated
+single-wallet regimes) come back as math.inf.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .model import PPM, CollateralError
+from .model import PPM, CollateralError, typed_field
 
 
 class DomainError(CollateralError):
@@ -24,23 +23,29 @@ class DomainError(CollateralError):
 
 UNBOUNDED = math.inf
 
+Real = float | Fraction
 
-def fa_ratio(k: int, r: float) -> float:
+
+def fa_ratio(k: int, r: Real) -> Real:
     """Flush-all guarantee: (2-r)/(1-r) for load r = kT/C < 1; 3 at r = 1.
 
     The saturated single-wallet case has no deterministic guarantee.
+    Exact when r is a Fraction.
     """
     if k < 1 or int(k) != k:
         raise DomainError(f"k must be a positive integer, got {k}")
     if not 0 < r <= 1:
         raise DomainError(f"load ratio must be in (0, 1], got {r}")
     if r == 1:
-        return UNBOUNDED if k == 1 else 3.0
+        return UNBOUNDED if k == 1 else Fraction(3)
     return (2 - r) / (1 - r)
 
 
-def fwf_ratio(k: int, r: float) -> float:
-    """Cyclic-flush guarantee: (k+1)/(k(1-r)) for k > 1, r < 1."""
+def fwf_ratio(k: int, r: Real) -> Real:
+    """Cyclic-flush guarantee: (k+1)/(k(1-r)) for k > 1, r < 1.
+
+    Exact when r is a Fraction.
+    """
     if k <= 1 or int(k) != k:
         raise DomainError(f"k must be an integer > 1, got {k}")
     if not 0 < r <= 1:
@@ -50,11 +55,11 @@ def fwf_ratio(k: int, r: float) -> float:
     return (k + 1) / (k * (1 - r))
 
 
-def ftwf_ratio(k: int) -> float:
-    """Paired-flush guarantee at r = 1: 2(k+1)/k for even k > 1."""
+def ftwf_ratio(k: int) -> Fraction:
+    """Paired-flush guarantee at r = 1: 2(k+1)/k for even k > 1, as a Fraction."""
     if k <= 1 or int(k) != k or k % 2 != 0:
         raise DomainError(f"k must be an even integer > 1, got {k}")
-    return 2 * (k + 1) / k
+    return Fraction(2 * (k + 1), k)
 
 
 def k_star(C: float, T: float) -> tuple[float, int]:
@@ -111,12 +116,13 @@ def kwallet_profit_inflation(
     return (p / tau - k / C) / (p / tau - k / (C - k * T))
 
 
-def eta_alpha(eta: float, C: float, T: float, p: float, tau: float) -> float:
+def eta_alpha(eta: Real, C: Real, T: float, p: Real, tau: float) -> Real:
     """Utility guarantee of the threshold policy at threshold eta.
 
     1/(1 - eta - T/C) * (p/tau - 1/C) / (p/tau - 1/(eta C)).  With
     tau = 0 this degrades gracefully to the value-only guarantee
-    1/(1 - eta - T/C).
+    1/(1 - eta - T/C).  Exact when eta, p and C are Fractions and T and
+    tau are integers; an integer C would make T/C a float.
     """
     if C <= 0 or T < 0:
         raise DomainError(f"need C > 0 and T >= 0, got C={C} T={T}")
@@ -138,23 +144,6 @@ def eta_alpha(eta: float, C: float, T: float, p: float, tau: float) -> float:
             f"need p/tau > 1/(eta C), got p/tau={p / tau} 1/(eta C)={1 / (eta * C)}"
         )
     return value_part * (p / tau - 1 / C) / (p / tau - 1 / (eta * C))
-
-
-def eta_alpha_exact(
-    eta_ppm: int, C: int, T: int, p_ppm: int, tau: int
-) -> Fraction:
-    """eta_alpha as an exact rational, for slack-free bound checks."""
-    eta = Fraction(eta_ppm, PPM)
-    p = Fraction(p_ppm, PPM)
-    if 1 - eta - Fraction(T, C) <= 0:
-        raise DomainError(f"need eta + T/C < 1, got eta_ppm={eta_ppm} T={T} C={C}")
-    value_part = 1 / (1 - eta - Fraction(T, C))
-    if tau == 0:
-        return value_part
-    rate = p / tau
-    if rate <= 1 / (eta * C):
-        raise DomainError("need p/tau > 1/(eta C)")
-    return value_part * (rate - Fraction(1, C)) / (rate - 1 / (eta * C))
 
 
 def eta_star_raw(C: float, T: float, p: float, tau: float) -> float:
@@ -195,6 +184,14 @@ def eta_star_ratio(C: float, T: float, p: float, tau: float) -> float:
     return (1 - beta) / (root_gap**2)
 
 
+def _float_or_error(closed_form, *args) -> float | str:
+    """A closed form's value as a JSON float, or its DomainError text."""
+    try:
+        return float(closed_form(*args))
+    except DomainError as err:
+        return str(err)
+
+
 def formulas_report(
     C: int,
     T: int,
@@ -203,6 +200,10 @@ def formulas_report(
     tau: int | None = None,
 ) -> dict:
     """Every applicable closed form for the given parameters, for the CLI."""
+    # past the float range the float arithmetic below overflows
+    for name, value in (("C", C), ("T", T), ("k", k), ("tau", tau)):
+        if value is not None:
+            typed_field(DomainError, name, value, "a finite number")
     out: dict = {"C": C, "T": T}
     real_k, int_k = k_star(C, T)
     out["kStar"] = {"real": real_k, "integer": int_k}
@@ -215,18 +216,9 @@ def formulas_report(
         r = k * T / C
         out["k"] = k
         out["loadRatio"] = r
-        try:
-            out["faRatio"] = fa_ratio(k, r)
-        except DomainError as err:
-            out["faRatio"] = str(err)
-        try:
-            out["fwfRatio"] = fwf_ratio(k, r)
-        except DomainError as err:
-            out["fwfRatio"] = str(err)
-        try:
-            out["ftwfRatio"] = ftwf_ratio(k)
-        except DomainError as err:
-            out["ftwfRatio"] = str(err)
+        out["faRatio"] = _float_or_error(fa_ratio, k, r)
+        out["fwfRatio"] = _float_or_error(fwf_ratio, k, r)
+        out["ftwfRatio"] = _float_or_error(ftwf_ratio, k)
     if p_ppm is not None and tau is not None:
         p = p_ppm / PPM
         out["p"] = p
@@ -239,17 +231,10 @@ def formulas_report(
             "value": clamped,
             "clamped": eta_star_is_clamped(C, T, p, tau),
         }
-        try:
-            out["etaStarRatio"] = eta_star_ratio(C, T, p, tau)
-        except DomainError as err:
-            out["etaStarRatio"] = str(err)
-        try:
-            out["etaAlphaAtStar"] = eta_alpha(clamped, C, T, p, tau)
-        except DomainError as err:
-            out["etaAlphaAtStar"] = str(err)
+        out["etaStarRatio"] = _float_or_error(eta_star_ratio, C, T, p, tau)
+        out["etaAlphaAtStar"] = _float_or_error(eta_alpha, clamped, C, T, p, tau)
         if k is not None:
-            try:
-                out["kwalletProfitInflation"] = kwallet_profit_inflation(k, C, T, p, tau)
-            except DomainError as err:
-                out["kwalletProfitInflation"] = str(err)
+            out["kwalletProfitInflation"] = _float_or_error(
+                kwallet_profit_inflation, k, C, T, p, tau
+            )
     return out

@@ -98,38 +98,35 @@ def run_sequence(
     return RunResult.from_machine(policy.machine, seq, actions, charge)
 
 
+# per policy, its competitive bound on settled value as an exact closed
+# form of ModelParams; rand2 guarantees expectation only, so has none
+_VALUE_BOUNDS = {
+    "fa": lambda p: formulas.fa_ratio(p.k, p.load_ratio),
+    "fwf": lambda p: formulas.fwf_ratio(p.k, p.load_ratio),
+    "ftwf": lambda p: formulas.ftwf_ratio(p.k) if p.load_ratio == 1 else None,
+    "eta": lambda p: formulas.eta_alpha(p.eta, Fraction(p.C), p.T, p.p, 0),
+}
+
+
+def _exact_bound(closed_form, params: ModelParams) -> Fraction | None:
+    """closed_form(params), or None where it is out of domain or unbounded."""
+    try:
+        bound = closed_form(params)
+    except formulas.DomainError:
+        return None
+    return None if bound == formulas.UNBOUNDED else bound
+
+
 def value_bound_fraction(kind: str, params: ModelParams) -> Fraction | None:
     """Exact settled-value competitive bound for a policy, if one exists."""
-    r = params.load_ratio
-    k = params.k
-    if kind == "fa":
-        if r == 1:
-            return Fraction(3) if k > 1 else None
-        return (2 - r) / (1 - r)
-    if kind == "fwf":
-        if k <= 1 or r >= 1:
-            return None
-        return Fraction(k + 1) / (k * (1 - r))
-    if kind == "ftwf":
-        if k % 2 == 0 and r == 1:
-            return Fraction(2 * (k + 1), k)
-        return None
-    if kind == "eta":
-        eta = params.eta
-        if eta + Fraction(params.T, params.C) < 1:
-            return 1 / (1 - eta - Fraction(params.T, params.C))
-        return None
-    return None  # rand2 guarantees expectation only
+    return _exact_bound(_VALUE_BOUNDS.get(kind, lambda p: None), params)
 
 
 def utility_bound_fraction(params: ModelParams) -> Fraction | None:
     """Exact utility bound for the threshold policy, if in domain."""
-    try:
-        return formulas.eta_alpha_exact(
-            params.eta_ppm, params.C, params.T, params.p_ppm, params.tau
-        )
-    except formulas.DomainError:
-        return None
+    return _exact_bound(
+        lambda p: formulas.eta_alpha(p.eta, Fraction(p.C), p.T, p.p, p.tau), params
+    )
 
 
 def ratio_of(opt, alg) -> Fraction | float:
@@ -381,6 +378,8 @@ class ExhaustSpace:
     def __post_init__(self) -> None:
         if self.max_len < 1:
             raise ConfigError(f"max_len must be positive, got {self.max_len}")
+        if not self.values:
+            raise ConfigError("values must not be empty")
         outside = [v for v in self.values if not 1 <= v <= self.T]
         if outside:
             raise ConfigError(f"values must lie in [1, T={self.T}], got {outside}")
@@ -502,9 +501,15 @@ def exhaustive_verify(
     violation texts come out in walk order.  Only the ``GroupFlushPolicy``
     presets have such a state; other policies raise ConfigError.
     """
-    if space.sequence_count() > MAX_EXHAUST_SEQUENCES:
+    # two or more symbols over more slots than the cap has bits are over the
+    # cap, so a long max_len is refused before the power is built
+    if (
+        space.max_len > MAX_EXHAUST_SEQUENCES.bit_length()
+        or space.sequence_count() > MAX_EXHAUST_SEQUENCES
+    ):
         raise BudgetExceeded(
-            f"{space.sequence_count()} sequences exceed cap {MAX_EXHAUST_SEQUENCES}"
+            f"{len(space.values) + 1}^{space.max_len} sequences exceed cap "
+            f"{MAX_EXHAUST_SEQUENCES}"
         )
     params = ModelParams(C=space.C, T=space.T, F=space.F, k=space.k)
     params.require_kwallet()

@@ -21,7 +21,6 @@ import pytest
 from collatsim.formulas import (
     DomainError,
     eta_alpha,
-    eta_alpha_exact,
     eta_star,
     eta_star_is_clamped,
     eta_star_ratio,
@@ -38,6 +37,7 @@ from collatsim.harness import (
 )
 from collatsim.model import (
     FLUSH,
+    PPM,
     ModelParams,
     TransactionSequence,
     validate_window_bound,
@@ -138,7 +138,9 @@ def eta_study():
         instances.append((F, seq, u_opt, brute))
     records = []
     for eta_ppm in ETA_PPMS:
-        alpha = eta_alpha_exact(eta_ppm, 200, 60, 100000, 5)
+        alpha = eta_alpha(
+            Fraction(eta_ppm, PPM), Fraction(200), 60, Fraction(100000, PPM), 5
+        )
         for F, seq, u_opt, brute in instances:
             params = ModelParams(
                 C=200, T=60, F=F, p_ppm=100000, tau=5, eta_ppm=eta_ppm,

@@ -1,5 +1,6 @@
 """Command-line entry points, driven through main() directly."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -303,6 +304,36 @@ def test_formulas(capsys):
     assert out["kStar"]["integer"] >= 1
 
 
+# flags after "formulas --C C --T T": the sha256 of stdout, stderr and exit
+# code of every run over C in FORMULAS_GRID_C and T from 1 to C + 1, as
+# recorded when the closed forms took floats only.  The grid meets refused
+# inputs, out-of-domain bounds and the saturated cases (fa's 3 at r = 1).
+FORMULAS_GRID_C = (1, 2, 3, 6, 8, 12, 20)
+FORMULAS_GOLDEN = {
+    "": "6eac63bcc96bf0cae5f10c62ac2b5867ae2a8236dc0a5414b78f052d3b38975b",
+    "--k 0": "17614f718f7ca2abc3d3766c4a8a58fa6162cb21d2a93e95406b2e01380fc467",
+    "--k 1": "f274345efb090cb30da642d362b337621d88dfff457be36161c33b1510e50701",
+    "--k 2": "7f0dbb331368c66625a7bd13ef4c560e159ff6974505e84870211a9af664d2f7",
+    "--k 3 --tau 0": "6ab534daaf90f705913999107d095187894189b7a88bbacf7abf0529107f969e",
+    "--k 4 --tau 1 --p-ppm 100000": "72c3167486f034829e2a4c1036ba01d6e149f53d446d0848c90e05a28c0421e2",
+    "--k 6 --tau 5": "3fa9d9b1ee87f453455fbe005d351de69e193025085924b972e8bdf3bc21a09f",
+    "--tau 40 --p-ppm 1": "876e675a020e87fbf620bfbf9e21a4d62a88f418d6db53e9d0625328c41d3abe",
+    "--k 2 --tau 5 --p-ppm 100000": "194b6771758a7395155d03a809e4ca2b9257d9afb6e4a6cb1cb5cba4ddce1aec",
+    "--k 12 --tau 1 --p-ppm 1": "8e97a584025f8de7a2cba116a2bad477dcd943db9e66c376d7666c7d00f2891f",
+}
+
+
+@pytest.mark.parametrize("flags", FORMULAS_GOLDEN)
+def test_formulas_golden(capsys, flags):
+    digest = hashlib.sha256()
+    for C in FORMULAS_GRID_C:
+        for T in range(1, C + 2):
+            code = main(["formulas", "--C", str(C), "--T", str(T), *flags.split()])
+            captured = capsys.readouterr()
+            digest.update(f"{captured.out}\0{captured.err}\0{code}\0".encode())
+    assert digest.hexdigest() == FORMULAS_GOLDEN[flags]
+
+
 def test_python_dash_m(capsys):
     argv = ["formulas", "--C", "200", "--T", "60", "--k", "2", "--p-ppm", "100000", "--tau", "5"]
     assert main(argv) == 0
@@ -419,6 +450,14 @@ def test_exhaust_rejects_nonpositive_max_len(capsys):
         "--max-len", "-1", "--values", "1,2",
     )
     assert "max_len" in err
+
+
+def test_exhaust_refuses_a_long_max_len(capsys):
+    err = run_cli_error(
+        capsys, "exhaust", "--C", "12", "--k", "2", "--T", "3", "--F", "2",
+        "--max-len", "1000000", "--values", "1,2",
+    )
+    assert err == "error: 3^1000000 sequences exceed cap 78125\n"
 
 
 def test_adversary_missing_flags(capsys):
@@ -695,6 +734,9 @@ def test_unparsable_json_file(capsys, tmp_path, flag, content, message):
     assert message in err
 
 
+BIG = "1" + "0" * 400  # past the float range
+
+
 def test_formulas_zero_p(capsys):
     err = run_cli_error(capsys, "formulas", "--C", "10", "--T", "3", "--p-ppm", "0", "--tau", "1")
     assert "p_ppm must be in [1, 1000000], got 0" in err
@@ -706,6 +748,16 @@ def test_formulas_zero_p(capsys):
         (("--p-ppm", "2000000", "--tau", "1"), "p_ppm must be in [1, 1000000], got 2000000"),
         (("--k", "0"), "k must be positive, got 0"),
         (("--k", "-2"), "k must be positive, got -2"),
+        *(
+            pytest.param(flags, f"{name} must be a finite number, got {BIG}", id=case)
+            for case, flags, name in [
+                ("C-big", ("--C", BIG, "--T", "1"), "C"),
+                ("T-big", ("--T", BIG), "T"),
+                ("k-big", ("--k", BIG), "k"),
+                ("tau-big", ("--tau", BIG), "tau"),
+                ("CT-big", ("--C", BIG, "--T", BIG, "--k", "1"), "C"),
+            ]
+        ),
     ],
 )
 def test_formulas_rejects_out_of_range_inputs(capsys, flags, message):

@@ -4,12 +4,12 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from collatsim.formulas import (
     DomainError,
     UNBOUNDED,
     eta_alpha,
-    eta_alpha_exact,
     eta_star,
     eta_star_is_clamped,
     eta_star_raw,
@@ -21,6 +21,7 @@ from collatsim.formulas import (
     k_star,
     kwallet_profit_inflation,
 )
+from collatsim.model import PPM, ModelParams
 
 EXACT = 1e-12
 
@@ -90,9 +91,69 @@ def test_eta_alpha():
 
 
 def test_eta_alpha_exact_matches_float():
-    got = eta_alpha_exact(500000, 200, 60, 100000, 5)
+    got = eta_alpha(Fraction(1, 2), Fraction(200), 60, Fraction(1, 10), 5)
     assert got == Fraction(15, 2)
     assert abs(float(got) - eta_alpha(0.5, 200, 60, 0.1, 5)) < EXACT
+
+
+@st.composite
+def kwallet_params(draw):
+    """Valid k-wallet params: C = k(T + slack), so r = T/(T + slack) <= 1."""
+    k = draw(st.integers(1, 8))
+    T = draw(st.integers(1, 20))
+    return ModelParams(C=k * (T + draw(st.integers(0, 40))), T=T, F=1, k=k)
+
+
+@st.composite
+def eta_params(draw):
+    """Valid threshold params with eta + T/C <= 1/2 and p/tau >= 2/(eta C).
+
+    Each subtraction in eta_alpha then keeps at least half of its larger
+    term, so float rounding moves the result by a few ulps at most.
+    """
+    C = draw(st.integers(4, 400))
+    T = draw(st.integers(1, C // 4))
+    eta_ppm = draw(st.integers(-(-T * PPM // C), (C * PPM // 2 - T * PPM) // C))
+    p_ppm = draw(st.integers(1, PPM))
+    tau = draw(st.integers(0, p_ppm * eta_ppm * C // (2 * PPM * PPM)))
+    return ModelParams(C=C, T=T, F=1, p_ppm=p_ppm, tau=tau, eta_ppm=eta_ppm)
+
+
+def assert_one_body(closed_form, exact_args, float_args):
+    """closed_form is exact on exact_args and agrees with itself on floats."""
+    try:
+        exact = closed_form(*exact_args)
+    except DomainError:
+        with pytest.raises(DomainError):
+            closed_form(*float_args)
+        return
+    approx = closed_form(*float_args)
+    if exact == UNBOUNDED:
+        assert approx == UNBOUNDED
+        return
+    assert isinstance(exact, Fraction)
+    assert abs(float(approx) - exact) <= 1e-12 * exact
+
+
+@given(kwallet_params())
+@settings(max_examples=300, deadline=None)
+def test_wallet_bounds_exact_on_exact_inputs(params):
+    k, r = params.k, params.load_ratio
+    r_float = k * params.T / params.C
+    assert_one_body(fa_ratio, (k, r), (k, r_float))
+    assert_one_body(fwf_ratio, (k, r), (k, r_float))
+    assert_one_body(ftwf_ratio, (k,), (k,))
+
+
+@given(eta_params())
+@settings(max_examples=300, deadline=None)
+def test_eta_alpha_exact_on_exact_inputs(params):
+    C, T, tau = params.C, params.T, params.tau
+    assert_one_body(
+        eta_alpha,
+        (params.eta, Fraction(C), T, params.p, tau),
+        (params.eta_ppm / PPM, C, T, params.p_ppm / PPM, tau),
+    )
 
 
 def test_eta_star():

@@ -24,7 +24,7 @@ from collatsim.harness import (
     value_bound_fraction,
 )
 from collatsim.model import InvalidParams, ModelParams, TransactionSequence
-from collatsim.oracles import opt_general_value
+from collatsim.oracles import BudgetExceeded, opt_general_value
 from collatsim.policies import GroupFlushPolicy, make_policy
 from collatsim.workloads import WorkloadSpec, thm3_seq
 from oracle_reference import exhaustive_verify_reference
@@ -341,6 +341,34 @@ def test_exhaustive_verify_refuses_a_policy_without_a_state():
     space = ExhaustSpace(C=4, k=1, T=2, F=1, max_len=3, values=(1, 2))
     with pytest.raises(ConfigError, match="rand2"):
         exhaustive_verify(space, policies={"rand2": Fraction(2)})
+
+
+# MAX_EXHAUST_SEQUENCES is 5^7: (values, max_len, sequences) at or under it
+@pytest.mark.parametrize(
+    "values, max_len, sequences",
+    [((1, 2, 3, 4), 7, 5**7), ((1,), 16, 2**16)],
+)
+def test_exhaustive_verify_runs_up_to_the_sequence_cap(values, max_len, sequences):
+    space = ExhaustSpace(C=8, k=2, T=4, F=1, max_len=max_len, values=values)
+    summary = exhaustive_verify(space)
+    assert summary.ok()
+    assert summary.sequences == sequences
+
+
+@pytest.mark.parametrize(
+    "values, max_len, count",
+    [((1, 2, 3, 4), 8, "5^8"), ((1,), 17, "2^17"), ((1, 2), 10**6, "3^1000000")],
+)
+def test_exhaustive_verify_refuses_past_the_sequence_cap(values, max_len, count):
+    space = ExhaustSpace(C=8, k=2, T=4, F=1, max_len=max_len, values=values)
+    with pytest.raises(BudgetExceeded) as err:
+        exhaustive_verify(space)
+    assert str(err.value) == f"{count} sequences exceed cap 78125"
+
+
+def test_exhaust_space_rejects_no_values():
+    with pytest.raises(ConfigError, match="values must not be empty"):
+        ExhaustSpace(C=8, k=2, T=4, F=1, max_len=3, values=())
 
 
 def test_default_exhaust_policies():
