@@ -122,6 +122,10 @@ def _frac(f: Fraction | float | None):
 
 def cmd_simulate(args) -> int:
     config = _config_from_args(args)
+    if config.repetitions != 1:
+        raise CollateralError(
+            f"simulate runs one repetition, got {config.repetitions}; ratio runs several"
+        )
     result = run_policy(config)
     _emit(
         {
@@ -225,6 +229,8 @@ def cmd_sweep(args) -> int:
     if (args.to - args.from_) / args.step > MAX_SWEEP_VALUES:
         raise CollateralError(f"sweep would exceed {MAX_SWEEP_VALUES} values")
     config = _config_from_args(args)
+    if config.trace_path:
+        raise CollateralError(f"sweep writes no trace, got {config.trace_path!r}")
     values = []
     v = args.from_
     while v <= args.to + 1e-12:

@@ -1,7 +1,7 @@
 """Experiment harness: run policies, compare against oracles, verify bounds.
 
-The pieces, bottom up: ``run_sequence`` drives one policy over one
-sequence and validates the window invariant on the produced trace;
+The pieces, bottom up: ``run_sequence`` steps one policy over the offers
+of one sequence and validates the window invariant on the produced trace;
 ``measure_ratio`` adds an oracle and the formula bound for the policy;
 ``exhaustive_verify`` checks the competitive bound with exact integer
 arithmetic on every prefix of every sequence over a small alphabet,
@@ -21,6 +21,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import sys
 from dataclasses import dataclass, replace
 from functools import partial
 from fractions import Fraction
@@ -51,7 +52,6 @@ from .oracles import (
 from .policies import GroupFlushPolicy, make_policy
 from .workloads import (
     WorkloadSpec,
-    check_horizon,
     epoch_burst_seq,
     fwf_killer_seq,
     gen_stochastic,
@@ -73,25 +73,26 @@ def run_sequence(
     terminal_flushes: bool = False,
     charge: str = "per-wallet",
 ) -> RunResult:
-    """Drive a policy over a sequence; returns exact totals.
+    """Drive a policy over a sequence's offers, then its horizon; exact totals.
 
-    ``terminal_flushes`` asks wallet policies to flush leftover
-    committed value after the last slot (utility accounting); the
-    threshold policy always flushes its residue.  ``charge`` picks how
-    utility counts flushes: per wallet flushed ("per-wallet", the
-    default) or per flush action ("per-action", where a simultaneous
-    multi-wallet flush costs one fee).  A horizon past MAX_SLOTS raises
-    TooManySlots before any slot is stepped.
+    Quiet slots are not stepped, so the cost goes with the offers.
+    ``terminal_flushes`` asks wallet policies to flush leftover committed
+    value after the last slot (utility accounting); the threshold policy
+    always flushes its residue.  ``charge`` picks how utility counts
+    flushes: per wallet flushed ("per-wallet", the default) or per flush
+    action ("per-action", where a simultaneous multi-wallet flush costs
+    one fee).
     """
     if charge not in ("per-wallet", "per-action"):
         raise ConfigError(f"unknown flush charge mode {charge!r}")
     seq.validate_values(policy.params.T)
-    check_horizon(seq.horizon)
     actions = 0
-    for slot in range(1, seq.horizon + 1):
-        decision = policy.step(slot, seq.at(slot))
+    for tx in seq.txs:
+        decision = policy.step(tx.slot, tx)
         if decision.flushed or decision.flush_amount is not None:
             actions += 1
+    if seq.horizon > (seq.txs[-1].slot if seq.txs else 0):
+        policy.step(seq.horizon, None)
     if policy.finish(seq.horizon, terminal_flushes):  # falsy if nothing flushed
         actions += 1
     validate_window_bound(policy.machine.trace, policy.params)
@@ -335,6 +336,8 @@ def _ratio_row(
     bound = None
     bound_ok = None
     if exact is not None:
+        if exact > sys.float_info.max:
+            raise ConfigError(f"{bound_kind} bound is past the float range")
         bound = float(exact)
         if bound_kind == "value":
             lhs, rhs = opt_value, result.settled_value

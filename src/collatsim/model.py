@@ -16,13 +16,14 @@ t+1 .. t+F; it is usable again at slot t+F+1.
 
 Both machines are ledgers: they store their balances (a wallet's
 ``remaining``, the pool's ``free`` and ``committed``) and update them in
-place on each operation, and their ``begin_slot`` is the only place
-collateral returns from an outage.
+place on each operation.  Their ``begin_slot(slot)`` is the only place
+collateral returns, all of it whose outage ended before ``slot``.
 """
 
 from __future__ import annotations
 
 import sys
+from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -104,7 +105,7 @@ class TransactionSequence:
     the final transaction and may extend past it (trailing quiet slots).
     """
 
-    __slots__ = ("txs", "horizon", "_by_slot")
+    __slots__ = ("txs", "horizon")
 
     def __init__(self, txs, horizon: int | None = None):
         txs = tuple(txs)
@@ -120,14 +121,10 @@ class TransactionSequence:
             raise InvalidParams(f"horizon {horizon} precedes last slot {last}")
         self.txs = txs
         self.horizon = horizon
-        self._by_slot = {t.slot: t for t in txs}
 
     @classmethod
     def from_pairs(cls, pairs, horizon: int | None = None) -> "TransactionSequence":
         return cls((Transaction(s, v) for s, v in pairs), horizon)
-
-    def at(self, slot: int) -> Transaction | None:
-        return self._by_slot.get(slot)
 
     def prefix(self, slot: int) -> "TransactionSequence":
         """The sequence truncated to slots 1..slot (horizon = slot)."""
@@ -182,6 +179,8 @@ class ModelParams:
     def __post_init__(self) -> None:
         for name in ("C", "T", "F", "k", "p_ppm", "tau"):
             typed_field(InvalidParams, name, getattr(self, name), "an integer")
+            if name in ("C", "T", "k", "tau"):  # the closed forms read them as floats
+                typed_field(InvalidParams, name, getattr(self, name), "a finite number")
         typed_field(InvalidParams, "eta_ppm", self.eta_ppm, "an integer", optional=True)
         if self.C < 1:
             raise InvalidParams(f"C must be positive, got {self.C}")
@@ -331,12 +330,13 @@ class WalletBank:
 
     A wallet flushed at slot t is offline for slots t+1..t+F and comes
     back online with remaining capacity restored to C/k at slot t+F+1.
-    `begin_slot` must be called once per slot, in order, before any other
-    operation for that slot; it performs the restorations.  `settled` and
-    `flushes` are the run's totals; `clone` copies them with an empty trace.
+    ``outages`` holds sorted ``(back at, index)`` pairs.  `begin_slot`
+    comes first in a slot, slots increasing, and restores the wallets.
+    `settled` and `flushes` are the run's totals; `clone` copies them with
+    an empty trace.
     """
 
-    __slots__ = ("params", "size", "remaining", "offline_until",
+    __slots__ = ("params", "size", "remaining", "offline_until", "outages",
                  "settled", "flushes", "trace")
 
     def __init__(self, params: ModelParams):
@@ -345,6 +345,7 @@ class WalletBank:
         self.size = params.C // params.k
         self.remaining = [self.size] * params.k
         self.offline_until = [0] * params.k
+        self.outages: list[tuple[int, int]] = []
         self.settled = 0
         self.flushes = 0
         self.trace = EventTrace()
@@ -354,12 +355,14 @@ class WalletBank:
             raise IndexOutOfRange(f"wallet index {i} out of 1..{self.params.k}")
 
     def begin_slot(self, slot: int) -> None:
-        """Restore the wallets whose outage ended."""
-        for j in range(self.params.k):
-            if self.offline_until[j] != 0 and self.offline_until[j] == slot - 1:
-                self.remaining[j] = self.size
-                self.offline_until[j] = 0
-                self.trace.add(slot, ONLINE, j + 1)
+        """Restore every wallet whose outage ended before ``slot``, logging
+        each ``online`` at its return slot, ordered by slot, then wallet."""
+        outages = self.outages
+        while outages and outages[0][0] <= slot:
+            back, j = outages.pop(0)
+            self.remaining[j] = self.size
+            self.offline_until[j] = 0
+            self.trace.add(back, ONLINE, j + 1)
 
     def wallet_available(self, i: int, slot: int) -> bool:
         self._check_index(i)
@@ -388,6 +391,7 @@ class WalletBank:
             raise WalletOffline(f"wallet {i} already offline at slot {slot}")
         self.trace.add(slot, FLUSH, i, None, self.committed(i))
         self.offline_until[i - 1] = slot + self.params.F
+        insort(self.outages, (slot + self.params.F + 1, i - 1))
         self.flushes += 1
 
     def clone(self) -> "WalletBank":
@@ -396,6 +400,7 @@ class WalletBank:
         other.size = self.size
         other.remaining = list(self.remaining)
         other.offline_until = list(self.offline_until)
+        other.outages = list(self.outages)
         other.settled = self.settled
         other.flushes = self.flushes
         other.trace = EventTrace()
@@ -409,11 +414,10 @@ class CollateralPool:
     ``committed`` (settled, not yet flushed) and the in-flight tranches, a
     FIFO of ``(amount, back_at)``.  Settling moves value from free to
     committed; flushing amount a at slot t moves it from committed to a
-    tranche that is offline for slots t+1..t+F.  `begin_slot` must be
-    called once per slot, in order, before any other operation for that
-    slot; it is the only place a tranche returns to ``free``, at slot
-    t+F+1.  `settled` and `flushes` count the run's settled value and
-    flushed tranches.
+    tranche that is offline for slots t+1..t+F.  `begin_slot` comes first
+    in a slot, slots increasing, and is the only place a tranche returns
+    to ``free``.  `settled` and `flushes` count the run's settled value
+    and flushed tranches.
     """
 
     __slots__ = ("params", "free", "committed", "inflight", "settled", "flushes", "trace")
@@ -428,11 +432,12 @@ class CollateralPool:
         self.trace = EventTrace()
 
     def begin_slot(self, slot: int) -> None:
-        """Return the tranches whose outage ended to the free balance."""
+        """Free every tranche whose outage ended before ``slot``, logging
+        each ``online`` at its return slot."""
         while self.inflight and self.inflight[0][1] <= slot:
-            amount = self.inflight.pop(0)[0]
+            amount, back = self.inflight.pop(0)
             self.free += amount
-            self.trace.add(slot, ONLINE, None, None, amount, None, self.committed)
+            self.trace.add(back, ONLINE, None, None, amount, None, self.committed)
 
     def settle(self, tx: Transaction, slot: int) -> None:
         if self.free < tx.value:

@@ -82,29 +82,24 @@ def opt_value_extend(
 
 
 def opt_value_key(states: dict, slot: int, F: int) -> tuple[int, ...]:
-    """A layer of opt_value_extend as a flat tuple free of absolute slots.
+    """A layer of opt_value_extend as a tuple free of absolute slots.
 
     ``states`` is a layer whose offers all lie at or before ``slot``.  Each
-    state becomes the F values it settled in slots slot-F+1 .. slot, 0
-    where it settled none, followed by how far its total lies below the
-    layer's best.  Older settles share no window with a later offer, so
-    states that differ only in them merge and keep the smaller gap.  Two
-    layers with equal keys gain the same best total on every continuation
-    offered after ``slot``.
+    state becomes a row of the (slot - s, value) pairs it settled in slots
+    slot-F+1 .. slot, whatever F, mapped to how far its total lies below
+    the layer's best.  Older settles share no window with a later offer,
+    so states that differ only in them merge and keep the smaller gap.
+    Equal keys gain the same best total on every later continuation.
     """
     best = max(states.values())
     base = slot - F + 1
     rows: dict = {}
     for state, total in states.items():
-        row = [0] * F
-        for s, v in state:
-            if s >= base:
-                row[s - base] = v
-        row = tuple(row)
+        row = tuple((slot - s, v) for s, v in state if s >= base)
         gap = best - total
         if rows.get(row, gap) >= gap:
             rows[row] = gap
-    return tuple(x for row in sorted(rows) for x in (*row, rows[row]))
+    return tuple(sorted(rows.items()))
 
 
 def opt_general_value(
@@ -276,18 +271,17 @@ def window_upper_bound(seq: TransactionSequence, C: int, F: int) -> int:
 
     Partition the slots into disjoint F+1 windows; any feasible subset
     puts at most min(C, offered value) into each.  The minimum over the
-    F+1 possible partition offsets is taken.
+    F+1 partition offsets is taken.  The blocks change only where a
+    boundary moves onto an offer, so offset 0 and the offsets that start a
+    block at an offer suffice: at most n+1 of them, whatever F.
     """
-    txs = list(seq)
-    if not txs:
-        return 0
     width = F + 1
-    best = None
-    for offset in range(width):
+
+    def bound(offset: int) -> int:
         blocks: dict[int, int] = {}
-        for t in txs:
-            blocks.setdefault((t.slot - 1 + offset) // width, 0)
-            blocks[(t.slot - 1 + offset) // width] += t.value
-        bound = sum(min(C, v) for v in blocks.values())
-        best = bound if best is None else min(best, bound)
-    return best
+        for t in seq:
+            block = (t.slot - 1 + offset) // width
+            blocks[block] = blocks.get(block, 0) + t.value
+        return sum(min(C, v) for v in blocks.values())
+
+    return min(map(bound, {0, *(-(t.slot - 1) % width for t in seq)}))

@@ -1,15 +1,16 @@
 """The online collateral-maintenance policies.
 
 Every policy exposes the same stepping interface: ``step(slot, tx)`` is
-called once per slot, in order, with the arriving transaction or None,
-and returns the decision taken.  ``finish(slot, terminal_flushes)`` runs
-once after the last slot; wallet policies flush leftover committed
-collateral only when asked (utility accounting), the threshold policy
-always does.  Policies are deterministic given params and seed.  Each
-keeps its state machine under ``machine``; the machine's counters are the
-run's totals and its trace only logs events.  ``clone`` copies the state,
-counters included, and gives the copy an empty trace, so exhaustive
-drivers can fork mid-run and read off the events of one step.
+called with increasing slots and the arriving transaction or None (a
+slot not stepped is quiet), and returns the decision taken.
+``finish(slot, terminal_flushes)`` runs once after the last step; wallet
+policies flush leftover committed collateral only when asked (utility
+accounting), the threshold policy always does.  Policies are deterministic
+given params and seed.  Each keeps its state machine under ``machine``;
+the machine's counters are the run's totals and its trace only logs
+events.  ``clone`` copies the state, counters included, and gives the copy
+an empty trace, so exhaustive drivers can fork mid-run and read off the
+events of one step.
 
 The three deterministic wallet policies are one rule, ``GroupFlushPolicy``:
 first fit within an active group of g wallets; on a misfit, discard the
@@ -173,10 +174,10 @@ class RandTwoPolicy:
     """Single real wallet of size C driven by a simulated two-wallet run.
 
     A shadow FlushAll with two wallets of size C each is fed the same
-    arrivals.  Each time the real wallet comes online (including at the
-    start) a fair coin picks one shadow wallet; the real wallet then
-    settles exactly the transactions that shadow wallet settles and
-    flushes when the shadow run flushes.
+    arrivals.  At the first step with the real wallet online, at the start
+    and after each outage, a fair coin picks one shadow wallet; the real
+    wallet then settles exactly the transactions that shadow wallet
+    settles and flushes when the shadow run flushes.
 
     Coins come from ``coins`` (a zero-argument callable returning 0 or 1)
     when given, else from a seeded RNG.

@@ -9,9 +9,9 @@ All generated values are ints in [1, max_value] and at most one
 transaction occupies a slot.  Generation is deterministic per seed.  The
 three adversarial builders raise TooManyOffers as soon as a sequence would
 hold more than MAX_ADVERSARY_OFFERS offers, so no rounds, C/epsilon or F
-makes one grow without bound.  Runs step every slot up to the horizon,
-so ``check_horizon`` refuses any horizon past MAX_SLOTS: a workload's,
-thm3's quiet slots, and every sequence that ``run_sequence`` is given.
+makes one grow without bound.  A run steps only the offers, so a sequence
+may reach any slot; only a stochastic workload, which draws once per slot
+up to its horizon, refuses a horizon past MAX_SLOTS.
 """
 
 from __future__ import annotations
@@ -47,10 +47,6 @@ class TooManyOffers(CollateralError):
     pass
 
 
-class TooManySlots(CollateralError):
-    pass
-
-
 # The adversarial builders refuse to offer more than this.  The run, its
 # trace and the exact window DP that measure a sequence all grow with it:
 # through the CLI (CPython 3.11) a burst of 140,000 offers peaked at 101 MB,
@@ -58,16 +54,10 @@ class TooManySlots(CollateralError):
 MAX_ADVERSARY_OFFERS = 20_000
 
 
-# Runs step every slot up to the horizon, quiet or not.  Through the CLI
-# (CPython 3.11, 2-vCPU VM) fa over 10^5 slots with an offer in each takes
-# 1.7 s at a 72 MB peak; quiet slots cost about 0.9 us each.
+# gen_stochastic draws once per slot up to a workload's horizon.  Through the
+# CLI (CPython 3.11, 2-vCPU VM) fa over 10^5 slots that all offer takes 1.7 s
+# at a 72 MB peak.
 MAX_SLOTS = 100_000
-
-
-def check_horizon(horizon: int) -> None:
-    """TooManySlots if a run would step past slot MAX_SLOTS."""
-    if horizon > MAX_SLOTS:
-        raise TooManySlots(f"sequence runs to slot {horizon}, past {MAX_SLOTS} slots")
 
 
 def _offer(txs: list, slot: int, value: int) -> Transaction:
@@ -125,7 +115,8 @@ class WorkloadSpec:
             )
         if self.horizon < 0:
             raise InvalidSpec(f"horizon must be nonnegative, got {self.horizon}")
-        check_horizon(self.horizon)
+        if self.horizon > MAX_SLOTS:
+            raise InvalidSpec(f"sequence runs to slot {self.horizon}, past {MAX_SLOTS} slots")
         if self.max_value < 1:
             raise InvalidSpec(f"max_value must be positive, got {self.max_value}")
         vp = typed_field(InvalidSpec, "valueParams", self.value_params, "an object")
@@ -251,7 +242,7 @@ def fwf_killer_seq(
         raise InvalidParams(f"need 1 <= epsilon < C/k, got {epsilon}")
     if rounds < 1:
         raise InvalidParams(f"rounds must be positive, got {rounds}")
-    step = math.ceil(params.F / params.k) + 1
+    step = -(-params.F // params.k) + 1
     txs = []
     slot = 1
     for _ in range(rounds):
@@ -297,12 +288,12 @@ def thm3_seq(
     slot, until the target settles one, then a single value-C offer in
     the next slot; after C/epsilon discarded probes the round ends
     without the big offer.  F quiet slots separate rounds, F - 1 trail
-    the last one; quiet slots that would pass MAX_SLOTS raise
-    TooManySlots.  A policy that settles the probe cannot take the big
+    the last one.  A policy that settles the probe cannot take the big
     offer; one that keeps discarding forfeits the probes.
 
-    The decisions come from stepping ``target``, a private copy of the
-    policy under attack made with the same seed, which this consumes.
+    The decisions come from stepping ``target`` through the offers, as a
+    run does; it is a private copy of the policy under attack made with
+    the same seed, which this consumes.
     Against a deterministic policy a sequence fixed in advance this way
     is as strong as an adversary that adapts during the run.  Against
     rand2 the copy holds the measured run's own coins, so the sequence
@@ -325,10 +316,7 @@ def thm3_seq(
     slot = 0
     for round_no in range(rounds):
         if round_no:
-            check_horizon(slot + params.F)
-            for _ in range(params.F):
-                slot += 1
-                target.step(slot, None)
+            slot += params.F  # quiet; the target catches up at its next step
         for _ in range(params.C // epsilon):
             slot += 1
             if target.step(slot, _offer(txs, slot, epsilon)).action == "settle":

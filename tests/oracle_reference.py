@@ -6,8 +6,11 @@ Two slow routes that share no code with ``collatsim.oracles``:
 ``opt_general_value_sim`` drives the real CollateralPool through every
 settle/discard choice.  Both are exponential in the number of transactions
 and meant for n <= 12.  ``greedy_feasible_value`` is a feasible lower bound
-at any size.  ``reference_ndjson`` writes a trace through the json module,
-as the reference for ``EventTrace.to_ndjson``.  ``exhaustive_verify_reference``
+at any size.  ``window_upper_bound_all_offsets`` tries every partition
+offset that ``window_upper_bound`` prunes.  ``reference_ndjson`` writes a
+trace through the json module, as the reference for
+``EventTrace.to_ndjson``.  ``run_every_slot`` is the per-slot driver that
+``run_sequence`` is checked against.  ``exhaustive_verify_reference``
 walks every prefix of every short sequence explicitly, as the reference
 for the memoised ``exhaustive_verify``.
 """
@@ -80,6 +83,27 @@ def greedy_feasible_value(pairs, C, F):
     return sum(v for _, v in chosen), sorted(chosen)
 
 
+def window_upper_bound_all_offsets(seq, C, F):
+    """``window_upper_bound`` as the minimum over all F+1 partition offsets.
+
+    Each offset splits the slots into blocks of F+1; every block holds at
+    most min(C, its offered value) of a feasible schedule.
+    """
+    txs = list(seq)
+    if not txs:
+        return 0
+    width = F + 1
+    best = None
+    for offset in range(width):
+        blocks = {}
+        for t in txs:
+            block = (t.slot - 1 + offset) // width
+            blocks[block] = blocks.get(block, 0) + t.value
+        bound = sum(min(C, v) for v in blocks.values())
+        best = bound if best is None else min(best, bound)
+    return best
+
+
 def subset_optima(pairs, C, F):
     """The optimum of every prefix of ``pairs``, by subset enumeration.
 
@@ -129,6 +153,24 @@ def opt_general_value_sim(seq, C, F):
         if ok and value > best:
             best = value
     return best
+
+
+def run_every_slot(policy, seq, terminal_flushes=False):
+    """Step ``policy`` through every slot 1..horizon, quiet ones included.
+
+    The driver ``run_sequence`` replaces by stepping only the offers and
+    the horizon.  Returns the number of flush actions, counted as
+    ``run_sequence`` counts them.
+    """
+    by_slot = {t.slot: t for t in seq}
+    actions = 0
+    for slot in range(1, seq.horizon + 1):
+        decision = policy.step(slot, by_slot.get(slot))
+        if decision.flushed or decision.flush_amount is not None:
+            actions += 1
+    if policy.finish(seq.horizon, terminal_flushes):
+        actions += 1
+    return actions
 
 
 def exhaustive_verify_reference(

@@ -508,30 +508,90 @@ def test_adversary_runs_up_to_the_offer_cap(capsys):
     assert out["nTx"] == 20000
 
 
-# a run steps every slot up to its horizon, so a horizon past MAX_SLOTS =
-# 10^5 is refused before any slot is stepped: a sparse CSV, a workload, the
-# killer's rounds ceil(F/k) + 1 slots apart, a thm3 round's trailing F - 1
-# quiet slots, and the F quiet slots before thm3's second round
+# a workload draws once per slot up to its horizon, so a horizon past
+# MAX_SLOTS = 10^5 is refused before any slot is drawn
 @pytest.mark.parametrize(
     "argv, slot",
+    [("simulate --policy fa --C 12 --T 3 --k 2 --F 1 --workload {workload}", 100001)],
+)
+def test_runs_refuse_more_than_the_slot_cap(capsys, argv, slot):
+    workload = json.dumps({**WORKLOAD, "horizon": slot}).replace(" ", "")
+    err = run_cli_error(capsys, *argv.format(workload=workload).split())
+    assert err == f"error: sequence runs to slot {slot}, past 100000 slots\n"
+
+
+FAR = "slot,value\n1,2\n100000000,3\n"
+FAR_RATIO = {"bound": 3.0, "boundKind": "value", "boundOk": True,
+             "optIsUpperBound": False, "optValue": 5, "ratioUtility": None,
+             "ratioValue": {"den": 1, "num": 1}, "runId": 0, "settledValue": 5}
+
+
+def adversary_json(kind, n_tx, alg, opt, ratio):
+    return {"adversary": kind, "target": "fwf", "nTx": n_tx, "algValue": alg,
+            "optValue": opt, "ratio": {"den": 1, "num": ratio}}
+
+
+# a run steps only its offers, so a sequence that reaches far slots costs no
+# more than its offers: a sparse CSV, the killer's rounds ceil(F/k) + 1
+# slots apart, and thm3's F quiet slots between and after rounds
+@pytest.mark.parametrize(
+    "argv, expected",
     [
-        ("simulate --policy fa --C 12 --T 3 --k 2 --F 1 --seq {far}", 10**8),
-        ("ratio --policy fwf --C 12 --T 3 --k 2 --F 1 --seq {far}", 10**8),
-        ("simulate --policy fa --C 12 --T 3 --k 2 --F 1 --workload {workload}", 100001),
-        ("adversary --type fwfkiller --target fwf --C 10 --T 5 --k 2 --F 100000000 "
-         "--rounds 2", 50000003),
-        ("adversary --type thm3 --target fwf --C 10 --T 10 --F 100000000 --rounds 1",
-         100000001),
-        ("adversary --type thm3 --target fwf --C 10 --T 10 --F 100000000 --rounds 2",
-         100000002),
+        pytest.param(
+            "simulate --policy fa --C 12 --T 3 --k 2 --F 1 --seq {far}",
+            {"flushCount": 0, "nTx": 2, "offeredValue": 5, "policy": "fa",
+             "settledValue": 5, "utility": {"den": 1, "num": 5}},
+            id="simulate-far-csv",
+        ),
+        pytest.param(
+            "ratio --policy fwf --C 12 --T 3 --k 2 --F 1 --seq {far}",
+            {"oracle": "brute-general", "policy": "fwf", "rows": [FAR_RATIO]},
+            id="ratio-far-csv",
+        ),
+        pytest.param(
+            "adversary --type fwfkiller --target fwf --C 10 --T 5 --k 2 --F 100000000 "
+            "--rounds 2",
+            adversary_json("fwfkiller", 4, 2, 10, 5),
+            id="fwfkiller-F1e8",
+        ),
+        pytest.param(
+            "adversary --type thm3 --target fwf --C 10 --T 10 --F 100000000 --rounds 1",
+            adversary_json("thm3", 2, 1, 10, 10),
+            id="thm3-F1e8-rounds1",
+        ),
+        pytest.param(
+            "adversary --type thm3 --target fwf --C 10 --T 10 --F 100000000 --rounds 2",
+            adversary_json("thm3", 4, 2, 20, 10),
+            id="thm3-F1e8-rounds2",
+        ),
     ],
 )
-def test_runs_refuse_more_than_the_slot_cap(capsys, tmp_path, argv, slot):
+def test_runs_past_the_workload_slot_cap_answer(capsys, tmp_path, argv, expected):
     far = tmp_path / "far.csv"
-    far.write_text("slot,value\n1,2\n100000000,3\n")
-    workload = json.dumps({**WORKLOAD, "horizon": 100001}).replace(" ", "")
-    err = run_cli_error(capsys, *argv.format(far=far, workload=workload).split())
-    assert err == f"error: sequence runs to slot {slot}, past 100000 slots\n"
+    far.write_text(FAR)
+    code, out = run_cli(capsys, *argv.format(far=far).split())
+    assert (code, out) == (0, expected)
+
+
+def test_window_bound_oracle_cost_does_not_grow_with_F(capsys, tmp_path):
+    path = tmp_path / "three.csv"
+    path.write_text("slot,value\n1,2\n2,3\n4,1\n")
+    code, out = run_cli(
+        capsys, "ratio", "--policy", "fwf", "--C", "12", "--T", "3", "--k", "2",
+        "--F", "100000000", "--oracle", "window-bound", "--seq", str(path),
+    )
+    assert code == 0
+    assert [(r["settledValue"], r["optValue"]) for r in out["rows"]] == [(6, 6)]
+
+
+def test_exhaust_past_the_sequence_length_equals_F_at_the_length(capsys):
+    # for F >= L - 1 no window and no outage ends inside an L-slot sequence
+    def exhaust(F):
+        code = main(["exhaust", "--C", "12", "--k", "2", "--T", "3", "--F", F,
+                     "--max-len", "4", "--values", "1,2,3"])
+        return code, capsys.readouterr().out
+
+    assert exhaust("100000000") == exhaust("4")
 
 
 def test_simulate_runs_up_to_the_slot_cap(capsys, tmp_path):
@@ -763,3 +823,63 @@ def test_formulas_zero_p(capsys):
 def test_formulas_rejects_out_of_range_inputs(capsys, flags, message):
     err = run_cli_error(capsys, "formulas", "--C", "10", "--T", "3", *flags)
     assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(
+            ["ratio", "--policy", "fwf", "--C", str(4 * 10**400), "--k", "2",
+             "--T", str(2 * 10**400 - 1), "--F", "1", "--oracle", "window-bound"],
+            id="ratio-fwf",
+        ),
+        pytest.param(
+            ["sweep", "--param", "k", "--from", "1", "--to", "2", "--step", "1",
+             "--policy", "fwf", "--C", BIG, "--T", "1", "--F", "1"],
+            id="sweep-k",
+        ),
+        pytest.param(
+            ["sweep", "--param", "eta", "--from", "0.5", "--to", "0.6", "--step", "0.1",
+             "--policy", "eta", "--C", BIG, "--T", "1", "--F", "1"],
+            id="sweep-eta",
+        ),
+    ],
+)
+def test_runs_reject_collateral_past_the_float_range(capsys, seq_csv, argv):
+    err = run_cli_error(capsys, *argv, "--seq", seq_csv)
+    assert err.startswith("error: C must be a finite number, got ")
+
+
+def test_bound_past_the_float_range_is_refused(capsys, seq_csv):
+    # eta's value bound 1/(1 - eta - T/C) reaches PPM*C: here C - PPM*T = 1
+    C = sys.float_info.max
+    C = int(C) - (int(C) - 1) % 10**6
+    err = run_cli_error(
+        capsys, "ratio", "--policy", "eta", "--C", str(C), "--T", str(C // 10**6),
+        "--F", "1", "--eta-ppm", "999999", "--seq", seq_csv,
+    )
+    assert err == "error: value bound is past the float range\n"
+
+
+def test_sweep_refuses_a_trace(capsys, tmp_path, seq_csv):
+    trace = tmp_path / "sweep.ndjson"
+    err = run_cli_error(
+        capsys, "sweep", "--param", "k", "--from", "1", "--to", "2", "--step", "1",
+        "--policy", "fwf", "--C", "12", "--T", "3", "--F", "1", "--seq", seq_csv,
+        "--trace", str(trace),
+    )
+    assert err == f"error: sweep writes no trace, got {str(trace)!r}\n"
+    assert not trace.exists()
+
+
+def test_simulate_refuses_repetitions(capsys, tmp_path, seq_csv):
+    err = run_cli_error(
+        capsys, "simulate", "--policy", "fa", "--C", "20", "--k", "2", "--T", "6",
+        "--F", "1", "--seq", seq_csv, "--repetitions", "5",
+    )
+    assert err == "error: simulate runs one repetition, got 5; ratio runs several\n"
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"params": {"C": 20, "k": 2, "T": 6, "F": 1},
+                                "policy": "fa", "seqFile": seq_csv, "repetitions": 3}))
+    err = run_cli_error(capsys, "simulate", "--config", str(path))
+    assert err == "error: simulate runs one repetition, got 3; ratio runs several\n"

@@ -49,8 +49,7 @@ def test_sequence_slots_strictly_increasing():
 def test_sequence_accessors():
     seq = TransactionSequence.from_pairs([(1, 3), (4, 2)])
     assert seq.horizon == 4
-    assert seq.at(4) == Transaction(4, 2)
-    assert seq.at(2) is None
+    assert seq.txs == (Transaction(1, 3), Transaction(4, 2))
     assert seq.offered_value() == 5
     assert seq.prefix(1).txs == (Transaction(1, 3),)
     assert seq.prefix(10).txs == seq.txs
@@ -85,6 +84,26 @@ def test_sequence_explicit_horizon():
 )
 def test_params_rejected(kwargs):
     with pytest.raises(InvalidParams):
+        ModelParams(**kwargs)
+
+
+BIG = 10**400  # past the float range
+
+
+@pytest.mark.parametrize(
+    "kwargs, name",
+    [
+        (dict(C=BIG, T=1, F=1), "C"),
+        (dict(C=BIG, T=BIG, F=1), "C"),
+        (dict(C=10, T=BIG, F=1), "T"),
+        (dict(C=10, T=5, F=1, k=BIG), "k"),
+        (dict(C=10, T=5, F=1, tau=-BIG), "tau"),
+    ],
+    ids=["C", "C-and-T", "T", "k", "tau"],
+)
+def test_params_past_the_float_range_rejected(kwargs, name):
+    # the closed-form bounds read C, T, k and tau as floats
+    with pytest.raises(InvalidParams, match=f"^{name} must be a finite number, got "):
         ModelParams(**kwargs)
 
 
@@ -131,6 +150,38 @@ def test_wallet_outage_window():
     assert bank.remaining == [10, 10]
     kinds = [e.kind for e in bank.trace.events]
     assert kinds == [SETTLE, FLUSH, ONLINE]
+
+
+def test_wallet_catch_up_logs_each_return_at_its_slot():
+    # F=2: wallet 3 flushed at 1 is back at 4, wallets 2 and 1 flushed at 2
+    # (2 first) are back at 5; one begin_slot well past both restores all
+    # three, ordered by return slot and then by wallet
+    bank = WalletBank(ModelParams(C=30, T=5, F=2, k=3))
+    bank.begin_slot(1)
+    bank.settle(3, Transaction(1, 5), 1)
+    bank.flush(3, 1)
+    bank.begin_slot(2)
+    bank.flush(2, 2)
+    bank.flush(1, 2)
+    bank.begin_slot(9)
+    online = [(e.slot, e.wallet) for e in bank.trace.events if e.kind == ONLINE]
+    assert online == [(4, 3), (5, 1), (5, 2)]
+    assert bank.remaining == [10, 10, 10]
+    assert bank.offline_until == [0, 0, 0] and bank.outages == []
+
+
+def test_pool_catch_up_logs_each_return_at_its_slot():
+    pool = CollateralPool(ModelParams(C=10, T=5, F=1))
+    pool.begin_slot(1)
+    pool.settle(Transaction(1, 5), 1)
+    pool.flush(2, 1)
+    pool.begin_slot(2)
+    pool.flush(3, 2)
+    pool.begin_slot(3)  # the first tranche is due; the second is not
+    pool.begin_slot(7)
+    online = [(e.slot, e.flush_amount) for e in pool.trace.events if e.kind == ONLINE]
+    assert online == [(3, 2), (4, 3)]
+    assert (pool.free, pool.committed, pool.inflight) == (10, 0, [])
 
 
 def test_wallet_settle_guards():
@@ -295,8 +346,8 @@ def test_run_result_charging_modes():
     seq = TransactionSequence.from_pairs([(1, 10), (2, 10)])
     bank = WalletBank(params)
     bank.begin_slot(1)
-    bank.settle(1, seq.at(1), 1)
-    bank.settle(2, seq.at(2), 2)
+    bank.settle(1, seq.txs[0], 1)
+    bank.settle(2, seq.txs[1], 2)
     bank.flush(1, 2)
     bank.flush(2, 2)
     per_wallet = RunResult.from_machine(bank, seq, flush_actions=1)

@@ -24,6 +24,7 @@ from oracle_reference import (
     opt_general_value_sim,
     subset_optima,
     window_law_holds,
+    window_upper_bound_all_offsets,
 )
 
 
@@ -147,12 +148,16 @@ def test_opt_value_key_drops_absolute_slots():
     pairs = [(1, 2), (2, 3), (4, 1), (5, 3)]
     key = opt_value_key(layer(pairs), 5, F)
     assert key == opt_value_key(layer([(s + 7, v) for s, v in pairs]), 12, F)
-    # rows sort by the settles of slots 4 and 5; settling both reaches the
-    # best total, 9, and settling neither falls 4 below it
-    assert key[:3] == (0, 0, 4) and key[-3:] == (1, 3, 0)
+    # a row lists the (slots ago, value) settles of slots 4 and 5, and rows
+    # sort by them; settling both reaches the best total, 9, and settling
+    # neither falls 4 below it
+    assert key[0] == ((), 4) and key[-1] == (((1, 1), (0, 3)), 0)
     # after F quiet slots no settle shares a window with a later offer, and
     # the states merge into one at the best total
-    assert opt_value_key(layer(pairs), 5 + F, F) == (0, 0, 0)
+    assert opt_value_key(layer(pairs), 5 + F, F) == (((), 0),)
+    # a row lists only the settles, so its size does not grow with F
+    settled = opt_value_extend({(): 0}, 1, 2, C, 10**8)
+    assert opt_value_key(settled, 3, 10**8) == (((), 2), (((2, 2),), 0))
 
 
 @given(
@@ -312,6 +317,24 @@ def test_window_bound_dominates_opt(values, C, F):
     assert opt <= window_upper_bound(seq, C, F)
     greedy, _ = greedy_feasible_value(pairs, C, F)
     assert greedy <= opt
+
+
+@given(
+    st.lists(
+        st.tuples(st.integers(min_value=1, max_value=50), st.integers(1, 15)),
+        max_size=12,
+    ),
+    st.integers(min_value=1, max_value=20),
+    st.integers(min_value=0, max_value=40),
+)
+@settings(max_examples=200, deadline=None)
+def test_window_bound_tries_only_the_offsets_that_matter(steps, C, F):
+    pairs, slot = [], 0
+    for gap, value in steps:
+        slot += gap
+        pairs.append((slot, value))
+    seq = seq_of(pairs) if pairs else TransactionSequence([], horizon=1)
+    assert window_upper_bound(seq, C, F) == window_upper_bound_all_offsets(seq, C, F)
 
 
 @given(

@@ -7,7 +7,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from collatsim.model import (
     FLUSH,
@@ -31,7 +31,7 @@ from collatsim.policies import (
     make_policy,
 )
 from collatsim.harness import run_sequence
-from oracle_reference import reference_ndjson
+from oracle_reference import reference_ndjson, run_every_slot
 
 
 def settle_slots(result):
@@ -346,14 +346,15 @@ def test_counters_match_trace(symbols, kind, terminal_flushes, seed):
     assert {name: getattr(res, name) for name in expected} == expected
     # stepping a clone leaves the original's counters and trace alone
     cut = len(symbols) // 2
+    by_slot = {t.slot: t for t in seq}
     policy = make_policy(kind, params, seed=seed)
     for slot in range(1, cut + 1):
-        policy.step(slot, seq.at(slot))
+        policy.step(slot, by_slot.get(slot))
     machine = policy.machine
     before = (machine.settled, machine.flushes, machine.trace.to_ndjson())
     fork = policy.clone()
     for slot in range(cut + 1, seq.horizon + 1):
-        fork.step(slot, seq.at(slot))
+        fork.step(slot, by_slot.get(slot))
     fork.finish(seq.horizon, terminal_flushes)
     assert (machine.settled, machine.flushes, machine.trace.to_ndjson()) == before
     # the fork carried the counters on and logged only its own slots
@@ -361,6 +362,58 @@ def test_counters_match_trace(symbols, kind, terminal_flushes, seed):
         res.settled_value, res.flush_count
     )
     assert fork.machine.trace.events == [e for e in res.trace.events if e.slot > cut]
+
+
+# fwf at k = 4 returns its wallets in rotation order, so a gap holding
+# several returns restores them out of index order
+OFFER_STEPPING_PARAMS = {
+    "fa": dict(C=12, T=3, k=2),
+    "fwf": dict(C=12, T=3, k=4),
+    "ftwf": dict(C=12, T=3, k=4),
+    "rand2": dict(C=6, T=3),
+    "eta": dict(C=12, T=3, eta_ppm=300000),
+}
+
+
+@st.composite
+def offer_stepping_runs(draw):
+    """A policy kind, its params and a sequence whose gaps span several outages."""
+    kind = draw(st.sampled_from(POLICY_KINDS))
+    F = draw(st.integers(min_value=1, max_value=3))
+    params = ModelParams(F=F, **OFFER_STEPPING_PARAMS[kind])
+    gap = st.integers(min_value=1, max_value=3 * (F + 1))
+    pairs, slot = [], 0
+    for step, value in draw(st.lists(st.tuples(gap, st.integers(1, params.T)), max_size=25)):
+        slot += step
+        pairs.append((slot, value))
+    horizon = slot + draw(st.integers(min_value=0, max_value=3 * (F + 1)))
+    return kind, params, TransactionSequence.from_pairs(pairs, horizon)
+
+
+# ten offers of 3 flush wallets 1-4 and then wallet 1 again at slot 10; the
+# quiet slots after it return wallet 4 (slot 12) before wallet 1 (slot 14)
+WRAPPED_RETURNS = (
+    "fwf",
+    ModelParams(C=12, T=3, F=3, k=4),
+    TransactionSequence.from_pairs([(s, 3) for s in range(1, 11)], horizon=25),
+)
+
+
+@given(offer_stepping_runs(), st.booleans(), st.integers(min_value=0, max_value=2**16))
+@example(WRAPPED_RETURNS, False, 0)
+@settings(max_examples=300, deadline=None)
+def test_stepping_the_offers_equals_stepping_every_slot(run, terminal_flushes, seed):
+    kind, params, seq = run
+    policy = make_policy(kind, params, seed=seed)
+    res = run_sequence(policy, seq, terminal_flushes=terminal_flushes)
+    reference = make_policy(kind, params, seed=seed)
+    actions = run_every_slot(reference, seq, terminal_flushes)
+    machine = reference.machine
+    assert res.trace.to_ndjson() == machine.trace.to_ndjson()
+    assert (res.settled_value, res.flush_count, res.flush_actions) == (
+        machine.settled, machine.flushes, actions
+    )
+    assert getattr(policy, "coins_drawn", None) == getattr(reference, "coins_drawn", None)
 
 
 @st.composite

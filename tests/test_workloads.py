@@ -165,17 +165,19 @@ def test_thm3_gives_up_after_budget():
     assert seq == TransactionSequence.from_pairs(
         [(1, 2), (2, 2), (5, 2), (6, 2)], horizon=7
     )
-    assert target.steps == [(1, 2), (2, 2), (3, None), (4, None), (5, 2), (6, 2)]
+    # the F quiet slots between rounds are not stepped
+    assert target.steps == [(1, 2), (2, 2), (5, 2), (6, 2)]
 
 
 def test_thm3_rounds_are_separated_by_f_gaps():
     target = ScriptedTarget(settles=range(1, 100))
     seq = thm3_seq(THM3_PARAMS, epsilon=4, rounds=2, target=target)
-    cells = ["gap" if seq.at(s) is None else f"v{seq.at(s).value}"
+    by_slot = {t.slot: t.value for t in seq}
+    cells = [f"v{by_slot[s]}" if s in by_slot else "gap"
              for s in range(1, seq.horizon + 1)]
     # F = 2 quiet slots between rounds, F - 1 = 1 after the last
     assert cells == ["v4", "v4", "gap", "gap", "v4", "v4", "gap"]
-    assert [s for s, v in target.steps if v is None] == [3, 4]
+    assert target.steps == [(1, 4), (2, 4), (5, 4), (6, 4)]
 
 
 def test_thm3_guards():
