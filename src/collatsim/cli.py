@@ -257,28 +257,6 @@ def cmd_sweep(args) -> int:
             "rows": out_rows,
         }
     )
-    if args.csv:
-        import csv as _csv
-
-        with open(args.csv, "w", newline="") as fh:
-            w = _csv.writer(fh)
-            w.writerow(
-                [
-                    "param", "value", "error", "mean_settled", "mean_flushes",
-                    "mean_utility", "worst_ratio", "empirical_best", "formula_optimum",
-                ]
-            )
-            for r in rows:
-                w.writerow(
-                    [
-                        r.param, r.value, r.error or "",
-                        "" if r.mean_settled is None else float(r.mean_settled),
-                        "" if r.mean_flushes is None else float(r.mean_flushes),
-                        "" if r.mean_utility is None else float(r.mean_utility),
-                        "" if r.worst_ratio is None else r.worst_ratio,
-                        str(r.empirical_best).lower(), r.formula_optimum,
-                    ]
-                )
     return 0
 
 
@@ -302,7 +280,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     rat = subs.add_parser("ratio", help="run and compare against an oracle")
     _add_run_flags(rat)
-    rat.add_argument("--oracle", choices=ORACLE_KINDS, default="brute-general")
+    # no default: with --config the flag replaces the file's oracle only when given
+    rat.add_argument("--oracle", choices=ORACLE_KINDS)
     rat.set_defaults(func=cmd_ratio)
 
     adv = subs.add_parser("adversary", help="play an adversarial construction")

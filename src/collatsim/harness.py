@@ -8,12 +8,17 @@ arithmetic on every prefix of every sequence over a small alphabet,
 stepping each policy state and value-DP key once per offer, walking each
 subtree once per key of slot, policy states and DP key and skipping a
 repeat when its stored margins show no counterexample below; ``sweep``
-scans eta or k and marks the empirical optimum next to the formula one;
+scans eta or k, one ``measure_ratio`` run with the window-bound oracle
+per setting, and marks the empirical optimum next to the formula one;
 ``run_adversary_demo`` measures an adversarial sequence against its
 target like any other ratio run.
 
-Results serialize to a fixed-column CSV; traces to newline-delimited
-JSON.  Identical config and seed reproduce byte-identical outputs.
+Every run charges the flush fee tau once per wallet flushed (or pool
+tranche), and flushes leftover committed value at the end exactly when
+tau > 0.  A JSON config refuses any field its reader does not read.
+Ratio and sweep results serialize to fixed-column CSVs through one
+writer; traces to newline-delimited JSON.  Identical config and seed
+reproduce byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ from .model import (
     RunResult,
     Transaction,
     TransactionSequence,
+    known_fields,
     typed_field,
     validate_window_bound,
 )
@@ -66,37 +72,32 @@ class ConfigError(CollateralError):
 
 ORACLE_KINDS = ("brute-general", "brute-kwallet", "brute-utility", "window-bound")
 
+# the fields ExperimentConfig.from_json_obj reads; it refuses any other
+CONFIG_FIELDS = (
+    "params", "policy", "seed", "workload", "seqFile", "oracle", "repetitions", "outputs",
+)
+PARAMS_FIELDS = ("C", "T", "F", "k", "p_ppm", "tau", "eta_ppm")
+
 
 def run_sequence(
-    policy,
-    seq: TransactionSequence,
-    terminal_flushes: bool = False,
-    charge: str = "per-wallet",
+    policy, seq: TransactionSequence, terminal_flushes: bool = False
 ) -> RunResult:
     """Drive a policy over a sequence's offers, then its horizon; exact totals.
 
     Quiet slots are not stepped, so the cost goes with the offers.
     ``terminal_flushes`` asks wallet policies to flush leftover committed
-    value after the last slot (utility accounting); the threshold policy
-    always flushes its residue.  ``charge`` picks how utility counts
-    flushes: per wallet flushed ("per-wallet", the default) or per flush
-    action ("per-action", where a simultaneous multi-wallet flush costs
-    one fee).
+    value after the last slot, as a config run does when tau > 0; the
+    threshold policy always flushes its residue.  Utility charges tau once
+    per wallet flushed, or per pool tranche.
     """
-    if charge not in ("per-wallet", "per-action"):
-        raise ConfigError(f"unknown flush charge mode {charge!r}")
     seq.validate_values(policy.params.T)
-    actions = 0
     for tx in seq.txs:
-        decision = policy.step(tx.slot, tx)
-        if decision.flushed or decision.flush_amount is not None:
-            actions += 1
+        policy.step(tx.slot, tx)
     if seq.horizon > (seq.txs[-1].slot if seq.txs else 0):
         policy.step(seq.horizon, None)
-    if policy.finish(seq.horizon, terminal_flushes):  # falsy if nothing flushed
-        actions += 1
+    policy.finish(seq.horizon, terminal_flushes)
     validate_window_bound(policy.machine.trace, policy.params)
-    return RunResult.from_machine(policy.machine, seq, actions, charge)
+    return RunResult.from_machine(policy.machine, seq)
 
 
 # per policy, its competitive bound on settled value as an exact closed
@@ -179,8 +180,6 @@ class ExperimentConfig:
     repetitions: int = 1
     csv_path: str | None = None
     trace_path: str | None = None
-    utility: bool | None = None
-    flush_charge: str = "per-wallet"
 
     def __post_init__(self) -> None:
         if self.oracle not in ORACLE_KINDS:
@@ -192,19 +191,14 @@ class ExperimentConfig:
         ]
         if len(sources) != 1:
             raise ConfigError("exactly one of workload, seq_file, sequence is required")
-        if self.flush_charge not in ("per-wallet", "per-action"):
-            raise ConfigError(f"unknown flush charge mode {self.flush_charge!r}")
-
-    @property
-    def utility_on(self) -> bool:
-        if self.utility is not None:
-            return self.utility
-        return self.params.tau > 0
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "ExperimentConfig":
+        """The config a JSON object describes; any field it does not read is refused."""
+        known = partial(known_fields, ConfigError)
         try:
-            pp = obj["params"]
+            known("config", obj, CONFIG_FIELDS)
+            pp = known("params", obj["params"], PARAMS_FIELDS)
             params = ModelParams(
                 C=pp["C"],
                 T=pp["T"],
@@ -217,6 +211,7 @@ class ExperimentConfig:
             workload = obj.get("workload")
             check = partial(typed_field, ConfigError)
             outputs = check("outputs", obj.get("outputs", {}), "an object")
+            known("outputs", outputs, ("csv", "trace"))
             return cls(
                 params=params,
                 policy=check("policy", obj["policy"], "a string"),
@@ -227,10 +222,6 @@ class ExperimentConfig:
                 repetitions=check("repetitions", obj.get("repetitions", 1), "an integer"),
                 csv_path=check("outputs.csv", outputs.get("csv"), "a string", True),
                 trace_path=check("outputs.trace", outputs.get("trace"), "a string", True),
-                utility=check("utility", obj.get("utility"), "a boolean", True),
-                flush_charge=check(
-                    "flushCharge", obj.get("flushCharge", "per-wallet"), "a string"
-                ),
             )
         except KeyError as missing:
             raise ConfigError(f"config missing field {missing}") from None
@@ -265,9 +256,7 @@ def run_policy(config: ExperimentConfig) -> RunResult:
     """Run the configured policy once (repetition 0) and write outputs."""
     seq = config.sequence_for(0)
     policy = config.policy_for(0)
-    result = run_sequence(
-        policy, seq, terminal_flushes=config.utility_on, charge=config.flush_charge
-    )
+    result = run_sequence(policy, seq, terminal_flushes=config.params.tau > 0)
     if config.trace_path:
         write_trace_ndjson(result.trace, config.trace_path)
     if config.csv_path:
@@ -282,9 +271,7 @@ def measure_ratio(config: ExperimentConfig) -> RatioReport:
     for rep in range(config.repetitions):
         seq = config.sequence_for(rep)
         policy = config.policy_for(rep)
-        result = run_sequence(
-            policy, seq, terminal_flushes=config.utility_on, charge=config.flush_charge
-        )
+        result = run_sequence(policy, seq, terminal_flushes=config.params.tau > 0)
         rows.append(_ratio_row(config, rep, seq, result))
     report = RatioReport(config, rows)
     if config.csv_path:
@@ -742,13 +729,20 @@ class SweepRow:
     formula_optimum: float | None = None
 
 
+def _mean(xs: list) -> Fraction:
+    return sum(xs, Fraction(0)) / len(xs)
+
+
 def sweep(config: ExperimentConfig, param: str, values: list[float]) -> list[SweepRow]:
     """Scan eta or k, rerunning the configured workload at each setting.
 
+    Each setting is a ``measure_ratio`` run of the config with the
+    window-bound oracle (an upper bound on opt) and no outputs of its own.
     Rows carry per-setting means over repetitions and the worst observed
-    opt/alg value ratio (window-bound oracle, an upper bound on opt).
-    The empirical best row is marked: highest mean utility for eta,
-    lowest worst ratio for k; the formula optimum rides along.
+    opt/alg value ratio, or the error that ended the setting.  The
+    empirical best row is marked: highest mean utility for eta, lowest
+    worst ratio for k; the formula optimum rides along.  The rows go to
+    ``config.csv_path`` when it is set.
     """
     if param not in ("eta", "k"):
         raise ConfigError(f"sweep parameter must be eta or k, got {param!r}")
@@ -770,30 +764,21 @@ def sweep(config: ExperimentConfig, param: str, values: list[float]) -> list[Swe
                 params = replace(p, k=k)
                 params.require_kwallet()
                 cfg = replace(config, params=params)
-            row = SweepRow(param=param, value=v, formula_optimum=formula)
-            settled = Fraction(0)
-            flushes = Fraction(0)
-            utility = Fraction(0)
-            worst: float = 0.0
-            for rep in range(cfg.repetitions):
-                seq = cfg.sequence_for(rep)
-                result = run_sequence(
-                    cfg.policy_for(rep),
-                    seq,
-                    terminal_flushes=cfg.utility_on,
-                    charge=cfg.flush_charge,
+            runs = measure_ratio(
+                replace(cfg, oracle="window-bound", csv_path=None, trace_path=None)
+            ).rows
+            results = [r.result for r in runs]
+            rows.append(
+                SweepRow(
+                    param=param,
+                    value=v,
+                    mean_settled=_mean([r.settled_value for r in results]),
+                    mean_flushes=_mean([r.flush_count for r in results]),
+                    mean_utility=_mean([r.utility for r in results]),
+                    worst_ratio=max(float(r.ratio_value) for r in runs),
+                    formula_optimum=formula,
                 )
-                settled += result.settled_value
-                flushes += result.flush_count
-                utility += result.utility
-                upper = window_upper_bound(seq, params.C, params.F)
-                worst = max(worst, float(ratio_of(upper, result.settled_value)))
-            n = cfg.repetitions
-            row.mean_settled = settled / n
-            row.mean_flushes = flushes / n
-            row.mean_utility = utility / n
-            row.worst_ratio = worst
-            rows.append(row)
+            )
         except CollateralError as err:
             rows.append(
                 SweepRow(param=param, value=v, error=str(err), formula_optimum=formula)
@@ -805,6 +790,25 @@ def sweep(config: ExperimentConfig, param: str, values: list[float]) -> list[Swe
         else:
             best = min(candidates, key=lambda r: r.worst_ratio)
         best.empirical_best = True
+    if config.csv_path:
+        write_results_csv(
+            [
+                {
+                    "param": r.param,
+                    "value": r.value,
+                    "error": r.error or "",
+                    "mean_settled": _float_or_blank(r.mean_settled),
+                    "mean_flushes": _float_or_blank(r.mean_flushes),
+                    "mean_utility": _float_or_blank(r.mean_utility),
+                    "worst_ratio": _float_or_blank(r.worst_ratio),
+                    "empirical_best": str(r.empirical_best).lower(),
+                    "formula_optimum": r.formula_optimum,
+                }
+                for r in rows
+            ],
+            config.csv_path,
+            SWEEP_COLUMNS,
+        )
     return rows
 
 
@@ -836,6 +840,23 @@ RESULT_COLUMNS = [
     "bound",
     "bound_ok",
 ]
+
+
+SWEEP_COLUMNS = [
+    "param",
+    "value",
+    "error",
+    "mean_settled",
+    "mean_flushes",
+    "mean_utility",
+    "worst_ratio",
+    "empirical_best",
+    "formula_optimum",
+]
+
+
+def _float_or_blank(x) -> float | str:
+    return "" if x is None else float(x)
 
 
 def _ratio_str(ratio) -> str:
@@ -893,9 +914,11 @@ def _csv_row(
     return row
 
 
-def write_results_csv(rows: list[dict], path: str) -> None:
+def write_results_csv(
+    rows: list[dict], path: str, columns: list[str] = RESULT_COLUMNS
+) -> None:
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=RESULT_COLUMNS)
+        writer = csv.DictWriter(fh, fieldnames=columns)
         writer.writeheader()
         for row in rows:
             writer.writerow(row)

@@ -4,7 +4,8 @@ Money is integral throughout: collateral C, cap T, transaction values and
 the flush fee tau are nonnegative ints, while the settlement probability p
 and the flush threshold eta are fixed-point parts-per-million.  Utility is
 kept as an exact Fraction so competitive-bound checks never see float
-noise.  The single place fractional amounts appear is the pool: a
+noise: p times the settled value, less tau for each wallet flushed or pool
+tranche flushed.  The single place fractional amounts appear is the pool: a
 threshold policy may flush tranches of eta*C, which need not be integral,
 so pool arithmetic accepts Fraction amounts and stays exact.
 
@@ -82,6 +83,19 @@ def typed_field(error: type, name: str, value, kind: str, optional: bool = False
         allowed = f"{kind} or null" if optional else kind
         raise error(f"{name} must be {allowed}, got {value!r}")
     return value
+
+
+def known_fields(error: type, where: str, obj, names: tuple[str, ...]):
+    """Return ``obj``; raise ``error`` on its first key not in ``names``.
+
+    Only an object's keys are checked: a value of another type is returned
+    as it is, for the reader's own type check to refuse.
+    """
+    if isinstance(obj, dict):
+        for key in obj:
+            if key not in names:
+                raise error(f"unknown {where} field {key!r}")
+    return obj
 
 
 @dataclass(frozen=True)
@@ -461,17 +475,6 @@ class CollateralPool:
         self.flushes += 1
         self.trace.add(slot, FLUSH, None, None, amount, self.free, self.committed)
 
-    def clone(self) -> "CollateralPool":
-        other = object.__new__(CollateralPool)
-        other.params = self.params
-        other.free = self.free
-        other.committed = self.committed
-        other.inflight = list(self.inflight)
-        other.settled = self.settled
-        other.flushes = self.flushes
-        other.trace = EventTrace()
-        return other
-
 
 @dataclass
 class RunResult:
@@ -480,28 +483,22 @@ class RunResult:
     trace: EventTrace
     settled_value: int
     flush_count: int
-    flush_actions: int
     utility: Fraction
     offered_value: int
     n_tx: int
 
     @classmethod
     def from_machine(
-        cls,
-        machine: "WalletBank | CollateralPool",
-        seq: TransactionSequence,
-        flush_actions: int,
-        charge: str = "per-wallet",
+        cls, machine: "WalletBank | CollateralPool", seq: TransactionSequence
     ) -> "RunResult":
-        """Totals from the machine's counters after it was stepped over seq."""
+        """Totals from the machine's counters after it was stepped over seq;
+        utility charges tau once per flush, a wallet or a pool tranche."""
         params = machine.params
-        charged = machine.flushes if charge == "per-wallet" else flush_actions
         return cls(
             trace=machine.trace,
             settled_value=machine.settled,
             flush_count=machine.flushes,
-            flush_actions=flush_actions,
-            utility=params.p * machine.settled - params.tau * charged,
+            utility=params.p * machine.settled - params.tau * machine.flushes,
             offered_value=seq.offered_value(),
             n_tx=len(seq),
         )

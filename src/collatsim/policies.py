@@ -4,13 +4,14 @@ Every policy exposes the same stepping interface: ``step(slot, tx)`` is
 called with increasing slots and the arriving transaction or None (a
 slot not stepped is quiet), and returns the decision taken.
 ``finish(slot, terminal_flushes)`` runs once after the last step; wallet
-policies flush leftover committed collateral only when asked (utility
-accounting), the threshold policy always does.  Policies are deterministic
-given params and seed.  Each keeps its state machine under ``machine``;
-the machine's counters are the run's totals and its trace only logs
-events.  ``clone`` copies the state, counters included, and gives the copy
-an empty trace, so exhaustive drivers can fork mid-run and read off the
-events of one step.
+policies flush leftover committed collateral only when asked (a run asks
+when tau > 0), the threshold policy always does.  Policies are
+deterministic given params and seed.  Each keeps its state machine under
+``machine``; the machine's counters are the run's totals and its trace
+only logs events.  The wallet-group policies also have ``clone``, which
+copies the state, counters included, and gives the copy an empty trace,
+so the exhaustive verifier can fork mid-run and read off the events of
+one step.
 
 The three deterministic wallet policies are one rule, ``GroupFlushPolicy``:
 first fit within an active group of g wallets; on a misfit, discard the
@@ -24,7 +25,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .model import (
     ARRIVE,
@@ -50,14 +50,12 @@ class PolicyDecision:
     """What a policy did in one slot.
 
     action is 'settle', 'discard', or None (no arrival); flushed lists
-    wallet indices flushed this slot; flush_amount is the pool tranche
-    if the pool flushed.
+    wallet indices flushed this slot.
     """
 
     action: str | None
     wallet: int | None = None
     flushed: tuple[int, ...] = ()
-    flush_amount: int | Fraction | None = None
 
 
 NO_ARRIVAL = PolicyDecision(None)
@@ -111,10 +109,9 @@ class GroupFlushPolicy:
         self.active = self.active % (self.params.k // self.g) + 1
         return PolicyDecision("discard", flushed=group)
 
-    def finish(self, slot: int, terminal_flushes: bool = False) -> list[int]:
-        if not terminal_flushes:
-            return []
-        return _flush_leftovers(self.machine, slot)
+    def finish(self, slot: int, terminal_flushes: bool = False) -> None:
+        if terminal_flushes:
+            _flush_leftovers(self.machine, slot)
 
     def state(self, slot: int) -> tuple[int, ...]:
         """Everything later steps depend on, as a flat tuple, after step(slot).
@@ -195,12 +192,10 @@ class RandTwoPolicy:
         self.shadow = FlushAllPolicy(
             ModelParams(C=2 * params.C, T=params.T, F=params.F, k=2)
         )
-        if coins is not None:
-            self._coin = coins
-            self._rng = None
-        else:
-            self._rng = random.Random(seed)
-            self._coin = lambda: self._rng.getrandbits(1)
+        if coins is None:
+            rng = random.Random(seed)
+            coins = lambda: rng.getrandbits(1)
+        self._coin = coins
         self.chosen: int | None = None
         self.coins_drawn = 0
 
@@ -224,24 +219,9 @@ class RandTwoPolicy:
             return PolicyDecision("discard", flushed=(1,))
         return PolicyDecision("discard")
 
-    def finish(self, slot: int, terminal_flushes: bool = False) -> list[int]:
-        if not terminal_flushes:
-            return []
-        return _flush_leftovers(self.machine, slot)
-
-    def clone(self) -> "RandTwoPolicy":
-        if self._rng is None:
-            raise InvalidParams("cannot clone a rand2 policy with an external coin source")
-        other = object.__new__(RandTwoPolicy)
-        other.params = self.params
-        other.machine = self.machine.clone()
-        other.shadow = self.shadow.clone()
-        other._rng = random.Random()
-        other._rng.setstate(self._rng.getstate())
-        other._coin = lambda: other._rng.getrandbits(1)
-        other.chosen = self.chosen
-        other.coins_drawn = self.coins_drawn
-        return other
+    def finish(self, slot: int, terminal_flushes: bool = False) -> None:
+        if terminal_flushes:
+            _flush_leftovers(self.machine, slot)
 
 
 class ThresholdPolicy:
@@ -276,33 +256,19 @@ class ThresholdPolicy:
         # one tranche at most: the reserve was below eta*C, and ModelParams has T <= eta*C
         if pool.committed >= self.eta_c:
             pool.flush(self.eta_c, slot)
-            return PolicyDecision("settle", flush_amount=self.eta_c)
         return PolicyDecision("settle")
 
-    def finish(self, slot: int, terminal_flushes: bool = True) -> int | Fraction | None:
+    def finish(self, slot: int, terminal_flushes: bool = True) -> None:
         # the final partial tranche is part of the policy, not optional
         if self.machine.committed > 0:
-            amount = self.machine.committed
-            self.machine.flush(amount, slot)
-            return amount
-        return None
-
-    def clone(self) -> "ThresholdPolicy":
-        other = object.__new__(ThresholdPolicy)
-        other.params = self.params
-        other.machine = self.machine.clone()
-        other.eta_c = self.eta_c
-        return other
+            self.machine.flush(self.machine.committed, slot)
 
 
-def _flush_leftovers(bank: WalletBank, slot: int) -> list[int]:
-    """Flush every online wallet holding committed value; returns indices."""
-    flushed = []
+def _flush_leftovers(bank: WalletBank, slot: int) -> None:
+    """Flush every online wallet holding committed value."""
     for i in range(1, bank.params.k + 1):
         if bank.wallet_available(i, slot) and bank.committed(i) > 0:
             bank.flush(i, slot)
-            flushed.append(i)
-    return flushed
 
 
 POLICY_KINDS = ("fa", "fwf", "ftwf", "rand2", "eta")

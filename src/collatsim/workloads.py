@@ -27,6 +27,7 @@ from .model import (
     ModelParams,
     Transaction,
     TransactionSequence,
+    known_fields,
     typed_field,
 )
 
@@ -88,6 +89,12 @@ NUMBER_KNOBS = {
 }
 
 
+# the fields WorkloadSpec.from_json_obj reads; it refuses any other
+WORKLOAD_FIELDS = (
+    "kind", "arrivalRatePerMille", "horizon", "seed", "maxValue", "valueParams",
+)
+
+
 @dataclass(frozen=True)
 class WorkloadSpec:
     """Declarative description of a stochastic workload.
@@ -145,6 +152,7 @@ class WorkloadSpec:
     @classmethod
     def from_json_obj(cls, obj: dict) -> "WorkloadSpec":
         typed_field(InvalidSpec, "workload spec", obj, "an object")
+        known_fields(InvalidSpec, "workload", obj, WORKLOAD_FIELDS)
         try:
             return cls(
                 kind=obj["kind"],

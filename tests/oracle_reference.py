@@ -159,18 +159,12 @@ def run_every_slot(policy, seq, terminal_flushes=False):
     """Step ``policy`` through every slot 1..horizon, quiet ones included.
 
     The driver ``run_sequence`` replaces by stepping only the offers and
-    the horizon.  Returns the number of flush actions, counted as
-    ``run_sequence`` counts them.
+    the horizon.
     """
     by_slot = {t.slot: t for t in seq}
-    actions = 0
     for slot in range(1, seq.horizon + 1):
-        decision = policy.step(slot, by_slot.get(slot))
-        if decision.flushed or decision.flush_amount is not None:
-            actions += 1
-    if policy.finish(seq.horizon, terminal_flushes):
-        actions += 1
-    return actions
+        policy.step(slot, by_slot.get(slot))
+    policy.finish(seq.horizon, terminal_flushes)
 
 
 def exhaustive_verify_reference(

@@ -368,6 +368,53 @@ def test_sweep(capsys, tmp_path):
     assert out_csv.read_text().splitlines()[0].startswith("param,value")
 
 
+SWEEP_SPANS = {"eta": ("0.2", "1.1", "0.15"), "k": ("1", "6", "0.5")}
+SWEEP_WORKLOADS = {
+    "poisson-uniform": {"kind": "poisson-uniform", "arrivalRatePerMille": 900,
+                        "horizon": 40, "seed": 11, "maxValue": 4,
+                        "valueParams": {"min": 1, "max": 4}},
+    "bursty": {"kind": "bursty", "arrivalRatePerMille": 900, "horizon": 40,
+               "seed": 11, "maxValue": 4,
+               "valueParams": {"min": 2, "max": 4, "burstLen": 5, "gapLen": 3}},
+}
+# sweep and workload: the sha256 of stdout, stderr, exit code and CSV of the
+# sweep at repetitions 1 and 3 for each of eta, fwf, ftwf and rand2, as
+# recorded when sweep ran its own repetition loop.  The spans meet rows that
+# end in an error: eta below T/C or above 1, k not integral, k not dividing
+# C, k*T > C, odd k for ftwf and k > 1 for rand2.  Windows of F+1 slots can
+# offer more than C, so the window bound sits above the exact optimum and
+# the rows show which oracle sweep used.
+SWEEP_GOLDEN = {
+    "eta poisson-uniform": "5735240294896b80f9f361bde0b84f07d8407bf6fa4c7036c5f086099bf8c85e",
+    "eta bursty": "2e6e682077991610dae113730f104ba663f53f06b0b6014857c3197f722a7c79",
+    "k poisson-uniform": "cb418f16cf243f54285525dcf8365e38521a5c1790edf11b6c70ec09feb9d4db",
+    "k bursty": "47c5ace5a297658a5b303a3b1cbe88727146f928ae8a61fc4d6c1fd0b72019cd",
+}
+
+
+@pytest.mark.parametrize("case", SWEEP_GOLDEN)
+def test_sweep_golden(capsys, tmp_path, case):
+    param, workload = case.split()
+    lo, hi, step = SWEEP_SPANS[param]
+    out_csv = tmp_path / "sweep.csv"
+    digest = hashlib.sha256()
+    for repetitions in ("1", "3"):
+        for policy in ("eta", "fwf", "ftwf", "rand2"):
+            code = main([
+                "sweep", "--param", param, "--from", lo, "--to", hi, "--step", step,
+                "--policy", policy, "--C", "12", "--T", "4", "--F", "3",
+                "--p-ppm", "100000", "--tau", "1", "--eta-ppm", "500000",
+                "--seed", "3", "--repetitions", repetitions,
+                "--workload", json.dumps(SWEEP_WORKLOADS[workload]),
+                "--csv", str(out_csv),
+            ])
+            captured = capsys.readouterr()
+            digest.update(f"{captured.out}\0{captured.err}\0{code}\0".encode())
+            digest.update(out_csv.read_bytes())
+            out_csv.unlink()
+    assert digest.hexdigest() == SWEEP_GOLDEN[case]
+
+
 def run_cli_error(capsys, *argv):
     code = main(list(argv))
     err = capsys.readouterr().err
@@ -632,6 +679,8 @@ def test_sweep_rejects_endless_or_huge_ranges(capsys, span, expected):
 
 WORKLOAD = {"kind": "constant", "arrivalRatePerMille": 500, "horizon": 10,
             "seed": 1, "maxValue": 3}
+WORKLOAD_6 = {"kind": "constant", "arrivalRatePerMille": 1000, "horizon": 6,
+              "seed": 0, "maxValue": 6, "valueParams": {"value": 6}}
 
 
 @pytest.mark.parametrize(
@@ -695,8 +744,9 @@ def test_oracle_state_step_cap(capsys, monkeypatch):
         ({"outputs": [1]}, "outputs must be an object"),
         ({"policy": 3}, "policy must be a string"),
         ({"oracle": ["window-bound"]}, "oracle must be a string"),
-        ({"flushCharge": None}, "flushCharge must be a string"),
-        ({"utility": "no"}, "utility must be a boolean or null"),
+        # removed fields are refused, not read as another charge or accounting
+        ({"flushCharge": "per-action"}, "unknown config field 'flushCharge'"),
+        ({"utility": False}, "unknown config field 'utility'"),
     ],
 )
 def test_wrong_typed_config_field(capsys, tmp_path, seq_csv, fields, message):
@@ -706,6 +756,49 @@ def test_wrong_typed_config_field(capsys, tmp_path, seq_csv, fields, message):
     path.write_text(json.dumps(dict(config, **fields)))
     err = run_cli_error(capsys, "simulate", "--config", str(path))
     assert message in err
+
+
+@pytest.mark.parametrize(
+    "fields, where, name",
+    [
+        ({"repetitons": 3}, "config", "repetitons"),
+        ({"params": {"C": 20, "k": 2, "T": 6, "F": 1, "tua": 3}}, "params", "tua"),
+        ({"outputs": {"CSV": "out.csv"}}, "outputs", "CSV"),
+        ({"seqFile": None, "workload": dict(WORKLOAD_6, horizn=8)}, "workload", "horizn"),
+    ],
+)
+def test_unknown_config_field(capsys, tmp_path, seq_csv, fields, where, name):
+    config = {"params": {"C": 20, "k": 2, "T": 6, "F": 1}, "policy": "fa",
+              "seqFile": seq_csv}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(dict(config, **fields)))
+    err = run_cli_error(capsys, "ratio", "--config", str(path))
+    assert err == f"error: unknown {where} field '{name}'\n"
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_unknown_workload_field(capsys):
+    err = run_cli_error(
+        capsys, "simulate", "--policy", "fa", "--C", "20", "--k", "2", "--T", "6",
+        "--F", "1", "--workload", json.dumps(dict(WORKLOAD_6, valueParam={"value": 6})),
+    )
+    assert err == "error: unknown workload field 'valueParam'\n"
+
+
+def test_ratio_config_oracle(capsys, tmp_path, seq_csv):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"params": {"C": 20, "k": 2, "T": 6, "F": 1},
+                                "policy": "fwf", "seqFile": seq_csv,
+                                "oracle": "window-bound"}))
+    code, out = run_cli(capsys, "ratio", "--config", str(path))
+    assert (code, out["oracle"], out["rows"][0]["optIsUpperBound"]) == (
+        0, "window-bound", True
+    )
+    # the flag, when given, replaces the file's oracle
+    code, out = run_cli(capsys, "ratio", "--config", str(path), "--oracle", "brute-general")
+    assert (code, out["oracle"], out["rows"][0]["optIsUpperBound"]) == (
+        0, "brute-general", False
+    )
 
 
 @pytest.mark.parametrize(
@@ -870,6 +963,21 @@ def test_sweep_refuses_a_trace(capsys, tmp_path, seq_csv):
     )
     assert err == f"error: sweep writes no trace, got {str(trace)!r}\n"
     assert not trace.exists()
+
+
+def test_sweep_config_writes_outputs_csv(capsys, tmp_path, seq_csv):
+    span = ["sweep", "--param", "k", "--from", "1", "--to", "4", "--step", "1"]
+    by_flag = tmp_path / "flag.csv"
+    flagged = run_cli(
+        capsys, *span, "--policy", "fwf", "--C", "20", "--T", "6", "--F", "1",
+        "--seq", seq_csv, "--csv", str(by_flag),
+    )
+    by_config = tmp_path / "config.csv"
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"params": {"C": 20, "T": 6, "F": 1}, "policy": "fwf",
+                                "seqFile": seq_csv, "outputs": {"csv": str(by_config)}}))
+    assert run_cli(capsys, *span, "--config", str(path)) == flagged
+    assert by_config.read_bytes() == by_flag.read_bytes()
 
 
 def test_simulate_refuses_repetitions(capsys, tmp_path, seq_csv):

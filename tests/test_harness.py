@@ -107,8 +107,7 @@ def test_config_json_round_trip(tmp_path):
     assert config.repetitions == 2
     assert config.csv_path == str(tmp_path / "out.csv")
     assert config.params == PARAMS
-    # tau = 0, so utility reporting defaults off
-    assert config.utility is None
+    assert (config.seed, config.workload, config.oracle) == (3, SIXES, "brute-general")
 
 
 def test_csv_columns_and_cells(tmp_path):

@@ -335,10 +335,8 @@ def test_trace_totals():
     pool.begin_slot(1)
     pool.settle(Transaction(1, 6), 1)
     pool.flush(Fraction(5, 2), 1)
-    pool_clone = pool.clone()
     pool.flush(Fraction(7, 2), 1)
     assert (pool.settled, pool.flushes) == (6, 2)
-    assert (pool_clone.settled, pool_clone.flushes, pool_clone.trace.events) == (6, 1, [])
 
 
 def test_run_result_charging_modes():
@@ -350,13 +348,12 @@ def test_run_result_charging_modes():
     bank.settle(2, seq.txs[1], 2)
     bank.flush(1, 2)
     bank.flush(2, 2)
-    per_wallet = RunResult.from_machine(bank, seq, flush_actions=1)
+    # two wallets flushed in one slot pay the fee twice
+    per_wallet = RunResult.from_machine(bank, seq)
     assert per_wallet.settled_value == 20
     assert per_wallet.flush_count == 2
     assert (per_wallet.n_tx, per_wallet.offered_value) == (2, 20)
     assert per_wallet.utility == Fraction(1, 2) * 20 - 2 * 2
-    per_action = RunResult.from_machine(bank, seq, flush_actions=1, charge="per-action")
-    assert per_action.utility == Fraction(1, 2) * 20 - 2 * 1
 
 
 def test_window_bound_validator():
