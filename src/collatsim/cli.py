@@ -9,10 +9,11 @@ a checked bound fails or a verification finds a counterexample.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
-import os
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 from .harness import (
@@ -32,14 +33,24 @@ from .policies import POLICY_KINDS
 from .workloads import InvalidSpec, WorkloadSpec
 
 
+# the flags a config file replaces, in the order a refusal lists them; they
+# have no argparse default, so a given one shows as not None
+RUN_FLAGS = (
+    "policy", "C", "T", "F", "k", "p_ppm", "tau", "eta_ppm",
+    "seed", "repetitions", "workload", "seq",
+)
+# the values a run without --config takes for the run flags not given
+RUN_DEFAULTS = {"k": 1, "p_ppm": PPM, "tau": 0, "seed": 0, "repetitions": 1}
+
+
 def _add_param_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--C", type=int)
-    sub.add_argument("--k", type=int, default=1)
+    sub.add_argument("--k", type=int)
     sub.add_argument("--T", type=int)
     sub.add_argument("--F", type=int)
-    sub.add_argument("--eta-ppm", type=int, default=None)
-    sub.add_argument("--p-ppm", type=int, default=PPM)
-    sub.add_argument("--tau", type=int, default=0)
+    sub.add_argument("--eta-ppm", type=int)
+    sub.add_argument("--p-ppm", type=int)
+    sub.add_argument("--tau", type=int)
 
 
 def _add_run_flags(sub: argparse.ArgumentParser) -> None:
@@ -48,8 +59,8 @@ def _add_run_flags(sub: argparse.ArgumentParser) -> None:
     _add_param_flags(sub)
     sub.add_argument("--workload", help="workload spec: JSON file or inline JSON")
     sub.add_argument("--seq", help="transaction sequence CSV (header slot,value)")
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--repetitions", type=int, default=1)
+    sub.add_argument("--seed", type=int)
+    sub.add_argument("--repetitions", type=int)
     sub.add_argument("--trace", help="write NDJSON event trace here")
     sub.add_argument("--csv", help="write results CSV here")
 
@@ -75,11 +86,21 @@ def _require_flags(flags: dict, context: str = "") -> None:
 
 
 def _config_from_args(args, oracle: str | None = None) -> ExperimentConfig:
+    """The run's config: the --config file, or the run flags.
+
+    With --config, any run flag given is refused; --trace, --csv and
+    --oracle still replace the file's outputs and oracle.
+    """
+    flags = {name: getattr(args, name) for name in RUN_FLAGS}
     if args.config:
+        given = [name for name, value in flags.items() if value is not None]
+        if given:
+            raise CollateralError(
+                "--config takes no run flags, got "
+                + ", ".join("--" + name.replace("_", "-") for name in given)
+            )
         config = ExperimentConfig.from_file(args.config)
         if oracle is not None:
-            from dataclasses import replace
-
             config = replace(config, oracle=oracle)
         if args.trace:
             config.trace_path = args.trace
@@ -89,19 +110,22 @@ def _config_from_args(args, oracle: str | None = None) -> ExperimentConfig:
     _require_flags(
         {"policy": args.policy, "C": args.C, "T": args.T, "F": args.F}, " without --config"
     )
+    for name, default in RUN_DEFAULTS.items():
+        if flags[name] is None:
+            flags[name] = default
     params = ModelParams(
-        C=args.C, T=args.T, F=args.F, k=args.k,
-        p_ppm=args.p_ppm, tau=args.tau, eta_ppm=args.eta_ppm,
+        C=args.C, T=args.T, F=args.F, k=flags["k"],
+        p_ppm=flags["p_ppm"], tau=flags["tau"], eta_ppm=args.eta_ppm,
     )
     workload = _workload_from_arg(args.workload) if args.workload else None
     return ExperimentConfig(
         params=params,
         policy=args.policy,
-        seed=args.seed,
+        seed=flags["seed"],
         workload=workload,
         seq_file=args.seq,
         oracle=oracle if oracle is not None else "brute-general",
-        repetitions=args.repetitions,
+        repetitions=flags["repetitions"],
         csv_path=args.csv,
         trace_path=args.trace,
     )
@@ -267,7 +291,9 @@ def cmd_formulas(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process; parse_args leaves it as it was."""
     parser = argparse.ArgumentParser(
         prog="collatsim",
         description="simulate and verify online collateral maintenance policies",
@@ -290,6 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     adv.add_argument("--epsilon", type=int, default=1)
     adv.add_argument("--rounds", type=int, default=5)
     _add_param_flags(adv)
+    adv.set_defaults(k=1, p_ppm=PPM, tau=0)
     adv.add_argument("--seed", type=int, default=0)
     adv.set_defaults(func=cmd_adversary)
 

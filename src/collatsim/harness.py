@@ -34,7 +34,6 @@ from typing import NamedTuple
 
 from . import formulas
 from .model import (
-    FLUSH,
     CollateralError,
     EventTrace,
     ModelParams,
@@ -566,7 +565,7 @@ def exhaustive_verify(
         # a clone's trace holds only the events of this step
         p2 = policy.clone()
         p2.step(nxt, None if sym is None else Transaction(nxt, sym))
-        amounts = [e.flush_amount for e in p2.machine.trace.events if e.kind == FLUSH]
+        amounts = p2.machine.trace.flush_amounts
         table.rows[sid][s] = edge = (
             table.intern(p2.state(nxt), (p2, nxt)),
             p2.machine.settled - policy.machine.settled,

@@ -19,10 +19,15 @@ Both machines are ledgers: they store their balances (a wallet's
 ``remaining``, the pool's ``free`` and ``committed``) and update them in
 place on each operation.  Their ``begin_slot(slot)`` is the only place
 collateral returns, all of it whose outage ended before ``slot``.
+
+Each machine logs its run to an ``EventTrace``, which writes every event
+as its NDJSON line when it is logged and keeps only the settles and flush
+amounts besides; ``Event`` is the parsed form of one line.
 """
 
 from __future__ import annotations
 
+import json
 import sys
 from bisect import insort
 from dataclasses import dataclass
@@ -260,7 +265,8 @@ ONLINE = "online"
 
 
 class Event(NamedTuple):
-    """One trace record; a field the event's kind does not use is None.
+    """One trace record, as ``EventTrace.events`` parses it from its line; a
+    field the event's kind does not use is None.
 
     The amounts ``flush_amount``, ``available`` and ``committed`` are ints,
     or Fractions where a pool tranche of eta*C is not integral.
@@ -292,12 +298,22 @@ class EventTrace:
     ``online`` with ``flush_amount`` (the returning tranche) and
     ``committed``.  The policies log ``arrive`` and ``discard`` with
     ``value``.
+
+    Each event is kept as its NDJSON line, formatted when it is logged.
+    Beside the lines the trace keeps the two records the program reads
+    back: ``settles``, each settle's ``(slot, value)``, and
+    ``flush_amounts``, each flush's amount, in log order.  ``events``
+    parses the lines back into ``Event`` tuples for readers of the log.
     """
 
-    __slots__ = ("events",)
+    __slots__ = ("lines", "settles", "flush_amounts")
 
-    def __init__(self, events=None):
-        self.events = list(events) if events else []
+    def __init__(self, events=()):
+        self.lines: list[str] = []
+        self.settles: list[tuple[int, int]] = []
+        self.flush_amounts: list[int | Fraction] = []
+        for event in events:
+            self.add(*event)
 
     def add(
         self,
@@ -309,12 +325,7 @@ class EventTrace:
         available: int | Fraction | None = None,
         committed: int | Fraction | None = None,
     ) -> None:
-        self.events.append(
-            Event(slot, kind, wallet, value, flush_amount, available, committed)
-        )
-
-    def to_ndjson(self) -> str:
-        """One compact JSON object per event and line, "" for no events.
+        """Log one event as its NDJSON line.
 
         Keys follow the field order: ``slot``, ``kind``, ``wallet``,
         ``value``, ``flushAmount``, ``available``, ``committed``; a field
@@ -322,21 +333,40 @@ class EventTrace:
         field, and the bytes equal the json module's encoding of the same
         object with separators ``(",", ":")``.
         """
-        lines = []
-        for slot, kind, wallet, value, flush_amount, available, committed in self.events:
-            line = f'{{"slot":{slot},"kind":"{kind}"'
-            if wallet is not None:
-                line += f',"wallet":{wallet}'
-            if value is not None:
-                line += f',"value":{value}'
-            if flush_amount is not None:
-                line += f',"flushAmount":{_amount(flush_amount)}'
-            if available is not None:
-                line += f',"available":{_amount(available)}'
-            if committed is not None:
-                line += f',"committed":{_amount(committed)}'
-            lines.append(line + "}\n")
-        return "".join(lines)
+        line = f'{{"slot":{slot},"kind":"{kind}"'
+        if wallet is not None:
+            line += f',"wallet":{wallet}'
+        if value is not None:
+            line += f',"value":{value}'
+        if flush_amount is not None:
+            line += f',"flushAmount":{_amount(flush_amount)}'
+        if available is not None:
+            line += f',"available":{_amount(available)}'
+        if committed is not None:
+            line += f',"committed":{_amount(committed)}'
+        self.lines.append(line + "}\n")
+        if kind == SETTLE:
+            self.settles.append((slot, value))
+        elif kind == FLUSH:
+            self.flush_amounts.append(flush_amount)
+
+    @property
+    def events(self) -> list[Event]:
+        """The logged events, parsed back from their lines."""
+        return [_parse_event(line) for line in self.lines]
+
+    def to_ndjson(self) -> str:
+        """One compact JSON object per event and line, "" for no events."""
+        return "".join(self.lines)
+
+
+def _parse_event(line: str) -> Event:
+    obj = json.loads(line)
+    amounts = (obj.get(key) for key in ("flushAmount", "available", "committed"))
+    return Event(
+        obj["slot"], obj["kind"], obj.get("wallet"), obj.get("value"),
+        *(Fraction(a) if isinstance(a, str) else a for a in amounts),
+    )
 
 
 class WalletBank:
@@ -388,24 +418,26 @@ class WalletBank:
 
     def settle(self, i: int, tx: Transaction, slot: int) -> None:
         self._check_index(i)
-        if not self.wallet_available(i, slot):
+        j = i - 1
+        if self.offline_until[j] >= slot:
             raise WalletOffline(f"wallet {i} offline at slot {slot}")
-        if tx.value > self.remaining[i - 1]:
-            raise InsufficientCollateral(
-                f"wallet {i} has {self.remaining[i - 1]}, needs {tx.value}"
-            )
-        self.remaining[i - 1] -= tx.value
+        left = self.remaining[j]
+        if tx.value > left:
+            raise InsufficientCollateral(f"wallet {i} has {left}, needs {tx.value}")
+        self.remaining[j] = left - tx.value
         self.settled += tx.value
         self.trace.add(slot, SETTLE, i, tx.value)
 
     def flush(self, i: int, slot: int) -> None:
         """Take wallet i offline; the whole wallet goes, committed or not."""
         self._check_index(i)
-        if not self.wallet_available(i, slot):
+        j = i - 1
+        if self.offline_until[j] >= slot:
             raise WalletOffline(f"wallet {i} already offline at slot {slot}")
-        self.trace.add(slot, FLUSH, i, None, self.committed(i))
-        self.offline_until[i - 1] = slot + self.params.F
-        insort(self.outages, (slot + self.params.F + 1, i - 1))
+        self.trace.add(slot, FLUSH, i, None, self.size - self.remaining[j])
+        until = slot + self.params.F
+        self.offline_until[j] = until
+        insort(self.outages, (until + 1, j))
         self.flushes += 1
 
     def clone(self) -> "WalletBank":
@@ -538,8 +570,7 @@ def validate_window_bound(trace: EventTrace, params: ModelParams) -> None:
     failing window in slot order, which is settle order in any trace
     the machines write.
     """
-    settles = sorted((e.slot, e.value) for e in trace.events if e.kind == SETTLE)
-    bad = first_overfull_window(settles, params.C, params.F)
+    bad = first_overfull_window(sorted(trace.settles), params.C, params.F)
     if bad is not None:
         s, total = bad
         raise CollateralError(

@@ -267,21 +267,34 @@ def opt_utility_upper_bound(opt_value: int, params: ModelParams) -> Fraction:
 
 
 def window_upper_bound(seq: TransactionSequence, C: int, F: int) -> int:
-    """Cheap upper bound on the general-model optimum value.
+    """Cheap upper bound on the general-model optimum value, in O(n log n).
 
     Partition the slots into disjoint F+1 windows; any feasible subset
     puts at most min(C, offered value) into each.  The minimum over the
-    F+1 partition offsets is taken.  The blocks change only where a
-    boundary moves onto an offer, so offset 0 and the offsets that start a
-    block at an offer suffice: at most n+1 of them, whatever F.
+    F+1 partition offsets is taken.  Raising the offset from 0 moves each
+    offer at slot s into the next block exactly once, at offset
+    w - (s-1) mod w with w = F+1 (never, when that is w), so the blocks
+    change only at those offsets.  One sweep over them in increasing order
+    keeps the running sum of min(C, load), updating the two blocks each
+    move touches, and takes the minimum once an offset's moves are in.
     """
     width = F + 1
-
-    def bound(offset: int) -> int:
-        blocks: dict[int, int] = {}
-        for t in seq:
-            block = (t.slot - 1 + offset) // width
-            blocks[block] = blocks.get(block, 0) + t.value
-        return sum(min(C, v) for v in blocks.values())
-
-    return min(map(bound, {0, *(-(t.slot - 1) % width for t in seq)}))
+    loads: dict[int, int] = {}
+    moves: dict[int, list[tuple[int, int]]] = {}  # offset -> (block, value)
+    for t in seq:
+        block, r = divmod(t.slot - 1, width)
+        loads[block] = loads.get(block, 0) + t.value
+        if r:
+            moves.setdefault(width - r, []).append((block, t.value))
+    best = total = sum(v if v < C else C for v in loads.values())
+    for offset in sorted(moves):
+        for block, value in moves[offset]:
+            a = loads[block]
+            b = loads.get(block + 1, 0)
+            loads[block] = a2 = a - value
+            loads[block + 1] = b2 = b + value
+            total += ((a2 if a2 < C else C) + (b2 if b2 < C else C)
+                      - (a if a < C else C) - (b if b < C else C))
+        if total < best:
+            best = total
+    return best

@@ -50,7 +50,8 @@ class PolicyDecision:
     """What a policy did in one slot.
 
     action is 'settle', 'discard', or None (no arrival); flushed lists
-    wallet indices flushed this slot.
+    wallet indices flushed this slot.  Instances are shared: the policies
+    return the module constants below or tuples built once per policy.
     """
 
     action: str | None
@@ -59,6 +60,8 @@ class PolicyDecision:
 
 
 NO_ARRIVAL = PolicyDecision(None)
+DISCARDED = PolicyDecision("discard")
+SETTLED = PolicyDecision("settle")
 
 
 class GroupFlushPolicy:
@@ -85,6 +88,14 @@ class GroupFlushPolicy:
         self.g = g
         self.machine = WalletBank(params)
         self.active = 1
+        # the decisions a step returns: settled in wallet i, group j flushed
+        self.settled_in = tuple(
+            PolicyDecision("settle", wallet=i) for i in range(1, params.k + 1)
+        )
+        self.flushed_group = tuple(
+            PolicyDecision("discard", flushed=tuple(range(lo + 1, lo + g + 1)))
+            for lo in range(0, params.k, g)
+        )
 
     def step(self, slot: int, tx: Transaction | None) -> PolicyDecision:
         bank = self.machine
@@ -96,18 +107,18 @@ class GroupFlushPolicy:
         lo = hi - self.g
         if max(bank.offline_until[lo:hi]) >= slot:
             bank.trace.add(slot, DISCARD, None, tx.value)
-            return PolicyDecision("discard")
+            return DISCARDED
         remaining = bank.remaining
         for i in range(lo, hi):
             if tx.value <= remaining[i]:
                 bank.settle(i + 1, tx, slot)
-                return PolicyDecision("settle", wallet=i + 1)
+                return self.settled_in[i]
         bank.trace.add(slot, DISCARD, None, tx.value)
-        group = tuple(range(lo + 1, hi + 1))
-        for i in group:
+        decision = self.flushed_group[self.active - 1]
+        for i in decision.flushed:
             bank.flush(i, slot)
-        self.active = self.active % (self.params.k // self.g) + 1
-        return PolicyDecision("discard", flushed=group)
+        self.active = self.active % len(self.flushed_group) + 1
+        return decision
 
     def finish(self, slot: int, terminal_flushes: bool = False) -> None:
         if terminal_flushes:
@@ -137,6 +148,8 @@ class GroupFlushPolicy:
         other.g = self.g
         other.machine = self.machine.clone()
         other.active = self.active
+        other.settled_in = self.settled_in
+        other.flushed_group = self.flushed_group
         return other
 
 
@@ -165,6 +178,11 @@ class FlushTwoWhenFullPolicy(GroupFlushPolicy):
 
     def __init__(self, params: ModelParams):
         super().__init__(params, 2)
+
+
+# rand2's real bank is one wallet
+SETTLED_IN_1 = PolicyDecision("settle", wallet=1)
+FLUSHED_1 = PolicyDecision("discard", flushed=(1,))
 
 
 class RandTwoPolicy:
@@ -211,13 +229,13 @@ class RandTwoPolicy:
         bank.trace.add(slot, ARRIVE, None, tx.value)
         if shadow_decision.action == "settle" and shadow_decision.wallet == self.chosen:
             bank.settle(1, tx, slot)
-            return PolicyDecision("settle", wallet=1)
+            return SETTLED_IN_1
         bank.trace.add(slot, DISCARD, None, tx.value)
         if shadow_decision.flushed:
             bank.flush(1, slot)
             self.chosen = None
-            return PolicyDecision("discard", flushed=(1,))
-        return PolicyDecision("discard")
+            return FLUSHED_1
+        return DISCARDED
 
     def finish(self, slot: int, terminal_flushes: bool = False) -> None:
         if terminal_flushes:
@@ -251,12 +269,12 @@ class ThresholdPolicy:
         pool.trace.add(slot, ARRIVE, None, tx.value)
         if pool.free < tx.value:
             pool.trace.add(slot, DISCARD, None, tx.value)
-            return PolicyDecision("discard")
+            return DISCARDED
         pool.settle(tx, slot)
         # one tranche at most: the reserve was below eta*C, and ModelParams has T <= eta*C
         if pool.committed >= self.eta_c:
             pool.flush(self.eta_c, slot)
-        return PolicyDecision("settle")
+        return SETTLED
 
     def finish(self, slot: int, terminal_flushes: bool = True) -> None:
         # the final partial tranche is part of the policy, not optional

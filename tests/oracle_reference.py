@@ -7,7 +7,9 @@ Two slow routes that share no code with ``collatsim.oracles``:
 settle/discard choice.  Both are exponential in the number of transactions
 and meant for n <= 12.  ``greedy_feasible_value`` is a feasible lower bound
 at any size.  ``window_upper_bound_all_offsets`` tries every partition
-offset that ``window_upper_bound`` prunes.  ``reference_ndjson`` writes a
+offset, and ``window_upper_bound_offer_offsets`` only offset 0 and those
+that start a block at an offer, one O(n) pass each; ``window_upper_bound``
+sweeps the same offsets.  ``reference_ndjson`` writes a
 trace through the json module, as the reference for
 ``EventTrace.to_ndjson``.  ``run_every_slot`` is the per-slot driver that
 ``run_sequence`` is checked against.  ``exhaustive_verify_reference``
@@ -102,6 +104,21 @@ def window_upper_bound_all_offsets(seq, C, F):
         bound = sum(min(C, v) for v in blocks.values())
         best = bound if best is None else min(best, bound)
     return best
+
+
+def window_upper_bound_offer_offsets(seq, C, F):
+    """``window_upper_bound`` over offset 0 and the offsets that start a
+    block at an offer, each summed afresh: at most n+1 passes of O(n)."""
+    width = F + 1
+
+    def bound(offset):
+        blocks = {}
+        for t in seq:
+            block = (t.slot - 1 + offset) // width
+            blocks[block] = blocks.get(block, 0) + t.value
+        return sum(min(C, v) for v in blocks.values())
+
+    return min(map(bound, {0, *(-(t.slot - 1) % width for t in seq)}))
 
 
 def subset_optima(pairs, C, F):

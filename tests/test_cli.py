@@ -11,7 +11,7 @@ import pytest
 
 import collatsim
 from collatsim import oracles
-from collatsim.cli import main
+from collatsim.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -415,6 +415,55 @@ def test_sweep_golden(capsys, tmp_path, case):
     assert digest.hexdigest() == SWEEP_GOLDEN[case]
 
 
+# the benchmark's five long-run configurations (policy, params, stream), at
+# horizon 600: the sha256 of stdout, stderr, exit code, NDJSON trace and
+# results CSV of `ratio --oracle window-bound --trace --csv`, recorded before
+# the trace was formatted at log time
+LONGRUN_STREAMS = {
+    "uniform": {"kind": "poisson-uniform", "arrivalRatePerMille": 600, "maxValue": 3,
+                "valueParams": {"min": 1, "max": 3}},
+    "bursty": {"kind": "bursty", "arrivalRatePerMille": 600, "maxValue": 60,
+               "valueParams": {"min": 10, "max": 60, "burstLen": 20, "gapLen": 10}},
+}
+LONGRUN_ITEMS = {
+    "fa": ("uniform", "--C 12 --k 4 --T 3 --F 2"),
+    "ftwf": ("uniform", "--C 12 --k 4 --T 3 --F 2"),
+    "fwf": ("uniform", "--C 12 --k 2 --T 3 --F 2"),
+    "rand2": ("uniform", "--C 12 --k 1 --T 3 --F 2"),
+    "eta": ("bursty", "--C 200 --k 1 --T 60 --F 2 --p-ppm 100000 --tau 5 --eta-ppm 418000"),
+}
+RATIO_GOLDEN = {
+    "fa 1": "78cd64517501846056dda05cf6b151fbbad43cbb33b7fe5b1f389f64a0d5cf04",
+    "fa 97": "9567c259d7be1fd106d5baeb8ee11e8a8aae1898417d48a6f18bfcaa32c0369a",
+    "ftwf 1": "222b927d368080a359f033e7f5b37d635f873f799ea6603317a2160058ff7f7f",
+    "ftwf 97": "7af588ac3f0cbc7efc0771f4132440bcc8efb547780639ca11e86128a31736ee",
+    "fwf 1": "19d6d3e140d00a212e0531ecb8b87d2d915b723485a9424eeecffe5c94027867",
+    "fwf 97": "e8d14e5cce7bc15948236f122d0ef068c20d80070455aae7b34ed43bd5be97c1",
+    "rand2 1": "b2837968fb59010215cc8f7e9e2741089b84a2f83da9d1dc9c04d799f0830171",
+    "rand2 97": "c28800e9f52799172121db0a97d9eb9cb2dd188c6f321938327c6c3f094933c4",
+    "eta 1": "3a6645d37bccf69a8a6dfabb56d465a9ab84932bf57c9a41791b705412b46fab",
+    "eta 97": "c2caa713003ac2b760915f962973a7d65141a7a41bad3d6c7466e6f98773403e",
+}
+
+
+@pytest.mark.parametrize("case", RATIO_GOLDEN)
+def test_ratio_cli_golden(capsys, tmp_path, case):
+    policy, seed = case.split()
+    stream, params = LONGRUN_ITEMS[policy]
+    workload = dict(LONGRUN_STREAMS[stream], horizon=600, seed=int(seed))
+    trace, results = tmp_path / "run.ndjson", tmp_path / "run.csv"
+    code = main([
+        "ratio", "--policy", policy, "--oracle", "window-bound", *params.split(),
+        "--workload", json.dumps(workload), "--seed", seed,
+        "--trace", str(trace), "--csv", str(results),
+    ])
+    captured = capsys.readouterr()
+    digest = hashlib.sha256(f"{captured.out}\0{captured.err}\0{code}\0".encode())
+    digest.update(trace.read_bytes())
+    digest.update(b"\0" + results.read_bytes())
+    assert digest.hexdigest() == RATIO_GOLDEN[case]
+
+
 def run_cli_error(capsys, *argv):
     code = main(list(argv))
     err = capsys.readouterr().err
@@ -799,6 +848,62 @@ def test_ratio_config_oracle(capsys, tmp_path, seq_csv):
     assert (code, out["oracle"], out["rows"][0]["optIsUpperBound"]) == (
         0, "brute-general", False
     )
+
+
+# each run flag, its value, and the subcommand that is refused it; every
+# subcommand that reads a config meets some of them
+RUN_FLAG_CASES = [
+    ("--policy", "fwf", "ratio"),
+    ("--C", "40", "simulate"),
+    ("--T", "3", "sweep"),
+    ("--F", "2", "ratio"),
+    ("--k", "4", "simulate"),
+    ("--p-ppm", "500000", "sweep"),
+    ("--tau", "1", "ratio"),
+    ("--eta-ppm", "500000", "simulate"),
+    ("--seed", "9", "sweep"),
+    ("--repetitions", "3", "ratio"),
+    ("--workload", json.dumps(WORKLOAD_6), "simulate"),
+    ("--seq", "other.csv", "sweep"),
+]
+
+
+@pytest.mark.parametrize("flag, value, command", RUN_FLAG_CASES)
+def test_config_refuses_run_flags(capsys, tmp_path, seq_csv, flag, value, command):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"params": {"C": 20, "k": 2, "T": 6, "F": 1},
+                                "policy": "fa", "seqFile": seq_csv,
+                                "outputs": {"csv": str(tmp_path / "out.csv")}}))
+    sweep = ["--param", "k", "--from", "1", "--to", "2", "--step", "1"]
+    argv = [command, *(sweep if command == "sweep" else []), "--config", str(path)]
+    err = run_cli_error(capsys, *argv, flag, value)
+    assert err == f"error: --config takes no run flags, got {flag}\n"
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_config_refusal_lists_every_run_flag_given(capsys, tmp_path, seq_csv):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"params": {"C": 20, "k": 2, "T": 6, "F": 1},
+                                "policy": "fa", "seqFile": seq_csv}))
+    err = run_cli_error(
+        capsys, "ratio", "--config", str(path), "--C", "40", "--seed", "0",
+        "--policy", "fwf", "--oracle", "window-bound", "--csv", str(tmp_path / "r.csv"),
+    )
+    assert err == "error: --config takes no run flags, got --policy, --C, --seed\n"
+
+
+def test_main_reuses_its_parser(capsys, seq_csv):
+    argv = ["simulate", "--policy", "fa", "--C", "20", "--k", "2", "--T", "6",
+            "--F", "1", "--seq", seq_csv]
+    assert main(argv) == 0
+    first = capsys.readouterr()
+    with pytest.raises(SystemExit) as refused:
+        main(["simulate", "--policy", "nope"])
+    assert refused.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+    assert main(argv) == 0
+    assert capsys.readouterr() == first
+    assert build_parser() is build_parser()
 
 
 @pytest.mark.parametrize(

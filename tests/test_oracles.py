@@ -25,6 +25,7 @@ from oracle_reference import (
     subset_optima,
     window_law_holds,
     window_upper_bound_all_offsets,
+    window_upper_bound_offer_offsets,
 )
 
 
@@ -334,7 +335,15 @@ def test_window_bound_tries_only_the_offsets_that_matter(steps, C, F):
         slot += gap
         pairs.append((slot, value))
     seq = seq_of(pairs) if pairs else TransactionSequence([], horizon=1)
-    assert window_upper_bound(seq, C, F) == window_upper_bound_all_offsets(seq, C, F)
+    bound = window_upper_bound(seq, C, F)
+    assert bound == window_upper_bound_all_offsets(seq, C, F)
+    assert bound == window_upper_bound_offer_offsets(seq, C, F)
+
+
+def test_window_bound_sweeps_many_offers_at_large_F():
+    # 10^5 candidate offsets: one O(n) pass per offset, ~10^10 steps, hangs
+    seq = TransactionSequence.from_pairs((s, 1) for s in range(1, 10**5 + 1))
+    assert window_upper_bound(seq, 50, 10**5) == 50
 
 
 @given(

@@ -366,6 +366,28 @@ def test_counters_match_trace(symbols, kind, terminal_flushes, seed):
     assert fork.machine.trace.events == [e for e in res.trace.events if e.slot > cut]
 
 
+@given(
+    st.lists(st.one_of(st.none(), st.integers(min_value=1, max_value=3)), max_size=30),
+    st.sampled_from(sorted(COUNTER_PARAMS)),
+    st.booleans(),
+    st.integers(min_value=0, max_value=2**16),
+)
+@settings(max_examples=150, deadline=None)
+def test_trace_records_match_its_lines(symbols, kind, terminal_flushes, seed):
+    # lines, settles and flush amounts are all kept at log time; each must
+    # agree with the events parsed back from the lines
+    pairs = [(i + 1, v) for i, v in enumerate(symbols) if v is not None]
+    seq = TransactionSequence.from_pairs(pairs, horizon=len(symbols))
+    trace = run_sequence(
+        make_policy(kind, COUNTER_PARAMS[kind], seed=seed), seq,
+        terminal_flushes=terminal_flushes,
+    ).trace
+    events = trace.events
+    assert reference_ndjson(events) == trace.to_ndjson()
+    assert trace.settles == [(e.slot, e.value) for e in events if e.kind == SETTLE]
+    assert trace.flush_amounts == [e.flush_amount for e in events if e.kind == FLUSH]
+
+
 # fwf at k = 4 returns its wallets in rotation order, so a gap holding
 # several returns restores them out of index order
 OFFER_STEPPING_PARAMS = {
