@@ -4,6 +4,10 @@ Subcommands: simulate, ratio, adversary, exhaust, sweep, formulas.
 Each prints a JSON summary to stdout; simulate and ratio can also write
 the results CSV and an NDJSON event trace.  Exit status is nonzero when
 a checked bound fails or a verification finds a counterexample.
+
+simulate, ratio and sweep read their settings as one JSON config object:
+each run flag given sets its field of the --config file's object, or of
+{} without one, and ExperimentConfig.from_json_obj reads the result.
 """
 
 from __future__ import annotations
@@ -13,12 +17,13 @@ import functools
 import json
 import math
 import sys
-from dataclasses import replace
 from fractions import Fraction
 
 from .harness import (
     ADVERSARY_KINDS,
     ORACLE_KINDS,
+    PARAMS_FIELDS,
+    ConfigError,
     ExhaustSpace,
     ExperimentConfig,
     exhaustive_verify,
@@ -28,19 +33,17 @@ from .harness import (
     sweep,
 )
 from .formulas import formulas_report
-from .model import PPM, CollateralError, ModelParams
+from .model import PPM, CollateralError, ModelParams, load_json, typed_field
 from .policies import POLICY_KINDS
-from .workloads import InvalidSpec, WorkloadSpec
+from .workloads import InvalidSpec
 
 
-# the flags a config file replaces, in the order a refusal lists them; they
-# have no argparse default, so a given one shows as not None
-RUN_FLAGS = (
-    "policy", "C", "T", "F", "k", "p_ppm", "tau", "eta_ppm",
-    "seed", "repetitions", "workload", "seq",
-)
-# the values a run without --config takes for the run flags not given
-RUN_DEFAULTS = {"k": 1, "p_ppm": PPM, "tau": 0, "seed": 0, "repetitions": 1}
+# each run flag and the config field it sets, "field" or "section.field"
+FLAG_FIELDS = {
+    **{name: f"params.{name}" for name in PARAMS_FIELDS},
+    "policy": "policy", "seed": "seed", "repetitions": "repetitions", "oracle": "oracle",
+    "csv": "outputs.csv", "trace": "outputs.trace", "seq": "seqFile", "workload": "workload",
+}
 
 
 def _add_param_flags(sub: argparse.ArgumentParser) -> None:
@@ -65,18 +68,6 @@ def _add_run_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--csv", help="write results CSV here")
 
 
-def _workload_from_arg(arg: str) -> WorkloadSpec:
-    text = arg
-    if not arg.lstrip().startswith("{"):
-        with open(arg) as fh:
-            text = fh.read()
-    try:
-        obj = json.loads(text)
-    except ValueError as err:  # bad syntax, or an int past the digit limit
-        raise InvalidSpec(f"workload is not valid JSON: {err}") from None
-    return WorkloadSpec.from_json_obj(obj)
-
-
 def _require_flags(flags: dict, context: str = "") -> None:
     missing = [name for name, v in flags.items() if v is None]
     if missing:
@@ -85,50 +76,34 @@ def _require_flags(flags: dict, context: str = "") -> None:
         )
 
 
-def _config_from_args(args, oracle: str | None = None) -> ExperimentConfig:
-    """The run's config: the --config file, or the run flags.
+def _config_from_args(args) -> ExperimentConfig:
+    """The run's config: the run flags laid over the --config file's object, or over {}.
 
-    With --config, any run flag given is refused; --trace, --csv and
-    --oracle still replace the file's outputs and oracle.
+    Each flag given sets its field, and --seq or --workload first removes
+    the file's source; ExperimentConfig.from_json_obj then reads the result.
     """
-    flags = {name: getattr(args, name) for name in RUN_FLAGS}
     if args.config:
-        given = [name for name, value in flags.items() if value is not None]
-        if given:
-            raise CollateralError(
-                "--config takes no run flags, got "
-                + ", ".join("--" + name.replace("_", "-") for name in given)
-            )
-        config = ExperimentConfig.from_file(args.config)
-        if oracle is not None:
-            config = replace(config, oracle=oracle)
-        if args.trace:
-            config.trace_path = args.trace
-        if args.csv:
-            config.csv_path = args.csv
-        return config
-    _require_flags(
-        {"policy": args.policy, "C": args.C, "T": args.T, "F": args.F}, " without --config"
-    )
-    for name, default in RUN_DEFAULTS.items():
-        if flags[name] is None:
-            flags[name] = default
-    params = ModelParams(
-        C=args.C, T=args.T, F=args.F, k=flags["k"],
-        p_ppm=flags["p_ppm"], tau=flags["tau"], eta_ppm=args.eta_ppm,
-    )
-    workload = _workload_from_arg(args.workload) if args.workload else None
-    return ExperimentConfig(
-        params=params,
-        policy=args.policy,
-        seed=flags["seed"],
-        workload=workload,
-        seq_file=args.seq,
-        oracle=oracle if oracle is not None else "brute-general",
-        repetitions=flags["repetitions"],
-        csv_path=args.csv,
-        trace_path=args.trace,
-    )
+        obj = load_json(args.config, ConfigError, "config")
+    else:
+        _require_flags(
+            {"policy": args.policy, "C": args.C, "T": args.T, "F": args.F}, " without --config"
+        )
+        obj = {}
+    typed_field(ConfigError, "config", obj, "an object")
+    given = {
+        field: value for name, field in FLAG_FIELDS.items()
+        if (value := getattr(args, name, None)) is not None
+    }
+    if "seqFile" in given or "workload" in given:
+        obj.pop("seqFile", None)
+        obj.pop("workload", None)
+    for field, value in given.items():
+        if field == "workload":  # inline JSON, or the file it names
+            value = load_json(value, InvalidSpec, "workload", value.lstrip().startswith("{"))
+        section, _, key = field.rpartition(".")
+        target = obj.setdefault(section, {}) if section else obj
+        typed_field(ConfigError, section or "config", target, "an object")[key] = value
+    return ExperimentConfig.from_json_obj(obj)
 
 
 def _emit(obj: dict) -> None:
@@ -165,7 +140,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_ratio(args) -> int:
-    config = _config_from_args(args, oracle=args.oracle)
+    config = _config_from_args(args)
     report = measure_ratio(config)
     rows = []
     for r in report.rows:
@@ -188,10 +163,8 @@ def cmd_ratio(args) -> int:
 
 def cmd_adversary(args) -> int:
     _require_flags({"C": args.C, "F": args.F})
-    params = ModelParams(
-        C=args.C, T=args.T if args.T is not None else args.C, F=args.F,
-        k=args.k, p_ppm=args.p_ppm, tau=args.tau, eta_ppm=args.eta_ppm,
-    )
+    given = {name: v for name in PARAMS_FIELDS if (v := getattr(args, name)) is not None}
+    params = ModelParams(**{"T": args.C, **given})  # T defaults to C
     row = run_adversary_demo(
         args.type, args.target, params, args.epsilon, args.rounds, seed=args.seed
     )
@@ -306,7 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     rat = subs.add_parser("ratio", help="run and compare against an oracle")
     _add_run_flags(rat)
-    # no default: with --config the flag replaces the file's oracle only when given
     rat.add_argument("--oracle", choices=ORACLE_KINDS)
     rat.set_defaults(func=cmd_ratio)
 
@@ -316,7 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
     adv.add_argument("--epsilon", type=int, default=1)
     adv.add_argument("--rounds", type=int, default=5)
     _add_param_flags(adv)
-    adv.set_defaults(k=1, p_ppm=PPM, tau=0)
     adv.add_argument("--seed", type=int, default=0)
     adv.set_defaults(func=cmd_adversary)
 

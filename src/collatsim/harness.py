@@ -15,7 +15,9 @@ target like any other ratio run.
 
 Every run charges the flush fee tau once per wallet flushed (or pool
 tranche), and flushes leftover committed value at the end exactly when
-tau > 0.  A JSON config refuses any field its reader does not read.
+tau > 0.  ``ExperimentConfig.from_json_obj`` reads every run's settings,
+from a config file or the CLI's flags: a field left out takes the
+dataclass default, and a field it does not read is refused.
 Ratio and sweep results serialize to fixed-column CSVs through one
 writer; traces to newline-delimited JSON.  Identical config and seed
 reproduce byte-identical outputs.
@@ -24,7 +26,6 @@ reproduce byte-identical outputs.
 from __future__ import annotations
 
 import csv
-import json
 import math
 import sys
 from dataclasses import dataclass, replace
@@ -41,6 +42,7 @@ from .model import (
     Transaction,
     TransactionSequence,
     known_fields,
+    load_json,
     typed_field,
     validate_window_bound,
 )
@@ -193,32 +195,32 @@ class ExperimentConfig:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "ExperimentConfig":
-        """The config a JSON object describes; any field it does not read is refused."""
+        """The config a JSON object describes; the one reader of run settings.
+
+        Only ``params.C``, ``T``, ``F`` and ``policy`` are required: a field
+        left out takes the dataclass default, and one not read is refused.
+        """
         known = partial(known_fields, ConfigError)
+        check = partial(typed_field, ConfigError)
+
+        def given(*fields):
+            return {key: check(key, obj[key], kind) for key, kind in fields if key in obj}
+
         try:
-            known("config", obj, CONFIG_FIELDS)
-            pp = known("params", obj["params"], PARAMS_FIELDS)
-            params = ModelParams(
-                C=pp["C"],
-                T=pp["T"],
-                F=pp["F"],
-                k=pp.get("k", 1),
-                p_ppm=pp.get("p_ppm", 10**6),
-                tau=pp.get("tau", 0),
-                eta_ppm=pp.get("eta_ppm"),
-            )
+            known("config", check("config", obj, "an object"), CONFIG_FIELDS)
+            pp = known("params", check("params", obj["params"], "an object"), PARAMS_FIELDS)
+            # indexing names a missing C, T or F; ModelParams defaults the rest
+            params = ModelParams(**dict(pp, C=pp["C"], T=pp["T"], F=pp["F"]))
             workload = obj.get("workload")
-            check = partial(typed_field, ConfigError)
             outputs = check("outputs", obj.get("outputs", {}), "an object")
             known("outputs", outputs, ("csv", "trace"))
             return cls(
                 params=params,
                 policy=check("policy", obj["policy"], "a string"),
-                seed=check("seed", obj.get("seed", 0), "an integer"),
-                workload=WorkloadSpec.from_json_obj(workload) if workload else None,
+                **given(("seed", "an integer")),
+                workload=None if workload is None else WorkloadSpec.from_json_obj(workload),
                 seq_file=check("seqFile", obj.get("seqFile"), "a string", True),
-                oracle=check("oracle", obj.get("oracle", "brute-general"), "a string"),
-                repetitions=check("repetitions", obj.get("repetitions", 1), "an integer"),
+                **given(("oracle", "a string"), ("repetitions", "an integer")),
                 csv_path=check("outputs.csv", outputs.get("csv"), "a string", True),
                 trace_path=check("outputs.trace", outputs.get("trace"), "a string", True),
             )
@@ -231,14 +233,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path: str) -> "ExperimentConfig":
-        # read before parsing: a UnicodeDecodeError is a ValueError as well
-        with open(path) as fh:
-            text = fh.read()
-        try:
-            obj = json.loads(text)
-        except ValueError as err:  # bad syntax, or an int past the digit limit
-            raise ConfigError(f"config is not valid JSON: {err}") from None
-        return cls.from_json_obj(obj)
+        return cls.from_json_obj(load_json(path, ConfigError, "config"))
 
     def sequence_for(self, rep: int) -> TransactionSequence:
         if self.sequence is not None:

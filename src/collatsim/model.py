@@ -103,6 +103,18 @@ def known_fields(error: type, where: str, obj, names: tuple[str, ...]):
     return obj
 
 
+def load_json(source: str, error: type, what: str, inline: bool = False):
+    """The JSON value in the file ``source``, or in ``source`` itself if ``inline``."""
+    text = source
+    if not inline:  # read before parsing: a UnicodeDecodeError is a ValueError as well
+        with open(source) as fh:
+            text = fh.read()
+    try:
+        return json.loads(text)
+    except ValueError as err:  # bad syntax, or an int past the digit limit
+        raise error(f"{what} is not valid JSON: {err}") from None
+
+
 @dataclass(frozen=True)
 class Transaction:
     """A payment request: one per slot at most, value in [1, T]."""

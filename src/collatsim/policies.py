@@ -30,6 +30,7 @@ from .model import (
     ARRIVE,
     DISCARD,
     CollateralPool,
+    EventTrace,
     InvalidParams,
     ModelParams,
     Transaction,
@@ -185,6 +186,15 @@ SETTLED_IN_1 = PolicyDecision("settle", wallet=1)
 FLUSHED_1 = PolicyDecision("discard", flushed=(1,))
 
 
+class _NoTrace(EventTrace):
+    """A trace that logs nothing, for rand2's shadow run, which no one reads."""
+
+    __slots__ = ()
+
+    def add(self, *event) -> None:
+        pass
+
+
 class RandTwoPolicy:
     """Single real wallet of size C driven by a simulated two-wallet run.
 
@@ -210,6 +220,7 @@ class RandTwoPolicy:
         self.shadow = FlushAllPolicy(
             ModelParams(C=2 * params.C, T=params.T, F=params.F, k=2)
         )
+        self.shadow.machine.trace = _NoTrace()
         if coins is None:
             rng = random.Random(seed)
             coins = lambda: rng.getrandbits(1)

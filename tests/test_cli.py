@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import collatsim
-from collatsim import oracles
+from collatsim import harness, oracles
 from collatsim.cli import build_parser, main
 
 
@@ -850,8 +850,94 @@ def test_ratio_config_oracle(capsys, tmp_path, seq_csv):
     )
 
 
-# each run flag, its value, and the subcommand that is refused it; every
-# subcommand that reads a config meets some of them
+# each run flag and the config field it sets, "field" or "params.field"
+FLAG_FIELD = {
+    "--policy": "policy", "--seed": "seed", "--repetitions": "repetitions",
+    "--oracle": "oracle", "--workload": "workload", "--seq": "seqFile",
+    **{"--" + name.replace("_", "-"): "params." + name
+       for name in ("C", "T", "F", "k", "p_ppm", "tau", "eta_ppm")},
+}
+
+
+def flags_for(config):
+    """The run flags that set each field of ``config`` that has one."""
+    argv = []
+    for flag, field in FLAG_FIELD.items():
+        section, _, key = field.rpartition(".")
+        fields = config.get(section, {}) if section else config
+        if key in fields:
+            value = fields[key]
+            argv += [flag, value if isinstance(value, str) else json.dumps(value)]
+    return argv
+
+
+def with_field(config, flag, value):
+    """A copy of ``config`` with the field ``flag`` sets set to ``value``."""
+    config = json.loads(json.dumps(config))
+    if flag in ("--seq", "--workload"):  # a source flag replaces the file's source
+        config.pop("seqFile", None)
+        config.pop("workload", None)
+    if flag not in ("--policy", "--oracle", "--seq"):
+        value = json.loads(value)
+    section, _, key = FLAG_FIELD[flag].rpartition(".")
+    (config[section] if section else config)[key] = value
+    return config
+
+
+# per policy, the model params of the flags-vs-config grid; the fields left
+# out take their defaults, and eta's row sets every param
+EQUAL_GRID_PARAMS = {
+    "fa": {"C": 12, "k": 2, "T": 3, "F": 2},
+    "fwf": {"C": 12, "k": 3, "T": 3, "F": 1},
+    "ftwf": {"C": 12, "k": 2, "T": 3, "F": 2, "tau": 1},
+    "rand2": {"C": 6, "T": 3, "F": 2},
+    "eta": {"C": 12, "k": 1, "T": 3, "F": 2, "p_ppm": 500000, "tau": 1,
+            "eta_ppm": 500000},
+}
+EQUAL_GRID_WORKLOAD = {"kind": "poisson-uniform", "arrivalRatePerMille": 700,
+                       "horizon": 14, "seed": 4, "maxValue": 3,
+                       "valueParams": {"min": 1, "max": 3}}
+
+
+@pytest.mark.parametrize("source", ["seq", "workload"])
+@pytest.mark.parametrize("policy", EQUAL_GRID_PARAMS)
+def test_flags_equal_config(capsys, tmp_path, policy, source):
+    seq = tmp_path / "seq.csv"
+    seq.write_text("slot,value\n1,3\n2,2\n3,3\n5,1\n6,3\n8,2\n9,3\n12,3\n")
+    given = {"params": EQUAL_GRID_PARAMS[policy], "policy": policy}
+    if source == "seq":
+        given["seqFile"] = str(seq)
+    else:
+        given.update(workload=EQUAL_GRID_WORKLOAD, seed=5)
+    commands = [("simulate", None), *(("ratio", oracle) for oracle in harness.ORACLE_KINDS)]
+    for command, oracle in commands:
+        for repetitions in (None, 2):
+            config = dict(given, oracle=oracle, repetitions=repetitions)
+            config = {name: v for name, v in config.items() if v is not None}
+            runs = []
+            for side in ("flags", "config"):
+                out = tmp_path / side
+                out.mkdir(exist_ok=True)
+                outputs = {"csv": str(out / "run.csv"), "trace": str(out / "run.ndjson")}
+                if side == "flags":
+                    argv = [command, *flags_for(config),
+                            "--csv", outputs["csv"], "--trace", outputs["trace"]]
+                else:
+                    path = out / "cfg.json"
+                    path.write_text(json.dumps(dict(config, outputs=outputs)))
+                    argv = [command, "--config", str(path)]
+                code = main(argv)
+                captured = capsys.readouterr()
+                run = [code, captured.out, captured.err]
+                for written in map(Path, outputs.values()):
+                    run.append(written.read_bytes() if written.exists() else None)
+                    written.unlink(missing_ok=True)
+                runs.append(run)
+            assert runs[0] == runs[1], (command, oracle, repetitions)
+
+
+# each run flag, its value, and the subcommand it is given to next to
+# --config; every subcommand that reads a config meets some of them
 RUN_FLAG_CASES = [
     ("--policy", "fwf", "ratio"),
     ("--C", "40", "simulate"),
@@ -868,28 +954,88 @@ RUN_FLAG_CASES = [
 ]
 
 
-@pytest.mark.parametrize("flag, value, command", RUN_FLAG_CASES)
-def test_config_refuses_run_flags(capsys, tmp_path, seq_csv, flag, value, command):
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"params": {"C": 20, "k": 2, "T": 6, "F": 1},
-                                "policy": "fa", "seqFile": seq_csv,
-                                "outputs": {"csv": str(tmp_path / "out.csv")}}))
+def run_config(capsys, tmp_path, command, config, *flags):
+    """Code, stdout, stderr and results CSV of ``command --config`` on ``config``."""
+    path, out_csv = tmp_path / "cfg.json", tmp_path / "out.csv"
+    path.write_text(json.dumps(dict(config, outputs={"csv": str(out_csv)})))
     sweep = ["--param", "k", "--from", "1", "--to", "2", "--step", "1"]
-    argv = [command, *(sweep if command == "sweep" else []), "--config", str(path)]
-    err = run_cli_error(capsys, *argv, flag, value)
-    assert err == f"error: --config takes no run flags, got {flag}\n"
-    assert not (tmp_path / "out.csv").exists()
+    code = main([command, *(sweep if command == "sweep" else []), "--config", str(path), *flags])
+    captured = capsys.readouterr()
+    written = out_csv.read_bytes() if out_csv.exists() else None
+    out_csv.unlink(missing_ok=True)
+    return code, captured.out, captured.err, written
 
 
-def test_config_refusal_lists_every_run_flag_given(capsys, tmp_path, seq_csv):
+@pytest.mark.parametrize("flag, value, command", RUN_FLAG_CASES)
+def test_run_flag_overrides_config(capsys, tmp_path, monkeypatch, flag, value, command):
+    monkeypatch.chdir(tmp_path)
+    # rand2's shadow puts six offers in one wallet and four in the other
+    (tmp_path / "seq.csv").write_text("slot,value\n" + "".join(f"{t},3\n" for t in range(1, 11)))
+    (tmp_path / "other.csv").write_text("slot,value\n1,2\n3,2\n4,1\n")
+    config = {"params": {"C": 20, "k": 1, "T": 6, "F": 1}, "policy": "rand2",
+              "seqFile": "seq.csv"}
+    flagged = run_config(capsys, tmp_path, command, config, flag, value)
+    assert flagged == run_config(capsys, tmp_path, command, with_field(config, flag, value))
+    # the flag changed the run, so the file's own field was not used
+    assert flagged != run_config(capsys, tmp_path, command, config)
+
+
+def test_run_flags_override_config_together(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "seq.csv").write_text("slot,value\n1,6\n2,6\n3,6\n4,6\n5,6\n")
+    config = {"params": {"C": 20, "k": 2, "T": 6, "F": 1, "tau": 1}, "policy": "fa",
+              "seqFile": "seq.csv", "oracle": "brute-kwallet"}
+    flags = {"--C": "40", "--seed": "3", "--policy": "fwf", "--workload": json.dumps(WORKLOAD_6),
+             "--oracle": "window-bound"}
+    expected = config
+    for flag, value in flags.items():
+        expected = with_field(expected, flag, value)
+    assert expected == {"params": {"C": 40, "k": 2, "T": 6, "F": 1, "tau": 1},
+                        "policy": "fwf", "seed": 3, "workload": WORKLOAD_6,
+                        "oracle": "window-bound"}
+    flagged = run_config(capsys, tmp_path, "ratio", config, *sum(flags.items(), ()))
+    assert flagged[0] == 0
+    assert flagged == run_config(capsys, tmp_path, "ratio", expected)
+
+
+@pytest.mark.parametrize(
+    "config, flags, message",
+    [
+        ([1], ["--C", "3"], "config must be an object, got [1]"),
+        ([1], [], "config must be an object, got [1]"),
+        ({"params": [1]}, ["--C", "3"], "params must be an object, got [1]"),
+        ({"params": [1]}, [], "params must be an object, got [1]"),
+        ({"params": {"C": 20, "T": 6, "F": 1}, "policy": "fa", "outputs": 5},
+         ["--csv", "out.csv"], "outputs must be an object, got 5"),
+    ],
+)
+def test_run_flag_over_a_non_object(capsys, tmp_path, config, flags, message):
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"params": {"C": 20, "k": 2, "T": 6, "F": 1},
-                                "policy": "fa", "seqFile": seq_csv}))
-    err = run_cli_error(
-        capsys, "ratio", "--config", str(path), "--C", "40", "--seed", "0",
-        "--policy", "fwf", "--oracle", "window-bound", "--csv", str(tmp_path / "r.csv"),
-    )
-    assert err == "error: --config takes no run flags, got --policy, --C, --seed\n"
+    path.write_text(json.dumps(config))
+    err = run_cli_error(capsys, "simulate", "--config", str(path), *flags)
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "workload, message",
+    [
+        ({}, "workload spec missing field 'kind'"),
+        (False, "workload spec must be an object, got False"),
+        (0, "workload spec must be an object, got 0"),
+        ("", "workload spec must be an object, got ''"),
+        ([], "workload spec must be an object, got []"),
+    ],
+)
+def test_falsy_config_workload_is_read(capsys, tmp_path, seq_csv, workload, message):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"params": {"C": 20, "k": 2, "T": 6, "F": 1}, "policy": "fa",
+                                "seqFile": seq_csv, "workload": workload}))
+    err = run_cli_error(capsys, "simulate", "--config", str(path))
+    assert err == f"error: {message}\n"
+    # the same text as the flag gives
+    if workload == {}:
+        flags = ["--policy", "fa", "--C", "20", "--T", "6", "--F", "1", "--workload", "{}"]
+        assert run_cli_error(capsys, "simulate", *flags) == err
 
 
 def test_main_reuses_its_parser(capsys, seq_csv):

@@ -247,6 +247,18 @@ def test_rand2_mirrors_shadow_flushes():
     assert pol.coins_drawn == 1  # second coin would come with the next online slot
 
 
+def test_rand2_shadow_logs_nothing():
+    params = ModelParams(C=4, T=4, F=1)
+    seq = TransactionSequence.from_pairs([(1, 4), (2, 4), (3, 4), (4, 4)])
+    pol = make_policy("rand2", params, coins=lambda: 0)
+    res = run_sequence(pol, seq)
+    shadow = pol.shadow.machine
+    # the shadow settled two offers and flushed both wallets, and its trace kept none of it
+    assert (shadow.settled, shadow.flushes) == (8, 2)
+    assert (shadow.trace.lines, shadow.trace.settles, shadow.trace.flush_amounts) == ([], [], [])
+    assert len(res.trace.lines) == 9  # 4 arrive, 1 settle, 3 discard, 1 flush
+
+
 def test_rand2_draws_one_coin_per_online_period():
     params = ModelParams(C=4, T=4, F=1)
     seq = TransactionSequence.from_pairs([(1, 4), (2, 4), (3, 4), (5, 4), (6, 4)])
