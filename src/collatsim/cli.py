@@ -33,7 +33,7 @@ from .harness import (
     sweep,
 )
 from .formulas import formulas_report
-from .model import PPM, CollateralError, ModelParams, load_json, typed_field
+from .model import CollateralError, ModelParams, load_json, typed_field
 from .policies import POLICY_KINDS
 from .workloads import InvalidSpec
 
@@ -258,7 +258,9 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_formulas(args) -> int:
-    p_ppm = args.p_ppm if args.tau is not None else None
+    p_ppm = args.p_ppm
+    if p_ppm is None and args.tau is not None:  # p defaults as ModelParams defaults it
+        p_ppm = ModelParams.p_ppm
     report = formulas_report(args.C, args.T, k=args.k, p_ppm=p_ppm, tau=args.tau)
     _emit(report)
     return 0
@@ -312,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     frm.add_argument("--C", type=int, required=True)
     frm.add_argument("--T", type=int, required=True)
     frm.add_argument("--k", type=int, default=None)
-    frm.add_argument("--p-ppm", type=int, default=PPM)
+    frm.add_argument("--p-ppm", type=int)
     frm.add_argument("--tau", type=int, default=None)
     frm.set_defaults(func=cmd_formulas)
 
@@ -328,7 +330,8 @@ def main(argv=None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except OSError as err:
-        where = f"{err.filename}: " if err.filename else ""
+        # an empty name is shown quoted, so that the message still names it
+        where = "" if err.filename is None else f"{err.filename or repr(err.filename)}: "
         print(f"error: {where}{err.strerror or err}", file=sys.stderr)
         return 2
     except UnicodeDecodeError as err:

@@ -42,7 +42,6 @@ from .model import (
     Transaction,
     TransactionSequence,
     known_fields,
-    load_json,
     typed_field,
     validate_window_bound,
 )
@@ -230,10 +229,6 @@ class ExperimentConfig:
             raise
         except (TypeError, ValueError) as err:
             raise ConfigError(f"malformed config: {err}") from None
-
-    @classmethod
-    def from_file(cls, path: str) -> "ExperimentConfig":
-        return cls.from_json_obj(load_json(path, ConfigError, "config"))
 
     def sequence_for(self, rep: int) -> TransactionSequence:
         if self.sequence is not None:

@@ -5,9 +5,10 @@ the flush fee tau are nonnegative ints, while the settlement probability p
 and the flush threshold eta are fixed-point parts-per-million.  Utility is
 kept as an exact Fraction so competitive-bound checks never see float
 noise: p times the settled value, less tau for each wallet flushed or pool
-tranche flushed.  The single place fractional amounts appear is the pool: a
-threshold policy may flush tranches of eta*C, which need not be integral,
-so pool arithmetic accepts Fraction amounts and stays exact.
+tranche flushed.  A threshold policy flushes pool tranches of eta*C, which
+need not be a whole amount, so the pool keeps its ledger as ints in units
+of 1/PPM: eta*C is the int eta_ppm*C there.  Exact values appear only at
+the edges, in the trace's amounts and in the pool's error texts.
 
 Time is a sequence of slots 1, 2, 3, ...  Within a slot the order is
 fixed: collateral that finished its outage returns, then at most one
@@ -32,6 +33,7 @@ import sys
 from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import NamedTuple
 
 PPM = 10**6
@@ -115,18 +117,25 @@ def load_json(source: str, error: type, what: str, inline: bool = False):
         raise error(f"{what} is not valid JSON: {err}") from None
 
 
-@dataclass(frozen=True)
-class Transaction:
-    """A payment request: one per slot at most, value in [1, T]."""
-
+class _Offer(NamedTuple):
     slot: int
     value: int
 
-    def __post_init__(self) -> None:
-        if self.slot < 1:
-            raise InvalidParams(f"slot must be >= 1, got {self.slot}")
-        if self.value < 1:
-            raise InvalidParams(f"value must be >= 1, got {self.value}")
+
+class Transaction(_Offer):
+    """A payment request: one per slot at most, value in [1, T].
+
+    An immutable (slot, value) tuple whose constructor checks both fields.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, slot: int, value: int) -> "Transaction":
+        if slot < 1:
+            raise InvalidParams(f"slot must be >= 1, got {slot}")
+        if value < 1:
+            raise InvalidParams(f"value must be >= 1, got {value}")
+        return tuple.__new__(cls, (slot, value))
 
 
 class TransactionSequence:
@@ -247,11 +256,6 @@ class ModelParams:
         return Fraction(self.eta_ppm, PPM)
 
     @property
-    def eta_collateral(self) -> Fraction:
-        """The flush tranche size eta*C, exact (not always integral)."""
-        return Fraction(self.eta_ppm * self.C, PPM)
-
-    @property
     def wallet_size(self) -> int:
         self.require_kwallet()
         return self.C // self.k
@@ -293,74 +297,83 @@ class Event(NamedTuple):
     committed: int | Fraction | None = None
 
 
-def _amount(x: int | Fraction) -> str:
-    """An amount as NDJSON: an int, or a quoted "num/den" when not integral."""
-    text = str(x)  # a Fraction with denominator 1 prints as its numerator
-    return f'"{text}"' if "/" in text else text
+def ppm_amount(units: int) -> str:
+    """An amount of ``units``/PPM as NDJSON: an int when it is whole, else the
+    quoted reduced "num/den", the bytes of ``str(Fraction(units, PPM))``."""
+    if units % PPM == 0:
+        return str(units // PPM)
+    g = gcd(units, PPM)
+    return f'"{units // g}/{PPM // g}"'
 
 
 class EventTrace:
     """Append-only event log for one run; the machines count the totals.
 
-    Besides ``slot`` and ``kind``, the bank logs ``settle`` with ``wallet``
-    and ``value``, ``flush`` with ``wallet`` and ``flush_amount`` (the
-    wallet's committed value) and ``online`` with ``wallet``.  The pool
-    logs ``settle`` with ``value``, ``available`` and ``committed``,
-    ``flush`` with ``flush_amount``, ``available`` and ``committed``, and
-    ``online`` with ``flush_amount`` (the returning tranche) and
-    ``committed``.  The policies log ``arrive`` and ``discard`` with
-    ``value``.
+    One method per event kind writes its NDJSON line from one template.
+    The policies log ``arrive`` and ``discard`` with the offer's value.
+    The bank logs ``settle`` with the wallet and value, ``flush`` with the
+    wallet and its committed value, and ``online`` with the wallet.  The
+    pool logs ``settle`` with the value and its ``available`` and
+    ``committed`` balances after it, ``flush`` with the tranche and the two
+    balances, and ``online`` with the returning tranche and ``committed``;
+    its amounts are ints in units of 1/PPM and print through ``ppm_amount``.
+    Every line's bytes equal the json module's encoding of the same object
+    with separators ``(",", ":")``, keys in the order slot, kind, wallet,
+    value, flushAmount, available, committed.
 
-    Each event is kept as its NDJSON line, formatted when it is logged.
     Beside the lines the trace keeps the two records the program reads
     back: ``settles``, each settle's ``(slot, value)``, and
-    ``flush_amounts``, each flush's amount, in log order.  ``events``
+    ``flush_amounts``, each flush's exact amount, in log order.  ``events``
     parses the lines back into ``Event`` tuples for readers of the log.
     """
 
     __slots__ = ("lines", "settles", "flush_amounts")
 
-    def __init__(self, events=()):
+    def __init__(self):
         self.lines: list[str] = []
         self.settles: list[tuple[int, int]] = []
         self.flush_amounts: list[int | Fraction] = []
-        for event in events:
-            self.add(*event)
 
-    def add(
-        self,
-        slot: int,
-        kind: str,
-        wallet: int | None = None,
-        value: int | None = None,
-        flush_amount: int | Fraction | None = None,
-        available: int | Fraction | None = None,
-        committed: int | Fraction | None = None,
-    ) -> None:
-        """Log one event as its NDJSON line.
+    def arrive(self, slot: int, value: int) -> None:
+        self.lines.append(f'{{"slot":{slot},"kind":"arrive","value":{value}}}\n')
 
-        Keys follow the field order: ``slot``, ``kind``, ``wallet``,
-        ``value``, ``flushAmount``, ``available``, ``committed``; a field
-        that is None is left out.  Each line is built from one template per
-        field, and the bytes equal the json module's encoding of the same
-        object with separators ``(",", ":")``.
-        """
-        line = f'{{"slot":{slot},"kind":"{kind}"'
-        if wallet is not None:
-            line += f',"wallet":{wallet}'
-        if value is not None:
-            line += f',"value":{value}'
-        if flush_amount is not None:
-            line += f',"flushAmount":{_amount(flush_amount)}'
-        if available is not None:
-            line += f',"available":{_amount(available)}'
-        if committed is not None:
-            line += f',"committed":{_amount(committed)}'
-        self.lines.append(line + "}\n")
-        if kind == SETTLE:
-            self.settles.append((slot, value))
-        elif kind == FLUSH:
-            self.flush_amounts.append(flush_amount)
+    def discard(self, slot: int, value: int) -> None:
+        self.lines.append(f'{{"slot":{slot},"kind":"discard","value":{value}}}\n')
+
+    def wallet_settle(self, slot: int, wallet: int, value: int) -> None:
+        self.lines.append(
+            f'{{"slot":{slot},"kind":"settle","wallet":{wallet},"value":{value}}}\n'
+        )
+        self.settles.append((slot, value))
+
+    def wallet_flush(self, slot: int, wallet: int, amount: int) -> None:
+        self.lines.append(
+            f'{{"slot":{slot},"kind":"flush","wallet":{wallet},"flushAmount":{amount}}}\n'
+        )
+        self.flush_amounts.append(amount)
+
+    def wallet_online(self, slot: int, wallet: int) -> None:
+        self.lines.append(f'{{"slot":{slot},"kind":"online","wallet":{wallet}}}\n')
+
+    def pool_settle(self, slot: int, value: int, free: int, committed: int) -> None:
+        self.lines.append(
+            f'{{"slot":{slot},"kind":"settle","value":{value},'
+            f'"available":{ppm_amount(free)},"committed":{ppm_amount(committed)}}}\n'
+        )
+        self.settles.append((slot, value))
+
+    def pool_flush(self, slot: int, amount: int, free: int, committed: int) -> None:
+        self.lines.append(
+            f'{{"slot":{slot},"kind":"flush","flushAmount":{ppm_amount(amount)},'
+            f'"available":{ppm_amount(free)},"committed":{ppm_amount(committed)}}}\n'
+        )
+        self.flush_amounts.append(Fraction(amount, PPM))
+
+    def pool_online(self, slot: int, amount: int, committed: int) -> None:
+        self.lines.append(
+            f'{{"slot":{slot},"kind":"online","flushAmount":{ppm_amount(amount)},'
+            f'"committed":{ppm_amount(committed)}}}\n'
+        )
 
     @property
     def events(self) -> list[Event]:
@@ -418,7 +431,7 @@ class WalletBank:
             back, j = outages.pop(0)
             self.remaining[j] = self.size
             self.offline_until[j] = 0
-            self.trace.add(back, ONLINE, j + 1)
+            self.trace.wallet_online(back, j + 1)
 
     def wallet_available(self, i: int, slot: int) -> bool:
         self._check_index(i)
@@ -438,7 +451,7 @@ class WalletBank:
             raise InsufficientCollateral(f"wallet {i} has {left}, needs {tx.value}")
         self.remaining[j] = left - tx.value
         self.settled += tx.value
-        self.trace.add(slot, SETTLE, i, tx.value)
+        self.trace.wallet_settle(slot, i, tx.value)
 
     def flush(self, i: int, slot: int) -> None:
         """Take wallet i offline; the whole wallet goes, committed or not."""
@@ -446,7 +459,7 @@ class WalletBank:
         j = i - 1
         if self.offline_until[j] >= slot:
             raise WalletOffline(f"wallet {i} already offline at slot {slot}")
-        self.trace.add(slot, FLUSH, i, None, self.size - self.remaining[j])
+        self.trace.wallet_flush(slot, i, self.size - self.remaining[j])
         until = slot + self.params.F
         self.offline_until[j] = until
         insort(self.outages, (until + 1, j))
@@ -470,21 +483,22 @@ class CollateralPool:
 
     A ledger of three balances that always sum to C: ``free`` collateral,
     ``committed`` (settled, not yet flushed) and the in-flight tranches, a
-    FIFO of ``(amount, back_at)``.  Settling moves value from free to
-    committed; flushing amount a at slot t moves it from committed to a
-    tranche that is offline for slots t+1..t+F.  `begin_slot` comes first
-    in a slot, slots increasing, and is the only place a tranche returns
-    to ``free``.  `settled` and `flushes` count the run's settled value
-    and flushed tranches.
+    FIFO of ``(amount, back_at)``.  Every amount is an int in units of
+    1/PPM, so a tranche of eta*C is exact without fractions.  Settling
+    moves value from free to committed; flushing amount a at slot t moves
+    it from committed to a tranche that is offline for slots t+1..t+F.
+    `begin_slot` comes first in a slot, slots increasing, and is the only
+    place a tranche returns to ``free``.  `settled` and `flushes` count the
+    run's settled value and flushed tranches.
     """
 
     __slots__ = ("params", "free", "committed", "inflight", "settled", "flushes", "trace")
 
     def __init__(self, params: ModelParams):
         self.params = params
-        self.free: int | Fraction = params.C
-        self.committed: int | Fraction = 0
-        self.inflight: list[tuple[int | Fraction, int]] = []  # (amount, back at slot)
+        self.free = params.C * PPM
+        self.committed = 0
+        self.inflight: list[tuple[int, int]] = []  # (amount, back at slot)
         self.settled = 0
         self.flushes = 0
         self.trace = EventTrace()
@@ -492,32 +506,37 @@ class CollateralPool:
     def begin_slot(self, slot: int) -> None:
         """Free every tranche whose outage ended before ``slot``, logging
         each ``online`` at its return slot."""
-        while self.inflight and self.inflight[0][1] <= slot:
-            amount, back = self.inflight.pop(0)
+        inflight = self.inflight
+        while inflight and inflight[0][1] <= slot:
+            amount, back = inflight.pop(0)
             self.free += amount
-            self.trace.add(back, ONLINE, None, None, amount, None, self.committed)
+            self.trace.pool_online(back, amount, self.committed)
 
     def settle(self, tx: Transaction, slot: int) -> None:
-        if self.free < tx.value:
+        value = tx.value
+        units = value * PPM
+        if self.free < units:
             raise InsufficientCollateral(
-                f"pool has {self.free} available, needs {tx.value}"
+                f"pool has {Fraction(self.free, PPM)} available, needs {value}"
             )
-        self.free -= tx.value
-        self.committed += tx.value
-        self.settled += tx.value
-        self.trace.add(slot, SETTLE, None, tx.value, None, self.free, self.committed)
+        self.free -= units
+        self.committed += units
+        self.settled += value
+        self.trace.pool_settle(slot, value, self.free, self.committed)
 
-    def flush(self, amount: int | Fraction, slot: int) -> None:
+    def flush(self, amount: int, slot: int) -> None:
+        """Flush ``amount`` units of 1/PPM of the committed collateral."""
         if amount <= 0:
-            raise ZeroFlush(f"flush amount must be positive, got {amount}")
+            raise ZeroFlush(f"flush amount must be positive, got {Fraction(amount, PPM)}")
         if amount > self.committed:
             raise FlushExceedsCommitted(
-                f"flush {amount} exceeds committed {self.committed}"
+                f"flush {Fraction(amount, PPM)} exceeds committed "
+                f"{Fraction(self.committed, PPM)}"
             )
         self.committed -= amount
         self.inflight.append((amount, slot + self.params.F + 1))
         self.flushes += 1
-        self.trace.add(slot, FLUSH, None, None, amount, self.free, self.committed)
+        self.trace.pool_flush(slot, amount, self.free, self.committed)
 
 
 @dataclass

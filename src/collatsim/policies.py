@@ -27,8 +27,7 @@ import random
 from dataclasses import dataclass
 
 from .model import (
-    ARRIVE,
-    DISCARD,
+    PPM,
     CollateralPool,
     EventTrace,
     InvalidParams,
@@ -103,18 +102,18 @@ class GroupFlushPolicy:
         bank.begin_slot(slot)
         if tx is None:
             return NO_ARRIVAL
-        bank.trace.add(slot, ARRIVE, None, tx.value)
+        bank.trace.arrive(slot, tx.value)
         hi = self.active * self.g
         lo = hi - self.g
         if max(bank.offline_until[lo:hi]) >= slot:
-            bank.trace.add(slot, DISCARD, None, tx.value)
+            bank.trace.discard(slot, tx.value)
             return DISCARDED
         remaining = bank.remaining
         for i in range(lo, hi):
             if tx.value <= remaining[i]:
                 bank.settle(i + 1, tx, slot)
                 return self.settled_in[i]
-        bank.trace.add(slot, DISCARD, None, tx.value)
+        bank.trace.discard(slot, tx.value)
         decision = self.flushed_group[self.active - 1]
         for i in decision.flushed:
             bank.flush(i, slot)
@@ -191,8 +190,10 @@ class _NoTrace(EventTrace):
 
     __slots__ = ()
 
-    def add(self, *event) -> None:
+    def _skip(self, *event) -> None:
         pass
+
+    arrive = discard = wallet_settle = wallet_flush = wallet_online = _skip
 
 
 class RandTwoPolicy:
@@ -237,11 +238,11 @@ class RandTwoPolicy:
         shadow_decision = self.shadow.step(slot, tx)
         if tx is None:
             return NO_ARRIVAL
-        bank.trace.add(slot, ARRIVE, None, tx.value)
+        bank.trace.arrive(slot, tx.value)
         if shadow_decision.action == "settle" and shadow_decision.wallet == self.chosen:
             bank.settle(1, tx, slot)
             return SETTLED_IN_1
-        bank.trace.add(slot, DISCARD, None, tx.value)
+        bank.trace.discard(slot, tx.value)
         if shadow_decision.flushed:
             bank.flush(1, slot)
             self.chosen = None
@@ -260,7 +261,8 @@ class ThresholdPolicy:
     settle, once the committed reserve reaches eta*C, exactly eta*C is
     flushed.  At the end of a run the residual reserve is flushed in one
     final tranche regardless of accounting mode, so the flush count is
-    always ceil(V / (eta*C)).
+    always ceil(V / (eta*C)).  Amounts are the pool's units of 1/PPM, in
+    which the tranche eta*C is the int eta_ppm*C.
     """
 
     name = "eta"
@@ -270,21 +272,21 @@ class ThresholdPolicy:
             raise InvalidEta("threshold policy needs eta_ppm")
         self.params = params
         self.machine = CollateralPool(params)
-        self.eta_c = params.eta_collateral
+        self.tranche = params.eta_ppm * params.C
 
     def step(self, slot: int, tx: Transaction | None) -> PolicyDecision:
         pool = self.machine
         pool.begin_slot(slot)
         if tx is None:
             return NO_ARRIVAL
-        pool.trace.add(slot, ARRIVE, None, tx.value)
-        if pool.free < tx.value:
-            pool.trace.add(slot, DISCARD, None, tx.value)
+        pool.trace.arrive(slot, tx.value)
+        if pool.free < tx.value * PPM:
+            pool.trace.discard(slot, tx.value)
             return DISCARDED
         pool.settle(tx, slot)
         # one tranche at most: the reserve was below eta*C, and ModelParams has T <= eta*C
-        if pool.committed >= self.eta_c:
-            pool.flush(self.eta_c, slot)
+        if pool.committed >= self.tranche:
+            pool.flush(self.tranche, slot)
         return SETTLED
 
     def finish(self, slot: int, terminal_flushes: bool = True) -> None:

@@ -11,7 +11,10 @@ offset, and ``window_upper_bound_offer_offsets`` only offset 0 and those
 that start a block at an offer, one O(n) pass each; ``window_upper_bound``
 sweeps the same offsets.  ``reference_ndjson`` writes a
 trace through the json module, as the reference for
-``EventTrace.to_ndjson``.  ``run_every_slot`` is the per-slot driver that
+``EventTrace.to_ndjson``.  ``ReferencePool`` is the pool ledger in exact
+Fractions and ``ReferenceThreshold`` the threshold policy over it, the
+reference for the integer ledger of ``CollateralPool`` and
+``ThresholdPolicy``.  ``run_every_slot`` is the per-slot driver that
 ``run_sequence`` is checked against.  ``exhaustive_verify_reference``
 walks every prefix of every short sequence explicitly, as the reference
 for the memoised ``exhaustive_verify``.
@@ -28,7 +31,22 @@ from collatsim.harness import (
     ExhaustSummary,
     default_exhaust_policies,
 )
-from collatsim.model import CollateralPool, EventTrace, ModelParams, Transaction
+from collatsim.model import (
+    ARRIVE,
+    DISCARD,
+    FLUSH,
+    ONLINE,
+    PPM,
+    SETTLE,
+    CollateralPool,
+    Event,
+    EventTrace,
+    FlushExceedsCommitted,
+    InsufficientCollateral,
+    ModelParams,
+    Transaction,
+    ZeroFlush,
+)
 from collatsim.oracles import BudgetExceeded, opt_value_extend
 from collatsim.policies import make_policy
 
@@ -160,7 +178,7 @@ def opt_general_value_sim(seq, C, F):
             pool.begin_slot(slot)
             tx = picked.get(slot)
             if tx is not None:
-                if pool.free < tx.value:
+                if pool.free < tx.value * PPM:
                     ok = False
                     break
                 pool.settle(tx, slot)
@@ -170,6 +188,84 @@ def opt_general_value_sim(seq, C, F):
         if ok and value > best:
             best = value
     return best
+
+
+class ReferencePool:
+    """The pool ledger with exact amounts, each an int or a Fraction.
+
+    The balances ``free`` and ``committed``, the FIFO ``inflight`` of
+    ``(amount, back_at)`` and the counters ``settled`` and ``flushes``
+    follow ``CollateralPool``'s rules with the same guards and texts.  Each
+    event is kept as an ``Event``, for ``reference_ndjson`` to write.
+    """
+
+    def __init__(self, params: ModelParams):
+        self.params = params
+        self.free = Fraction(params.C)
+        self.committed = Fraction(0)
+        self.inflight = []
+        self.settled = 0
+        self.flushes = 0
+        self.events = []
+
+    def begin_slot(self, slot):
+        while self.inflight and self.inflight[0][1] <= slot:
+            amount, back = self.inflight.pop(0)
+            self.free += amount
+            self.events.append(
+                Event(back, ONLINE, flush_amount=amount, committed=self.committed)
+            )
+
+    def settle(self, tx, slot):
+        if self.free < tx.value:
+            raise InsufficientCollateral(
+                f"pool has {self.free} available, needs {tx.value}"
+            )
+        self.free -= tx.value
+        self.committed += tx.value
+        self.settled += tx.value
+        self.events.append(Event(
+            slot, SETTLE, value=tx.value, available=self.free, committed=self.committed
+        ))
+
+    def flush(self, amount, slot):
+        if amount <= 0:
+            raise ZeroFlush(f"flush amount must be positive, got {amount}")
+        if amount > self.committed:
+            raise FlushExceedsCommitted(
+                f"flush {amount} exceeds committed {self.committed}"
+            )
+        self.committed -= amount
+        self.inflight.append((amount, slot + self.params.F + 1))
+        self.flushes += 1
+        self.events.append(Event(
+            slot, FLUSH, flush_amount=amount, available=self.free, committed=self.committed
+        ))
+
+
+class ReferenceThreshold:
+    """Policy A_eta over ``ReferencePool``, flushing tranches of the exact eta*C."""
+
+    def __init__(self, params: ModelParams):
+        self.machine = ReferencePool(params)
+        self.eta_c = Fraction(params.eta_ppm * params.C, PPM)
+
+    def step(self, slot, tx):
+        pool = self.machine
+        pool.begin_slot(slot)
+        if tx is None:
+            return
+        pool.events.append(Event(slot, ARRIVE, value=tx.value))
+        if pool.free < tx.value:
+            pool.events.append(Event(slot, DISCARD, value=tx.value))
+            return
+        pool.settle(tx, slot)
+        if pool.committed >= self.eta_c:
+            pool.flush(self.eta_c, slot)
+
+    def finish(self, slot):
+        if self.machine.committed > 0:
+            self.machine.flush(self.machine.committed, slot)
 
 
 def run_every_slot(policy, seq, terminal_flushes=False):

@@ -246,7 +246,7 @@ def test_c07_per_flush_invariants(
     # threshold runs: reserve below the quantum at every slot end, and the
     # flush count is exactly ceil(V / (eta C))
     for rec in eta_study:
-        eta_c = rec["params"].eta_collateral
+        eta_c = Fraction(rec["params"].eta_ppm * rec["params"].C, PPM)
         last_committed = {}
         flushes = 0
         for e in rec["result"].trace.events:

@@ -492,7 +492,16 @@ def test_missing_seq_file(capsys, tmp_path):
         capsys, "ratio", "--policy", "fa",
         "--C", "20", "--k", "2", "--T", "6", "--F", "1", "--seq", missing,
     )
-    assert missing in err
+    assert err == f"error: {missing}: No such file or directory\n"
+
+
+@pytest.mark.parametrize("flag", ["--seq", "--workload"])
+def test_empty_source_path_is_named(capsys, flag):
+    err = run_cli_error(
+        capsys, "simulate", "--policy", "fa",
+        "--C", "20", "--k", "2", "--T", "6", "--F", "1", flag, "",
+    )
+    assert err == "error: '': No such file or directory\n"
 
 
 def test_non_integer_csv_cell(capsys, tmp_path):
@@ -1161,6 +1170,9 @@ def test_formulas_zero_p(capsys):
                 ("tau-big", ("--tau", BIG), "tau"),
                 ("CT-big", ("--C", BIG, "--T", BIG, "--k", "1"), "C"),
             ]
+        ),
+        pytest.param(
+            ("--p-ppm", "0"), "p_ppm must be in [1, 1000000], got 0", id="p-without-tau"
         ),
     ],
 )

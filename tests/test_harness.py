@@ -23,7 +23,7 @@ from collatsim.harness import (
     utility_bound_fraction,
     value_bound_fraction,
 )
-from collatsim.model import InvalidParams, ModelParams, TransactionSequence
+from collatsim.model import InvalidParams, ModelParams, TransactionSequence, load_json
 from collatsim.oracles import BudgetExceeded, opt_general_value
 from collatsim.policies import GroupFlushPolicy, make_policy
 from collatsim.workloads import WorkloadSpec, thm3_seq
@@ -102,7 +102,7 @@ def test_config_json_round_trip(tmp_path):
     }
     path = tmp_path / "config.json"
     path.write_text(json.dumps(obj))
-    config = ExperimentConfig.from_file(str(path))
+    config = ExperimentConfig.from_json_obj(load_json(str(path), ConfigError, "config"))
     assert config.policy == "fwf"
     assert config.repetitions == 2
     assert config.csv_path == str(tmp_path / "out.csv")

@@ -11,6 +11,7 @@ from collatsim.model import (
     DISCARD,
     FLUSH,
     ONLINE,
+    PPM,
     SETTLE,
     CollateralPool,
     Event,
@@ -31,12 +32,16 @@ from oracle_reference import reference_ndjson
 
 
 def test_transaction_validation():
-    with pytest.raises(InvalidParams):
+    with pytest.raises(InvalidParams, match=r"^slot must be >= 1, got 0$"):
         Transaction(0, 5)
-    with pytest.raises(InvalidParams):
+    with pytest.raises(InvalidParams, match=r"^value must be >= 1, got 0$"):
         Transaction(1, 0)
+    with pytest.raises(InvalidParams, match=r"^value must be >= 1, got -2$"):
+        Transaction(slot=4, value=-2)
     tx = Transaction(3, 7)
     assert (tx.slot, tx.value) == (3, 7)
+    with pytest.raises(AttributeError):
+        tx.value = 8  # immutable
 
 
 def test_sequence_slots_strictly_increasing():
@@ -115,7 +120,6 @@ def test_params_derived_quantities():
     eta = ModelParams(C=200, T=60, F=1, p_ppm=100000, tau=5, eta_ppm=418000)
     assert eta.p == Fraction(1, 10)
     assert eta.eta == Fraction(418, 1000)
-    assert eta.eta_collateral == Fraction(418, 5)  # 83.6
 
 
 def test_params_kwallet_guard():
@@ -174,14 +178,14 @@ def test_pool_catch_up_logs_each_return_at_its_slot():
     pool = CollateralPool(ModelParams(C=10, T=5, F=1))
     pool.begin_slot(1)
     pool.settle(Transaction(1, 5), 1)
-    pool.flush(2, 1)
+    pool.flush(2 * PPM, 1)
     pool.begin_slot(2)
-    pool.flush(3, 2)
+    pool.flush(3 * PPM, 2)
     pool.begin_slot(3)  # the first tranche is due; the second is not
     pool.begin_slot(7)
     online = [(e.slot, e.flush_amount) for e in pool.trace.events if e.kind == ONLINE]
     assert online == [(3, 2), (4, 3)]
-    assert (pool.free, pool.committed, pool.inflight) == (10, 0, [])
+    assert (pool.free, pool.committed, pool.inflight) == (10 * PPM, 0, [])
 
 
 def test_wallet_settle_guards():
@@ -227,16 +231,16 @@ def test_pool_lifecycle():
     pool = CollateralPool(params)
     pool.begin_slot(1)
     pool.settle(Transaction(1, 60), 1)
-    pool.flush(Fraction(836, 100), 1)
-    assert pool.committed == Fraction(1291, 25)
-    assert pool.inflight == [(Fraction(209, 25), 3)]
+    pool.flush(8_360_000, 1)  # 836/100
+    assert pool.committed == 51_640_000  # 1291/25
+    assert pool.inflight == [(8_360_000, 3)]  # 209/25
     # flushed amount is out for slot 2 and back for slot 3
     pool.begin_slot(2)
-    assert pool.free == 140
+    assert pool.free == 140 * PPM
     pool.begin_slot(3)
-    assert pool.free == Fraction(3709, 25)
+    assert pool.free == 148_360_000  # 3709/25
     assert not pool.inflight
-    assert pool.free + pool.committed == params.C
+    assert pool.free + pool.committed == params.C * PPM
 
 
 def test_pool_guards():
@@ -244,13 +248,15 @@ def test_pool_guards():
     pool = CollateralPool(params)
     pool.begin_slot(1)
     pool.settle(Transaction(1, 5), 1)
-    with pytest.raises(InsufficientCollateral):
+    with pytest.raises(InsufficientCollateral, match=r"^pool has 5 available, needs 6$"):
         pool.settle(Transaction(1, 5 + 1), 1)
-    with pytest.raises(ZeroFlush):
+    with pytest.raises(ZeroFlush, match=r"^flush amount must be positive, got 0$"):
         pool.flush(0, 1)
-    with pytest.raises(FlushExceedsCommitted):
-        pool.flush(6, 1)
-    pool.flush(5, 1)
+    with pytest.raises(FlushExceedsCommitted, match=r"^flush 6 exceeds committed 5$"):
+        pool.flush(6 * PPM, 1)
+    with pytest.raises(FlushExceedsCommitted, match=r"^flush 501/100 exceeds committed 5$"):
+        pool.flush(5_010_000, 1)
+    pool.flush(5 * PPM, 1)
     assert pool.committed == 0
 
 
@@ -260,10 +266,10 @@ def test_pool_flushing_uncommitted_is_legal():
     pool = CollateralPool(params)
     pool.begin_slot(1)
     pool.settle(Transaction(1, 3), 1)
-    pool.flush(2, 1)
-    assert pool.committed == 1
+    pool.flush(2 * PPM, 1)
+    assert pool.committed == 1 * PPM
     pool.begin_slot(2)
-    assert pool.free == 7
+    assert pool.free == 7 * PPM
 
 
 def test_ndjson_shapes():
@@ -271,7 +277,7 @@ def test_ndjson_shapes():
     pool = CollateralPool(params)
     pool.begin_slot(1)
     pool.settle(Transaction(1, 60), 1)
-    pool.flush(Fraction(836, 100), 1)
+    pool.flush(8_360_000, 1)  # 836/100
     lines = [json.loads(line) for line in pool.trace.to_ndjson().splitlines()]
     assert lines[0] == {
         "slot": 1, "kind": "settle", "value": 60,
@@ -282,34 +288,63 @@ def test_ndjson_shapes():
     assert lines[1]["committed"] == "1291/25"
 
 
-# ints, integral Fractions and Fractions that need not be integral
-AMOUNTS = st.one_of(
-    st.none(),
-    st.integers(min_value=0, max_value=10**9),
-    st.integers(min_value=0, max_value=10**9).map(Fraction),
+SLOTS = st.integers(min_value=1, max_value=10**9)
+WALLETS = st.integers(min_value=1, max_value=64)
+VALUES = st.integers(min_value=1, max_value=10**9)
+# pool amounts in units of 1/PPM: whole amounts, and any, mostly not whole
+UNITS = st.one_of(
+    st.integers(min_value=0, max_value=10**9).map(lambda n: n * PPM),
+    st.integers(min_value=0, max_value=10**15),
+)
+
+
+def _exact(units):
+    return Fraction(units, PPM)
+
+
+# each trace method with its arguments, and the event it logs
+TRACE_CALLS = st.one_of(
+    st.builds(lambda t, v: ("arrive", (t, v), Event(t, ARRIVE, value=v)), SLOTS, VALUES),
+    st.builds(lambda t, v: ("discard", (t, v), Event(t, DISCARD, value=v)), SLOTS, VALUES),
     st.builds(
-        Fraction,
-        st.integers(min_value=0, max_value=10**9),
-        st.integers(min_value=2, max_value=10**4),
+        lambda t, w, v: ("wallet_settle", (t, w, v), Event(t, SETTLE, w, v)),
+        SLOTS, WALLETS, VALUES,
+    ),
+    st.builds(
+        lambda t, w, a: ("wallet_flush", (t, w, a), Event(t, FLUSH, w, flush_amount=a)),
+        SLOTS, WALLETS, st.integers(min_value=0, max_value=10**9),
+    ),
+    st.builds(lambda t, w: ("wallet_online", (t, w), Event(t, ONLINE, w)), SLOTS, WALLETS),
+    st.builds(
+        lambda t, v, f, c: ("pool_settle", (t, v, f, c), Event(
+            t, SETTLE, value=v, available=_exact(f), committed=_exact(c))),
+        SLOTS, VALUES, UNITS, UNITS,
+    ),
+    st.builds(
+        lambda t, a, f, c: ("pool_flush", (t, a, f, c), Event(
+            t, FLUSH, flush_amount=_exact(a), available=_exact(f), committed=_exact(c))),
+        SLOTS, UNITS, UNITS, UNITS,
+    ),
+    st.builds(
+        lambda t, a, c: ("pool_online", (t, a, c), Event(
+            t, ONLINE, flush_amount=_exact(a), committed=_exact(c))),
+        SLOTS, UNITS, UNITS,
     ),
 )
 
-EVENTS = st.builds(
-    Event,
-    st.integers(min_value=1, max_value=10**9),
-    st.sampled_from([ARRIVE, SETTLE, DISCARD, FLUSH, ONLINE]),
-    st.one_of(st.none(), st.integers(min_value=1, max_value=64)),
-    st.one_of(st.none(), st.integers(min_value=1, max_value=10**9)),
-    AMOUNTS,
-    AMOUNTS,
-    AMOUNTS,
-)
 
-
-@given(st.lists(EVENTS, max_size=12))
-def test_ndjson_matches_json_module(events):
-    # the template writer gives the json module's bytes for any None mix
-    assert EventTrace(events).to_ndjson() == reference_ndjson(events)
+@given(st.lists(TRACE_CALLS, max_size=12))
+def test_ndjson_matches_json_module(calls):
+    # each event kind's template gives the json module's bytes, and the
+    # trace's records agree with the events logged
+    trace = EventTrace()
+    for method, args, _ in calls:
+        getattr(trace, method)(*args)
+    events = [event for _, _, event in calls]
+    assert trace.to_ndjson() == reference_ndjson(events)
+    assert trace.events == events
+    assert trace.settles == [(e.slot, e.value) for e in events if e.kind == SETTLE]
+    assert trace.flush_amounts == [e.flush_amount for e in events if e.kind == FLUSH]
 
 
 def test_empty_trace_ndjson():
@@ -334,8 +369,8 @@ def test_trace_totals():
     pool = CollateralPool(params)
     pool.begin_slot(1)
     pool.settle(Transaction(1, 6), 1)
-    pool.flush(Fraction(5, 2), 1)
-    pool.flush(Fraction(7, 2), 1)
+    pool.flush(2_500_000, 1)  # 5/2
+    pool.flush(3_500_000, 1)  # 7/2
     assert (pool.settled, pool.flushes) == (6, 2)
 
 
@@ -361,13 +396,12 @@ def test_window_bound_validator():
     pool = CollateralPool(params)
     pool.begin_slot(1)
     pool.settle(Transaction(1, 10), 1)
-    pool.flush(10, 1)
+    pool.flush(10 * PPM, 1)
     validate_window_bound(pool.trace, params)
     # forge a settle inside the outage window; the validator must object
-    bad = EventTrace(list(pool.trace.events))
-    bad.add(slot=2, kind=SETTLE, value=10)
+    pool.trace.pool_settle(2, 10, 0, 10 * PPM)
     with pytest.raises(Exception):
-        validate_window_bound(bad, params)
+        validate_window_bound(pool.trace, params)
 
 
 @given(
@@ -382,9 +416,9 @@ def test_pool_never_overdraws(values, F):
     for v in values:
         slot += 1
         pool.begin_slot(slot)
-        assert 0 <= pool.free <= params.C
-        if pool.free >= v:
+        assert 0 <= pool.free <= params.C * PPM
+        if pool.free >= v * PPM:
             pool.settle(Transaction(slot, v), slot)
         if pool.committed > 0:
             pool.flush(pool.committed, slot)
-        assert pool.free + pool.committed + sum(a for a, _ in pool.inflight) == params.C
+        assert pool.free + pool.committed + sum(a for a, _ in pool.inflight) == params.C * PPM

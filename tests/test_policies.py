@@ -14,6 +14,7 @@ from collatsim.model import (
     ONLINE,
     PPM,
     SETTLE,
+    CollateralError,
     InvalidParams,
     ModelParams,
     Transaction,
@@ -31,7 +32,7 @@ from collatsim.policies import (
     make_policy,
 )
 from collatsim.harness import run_sequence
-from oracle_reference import reference_ndjson, run_every_slot
+from oracle_reference import ReferenceThreshold, reference_ndjson, run_every_slot
 
 
 def settle_slots(result):
@@ -469,8 +470,8 @@ def test_threshold_pool_ledger(run):
     pool = policy.machine
     for slot, v in enumerate(symbols, 1):
         policy.step(slot, None if v is None else Transaction(slot, v))
-        assert pool.free + pool.committed + sum(a for a, _ in pool.inflight) == params.C
-        assert pool.committed < params.eta_collateral
+        assert pool.free + pool.committed + sum(a for a, _ in pool.inflight) == params.C * PPM
+        assert pool.committed < params.eta_ppm * params.C
     policy.finish(len(symbols))
     # rebuild the balances and the tranche queue from the NDJSON alone
     free, committed, inflight = Fraction(params.C), Fraction(0), []
@@ -492,6 +493,92 @@ def test_threshold_pool_ledger(run):
     # every tranche due by the last slot came back
     assert all(back_at > len(symbols) for _, back_at in inflight)
     assert free + committed + sum(a for a, _ in inflight) == params.C
+
+
+@st.composite
+def pool_runs(draw):
+    """A threshold run with p and tau drawn too, and raw ledger operations
+    to apply after it: ("settle", value) or ("flush", units), where None
+    flushes the whole committed balance."""
+    params, symbols = draw(threshold_runs())
+    p_ppm = draw(st.integers(min_value=1, max_value=PPM))
+    tau = draw(st.integers(min_value=0, max_value=(p_ppm * params.C - 1) // PPM))
+    params = ModelParams(
+        C=params.C, T=params.T, F=params.F, p_ppm=p_ppm, tau=tau, eta_ppm=params.eta_ppm
+    )
+    ops = st.one_of(
+        st.tuples(st.just("settle"), st.integers(min_value=1, max_value=2 * params.C)),
+        st.tuples(st.just("flush"), st.one_of(
+            st.none(), st.integers(min_value=-PPM, max_value=(params.C + 1) * PPM)
+        )),
+    )
+    return params, symbols, draw(st.lists(ops, max_size=6))
+
+
+@given(pool_runs())
+@example((
+    ModelParams(C=200, T=60, F=2, p_ppm=100000, tau=5, eta_ppm=418000),
+    [60, 60, None, 59, 60, 60, 10, None, 45],
+    [("settle", 200), ("flush", 1), ("flush", None), ("flush", 0)],
+))
+@settings(max_examples=200, deadline=None)
+def test_integer_pool_matches_reference_ledger(run):
+    # the ledger in 1/PPM ints gives the Fraction ledger's lines, balances,
+    # counters and error texts, eta*C whole or not
+    params, symbols, ops = run
+    policy, reference = ThresholdPolicy(params), ReferenceThreshold(params)
+    pool, ref = policy.machine, reference.machine
+
+    def same_ledgers():
+        assert pool.trace.to_ndjson() == reference_ndjson(ref.events)
+        assert Fraction(pool.free, PPM) == ref.free
+        assert Fraction(pool.committed, PPM) == ref.committed
+        assert [(Fraction(a, PPM), back) for a, back in pool.inflight] == ref.inflight
+        assert (pool.settled, pool.flushes) == (ref.settled, ref.flushes)
+
+    for slot, v in enumerate(symbols, 1):
+        tx = None if v is None else Transaction(slot, v)
+        policy.step(slot, tx)
+        reference.step(slot, tx)
+        same_ledgers()
+    policy.finish(len(symbols))
+    reference.finish(len(symbols))
+    same_ledgers()
+    slot = len(symbols) + 1
+    pool.begin_slot(slot)
+    ref.begin_slot(slot)
+    for op, x in ops:
+        outcomes = []
+        for ledger in (pool, ref):
+            try:
+                if op == "settle":
+                    ledger.settle(Transaction(slot, x), slot)
+                elif x is None:
+                    ledger.flush(ledger.committed, slot)
+                else:
+                    ledger.flush(x if ledger is pool else Fraction(x, PPM), slot)
+                outcomes.append(None)
+            except CollateralError as err:
+                outcomes.append((type(err), str(err)))
+        assert outcomes[0] == outcomes[1]
+        same_ledgers()
+
+
+def test_pool_ledger_is_integral():
+    # eta*C = 418/5 is not whole, yet every balance and tranche stays an int
+    params = ModelParams(C=200, T=60, F=2, p_ppm=100000, tau=5, eta_ppm=418000)
+    policy = ThresholdPolicy(params)
+    assert policy.tranche == 83_600_000  # 418/5 = 83.6
+    pool = policy.machine
+    rng = random.Random(6)
+    for slot in range(1, 301):
+        policy.step(slot, Transaction(slot, rng.randint(10, 60)) if rng.random() < 0.6 else None)
+        assert type(pool.free) is int and type(pool.committed) is int
+        assert all(type(amount) is int for amount, _ in pool.inflight)
+    policy.finish(300)
+    assert type(pool.committed) is int
+    assert pool.flushes > 10
+    assert any('"flushAmount":"418/5"' in line for line in pool.trace.lines)
 
 
 # sha256 of the NDJSON trace and utility, with terminal flushes off and on;

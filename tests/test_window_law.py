@@ -5,9 +5,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from collatsim.model import (
-    ARRIVE,
-    FLUSH,
-    SETTLE,
     CollateralError,
     EventTrace,
     ModelParams,
@@ -44,9 +41,9 @@ def test_validate_window_bound_matches_reference(pairs, C, F):
     params = ModelParams(C=C, T=1, F=F)
     trace = EventTrace()
     for slot, value in sorted(pairs):
-        trace.add(slot, ARRIVE, value=value)
-        trace.add(slot, SETTLE, value=value)
-        trace.add(slot, FLUSH, flush_amount=value)
+        trace.arrive(slot, value)
+        trace.wallet_settle(slot, 1, value)
+        trace.wallet_flush(slot, 1, value)
     expected = reference_first_overfull(sorted(pairs), C, F)
     if expected is None:
         validate_window_bound(trace, params)
@@ -65,7 +62,7 @@ def test_only_a_later_window_fails():
     assert first_overfull_window(pairs, 10, 2) == (5, 11)
     trace = EventTrace()
     for slot, value in pairs:
-        trace.add(slot, SETTLE, value=value)
+        trace.wallet_settle(slot, 1, value)
     message = r"^window bound violated: 11 > C=10 in slots \[5, 7\]$"
     with pytest.raises(CollateralError, match=message):
         validate_window_bound(trace, ModelParams(C=10, T=6, F=2))
