@@ -9,7 +9,8 @@ cells in all, a cell being a state or one settle a state lists.  The tests
 re-derive it by subset enumeration and by simulating the pool state
 machine.  The utility and k-wallet oracles are branch-and-bound searches
 that refuse more than MAX_SEARCH_TRANSACTIONS transactions rather than
-silently taking forever.
+silently taking forever.  Both searches score in ints, the utility search
+in units of 1/PPM, turned into a Fraction only at its return.
 
 Two exchange arguments justify the pruned searches and are relied on
 throughout: flushing everything when flushing at all is loss-free (the
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .model import CollateralError, ModelParams, TransactionSequence
+from .model import PPM, CollateralError, ModelParams, TransactionSequence
 
 
 class BudgetExceeded(CollateralError):
@@ -156,7 +157,7 @@ def opt_kwallet_value(seq: TransactionSequence, params: ModelParams) -> int:
     bound with wallet-symmetry pruning.
     """
     params.require_kwallet()
-    txs = sorted(seq, key=lambda t: t.slot)
+    txs = seq.txs
     _check_search_size(len(txs))
     n = len(txs)
     size = params.C // params.k
@@ -213,27 +214,28 @@ def opt_general_utility(seq: TransactionSequence, params: ModelParams) -> Fracti
     empty schedule is 0, so the result is never negative.  Branches are cut
     when even free flushing of the remaining offers cannot beat the
     incumbent, and the flush branch is skipped when the rest of the
-    sequence fits without it.
+    sequence fits without it.  The search scores in ints of 1/PPM,
+    p_ppm*V - PPM*tau*f, and the one Fraction is built at the return.
     """
-    txs = sorted(seq, key=lambda t: t.slot)
+    txs = seq.txs
     _check_search_size(len(txs))
     n = len(txs)
-    C, F, p, tau = params.C, params.F, params.p, params.tau
+    C, F, p_ppm, fee = params.C, params.F, params.p_ppm, PPM * params.tau
     suffix = [0] * (n + 1)
     for i in range(n - 1, -1, -1):
         suffix[i] = suffix[i + 1] + txs[i].value
-    best = Fraction(0)
+    best = 0
 
     def go(i: int, committed: int, inflight: tuple, settled: int, flushes: int):
         nonlocal best
         if i == n:
             terminal = 1 if committed > 0 else 0
-            utility = p * settled - tau * (flushes + terminal)
+            utility = p_ppm * settled - fee * (flushes + terminal)
             if utility > best:
                 best = utility
             return
         # even flushing for free from here on cannot beat the incumbent
-        if p * (settled + suffix[i]) - tau * flushes <= best:
+        if p_ppm * (settled + suffix[i]) - fee * flushes <= best:
             return
         tx = txs[i]
         live = tuple((a, b) for a, b in inflight if b > tx.slot)
@@ -253,7 +255,7 @@ def opt_general_utility(seq: TransactionSequence, params: ModelParams) -> Fracti
         go(i + 1, committed, live, settled, flushes)
 
     go(0, 0, (), 0, 0)
-    return best
+    return Fraction(best, PPM)
 
 
 def opt_utility_upper_bound(opt_value: int, params: ModelParams) -> Fraction:

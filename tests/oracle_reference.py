@@ -14,14 +14,17 @@ trace through the json module, as the reference for
 ``EventTrace.to_ndjson``.  ``ReferencePool`` is the pool ledger in exact
 Fractions and ``ReferenceThreshold`` the threshold policy over it, the
 reference for the integer ledger of ``CollateralPool`` and
-``ThresholdPolicy``.  ``run_every_slot`` is the per-slot driver that
-``run_sequence`` is checked against.  ``exhaustive_verify_reference``
+``ThresholdPolicy``.  ``utility_optimum_reference`` runs every
+settle/discard and flush/keep schedule on ``ReferencePool``, as the
+reference for ``opt_general_utility``.  ``run_every_slot`` is the
+per-slot driver that ``run_sequence`` is checked against.  ``exhaustive_verify_reference``
 walks every prefix of every short sequence explicitly, as the reference
 for the memoised ``exhaustive_verify``.
 """
 
 import json
 from fractions import Fraction
+from itertools import product
 
 from collatsim.harness import (
     MAX_EXHAUST_SEQUENCES,
@@ -241,6 +244,36 @@ class ReferencePool:
         self.events.append(Event(
             slot, FLUSH, flush_amount=amount, available=self.free, committed=self.committed
         ))
+
+
+def utility_optimum_reference(seq, params):
+    """General-model optimum utility p*V - tau*f by trying every schedule.
+
+    Each offer is settled or discarded, and then the whole committed
+    reserve is flushed or not: 4^n schedules, none pruned, each run on the
+    Fraction ledger of ``ReferencePool``.  A schedule that settles past the
+    free collateral or flushes an empty reserve is dropped.  The residue is
+    flushed at the horizon.  The empty schedule scores 0.
+    """
+    txs = list(seq)
+    best = Fraction(0)
+    for schedule in product(range(4), repeat=len(txs)):
+        pool = ReferencePool(params)
+        try:
+            for tx, choice in zip(txs, schedule):
+                pool.begin_slot(tx.slot)
+                if choice & 1:
+                    pool.settle(tx, tx.slot)
+                if choice & 2:
+                    pool.flush(pool.committed, tx.slot)
+        except (InsufficientCollateral, ZeroFlush):
+            continue
+        if pool.committed > 0:
+            pool.flush(pool.committed, seq.horizon)
+        utility = params.p * pool.settled - params.tau * pool.flushes
+        if utility > best:
+            best = utility
+    return best
 
 
 class ReferenceThreshold:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from collatsim import oracles
-from collatsim.model import ModelParams, TransactionSequence, first_overfull_window
+from collatsim.model import PPM, ModelParams, TransactionSequence, first_overfull_window
 from collatsim.oracles import (
     BudgetExceeded,
     opt_general_utility,
@@ -23,6 +23,7 @@ from oracle_reference import (
     greedy_feasible_value,
     opt_general_value_sim,
     subset_optima,
+    utility_optimum_reference,
     window_law_holds,
     window_upper_bound_all_offsets,
     window_upper_bound_offer_offsets,
@@ -297,6 +298,31 @@ def test_utility_upper_bound():
     assert opt_general_utility(seq, params) <= opt_utility_upper_bound(
         opt_general_value(seq, 200, 1), params
     )
+
+
+@st.composite
+def utility_instances(draw):
+    C = draw(st.integers(min_value=1, max_value=12))
+    T = draw(st.integers(min_value=1, max_value=C))
+    F = draw(st.integers(min_value=1, max_value=3))
+    p_ppm = draw(st.sampled_from([PPM, 500000, 333333, 100000, 7]))
+    tau = draw(st.integers(min_value=0, max_value=(p_ppm * C - 1) // PPM))
+    gaps = draw(st.lists(st.integers(min_value=1, max_value=3), max_size=5))
+    pairs, slot = [], 0
+    for gap in gaps:
+        slot += gap
+        pairs.append((slot, draw(st.integers(min_value=1, max_value=T))))
+    seq = seq_of(pairs) if pairs else TransactionSequence([], horizon=1)
+    return seq, ModelParams(C=C, T=T, F=F, p_ppm=p_ppm, tau=tau)
+
+
+@given(utility_instances())
+@settings(max_examples=100, deadline=None)
+def test_utility_search_matches_every_schedule(instance):
+    seq, params = instance
+    best = opt_general_utility(seq, params)
+    assert type(best) is Fraction
+    assert best == utility_optimum_reference(seq, params)
 
 
 def test_window_upper_bound_examples():
