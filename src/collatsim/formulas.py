@@ -146,8 +146,8 @@ def eta_alpha(eta: Real, C: Real, T: float, p: Real, tau: float) -> Real:
     return value_part * (p / tau - 1 / C) / (p / tau - 1 / (eta * C))
 
 
-def eta_star_raw(C: float, T: float, p: float, tau: float) -> float:
-    """Unclamped optimizer sqrt((1 - T/C) * beta), beta = tau/(p C)."""
+def _eta_star_beta(C: float, T: float, p: float, tau: float) -> float:
+    """beta = tau/(p C), once the optimal threshold's domain is checked."""
     if C <= 0 or T < 0 or T >= C:
         raise DomainError(f"need 0 <= T < C and C > 0, got C={C} T={T}")
     if p <= 0 or tau < 0:
@@ -155,6 +155,12 @@ def eta_star_raw(C: float, T: float, p: float, tau: float) -> float:
     beta = tau / (p * C)
     if beta >= 1:
         raise DomainError(f"need p*C > tau, got beta={beta}")
+    return beta
+
+
+def eta_star_raw(C: float, T: float, p: float, tau: float) -> float:
+    """Unclamped optimizer sqrt((1 - T/C) * beta), beta = tau/(p C)."""
+    beta = _eta_star_beta(C, T, p, tau)  # checked before T/C is formed
     return math.sqrt((1 - T / C) * beta)
 
 
@@ -169,13 +175,7 @@ def eta_star_is_clamped(C: float, T: float, p: float, tau: float) -> bool:
 
 def eta_star_ratio(C: float, T: float, p: float, tau: float) -> float:
     """Guarantee at the optimal threshold: (1-beta)/(sqrt(1-T/C)-sqrt(beta))^2."""
-    if C <= 0 or T < 0 or T >= C:
-        raise DomainError(f"need 0 <= T < C and C > 0, got C={C} T={T}")
-    if p <= 0 or tau < 0:
-        raise DomainError(f"need p > 0 and tau >= 0, got p={p} tau={tau}")
-    beta = tau / (p * C)
-    if beta >= 1:
-        raise DomainError(f"need p*C > tau, got beta={beta}")
+    beta = _eta_star_beta(C, T, p, tau)
     root_gap = math.sqrt(1 - T / C) - math.sqrt(beta)
     if root_gap <= 0:
         raise DomainError(

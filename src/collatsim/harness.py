@@ -1,7 +1,8 @@
 """Experiment harness: run policies, compare against oracles, verify bounds.
 
 The pieces, bottom up: ``run_sequence`` steps one policy over the offers
-of one sequence and validates the window invariant on the produced trace;
+of one sequence, validates the window invariant on the produced trace and
+returns the run's totals;
 ``measure_ratio`` adds an oracle and the formula bound for the policy;
 ``exhaustive_verify`` checks the competitive bound with exact integer
 arithmetic on every prefix of every sequence over a small alphabet,
@@ -15,9 +16,12 @@ target like any other ratio run.
 
 Every run charges the flush fee tau once per wallet flushed (or pool
 tranche), and flushes leftover committed value at the end exactly when
-tau > 0.  ``ExperimentConfig.from_json_obj`` reads every run's settings,
-from a config file or the CLI's flags: a field left out takes the
-dataclass default, and a field it does not read is refused.
+tau > 0 (the threshold policy always does).  Results hold totals only: a
+run's log is its policy's ``machine.trace``, and a batch writes the trace
+of its last repetition, so it keeps one trace at a time.
+``ExperimentConfig.from_json_obj`` reads every run's settings, from a
+config file or the CLI's flags: a field left out takes the dataclass
+default, and a field it does not read is refused.
 Ratio and sweep results serialize to fixed-column CSVs through one
 writer; traces to newline-delimited JSON.  Identical config and seed
 reproduce byte-identical outputs.
@@ -79,23 +83,21 @@ CONFIG_FIELDS = (
 PARAMS_FIELDS = ("C", "T", "F", "k", "p_ppm", "tau", "eta_ppm")
 
 
-def run_sequence(
-    policy, seq: TransactionSequence, terminal_flushes: bool = False
-) -> RunResult:
+def run_sequence(policy, seq: TransactionSequence) -> RunResult:
     """Drive a policy over a sequence's offers, then its horizon; exact totals.
 
-    Quiet slots are not stepped, so the cost goes with the offers.
-    ``terminal_flushes`` asks wallet policies to flush leftover committed
-    value after the last slot, as a config run does when tau > 0; the
-    threshold policy always flushes its residue.  Utility charges tau once
-    per wallet flushed, or per pool tranche.
+    Quiet slots are not stepped, so the cost goes with the offers.  The
+    policy's ``finish`` flushes the leftovers, wallet policies when tau > 0
+    and the threshold policy always.  Utility charges tau once per wallet
+    flushed, or per pool tranche.  The result holds totals only; the run's
+    log stays in ``policy.machine.trace``.
     """
     seq.validate_values(policy.params.T)
     for tx in seq.txs:
         policy.step(tx.slot, tx)
     if seq.horizon > (seq.txs[-1].slot if seq.txs else 0):
         policy.step(seq.horizon, None)
-    policy.finish(seq.horizon, terminal_flushes)
+    policy.finish(seq.horizon)
     validate_window_bound(policy.machine.trace, policy.params)
     return RunResult.from_machine(policy.machine, seq)
 
@@ -144,7 +146,6 @@ def ratio_of(opt, alg) -> Fraction | float:
 class RatioRow:
     run_id: int
     seed: int
-    seq: TransactionSequence
     result: RunResult
     opt_value: int | None
     opt_utility: Fraction | None
@@ -243,11 +244,10 @@ class ExperimentConfig:
 
 def run_policy(config: ExperimentConfig) -> RunResult:
     """Run the configured policy once (repetition 0) and write outputs."""
-    seq = config.sequence_for(0)
     policy = config.policy_for(0)
-    result = run_sequence(policy, seq, terminal_flushes=config.params.tau > 0)
+    result = run_sequence(policy, config.sequence_for(0))
     if config.trace_path:
-        write_trace_ndjson(result.trace, config.trace_path)
+        write_trace_ndjson(policy.machine.trace, config.trace_path)
     if config.csv_path:
         row = _csv_row(config, 0, config.seed, result, None)
         write_results_csv([row], config.csv_path)
@@ -255,21 +255,21 @@ def run_policy(config: ExperimentConfig) -> RunResult:
 
 
 def measure_ratio(config: ExperimentConfig) -> RatioReport:
-    """Run repetitions, compare each against the configured oracle."""
+    """Run repetitions, compare each against the configured oracle; rows
+    keep totals only, and the trace written is the last repetition's."""
     rows = []
     for rep in range(config.repetitions):
         seq = config.sequence_for(rep)
         policy = config.policy_for(rep)
-        result = run_sequence(policy, seq, terminal_flushes=config.params.tau > 0)
-        rows.append(_ratio_row(config, rep, seq, result))
+        rows.append(_ratio_row(config, rep, seq, run_sequence(policy, seq)))
     report = RatioReport(config, rows)
     if config.csv_path:
         write_results_csv(
             [_csv_row(config, r.run_id, r.seed, r.result, r) for r in rows],
             config.csv_path,
         )
-    if config.trace_path and rows:
-        write_trace_ndjson(rows[-1].result.trace, config.trace_path)
+    if config.trace_path:
+        write_trace_ndjson(policy.machine.trace, config.trace_path)
     return report
 
 
@@ -323,7 +323,6 @@ def _ratio_row(
     return RatioRow(
         run_id=rep,
         seed=config.seed + rep,
-        seq=seq,
         result=result,
         opt_value=opt_value,
         opt_utility=opt_utility,
@@ -399,8 +398,6 @@ class _Subtree(NamedTuple):
     over the subtree's prefixes, measured from the node (-inf if none).
     """
 
-    sequences: int
-    prefixes: int
     flushes: int
     dirty: bool  # an invariant broke somewhere below
     margins: tuple
@@ -471,7 +468,7 @@ def exhaustive_verify(
 
     Subtrees are memoised on the node's slot, policy states and DP key,
     since nodes with equal keys have equal subtrees.  The memo keeps, per
-    key, the subtree's counts, whether it broke an invariant, and per
+    key, the subtree's flush count, whether it broke an invariant, and per
     policy the largest ``den*dV_opt - num*dV_alg`` over its prefixes,
     measured from the node.  A node whose key is known skips its subtree
     when that subtree broke no invariant and every such margin is at most
@@ -506,11 +503,13 @@ def exhaustive_verify(
     bounds = [(b.numerator, b.denominator) for b in policies.values()]
     size = params.C // params.k
     saturated = params.load_ratio == 1
+    # every sequence has max_len symbols, and each non-gap symbol ends a prefix
+    sequences = space.sequence_count()
     summary = ExhaustSummary(
         space=space,
         policies=dict(policies),
-        sequences=0,
-        prefixes_checked=0,
+        sequences=sequences,
+        prefixes_checked=sequences - 1,
         counterexamples=[],
         invariant_violations=[],
         flush_events_checked=0,
@@ -594,7 +593,7 @@ def exhaustive_verify(
         ):
             return known
         violations_before = len(violations)
-        sequences = prefixes = flushes = 0
+        flushes = 0
         margins = [-math.inf] * n
         nxt = slot + 1
         dp_row = dp_table.rows[kid]
@@ -629,30 +628,22 @@ def exhaustive_verify(
                             )
                         )
             if sym is not None:
-                prefixes += 1
                 path.append((nxt, sym))
             if nxt < space.max_len:
                 child = walk(nxt, child_sids, child_kid, child_algs, opt_child)
-                sequences += child.sequences
-                prefixes += child.prefixes
                 flushes += child.flushes
                 for i, m in enumerate(child.margins):
                     if edges[i] + m > margins[i]:
                         margins[i] = edges[i] + m
-            else:
-                sequences += 1
             if sym is not None:
                 path.pop()
         dirty = len(violations) > violations_before
-        memo[key] = entry = _Subtree(sequences, prefixes, flushes, dirty, tuple(margins))
+        memo[key] = entry = _Subtree(flushes, dirty, tuple(margins))
         return entry
 
     root_sids = [table.intern(p.state(0), (p, 0)) for table, p in zip(tables, roots)]
     root_kid = dp_table.intern(opt_value_key({(): 0}, 0, space.F), ({(): 0}, 0, 0))
-    root = walk(0, root_sids, root_kid, [0] * n, 0)
-    summary.sequences = root.sequences
-    summary.prefixes_checked = root.prefixes
-    summary.flush_events_checked = root.flushes
+    summary.flush_events_checked = walk(0, root_sids, root_kid, [0] * n, 0).flushes
     # walk's closure refers to itself, so its tables would outlive the call
     memo.clear()
     dp_table.clear()
@@ -898,7 +889,7 @@ def _csv_row(
         row["ratio_value"] = _ratio_str(ratio_row.ratio_value)
         row["ratio_utility"] = _ratio_str(ratio_row.ratio_utility)
         if ratio_row.bound is not None:
-            row["bound"] = "inf" if ratio_row.bound == math.inf else repr(ratio_row.bound)
+            row["bound"] = repr(ratio_row.bound)
             row["bound_ok"] = "true" if ratio_row.bound_ok else "false"
     return row
 

@@ -541,9 +541,9 @@ class CollateralPool:
 
 @dataclass
 class RunResult:
-    """Totals for one policy run; utility is exact."""
+    """Totals for one policy run; utility is exact.  The run's log is the
+    machine's trace, which the result does not hold."""
 
-    trace: EventTrace
     settled_value: int
     flush_count: int
     utility: Fraction
@@ -558,7 +558,6 @@ class RunResult:
         utility charges tau once per flush, a wallet or a pool tranche."""
         params = machine.params
         return cls(
-            trace=machine.trace,
             settled_value=machine.settled,
             flush_count=machine.flushes,
             utility=params.p * machine.settled - params.tau * machine.flushes,

@@ -2,16 +2,16 @@
 
 Every policy exposes the same stepping interface: ``step(slot, tx)`` is
 called with increasing slots and the arriving transaction or None (a
-slot not stepped is quiet), and returns the decision taken.
-``finish(slot, terminal_flushes)`` runs once after the last step; wallet
-policies flush leftover committed collateral only when asked (a run asks
-when tau > 0), the threshold policy always does.  Policies are
-deterministic given params and seed.  Each keeps its state machine under
-``machine``; the machine's counters are the run's totals and its trace
-only logs events.  The wallet-group policies also have ``clone``, which
-copies the state, counters included, and gives the copy an empty trace,
-so the exhaustive verifier can fork mid-run and read off the events of
-one step.
+slot not stepped is quiet), and returns the 1-based wallet that settled
+the offer, the pool counting as 1, or 0 if nothing settled.
+``finish(slot)`` runs once after the last step; wallet policies flush
+leftover committed collateral exactly when tau > 0, the threshold policy
+always does.  Policies are deterministic given params and seed.  Each
+keeps its state machine under ``machine``; the machine's counters are
+the run's totals and its trace only logs events.  The wallet-group
+policies also have ``clone``, which copies the state, counters included,
+and gives the copy an empty trace, so the exhaustive verifier can fork
+mid-run and read off the events of one step.
 
 The three deterministic wallet policies are one rule, ``GroupFlushPolicy``:
 first fit within an active group of g wallets; on a misfit, discard the
@@ -24,7 +24,6 @@ and FlushTwoWhenFull ("ftwf") g = 2.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from .model import (
     PPM,
@@ -45,23 +44,14 @@ class InvalidEta(InvalidParams):
     pass
 
 
-@dataclass(frozen=True)
-class PolicyDecision:
-    """What a policy did in one slot.
-
-    action is 'settle', 'discard', or None (no arrival); flushed lists
-    wallet indices flushed this slot.  Instances are shared: the policies
-    return the module constants below or tuples built once per policy.
-    """
-
-    action: str | None
-    wallet: int | None = None
-    flushed: tuple[int, ...] = ()
-
-
-NO_ARRIVAL = PolicyDecision(None)
-DISCARDED = PolicyDecision("discard")
-SETTLED = PolicyDecision("settle")
+def _flush_leftovers(policy, slot: int) -> None:
+    """The wallet policies' ``finish``: when tau > 0, flush every online
+    wallet that holds committed value."""
+    bank = policy.machine
+    if policy.params.tau > 0:
+        for i in range(1, bank.params.k + 1):
+            if bank.wallet_available(i, slot) and bank.committed(i) > 0:
+                bank.flush(i, slot)
 
 
 class GroupFlushPolicy:
@@ -88,41 +78,30 @@ class GroupFlushPolicy:
         self.g = g
         self.machine = WalletBank(params)
         self.active = 1
-        # the decisions a step returns: settled in wallet i, group j flushed
-        self.settled_in = tuple(
-            PolicyDecision("settle", wallet=i) for i in range(1, params.k + 1)
-        )
-        self.flushed_group = tuple(
-            PolicyDecision("discard", flushed=tuple(range(lo + 1, lo + g + 1)))
-            for lo in range(0, params.k, g)
-        )
 
-    def step(self, slot: int, tx: Transaction | None) -> PolicyDecision:
+    def step(self, slot: int, tx: Transaction | None) -> int:
         bank = self.machine
         bank.begin_slot(slot)
         if tx is None:
-            return NO_ARRIVAL
+            return 0
         bank.trace.arrive(slot, tx.value)
         hi = self.active * self.g
         lo = hi - self.g
         if max(bank.offline_until[lo:hi]) >= slot:
             bank.trace.discard(slot, tx.value)
-            return DISCARDED
+            return 0
         remaining = bank.remaining
         for i in range(lo, hi):
             if tx.value <= remaining[i]:
                 bank.settle(i + 1, tx, slot)
-                return self.settled_in[i]
+                return i + 1
         bank.trace.discard(slot, tx.value)
-        decision = self.flushed_group[self.active - 1]
-        for i in decision.flushed:
+        for i in range(lo + 1, hi + 1):
             bank.flush(i, slot)
-        self.active = self.active % len(self.flushed_group) + 1
-        return decision
+        self.active = self.active + 1 if hi < self.params.k else 1
+        return 0
 
-    def finish(self, slot: int, terminal_flushes: bool = False) -> None:
-        if terminal_flushes:
-            _flush_leftovers(self.machine, slot)
+    finish = _flush_leftovers
 
     def state(self, slot: int) -> tuple[int, ...]:
         """Everything later steps depend on, as a flat tuple, after step(slot).
@@ -148,8 +127,6 @@ class GroupFlushPolicy:
         other.g = self.g
         other.machine = self.machine.clone()
         other.active = self.active
-        other.settled_in = self.settled_in
-        other.flushed_group = self.flushed_group
         return other
 
 
@@ -178,11 +155,6 @@ class FlushTwoWhenFullPolicy(GroupFlushPolicy):
 
     def __init__(self, params: ModelParams):
         super().__init__(params, 2)
-
-
-# rand2's real bank is one wallet
-SETTLED_IN_1 = PolicyDecision("settle", wallet=1)
-FLUSHED_1 = PolicyDecision("discard", flushed=(1,))
 
 
 class _NoTrace(EventTrace):
@@ -229,29 +201,30 @@ class RandTwoPolicy:
         self.chosen: int | None = None
         self.coins_drawn = 0
 
-    def step(self, slot: int, tx: Transaction | None) -> PolicyDecision:
+    def step(self, slot: int, tx: Transaction | None) -> int:
         bank = self.machine
         bank.begin_slot(slot)
         if bank.wallet_available(1, slot) and self.chosen is None:
             self.chosen = 1 + self._coin()
             self.coins_drawn += 1
-        shadow_decision = self.shadow.step(slot, tx)
+        taken = self.shadow.step(slot, tx)
         if tx is None:
-            return NO_ARRIVAL
+            return 0
         bank.trace.arrive(slot, tx.value)
-        if shadow_decision.action == "settle" and shadow_decision.wallet == self.chosen:
+        if taken == self.chosen:
             bank.settle(1, tx, slot)
-            return SETTLED_IN_1
+            return 1
         bank.trace.discard(slot, tx.value)
-        if shadow_decision.flushed:
+        # The real wallet and the shadow flush in the same slots with the same
+        # F, so they go offline and come back together, and a coin is chosen
+        # exactly while both are online.  An offer the online shadow does not
+        # settle is a misfit, on which it flushes.
+        if not taken and self.chosen is not None:
             bank.flush(1, slot)
             self.chosen = None
-            return FLUSHED_1
-        return DISCARDED
+        return 0
 
-    def finish(self, slot: int, terminal_flushes: bool = False) -> None:
-        if terminal_flushes:
-            _flush_leftovers(self.machine, slot)
+    finish = _flush_leftovers
 
 
 class ThresholdPolicy:
@@ -260,8 +233,8 @@ class ThresholdPolicy:
     A transaction settles iff the free balance covers it.  After a
     settle, once the committed reserve reaches eta*C, exactly eta*C is
     flushed.  At the end of a run the residual reserve is flushed in one
-    final tranche regardless of accounting mode, so the flush count is
-    always ceil(V / (eta*C)).  Amounts are the pool's units of 1/PPM, in
+    final tranche whatever tau is, so the flush count is always
+    ceil(V / (eta*C)).  Amounts are the pool's units of 1/PPM, in
     which the tranche eta*C is the int eta_ppm*C.
     """
 
@@ -274,32 +247,25 @@ class ThresholdPolicy:
         self.machine = CollateralPool(params)
         self.tranche = params.eta_ppm * params.C
 
-    def step(self, slot: int, tx: Transaction | None) -> PolicyDecision:
+    def step(self, slot: int, tx: Transaction | None) -> int:
         pool = self.machine
         pool.begin_slot(slot)
         if tx is None:
-            return NO_ARRIVAL
+            return 0
         pool.trace.arrive(slot, tx.value)
         if pool.free < tx.value * PPM:
             pool.trace.discard(slot, tx.value)
-            return DISCARDED
+            return 0
         pool.settle(tx, slot)
         # one tranche at most: the reserve was below eta*C, and ModelParams has T <= eta*C
         if pool.committed >= self.tranche:
             pool.flush(self.tranche, slot)
-        return SETTLED
+        return 1
 
-    def finish(self, slot: int, terminal_flushes: bool = True) -> None:
+    def finish(self, slot: int) -> None:
         # the final partial tranche is part of the policy, not optional
         if self.machine.committed > 0:
             self.machine.flush(self.machine.committed, slot)
-
-
-def _flush_leftovers(bank: WalletBank, slot: int) -> None:
-    """Flush every online wallet holding committed value."""
-    for i in range(1, bank.params.k + 1):
-        if bank.wallet_available(i, slot) and bank.committed(i) > 0:
-            bank.flush(i, slot)
 
 
 POLICY_KINDS = ("fa", "fwf", "ftwf", "rand2", "eta")

@@ -327,7 +327,7 @@ def thm3_seq(
             slot += params.F  # quiet; the target catches up at its next step
         for _ in range(params.C // epsilon):
             slot += 1
-            if target.step(slot, _offer(txs, slot, epsilon)).action == "settle":
+            if target.step(slot, _offer(txs, slot, epsilon)):
                 slot += 1
                 target.step(slot, _offer(txs, slot, params.C))
                 break

@@ -301,7 +301,7 @@ class ReferenceThreshold:
             self.machine.flush(self.machine.committed, slot)
 
 
-def run_every_slot(policy, seq, terminal_flushes=False):
+def run_every_slot(policy, seq):
     """Step ``policy`` through every slot 1..horizon, quiet ones included.
 
     The driver ``run_sequence`` replaces by stepping only the offers and
@@ -310,7 +310,7 @@ def run_every_slot(policy, seq, terminal_flushes=False):
     by_slot = {t.slot: t for t in seq}
     for slot in range(1, seq.horizon + 1):
         policy.step(slot, by_slot.get(slot))
-    policy.finish(seq.horizon, terminal_flushes)
+    policy.finish(seq.horizon)
 
 
 def exhaustive_verify_reference(

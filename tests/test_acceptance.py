@@ -50,7 +50,7 @@ from collatsim.oracles import (
     window_upper_bound,
 )
 from collatsim.policies import make_policy
-from collatsim.workloads import WorkloadSpec, gen_stochastic
+from collatsim.workloads import WorkloadSpec, fwf_killer_seq, gen_stochastic, thm3_seq
 from oracle_reference import opt_general_value_sim, window_law_holds
 
 EXACT = 1e-12
@@ -88,20 +88,38 @@ def exhaust_full_load():
     return out
 
 
+THM3_PARAMS = ModelParams(C=10, T=10, F=2)
+KILLER_PARAMS = ModelParams(C=20, T=10, F=1, k=2)
+
+
 @pytest.fixture(scope="module")
 def thm3_demo():
-    return run_adversary_demo(
-        "thm3", "fwf", ModelParams(C=10, T=10, F=2), epsilon=1, rounds=5
-    )
+    return run_adversary_demo("thm3", "fwf", THM3_PARAMS, epsilon=1, rounds=5)
 
 
 @pytest.fixture(scope="module")
 def killer_demos():
-    params = ModelParams(C=20, T=10, F=1, k=2)
     return {
-        eps: run_adversary_demo("fwfkiller", "fwf", params, epsilon=eps, rounds=10)
+        eps: run_adversary_demo("fwfkiller", "fwf", KILLER_PARAMS, epsilon=eps, rounds=10)
         for eps in (4, 2, 1)
     }
+
+
+@pytest.fixture(scope="module")
+def adversary_traces(thm3_demo, killer_demos):
+    """The fwf traces of the demos above.  A ratio row keeps totals only, so
+    each run is repeated on its rebuilt sequence; fwf is deterministic, and
+    the repeat must reproduce the row's totals."""
+    runs = [(THM3_PARAMS, thm3_seq(THM3_PARAMS, 1, 5, make_policy("fwf", THM3_PARAMS)),
+             thm3_demo)]
+    runs += [(KILLER_PARAMS, fwf_killer_seq(KILLER_PARAMS, eps, 10), demo)
+             for eps, demo in killer_demos.items()]
+    traces = []
+    for params, seq, demo in runs:
+        policy = make_policy("fwf", params)
+        assert run_sequence(policy, seq) == demo.result
+        traces.append(policy.machine.trace)
+    return traces
 
 
 ETA_PPMS = (350000, 418000, 500000)
@@ -145,10 +163,12 @@ def eta_study():
             params = ModelParams(
                 C=200, T=60, F=F, p_ppm=100000, tau=5, eta_ppm=eta_ppm,
             )
-            res = run_sequence(make_policy("eta", params), seq, terminal_flushes=True)
+            policy = make_policy("eta", params)
+            res = run_sequence(policy, seq)
             records.append(
                 {
                     "params": params, "seq": seq, "result": res,
+                    "trace": policy.machine.trace,
                     "u_opt": u_opt, "alpha": alpha, "brute": brute,
                 }
             )
@@ -205,7 +225,7 @@ def test_c05_fwf_unbounded_at_full_load(killer_demos):
     assert ratios[1] > ratios[2] > ratios[4]  # grows as epsilon halves
     for demo in killer_demos.values():
         # the exact optimum clears every offer at this spacing
-        assert demo.opt_value == demo.seq.offered_value()
+        assert demo.opt_value == demo.result.offered_value
     report(5, f"ratios {float(ratios[4])}, {float(ratios[2])}, {float(ratios[1])} for eps 4, 2, 1")
 
 
@@ -225,7 +245,7 @@ def test_c06_threshold_utility_guarantee(eta_study):
 
 
 def test_c07_per_flush_invariants(
-    exhaust_half_load, exhaust_full_load, thm3_demo, killer_demos, eta_study
+    exhaust_half_load, exhaust_full_load, adversary_traces, eta_study
 ):
     flushes_audited = 0
     # wallet policies, across every enumerated sequence
@@ -237,9 +257,9 @@ def test_c07_per_flush_invariants(
             flushes_audited += summary.flush_events_checked
     # the cyclic policy under both adversaries: a flush only happens when
     # the wallet cannot fit a full-size transaction
-    for demo in [thm3_demo, *killer_demos.values()]:
+    for trace in adversary_traces:
         # both setups have wallet size == T, so the floor size - T is zero
-        for e in demo.result.trace.events:
+        for e in trace.events:
             if e.kind == FLUSH:
                 assert e.flush_amount > 0
                 flushes_audited += 1
@@ -249,7 +269,7 @@ def test_c07_per_flush_invariants(
         eta_c = Fraction(rec["params"].eta_ppm * rec["params"].C, PPM)
         last_committed = {}
         flushes = 0
-        for e in rec["result"].trace.events:
+        for e in rec["trace"].events:
             if e.committed is not None:
                 last_committed[e.slot] = e.committed
             if e.kind == FLUSH:
@@ -364,7 +384,8 @@ def test_c10_oracle_self_consistency():
         # every policy trace obeys the same window law the optimum does;
         # run_sequence checks it on every run, re-checked here explicitly
         if trial % 20 == 0:
-            params = ModelParams(C=C, T=C, F=F)
-            res = run_sequence(make_policy("fa", params), seq, terminal_flushes=True)
-            validate_window_bound(res.trace, params)
+            params = ModelParams(C=C, T=C, F=F, tau=1)  # tau > 0 adds the terminal flushes
+            policy = make_policy("fa", params)
+            run_sequence(policy, seq)
+            validate_window_bound(policy.machine.trace, params)
     report(10, "200 instances: subset optimum == simulation optimum, witnesses feasible")

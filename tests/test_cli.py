@@ -464,6 +464,27 @@ def test_ratio_cli_golden(capsys, tmp_path, case):
     assert digest.hexdigest() == RATIO_GOLDEN[case]
 
 
+def test_ratio_writes_the_last_repetitions_trace(capsys, tmp_path):
+    # repetition r runs the policy at seed+r on the workload at its seed+r, so
+    # of three the trace written is repetition 2's: the bytes of a simulate
+    # run at both seeds plus 2, and not those of repetition 0
+    stream, params = LONGRUN_ITEMS["rand2"]
+
+    def trace_of(command, workload_seed, seed, *flags):
+        workload = dict(LONGRUN_STREAMS[stream], horizon=600, seed=workload_seed)
+        path = tmp_path / f"{command}-{seed}.ndjson"
+        assert main([
+            command, "--policy", "rand2", *params.split(), *flags,
+            "--workload", json.dumps(workload), "--seed", str(seed), "--trace", str(path),
+        ]) == 0
+        return path.read_bytes()
+
+    written = trace_of("ratio", 5, 11, "--oracle", "window-bound", "--repetitions", "3")
+    assert written == trace_of("simulate", 7, 13)
+    assert written != trace_of("simulate", 5, 11)
+    capsys.readouterr()
+
+
 def run_cli_error(capsys, *argv):
     code = main(list(argv))
     err = capsys.readouterr().err

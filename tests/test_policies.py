@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
@@ -35,12 +36,15 @@ from collatsim.harness import run_sequence
 from oracle_reference import ReferenceThreshold, reference_ndjson, run_every_slot
 
 
-def settle_slots(result):
-    return [e.slot for e in result.trace.events if e.kind == SETTLE]
+def settle_slots(policy):
+    return [e.slot for e in policy.machine.trace.events if e.kind == SETTLE]
 
 
-def flush_events(result):
-    return [(e.slot, e.wallet, e.flush_amount) for e in result.trace.events if e.kind == FLUSH]
+def flush_events(policy):
+    return [
+        (e.slot, e.wallet, e.flush_amount)
+        for e in policy.machine.trace.events if e.kind == FLUSH
+    ]
 
 
 FIVE_SIXES = TransactionSequence.from_pairs([(t, 6) for t in range(1, 6)])
@@ -49,10 +53,11 @@ FIVE_SIXES = TransactionSequence.from_pairs([(t, 6) for t in range(1, 6)])
 def test_flush_all_trace():
     # wallets of 10: settle 6,6; the third 6 fits nowhere, so flush both
     params = ModelParams(C=20, T=6, F=1, k=2)
-    res = run_sequence(FlushAllPolicy(params), FIVE_SIXES)
+    policy = FlushAllPolicy(params)
+    res = run_sequence(policy, FIVE_SIXES)
     assert res.settled_value == 18
-    assert settle_slots(res) == [1, 2, 5]
-    assert flush_events(res) == [(3, 1, 6), (3, 2, 6)]
+    assert settle_slots(policy) == [1, 2, 5]
+    assert flush_events(policy) == [(3, 1, 6), (3, 2, 6)]
     assert res.flush_count == 2
 
 
@@ -60,17 +65,19 @@ def test_flush_all_waits_for_whole_bank():
     # during the outage nothing settles, even though capacity would fit it
     params = ModelParams(C=20, T=6, F=3, k=2)
     seq = TransactionSequence.from_pairs([(1, 6), (2, 6), (3, 6), (4, 1), (5, 1)])
-    res = run_sequence(FlushAllPolicy(params), seq)
-    assert settle_slots(res) == [1, 2]
+    policy = FlushAllPolicy(params)
+    res = run_sequence(policy, seq)
+    assert settle_slots(policy) == [1, 2]
     assert res.settled_value == 12
 
 
 def test_flush_when_full_trace():
     params = ModelParams(C=20, T=6, F=1, k=2)
-    res = run_sequence(FlushWhenFullPolicy(params), FIVE_SIXES)
+    policy = FlushWhenFullPolicy(params)
+    res = run_sequence(policy, FIVE_SIXES)
     assert res.settled_value == 18
-    assert settle_slots(res) == [1, 3, 5]
-    assert flush_events(res) == [(2, 1, 6), (4, 2, 6)]
+    assert settle_slots(policy) == [1, 3, 5]
+    assert flush_events(policy) == [(2, 1, 6), (4, 2, 6)]
 
 
 def test_flush_when_full_strict_rotation():
@@ -78,9 +85,10 @@ def test_flush_when_full_strict_rotation():
     # wallet 2 even though wallet 1 is back online with room to spare
     params = ModelParams(C=8, T=4, F=1, k=2)
     seq = TransactionSequence.from_pairs([(1, 3), (2, 2), (4, 1)])
-    res = run_sequence(FlushWhenFullPolicy(params), seq)
-    assert flush_events(res) == [(2, 1, 3)]
-    settles = [(e.slot, e.wallet) for e in res.trace.events if e.kind == SETTLE]
+    policy = FlushWhenFullPolicy(params)
+    run_sequence(policy, seq)
+    assert flush_events(policy) == [(2, 1, 3)]
+    settles = [(e.slot, e.wallet) for e in policy.machine.trace.events if e.kind == SETTLE]
     assert settles == [(1, 1), (4, 2)]
 
 
@@ -88,19 +96,21 @@ def test_flush_two_when_full_trace():
     # one pair of size-3 wallets; the third 3 triggers a pair flush
     params = ModelParams(C=6, T=3, F=1, k=2)
     seq = TransactionSequence.from_pairs([(1, 3), (2, 3), (3, 3), (4, 3), (5, 3)])
-    res = run_sequence(FlushTwoWhenFullPolicy(params), seq)
-    assert settle_slots(res) == [1, 2, 5]
-    assert flush_events(res) == [(3, 1, 3), (3, 2, 3)]
+    policy = FlushTwoWhenFullPolicy(params)
+    res = run_sequence(policy, seq)
+    assert settle_slots(policy) == [1, 2, 5]
+    assert flush_events(policy) == [(3, 1, 3), (3, 2, 3)]
     assert res.settled_value == 9
 
 
 def test_flush_two_when_full_advances_pairs():
     params = ModelParams(C=12, T=3, F=1, k=4)
     seq = TransactionSequence.from_pairs([(t, 3) for t in range(1, 6)])
-    res = run_sequence(FlushTwoWhenFullPolicy(params), seq)
+    policy = FlushTwoWhenFullPolicy(params)
+    run_sequence(policy, seq)
     # pair (1,2) fills, flushes on the trigger, pair (3,4) takes over at once
-    assert settle_slots(res) == [1, 2, 4, 5]
-    assert flush_events(res) == [(3, 1, 3), (3, 2, 3)]
+    assert settle_slots(policy) == [1, 2, 4, 5]
+    assert flush_events(policy) == [(3, 1, 3), (3, 2, 3)]
 
 
 def test_flush_two_needs_even_k():
@@ -183,9 +193,10 @@ def test_threshold_trace_integral():
     # x10 units: C=200, T=60, tau=5 stands for C=20, T=6, tau=0.5
     params = ModelParams(C=200, T=60, F=1, p_ppm=100000, tau=5, eta_ppm=500000)
     seq = TransactionSequence.from_pairs([(t, 60) for t in range(1, 5)])
-    res = run_sequence(ThresholdPolicy(params), seq, terminal_flushes=True)
+    policy = ThresholdPolicy(params)
+    res = run_sequence(policy, seq)
     assert res.settled_value == 240
-    assert flush_events(res) == [(2, None, 100), (4, None, 100), (4, None, 40)]
+    assert flush_events(policy) == [(2, None, 100), (4, None, 100), (4, None, 40)]
     assert res.flush_count == 3
     assert res.utility == 9
 
@@ -194,9 +205,10 @@ def test_threshold_trace_fractional_quantum():
     # eta*C = 83.6 is not an integer; amounts stay exact rationals
     params = ModelParams(C=200, T=60, F=1, p_ppm=100000, tau=5, eta_ppm=418000)
     seq = TransactionSequence.from_pairs([(1, 60), (2, 60)])
-    res = run_sequence(ThresholdPolicy(params), seq, terminal_flushes=True)
+    policy = ThresholdPolicy(params)
+    res = run_sequence(policy, seq)
     assert res.settled_value == 120
-    assert flush_events(res) == [
+    assert flush_events(policy) == [
         (2, None, Fraction(418, 5)),
         (2, None, Fraction(182, 5)),
     ]
@@ -206,11 +218,12 @@ def test_threshold_trace_fractional_quantum():
 def test_threshold_discards_when_short():
     params = ModelParams(C=10, T=6, F=3, p_ppm=500000, tau=1, eta_ppm=600000)
     seq = TransactionSequence.from_pairs([(1, 6), (2, 6), (3, 5)])
-    res = run_sequence(ThresholdPolicy(params), seq, terminal_flushes=True)
+    policy = ThresholdPolicy(params)
+    res = run_sequence(policy, seq)
     # 6 settles and the threshold flushes it at once; with that 6 in flight
     # only 4 is available, so both later offers are turned away
-    assert settle_slots(res) == [1]
-    assert flush_events(res) == [(1, None, 6)]
+    assert settle_slots(policy) == [1]
+    assert flush_events(policy) == [(1, None, 6)]
     assert res.settled_value == 6
 
 
@@ -223,9 +236,10 @@ def test_threshold_eta_one_flushes_only_when_saturated():
     # eta = 1 is legal: flush C exactly when the whole pool is committed
     params = ModelParams(C=6, T=3, F=1, eta_ppm=10**6)
     seq = TransactionSequence.from_pairs([(1, 3), (2, 3), (3, 3)])
-    res = run_sequence(ThresholdPolicy(params), seq, terminal_flushes=True)
-    assert flush_events(res) == [(2, None, 6)]
-    assert settle_slots(res) == [1, 2]
+    policy = ThresholdPolicy(params)
+    run_sequence(policy, seq)
+    assert flush_events(policy) == [(2, None, 6)]
+    assert settle_slots(policy) == [1, 2]
 
 
 def test_rand2_follows_the_chosen_shadow_wallet():
@@ -242,9 +256,9 @@ def test_rand2_mirrors_shadow_flushes():
     params = ModelParams(C=4, T=4, F=1)
     seq = TransactionSequence.from_pairs([(1, 4), (2, 4), (3, 4), (4, 4)])
     pol = make_policy("rand2", params, coins=lambda: 0)
-    res = run_sequence(pol, seq)
-    assert flush_events(res) == [(3, 1, 4)]
-    assert settle_slots(res) == [1]
+    run_sequence(pol, seq)
+    assert flush_events(pol) == [(3, 1, 4)]
+    assert settle_slots(pol) == [1]
     assert pol.coins_drawn == 1  # second coin would come with the next online slot
 
 
@@ -252,12 +266,12 @@ def test_rand2_shadow_logs_nothing():
     params = ModelParams(C=4, T=4, F=1)
     seq = TransactionSequence.from_pairs([(1, 4), (2, 4), (3, 4), (4, 4)])
     pol = make_policy("rand2", params, coins=lambda: 0)
-    res = run_sequence(pol, seq)
+    run_sequence(pol, seq)
     shadow = pol.shadow.machine
     # the shadow settled two offers and flushed both wallets, and its trace kept none of it
     assert (shadow.settled, shadow.flushes) == (8, 2)
     assert (shadow.trace.lines, shadow.trace.settles, shadow.trace.flush_amounts) == ([], [], [])
-    assert len(res.trace.lines) == 9  # 4 arrive, 1 settle, 3 discard, 1 flush
+    assert len(pol.machine.trace.lines) == 9  # 4 arrive, 1 settle, 3 discard, 1 flush
 
 
 def test_rand2_draws_one_coin_per_online_period():
@@ -271,10 +285,9 @@ def test_rand2_draws_one_coin_per_online_period():
 def test_rand2_seeded_determinism():
     params = ModelParams(C=10, T=10, F=2)
     seq = TransactionSequence.from_pairs([(t, 3 + (t % 5)) for t in range(1, 15)])
-    a = run_sequence(make_policy("rand2", params, seed=42), seq)
-    b = run_sequence(make_policy("rand2", params, seed=42), seq)
-    assert a.settled_value == b.settled_value
-    assert a.trace.to_ndjson() == b.trace.to_ndjson()
+    a, b = make_policy("rand2", params, seed=42), make_policy("rand2", params, seed=42)
+    assert run_sequence(a, seq).settled_value == run_sequence(b, seq).settled_value
+    assert a.machine.trace.to_ndjson() == b.machine.trace.to_ndjson()
 
 
 def test_rand2_needs_single_wallet():
@@ -299,11 +312,13 @@ def test_policies_are_online(symbols):
     cut = len(symbols) // 2
     head = [(s, v) for s, v in pairs if s <= cut]
     for kind in ("fa", "fwf", "ftwf"):
-        whole = run_sequence(make_policy(kind, params), full)
+        whole = make_policy(kind, params)
+        run_sequence(whole, full)
         if head:
-            part = run_sequence(make_policy(kind, params), TransactionSequence.from_pairs(head))
-            prefix_events = [e for e in whole.trace.events if e.slot <= cut]
-            assert prefix_events == [e for e in part.trace.events if e.slot <= cut]
+            part = make_policy(kind, params)
+            run_sequence(part, TransactionSequence.from_pairs(head))
+            prefix_events = [e for e in whole.machine.trace.events if e.slot <= cut]
+            assert prefix_events == [e for e in part.machine.trace.events if e.slot <= cut]
 
 
 @given(
@@ -312,9 +327,9 @@ def test_policies_are_online(symbols):
 )
 @settings(max_examples=80, deadline=None)
 def test_settled_never_exceeds_offered(values, kind):
-    params = ModelParams(C=12, T=6, F=1, k=2, eta_ppm=500000)
+    params = ModelParams(C=12, T=6, F=1, k=2, tau=1, eta_ppm=500000)
     seq = TransactionSequence.from_pairs([(i + 1, v) for i, v in enumerate(values)])
-    res = run_sequence(make_policy(kind, params), seq, terminal_flushes=True)
+    res = run_sequence(make_policy(kind, params), seq)
     assert 0 <= res.settled_value <= res.offered_value
     assert res.n_tx == len(values)
 
@@ -340,61 +355,71 @@ COUNTER_PARAMS = {
 }
 
 
+def step_and_check(policy, slot, tx):
+    """Step ``policy``; its return must name the wallet of the settle it
+    logged in that step (the pool counts as 1), or be 0 if it logged none."""
+    lines = policy.machine.trace.lines
+    start = len(lines)
+    taken = policy.step(slot, tx)
+    settled = [e.get("wallet", 1) for e in map(json.loads, lines[start:]) if e["kind"] == SETTLE]
+    assert settled == ([taken] if taken else [])
+
+
 @given(
     st.lists(st.one_of(st.none(), st.integers(min_value=1, max_value=3)), max_size=30),
     st.sampled_from(sorted(COUNTER_PARAMS)),
-    st.booleans(),
+    st.sampled_from([0, 1]),
     st.integers(min_value=0, max_value=2**16),
 )
 @settings(max_examples=150, deadline=None)
-def test_counters_match_trace(symbols, kind, terminal_flushes, seed):
-    params = COUNTER_PARAMS[kind]
+def test_counters_match_trace(symbols, kind, tau, seed):
+    params = replace(COUNTER_PARAMS[kind], tau=tau)
     pairs = [(i + 1, v) for i, v in enumerate(symbols) if v is not None]
     seq = TransactionSequence.from_pairs(pairs, horizon=len(symbols))
-    res = run_sequence(
-        make_policy(kind, params, seed=seed), seq, terminal_flushes=terminal_flushes
-    )
-    expected = rescan(res.trace.to_ndjson())
+    whole = make_policy(kind, params, seed=seed)
+    res = run_sequence(whole, seq)
+    expected = rescan(whole.machine.trace.to_ndjson())
     assert {name: getattr(res, name) for name in expected} == expected
-    if kind not in ("fa", "fwf", "ftwf"):
-        return
-    # stepping a clone of a wallet-group policy leaves the original's
-    # counters and trace alone
     cut = len(symbols) // 2
     by_slot = {t.slot: t for t in seq}
     policy = make_policy(kind, params, seed=seed)
     for slot in range(1, cut + 1):
-        policy.step(slot, by_slot.get(slot))
+        step_and_check(policy, slot, by_slot.get(slot))
+    if kind not in ("fa", "fwf", "ftwf"):
+        return
+    # stepping a clone of a wallet-group policy leaves the original's
+    # counters and trace alone
     machine = policy.machine
     before = (machine.settled, machine.flushes, machine.trace.to_ndjson())
     fork = policy.clone()
     for slot in range(cut + 1, seq.horizon + 1):
-        fork.step(slot, by_slot.get(slot))
-    fork.finish(seq.horizon, terminal_flushes)
+        step_and_check(fork, slot, by_slot.get(slot))
+    fork.finish(seq.horizon)
     assert (machine.settled, machine.flushes, machine.trace.to_ndjson()) == before
     # the fork carried the counters on and logged only its own slots
     assert (fork.machine.settled, fork.machine.flushes) == (
         res.settled_value, res.flush_count
     )
-    assert fork.machine.trace.events == [e for e in res.trace.events if e.slot > cut]
+    assert fork.machine.trace.events == [
+        e for e in whole.machine.trace.events if e.slot > cut
+    ]
 
 
 @given(
     st.lists(st.one_of(st.none(), st.integers(min_value=1, max_value=3)), max_size=30),
     st.sampled_from(sorted(COUNTER_PARAMS)),
-    st.booleans(),
+    st.sampled_from([0, 1]),
     st.integers(min_value=0, max_value=2**16),
 )
 @settings(max_examples=150, deadline=None)
-def test_trace_records_match_its_lines(symbols, kind, terminal_flushes, seed):
+def test_trace_records_match_its_lines(symbols, kind, tau, seed):
     # lines, settles and flush amounts are all kept at log time; each must
     # agree with the events parsed back from the lines
     pairs = [(i + 1, v) for i, v in enumerate(symbols) if v is not None]
     seq = TransactionSequence.from_pairs(pairs, horizon=len(symbols))
-    trace = run_sequence(
-        make_policy(kind, COUNTER_PARAMS[kind], seed=seed), seq,
-        terminal_flushes=terminal_flushes,
-    ).trace
+    policy = make_policy(kind, replace(COUNTER_PARAMS[kind], tau=tau), seed=seed)
+    run_sequence(policy, seq)
+    trace = policy.machine.trace
     events = trace.events
     assert reference_ndjson(events) == trace.to_ndjson()
     assert trace.settles == [(e.slot, e.value) for e in events if e.kind == SETTLE]
@@ -436,17 +461,18 @@ WRAPPED_RETURNS = (
 )
 
 
-@given(offer_stepping_runs(), st.booleans(), st.integers(min_value=0, max_value=2**16))
-@example(WRAPPED_RETURNS, False, 0)
+@given(offer_stepping_runs(), st.sampled_from([0, 1]), st.integers(min_value=0, max_value=2**16))
+@example(WRAPPED_RETURNS, 0, 0)
 @settings(max_examples=300, deadline=None)
-def test_stepping_the_offers_equals_stepping_every_slot(run, terminal_flushes, seed):
+def test_stepping_the_offers_equals_stepping_every_slot(run, tau, seed):
     kind, params, seq = run
+    params = replace(params, tau=tau)
     policy = make_policy(kind, params, seed=seed)
-    res = run_sequence(policy, seq, terminal_flushes=terminal_flushes)
+    res = run_sequence(policy, seq)
     reference = make_policy(kind, params, seed=seed)
-    run_every_slot(reference, seq, terminal_flushes)
+    run_every_slot(reference, seq)
     machine = reference.machine
-    assert res.trace.to_ndjson() == machine.trace.to_ndjson()
+    assert policy.machine.trace.to_ndjson() == machine.trace.to_ndjson()
     assert (res.settled_value, res.flush_count) == (machine.settled, machine.flushes)
     assert getattr(policy, "coins_drawn", None) == getattr(reference, "coins_drawn", None)
 
@@ -583,7 +609,9 @@ def test_pool_ledger_is_integral():
 
 # sha256 of the NDJSON trace and utility, with terminal flushes off and on;
 # recorded from the three-class implementation so the one-rule policy is
-# held to the same bytes
+# held to the same bytes.  They were recorded at tau = 1 with the terminal
+# flushes a switch; tau now decides them, so the off half runs at tau = 0
+# and its utility is taken as p*V - 1*f from that run's counters
 GOLDEN = {
     ("fa", 1): (("f896525694afda6472ed152f9084f6004c122376a097b251d93e198260dcd6c0", "20"),
                 ("01acc6ce1076ff1ce850833a33c8154c1b42042d80da9593edb6c33fbf534742", "19")),
@@ -630,17 +658,19 @@ def test_golden_traces(kind, k):
     else:
         params = ModelParams(C=6 * k, T=4, F=2, k=k, p_ppm=500000, tau=1)
     seq = golden_sequence(1000 + k, params.T)
-    for terminal_flushes, expected in zip((False, True), GOLDEN[(kind, k)]):
-        policy = make_policy(kind, params, seed=1000 + k)
-        res = run_sequence(policy, seq, terminal_flushes=terminal_flushes)
-        ndjson = res.trace.to_ndjson()
+    for tau, expected in zip((0, params.tau), GOLDEN[(kind, k)]):
+        policy = make_policy(kind, replace(params, tau=tau), seed=1000 + k)
+        res = run_sequence(policy, seq)
+        ndjson = policy.machine.trace.to_ndjson()
         digest = hashlib.sha256(ndjson.encode()).hexdigest()
-        assert (digest, str(res.utility)) == expected
+        utility = params.p * res.settled_value - params.tau * res.flush_count
+        assert (digest, str(utility)) == expected
+        assert tau == 0 or res.utility == utility
     if kind == "eta":
         assert '"flushAmount":"418/5"' in ndjson
         return
     # the rotation wraps: wallet 1 flushes again after wallet k has flushed
-    flushed = [e.wallet for e in res.trace.events if e.kind == FLUSH]
+    flushed = [e.wallet for e in policy.machine.trace.events if e.kind == FLUSH]
     assert 1 in flushed[flushed.index(k) + 1:]
 
 
@@ -649,10 +679,12 @@ NDJSON_PARAMS = {**COUNTER_PARAMS, "eta": ETA_418}
 
 @pytest.mark.parametrize("kind", POLICY_KINDS)
 def test_run_ndjson_matches_json_module(kind):
-    params = NDJSON_PARAMS[kind]
+    # tau > 0, so the wallet policies flush their leftovers at the end
+    params = replace(NDJSON_PARAMS[kind], tau=1)
     seq = golden_sequence(7, params.T, slots=300)
-    res = run_sequence(make_policy(kind, params, seed=7), seq, terminal_flushes=True)
-    ndjson = res.trace.to_ndjson()
-    assert ndjson == reference_ndjson(res.trace.events)
+    policy = make_policy(kind, params, seed=7)
+    run_sequence(policy, seq)
+    ndjson = policy.machine.trace.to_ndjson()
+    assert ndjson == reference_ndjson(policy.machine.trace.events)
     if kind == "eta":
         assert '"flushAmount":"418/5"' in ndjson

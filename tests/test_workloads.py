@@ -1,7 +1,5 @@
 """Workload generators, adversaries, and sequence files."""
 
-from types import SimpleNamespace
-
 import pytest
 
 from collatsim.model import InvalidParams, ModelParams, TransactionSequence
@@ -130,7 +128,8 @@ def test_epoch_burst_shape():
 
 
 class ScriptedTarget:
-    """Settles the offers whose 1-based numbers are listed; logs every step."""
+    """Settles the offers whose 1-based numbers are listed, in wallet 1;
+    logs every step."""
 
     def __init__(self, settles=()):
         self.settles = set(settles)
@@ -139,9 +138,9 @@ class ScriptedTarget:
     def step(self, slot, tx):
         self.steps.append((slot, tx and tx.value))
         if tx is None:
-            return SimpleNamespace(action=None)
+            return 0
         offers = sum(v is not None for _, v in self.steps)
-        return SimpleNamespace(action="settle" if offers in self.settles else "discard")
+        return 1 if offers in self.settles else 0
 
 
 THM3_PARAMS = ModelParams(C=4, T=4, F=2)
