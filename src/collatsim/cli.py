@@ -218,6 +218,9 @@ MAX_SWEEP_VALUES = 10_000
 
 
 def cmd_sweep(args) -> int:
+    for flag, x in (("--from", args.from_), ("--to", args.to), ("--step", args.step)):
+        if not math.isfinite(x):
+            raise CollateralError(f"{flag} must be finite, got {x}")
     if not args.step > 0:
         raise CollateralError(f"--step must be positive, got {args.step}")
     # below one ulp of the largest endpoint, v += step can stop advancing

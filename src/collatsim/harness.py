@@ -75,6 +75,7 @@ class ConfigError(CollateralError):
 
 
 ORACLE_KINDS = ("brute-general", "brute-kwallet", "brute-utility", "window-bound")
+MAX_REPETITIONS = 10_000
 
 # the fields ExperimentConfig.from_json_obj reads; it refuses any other
 CONFIG_FIELDS = (
@@ -187,6 +188,10 @@ class ExperimentConfig:
             raise ConfigError(f"unknown oracle {self.oracle!r}; expected {ORACLE_KINDS}")
         if self.repetitions < 1:
             raise ConfigError(f"repetitions must be positive, got {self.repetitions}")
+        if self.repetitions > MAX_REPETITIONS:
+            raise ConfigError(
+                f"repetitions must be at most {MAX_REPETITIONS}, got {self.repetitions}"
+            )
         sources = [
             s for s in (self.workload, self.seq_file, self.sequence) if s is not None
         ]

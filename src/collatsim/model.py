@@ -113,7 +113,7 @@ def load_json(source: str, error: type, what: str, inline: bool = False):
             text = fh.read()
     try:
         return json.loads(text)
-    except ValueError as err:  # bad syntax, or an int past the digit limit
+    except (ValueError, RecursionError) as err:  # bad syntax, too many digits, too deep
         raise error(f"{what} is not valid JSON: {err}") from None
 
 

@@ -18,17 +18,18 @@ first fit within an active group of g wallets; on a misfit, discard the
 transaction, flush the group and rotate to the next group.  Arrivals
 during an outage of the active group are discarded as well.  The presets
 differ only in g: FlushAll ("fa") is g = k, FlushWhenFull ("fwf") g = 1
-and FlushTwoWhenFull ("ftwf") g = 2.
+and FlushTwoWhenFull ("ftwf") g = 2.  RandTwo ("rand2") keeps one wallet
+that follows a coin-chosen wallet of a two-wallet FlushAll.
 """
 
 from __future__ import annotations
 
 import random
+from functools import partial
 
 from .model import (
     PPM,
     CollateralPool,
-    EventTrace,
     InvalidParams,
     ModelParams,
     Transaction,
@@ -157,25 +158,16 @@ class FlushTwoWhenFullPolicy(GroupFlushPolicy):
         super().__init__(params, 2)
 
 
-class _NoTrace(EventTrace):
-    """A trace that logs nothing, for rand2's shadow run, which no one reads."""
-
-    __slots__ = ()
-
-    def _skip(self, *event) -> None:
-        pass
-
-    arrive = discard = wallet_settle = wallet_flush = wallet_online = _skip
-
-
 class RandTwoPolicy:
-    """Single real wallet of size C driven by a simulated two-wallet run.
+    """One real wallet of size C that follows one wallet of a two-wallet FlushAll.
 
-    A shadow FlushAll with two wallets of size C each is fed the same
-    arrivals.  At the first step with the real wallet online, at the start
-    and after each outage, a fair coin picks one shadow wallet; the real
-    wallet then settles exactly the transactions that shadow wallet
-    settles and flushes when the shadow run flushes.
+    The simulated FlushAll has two wallets of size C and the same arrivals;
+    it tries wallet 1 first, then wallet 2, and flushes both on a misfit.  At
+    the first step with the real wallet online, at the start and after each
+    outage, a fair coin picks ``chosen``, one of FlushAll's wallets.  The
+    real wallet settles exactly what that wallet settles and flushes when
+    FlushAll does, so its room is the chosen wallet's room, and the other
+    wallet's room is the one int ``other``.
 
     Coins come from ``coins`` (a zero-argument callable returning 0 or 1)
     when given, else from a seeded RNG.
@@ -190,38 +182,34 @@ class RandTwoPolicy:
             raise InvalidParams("rand2 needs a seed or an explicit coin source")
         self.params = params
         self.machine = WalletBank(params)
-        self.shadow = FlushAllPolicy(
-            ModelParams(C=2 * params.C, T=params.T, F=params.F, k=2)
-        )
-        self.shadow.machine.trace = _NoTrace()
-        if coins is None:
-            rng = random.Random(seed)
-            coins = lambda: rng.getrandbits(1)
-        self._coin = coins
+        self._coin = coins if coins is not None else partial(random.Random(seed).getrandbits, 1)
         self.chosen: int | None = None
+        self.other = params.C
         self.coins_drawn = 0
 
     def step(self, slot: int, tx: Transaction | None) -> int:
         bank = self.machine
         bank.begin_slot(slot)
-        if bank.wallet_available(1, slot) and self.chosen is None:
+        online = bank.offline_until[0] < slot
+        if online and self.chosen is None:
             self.chosen = 1 + self._coin()
             self.coins_drawn += 1
-        taken = self.shadow.step(slot, tx)
         if tx is None:
             return 0
-        bank.trace.arrive(slot, tx.value)
-        if taken == self.chosen:
+        value = tx.value
+        bank.trace.arrive(slot, value)
+        if online and value <= bank.remaining[0] and (self.chosen == 1 or value > self.other):
             bank.settle(1, tx, slot)
             return 1
-        bank.trace.discard(slot, tx.value)
-        # The real wallet and the shadow flush in the same slots with the same
-        # F, so they go offline and come back together, and a coin is chosen
-        # exactly while both are online.  An offer the online shadow does not
-        # settle is a misfit, on which it flushes.
-        if not taken and self.chosen is not None:
+        bank.trace.discard(slot, value)
+        if not online:
+            return 0
+        if value <= self.other:
+            self.other -= value
+        else:  # FlushAll's misfit
             bank.flush(1, slot)
             self.chosen = None
+            self.other = self.params.C
         return 0
 
     finish = _flush_leftovers

@@ -345,17 +345,20 @@ def write_sequence_csv(seq: TransactionSequence, path: str) -> None:
 def read_sequence_csv(path: str) -> TransactionSequence:
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["slot", "value"]:
-            raise InvalidSpec(f"expected header slot,value, got {header}")
-        txs = []
-        for row in reader:
-            if not row:
-                continue
-            try:
-                txs.append(Transaction(int(row[0]), int(row[1])))
-            except (ValueError, IndexError):
-                raise InvalidSpec(
-                    f"{path} line {reader.line_num}: expected slot,value integers, got {row}"
-                ) from None
+        try:
+            header = next(reader, None)
+            if header != ["slot", "value"]:
+                raise InvalidSpec(f"expected header slot,value, got {header}")
+            txs = []
+            for row in reader:
+                if not row:
+                    continue
+                try:
+                    txs.append(Transaction(int(row[0]), int(row[1])))
+                except (ValueError, IndexError):
+                    raise InvalidSpec(
+                        f"{path} line {reader.line_num}: expected slot,value integers, got {row}"
+                    ) from None
+        except csv.Error as err:  # a field past the csv module's size limit
+            raise InvalidSpec(f"{path} line {reader.line_num}: {err}") from None
     return TransactionSequence(txs)

@@ -16,13 +16,16 @@ Fractions and ``ReferenceThreshold`` the threshold policy over it, the
 reference for the integer ledger of ``CollateralPool`` and
 ``ThresholdPolicy``.  ``utility_optimum_reference`` runs every
 settle/discard and flush/keep schedule on ``ReferencePool``, as the
-reference for ``opt_general_utility``.  ``run_every_slot`` is the
+reference for ``opt_general_utility``.  ``ReferenceRandTwo`` steps rand2
+through a whole two-wallet FlushAll run, the reference for
+``RandTwoPolicy``.  ``run_every_slot`` is the
 per-slot driver that ``run_sequence`` is checked against.  ``exhaustive_verify_reference``
 walks every prefix of every short sequence explicitly, as the reference
 for the memoised ``exhaustive_verify``.
 """
 
 import json
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -48,10 +51,11 @@ from collatsim.model import (
     InsufficientCollateral,
     ModelParams,
     Transaction,
+    WalletBank,
     ZeroFlush,
 )
 from collatsim.oracles import BudgetExceeded, opt_value_extend
-from collatsim.policies import make_policy
+from collatsim.policies import FlushAllPolicy, make_policy
 
 _NDJSON = json.JSONEncoder(separators=(",", ":"))
 
@@ -299,6 +303,56 @@ class ReferenceThreshold:
     def finish(self, slot):
         if self.machine.committed > 0:
             self.machine.flush(self.machine.committed, slot)
+
+
+class ReferenceRandTwo:
+    """rand2 driven by a whole two-wallet FlushAll run, the shadow.
+
+    The shadow FlushAll, with two wallets of size C each, is stepped on
+    every step and its trace is ignored.  A coin is drawn as in
+    ``RandTwoPolicy``, from ``coins`` or a ``random.Random(seed)``.  The
+    real wallet settles what the coin-chosen shadow wallet settles and
+    flushes when the online shadow misfits; the two flush in the same
+    slots with the same F, so they go offline and come back together.  The
+    reference for the one-wallet rule of ``RandTwoPolicy.step``.
+    """
+
+    def __init__(self, params: ModelParams, seed=None, coins=None):
+        self.params = params
+        self.machine = WalletBank(params)
+        self.shadow = FlushAllPolicy(
+            ModelParams(C=2 * params.C, T=params.T, F=params.F, k=2)
+        )
+        if coins is None:
+            rng = random.Random(seed)
+            coins = lambda: rng.getrandbits(1)
+        self._coin = coins
+        self.chosen = None
+        self.coins_drawn = 0
+
+    def step(self, slot, tx):
+        bank = self.machine
+        bank.begin_slot(slot)
+        if bank.wallet_available(1, slot) and self.chosen is None:
+            self.chosen = 1 + self._coin()
+            self.coins_drawn += 1
+        taken = self.shadow.step(slot, tx)
+        if tx is None:
+            return 0
+        bank.trace.arrive(slot, tx.value)
+        if taken == self.chosen:
+            bank.settle(1, tx, slot)
+            return 1
+        bank.trace.discard(slot, tx.value)
+        if not taken and self.chosen is not None:
+            bank.flush(1, slot)
+            self.chosen = None
+        return 0
+
+    def finish(self, slot):
+        bank = self.machine
+        if self.params.tau > 0 and bank.wallet_available(1, slot) and bank.committed(1) > 0:
+            bank.flush(1, slot)
 
 
 def run_every_slot(policy, seq):

@@ -535,6 +535,26 @@ def test_non_integer_csv_cell(capsys, tmp_path):
     assert "line 3" in err
 
 
+def test_csv_field_past_the_size_limit(capsys, tmp_path):
+    path = tmp_path / "seq.csv"
+    path.write_text("slot,value\n1,2\n2," + "1" * 131_073 + "\n")
+    err = run_cli_error(
+        capsys, "simulate", "--policy", "fa",
+        "--C", "20", "--k", "2", "--T", "6", "--F", "1", "--seq", str(path),
+    )
+    assert err.startswith(f"error: {path} line 3: field larger than field limit")
+    assert err.count("\n") == 1
+
+
+def test_too_deep_inline_workload(capsys):
+    err = run_cli_error(
+        capsys, "simulate", "--policy", "fa",
+        "--C", "20", "--k", "2", "--T", "6", "--F", "1",
+        "--workload", '{"valueParams": ' + "[" * 100_000,
+    )
+    assert err.startswith("error: workload is not valid JSON: maximum recursion depth exceeded")
+
+
 def test_malformed_inline_workload(capsys):
     err = run_cli_error(
         capsys, "simulate", "--policy", "fa",
@@ -738,7 +758,7 @@ def test_simulate_runs_up_to_the_slot_cap(capsys, tmp_path):
         (("1e16", "2e16", "1"), "too small to advance"),
         # 2**53 - 2 advances twice, then 2**53 + 1.0 rounds back to 2**53
         (("9007199254740990", "9007199254740994", "1"), "too small to advance"),
-        (("0", "inf", "1"), "too small to advance"),
+        (("1e300", "2e300", "1e280"), "too small to advance"),
         (("0", "1", "1e-9"), "exceed 10000 values"),
     ],
 )
@@ -754,6 +774,23 @@ def test_sweep_rejects_endless_or_huge_ranges(capsys, span, expected):
         ),
     )
     assert expected in err
+
+
+@pytest.mark.parametrize(
+    "flag, value", [("--from", "nan"), ("--to", "inf"), ("--step", "nan"), ("--from", "-inf")]
+)
+def test_sweep_rejects_non_finite_bounds(capsys, flag, value):
+    # a nan span sweeps no value and exits 0; an infinite one never ends
+    span = {"--from": "0.35", "--to": "0.5", "--step": "0.05", flag: value}
+    err = run_cli_error(
+        capsys, "sweep", "--param", "eta", *(f"{k}={v}" for k, v in span.items()),
+        "--policy", "eta", "--C", "200", "--T", "60", "--F", "1",
+        "--workload", json.dumps(
+            {"kind": "constant", "arrivalRatePerMille": 600, "horizon": 20,
+             "seed": 0, "maxValue": 60}
+        ),
+    )
+    assert err == f"error: {flag} must be finite, got {float(value)}\n"
 
 
 WORKLOAD = {"kind": "constant", "arrivalRatePerMille": 500, "horizon": 10,
@@ -826,6 +863,7 @@ def test_oracle_state_step_cap(capsys, monkeypatch):
         # removed fields are refused, not read as another charge or accounting
         ({"flushCharge": "per-action"}, "unknown config field 'flushCharge'"),
         ({"utility": False}, "unknown config field 'utility'"),
+        ({"repetitions": 10**12}, "repetitions must be at most 10000, got 1000000000000"),
     ],
 )
 def test_wrong_typed_config_field(capsys, tmp_path, seq_csv, fields, message):
@@ -999,7 +1037,7 @@ def run_config(capsys, tmp_path, command, config, *flags):
 @pytest.mark.parametrize("flag, value, command", RUN_FLAG_CASES)
 def test_run_flag_overrides_config(capsys, tmp_path, monkeypatch, flag, value, command):
     monkeypatch.chdir(tmp_path)
-    # rand2's shadow puts six offers in one wallet and four in the other
+    # rand2's two-wallet FlushAll puts six offers in one wallet and four in the other
     (tmp_path / "seq.csv").write_text("slot,value\n" + "".join(f"{t},3\n" for t in range(1, 11)))
     (tmp_path / "other.csv").write_text("slot,value\n1,2\n3,2\n4,1\n")
     config = {"params": {"C": 20, "k": 1, "T": 6, "F": 1}, "policy": "rand2",
@@ -1146,6 +1184,7 @@ def test_wrong_typed_model_param(capsys, tmp_path, seq_csv, policy, params, mess
 
 
 HUGE_INT = "1" + "0" * 5000  # past the interpreter's 4300-digit limit
+DEEP_ARRAY = "[" * 100_000  # past the decoder's recursion limit
 
 
 @pytest.mark.parametrize("flag", ["--workload", "--config"])
@@ -1154,8 +1193,9 @@ HUGE_INT = "1" + "0" * 5000  # past the interpreter's 4300-digit limit
     [
         (HUGE_INT.encode(), "not valid JSON"),
         (b"\xff\xfe{}", "input is not UTF-8 text"),
+        (DEEP_ARRAY.encode(), "not valid JSON: maximum recursion depth exceeded"),
     ],
-    ids=["huge-int", "not-utf8"],
+    ids=["huge-int", "not-utf8", "too-deep"],
 )
 def test_unparsable_json_file(capsys, tmp_path, flag, content, message):
     path = tmp_path / "in.json"
@@ -1166,6 +1206,7 @@ def test_unparsable_json_file(capsys, tmp_path, flag, content, message):
     ]
     err = run_cli_error(capsys, "simulate", *flags)
     assert message in err
+    assert err.count("\n") == 1
 
 
 BIG = "1" + "0" * 400  # past the float range

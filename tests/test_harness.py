@@ -8,6 +8,7 @@ from itertools import product
 import pytest
 
 from collatsim.harness import (
+    MAX_REPETITIONS,
     ConfigError,
     ExhaustSpace,
     ExperimentConfig,
@@ -88,6 +89,13 @@ def test_config_needs_exactly_one_source(tmp_path):
         config_with(seq_file="x.csv")  # workload also set
     with pytest.raises(ConfigError):
         ExperimentConfig(params=PARAMS, policy="fa")
+
+
+def test_config_caps_the_repetitions():
+    # a batch adds a row per repetition, so an unbounded count never ends
+    assert config_with(repetitions=MAX_REPETITIONS).repetitions == MAX_REPETITIONS
+    with pytest.raises(ConfigError, match=r"^repetitions must be at most 10000, got 10+$"):
+        config_with(repetitions=10**12)
 
 
 def test_config_json_round_trip(tmp_path):

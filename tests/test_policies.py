@@ -33,7 +33,12 @@ from collatsim.policies import (
     make_policy,
 )
 from collatsim.harness import run_sequence
-from oracle_reference import ReferenceThreshold, reference_ndjson, run_every_slot
+from oracle_reference import (
+    ReferenceRandTwo,
+    ReferenceThreshold,
+    reference_ndjson,
+    run_every_slot,
+)
 
 
 def settle_slots(policy):
@@ -260,17 +265,6 @@ def test_rand2_mirrors_shadow_flushes():
     assert flush_events(pol) == [(3, 1, 4)]
     assert settle_slots(pol) == [1]
     assert pol.coins_drawn == 1  # second coin would come with the next online slot
-
-
-def test_rand2_shadow_logs_nothing():
-    params = ModelParams(C=4, T=4, F=1)
-    seq = TransactionSequence.from_pairs([(1, 4), (2, 4), (3, 4), (4, 4)])
-    pol = make_policy("rand2", params, coins=lambda: 0)
-    run_sequence(pol, seq)
-    shadow = pol.shadow.machine
-    # the shadow settled two offers and flushed both wallets, and its trace kept none of it
-    assert (shadow.settled, shadow.flushes) == (8, 2)
-    assert (shadow.trace.lines, shadow.trace.settles, shadow.trace.flush_amounts) == ([], [], [])
     assert len(pol.machine.trace.lines) == 9  # 4 arrive, 1 settle, 3 discard, 1 flush
 
 
@@ -437,19 +431,24 @@ OFFER_STEPPING_PARAMS = {
 }
 
 
+def draw_gapped_sequence(draw, params, max_size):
+    """Offers up to T whose gaps, and the horizon past the last, span several outages."""
+    gap = st.integers(min_value=1, max_value=3 * (params.F + 1))
+    pairs, slot = [], 0
+    for step, value in draw(st.lists(st.tuples(gap, st.integers(1, params.T)), max_size=max_size)):
+        slot += step
+        pairs.append((slot, value))
+    horizon = slot + draw(st.integers(min_value=0, max_value=3 * (params.F + 1)))
+    return TransactionSequence.from_pairs(pairs, horizon)
+
+
 @st.composite
 def offer_stepping_runs(draw):
     """A policy kind, its params and a sequence whose gaps span several outages."""
     kind = draw(st.sampled_from(POLICY_KINDS))
     F = draw(st.integers(min_value=1, max_value=3))
     params = ModelParams(F=F, **OFFER_STEPPING_PARAMS[kind])
-    gap = st.integers(min_value=1, max_value=3 * (F + 1))
-    pairs, slot = [], 0
-    for step, value in draw(st.lists(st.tuples(gap, st.integers(1, params.T)), max_size=25)):
-        slot += step
-        pairs.append((slot, value))
-    horizon = slot + draw(st.integers(min_value=0, max_value=3 * (F + 1)))
-    return kind, params, TransactionSequence.from_pairs(pairs, horizon)
+    return kind, params, draw_gapped_sequence(draw, params, 25)
 
 
 # ten offers of 3 flush wallets 1-4 and then wallet 1 again at slot 10; the
@@ -475,6 +474,35 @@ def test_stepping_the_offers_equals_stepping_every_slot(run, tau, seed):
     assert policy.machine.trace.to_ndjson() == machine.trace.to_ndjson()
     assert (res.settled_value, res.flush_count) == (machine.settled, machine.flushes)
     assert getattr(policy, "coins_drawn", None) == getattr(reference, "coins_drawn", None)
+
+
+@st.composite
+def rand2_runs(draw):
+    """rand2 params with tau in {0, 1} and offers whose gaps span several outages."""
+    C = draw(st.integers(min_value=2, max_value=12))  # p*C > tau = 1
+    F = draw(st.integers(min_value=1, max_value=4))
+    params = ModelParams(C=C, T=C, F=F, tau=draw(st.sampled_from([0, 1])))
+    return params, draw_gapped_sequence(draw, params, 30)
+
+
+@given(rand2_runs(), st.integers(min_value=0, max_value=2**16))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_rand2_equals_its_shadow_flush_all_reference(run, seed):
+    # one wallet and the other wallet's room as an int make the same
+    # decisions, coins and bytes as following a whole two-wallet FlushAll
+    params, seq = run
+    policy = make_policy("rand2", params, seed=seed)
+    reference = ReferenceRandTwo(params, seed=seed)
+    by_slot = {t.slot: t for t in seq}
+    for slot in range(1, seq.horizon + 1):
+        tx = by_slot.get(slot)
+        assert policy.step(slot, tx) == reference.step(slot, tx)
+    policy.finish(seq.horizon)
+    reference.finish(seq.horizon)
+    ours, theirs = policy.machine, reference.machine
+    assert ours.trace.to_ndjson() == theirs.trace.to_ndjson()
+    assert (ours.settled, ours.flushes) == (theirs.settled, theirs.flushes)
+    assert policy.coins_drawn == reference.coins_drawn
 
 
 @st.composite
