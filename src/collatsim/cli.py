@@ -269,10 +269,17 @@ def cmd_formulas(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's refusals, the subparsers' too, as one ``error: …`` line, exit 2."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's parser, built once per process; parse_args leaves it as it was."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="collatsim",
         description="simulate and verify online collateral maintenance policies",
     )

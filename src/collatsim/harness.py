@@ -94,8 +94,9 @@ def run_sequence(policy, seq: TransactionSequence) -> RunResult:
     log stays in ``policy.machine.trace``.
     """
     seq.validate_values(policy.params.T)
+    step = policy.step
     for tx in seq.txs:
-        policy.step(tx.slot, tx)
+        step(tx.slot, tx)
     if seq.horizon > (seq.txs[-1].slot if seq.txs else 0):
         policy.step(seq.horizon, None)
     policy.finish(seq.horizon)

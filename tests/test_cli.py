@@ -1121,6 +1121,28 @@ def test_main_reuses_its_parser(capsys, seq_csv):
 
 
 @pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["simulate", "--policy", "fa", "--C"], "argument --C: expected one argument"),
+        (["simulate", "--C", "x"], "argument --C: invalid int value: 'x'"),
+        (["ratio", "--oracle", "nope"], "argument --oracle: invalid choice: 'nope'"),
+        # argparse reads -inf as a flag, not as a number
+        (["sweep", "--param", "eta", "--from", "0.5", "--to", "1", "--step", "-inf"],
+         "argument --step: expected one argument"),
+    ],
+    ids=["missing-value", "bad-int", "bad-choice", "minus-inf"],
+)
+def test_argparse_refusals_are_one_error_line(capsys, argv, expected):
+    with pytest.raises(SystemExit) as refused:
+        main(argv)
+    assert refused.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {expected}")
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+
+
+@pytest.mark.parametrize(
     "kind, knob, value",
     [
         ("poisson-exponential", "mean", "x"),

@@ -34,6 +34,7 @@ from collatsim.policies import (
 )
 from collatsim.harness import run_sequence
 from oracle_reference import (
+    ReferenceBank,
     ReferenceRandTwo,
     ReferenceThreshold,
     reference_ndjson,
@@ -503,6 +504,53 @@ def test_rand2_equals_its_shadow_flush_all_reference(run, seed):
     assert ours.trace.to_ndjson() == theirs.trace.to_ndjson()
     assert (ours.settled, ours.flushes) == (theirs.settled, theirs.flushes)
     assert policy.coins_drawn == reference.coins_drawn
+
+
+@st.composite
+def group_flush_runs(draw):
+    """fa, fwf or ftwf at k in {1, 2, 4, 6} and tau in {0, 1}, with offers
+    whose gaps span several outages."""
+    k = draw(st.sampled_from([1, 2, 4, 6]))
+    kind = draw(st.sampled_from(["fa", "fwf", "ftwf"] if k % 2 == 0 else ["fa", "fwf"]))
+    size = draw(st.integers(min_value=2, max_value=6))  # p*C > tau = 1
+    params = ModelParams(
+        C=k * size, T=draw(st.integers(min_value=1, max_value=size)),
+        F=draw(st.integers(min_value=1, max_value=3)), k=k,
+        tau=draw(st.sampled_from([0, 1])),
+    )
+    return kind, params, draw_gapped_sequence(draw, params, 30)
+
+
+@given(group_flush_runs())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_group_outages_equal_per_wallet_outages(run):
+    # a group flushed as one outage decides, logs and returns as one flush
+    # and one outage per wallet did
+    kind, params, seq = run
+    policy = make_policy(kind, params)
+    reference = make_policy(kind, params)
+    reference.machine = ReferenceBank(params)
+    wallets = range(1, params.k + 1)
+
+    def step_both(slot, tx):
+        assert policy.step(slot, tx) == reference.step(slot, tx)
+        assert policy.state(slot) == reference.state(slot)
+        assert [policy.machine.wallet_available(i, slot) for i in wallets] == [
+            reference.machine.wallet_available(i, slot) for i in wallets
+        ]
+
+    for tx in seq:
+        step_both(tx.slot, tx)
+    step_both(seq.horizon + 1, None)
+    policy.finish(seq.horizon + 1)
+    reference.finish(seq.horizon + 1)
+    ours, theirs = policy.machine, reference.machine
+    back = seq.horizon + params.F + 2  # every outage, the finish flushes' too, is over
+    ours.begin_slot(back)
+    theirs.begin_slot(back)
+    assert ours.trace.to_ndjson() == theirs.trace.to_ndjson()
+    assert (ours.settled, ours.flushes) == (theirs.settled, theirs.flushes)
+    assert policy.state(back) == reference.state(back)
 
 
 @st.composite
