@@ -400,8 +400,9 @@ class ExhaustSummary:
 class _Subtree(NamedTuple):
     """What exhaustive_verify remembers of the subtree below one node.
 
-    ``margins`` holds, per policy, the largest den*dV_opt - num*dV_alg
-    over the subtree's prefixes, measured from the node (-inf if none).
+    ``margins`` holds, per policy, the largest sum of edge weights
+    den*dV_opt - num*dV_alg along a path from the node to one of the
+    subtree's prefixes (-inf if none).
     """
 
     flushes: int
@@ -465,23 +466,26 @@ def exhaustive_verify(
 
     The walk goes depth first over the values then the gap and carries
     per node only each policy's ``state(slot)``, the value DP's
-    ``opt_value_key`` and the absolute V_alg and V_opt.  Two transition
-    tables, local to the call, hold what one offer does: per policy and
-    state the next state, the settled delta and the invariants its flushes
-    break; per DP key the next key and the gain in V_opt.  A missing entry
-    is filled once, by stepping a copy of one object kept per state (a
-    policy, or a DP layer with its slot).
+    ``opt_value_key``, V_opt, and per policy the slack
+    ``num*V_alg - den*V_opt``.  Two transition tables, local to the call,
+    hold what one offer does: per policy and state the next state, the
+    settled delta and the invariants its flushes break; per DP key the next
+    key and the gain in V_opt.  A missing entry is filled once, by stepping
+    a copy of one object kept per state (a policy, or a DP layer with its
+    slot).  Along an edge a policy's slack falls by the edge weight
+    ``den*gain - num*delta``, and the prefix the edge ends is a
+    counterexample exactly when the weight exceeds the slack above it.
 
     Subtrees are memoised on the node's slot, policy states and DP key,
     since nodes with equal keys have equal subtrees.  The memo keeps, per
     key, the subtree's flush count, whether it broke an invariant, and per
-    policy the largest ``den*dV_opt - num*dV_alg`` over its prefixes,
-    measured from the node.  A node whose key is known skips its subtree
-    when that subtree broke no invariant and every such margin is at most
-    ``num*V_alg - den*V_opt`` at the node, so the subtree holds no
-    counterexample; any other node is walked, so counterexamples and
-    violation texts come out in walk order.  Only the ``GroupFlushPolicy``
-    presets have such a state; other policies raise ConfigError.
+    policy the largest sum of edge weights from the node to one of its
+    prefixes.  A node whose key is known skips its subtree when that
+    subtree broke no invariant and every such margin is at most the
+    policy's slack at the node, so the subtree holds no counterexample; any
+    other node is walked, so counterexamples and violation texts come out
+    in walk order.  Only the ``GroupFlushPolicy`` presets have such a
+    state; other policies raise ConfigError.
     """
     # two or more symbols over more slots than the cap has bits are over the
     # cap, so a long max_len is refused before the power is built
@@ -589,15 +593,16 @@ def exhaustive_verify(
     counterexamples = summary.counterexamples
     n = len(kinds)
 
-    def walk(slot: int, sids: list, kid: int, v_algs: list, v_opt: int) -> _Subtree:
+    def walk(slot: int, sids: list, kid: int, slacks: list, v_opt: int) -> _Subtree:
         """Visit the subtree below a node; returns its memo entry."""
         key = (slot, *sids, kid)
         known = memo.get(key)
-        if known is not None and not known.dirty and all(
-            m <= num * v - den * v_opt
-            for m, (num, den), v in zip(known.margins, bounds, v_algs)
-        ):
-            return known
+        if known is not None and not known.dirty:
+            for m, slack in zip(known.margins, slacks):
+                if m > slack:
+                    break
+            else:
+                return known
         violations_before = len(violations)
         flushes = 0
         margins = [-math.inf] * n
@@ -608,8 +613,7 @@ def exhaustive_verify(
             child_kid, gain = dp_row[s] or dp_step(kid, s)
             opt_child = v_opt + gain
             child_sids = []
-            child_algs = []
-            edges = []  # each policy's margin along this edge
+            child_slacks = []
             for i in range(n):
                 child_sid, delta, flushed, faults = rows[i][s] or policy_step(
                     i, sids[i], s
@@ -618,29 +622,29 @@ def exhaustive_verify(
                 for fault in faults:
                     violations.append(fault.format(nxt, tuple(path)))
                 num, den = bounds[i]
-                v_alg = v_algs[i] + delta
-                edge = den * gain - num * delta
+                weight = den * gain - num * delta
                 child_sids.append(child_sid)
-                child_algs.append(v_alg)
-                edges.append(edge)
+                child_slacks.append(slacks[i] - weight)
                 if sym is not None:
-                    if edge > margins[i]:
-                        margins[i] = edge
-                    if opt_child * den > num * v_alg:
+                    if weight > margins[i]:
+                        margins[i] = weight
+                    if weight > slacks[i]:
                         counterexamples.append(
                             Counterexample(
-                                kinds[i], (*path, (nxt, sym)), opt_child, v_alg,
+                                kinds[i], (*path, (nxt, sym)), opt_child,
+                                (slacks[i] - weight + den * opt_child) // num,
                                 policies[kinds[i]],
                             )
                         )
             if sym is not None:
                 path.append((nxt, sym))
             if nxt < space.max_len:
-                child = walk(nxt, child_sids, child_kid, child_algs, opt_child)
+                child = walk(nxt, child_sids, child_kid, child_slacks, opt_child)
                 flushes += child.flushes
                 for i, m in enumerate(child.margins):
-                    if edges[i] + m > margins[i]:
-                        margins[i] = edges[i] + m
+                    m += slacks[i] - child_slacks[i]
+                    if m > margins[i]:
+                        margins[i] = m
             if sym is not None:
                 path.pop()
         dirty = len(violations) > violations_before

@@ -214,16 +214,31 @@ EXHAUST_COUNTS_L5 = {
 }
 
 
-@pytest.mark.parametrize("C,F", sorted(EXHAUST_COUNTS_L5))
-def test_exhaustive_verify_counts_pinned(C, F):
+# The same spaces at L = 7, the length the exhaust benchmark runs.
+EXHAUST_COUNTS_L7 = {
+    (12, 1): (16384, 16383, 9815),
+    (12, 2): (16384, 16383, 9815),
+    (6, 1): (16384, 16383, 11748),
+    (6, 2): (16384, 16383, 9812),
+}
+
+
+def exhaust_counts(C, F, max_len):
     summary = exhaustive_verify(
-        ExhaustSpace(C=C, k=2, T=3, F=F, max_len=5, values=(1, 2, 3))
+        ExhaustSpace(C=C, k=2, T=3, F=F, max_len=max_len, values=(1, 2, 3))
     )
     assert summary.ok()
-    counts = (
-        summary.sequences, summary.prefixes_checked, summary.flush_events_checked
-    )
-    assert counts == EXHAUST_COUNTS_L5[(C, F)]
+    return summary.sequences, summary.prefixes_checked, summary.flush_events_checked
+
+
+@pytest.mark.parametrize("C,F", sorted(EXHAUST_COUNTS_L5))
+def test_exhaustive_verify_counts_pinned(C, F):
+    assert exhaust_counts(C, F, 5) == EXHAUST_COUNTS_L5[(C, F)]
+
+
+@pytest.mark.parametrize("C,F", sorted(EXHAUST_COUNTS_L7))
+def test_exhaustive_verify_counts_pinned_at_the_bench_length(C, F):
+    assert exhaust_counts(C, F, 7) == EXHAUST_COUNTS_L7[(C, F)]
 
 
 # Every counterexample to fa at bound 1 at L = 4 (k = 2, T = 3, values 1-3),
@@ -308,6 +323,20 @@ def test_exhaustive_verify_matches_the_explicit_walk(k, F):
         space = ExhaustSpace(C=C, k=k, T=3, F=F, max_len=L, values=values)
         memoised, explicit = verify_both_routes(space, policies)
         assert memoised == explicit, (space, policies)
+
+
+def test_exhaustive_verify_matches_the_explicit_walk_with_a_bound_per_policy():
+    # each policy is held to its own bound, so a walk that checks one policy
+    # against another's bound disagrees with the explicit walk
+    policies = {"fa": Fraction(3, 2), "fwf": Fraction(2), "ftwf": Fraction(5, 4)}
+    found = 0
+    for k, F, L in product((2, 4), (1, 2, 3), (4, 5)):
+        for C in (3 * k, 6 * k):
+            space = ExhaustSpace(C=C, k=k, T=3, F=F, max_len=L, values=(1, 2, 3))
+            memoised, explicit = verify_both_routes(space, policies)
+            assert memoised == explicit, space
+            found += len(memoised.counterexamples)
+    assert found == 5_642
 
 
 def test_exhaustive_verify_matches_the_explicit_walk_where_most_prefixes_fail():
