@@ -6,9 +6,10 @@ returns the run's totals;
 ``measure_ratio`` adds an oracle and the formula bound for the policy;
 ``exhaustive_verify`` checks the competitive bound with exact integer
 arithmetic on every prefix of every sequence over a small alphabet,
-stepping each policy state and value-DP key once per offer, walking each
-subtree once per key of slot, policy states and DP key and skipping a
-repeat when its stored margins show no counterexample below; ``sweep``
+stepping each policy state and value-DP key once per offer, deciding each
+policy's bound by one max-plus layer per slot over its own graph of
+(state, DP key) nodes, and walking the tree of prefixes only where a
+layer shows a counterexample or a broken invariant below; ``sweep``
 scans eta or k, one ``measure_ratio`` run with the window-bound oracle
 per setting, and marks the empirical optimum next to the formula one;
 ``run_adversary_demo`` measures an adversarial sequence against its
@@ -35,7 +36,6 @@ import sys
 from dataclasses import dataclass, replace
 from functools import partial
 from fractions import Fraction
-from typing import NamedTuple
 
 from . import formulas
 from .model import (
@@ -397,19 +397,6 @@ class ExhaustSummary:
         return not self.counterexamples and not self.invariant_violations
 
 
-class _Subtree(NamedTuple):
-    """What exhaustive_verify remembers of the subtree below one node.
-
-    ``margins`` holds, per policy, the largest sum of edge weights
-    den*dV_opt - num*dV_alg along a path from the node to one of the
-    subtree's prefixes (-inf if none).
-    """
-
-    flushes: int
-    dirty: bool  # an invariant broke somewhere below
-    margins: tuple
-
-
 class _StateTable:
     """States met by exhaustive_verify's walk and their transitions.
 
@@ -464,28 +451,30 @@ def exhaustive_verify(
     at r = 1 a flush-all event carries at least C/2 total (pair flushes
     likewise carry at least C/k).
 
-    The walk goes depth first over the values then the gap and carries
-    per node only each policy's ``state(slot)``, the value DP's
-    ``opt_value_key``, V_opt, and per policy the slack
-    ``num*V_alg - den*V_opt``.  Two transition tables, local to the call,
-    hold what one offer does: per policy and state the next state, the
-    settled delta and the invariants its flushes break; per DP key the next
-    key and the gain in V_opt.  A missing entry is filled once, by stepping
-    a copy of one object kept per state (a policy, or a DP layer with its
-    slot).  Along an edge a policy's slack falls by the edge weight
-    ``den*gain - num*delta``, and the prefix the edge ends is a
-    counterexample exactly when the weight exceeds the slack above it.
+    A node of the tree of prefixes is known by each policy's
+    ``state(slot)`` and the value DP's ``opt_value_key``.  Two transition
+    tables, local to the call, hold what one offer does: per policy and
+    state the next state, the settled delta, the flush count and the
+    invariants its flushes break; per DP key the next key and the gain in
+    V_opt.  A missing entry is filled once, by stepping a copy of one
+    object kept per state (a policy, or a DP layer with its slot).  Along
+    an edge, policy i with bound num/den has the weight
+    ``den*gain - num*delta``, and a prefix is a counterexample exactly when
+    the sum of weights from the root to it is positive.
 
-    Subtrees are memoised on the node's slot, policy states and DP key,
-    since nodes with equal keys have equal subtrees.  The memo keeps, per
-    key, the subtree's flush count, whether it broke an invariant, and per
-    policy the largest sum of edge weights from the node to one of its
-    prefixes.  A node whose key is known skips its subtree when that
-    subtree broke no invariant and every such margin is at most the
-    policy's slack at the node, so the subtree holds no counterexample; any
-    other node is walked, so counterexamples and violation texts come out
-    in walk order.  Only the ``GroupFlushPolicy`` presets have such a
-    state; other policies raise ConfigError.
+    Each policy's bound is decided on its own graph of (state, DP key)
+    nodes, one layer per slot, since its weights, flushes and faults
+    depend on nothing else.  A forward pass collects the layers from the
+    root over every symbol; a backward max-plus pass gives each node the
+    flushes on all paths below it, whether an invariant breaks below it,
+    and its margin: the largest sum of weights from it to a prefix below.
+    ``flush_events_checked`` sums the roots' flushes.  Then a depth-first
+    walk over the values then the gap lists the counterexamples and
+    violation texts in tree order, carrying per policy the slack
+    ``num*V_alg - den*V_opt``; it skips a subtree whose nodes are clean
+    and whose margins are at most the slacks, since that subtree holds
+    neither.  Only the ``GroupFlushPolicy`` presets have such a state;
+    other policies raise ConfigError.
     """
     # two or more symbols over more slots than the cap has bits are over the
     # cap, so a long max_len is refused before the power is built
@@ -525,7 +514,6 @@ def exhaustive_verify(
         flush_events_checked=0,
     )
     symbols = tuple(space.values) + (None,)
-    memo: dict[tuple, _Subtree] = {}
     tables = [_StateTable(len(symbols)) for _ in kinds]
     dp_table = _StateTable(len(symbols))
 
@@ -588,74 +576,104 @@ def exhaustive_verify(
         )
         return edge
 
+    n = len(kinds)
+    length = space.max_len
+    width = len(symbols)
+    root_sids = [table.intern(p.state(0), (p, 0)) for table, p in zip(tables, roots)]
+    root_kid = dp_table.intern(opt_value_key({(): 0}, 0, space.F), ({(): 0}, 0, 0))
+    # layers[i][t] maps each (state id, DP key id) node of policy i at slot t
+    # to (flushes, dirty, margin) of the subtree below it
+    layers: list[list[dict]] = []
+    for i, (num, den) in enumerate(bounds):
+        rows = tables[i].rows
+        nodes = [{(root_sids[i], root_kid)}]
+        for _ in range(1, length):
+            nodes.append({
+                (
+                    (rows[sid][s] or policy_step(i, sid, s))[0],
+                    (dp_table.rows[kid][s] or dp_step(kid, s))[0],
+                )
+                for sid, kid in nodes[-1]
+                for s in range(width)
+            })
+        below: dict = {}
+        for t in reversed(range(length)):
+            ends = t + 1 == length
+            entries = {}
+            for node in nodes[t]:
+                sid, kid = node
+                row, dp_row = rows[sid], dp_table.rows[kid]
+                flushes, dirty, margin = 0, False, -math.inf
+                for s, sym in enumerate(symbols):
+                    child_kid, gain = dp_row[s] or dp_step(kid, s)
+                    child_sid, delta, flushed, faults = row[s] or policy_step(i, sid, s)
+                    weight = den * gain - num * delta
+                    flushes += flushed
+                    if faults:
+                        dirty = True
+                    if sym is not None and weight > margin:
+                        margin = weight
+                    if not ends:
+                        child = below[child_sid, child_kid]
+                        flushes += child[0]
+                        if child[1]:
+                            dirty = True
+                        if weight + child[2] > margin:
+                            margin = weight + child[2]
+                entries[node] = (flushes, dirty, margin)
+            nodes[t] = below = entries
+        layers.append(nodes)
+    summary.flush_events_checked = sum(
+        layer[0][sid, root_kid][0] for layer, sid in zip(layers, root_sids)
+    )
+
     path: list = []  # the (slot, value) pairs from the root to the node
     violations = summary.invariant_violations
     counterexamples = summary.counterexamples
-    n = len(kinds)
 
-    def walk(slot: int, sids: list, kid: int, slacks: list, v_opt: int) -> _Subtree:
-        """Visit the subtree below a node; returns its memo entry."""
-        key = (slot, *sids, kid)
-        known = memo.get(key)
-        if known is not None and not known.dirty:
-            for m, slack in zip(known.margins, slacks):
-                if m > slack:
-                    break
-            else:
-                return known
-        violations_before = len(violations)
-        flushes = 0
-        margins = [-math.inf] * n
+    def walk(slot: int, sids: list, kid: int, slacks: list, v_opt: int) -> None:
+        """List the counterexamples and violations below a node."""
+        for i in range(n):
+            _, dirty, margin = layers[i][slot][sids[i], kid]
+            if dirty or margin > slacks[i]:
+                break
+        else:
+            return
         nxt = slot + 1
         dp_row = dp_table.rows[kid]
         rows = [table.rows[sid] for table, sid in zip(tables, sids)]
         for s, sym in enumerate(symbols):
-            child_kid, gain = dp_row[s] or dp_step(kid, s)
+            child_kid, gain = dp_row[s]
             opt_child = v_opt + gain
             child_sids = []
             child_slacks = []
             for i in range(n):
-                child_sid, delta, flushed, faults = rows[i][s] or policy_step(
-                    i, sids[i], s
-                )
-                flushes += flushed
+                child_sid, delta, _, faults = rows[i][s]
                 for fault in faults:
                     violations.append(fault.format(nxt, tuple(path)))
                 num, den = bounds[i]
                 weight = den * gain - num * delta
                 child_sids.append(child_sid)
                 child_slacks.append(slacks[i] - weight)
-                if sym is not None:
-                    if weight > margins[i]:
-                        margins[i] = weight
-                    if weight > slacks[i]:
-                        counterexamples.append(
-                            Counterexample(
-                                kinds[i], (*path, (nxt, sym)), opt_child,
-                                (slacks[i] - weight + den * opt_child) // num,
-                                policies[kinds[i]],
-                            )
+                if sym is not None and weight > slacks[i]:
+                    counterexamples.append(
+                        Counterexample(
+                            kinds[i], (*path, (nxt, sym)), opt_child,
+                            (slacks[i] - weight + den * opt_child) // num,
+                            policies[kinds[i]],
                         )
+                    )
             if sym is not None:
                 path.append((nxt, sym))
-            if nxt < space.max_len:
-                child = walk(nxt, child_sids, child_kid, child_slacks, opt_child)
-                flushes += child.flushes
-                for i, m in enumerate(child.margins):
-                    m += slacks[i] - child_slacks[i]
-                    if m > margins[i]:
-                        margins[i] = m
+            if nxt < length:
+                walk(nxt, child_sids, child_kid, child_slacks, opt_child)
             if sym is not None:
                 path.pop()
-        dirty = len(violations) > violations_before
-        memo[key] = entry = _Subtree(flushes, dirty, tuple(margins))
-        return entry
 
-    root_sids = [table.intern(p.state(0), (p, 0)) for table, p in zip(tables, roots)]
-    root_kid = dp_table.intern(opt_value_key({(): 0}, 0, space.F), ({(): 0}, 0, 0))
-    summary.flush_events_checked = walk(0, root_sids, root_kid, [0] * n, 0).flushes
-    # walk's closure refers to itself, so its tables would outlive the call
-    memo.clear()
+    walk(0, root_sids, root_kid, [0] * n, 0)
+    # walk's closure refers to itself, so its layers and tables would outlive
+    # the call
+    layers.clear()
     dp_table.clear()
     for table in tables:
         table.clear()

@@ -22,7 +22,7 @@ through a whole two-wallet FlushAll run, the reference for
 reference for the grouped outages of ``WalletBank``.  ``run_every_slot`` is the
 per-slot driver that ``run_sequence`` is checked against.  ``exhaustive_verify_reference``
 walks every prefix of every short sequence explicitly, as the reference
-for the memoised ``exhaustive_verify``.
+for the layered ``exhaustive_verify``.
 """
 
 import json
@@ -412,12 +412,12 @@ def run_every_slot(policy, seq):
 def exhaustive_verify_reference(
     space: ExhaustSpace, policies: dict[str, Fraction] | None = None
 ) -> ExhaustSummary:
-    """The explicit walk that ``exhaustive_verify`` memoises.
+    """The explicit walk whose counterexamples ``exhaustive_verify`` lists.
 
     Clones and steps every policy and extends the value DP once per
     prefix, in the same order, with the same flush-shape invariants and
-    the same texts, so its summary must equal the memoised one field for
-    field.  It forks at every node of the full tree, whose
+    the same texts, so its summary must equal the one that
+    ``exhaustive_verify`` builds from per-policy layers, field for field.  It forks at every node of the full tree, whose
     (|values| + 1)^L leaves are the sequences.
     """
     if space.sequence_count() > MAX_EXHAUST_SEQUENCES:

@@ -295,6 +295,31 @@ def test_exhaust(capsys):
     assert out["invariantViolations"] == []
 
 
+# flags after "exhaust": the sha256 of stdout and the exit code, for the four
+# spaces of the exhaust benchmark at length 5 and one whose F exceeds the
+# length, as recorded when the walk memoised the product of all policies'
+# states
+EXHAUST_GOLDEN = {
+    "--C 12 --k 2 --T 3 --F 1 --max-len 5 --values 1,2,3":
+        ("fd23b3759272bcc76e8101860dcea8d4f346420aa93d07bedc9a1e147b59e913", 0),
+    "--C 12 --k 2 --T 3 --F 2 --max-len 5 --values 1,2,3":
+        ("fd23b3759272bcc76e8101860dcea8d4f346420aa93d07bedc9a1e147b59e913", 0),
+    "--C 6 --k 2 --T 3 --F 1 --max-len 5 --values 1,2,3":
+        ("e88d634e08010000e01f6895d8d4da6cdf54b8d42a14897f2be1e74463d98800", 0),
+    "--C 6 --k 2 --T 3 --F 2 --max-len 5 --values 1,2,3":
+        ("e88d634e08010000e01f6895d8d4da6cdf54b8d42a14897f2be1e74463d98800", 0),
+    "--C 12 --k 2 --T 3 --F 100000000 --max-len 4 --values 1,2,3":
+        ("25e2ac11757878dab6bde08e3dff9c9ac4d006f4dc986170c1e8f6294e1c276e", 0),
+}
+
+
+@pytest.mark.parametrize("flags", EXHAUST_GOLDEN)
+def test_exhaust_cli_golden(capsys, flags):
+    code = main(["exhaust", *flags.split()])
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert (digest, code) == EXHAUST_GOLDEN[flags]
+
+
 def test_formulas(capsys):
     code, out = run_cli(
         capsys, "formulas", "--C", "20", "--T", "6", "--k", "2", "--tau", "1",

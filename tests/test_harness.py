@@ -2,10 +2,12 @@
 
 import csv
 import json
+import sys
 from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from collatsim.harness import (
     MAX_REPETITIONS,
@@ -26,7 +28,7 @@ from collatsim.harness import (
 )
 from collatsim.model import InvalidParams, ModelParams, TransactionSequence, load_json
 from collatsim.oracles import BudgetExceeded, opt_general_value
-from collatsim.policies import GroupFlushPolicy, make_policy
+from collatsim.policies import FlushWhenFullPolicy, GroupFlushPolicy, make_policy
 from collatsim.workloads import WorkloadSpec, thm3_seq
 from oracle_reference import exhaustive_verify_reference
 
@@ -312,17 +314,17 @@ def verify_both_routes(space, policies):
 
 @pytest.mark.parametrize("k,F", list(product((1, 2, 3, 4), (1, 2, 3))))
 def test_exhaustive_verify_matches_the_explicit_walk(k, F):
-    # the memo may skip only subtrees that the explicit walk finds clean, so
+    # the walk may skip only subtrees that the explicit walk finds clean, so
     # every field agrees, counterexamples in walk order included; bounds 1
-    # and 3/2 fail often and make the memo walk its subtrees again
+    # and 3/2 fail often and make the walk list most subtrees
     kinds = ("fa", "fwf", "ftwf") if k % 2 == 0 else ("fa", "fwf")
     bounds = [None] + [{kind: b for kind in kinds} for b in (Fraction(1), Fraction(3, 2))]
     for L, values, C, policies in product(
         (3, 4, 5), ((1,), (1, 2), (1, 2, 3)), (3 * k, 6 * k), bounds
     ):
         space = ExhaustSpace(C=C, k=k, T=3, F=F, max_len=L, values=values)
-        memoised, explicit = verify_both_routes(space, policies)
-        assert memoised == explicit, (space, policies)
+        layered, explicit = verify_both_routes(space, policies)
+        assert layered == explicit, (space, policies)
 
 
 def test_exhaustive_verify_matches_the_explicit_walk_with_a_bound_per_policy():
@@ -333,29 +335,57 @@ def test_exhaustive_verify_matches_the_explicit_walk_with_a_bound_per_policy():
     for k, F, L in product((2, 4), (1, 2, 3), (4, 5)):
         for C in (3 * k, 6 * k):
             space = ExhaustSpace(C=C, k=k, T=3, F=F, max_len=L, values=(1, 2, 3))
-            memoised, explicit = verify_both_routes(space, policies)
-            assert memoised == explicit, space
-            found += len(memoised.counterexamples)
+            layered, explicit = verify_both_routes(space, policies)
+            assert layered == explicit, space
+            found += len(layered.counterexamples)
     assert found == 5_642
 
 
 def test_exhaustive_verify_matches_the_explicit_walk_where_most_prefixes_fail():
-    # at bound 1 for all three policies nearly every stored margin fails its
-    # test, so the memo skips little and the transition tables carry the walk
+    # at bound 1 for all three policies nearly every margin exceeds its
+    # slack, so the walk lists most of the tree from the transition tables
     space = ExhaustSpace(C=6, k=2, T=3, F=2, max_len=6, values=(1, 2, 3))
     policies = {kind: Fraction(1) for kind in ("fa", "fwf", "ftwf")}
-    memoised, explicit = verify_both_routes(space, policies)
-    assert len(memoised.counterexamples) == 10_624
-    assert memoised == explicit
+    layered, explicit = verify_both_routes(space, policies)
+    assert len(layered.counterexamples) == 10_624
+    assert layered == explicit
 
 
-def test_exhaustive_verify_matches_the_explicit_walk_on_violations(monkeypatch):
-    # a broken flush rule, shared by both routes: the group also flushes
-    # right after settling a 1, which breaks the flush-shape invariants on
-    # some subtrees and leaves others clean
-    step = GroupFlushPolicy.step
+# a bound p/q with q <= 4 and 1 <= p/q <= 3
+BOUNDS = st.integers(1, 4).flatmap(
+    lambda q: st.integers(q, 3 * q).map(lambda p: Fraction(p, q))
+)
 
-    def flush_after_settling_one(self, slot, tx):
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    k=st.sampled_from((1, 2, 4)),
+    F=st.integers(1, 3),
+    wide=st.booleans(),
+    L=st.integers(1, 5),
+    values=st.sets(st.integers(1, 3), min_size=1).map(sorted),
+    bounds=st.fixed_dictionaries({kind: BOUNDS for kind in ("fa", "fwf", "ftwf")}),
+)
+def test_exhaustive_verify_matches_the_explicit_walk_at_any_bounds(
+    k, F, wide, L, values, bounds
+):
+    # each policy's layers are decided against its own bound, so a skip that
+    # reads another policy's entry disagrees with the explicit walk; ftwf
+    # needs even k
+    if k % 2:
+        del bounds["ftwf"]
+    space = ExhaustSpace(
+        C=(6 if wide else 3) * k, k=k, T=3, F=F, max_len=L, values=tuple(values)
+    )
+    layered, explicit = verify_both_routes(space, bounds)
+    assert layered == explicit, space
+
+
+def flush_after_settling_one(step):
+    """A broken flush rule on top of ``step``: the active group also
+    flushes right after settling a 1."""
+
+    def broken(self, slot, tx):
         taken = step(self, slot, tx)
         if taken and tx.value == 1:
             hi = self.active * self.g
@@ -364,13 +394,57 @@ def test_exhaustive_verify_matches_the_explicit_walk_on_violations(monkeypatch):
             self.active = self.active % (self.params.k // self.g) + 1
         return taken
 
-    monkeypatch.setattr(GroupFlushPolicy, "step", flush_after_settling_one)
+    return broken
+
+
+def test_exhaustive_verify_matches_the_explicit_walk_on_violations(monkeypatch):
+    # the broken rule, shared by both routes, breaks the flush-shape
+    # invariants on some subtrees and leaves others clean
+    monkeypatch.setattr(
+        GroupFlushPolicy, "step", flush_after_settling_one(GroupFlushPolicy.step)
+    )
     for C in (6, 12):
         space = ExhaustSpace(C=C, k=2, T=3, F=2, max_len=5, values=(1, 2, 3))
-        memoised, explicit = verify_both_routes(space, None)
-        assert memoised.invariant_violations
-        assert len(memoised.invariant_violations) < memoised.flush_events_checked
-        assert memoised == explicit
+        layered, explicit = verify_both_routes(space, None)
+        assert layered.invariant_violations
+        assert len(layered.invariant_violations) < layered.flush_events_checked
+        assert layered == explicit
+
+
+def test_exhaustive_verify_matches_the_explicit_walk_when_one_policy_breaks(
+    monkeypatch,
+):
+    # only fwf breaks the rule, so its layers are dirty where fa's are clean,
+    # and a skip that reads fa's entry for fwf drops its violations
+    monkeypatch.setattr(
+        FlushWhenFullPolicy, "step", flush_after_settling_one(GroupFlushPolicy.step)
+    )
+    for F in (1, 2):
+        space = ExhaustSpace(C=12, k=2, T=3, F=F, max_len=5, values=(1, 2, 3))
+        layered, explicit = verify_both_routes(space, None)
+        assert list(layered.policies) == ["fa", "fwf"]
+        assert layered.invariant_violations
+        assert all(v.startswith("fwf ") for v in layered.invariant_violations)
+        assert layered == explicit
+
+
+def test_exhaustive_verify_skips_a_clean_space_at_the_root():
+    # fa settles every 1 here, so at bound 1 each margin equals its slack of
+    # 0: no subtree holds a counterexample and the walk stops at the root
+    space = ExhaustSpace(C=12, k=2, T=3, F=1, max_len=5, values=(1,))
+    walks = []
+
+    def count_walks(frame, event, arg):
+        if event == "call" and frame.f_code.co_name == "walk":
+            walks.append(frame.f_locals["slot"])
+
+    sys.setprofile(count_walks)
+    try:
+        summary = exhaustive_verify(space, {"fa": Fraction(1)})
+    finally:
+        sys.setprofile(None)
+    assert summary.ok()
+    assert walks == [0]
 
 
 def test_exhaustive_verify_refuses_a_policy_without_a_state():
