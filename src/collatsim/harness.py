@@ -43,7 +43,6 @@ from .model import (
     EventTrace,
     ModelParams,
     RunResult,
-    Transaction,
     TransactionSequence,
     known_fields,
     typed_field,
@@ -95,9 +94,9 @@ def run_sequence(policy, seq: TransactionSequence) -> RunResult:
     """
     seq.validate_values(policy.params.T)
     step = policy.step
-    for tx in seq.txs:
-        step(tx.slot, tx)
-    if seq.horizon > (seq.txs[-1].slot if seq.txs else 0):
+    for slot, value in zip(seq.slots, seq.values):
+        step(slot, value)
+    if seq.horizon > (seq.slots[-1] if seq.slots else 0):
         policy.step(seq.horizon, None)
     policy.finish(seq.horizon)
     validate_window_bound(policy.machine.trace, policy.params)
@@ -238,6 +237,8 @@ class ExperimentConfig:
             raise ConfigError(f"malformed config: {err}") from None
 
     def sequence_for(self, rep: int) -> TransactionSequence:
+        """Repetition rep's sequence: the workload's draw for rep, else the
+        given sequence or the file's, which is read again at every call."""
         if self.sequence is not None:
             return self.sequence
         if self.seq_file is not None:
@@ -265,7 +266,8 @@ def measure_ratio(config: ExperimentConfig) -> RatioReport:
     keep totals only, and the trace written is the last repetition's."""
     rows = []
     for rep in range(config.repetitions):
-        seq = config.sequence_for(rep)
+        if rep == 0 or config.workload is not None:  # a file's is the same each time
+            seq = config.sequence_for(rep)
         policy = config.policy_for(rep)
         rows.append(_ratio_row(config, rep, seq, run_sequence(policy, seq)))
     report = RatioReport(config, rows)
@@ -551,7 +553,7 @@ def exhaustive_verify(
         nxt = slot + 1
         # a clone's trace holds only the events of this step
         p2 = policy.clone()
-        p2.step(nxt, None if sym is None else Transaction(nxt, sym))
+        p2.step(nxt, sym)
         amounts = p2.machine.trace.flush_amounts
         table.rows[sid][s] = edge = (
             table.intern(p2.state(nxt), (p2, nxt)),
@@ -745,7 +747,8 @@ def sweep(config: ExperimentConfig, param: str, values: list[float]) -> list[Swe
     """Scan eta or k, rerunning the configured workload at each setting.
 
     Each setting is a ``measure_ratio`` run of the config with the
-    window-bound oracle (an upper bound on opt) and no outputs of its own.
+    window-bound oracle (an upper bound on opt) and no outputs of its own;
+    a sequence file is read once for all of them.
     Rows carry per-setting means over repetitions and the worst observed
     opt/alg value ratio, or the error that ended the setting.  The
     empirical best row is marked: highest mean utility for eta, lowest
@@ -760,6 +763,7 @@ def sweep(config: ExperimentConfig, param: str, values: list[float]) -> list[Swe
     else:
         formula = formulas.k_star(p.C, p.T)[0]
     rows = []
+    fixed = None  # a file's sequence, read at the first setting that gets to it
     for v in values:
         try:
             if param == "eta":
@@ -772,6 +776,10 @@ def sweep(config: ExperimentConfig, param: str, values: list[float]) -> list[Swe
                 params = replace(p, k=k)
                 params.require_kwallet()
                 cfg = replace(config, params=params)
+            if config.seq_file is not None:
+                if fixed is None:
+                    fixed = read_sequence_csv(config.seq_file)
+                cfg = replace(cfg, seq_file=None, sequence=fixed)
             runs = measure_ratio(
                 replace(cfg, oracle="window-bound", csv_path=None, trace_path=None)
             ).rows

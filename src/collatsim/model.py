@@ -30,11 +30,12 @@ from __future__ import annotations
 
 import json
 import sys
-from bisect import insort
+from bisect import bisect_right, insort
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 from math import gcd
+from operator import attrgetter, lt
 from typing import NamedTuple
 
 PPM = 10**6
@@ -143,58 +144,87 @@ class Transaction(_Offer):
 class TransactionSequence:
     """An ordered batch of transactions with strictly increasing slots.
 
+    The offers are two int columns, ``slots`` and ``values``, so a run
+    reads them without an object per offer; ``txs`` and iteration build
+    the ``Transaction``s for readers that want them.  The checks run over
+    whole columns at C speed, and only a failing one scans for its first
+    offender, with the text ``Transaction`` and the slot order check give.
     The horizon is the last simulated slot; it defaults to the slot of
     the final transaction and may extend past it (trailing quiet slots).
     """
 
-    __slots__ = ("txs", "horizon")
+    __slots__ = ("slots", "values", "horizon")
 
     def __init__(self, txs, horizon: int | None = None):
         txs = tuple(txs)
-        for a, b in zip(txs, txs[1:]):
-            if b.slot <= a.slot:
-                raise InvalidParams(
-                    f"slots must be strictly increasing: {a.slot} then {b.slot}"
-                )
-        last = txs[-1].slot if txs else 0
+        self._set_columns(
+            tuple(map(attrgetter("slot"), txs)), tuple(map(attrgetter("value"), txs)), horizon
+        )
+
+    @classmethod
+    def from_columns(cls, slots, values, horizon: int | None = None) -> "TransactionSequence":
+        """The offers (slots[i], values[i]), checked as ``__init__`` checks them."""
+        seq = object.__new__(cls)
+        seq._set_columns(tuple(slots), tuple(values), horizon)
+        return seq
+
+    @classmethod
+    def from_pairs(cls, pairs, horizon: int | None = None) -> "TransactionSequence":
+        pairs = tuple(pairs)
+        slots, values = zip(*pairs) if pairs else ((), ())
+        return cls.from_columns(slots, values, horizon)
+
+    def _set_columns(self, slots: tuple, values: tuple, horizon: int | None) -> None:
+        if len(slots) != len(values):
+            raise InvalidParams(f"{len(slots)} slots but {len(values)} values")
+        if slots and (min(slots) < 1 or min(values) < 1):
+            for slot, value in zip(slots, values):
+                Transaction(slot, value)  # raises at the first offender
+        if not all(map(lt, slots, slots[1:])):
+            a, b = next((a, b) for a, b in zip(slots, slots[1:]) if b <= a)
+            raise InvalidParams(f"slots must be strictly increasing: {a} then {b}")
+        last = slots[-1] if slots else 0
         if horizon is None:
             horizon = last
         if horizon < last:
             raise InvalidParams(f"horizon {horizon} precedes last slot {last}")
-        self.txs = txs
+        self.slots = slots
+        self.values = values
         self.horizon = horizon
 
-    @classmethod
-    def from_pairs(cls, pairs, horizon: int | None = None) -> "TransactionSequence":
-        return cls((Transaction(s, v) for s, v in pairs), horizon)
+    @property
+    def txs(self) -> tuple[Transaction, ...]:
+        return tuple(self)
 
     def prefix(self, slot: int) -> "TransactionSequence":
         """The sequence truncated to slots 1..slot (horizon = slot)."""
-        return TransactionSequence((t for t in self.txs if t.slot <= slot), slot)
+        n = bisect_right(self.slots, slot)
+        return TransactionSequence.from_columns(self.slots[:n], self.values[:n], slot)
 
     def offered_value(self) -> int:
-        return sum(t.value for t in self.txs)
+        return sum(self.values)
 
     def validate_values(self, T: int) -> None:
-        for t in self.txs:
-            if t.value > T:
-                raise InvalidParams(f"value {t.value} at slot {t.slot} exceeds cap {T}")
+        if self.values and max(self.values) > T:
+            i = next(i for i, v in enumerate(self.values) if v > T)
+            raise InvalidParams(f"value {self.values[i]} at slot {self.slots[i]} exceeds cap {T}")
 
     def __len__(self) -> int:
-        return len(self.txs)
+        return len(self.slots)
 
     def __iter__(self):
-        return iter(self.txs)
+        return map(Transaction, self.slots, self.values)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, TransactionSequence)
-            and self.txs == other.txs
+            and self.slots == other.slots
+            and self.values == other.values
             and self.horizon == other.horizon
         )
 
     def __repr__(self) -> str:
-        return f"TransactionSequence({list(self.txs)!r}, horizon={self.horizon})"
+        return f"TransactionSequence({list(self)!r}, horizon={self.horizon})"
 
 
 @dataclass(frozen=True)
@@ -453,9 +483,11 @@ class WalletBank:
         self._check_index(i)
         return self.size - self.remaining[i - 1]
 
-    def settle(self, i: int, tx: Transaction, slot: int) -> None:
+    def settle(self, i: int, value: int, slot: int) -> None:
+        """Settle an offer of ``value`` at ``slot`` in wallet i, which must be
+        online with room for it."""
         self._check_index(i)
-        j, value = i - 1, tx.value
+        j = i - 1
         if self.offline_until[j] >= slot:
             raise WalletOffline(f"wallet {i} offline at slot {slot}")
         left = self.remaining[j]
@@ -536,8 +568,9 @@ class CollateralPool:
             self.trace.pool_online(back, amount, self.committed)
         self.next_back = inflight[0][1] if inflight else NOTHING_OUT
 
-    def settle(self, tx: Transaction, slot: int) -> None:
-        value = tx.value
+    def settle(self, value: int, slot: int) -> None:
+        """Settle an offer of ``value`` at ``slot`` from the free balance,
+        which must cover it."""
         units = value * PPM
         if self.free < units:
             raise InsufficientCollateral(

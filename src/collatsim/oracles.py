@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .model import PPM, CollateralError, ModelParams, TransactionSequence
+from .model import PPM, CollateralError, ModelParams, Transaction, TransactionSequence
 
 
 class BudgetExceeded(CollateralError):
@@ -114,16 +114,16 @@ def opt_general_value(
     BudgetExceeded once the layers built hold more than MAX_DP_CELLS cells
     (states plus the settles they list) in all.
     """
-    txs = list(seq)
+    slots, values = seq.slots, seq.values
     layers = [{(): 0}]
     cells = 0
-    for i, t in enumerate(txs):
-        layer = opt_value_extend(layers[-1], t.slot, t.value, C, F)
+    for i, (slot, value) in enumerate(zip(slots, values)):
+        layer = opt_value_extend(layers[-1], slot, value, C, F)
         cells += len(layer) + sum(map(len, layer))
         if cells > MAX_DP_CELLS:
             raise BudgetExceeded(
                 f"window DP exceeds {MAX_DP_CELLS} cells (states plus their "
-                f"settles) at transaction {i + 1} of {len(txs)} (F={F})"
+                f"settles) at transaction {i + 1} of {len(slots)} (F={F})"
             )
         if return_witness:
             layers.append(layer)
@@ -134,15 +134,15 @@ def opt_general_value(
     if not return_witness:
         return best
     witness = []
-    for t, layer in zip(reversed(txs), reversed(layers[:-1])):
+    for slot, value, layer in zip(reversed(slots), reversed(values), reversed(layers[:-1])):
         # back-pointer: a state of the previous layer whose step reaches this one
         state, prev = next(
             (s, v)
             for s, v in layer.items()
-            if opt_value_extend({s: v}, t.slot, t.value, C, F).get(state) == total
+            if opt_value_extend({s: v}, slot, value, C, F).get(state) == total
         )
         if prev < total:
-            witness.append(t)
+            witness.append(Transaction(slot, value))
         total = prev
     return best, tuple(reversed(witness))
 
@@ -157,14 +157,14 @@ def opt_kwallet_value(seq: TransactionSequence, params: ModelParams) -> int:
     bound with wallet-symmetry pruning.
     """
     params.require_kwallet()
-    txs = seq.txs
-    _check_search_size(len(txs))
-    n = len(txs)
+    slots, values = seq.slots, seq.values
+    n = len(slots)
+    _check_search_size(n)
     size = params.C // params.k
     F = params.F
     suffix = [0] * (n + 1)
     for i in range(n - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + txs[i].value
+        suffix[i] = suffix[i + 1] + values[i]
     # wallet state: None (fresh) or (open batch load, last settle slot)
     wallets: list[tuple[int, int] | None] = [None] * params.k
     best = 0
@@ -175,7 +175,7 @@ def opt_kwallet_value(seq: TransactionSequence, params: ModelParams) -> int:
             best = acc
         if i == n or acc + suffix[i] <= best:
             return
-        tx = txs[i]
+        slot, value = slots[i], values[i]
         seen: set = set()
         for w in range(params.k):
             state = wallets[w]
@@ -183,19 +183,19 @@ def opt_kwallet_value(seq: TransactionSequence, params: ModelParams) -> int:
                 continue
             seen.add(state)
             if state is None:
-                wallets[w] = (tx.value, tx.slot)
-                walk(i + 1, acc + tx.value)
+                wallets[w] = (value, slot)
+                walk(i + 1, acc + value)
                 wallets[w] = state
             else:
                 load, last = state
-                if load + tx.value <= size:
-                    wallets[w] = (load + tx.value, tx.slot)
-                    walk(i + 1, acc + tx.value)
+                if load + value <= size:
+                    wallets[w] = (load + value, slot)
+                    walk(i + 1, acc + value)
                     wallets[w] = state
-                if tx.slot > last + F:
+                if slot > last + F:
                     # close the open batch (flushed at `last`), start fresh
-                    wallets[w] = (tx.value, tx.slot)
-                    walk(i + 1, acc + tx.value)
+                    wallets[w] = (value, slot)
+                    walk(i + 1, acc + value)
                     wallets[w] = state
         walk(i + 1, acc)  # leave it unsettled
 
@@ -217,13 +217,13 @@ def opt_general_utility(seq: TransactionSequence, params: ModelParams) -> Fracti
     sequence fits without it.  The search scores in ints of 1/PPM,
     p_ppm*V - PPM*tau*f, and the one Fraction is built at the return.
     """
-    txs = seq.txs
-    _check_search_size(len(txs))
-    n = len(txs)
+    slots, values = seq.slots, seq.values
+    n = len(slots)
+    _check_search_size(n)
     C, F, p_ppm, fee = params.C, params.F, params.p_ppm, PPM * params.tau
     suffix = [0] * (n + 1)
     for i in range(n - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + txs[i].value
+        suffix[i] = suffix[i + 1] + values[i]
     best = 0
 
     def go(i: int, committed: int, inflight: tuple, settled: int, flushes: int):
@@ -237,19 +237,19 @@ def opt_general_utility(seq: TransactionSequence, params: ModelParams) -> Fracti
         # even flushing for free from here on cannot beat the incumbent
         if p_ppm * (settled + suffix[i]) - fee * flushes <= best:
             return
-        tx = txs[i]
-        live = tuple((a, b) for a, b in inflight if b > tx.slot)
+        slot, value = slots[i], values[i]
+        live = tuple((a, b) for a, b in inflight if b > slot)
         pending = sum(a for a, _ in live)
-        if C - committed - pending >= tx.value:
-            held = committed + tx.value
-            go(i + 1, held, live, settled + tx.value, flushes)
+        if C - committed - pending >= value:
+            held = committed + value
+            go(i + 1, held, live, settled + value, flushes)
             # flushing only pays off if the remaining offers would not fit
             if held + pending + suffix[i + 1] > C:
                 go(
                     i + 1,
                     0,
-                    live + ((held, tx.slot + F + 1),),
-                    settled + tx.value,
+                    live + ((held, slot + F + 1),),
+                    settled + value,
                     flushes + 1,
                 )
         go(i + 1, committed, live, settled, flushes)
@@ -283,11 +283,11 @@ def window_upper_bound(seq: TransactionSequence, C: int, F: int) -> int:
     width = F + 1
     loads: dict[int, int] = {}
     moves: dict[int, list[tuple[int, int]]] = {}  # offset -> (block, value)
-    for t in seq:
-        block, r = divmod(t.slot - 1, width)
-        loads[block] = loads.get(block, 0) + t.value
+    for slot, value in zip(seq.slots, seq.values):
+        block, r = divmod(slot - 1, width)
+        loads[block] = loads.get(block, 0) + value
         if r:
-            moves.setdefault(width - r, []).append((block, t.value))
+            moves.setdefault(width - r, []).append((block, value))
     best = total = sum(v if v < C else C for v in loads.values())
     for offset in sorted(moves):
         for block, value in moves[offset]:

@@ -1,9 +1,11 @@
 """The online collateral-maintenance policies.
 
-Every policy exposes the same stepping interface: ``step(slot, tx)`` is
-called with increasing slots and the arriving transaction or None (a
-slot not stepped is quiet), and returns the 1-based wallet that settled
-the offer, the pool counting as 1, or 0 if nothing settled.
+Every policy exposes the same stepping interface: ``step(slot, value)``
+is called with increasing slots and the value of the transaction arriving
+there, an int, or None for a quiet slot (a slot not stepped is quiet as
+well), and returns the 1-based wallet that settled the offer, the pool
+counting as 1, or 0 if nothing settled.  A run steps the two int columns
+of a ``TransactionSequence``, so no object is built per offer.
 ``finish(slot)`` runs once after the last step; wallet policies flush
 leftover committed collateral exactly when tau > 0, the threshold policy
 always does.  Policies are deterministic given params and seed.  Each
@@ -32,7 +34,6 @@ from .model import (
     CollateralPool,
     InvalidParams,
     ModelParams,
-    Transaction,
     WalletBank,
 )
 
@@ -80,13 +81,12 @@ class GroupFlushPolicy:
         self.machine = WalletBank(params)
         self.active = 1
 
-    def step(self, slot: int, tx: Transaction | None) -> int:
+    def step(self, slot: int, value: int | None) -> int:
         bank = self.machine
         if slot >= bank.next_back:
             bank.begin_slot(slot)
-        if tx is None:
+        if value is None:
             return 0
-        value = tx.value
         bank.trace.arrive(slot, value)
         hi = self.active * self.g
         lo = hi - self.g
@@ -96,7 +96,7 @@ class GroupFlushPolicy:
         remaining = bank.remaining
         for i in range(lo, hi):
             if value <= remaining[i]:
-                bank.settle(i + 1, tx, slot)
+                bank.settle(i + 1, value, slot)
                 return i + 1
         bank.trace.discard(slot, value)
         bank.flush(lo + 1, slot, hi)
@@ -188,7 +188,7 @@ class RandTwoPolicy:
         self.other = params.C
         self.coins_drawn = 0
 
-    def step(self, slot: int, tx: Transaction | None) -> int:
+    def step(self, slot: int, value: int | None) -> int:
         bank = self.machine
         if slot >= bank.next_back:
             bank.begin_slot(slot)
@@ -196,12 +196,11 @@ class RandTwoPolicy:
         if online and self.chosen is None:
             self.chosen = 1 + self._coin()
             self.coins_drawn += 1
-        if tx is None:
+        if value is None:
             return 0
-        value = tx.value
         bank.trace.arrive(slot, value)
         if online and value <= bank.remaining[0] and (self.chosen == 1 or value > self.other):
-            bank.settle(1, tx, slot)
+            bank.settle(1, value, slot)
             return 1
         bank.trace.discard(slot, value)
         if not online:
@@ -237,17 +236,17 @@ class ThresholdPolicy:
         self.machine = CollateralPool(params)
         self.tranche = params.eta_ppm * params.C
 
-    def step(self, slot: int, tx: Transaction | None) -> int:
+    def step(self, slot: int, value: int | None) -> int:
         pool = self.machine
         if slot >= pool.next_back:
             pool.begin_slot(slot)
-        if tx is None:
+        if value is None:
             return 0
-        pool.trace.arrive(slot, tx.value)
-        if pool.free < tx.value * PPM:
-            pool.trace.discard(slot, tx.value)
+        pool.trace.arrive(slot, value)
+        if pool.free < value * PPM:
+            pool.trace.discard(slot, value)
             return 0
-        pool.settle(tx, slot)
+        pool.settle(value, slot)
         # one tranche at most: the reserve was below eta*C, and ModelParams has T <= eta*C
         if pool.committed >= self.tranche:
             pool.flush(self.tranche, slot)

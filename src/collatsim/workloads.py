@@ -20,6 +20,8 @@ import csv
 import math
 import random
 from dataclasses import dataclass, field
+from itertools import islice
+from operator import itemgetter
 
 from .model import (
     CollateralError,
@@ -61,15 +63,16 @@ MAX_ADVERSARY_OFFERS = 20_000
 MAX_SLOTS = 100_000
 
 
-def _offer(txs: list, slot: int, value: int) -> Transaction:
-    """Append an adversary's next offer; TooManyOffers past the cap."""
-    if len(txs) == MAX_ADVERSARY_OFFERS:
+def _offer(slots: list, values: list, slot: int, value: int) -> int:
+    """Append an adversary's next offer to the columns and return its value;
+    TooManyOffers past the cap."""
+    if len(slots) == MAX_ADVERSARY_OFFERS:
         raise TooManyOffers(
             f"adversary sequence exceeds {MAX_ADVERSARY_OFFERS} offers at slot {slot}"
         )
-    tx = Transaction(slot, value)
-    txs.append(tx)
-    return tx
+    slots.append(slot)
+    values.append(value)
+    return value
 
 
 WORKLOAD_KINDS = (
@@ -200,7 +203,7 @@ def gen_stochastic(spec: WorkloadSpec) -> TransactionSequence:
     rng = random.Random(spec.seed)
     vp = spec.value_params
     rate = spec.arrival_rate_per_mille / 1000.0
-    txs = []
+    slots, values = [], []
     burst_len = vp.get("burstLen", 1)
     gap_len = vp.get("gapLen", 0)
     lo, hi = spec.value_range()
@@ -224,8 +227,9 @@ def gen_stochastic(spec: WorkloadSpec) -> TransactionSequence:
             value = _clamp(draw, spec.max_value)
         else:  # constant
             value = _clamp(vp.get("value", spec.max_value), spec.max_value)
-        txs.append(Transaction(slot, value))
-    return TransactionSequence(txs, spec.horizon)
+        slots.append(slot)
+        values.append(value)
+    return TransactionSequence.from_columns(slots, values, spec.horizon)
 
 
 def fwf_killer_seq(
@@ -251,13 +255,13 @@ def fwf_killer_seq(
     if rounds < 1:
         raise InvalidParams(f"rounds must be positive, got {rounds}")
     step = -(-params.F // params.k) + 1
-    txs = []
+    slots, values = [], []
     slot = 1
     for _ in range(rounds):
-        _offer(txs, slot, epsilon)
-        _offer(txs, slot + 1, params.T)
+        _offer(slots, values, slot, epsilon)
+        _offer(slots, values, slot + 1, params.T)
         slot += max(step, 2)
-    return TransactionSequence(txs)
+    return TransactionSequence.from_columns(slots, values)
 
 
 def epoch_burst_seq(params: ModelParams, epochs: int) -> TransactionSequence:
@@ -274,17 +278,17 @@ def epoch_burst_seq(params: ModelParams, epochs: int) -> TransactionSequence:
         raise InvalidParams(f"epochs must be positive, got {epochs}")
     size = params.C // params.k
     fills = params.k * (size // params.T)
-    txs = []
+    slots, values = [], []
     slot = 1
     for _ in range(epochs):
         for _ in range(fills):
-            _offer(txs, slot, params.T)
+            _offer(slots, values, slot, params.T)
             slot += 1
-        _offer(txs, slot, params.T)  # trigger, discarded by FA
+        _offer(slots, values, slot, params.T)  # trigger, discarded by FA
         for j in range(1, params.F + 1):
-            _offer(txs, slot + j, params.T)
+            _offer(slots, values, slot + j, params.T)
         slot += params.F + 1
-    return TransactionSequence(txs)
+    return TransactionSequence.from_columns(slots, values)
 
 
 def thm3_seq(
@@ -320,45 +324,80 @@ def thm3_seq(
         raise InvalidParams(f"rounds must be positive, got {rounds}")
     if params.T != params.C:
         raise InvalidParams(f"thm3 needs T = C, got T={params.T} C={params.C}")
-    txs = []
+    slots, values = [], []
     slot = 0
     for round_no in range(rounds):
         if round_no:
             slot += params.F  # quiet; the target catches up at its next step
         for _ in range(params.C // epsilon):
             slot += 1
-            if target.step(slot, _offer(txs, slot, epsilon)):
+            if target.step(slot, _offer(slots, values, slot, epsilon)):
                 slot += 1
-                target.step(slot, _offer(txs, slot, params.C))
+                target.step(slot, _offer(slots, values, slot, params.C))
                 break
-    return TransactionSequence(txs, horizon=slot + params.F - 1)
+    return TransactionSequence.from_columns(slots, values, horizon=slot + params.F - 1)
 
 
 def write_sequence_csv(seq: TransactionSequence, path: str) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["slot", "value"])
-        for t in seq:
-            writer.writerow([t.slot, t.value])
+        writer.writerows(zip(seq.slots, seq.values))
+
+
+# read_sequence_csv converts this many rows at a time, so the rows it holds
+# besides the columns stay few however long the file is
+CSV_BLOCK_ROWS = 4096
 
 
 def read_sequence_csv(path: str) -> TransactionSequence:
+    """The sequence in a CSV file of a ``slot,value`` header and int rows.
+
+    Blank lines are skipped and fields past the second ignored.  The rows
+    go into two int columns a block at a time at C speed, and the columns
+    are checked whole.  Should a block fail to convert, the file is read
+    again row by row, so that the error names its first bad row: a field
+    past the csv module's size limit, a row that is not two ints, or a
+    slot or value below 1.
+    """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader, None)
             if header != ["slot", "value"]:
                 raise InvalidSpec(f"expected header slot,value, got {header}")
-            txs = []
-            for row in reader:
-                if not row:
-                    continue
-                try:
-                    txs.append(Transaction(int(row[0]), int(row[1])))
-                except (ValueError, IndexError):
-                    raise InvalidSpec(
-                        f"{path} line {reader.line_num}: expected slot,value integers, got {row}"
-                    ) from None
+            slots: list[int] = []
+            values: list[int] = []
+            rows = filter(None, reader)
+            try:
+                while block := list(islice(rows, CSV_BLOCK_ROWS)):
+                    slots += map(int, map(itemgetter(0), block))
+                    values += map(int, map(itemgetter(1), block))
+            except (csv.Error, ValueError, IndexError):
+                fh.seek(0)
+                reader = csv.reader(fh)
+                next(reader)
+                slots, values = _checked_columns(path, reader)
         except csv.Error as err:  # a field past the csv module's size limit
             raise InvalidSpec(f"{path} line {reader.line_num}: {err}") from None
-    return TransactionSequence(txs)
+    return TransactionSequence.from_columns(slots, values)
+
+
+def _checked_columns(path: str, reader) -> tuple[list[int], list[int]]:
+    """The columns of the rows left in ``reader``, read one row at a time
+    to raise at the first bad one."""
+    slots: list[int] = []
+    values: list[int] = []
+    for row in reader:
+        if not row:
+            continue
+        try:
+            slot, value = int(row[0]), int(row[1])
+        except (ValueError, IndexError):
+            raise InvalidSpec(
+                f"{path} line {reader.line_num}: expected slot,value integers, got {row}"
+            ) from None
+        Transaction(slot, value)  # its text for a slot or value below 1
+        slots.append(slot)
+        values.append(value)
+    return slots, values

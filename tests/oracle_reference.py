@@ -52,7 +52,6 @@ from collatsim.model import (
     FlushExceedsCommitted,
     InsufficientCollateral,
     ModelParams,
-    Transaction,
     WalletBank,
     WalletOffline,
     ZeroFlush,
@@ -183,16 +182,16 @@ def opt_general_value_sim(seq, C, F):
         pool = CollateralPool(params)
         value = 0
         ok = True
-        picked = {txs[i].slot: txs[i] for i in range(n) if mask >> i & 1}
+        picked = {txs[i].slot: txs[i].value for i in range(n) if mask >> i & 1}
         for slot in range(1, seq.horizon + 1):
             pool.begin_slot(slot)
-            tx = picked.get(slot)
-            if tx is not None:
-                if pool.free < tx.value * PPM:
+            offered = picked.get(slot)
+            if offered is not None:
+                if pool.free < offered * PPM:
                     ok = False
                     break
-                pool.settle(tx, slot)
-                value += tx.value
+                pool.settle(offered, slot)
+                value += offered
             if pool.committed > 0:
                 pool.flush(pool.committed, slot)
         if ok and value > best:
@@ -226,16 +225,16 @@ class ReferencePool:
                 Event(back, ONLINE, flush_amount=amount, committed=self.committed)
             )
 
-    def settle(self, tx, slot):
-        if self.free < tx.value:
+    def settle(self, value, slot):
+        if self.free < value:
             raise InsufficientCollateral(
-                f"pool has {self.free} available, needs {tx.value}"
+                f"pool has {self.free} available, needs {value}"
             )
-        self.free -= tx.value
-        self.committed += tx.value
-        self.settled += tx.value
+        self.free -= value
+        self.committed += value
+        self.settled += value
         self.events.append(Event(
-            slot, SETTLE, value=tx.value, available=self.free, committed=self.committed
+            slot, SETTLE, value=value, available=self.free, committed=self.committed
         ))
 
     def flush(self, amount, slot):
@@ -270,7 +269,7 @@ def utility_optimum_reference(seq, params):
             for tx, choice in zip(txs, schedule):
                 pool.begin_slot(tx.slot)
                 if choice & 1:
-                    pool.settle(tx, tx.slot)
+                    pool.settle(tx.value, tx.slot)
                 if choice & 2:
                     pool.flush(pool.committed, tx.slot)
         except (InsufficientCollateral, ZeroFlush):
@@ -290,16 +289,16 @@ class ReferenceThreshold:
         self.machine = ReferencePool(params)
         self.eta_c = Fraction(params.eta_ppm * params.C, PPM)
 
-    def step(self, slot, tx):
+    def step(self, slot, value):
         pool = self.machine
         pool.begin_slot(slot)
-        if tx is None:
+        if value is None:
             return
-        pool.events.append(Event(slot, ARRIVE, value=tx.value))
-        if pool.free < tx.value:
-            pool.events.append(Event(slot, DISCARD, value=tx.value))
+        pool.events.append(Event(slot, ARRIVE, value=value))
+        if pool.free < value:
+            pool.events.append(Event(slot, DISCARD, value=value))
             return
-        pool.settle(tx, slot)
+        pool.settle(value, slot)
         if pool.committed >= self.eta_c:
             pool.flush(self.eta_c, slot)
 
@@ -333,20 +332,20 @@ class ReferenceRandTwo:
         self.chosen = None
         self.coins_drawn = 0
 
-    def step(self, slot, tx):
+    def step(self, slot, value):
         bank = self.machine
         bank.begin_slot(slot)
         if bank.wallet_available(1, slot) and self.chosen is None:
             self.chosen = 1 + self._coin()
             self.coins_drawn += 1
-        taken = self.shadow.step(slot, tx)
-        if tx is None:
+        taken = self.shadow.step(slot, value)
+        if value is None:
             return 0
-        bank.trace.arrive(slot, tx.value)
+        bank.trace.arrive(slot, value)
         if taken == self.chosen:
-            bank.settle(1, tx, slot)
+            bank.settle(1, value, slot)
             return 1
-        bank.trace.discard(slot, tx.value)
+        bank.trace.discard(slot, value)
         if not taken and self.chosen is not None:
             bank.flush(1, slot)
             self.chosen = None
@@ -403,7 +402,7 @@ def run_every_slot(policy, seq):
     The driver ``run_sequence`` replaces by stepping only the offers and
     the horizon.
     """
-    by_slot = {t.slot: t for t in seq}
+    by_slot = dict(zip(seq.slots, seq.values))
     for slot in range(1, seq.horizon + 1):
         policy.step(slot, by_slot.get(slot))
     policy.finish(seq.horizon)
@@ -477,12 +476,11 @@ def exhaustive_verify_reference(
     def walk(depth: int, pairs: list, states: list, opt_states: dict) -> None:
         slot = depth + 1
         for sym in symbols:
-            tx = Transaction(slot, sym) if sym is not None else None
             new_states = []
             for kind, policy in states:
                 # a clone's trace holds only the events of this step
                 p2 = policy.clone()
-                p2.step(slot, tx)
+                p2.step(slot, sym)
                 check_flushes(kind, p2.machine.trace, slot, tuple(pairs))
                 new_states.append((kind, p2))
             if sym is not None:

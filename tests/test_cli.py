@@ -12,6 +12,8 @@ import pytest
 import collatsim
 from collatsim import harness, oracles
 from collatsim.cli import build_parser, main
+from collatsim.model import Transaction
+from collatsim.workloads import WorkloadSpec, gen_stochastic, write_sequence_csv
 
 
 def run_cli(capsys, *argv):
@@ -487,6 +489,174 @@ def test_ratio_cli_golden(capsys, tmp_path, case):
     digest.update(trace.read_bytes())
     digest.update(b"\0" + results.read_bytes())
     assert digest.hexdigest() == RATIO_GOLDEN[case]
+
+
+# the same runs from a sequence file, as the benchmark runs them: each
+# horizon-600 stream written by write_sequence_csv, then `ratio --seq --trace
+# --csv`; the sha256 of the sequence file, stdout, stderr, exit code, NDJSON
+# trace and results CSV, recorded while a sequence held one Transaction per
+# offer
+SEQ_RATIO_GOLDEN = {
+    "fa 1": "9be4731a74ed83b85df06d344399f7e3ba59269fe104fbbf209353e1eb994849",
+    "fa 97": "9fd0b4fea0ecd2fc517e3b85132fc0089985847228eb3efa43cd2b7d1e3c5869",
+    "ftwf 1": "dd40dab2c8a634ba3b31a78cb76ef6a5144dced3db4ebe27090e059e14c58906",
+    "ftwf 97": "7d08e8b687fb72ed75aebe237b4d57cf14076cbc3470339be526111826118a21",
+    "fwf 1": "2cb512f8c43a27439059840906a6d1901313881b5bceada95d428a7f26290211",
+    "fwf 97": "0b2a49ffc8c6a6cf946f82b08adb123ef32fb8f778769e5e49179e793373242e",
+    "rand2 1": "fa4fb58d9c4dd3331ca2337b9949de8014ff5206d07ac3ff467020cc98abb9b7",
+    "rand2 97": "1603864e5a68f6a26bff767c0df04447ffc0c318ace5aa59a34fe0b9bdc67c33",
+    "eta 1": "facbfdf9d4c9d9958335705bfbf8a675d191996d53692de3457f5bd5f8e2c06d",
+    "eta 97": "e2d027bb09fcb1ed4996ec364c33f134efd8ebc1954a3e620e21fe811a3f027a",
+}
+
+
+def write_longrun_csv(path, stream, seed):
+    spec = WorkloadSpec.from_json_obj(dict(LONGRUN_STREAMS[stream], horizon=600, seed=seed))
+    write_sequence_csv(gen_stochastic(spec), str(path))
+
+
+def ratio_from_csv(capsys, tmp_path, case):
+    """The digest of one SEQ_RATIO_GOLDEN case, its sequence file written first."""
+    policy, seed = case.split()
+    stream, params = LONGRUN_ITEMS[policy]
+    seq, trace, results = (tmp_path / f"{policy}.{ext}" for ext in ("csv", "ndjson", "out.csv"))
+    write_longrun_csv(seq, stream, int(seed))
+    code = main([
+        "ratio", "--policy", policy, "--oracle", "window-bound", *params.split(),
+        "--seq", str(seq), "--seed", seed, "--trace", str(trace), "--csv", str(results),
+    ])
+    captured = capsys.readouterr()
+    digest = hashlib.sha256(seq.read_bytes())
+    digest.update(f"\0{captured.out}\0{captured.err}\0{code}\0".encode())
+    digest.update(trace.read_bytes())
+    digest.update(b"\0" + results.read_bytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("case", SEQ_RATIO_GOLDEN)
+def test_ratio_seq_golden(capsys, tmp_path, case):
+    assert ratio_from_csv(capsys, tmp_path, case) == SEQ_RATIO_GOLDEN[case]
+
+
+def test_a_seq_run_builds_no_transaction(capsys, tmp_path, monkeypatch):
+    # a sequence is two int columns from the generator to the policy, so no
+    # Transaction is built while a run writes, reads, steps or measures one
+    cases = [f"{policy} 1" for policy in LONGRUN_ITEMS]
+    built = []
+    build = Transaction.__new__
+
+    def counted(cls, slot, value):
+        built.append((slot, value))
+        return build(cls, slot, value)
+
+    monkeypatch.setattr(Transaction, "__new__", counted)
+    assert Transaction(1, 2) == (1, 2) and built == [(1, 2)]  # the count sees a build
+    built.clear()
+    digests = [ratio_from_csv(capsys, tmp_path, case) for case in cases]
+    assert built == []
+    assert digests == [SEQ_RATIO_GOLDEN[case] for case in cases]
+
+
+# --seq files and the exact answer of `simulate --policy fa --C 12 --k 2 --T 3
+# --F 1` to each, recorded while the reader built one Transaction per row:
+# the exit code, stderr with the file's path as {path}, and the sha256 of
+# stdout.  A bad int or a slot or value below 1 is named at its first row in
+# file order, whatever comes later; slot order is checked once every row is
+# read, and the cap T when the run starts.  The last five are accepted: a
+# header alone, a blank line, an extra field, and int()'s space and _.
+NO_OUTPUT = hashlib.sha256(b"").hexdigest()
+SEQ_FILE_CASES = {
+    'slot 0': ('slot,value\n1,1\n0,1\n',
+        (2, 'error: slot must be >= 1, got 0\n', NO_OUTPUT)),
+    'value 0': ('slot,value\n1,1\n2,0\n',
+        (2, 'error: value must be >= 1, got 0\n', NO_OUTPUT)),
+    'slot 0 and value 0': ('slot,value\n0,0\n',
+        (2, 'error: slot must be >= 1, got 0\n', NO_OUTPUT)),
+    'negative slot': ('slot,value\n-3,1\n',
+        (2, 'error: slot must be >= 1, got -3\n', NO_OUTPUT)),
+    'value 0 then slot 0': ('slot,value\n1,0\n0,1\n',
+        (2, 'error: value must be >= 1, got 0\n', NO_OUTPUT)),
+    'equal slots': ('slot,value\n1,1\n2,1\n2,1\n',
+        (2, 'error: slots must be strictly increasing: 2 then 2\n', NO_OUTPUT)),
+    'decreasing slots': ('slot,value\n1,1\n3,1\n2,1\n',
+        (2, 'error: slots must be strictly increasing: 3 then 2\n', NO_OUTPUT)),
+    'decreasing slots above value 0': ('slot,value\n3,1\n2,1\n4,0\n',
+        (2, 'error: value must be >= 1, got 0\n', NO_OUTPUT)),
+    'values above T': ('slot,value\n1,3\n2,5\n3,7\n',
+        (2, 'error: value 5 at slot 2 exceeds cap 3\n', NO_OUTPUT)),
+    'decreasing slots above a value above T': ('slot,value\n2,1\n1,5\n',
+        (2, 'error: slots must be strictly increasing: 2 then 1\n', NO_OUTPUT)),
+    'slot 0 above a non-int row': ('slot,value\n1,1\n0,1\n3,x\n',
+        (2, 'error: slot must be >= 1, got 0\n', NO_OUTPUT)),
+    'non-int row above slot 0': ('slot,value\n1,1\n2,x\n0,1\n',
+        (2, "error: {path} line 3: expected slot,value integers, got ['2', 'x']\n", NO_OUTPUT)),
+    'float cell': ('slot,value\n1,1.0\n',
+        (2, "error: {path} line 2: expected slot,value integers, got ['1', '1.0']\n", NO_OUTPUT)),
+    'one-field row': ('slot,value\n1,1\n2\n',
+        (2, "error: {path} line 3: expected slot,value integers, got ['2']\n", NO_OUTPUT)),
+    'wrong header': ('slot,val\n1,1\n',
+        (2, "error: expected header slot,value, got ['slot', 'val']\n", NO_OUTPUT)),
+    'byte-order mark': ('\ufeffslot,value\n1,1\n',
+        (2, "error: expected header slot,value, got ['\\ufeffslot', 'value']\n", NO_OUTPUT)),
+    'empty file': ('',
+        (2, 'error: expected header slot,value, got None\n', NO_OUTPUT)),
+    'header only': ('slot,value\n',
+        (0, '', '7d8a77a2a79d40d5edffc35c157db101280efbec8e4ae36c5c8dc5ba76ff3f4d')),
+    "non-int row above an oversized field": (
+        "slot,value\n1,x\n2," + "1" * 131_073 + "\n",
+        (2, "error: {path} line 2: expected slot,value integers, got ['1', 'x']\n", NO_OUTPUT)),
+    "oversized field above a non-int row": (
+        "slot,value\n1," + "1" * 131_073 + "\n2,x\n",
+        (2, 'error: {path} line 2: field larger than field limit (131072)\n', NO_OUTPUT)),
+    'blank line': ('slot,value\n1,1\n\n2,2\n',
+        (0, '', '40def06cd54c3f00cbd28a6aeb10265e063612b8510146e69adafeac5e63fdb4')),
+    'extra field': ('slot,value\n1,1,9\n2,2\n',
+        (0, '', '40def06cd54c3f00cbd28a6aeb10265e063612b8510146e69adafeac5e63fdb4')),
+    'space before an int': ('slot,value\n 1,1\n2, 2\n',
+        (0, '', '40def06cd54c3f00cbd28a6aeb10265e063612b8510146e69adafeac5e63fdb4')),
+    'underscore in an int': ('slot,value\n1_0,1\n1_1,3\n',
+        (0, '', '127b03770e26e1feb44899747303bb5f9dcd97114ffdc5ba782e3d4c78063766')),
+}
+
+
+@pytest.mark.parametrize("case", SEQ_FILE_CASES)
+def test_seq_file_refusals_and_quirks(capsys, tmp_path, case):
+    text, expected = SEQ_FILE_CASES[case]
+    path = tmp_path / "seq.csv"
+    path.write_text(text)
+    code = main([
+        "simulate", "--policy", "fa", "--C", "12", "--k", "2", "--T", "3", "--F", "1",
+        "--seq", str(path),
+    ])
+    captured = capsys.readouterr()
+    out = hashlib.sha256(captured.out.encode()).hexdigest()
+    assert (code, captured.err.replace(str(path), "{path}"), out) == expected
+
+
+# a batch on a sequence file: its flags, and the sha256 of stdout, stderr,
+# exit code and results CSV, recorded while every repetition and every sweep
+# setting read the file again
+BATCH_GOLDEN = {
+    "ratio --policy rand2 --C 12 --k 1 --T 3 --F 2 --oracle window-bound --repetitions 3":
+        "ecd0110e757e0c8c33840252d73214f2a901c3085ec96d9fb6c18c5c80c68092",
+    "sweep --param k --from 1 --to 4 --step 1 --policy fwf --C 12 --T 3 --F 2 --repetitions 2":
+        "75b5f34fafdb94896d52a81ad8910b3c39f574b1379e8b701c0add334d942a3a",
+}
+
+
+@pytest.mark.parametrize("flags", BATCH_GOLDEN)
+def test_a_batch_reads_its_sequence_file_once(capsys, tmp_path, monkeypatch, flags):
+    # three repetitions, or two at each of four settings, share one read
+    seq, results = tmp_path / "seq.csv", tmp_path / "results.csv"
+    write_longrun_csv(seq, "uniform", 5)
+    reads = []
+    read = harness.read_sequence_csv
+    monkeypatch.setattr(harness, "read_sequence_csv", lambda path: reads.append(path) or read(path))
+    code = main([*flags.split(), "--seq", str(seq), "--seed", "4", "--csv", str(results)])
+    captured = capsys.readouterr()
+    digest = hashlib.sha256(f"{captured.out}\0{captured.err}\0{code}\0".encode())
+    digest.update(results.read_bytes())
+    assert (digest.hexdigest(), reads) == (BATCH_GOLDEN[flags], [str(seq)])
 
 
 def test_ratio_writes_the_last_repetitions_trace(capsys, tmp_path):

@@ -385,9 +385,9 @@ def flush_after_settling_one(step):
     """A broken flush rule on top of ``step``: the active group also
     flushes right after settling a 1."""
 
-    def broken(self, slot, tx):
-        taken = step(self, slot, tx)
-        if taken and tx.value == 1:
+    def broken(self, slot, value):
+        taken = step(self, slot, value)
+        if taken and value == 1:
             hi = self.active * self.g
             for i in range(hi - self.g + 1, hi + 1):
                 self.machine.flush(i, slot)

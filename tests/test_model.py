@@ -63,6 +63,51 @@ def test_sequence_accessors():
     seq.validate_values(3)
 
 
+# offers with a fault, and the text of the first one: a slot or value below 1
+# (the slot first within an offer) in offer order, then slot order
+COLUMN_FAULTS = [
+    ([(1, 1), (0, 1), (3, 0)], "slot must be >= 1, got 0"),
+    ([(1, 0), (0, 1)], "value must be >= 1, got 0"),
+    ([(-2, 0)], "slot must be >= 1, got -2"),
+    ([(3, 1), (2, 1), (4, 0)], "value must be >= 1, got 0"),
+    ([(1, 1), (3, 1), (2, 1), (2, 1)], "slots must be strictly increasing: 3 then 2"),
+    ([(1, 1), (5, 1), (5, 1)], "slots must be strictly increasing: 5 then 5"),
+]
+
+
+@pytest.mark.parametrize("pairs, message", COLUMN_FAULTS)
+def test_sequence_columns_name_the_first_fault(pairs, message):
+    # the columns are checked whole, and a failing check names the offender
+    # that a Transaction per offer and a pairwise slot check would name
+    slots, values = zip(*pairs)
+    for build in (
+        lambda: TransactionSequence.from_columns(slots, values),
+        lambda: TransactionSequence.from_pairs(pairs),
+    ):
+        with pytest.raises(InvalidParams) as err:
+            build()
+        assert str(err.value) == message
+
+
+def test_sequence_is_two_int_columns():
+    seq = TransactionSequence.from_columns([1, 4, 6], [3, 2, 5], horizon=8)
+    assert (seq.slots, seq.values, seq.horizon) == ((1, 4, 6), (3, 2, 5), 8)
+    assert seq == TransactionSequence([Transaction(1, 3), Transaction(4, 2), Transaction(6, 5)], 8)
+    assert [(t.slot, t.value) for t in seq] == [(1, 3), (4, 2), (6, 5)]
+    assert repr(seq) == (
+        "TransactionSequence([Transaction(slot=1, value=3), Transaction(slot=4, value=2), "
+        "Transaction(slot=6, value=5)], horizon=8)"
+    )
+    assert seq.prefix(5) == TransactionSequence.from_pairs([(1, 3), (4, 2)], horizon=5)
+    assert seq.prefix(0) == TransactionSequence([], horizon=0)
+    with pytest.raises(InvalidParams, match=r"^value 5 at slot 6 exceeds cap 4$"):
+        seq.validate_values(4)
+    with pytest.raises(InvalidParams, match=r"^value 3 at slot 1 exceeds cap 2$"):
+        seq.validate_values(2)  # the first of three offenders
+    with pytest.raises(InvalidParams, match=r"^2 slots but 1 values$"):
+        TransactionSequence.from_columns([1, 2], [1])
+
+
 def test_sequence_explicit_horizon():
     seq = TransactionSequence([Transaction(2, 1)], horizon=9)
     assert seq.horizon == 9
@@ -135,7 +180,7 @@ def test_wallet_outage_window():
     params = ModelParams(C=20, T=6, F=2, k=2)
     bank = WalletBank(params)
     bank.begin_slot(1)
-    bank.settle(1, Transaction(1, 6), 1)
+    bank.settle(1, 6, 1)
     bank.flush(1, 1)
     assert bank.offline_until == [3, 0]
 
@@ -162,7 +207,7 @@ def test_wallet_catch_up_logs_each_return_at_its_slot():
     # three, ordered by return slot and then by wallet
     bank = WalletBank(ModelParams(C=30, T=5, F=2, k=3))
     bank.begin_slot(1)
-    bank.settle(3, Transaction(1, 5), 1)
+    bank.settle(3, 5, 1)
     bank.flush(3, 1)
     bank.begin_slot(2)
     bank.flush(2, 2)
@@ -177,7 +222,7 @@ def test_wallet_catch_up_logs_each_return_at_its_slot():
 def test_pool_catch_up_logs_each_return_at_its_slot():
     pool = CollateralPool(ModelParams(C=10, T=5, F=1))
     pool.begin_slot(1)
-    pool.settle(Transaction(1, 5), 1)
+    pool.settle(5, 1)
     pool.flush(2 * PPM, 1)
     pool.begin_slot(2)
     pool.flush(3 * PPM, 2)
@@ -192,12 +237,12 @@ def test_wallet_settle_guards():
     params = ModelParams(C=20, T=6, F=1, k=2)
     bank = WalletBank(params)
     bank.begin_slot(1)
-    bank.settle(1, Transaction(1, 6), 1)
+    bank.settle(1, 6, 1)
     with pytest.raises(InsufficientCollateral):
-        bank.settle(1, Transaction(1, 5), 1)  # only 4 left in wallet 1
+        bank.settle(1, 5, 1)  # only 4 left in wallet 1
     bank.flush(1, 1)
     with pytest.raises(WalletOffline):
-        bank.settle(1, Transaction(2, 1), 2)
+        bank.settle(1, 1, 2)
     with pytest.raises(WalletOffline):
         bank.flush(1, 2)
 
@@ -206,7 +251,7 @@ def test_wallet_flush_takes_whole_wallet():
     params = ModelParams(C=20, T=6, F=1, k=2)
     bank = WalletBank(params)
     bank.begin_slot(1)
-    bank.settle(2, Transaction(1, 4), 1)
+    bank.settle(2, 4, 1)
     bank.flush(2, 1)
     flush_events = [e for e in bank.trace.events if e.kind == FLUSH]
     assert len(flush_events) == 1
@@ -220,8 +265,8 @@ def test_wallet_conservation():
     params = ModelParams(C=30, T=5, F=1, k=3)
     bank = WalletBank(params)
     bank.begin_slot(1)
-    bank.settle(1, Transaction(1, 5), 1)
-    bank.settle(3, Transaction(1, 2), 1)
+    bank.settle(1, 5, 1)
+    bank.settle(3, 2, 1)
     for i in (1, 2, 3):
         assert bank.committed(i) + bank.remaining[i - 1] == bank.size
 
@@ -230,7 +275,7 @@ def test_pool_lifecycle():
     params = ModelParams(C=200, T=60, F=1, p_ppm=100000, tau=5, eta_ppm=418000)
     pool = CollateralPool(params)
     pool.begin_slot(1)
-    pool.settle(Transaction(1, 60), 1)
+    pool.settle(60, 1)
     pool.flush(8_360_000, 1)  # 836/100
     assert pool.committed == 51_640_000  # 1291/25
     assert pool.inflight == [(8_360_000, 3)]  # 209/25
@@ -247,9 +292,9 @@ def test_pool_guards():
     params = ModelParams(C=10, T=5, F=1)
     pool = CollateralPool(params)
     pool.begin_slot(1)
-    pool.settle(Transaction(1, 5), 1)
+    pool.settle(5, 1)
     with pytest.raises(InsufficientCollateral, match=r"^pool has 5 available, needs 6$"):
-        pool.settle(Transaction(1, 5 + 1), 1)
+        pool.settle(5 + 1, 1)
     with pytest.raises(ZeroFlush, match=r"^flush amount must be positive, got 0$"):
         pool.flush(0, 1)
     with pytest.raises(FlushExceedsCommitted, match=r"^flush 6 exceeds committed 5$"):
@@ -265,7 +310,7 @@ def test_pool_flushing_uncommitted_is_legal():
     params = ModelParams(C=10, T=5, F=2)
     pool = CollateralPool(params)
     pool.begin_slot(1)
-    pool.settle(Transaction(1, 3), 1)
+    pool.settle(3, 1)
     pool.flush(2 * PPM, 1)
     assert pool.committed == 1 * PPM
     pool.begin_slot(2)
@@ -276,7 +321,7 @@ def test_ndjson_shapes():
     params = ModelParams(C=200, T=60, F=1, p_ppm=100000, tau=5, eta_ppm=418000)
     pool = CollateralPool(params)
     pool.begin_slot(1)
-    pool.settle(Transaction(1, 60), 1)
+    pool.settle(60, 1)
     pool.flush(8_360_000, 1)  # 836/100
     lines = [json.loads(line) for line in pool.trace.to_ndjson().splitlines()]
     assert lines[0] == {
@@ -356,8 +401,8 @@ def test_trace_totals():
     params = ModelParams(C=20, T=6, F=1, k=2)
     bank = WalletBank(params)
     bank.begin_slot(1)
-    bank.settle(1, Transaction(1, 6), 1)
-    bank.settle(2, Transaction(2, 4), 2)
+    bank.settle(1, 6, 1)
+    bank.settle(2, 4, 2)
     bank.flush(1, 2)
     assert (bank.settled, bank.flushes) == (10, 1)
     clone = bank.clone()
@@ -368,7 +413,7 @@ def test_trace_totals():
     assert [e.kind for e in bank.trace.events] == [SETTLE, SETTLE, FLUSH, FLUSH]
     pool = CollateralPool(params)
     pool.begin_slot(1)
-    pool.settle(Transaction(1, 6), 1)
+    pool.settle(6, 1)
     pool.flush(2_500_000, 1)  # 5/2
     pool.flush(3_500_000, 1)  # 7/2
     assert (pool.settled, pool.flushes) == (6, 2)
@@ -379,8 +424,8 @@ def test_run_result_charging_modes():
     seq = TransactionSequence.from_pairs([(1, 10), (2, 10)])
     bank = WalletBank(params)
     bank.begin_slot(1)
-    bank.settle(1, seq.txs[0], 1)
-    bank.settle(2, seq.txs[1], 2)
+    bank.settle(1, seq.values[0], 1)
+    bank.settle(2, seq.values[1], 2)
     bank.flush(1, 2)
     bank.flush(2, 2)
     # two wallets flushed in one slot pay the fee twice
@@ -395,7 +440,7 @@ def test_window_bound_validator():
     params = ModelParams(C=10, T=10, F=2)
     pool = CollateralPool(params)
     pool.begin_slot(1)
-    pool.settle(Transaction(1, 10), 1)
+    pool.settle(10, 1)
     pool.flush(10 * PPM, 1)
     validate_window_bound(pool.trace, params)
     # forge a settle inside the outage window; the validator must object
@@ -418,7 +463,7 @@ def test_pool_never_overdraws(values, F):
         pool.begin_slot(slot)
         assert 0 <= pool.free <= params.C * PPM
         if pool.free >= v * PPM:
-            pool.settle(Transaction(slot, v), slot)
+            pool.settle(v, slot)
         if pool.committed > 0:
             pool.flush(pool.committed, slot)
         assert pool.free + pool.committed + sum(a for a, _ in pool.inflight) == params.C * PPM

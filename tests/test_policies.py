@@ -18,7 +18,6 @@ from collatsim.model import (
     CollateralError,
     InvalidParams,
     ModelParams,
-    Transaction,
     TransactionSequence,
 )
 from collatsim.policies import (
@@ -136,19 +135,19 @@ def test_group_size_must_divide_k(g):
 def test_group_state_is_relative_to_the_slot():
     params = ModelParams(C=12, T=3, F=2, k=2)
     early, late = FlushAllPolicy(params), FlushAllPolicy(params)
-    early.step(1, Transaction(1, 3))
+    early.step(1, 3)
     # active group, capacity when next online per wallet, outage ends (-1 online)
     assert early.state(1) == (1, 3, 6, -1, -1)
     for slot in range(2, 6):  # fills both wallets, then flushes them at slot 5
-        early.step(slot, Transaction(slot, 3))
+        early.step(slot, 3)
     assert early.state(5) == (1, 6, 6, 2, 2)
     # the same offers two quiet slots later reach the same state
     for slot in range(1, 8):
-        late.step(slot, Transaction(slot, 3) if slot > 2 else None)
+        late.step(slot, 3 if slot > 2 else None)
     assert late.state(7) == early.state(5)
     fwf = FlushWhenFullPolicy(params)
     for slot in range(1, 4):  # wallet 1 fills, then flushes and wallet 2 is active
-        fwf.step(slot, Transaction(slot, 3))
+        fwf.step(slot, 3)
     assert fwf.state(3) == (2, 6, 6, 2, -1)
 
 
@@ -166,7 +165,7 @@ def group_policies(draw):
 def step_once(policy, slot, value):
     """A stepped copy's settled delta, flush amounts and state after slot."""
     fork = policy.clone()
-    fork.step(slot, None if value is None else Transaction(slot, value))
+    fork.step(slot, value)
     amounts = [e.flush_amount for e in fork.machine.trace.events if e.kind == FLUSH]
     return fork.machine.settled - policy.machine.settled, amounts, fork.state(slot)
 
@@ -186,7 +185,7 @@ def test_equal_group_states_step_alike(case, data):
         for symbols in product((None, *values), repeat=length):
             policy = make_policy(kind, params)
             for slot, value in enumerate(symbols, 1):
-                policy.step(slot, None if value is None else Transaction(slot, value))
+                policy.step(slot, value)
             by_state.setdefault(policy.state(length), []).append((policy, length))
     for (first, slot), *others in by_state.values():
         for value in offers:
@@ -350,12 +349,12 @@ COUNTER_PARAMS = {
 }
 
 
-def step_and_check(policy, slot, tx):
+def step_and_check(policy, slot, value):
     """Step ``policy``; its return must name the wallet of the settle it
     logged in that step (the pool counts as 1), or be 0 if it logged none."""
     lines = policy.machine.trace.lines
     start = len(lines)
-    taken = policy.step(slot, tx)
+    taken = policy.step(slot, value)
     settled = [e.get("wallet", 1) for e in map(json.loads, lines[start:]) if e["kind"] == SETTLE]
     assert settled == ([taken] if taken else [])
 
@@ -376,7 +375,7 @@ def test_counters_match_trace(symbols, kind, tau, seed):
     expected = rescan(whole.machine.trace.to_ndjson())
     assert {name: getattr(res, name) for name in expected} == expected
     cut = len(symbols) // 2
-    by_slot = {t.slot: t for t in seq}
+    by_slot = dict(zip(seq.slots, seq.values))
     policy = make_policy(kind, params, seed=seed)
     for slot in range(1, cut + 1):
         step_and_check(policy, slot, by_slot.get(slot))
@@ -494,10 +493,10 @@ def test_rand2_equals_its_shadow_flush_all_reference(run, seed):
     params, seq = run
     policy = make_policy("rand2", params, seed=seed)
     reference = ReferenceRandTwo(params, seed=seed)
-    by_slot = {t.slot: t for t in seq}
+    by_slot = dict(zip(seq.slots, seq.values))
     for slot in range(1, seq.horizon + 1):
-        tx = by_slot.get(slot)
-        assert policy.step(slot, tx) == reference.step(slot, tx)
+        value = by_slot.get(slot)
+        assert policy.step(slot, value) == reference.step(slot, value)
     policy.finish(seq.horizon)
     reference.finish(seq.horizon)
     ours, theirs = policy.machine, reference.machine
@@ -532,15 +531,15 @@ def test_group_outages_equal_per_wallet_outages(run):
     reference.machine = ReferenceBank(params)
     wallets = range(1, params.k + 1)
 
-    def step_both(slot, tx):
-        assert policy.step(slot, tx) == reference.step(slot, tx)
+    def step_both(slot, value):
+        assert policy.step(slot, value) == reference.step(slot, value)
         assert policy.state(slot) == reference.state(slot)
         assert [policy.machine.wallet_available(i, slot) for i in wallets] == [
             reference.machine.wallet_available(i, slot) for i in wallets
         ]
 
-    for tx in seq:
-        step_both(tx.slot, tx)
+    for slot, value in zip(seq.slots, seq.values):
+        step_both(slot, value)
     step_both(seq.horizon + 1, None)
     policy.finish(seq.horizon + 1)
     reference.finish(seq.horizon + 1)
@@ -571,7 +570,7 @@ def test_threshold_pool_ledger(run):
     policy = ThresholdPolicy(params)
     pool = policy.machine
     for slot, v in enumerate(symbols, 1):
-        policy.step(slot, None if v is None else Transaction(slot, v))
+        policy.step(slot, v)
         assert pool.free + pool.committed + sum(a for a, _ in pool.inflight) == params.C * PPM
         assert pool.committed < params.eta_ppm * params.C
     policy.finish(len(symbols))
@@ -639,9 +638,8 @@ def test_integer_pool_matches_reference_ledger(run):
         assert (pool.settled, pool.flushes) == (ref.settled, ref.flushes)
 
     for slot, v in enumerate(symbols, 1):
-        tx = None if v is None else Transaction(slot, v)
-        policy.step(slot, tx)
-        reference.step(slot, tx)
+        policy.step(slot, v)
+        reference.step(slot, v)
         same_ledgers()
     policy.finish(len(symbols))
     reference.finish(len(symbols))
@@ -654,7 +652,7 @@ def test_integer_pool_matches_reference_ledger(run):
         for ledger in (pool, ref):
             try:
                 if op == "settle":
-                    ledger.settle(Transaction(slot, x), slot)
+                    ledger.settle(x, slot)
                 elif x is None:
                     ledger.flush(ledger.committed, slot)
                 else:
@@ -674,7 +672,7 @@ def test_pool_ledger_is_integral():
     pool = policy.machine
     rng = random.Random(6)
     for slot in range(1, 301):
-        policy.step(slot, Transaction(slot, rng.randint(10, 60)) if rng.random() < 0.6 else None)
+        policy.step(slot, rng.randint(10, 60) if rng.random() < 0.6 else None)
         assert type(pool.free) is int and type(pool.committed) is int
         assert all(type(amount) is int for amount, _ in pool.inflight)
     policy.finish(300)

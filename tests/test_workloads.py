@@ -2,7 +2,8 @@
 
 import pytest
 
-from collatsim.model import InvalidParams, ModelParams, TransactionSequence
+from collatsim import workloads
+from collatsim.model import CollateralError, InvalidParams, ModelParams, TransactionSequence
 from collatsim.workloads import (
     EpsilonDoesNotDivideC,
     InvalidSpec,
@@ -135,9 +136,9 @@ class ScriptedTarget:
         self.settles = set(settles)
         self.steps = []
 
-    def step(self, slot, tx):
-        self.steps.append((slot, tx and tx.value))
-        if tx is None:
+    def step(self, slot, value):
+        self.steps.append((slot, value))
+        if value is None:
             return 0
         offers = sum(v is not None for _, v in self.steps)
         return 1 if offers in self.settles else 0
@@ -188,6 +189,40 @@ def test_thm3_guards():
         thm3_seq(ModelParams(C=4, T=4, F=1), 2, 0, ScriptedTarget())
     with pytest.raises(InvalidParams, match="thm3 needs T = C, got T=3 C=4"):
         thm3_seq(ModelParams(C=4, T=3, F=1), 2, 1, ScriptedTarget())
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        (["5,x"], "line 7: expected slot,value integers, got ['5', 'x']"),
+        (["5"], "line 7: expected slot,value integers, got ['5']"),
+        (["0,1", "6,x"], "slot must be >= 1, got 0"),
+        (["5,0"], "value must be >= 1, got 0"),
+        (["3,1"], "slots must be strictly increasing: 4 then 3"),
+    ],
+)
+def test_csv_reader_names_the_first_bad_row_past_a_block(tmp_path, monkeypatch, rows, message):
+    # blocks of two rows: four good rows and a blank line fill the first two
+    # blocks, so the fault lies in the third, and the error still names it
+    monkeypatch.setattr(workloads, "CSV_BLOCK_ROWS", 2)
+    path = tmp_path / "seq.csv"
+    path.write_text("slot,value\n1,1\n2,2\n\n3,3\n4,1\n" + "".join(r + "\n" for r in rows))
+    with pytest.raises(CollateralError) as err:
+        read_sequence_csv(str(path))
+    assert str(err.value).removeprefix(f"{path} ") == message
+
+
+def test_csv_reader_joins_its_blocks(tmp_path, monkeypatch):
+    # a good file, blank lines and extra fields included, converts in blocks
+    # and is never read again row by row
+    seq = gen_stochastic(WorkloadSpec("poisson-uniform", 600, 40, 3, 6))
+    path = tmp_path / "seq.csv"
+    rows = (f"{s},{v}{'' if s % 4 else ',x'}\n\n" for s, v in zip(seq.slots, seq.values))
+    path.write_text("slot,value\n" + "".join(rows))
+    monkeypatch.setattr(workloads, "CSV_BLOCK_ROWS", 3)
+    monkeypatch.setattr(workloads, "_checked_columns", None)
+    back = read_sequence_csv(str(path))
+    assert (back.slots, back.values) == (seq.slots, seq.values)
 
 
 def test_sequence_csv_round_trip(tmp_path):
