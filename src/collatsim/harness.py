@@ -6,10 +6,11 @@ returns the run's totals;
 ``measure_ratio`` adds an oracle and the formula bound for the policy;
 ``exhaustive_verify`` checks the competitive bound with exact integer
 arithmetic on every prefix of every sequence over a small alphabet,
-stepping each policy state and value-DP key once per offer, deciding each
-policy's bound by one max-plus layer per slot over its own graph of
-(state, DP key) nodes, and walking the tree of prefixes only where a
-layer shows a counterexample or a broken invariant below; ``sweep``
+stepping each state of a wallet rule and each value-DP key once per offer,
+deciding each policy's bound by one max-plus layer per slot over its own
+graph of (state, DP key) nodes, shared by the kinds of one rule and bound,
+and walking the tree of prefixes only where a layer shows a
+counterexample or a broken invariant below; ``sweep``
 scans eta or k, one ``measure_ratio`` run with the window-bound oracle
 per setting, and marks the empirical optimum next to the formula one;
 ``run_adversary_demo`` measures an adversarial sequence against its
@@ -454,22 +455,27 @@ def exhaustive_verify(
     likewise carry at least C/k).
 
     A node of the tree of prefixes is known by each policy's
-    ``state(slot)`` and the value DP's ``opt_value_key``.  Two transition
-    tables, local to the call, hold what one offer does: per policy and
+    ``state(slot)`` and the value DP's ``opt_value_key``.  Transition
+    tables, local to the call, hold what one offer does: per rule and
     state the next state, the settled delta, the flush count and the
-    invariants its flushes break; per DP key the next key and the gain in
-    V_opt.  A missing entry is filled once, by stepping a copy of one
-    object kept per state (a policy, or a DP layer with its slot).  Along
-    an edge, policy i with bound num/den has the weight
-    ``den*gain - num*delta``, and a prefix is a counterexample exactly when
-    the sum of weights from the root to it is positive.
+    invariants its flushes break, tagged by kind; per DP key the next key
+    and the gain in V_opt.  Kinds whose policies run one ``step`` function
+    with one g are one rule and share a table, so a rule is stepped once
+    for all its kinds (fa and ftwf at k = 2).  A missing entry is filled
+    once, by stepping a copy of one object kept per state (a policy, or a
+    DP layer with its slot).  Along an edge, policy i with bound num/den
+    has the weight ``den*gain - num*delta``, and a prefix is a
+    counterexample exactly when the sum of weights from the root to it is
+    positive.
 
     Each policy's bound is decided on its own graph of (state, DP key)
     nodes, one layer per slot, since its weights, flushes and faults
-    depend on nothing else.  A forward pass collects the layers from the
+    depend on nothing else; kinds on one rule held to one bound share the
+    graph and its pass.  A forward pass collects the layers from the
     root over every symbol; a backward max-plus pass gives each node the
-    flushes on all paths below it, whether an invariant breaks below it,
-    and its margin: the largest sum of weights from it to a prefix below.
+    flushes on all paths below it, whether an invariant of a kind on its
+    rule breaks below it, and its margin: the largest sum of weights from
+    it to a prefix below.
     ``flush_events_checked`` sums the roots' flushes.  Then a depth-first
     walk over the values then the gap lists the counterexamples and
     violation texts in tree order, carrying per policy the slack
@@ -495,6 +501,7 @@ def exhaustive_verify(
     if not policies:
         raise ConfigError("no policy has a checkable bound at these parameters")
     kinds = list(policies)
+    n = len(kinds)
     roots = [make_policy(kind, params, seed=0) for kind in kinds]
     for kind, policy in zip(kinds, roots):
         if not isinstance(policy, GroupFlushPolicy):
@@ -516,14 +523,19 @@ def exhaustive_verify(
         flush_events_checked=0,
     )
     symbols = tuple(space.values) + (None,)
-    tables = [_StateTable(len(symbols)) for _ in kinds]
-    dp_table = _StateTable(len(symbols))
+    width = len(symbols)
+    # kinds whose policies run one step function with one g are one rule and
+    # share its table; peers[i] lists the kinds on kind i's rule.  g alone
+    # would not do: a kind whose step differs must be stepped on its own
+    rules = [(type(p).step, p.g) for p in roots]
+    peers = [tuple(j for j in range(n) if rules[j] == rule) for rule in rules]
+    by_rule = {rule: _StateTable(width) for rule in rules}
+    tables = [by_rule[rule] for rule in rules]
+    dp_table = _StateTable(width)
 
-    def broken_invariants(kind: str, amounts: list) -> tuple[str, ...]:
+    def broken_invariants(kind: str, amounts: list) -> list[str]:
         """The invariants one step's flushes break, as texts to format with
         the slot ({0}) and the pairs before the step ({1})."""
-        if not amounts:
-            return ()
         faults = []
         if kind == "fwf":
             if amounts[0] <= size - params.T:
@@ -543,10 +555,12 @@ def exhaustive_verify(
                 faults.append(
                     f"ftwf pair flush at slot {{0}} carries {sum(amounts)} < C/k"
                 )
-        return tuple(f + " on {1}" for f in faults)
+        return [f + " on {1}" for f in faults]
 
     def policy_step(i: int, sid: int, s: int) -> tuple:
-        """Fill and return policy i's transition from state sid on symbol s."""
+        """Fill and return the transition of policy i's rule from state sid
+        on symbol s; its faults are (kind index, text) for every kind on
+        the rule."""
         table = tables[i]
         policy, slot = table.reps[sid]
         sym = symbols[s]
@@ -555,11 +569,16 @@ def exhaustive_verify(
         p2 = policy.clone()
         p2.step(nxt, sym)
         amounts = p2.machine.trace.flush_amounts
+        faults = ()
+        if amounts:
+            faults = tuple(
+                (j, text) for j in peers[i] for text in broken_invariants(kinds[j], amounts)
+            )
         table.rows[sid][s] = edge = (
             table.intern(p2.state(nxt), (p2, nxt)),
             p2.machine.settled - policy.machine.settled,
             len(amounts),
-            broken_invariants(kinds[i], amounts),
+            faults,
         )
         return edge
 
@@ -578,15 +597,20 @@ def exhaustive_verify(
         )
         return edge
 
-    n = len(kinds)
     length = space.max_len
-    width = len(symbols)
     root_sids = [table.intern(p.state(0), (p, 0)) for table, p in zip(tables, roots)]
     root_kid = dp_table.intern(opt_value_key({(): 0}, 0, space.F), ({(): 0}, 0, 0))
     # layers[i][t] maps each (state id, DP key id) node of policy i at slot t
-    # to (flushes, dirty, margin) of the subtree below it
+    # to (flushes, dirty, margin) of the subtree below it; a node is dirty
+    # when an invariant of any kind on its rule breaks below it, which only
+    # makes the walk look at more subtrees
     layers: list[list[dict]] = []
+    passes: dict = {}  # (rule, bound) -> the layers of its kinds
     for i, (num, den) in enumerate(bounds):
+        group = rules[i], bounds[i]
+        if group in passes:
+            layers.append(passes[group])
+            continue
         rows = tables[i].rows
         nodes = [{(root_sids[i], root_kid)}]
         for _ in range(1, length):
@@ -625,6 +649,7 @@ def exhaustive_verify(
                 entries[node] = (flushes, dirty, margin)
             nodes[t] = below = entries
         layers.append(nodes)
+        passes[group] = nodes
     summary.flush_events_checked = sum(
         layer[0][sid, root_kid][0] for layer, sid in zip(layers, root_sids)
     )
@@ -651,8 +676,9 @@ def exhaustive_verify(
             child_slacks = []
             for i in range(n):
                 child_sid, delta, _, faults = rows[i][s]
-                for fault in faults:
-                    violations.append(fault.format(nxt, tuple(path)))
+                for j, fault in faults:
+                    if j == i:
+                        violations.append(fault.format(nxt, tuple(path)))
                 num, den = bounds[i]
                 weight = den * gain - num * delta
                 child_sids.append(child_sid)

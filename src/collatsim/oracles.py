@@ -82,25 +82,41 @@ def opt_value_extend(
     return out
 
 
-def opt_value_key(states: dict, slot: int, F: int) -> tuple[int, ...]:
+def opt_value_key(
+    states: dict, slot: int, F: int
+) -> tuple[tuple[tuple[tuple[int, int], ...], int], ...]:
     """A layer of opt_value_extend as a tuple free of absolute slots.
 
-    ``states`` is a layer whose offers all lie at or before ``slot``.  Each
+    ``states`` is a layer whose offers all lie in slots 1 .. ``slot``.  Each
     state becomes a row of the (slot - s, value) pairs it settled in slots
     slot-F+1 .. slot, whatever F, mapped to how far its total lies below
     the layer's best.  Older settles share no window with a later offer,
     so states that differ only in them merge and keep the smaller gap.
-    Equal keys gain the same best total on every later continuation.
+    The key is the sorted (row, gap) pairs, less the dominated rows: a
+    row is dropped when its copy without its oldest settle, ``row[1:]``,
+    is present with a gap no larger.  That copy has no more load in any
+    later window and at least the same total, so whatever the row's state
+    settles later the copy's can settle too, and the layer's best is the
+    same at every later slot with or without the row.  Before slot F+1 no
+    settle has left the window, each row's total is its own sum, and
+    ``row[1:]`` lies below it by the oldest value, so no row is dominated
+    there and the check is skipped.  Equal keys gain the same best total
+    on every later continuation.
     """
     best = max(states.values())
     base = slot - F + 1
     rows: dict = {}
+    get = rows.get
     for state, total in states.items():
         row = tuple((slot - s, v) for s, v in state if s >= base)
         gap = best - total
-        if rows.get(row, gap) >= gap:
+        if get(row, gap) >= gap:
             rows[row] = gap
-    return tuple(sorted(rows.items()))
+    if slot <= F:
+        return tuple(sorted(rows.items()))
+    return tuple(sorted(
+        (row, gap) for row, gap in rows.items() if not row or get(row[1:], gap + 1) > gap
+    ))
 
 
 def opt_general_value(

@@ -785,6 +785,17 @@ def test_exhaust_rejects_values_above_T(capsys):
     assert "[1, T=3]" in err
 
 
+# argparse reads "-1,2" after a space as a flag (see
+# test_argparse_refusals_are_one_error_line), so that value goes with "="
+@pytest.mark.parametrize("values", [["--values", "0,1,2"], ["--values=-1,2"]])
+def test_exhaust_rejects_values_below_1(capsys, values):
+    err = run_cli_error(
+        capsys, "exhaust", "--C", "12", "--k", "2", "--T", "3", "--F", "2",
+        "--max-len", "3", *values,
+    )
+    assert err.count("\n") == 1 and "[1, T=3]" in err
+
+
 def test_exhaust_rejects_nonpositive_max_len(capsys):
     err = run_cli_error(
         capsys, "exhaust", "--C", "12", "--k", "2", "--T", "3", "--F", "2",
@@ -1324,8 +1335,12 @@ def test_main_reuses_its_parser(capsys, seq_csv):
         # argparse reads -inf as a flag, not as a number
         (["sweep", "--param", "eta", "--from", "0.5", "--to", "1", "--step", "-inf"],
          "argument --step: expected one argument"),
+        # and a comma list that starts with a minus sign
+        (["exhaust", "--C", "12", "--k", "2", "--T", "3", "--F", "2", "--max-len", "3",
+          "--values", "-1,2"],
+         "argument --values: expected one argument"),
     ],
-    ids=["missing-value", "bad-int", "bad-choice", "minus-inf"],
+    ids=["missing-value", "bad-int", "bad-choice", "minus-inf", "minus-values"],
 )
 def test_argparse_refusals_are_one_error_line(capsys, argv, expected):
     with pytest.raises(SystemExit) as refused:

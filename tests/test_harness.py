@@ -28,7 +28,12 @@ from collatsim.harness import (
 )
 from collatsim.model import InvalidParams, ModelParams, TransactionSequence, load_json
 from collatsim.oracles import BudgetExceeded, opt_general_value
-from collatsim.policies import FlushWhenFullPolicy, GroupFlushPolicy, make_policy
+from collatsim.policies import (
+    FlushTwoWhenFullPolicy,
+    FlushWhenFullPolicy,
+    GroupFlushPolicy,
+    make_policy,
+)
 from collatsim.workloads import WorkloadSpec, thm3_seq
 from oracle_reference import exhaustive_verify_reference
 
@@ -428,6 +433,37 @@ def test_exhaustive_verify_matches_the_explicit_walk_when_one_policy_breaks(
         assert layered == explicit
 
 
+def test_exhaustive_verify_shares_no_table_with_a_broken_rule(monkeypatch):
+    # at C = 6, k = 2 fa and ftwf both flush the one pair of wallets, but
+    # only ftwf's step is broken here, so a table shared by g alone would
+    # step fa's rule for ftwf and list none of ftwf's violations
+    monkeypatch.setattr(
+        FlushTwoWhenFullPolicy, "step", flush_after_settling_one(GroupFlushPolicy.step)
+    )
+    space = ExhaustSpace(C=6, k=2, T=3, F=2, max_len=5, values=(1, 2, 3))
+    layered, explicit = verify_both_routes(space, None)
+    assert list(layered.policies) == ["fa", "ftwf"]
+    assert len(layered.invariant_violations) == 85
+    assert all(v.startswith("ftwf ") for v in layered.invariant_violations)
+    assert layered == explicit
+
+
+def test_exhaustive_verify_steps_one_rule_once(monkeypatch):
+    # at C = 6, k = 2 fa and ftwf are both the group rule with g = 2: one
+    # table serves both, so checking both clones no more than fa alone
+    clones = []
+    clone = GroupFlushPolicy.clone
+    monkeypatch.setattr(
+        GroupFlushPolicy, "clone", lambda self: clones.append(self) or clone(self)
+    )
+    space = ExhaustSpace(C=6, k=2, T=3, F=2, max_len=7, values=(1, 2, 3))
+    assert list(exhaustive_verify(space).policies) == ["fa", "ftwf"]
+    both = len(clones)
+    clones.clear()
+    exhaustive_verify(space, {"fa": Fraction(3)})
+    assert both == len(clones) == 52
+
+
 def test_exhaustive_verify_skips_a_clean_space_at_the_root():
     # fa settles every 1 here, so at bound 1 each margin equals its slack of
     # 0: no subtree holds a counterexample and the walk stops at the root
@@ -479,6 +515,12 @@ def test_exhaustive_verify_refuses_past_the_sequence_cap(values, max_len, count)
 def test_exhaust_space_rejects_no_values():
     with pytest.raises(ConfigError, match="values must not be empty"):
         ExhaustSpace(C=8, k=2, T=4, F=1, max_len=3, values=())
+
+
+@pytest.mark.parametrize("values", [(0, 1), (-1, 2)])
+def test_exhaust_space_rejects_values_below_1(values):
+    with pytest.raises(ConfigError, match=r"\[1, T=4\]"):
+        ExhaustSpace(C=8, k=2, T=4, F=1, max_len=3, values=values)
 
 
 def test_default_exhaust_policies():

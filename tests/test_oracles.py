@@ -162,6 +162,55 @@ def test_opt_value_key_drops_absolute_slots():
     assert opt_value_key(settled, 3, 10**8) == (((), 2), (((2, 2),), 0))
 
 
+def value_layer(pairs, C, F):
+    states = {(): 0}
+    for slot, value in pairs:
+        states = opt_value_extend(states, slot, value, C, F)
+    return states
+
+
+def all_rows(states, slot, F):
+    """Every row of a layer with its smallest gap, dominated rows kept."""
+    best = max(states.values())
+    rows = {}
+    for state, total in states.items():
+        row = tuple((slot - s, v) for s, v in state if s >= slot - F + 1)
+        rows[row] = min(rows.get(row, best - total), best - total)
+    return rows
+
+
+def test_opt_value_key_drops_a_dominated_row():
+    # offers 1, 1, 2 at C = 3, F = 2: settling the 1 of slot 2 and the 2
+    # reaches the best, 3, and so does settling the 2 alone in the window
+    # (with the 1 of slot 1, now outside it), which leaves less load
+    C, F = 3, 2
+    states = value_layer([(1, 1), (2, 1), (3, 2)], C, F)
+    rows = all_rows(states, 3, F)
+    assert rows[((1, 1), (0, 2))] == 0 and rows[((0, 2),)] == 0
+    assert opt_value_key(states, 3, F) == (((), 2), (((0, 2),), 0), (((1, 1),), 1))
+
+
+def test_opt_value_key_merges_layers_that_differ_in_dominated_rows():
+    # offers 2, 2, 1 and a lone 1 at slot 3, at C = 3, F = 2: the first
+    # layer also lists the 2 of slot 2, alone at gap 1 and with the 1 at
+    # gap 0, each no better than the same row without it, so both layers
+    # have the lone 1's key and gain alike on every next offer
+    C, F = 3, 2
+    busy = value_layer([(1, 2), (2, 2), (3, 1)], C, F)
+    lone = value_layer([(3, 1)], C, F)
+    assert all_rows(busy, 3, F) != all_rows(lone, 3, F)
+    assert opt_value_key(busy, 3, F) == opt_value_key(lone, 3, F) == (
+        ((), 1), (((0, 1),), 0)
+    )
+
+    def step(layer, value):
+        after = opt_value_extend(layer, 4, value, C, F)
+        return max(after.values()) - max(layer.values()), opt_value_key(after, 4, F)
+
+    for value in range(1, C + 2):
+        assert step(busy, value) == step(lone, value)
+
+
 @given(
     st.integers(min_value=1, max_value=6),
     st.integers(min_value=1, max_value=3),
