@@ -29,9 +29,6 @@ from .model import (
 )
 from .policies import (
     POLICY_KINDS,
-    FlushAllPolicy,
-    FlushTwoWhenFullPolicy,
-    FlushWhenFullPolicy,
     GroupFlushPolicy,
     RandTwoPolicy,
     ThresholdPolicy,
@@ -97,9 +94,6 @@ __all__ = [
     "first_overfull_window",
     "validate_window_bound",
     "POLICY_KINDS",
-    "FlushAllPolicy",
-    "FlushTwoWhenFullPolicy",
-    "FlushWhenFullPolicy",
     "GroupFlushPolicy",
     "RandTwoPolicy",
     "ThresholdPolicy",

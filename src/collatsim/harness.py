@@ -426,11 +426,6 @@ class _StateTable:
             self.rows.append([None] * self.width)
         return sid
 
-    def clear(self) -> None:
-        self.ids.clear()
-        self.reps.clear()
-        self.rows.clear()
-
 
 def default_exhaust_policies(params: ModelParams) -> dict[str, Fraction]:
     """Policies with a per-sequence guarantee at these params, with exact bounds."""
@@ -459,14 +454,13 @@ def exhaustive_verify(
     tables, local to the call, hold what one offer does: per rule and
     state the next state, the settled delta, the flush count and the
     invariants its flushes break, tagged by kind; per DP key the next key
-    and the gain in V_opt.  Kinds whose policies run one ``step`` function
-    with one g are one rule and share a table, so a rule is stepped once
-    for all its kinds (fa and ftwf at k = 2).  A missing entry is filled
-    once, by stepping a copy of one object kept per state (a policy, or a
-    DP layer with its slot).  Along an edge, policy i with bound num/den
-    has the weight ``den*gain - num*delta``, and a prefix is a
-    counterexample exactly when the sum of weights from the root to it is
-    positive.
+    and the gain in V_opt.  Kinds with one group size g are one rule and
+    share a table, so a rule is stepped once for all its kinds (fa and
+    ftwf at k = 2).  A missing entry is filled once, by stepping a copy of
+    one object kept per state (a policy, or a DP layer with its slot).
+    Along an edge, policy i with bound num/den has the weight
+    ``den*gain - num*delta``, and a prefix is a counterexample exactly
+    when the sum of weights from the root to it is positive.
 
     Each policy's bound is decided on its own graph of (state, DP key)
     nodes, one layer per slot, since its weights, flushes and faults
@@ -481,8 +475,8 @@ def exhaustive_verify(
     violation texts in tree order, carrying per policy the slack
     ``num*V_alg - den*V_opt``; it skips a subtree whose nodes are clean
     and whose margins are at most the slacks, since that subtree holds
-    neither.  Only the ``GroupFlushPolicy`` presets have such a state;
-    other policies raise ConfigError.
+    neither.  Only ``GroupFlushPolicy`` has such a state; other policies
+    raise ConfigError.
     """
     # two or more symbols over more slots than the cap has bits are over the
     # cap, so a long max_len is refused before the power is built
@@ -524,10 +518,9 @@ def exhaustive_verify(
     )
     symbols = tuple(space.values) + (None,)
     width = len(symbols)
-    # kinds whose policies run one step function with one g are one rule and
-    # share its table; peers[i] lists the kinds on kind i's rule.  g alone
-    # would not do: a kind whose step differs must be stepped on its own
-    rules = [(type(p).step, p.g) for p in roots]
+    # kinds with one group size g are one rule and share its table; peers[i]
+    # lists the kinds on kind i's rule
+    rules = [p.g for p in roots]
     peers = [tuple(j for j in range(n) if rules[j] == rule) for rule in rules]
     by_rule = {rule: _StateTable(width) for rule in rules}
     tables = [by_rule[rule] for rule in rules]
@@ -699,12 +692,9 @@ def exhaustive_verify(
                 path.pop()
 
     walk(0, root_sids, root_kid, [0] * n, 0)
-    # walk's closure refers to itself, so its layers and tables would outlive
-    # the call
-    layers.clear()
-    dp_table.clear()
-    for table in tables:
-        table.clear()
+    # walk's closure refers to itself: dropping it frees the graph and tables
+    # now, not at the cyclic GC's next pass
+    del walk
     return summary
 
 

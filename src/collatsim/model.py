@@ -22,8 +22,10 @@ place on each operation.  Their ``begin_slot(slot)`` is the only place
 collateral returns, all of it whose outage ended before ``slot``.
 
 Each machine logs its run to an ``EventTrace``, which writes every event
-as its NDJSON line when it is logged and keeps only the settles and flush
-amounts besides; ``Event`` is the parsed form of one line.
+as its NDJSON line when it is logged and keeps only the settles and wallet
+flush amounts besides; ``Event`` is the parsed form of one line.  A
+``TransactionSequence`` is built from its two int columns, slots and
+values, or from ``(slot, value)`` pairs.
 """
 
 from __future__ import annotations
@@ -33,9 +35,9 @@ import sys
 from bisect import bisect_right, insort
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from math import gcd
-from operator import attrgetter, lt
+from operator import lt
 from typing import NamedTuple
 
 PPM = 10**6
@@ -145,8 +147,8 @@ class TransactionSequence:
     """An ordered batch of transactions with strictly increasing slots.
 
     The offers are two int columns, ``slots`` and ``values``, so a run
-    reads them without an object per offer; ``txs`` and iteration build
-    the ``Transaction``s for readers that want them.  The checks run over
+    reads them without an object per offer; iteration builds the
+    ``Transaction``s for readers that want them.  The checks run over
     whole columns at C speed, and only a failing one scans for its first
     offender, with the text ``Transaction`` and the slot order check give.
     The horizon is the last simulated slot; it defaults to the slot of
@@ -155,26 +157,8 @@ class TransactionSequence:
 
     __slots__ = ("slots", "values", "horizon")
 
-    def __init__(self, txs, horizon: int | None = None):
-        txs = tuple(txs)
-        self._set_columns(
-            tuple(map(attrgetter("slot"), txs)), tuple(map(attrgetter("value"), txs)), horizon
-        )
-
-    @classmethod
-    def from_columns(cls, slots, values, horizon: int | None = None) -> "TransactionSequence":
-        """The offers (slots[i], values[i]), checked as ``__init__`` checks them."""
-        seq = object.__new__(cls)
-        seq._set_columns(tuple(slots), tuple(values), horizon)
-        return seq
-
-    @classmethod
-    def from_pairs(cls, pairs, horizon: int | None = None) -> "TransactionSequence":
-        pairs = tuple(pairs)
-        slots, values = zip(*pairs) if pairs else ((), ())
-        return cls.from_columns(slots, values, horizon)
-
-    def _set_columns(self, slots: tuple, values: tuple, horizon: int | None) -> None:
+    def __init__(self, slots, values, horizon: int | None = None):
+        slots, values = tuple(slots), tuple(values)
         if len(slots) != len(values):
             raise InvalidParams(f"{len(slots)} slots but {len(values)} values")
         if slots and (min(slots) < 1 or min(values) < 1):
@@ -192,14 +176,16 @@ class TransactionSequence:
         self.values = values
         self.horizon = horizon
 
-    @property
-    def txs(self) -> tuple[Transaction, ...]:
-        return tuple(self)
+    @classmethod
+    def from_pairs(cls, pairs, horizon: int | None = None) -> "TransactionSequence":
+        pairs = tuple(pairs)
+        slots, values = zip(*pairs) if pairs else ((), ())
+        return cls(slots, values, horizon)
 
     def prefix(self, slot: int) -> "TransactionSequence":
         """The sequence truncated to slots 1..slot (horizon = slot)."""
         n = bisect_right(self.slots, slot)
-        return TransactionSequence.from_columns(self.slots[:n], self.values[:n], slot)
+        return TransactionSequence(self.slots[:n], self.values[:n], slot)
 
     def offered_value(self) -> int:
         return sum(self.values)
@@ -224,7 +210,7 @@ class TransactionSequence:
         )
 
     def __repr__(self) -> str:
-        return f"TransactionSequence({list(self)!r}, horizon={self.horizon})"
+        return f"TransactionSequence({self.slots!r}, {self.values!r}, horizon={self.horizon})"
 
 
 @dataclass(frozen=True)
@@ -339,9 +325,6 @@ def ppm_amount(units: int) -> str:
     return f'"{units // g}/{PPM // g}"'
 
 
-ppm_fraction = lru_cache(maxsize=1024)(partial(Fraction, denominator=PPM))
-
-
 class EventTrace:
     """Append-only event log for one run; the machines count the totals.
 
@@ -358,9 +341,12 @@ class EventTrace:
     value, flushAmount, available, committed.
 
     Beside the lines the trace keeps the two records the program reads
-    back: ``settles``, each settle's ``(slot, value)``, and
-    ``flush_amounts``, each flush's exact amount, in log order.  ``events``
-    parses the lines back into ``Event`` tuples for readers of the log.
+    back, in log order: ``settles``, each settle's ``(slot, value)``, which
+    the window check reads, and ``flush_amounts``, each wallet flush's
+    amount, which the exhaustive verifier checks; pool flushes are not
+    recorded there, since that verifier steps wallet policies only.
+    ``events`` parses the lines back into ``Event`` tuples for readers of
+    the log.
     """
 
     __slots__ = ("lines", "settles", "flush_amounts")
@@ -368,7 +354,7 @@ class EventTrace:
     def __init__(self):
         self.lines: list[str] = []
         self.settles: list[tuple[int, int]] = []
-        self.flush_amounts: list[int | Fraction] = []
+        self.flush_amounts: list[int] = []
 
     def arrive(self, slot: int, value: int) -> None:
         self.lines.append(f'{{"slot":{slot},"kind":"arrive","value":{value}}}\n')
@@ -403,7 +389,6 @@ class EventTrace:
             f'{{"slot":{slot},"kind":"flush","flushAmount":{ppm_amount(amount)},'
             f'"available":{ppm_amount(free)},"committed":{ppm_amount(committed)}}}\n'
         )
-        self.flush_amounts.append(ppm_fraction(amount))
 
     def pool_online(self, slot: int, amount: int, committed: int) -> None:
         self.lines.append(

@@ -15,13 +15,14 @@ policies also have ``clone``, which copies the state, counters included,
 and gives the copy an empty trace, so the exhaustive verifier can fork
 mid-run and read off the events of one step.
 
-The three deterministic wallet policies are one rule, ``GroupFlushPolicy``:
+The three deterministic wallet policies are one class, ``GroupFlushPolicy``:
 first fit within an active group of g wallets; on a misfit, discard the
 transaction, flush the group and rotate to the next group.  Arrivals
-during an outage of the active group are discarded as well.  The presets
-differ only in g: FlushAll ("fa") is g = k, FlushWhenFull ("fwf") g = 1
-and FlushTwoWhenFull ("ftwf") g = 2.  RandTwo ("rand2") keeps one wallet
-that follows a coin-chosen wallet of a two-wallet FlushAll.
+during an outage of the active group are discarded as well.  The kinds
+differ only in g, which ``make_policy`` reads from ``GROUP_SIZES``:
+FlushAll ("fa") is g = k, FlushWhenFull ("fwf") g = 1 and
+FlushTwoWhenFull ("ftwf") g = 2.  RandTwo ("rand2") keeps one wallet that
+follows a coin-chosen wallet of a two-wallet FlushAll.
 """
 
 from __future__ import annotations
@@ -66,18 +67,18 @@ class GroupFlushPolicy:
     room for it; if none has room it is discarded, the group's wallets
     are flushed in index order and the next group becomes active in
     cyclic order, even if a later group would be online sooner.
+    ``name`` is the kind the policy was made as, which only labels it.
     """
 
-    name = "group"
-
-    def __init__(self, params: ModelParams, g: int):
+    def __init__(self, params: ModelParams, g: int, name: str):
         if g < 1 or params.k % g != 0:
-            # sweep rows report this text, so the pair preset keeps its wording
+            # sweep rows report this text, so ftwf keeps its wording
             if g == 2:
                 raise OddWalletCount(f"pair policy needs even k, got {params.k}")
             raise OddWalletCount(f"groups of {g} need k divisible by {g}, got {params.k}")
         self.params = params
         self.g = g
+        self.name = name
         self.machine = WalletBank(params)
         self.active = 1
 
@@ -127,36 +128,10 @@ class GroupFlushPolicy:
         other = object.__new__(type(self))
         other.params = self.params
         other.g = self.g
+        other.name = self.name
         other.machine = self.machine.clone()
         other.active = self.active
         return other
-
-
-class FlushAllPolicy(GroupFlushPolicy):
-    """FlushAll: one group of all k wallets, flushed together."""
-
-    name = "fa"
-
-    def __init__(self, params: ModelParams):
-        super().__init__(params, params.k)
-
-
-class FlushWhenFullPolicy(GroupFlushPolicy):
-    """FlushWhenFull: one active wallet in strict cyclic order."""
-
-    name = "fwf"
-
-    def __init__(self, params: ModelParams):
-        super().__init__(params, 1)
-
-
-class FlushTwoWhenFullPolicy(GroupFlushPolicy):
-    """FlushTwoWhenFull: wallets paired (W_1,W_2), (W_3,W_4), ...; needs even k."""
-
-    name = "ftwf"
-
-    def __init__(self, params: ModelParams):
-        super().__init__(params, 2)
 
 
 class RandTwoPolicy:
@@ -258,17 +233,16 @@ class ThresholdPolicy:
             self.machine.flush(self.machine.committed, slot)
 
 
-POLICY_KINDS = ("fa", "fwf", "ftwf", "rand2", "eta")
+# the group size g of each wallet-group kind; None stands for all k wallets
+GROUP_SIZES = {"fa": None, "fwf": 1, "ftwf": 2}
+POLICY_KINDS = (*GROUP_SIZES, "rand2", "eta")
 
 
 def make_policy(kind: str, params: ModelParams, seed: int | None = None, coins=None):
     """Build a policy from its configuration string."""
-    if kind == "fa":
-        return FlushAllPolicy(params)
-    if kind == "fwf":
-        return FlushWhenFullPolicy(params)
-    if kind == "ftwf":
-        return FlushTwoWhenFullPolicy(params)
+    if kind in GROUP_SIZES:
+        g = GROUP_SIZES[kind]
+        return GroupFlushPolicy(params, params.k if g is None else g, kind)
     if kind == "rand2":
         return RandTwoPolicy(params, seed=seed, coins=coins)
     if kind == "eta":

@@ -229,7 +229,7 @@ def gen_stochastic(spec: WorkloadSpec) -> TransactionSequence:
             value = _clamp(vp.get("value", spec.max_value), spec.max_value)
         slots.append(slot)
         values.append(value)
-    return TransactionSequence.from_columns(slots, values, spec.horizon)
+    return TransactionSequence(slots, values, spec.horizon)
 
 
 def fwf_killer_seq(
@@ -261,7 +261,7 @@ def fwf_killer_seq(
         _offer(slots, values, slot, epsilon)
         _offer(slots, values, slot + 1, params.T)
         slot += max(step, 2)
-    return TransactionSequence.from_columns(slots, values)
+    return TransactionSequence(slots, values)
 
 
 def epoch_burst_seq(params: ModelParams, epochs: int) -> TransactionSequence:
@@ -288,7 +288,7 @@ def epoch_burst_seq(params: ModelParams, epochs: int) -> TransactionSequence:
         for j in range(1, params.F + 1):
             _offer(slots, values, slot + j, params.T)
         slot += params.F + 1
-    return TransactionSequence.from_columns(slots, values)
+    return TransactionSequence(slots, values)
 
 
 def thm3_seq(
@@ -335,7 +335,7 @@ def thm3_seq(
                 slot += 1
                 target.step(slot, _offer(slots, values, slot, params.C))
                 break
-    return TransactionSequence.from_columns(slots, values, horizon=slot + params.F - 1)
+    return TransactionSequence(slots, values, horizon=slot + params.F - 1)
 
 
 def write_sequence_csv(seq: TransactionSequence, path: str) -> None:
@@ -380,7 +380,7 @@ def read_sequence_csv(path: str) -> TransactionSequence:
                 slots, values = _checked_columns(path, reader)
         except csv.Error as err:  # a field past the csv module's size limit
             raise InvalidSpec(f"{path} line {reader.line_num}: {err}") from None
-    return TransactionSequence.from_columns(slots, values)
+    return TransactionSequence(slots, values)
 
 
 def _checked_columns(path: str, reader) -> tuple[list[int], list[int]]:

@@ -57,7 +57,7 @@ from collatsim.model import (
     ZeroFlush,
 )
 from collatsim.oracles import BudgetExceeded, opt_value_extend
-from collatsim.policies import FlushAllPolicy, make_policy
+from collatsim.policies import make_policy
 
 _NDJSON = json.JSONEncoder(separators=(",", ":"))
 
@@ -322,8 +322,8 @@ class ReferenceRandTwo:
     def __init__(self, params: ModelParams, seed=None, coins=None):
         self.params = params
         self.machine = WalletBank(params)
-        self.shadow = FlushAllPolicy(
-            ModelParams(C=2 * params.C, T=params.T, F=params.F, k=2)
+        self.shadow = make_policy(
+            "fa", ModelParams(C=2 * params.C, T=params.T, F=params.F, k=2)
         )
         if coins is None:
             rng = random.Random(seed)

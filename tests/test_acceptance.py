@@ -145,7 +145,7 @@ def eta_study():
         )
         seq = gen_stochastic(spec)
         params = ModelParams(C=200, T=60, F=F, p_ppm=100000, tau=5)
-        if len(seq.txs) <= MAX_SEARCH_TRANSACTIONS:
+        if len(seq) <= MAX_SEARCH_TRANSACTIONS:
             u_opt = opt_general_utility(seq, params)
             brute = True
         else:

@@ -1,6 +1,7 @@
 """Experiment harness: runs, ratio reports, CSV/trace output, exhaustive search."""
 
 import csv
+import gc
 import json
 import sys
 from fractions import Fraction
@@ -28,12 +29,7 @@ from collatsim.harness import (
 )
 from collatsim.model import InvalidParams, ModelParams, TransactionSequence, load_json
 from collatsim.oracles import BudgetExceeded, opt_general_value
-from collatsim.policies import (
-    FlushTwoWhenFullPolicy,
-    FlushWhenFullPolicy,
-    GroupFlushPolicy,
-    make_policy,
-)
+from collatsim.policies import GroupFlushPolicy, make_policy
 from collatsim.workloads import WorkloadSpec, thm3_seq
 from oracle_reference import exhaustive_verify_reference
 
@@ -386,13 +382,13 @@ def test_exhaustive_verify_matches_the_explicit_walk_at_any_bounds(
     assert layered == explicit, space
 
 
-def flush_after_settling_one(step):
+def flush_after_settling_one(step, g=None):
     """A broken flush rule on top of ``step``: the active group also
-    flushes right after settling a 1."""
+    flushes right after settling a 1, for group size g only if given."""
 
     def broken(self, slot, value):
         taken = step(self, slot, value)
-        if taken and value == 1:
+        if taken and value == 1 and g in (None, self.g):
             hi = self.active * self.g
             for i in range(hi - self.g + 1, hi + 1):
                 self.machine.flush(i, slot)
@@ -419,10 +415,10 @@ def test_exhaustive_verify_matches_the_explicit_walk_on_violations(monkeypatch):
 def test_exhaustive_verify_matches_the_explicit_walk_when_one_policy_breaks(
     monkeypatch,
 ):
-    # only fwf breaks the rule, so its layers are dirty where fa's are clean,
-    # and a skip that reads fa's entry for fwf drops its violations
+    # only fwf's g = 1 breaks the rule, so its layers are dirty where fa's
+    # are clean, and a skip that reads fa's entry for fwf drops its violations
     monkeypatch.setattr(
-        FlushWhenFullPolicy, "step", flush_after_settling_one(GroupFlushPolicy.step)
+        GroupFlushPolicy, "step", flush_after_settling_one(GroupFlushPolicy.step, g=1)
     )
     for F in (1, 2):
         space = ExhaustSpace(C=12, k=2, T=3, F=F, max_len=5, values=(1, 2, 3))
@@ -431,21 +427,6 @@ def test_exhaustive_verify_matches_the_explicit_walk_when_one_policy_breaks(
         assert layered.invariant_violations
         assert all(v.startswith("fwf ") for v in layered.invariant_violations)
         assert layered == explicit
-
-
-def test_exhaustive_verify_shares_no_table_with_a_broken_rule(monkeypatch):
-    # at C = 6, k = 2 fa and ftwf both flush the one pair of wallets, but
-    # only ftwf's step is broken here, so a table shared by g alone would
-    # step fa's rule for ftwf and list none of ftwf's violations
-    monkeypatch.setattr(
-        FlushTwoWhenFullPolicy, "step", flush_after_settling_one(GroupFlushPolicy.step)
-    )
-    space = ExhaustSpace(C=6, k=2, T=3, F=2, max_len=5, values=(1, 2, 3))
-    layered, explicit = verify_both_routes(space, None)
-    assert list(layered.policies) == ["fa", "ftwf"]
-    assert len(layered.invariant_violations) == 85
-    assert all(v.startswith("ftwf ") for v in layered.invariant_violations)
-    assert layered == explicit
 
 
 def test_exhaustive_verify_steps_one_rule_once(monkeypatch):
@@ -462,6 +443,23 @@ def test_exhaustive_verify_steps_one_rule_once(monkeypatch):
     clones.clear()
     exhaustive_verify(space, {"fa": Fraction(3)})
     assert both == len(clones) == 52
+
+
+@pytest.mark.parametrize("bound", [None, Fraction(1)])
+def test_exhaustive_verify_leaves_no_garbage_cycle(bound):
+    # the walk's closure refers to itself; once the call drops it, its graph
+    # and tables are freed by reference counting, with or without
+    # counterexamples listed
+    space = ExhaustSpace(C=6, k=2, T=3, F=2, max_len=5, values=(1, 2, 3))
+    policies = None if bound is None else {"fa": bound, "ftwf": bound}
+    gc.collect()
+    gc.disable()
+    try:
+        summary = exhaustive_verify(space, policies)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert bool(summary.counterexamples) == (bound is not None)
 
 
 def test_exhaustive_verify_skips_a_clean_space_at_the_root():
@@ -533,7 +531,7 @@ def test_thm3_seq_through_run_sequence():
     seq = thm3_seq(params, epsilon=2, rounds=2, target=make_policy("fwf", params))
     result = run_sequence(make_policy("fwf", params), seq)
     assert result.settled_value == 4  # two settled probes
-    assert len(seq.txs) == 4  # probe and big offer per round
+    assert len(seq) == 4  # probe and big offer per round
     assert opt_general_value(seq, 4, 1) == 8  # both big offers instead
 
 

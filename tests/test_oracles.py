@@ -263,7 +263,7 @@ def test_dp_matches_subset_reference(instance):
     pairs, C, F = instance
     optima = subset_optima(pairs, C, F)
     assert fold_optima(pairs, C, F) == optima
-    seq = seq_of(pairs) if pairs else TransactionSequence([], horizon=1)
+    seq = seq_of(pairs) if pairs else TransactionSequence([], [], horizon=1)
     best, witness = opt_general_value(seq, C, F, return_witness=True)
     assert best == (optima[-1] if optima else 0)
     assert sum(t.value for t in witness) == best
@@ -361,7 +361,7 @@ def utility_instances(draw):
     for gap in gaps:
         slot += gap
         pairs.append((slot, draw(st.integers(min_value=1, max_value=T))))
-    seq = seq_of(pairs) if pairs else TransactionSequence([], horizon=1)
+    seq = seq_of(pairs) if pairs else TransactionSequence([], [], horizon=1)
     return seq, ModelParams(C=C, T=T, F=F, p_ppm=p_ppm, tau=tau)
 
 
@@ -377,7 +377,7 @@ def test_utility_search_matches_every_schedule(instance):
 def test_window_upper_bound_examples():
     assert window_upper_bound(seq_of(FIVE_SIXES), 20, 1) == 30
     assert window_upper_bound(seq_of(THREE_TENS), 10, 2) == 10
-    assert window_upper_bound(TransactionSequence([], horizon=1), 20, 1) == 0
+    assert window_upper_bound(TransactionSequence([], [], horizon=1), 20, 1) == 0
 
 
 @given(
@@ -388,7 +388,7 @@ def test_window_upper_bound_examples():
 @settings(max_examples=60, deadline=None)
 def test_window_bound_dominates_opt(values, C, F):
     pairs = [(i + 1, v) for i, v in enumerate(values)]
-    seq = seq_of(pairs) if pairs else TransactionSequence([], horizon=1)
+    seq = seq_of(pairs) if pairs else TransactionSequence([], [], horizon=1)
     opt = opt_general_value(seq, C, F)
     assert opt <= window_upper_bound(seq, C, F)
     greedy, _ = greedy_feasible_value(pairs, C, F)
@@ -409,7 +409,7 @@ def test_window_bound_tries_only_the_offsets_that_matter(steps, C, F):
     for gap, value in steps:
         slot += gap
         pairs.append((slot, value))
-    seq = seq_of(pairs) if pairs else TransactionSequence([], horizon=1)
+    seq = seq_of(pairs) if pairs else TransactionSequence([], [], horizon=1)
     bound = window_upper_bound(seq, C, F)
     assert bound == window_upper_bound_all_offsets(seq, C, F)
     assert bound == window_upper_bound_offer_offsets(seq, C, F)

@@ -24,9 +24,7 @@ from collatsim.policies import (
     POLICY_KINDS,
     InvalidEta,
     OddWalletCount,
-    FlushAllPolicy,
-    FlushTwoWhenFullPolicy,
-    FlushWhenFullPolicy,
+    GroupFlushPolicy,
     RandTwoPolicy,
     ThresholdPolicy,
     make_policy,
@@ -58,7 +56,7 @@ FIVE_SIXES = TransactionSequence.from_pairs([(t, 6) for t in range(1, 6)])
 def test_flush_all_trace():
     # wallets of 10: settle 6,6; the third 6 fits nowhere, so flush both
     params = ModelParams(C=20, T=6, F=1, k=2)
-    policy = FlushAllPolicy(params)
+    policy = make_policy("fa", params)
     res = run_sequence(policy, FIVE_SIXES)
     assert res.settled_value == 18
     assert settle_slots(policy) == [1, 2, 5]
@@ -70,7 +68,7 @@ def test_flush_all_waits_for_whole_bank():
     # during the outage nothing settles, even though capacity would fit it
     params = ModelParams(C=20, T=6, F=3, k=2)
     seq = TransactionSequence.from_pairs([(1, 6), (2, 6), (3, 6), (4, 1), (5, 1)])
-    policy = FlushAllPolicy(params)
+    policy = make_policy("fa", params)
     res = run_sequence(policy, seq)
     assert settle_slots(policy) == [1, 2]
     assert res.settled_value == 12
@@ -78,7 +76,7 @@ def test_flush_all_waits_for_whole_bank():
 
 def test_flush_when_full_trace():
     params = ModelParams(C=20, T=6, F=1, k=2)
-    policy = FlushWhenFullPolicy(params)
+    policy = make_policy("fwf", params)
     res = run_sequence(policy, FIVE_SIXES)
     assert res.settled_value == 18
     assert settle_slots(policy) == [1, 3, 5]
@@ -90,7 +88,7 @@ def test_flush_when_full_strict_rotation():
     # wallet 2 even though wallet 1 is back online with room to spare
     params = ModelParams(C=8, T=4, F=1, k=2)
     seq = TransactionSequence.from_pairs([(1, 3), (2, 2), (4, 1)])
-    policy = FlushWhenFullPolicy(params)
+    policy = make_policy("fwf", params)
     run_sequence(policy, seq)
     assert flush_events(policy) == [(2, 1, 3)]
     settles = [(e.slot, e.wallet) for e in policy.machine.trace.events if e.kind == SETTLE]
@@ -101,7 +99,7 @@ def test_flush_two_when_full_trace():
     # one pair of size-3 wallets; the third 3 triggers a pair flush
     params = ModelParams(C=6, T=3, F=1, k=2)
     seq = TransactionSequence.from_pairs([(1, 3), (2, 3), (3, 3), (4, 3), (5, 3)])
-    policy = FlushTwoWhenFullPolicy(params)
+    policy = make_policy("ftwf", params)
     res = run_sequence(policy, seq)
     assert settle_slots(policy) == [1, 2, 5]
     assert flush_events(policy) == [(3, 1, 3), (3, 2, 3)]
@@ -111,7 +109,7 @@ def test_flush_two_when_full_trace():
 def test_flush_two_when_full_advances_pairs():
     params = ModelParams(C=12, T=3, F=1, k=4)
     seq = TransactionSequence.from_pairs([(t, 3) for t in range(1, 6)])
-    policy = FlushTwoWhenFullPolicy(params)
+    policy = make_policy("ftwf", params)
     run_sequence(policy, seq)
     # pair (1,2) fills, flushes on the trigger, pair (3,4) takes over at once
     assert settle_slots(policy) == [1, 2, 4, 5]
@@ -120,21 +118,29 @@ def test_flush_two_when_full_advances_pairs():
 
 def test_flush_two_needs_even_k():
     with pytest.raises(OddWalletCount):
-        FlushTwoWhenFullPolicy(ModelParams(C=9, T=3, F=1, k=3))
+        make_policy("ftwf", ModelParams(C=9, T=3, F=1, k=3))
 
 
 @pytest.mark.parametrize("g", [0, 3, 8])
 def test_group_size_must_divide_k(g):
-    # imported here so the golden traces above also run on the three-class code
-    from collatsim.policies import GroupFlushPolicy
-
     with pytest.raises(OddWalletCount):
-        GroupFlushPolicy(ModelParams(C=12, T=3, F=1, k=4), g)
+        GroupFlushPolicy(ModelParams(C=12, T=3, F=1, k=4), g, "group")
+
+
+def test_make_policy_gives_each_group_kind_its_g_and_name():
+    # at k = 4 the three group sizes differ; a clone keeps both fields
+    params = ModelParams(C=12, T=3, F=1, k=4)
+    for kind, g in (("fa", 4), ("fwf", 1), ("ftwf", 2)):
+        policy = make_policy(kind, params)
+        assert type(policy) is GroupFlushPolicy
+        assert (policy.g, policy.name) == (g, kind)
+        twin = policy.clone()
+        assert (twin.g, twin.name) == (g, kind)
 
 
 def test_group_state_is_relative_to_the_slot():
     params = ModelParams(C=12, T=3, F=2, k=2)
-    early, late = FlushAllPolicy(params), FlushAllPolicy(params)
+    early, late = make_policy("fa", params), make_policy("fa", params)
     early.step(1, 3)
     # active group, capacity when next online per wallet, outage ends (-1 online)
     assert early.state(1) == (1, 3, 6, -1, -1)
@@ -145,7 +151,7 @@ def test_group_state_is_relative_to_the_slot():
     for slot in range(1, 8):
         late.step(slot, 3 if slot > 2 else None)
     assert late.state(7) == early.state(5)
-    fwf = FlushWhenFullPolicy(params)
+    fwf = make_policy("fwf", params)
     for slot in range(1, 4):  # wallet 1 fills, then flushes and wallet 2 is active
         fwf.step(slot, 3)
     assert fwf.state(3) == (2, 6, 6, 2, -1)
@@ -407,8 +413,8 @@ def test_counters_match_trace(symbols, kind, tau, seed):
 )
 @settings(max_examples=150, deadline=None)
 def test_trace_records_match_its_lines(symbols, kind, tau, seed):
-    # lines, settles and flush amounts are all kept at log time; each must
-    # agree with the events parsed back from the lines
+    # lines, settles and wallet flush amounts are all kept at log time; each
+    # must agree with the events parsed back from the lines
     pairs = [(i + 1, v) for i, v in enumerate(symbols) if v is not None]
     seq = TransactionSequence.from_pairs(pairs, horizon=len(symbols))
     policy = make_policy(kind, replace(COUNTER_PARAMS[kind], tau=tau), seed=seed)
@@ -417,7 +423,9 @@ def test_trace_records_match_its_lines(symbols, kind, tau, seed):
     events = trace.events
     assert reference_ndjson(events) == trace.to_ndjson()
     assert trace.settles == [(e.slot, e.value) for e in events if e.kind == SETTLE]
-    assert trace.flush_amounts == [e.flush_amount for e in events if e.kind == FLUSH]
+    assert trace.flush_amounts == [
+        e.flush_amount for e in events if e.kind == FLUSH and e.wallet is not None
+    ]
 
 
 # fwf at k = 4 returns its wallets in rotation order, so a gap holding

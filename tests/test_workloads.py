@@ -96,7 +96,7 @@ def test_gen_values_in_range(kind):
 def test_gen_bursty_respects_gaps():
     spec = WorkloadSpec("bursty", 1000, 40, 5, 6, {"burstLen": 3, "gapLen": 2})
     seq = gen_stochastic(spec)
-    assert len(seq.txs) > 0
+    assert len(seq) > 0
     for t in seq:
         assert (t.slot - 1) % 5 < 3  # never inside a quiet stretch
 
@@ -125,7 +125,7 @@ def test_epoch_burst_shape():
     values = [t.value for t in seq]
     assert all(v == 3 for v in values)
     # per epoch: 4 fills, 1 trigger, F=2 burst offers in the outage
-    assert len(seq.txs) == 2 * (4 + 1 + 2)
+    assert len(seq) == 2 * (4 + 1 + 2)
 
 
 class ScriptedTarget:
@@ -232,5 +232,5 @@ def test_sequence_csv_round_trip(tmp_path):
     text = path.read_text().splitlines()
     assert text[0] == "slot,value"
     back = read_sequence_csv(str(path))
-    assert back.txs == seq.txs
+    assert back == seq
     assert back.horizon == 9
