@@ -10,9 +10,10 @@ stepping each state of a wallet rule and each value-DP key once per offer,
 deciding each policy's bound by one max-plus layer per slot over its own
 graph of (state, DP key) nodes, shared by the kinds of one rule and bound,
 and walking the tree of prefixes only where a layer shows a
-counterexample or a broken invariant below; ``sweep``
-scans eta or k, one ``measure_ratio`` run with the window-bound oracle
-per setting, and marks the empirical optimum next to the formula one;
+counterexample or a broken invariant below; ``sweep`` scans eta or k,
+one ``measure_ratio`` run per setting with the window-bound oracle (the LP
+relaxation, an upper bound on opt), and marks the empirical optimum next
+to the formula one;
 ``run_adversary_demo`` measures an adversarial sequence against its
 target like any other ratio run.
 
@@ -763,8 +764,8 @@ def sweep(config: ExperimentConfig, param: str, values: list[float]) -> list[Swe
     """Scan eta or k, rerunning the configured workload at each setting.
 
     Each setting is a ``measure_ratio`` run of the config with the
-    window-bound oracle (an upper bound on opt) and no outputs of its own;
-    a sequence file is read once for all of them.
+    window-bound oracle (the LP relaxation, an upper bound on opt) and no
+    outputs of its own; a sequence file is read once for all of them.
     Rows carry per-setting means over repetitions and the worst observed
     opt/alg value ratio, or the error that ended the setting.  The
     empirical best row is marked: highest mean utility for eta, lowest

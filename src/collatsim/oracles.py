@@ -285,34 +285,33 @@ def opt_utility_upper_bound(opt_value: int, params: ModelParams) -> Fraction:
 
 
 def window_upper_bound(seq: TransactionSequence, C: int, F: int) -> int:
-    """Cheap upper bound on the general-model optimum value, in O(n log n).
+    """Cheap upper bound on the general-model optimum value, in O(n).
 
-    Partition the slots into disjoint F+1 windows; any feasible subset
-    puts at most min(C, offered value) into each.  The minimum over the
-    F+1 partition offsets is taken.  Raising the offset from 0 moves each
-    offer at slot s into the next block exactly once, at offset
-    w - (s-1) mod w with w = F+1 (never, when that is w), so the blocks
-    change only at those offsets.  One sweep over them in increasing order
-    keeps the running sum of min(C, load), updating the two blocks each
-    move touches, and takes the minimum once an offset's moves are in.
+    It is the optimum of the LP relaxation that settles y_i of offer i,
+    0 <= y_i <= v_i, with every F+1-slot sliding window summing to at most
+    C.  One pass in slot order fills each offer greedily,
+    y_i = min(v_i, C - (y settled in [s_i - F, s_i - 1])), reading that
+    window's sum off the running totals at a left pointer.
+
+    Feasible: the offers of any window lie in [s_i - F, s_i] of its last
+    offer i, and y_i leaves that sum at most C.
+    Optimal: let G_t and Y_t be the totals through slot t of the greedy and
+    of any feasible y; G_t >= Y_t at every t, by induction.  Either
+    y_t = v_t, so G_t = G_{t-1} + v_t >= Y_t, or G_t = G_{t-F-1} + C >= Y_t,
+    since Y's window [t - F, t] holds at most C.
+    Between the two: every feasible schedule is a feasible y, so the bound
+    is at least the optimum; every block of a partition of the slots into
+    F+1 windows is a sliding window, so it is at most the partition bound,
+    the sum over blocks of min(C, offered value).
     """
-    width = F + 1
-    loads: dict[int, int] = {}
-    moves: dict[int, list[tuple[int, int]]] = {}  # offset -> (block, value)
-    for slot, value in zip(seq.slots, seq.values):
-        block, r = divmod(slot - 1, width)
-        loads[block] = loads.get(block, 0) + value
-        if r:
-            moves.setdefault(width - r, []).append((block, value))
-    best = total = sum(v if v < C else C for v in loads.values())
-    for offset in sorted(moves):
-        for block, value in moves[offset]:
-            a = loads[block]
-            b = loads.get(block + 1, 0)
-            loads[block] = a2 = a - value
-            loads[block + 1] = b2 = b + value
-            total += ((a2 if a2 < C else C) + (b2 if b2 < C else C)
-                      - (a if a < C else C) - (b if b < C else C))
-        if total < best:
-            best = total
-    return best
+    slots = seq.slots
+    before = []  # the greedy's total before each offer
+    total = left = 0
+    for slot, value in zip(slots, seq.values):
+        before.append(total)
+        start = slot - F
+        while slots[left] < start:
+            left += 1
+        room = C - total + before[left]
+        total += value if value < room else room
+    return total

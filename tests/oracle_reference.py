@@ -6,10 +6,10 @@ Two slow routes that share no code with ``collatsim.oracles``:
 ``opt_general_value_sim`` drives the real CollateralPool through every
 settle/discard choice.  Both are exponential in the number of transactions
 and meant for n <= 12.  ``greedy_feasible_value`` is a feasible lower bound
-at any size.  ``window_upper_bound_all_offsets`` tries every partition
-offset, and ``window_upper_bound_offer_offsets`` only offset 0 and those
-that start a block at an offer, one O(n) pass each; ``window_upper_bound``
-sweeps the same offsets.  ``reference_ndjson`` writes a
+at any size.  ``window_lp_reference`` enumerates every integer fill
+0 <= y_i <= v_i under the window law, the reference for the greedy LP
+bound ``window_upper_bound``; ``window_upper_bound_all_offsets`` is the
+partition bound, which that greedy never exceeds.  ``reference_ndjson`` writes a
 trace through the json module, as the reference for
 ``EventTrace.to_ndjson``.  ``ReferencePool`` is the pool ledger in exact
 Fractions and ``ReferenceThreshold`` the threshold policy over it, the
@@ -113,7 +113,7 @@ def greedy_feasible_value(pairs, C, F):
 
 
 def window_upper_bound_all_offsets(seq, C, F):
-    """``window_upper_bound`` as the minimum over all F+1 partition offsets.
+    """The partition bound: the minimum over all F+1 partition offsets.
 
     Each offset splits the slots into blocks of F+1; every block holds at
     most min(C, its offered value) of a feasible schedule.
@@ -133,19 +133,19 @@ def window_upper_bound_all_offsets(seq, C, F):
     return best
 
 
-def window_upper_bound_offer_offsets(seq, C, F):
-    """``window_upper_bound`` over offset 0 and the offsets that start a
-    block at an offer, each summed afresh: at most n+1 passes of O(n)."""
-    width = F + 1
+def window_lp_reference(pairs, C, F):
+    """The LP relaxation's optimum by enumerating integer fills.
 
-    def bound(offset):
-        blocks = {}
-        for t in seq:
-            block = (t.slot - 1 + offset) // width
-            blocks[block] = blocks.get(block, 0) + t.value
-        return sum(min(C, v) for v in blocks.values())
-
-    return min(map(bound, {0, *(-(t.slot - 1) % width for t in seq)}))
+    Settle y_i of each (slot, v_i), 0 <= y_i <= v_i, keeping every window
+    at most C.  The window constraints form an interval matrix, which is
+    totally unimodular, so the best integer fill is the LP optimum.
+    """
+    slots = [s for s, _ in pairs]
+    return max(
+        sum(fill)
+        for fill in product(*(range(v + 1) for _, v in pairs))
+        if window_law_holds(list(zip(slots, fill)), C, F)
+    )
 
 
 def subset_optima(pairs, C, F):

@@ -25,8 +25,8 @@ from oracle_reference import (
     subset_optima,
     utility_optimum_reference,
     window_law_holds,
+    window_lp_reference,
     window_upper_bound_all_offsets,
-    window_upper_bound_offer_offsets,
 )
 
 
@@ -395,6 +395,16 @@ def test_window_bound_dominates_opt(values, C, F):
     assert greedy <= opt
 
 
+def gapped(steps):
+    """(gap, value) steps as pairs at the running slot, and their sequence."""
+    pairs, slot = [], 0
+    for gap, value in steps:
+        slot += gap
+        pairs.append((slot, value))
+    seq = seq_of(pairs) if pairs else TransactionSequence([], [], horizon=1)
+    return pairs, seq
+
+
 @given(
     st.lists(
         st.tuples(st.integers(min_value=1, max_value=50), st.integers(1, 15)),
@@ -404,15 +414,34 @@ def test_window_bound_dominates_opt(values, C, F):
     st.integers(min_value=0, max_value=40),
 )
 @settings(max_examples=200, deadline=None)
-def test_window_bound_tries_only_the_offsets_that_matter(steps, C, F):
-    pairs, slot = [], 0
-    for gap, value in steps:
-        slot += gap
-        pairs.append((slot, value))
-    seq = seq_of(pairs) if pairs else TransactionSequence([], [], horizon=1)
+def test_window_bound_lies_between_opt_and_the_partition_bound(steps, C, F):
+    pairs, seq = gapped(steps)
     bound = window_upper_bound(seq, C, F)
-    assert bound == window_upper_bound_all_offsets(seq, C, F)
-    assert bound == window_upper_bound_offer_offsets(seq, C, F)
+    assert opt_general_value(seq, C, F) <= bound
+    assert bound <= window_upper_bound_all_offsets(seq, C, F)
+
+
+@given(
+    st.lists(
+        st.tuples(st.integers(min_value=1, max_value=4), st.integers(1, 4)),
+        max_size=5,
+    ),
+    st.integers(min_value=1, max_value=8),
+    st.integers(min_value=0, max_value=4),
+)
+@settings(max_examples=100, deadline=None)
+def test_window_bound_is_the_lp_optimum(steps, C, F):
+    pairs, seq = gapped(steps)
+    assert window_upper_bound(seq, C, F) == window_lp_reference(pairs, C, F)
+
+
+def test_window_bound_is_tighter_than_every_partition():
+    # both partitions into 2-slot blocks split the offers 2 + 1 + 1 and
+    # allow 3; no two adjacent slots may both settle, so the greedy, like
+    # the optimum, takes 2
+    seq = seq_of([(1, 1), (2, 1), (4, 1), (5, 1)])
+    assert window_upper_bound(seq, 1, 1) == 2 == opt_general_value(seq, 1, 1)
+    assert window_upper_bound_all_offsets(seq, 1, 1) == 3
 
 
 def test_window_bound_sweeps_many_offers_at_large_F():
