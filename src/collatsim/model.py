@@ -22,8 +22,10 @@ place on each operation.  Their ``begin_slot(slot)`` is the only place
 collateral returns, all of it whose outage ended before ``slot``.
 
 Each machine logs its run to an ``EventTrace``, which writes every event
-as its NDJSON line when it is logged and keeps only the settles and wallet
-flush amounts besides; ``Event`` is the parsed form of one line.  A
+as its NDJSON line when it is logged, an offer's arrive line together
+with the line of its settle or discard, and keeps besides only the
+settles, as two int columns, and the wallet flush amounts; ``Event`` is
+the parsed form of one line.  A
 ``TransactionSequence`` is built from its two int columns, slots and
 values, or from ``(slot, value)`` pairs.
 """
@@ -328,70 +330,83 @@ def ppm_amount(units: int) -> str:
 class EventTrace:
     """Append-only event log for one run; the machines count the totals.
 
-    One method per event kind writes its NDJSON line from one template.
-    The policies log ``arrive`` and ``discard`` with the offer's value.
-    The bank logs ``settle`` with the wallet and value, ``flush`` with the
-    wallet and its committed value, and ``online`` with the wallet.  The
-    pool logs ``settle`` with the value and its ``available`` and
-    ``committed`` balances after it, ``flush`` with the tranche and the two
-    balances, and ``online`` with the returning tranche and ``committed``;
-    its amounts are ints in 1/PPM, printed by the memoised ``ppm_amount``.
-    Every line's bytes equal the json module's encoding of the same object
-    with separators ``(",", ":")``, keys in the order slot, kind, wallet,
-    value, flushAmount, available, committed.
+    One method per logged call appends its NDJSON text to ``chunks``,
+    from one f-string.  An offer's ``arrive`` line goes out with the line
+    of its outcome, as one string that converts the slot and value once:
+    the policies log ``discard``, and the machines' ``settle`` logs
+    ``wallet_settle`` or ``pool_settle``.  The bank logs ``settle`` with
+    the wallet and value, ``flush`` with the wallet and its committed
+    value, and ``online`` with the wallet.  The pool logs ``settle`` with
+    the value and its ``available`` and ``committed`` balances after it,
+    ``flush`` with the tranche and the two balances, and ``online`` with
+    the returning tranche and ``committed``; its amounts are ints in
+    1/PPM, printed by the memoised ``ppm_amount``.  Every line's bytes
+    equal the json module's encoding of the same object with separators
+    ``(",", ":")``, keys in the order slot, kind, wallet, value,
+    flushAmount, available, committed.
 
-    Beside the lines the trace keeps the two records the program reads
-    back, in log order: ``settles``, each settle's ``(slot, value)``, which
-    the window check reads, and ``flush_amounts``, each wallet flush's
-    amount, which the exhaustive verifier checks; pool flushes are not
+    Beside the text the trace keeps what the program reads back, in log
+    order: the settle columns ``settle_slots`` and ``settle_values``, two
+    int lists that the window check reads as they are, since a machine
+    settles at most one offer a slot and so logs settles in strictly
+    increasing slot order; and ``flush_amounts``, each wallet flush's
+    amount, which the exhaustive verifier checks.  Pool flushes are not
     recorded there, since that verifier steps wallet policies only.
-    ``events`` parses the lines back into ``Event`` tuples for readers of
+    ``events`` parses the text back into ``Event`` tuples for readers of
     the log.
     """
 
-    __slots__ = ("lines", "settles", "flush_amounts")
+    __slots__ = ("chunks", "settle_slots", "settle_values", "flush_amounts")
 
     def __init__(self):
-        self.lines: list[str] = []
-        self.settles: list[tuple[int, int]] = []
+        self.chunks: list[str] = []
+        self.settle_slots: list[int] = []
+        self.settle_values: list[int] = []
         self.flush_amounts: list[int] = []
 
-    def arrive(self, slot: int, value: int) -> None:
-        self.lines.append(f'{{"slot":{slot},"kind":"arrive","value":{value}}}\n')
-
     def discard(self, slot: int, value: int) -> None:
-        self.lines.append(f'{{"slot":{slot},"kind":"discard","value":{value}}}\n')
+        s, v = str(slot), str(value)
+        self.chunks.append(
+            f'{{"slot":{s},"kind":"arrive","value":{v}}}\n'
+            f'{{"slot":{s},"kind":"discard","value":{v}}}\n'
+        )
 
     def wallet_settle(self, slot: int, wallet: int, value: int) -> None:
-        self.lines.append(
-            f'{{"slot":{slot},"kind":"settle","wallet":{wallet},"value":{value}}}\n'
+        s, v = str(slot), str(value)
+        self.chunks.append(
+            f'{{"slot":{s},"kind":"arrive","value":{v}}}\n'
+            f'{{"slot":{s},"kind":"settle","wallet":{wallet},"value":{v}}}\n'
         )
-        self.settles.append((slot, value))
+        self.settle_slots.append(slot)
+        self.settle_values.append(value)
 
     def wallet_flush(self, slot: int, wallet: int, amount: int) -> None:
-        self.lines.append(
+        self.chunks.append(
             f'{{"slot":{slot},"kind":"flush","wallet":{wallet},"flushAmount":{amount}}}\n'
         )
         self.flush_amounts.append(amount)
 
     def wallet_online(self, slot: int, wallet: int) -> None:
-        self.lines.append(f'{{"slot":{slot},"kind":"online","wallet":{wallet}}}\n')
+        self.chunks.append(f'{{"slot":{slot},"kind":"online","wallet":{wallet}}}\n')
 
     def pool_settle(self, slot: int, value: int, free: int, committed: int) -> None:
-        self.lines.append(
-            f'{{"slot":{slot},"kind":"settle","value":{value},'
+        s, v = str(slot), str(value)
+        self.chunks.append(
+            f'{{"slot":{s},"kind":"arrive","value":{v}}}\n'
+            f'{{"slot":{s},"kind":"settle","value":{v},'
             f'"available":{ppm_amount(free)},"committed":{ppm_amount(committed)}}}\n'
         )
-        self.settles.append((slot, value))
+        self.settle_slots.append(slot)
+        self.settle_values.append(value)
 
     def pool_flush(self, slot: int, amount: int, free: int, committed: int) -> None:
-        self.lines.append(
+        self.chunks.append(
             f'{{"slot":{slot},"kind":"flush","flushAmount":{ppm_amount(amount)},'
             f'"available":{ppm_amount(free)},"committed":{ppm_amount(committed)}}}\n'
         )
 
     def pool_online(self, slot: int, amount: int, committed: int) -> None:
-        self.lines.append(
+        self.chunks.append(
             f'{{"slot":{slot},"kind":"online","flushAmount":{ppm_amount(amount)},'
             f'"committed":{ppm_amount(committed)}}}\n'
         )
@@ -399,11 +414,11 @@ class EventTrace:
     @property
     def events(self) -> list[Event]:
         """The logged events, parsed back from their lines."""
-        return [_parse_event(line) for line in self.lines]
+        return [_parse_event(line) for line in self.to_ndjson().splitlines()]
 
     def to_ndjson(self) -> str:
         """One compact JSON object per event and line, "" for no events."""
-        return "".join(self.lines)
+        return "".join(self.chunks)
 
 
 def _parse_event(line: str) -> Event:
@@ -470,8 +485,9 @@ class WalletBank:
 
     def settle(self, i: int, value: int, slot: int) -> None:
         """Settle an offer of ``value`` at ``slot`` in wallet i, which must be
-        online with room for it."""
-        self._check_index(i)
+        online with room for it, logging the offer's arrive and settle."""
+        if not 1 <= i <= self.params.k:
+            raise IndexOutOfRange(f"wallet index {i} out of 1..{self.params.k}")
         j = i - 1
         if self.offline_until[j] >= slot:
             raise WalletOffline(f"wallet {i} offline at slot {slot}")
@@ -555,7 +571,7 @@ class CollateralPool:
 
     def settle(self, value: int, slot: int) -> None:
         """Settle an offer of ``value`` at ``slot`` from the free balance,
-        which must cover it."""
+        which must cover it, logging the offer's arrive and settle."""
         units = value * PPM
         if self.free < units:
             raise InsufficientCollateral(
@@ -610,22 +626,23 @@ class RunResult:
 
 
 def first_overfull_window(
-    pairs: list[tuple[int, int]], C: int, F: int
+    slots: list[int], values: list[int], C: int, F: int
 ) -> tuple[int, int] | None:
     """The window law: the first F+1-slot window carrying more than C.
 
-    ``pairs`` are (slot, value) in nondecreasing slot order.  Returns
-    ``(s, total)`` for the first pair whose window [s, s+F] sums above C,
-    or None when every window fits.  Two pointers, so O(n): the window
-    grows at its right end and drops each pair once it starts past it.
+    ``slots`` and ``values`` are the columns of the settles, slots in
+    nondecreasing order.  Returns ``(s, total)`` for the first settle
+    whose window [s, s+F] sums above C, or None when every window fits.
+    Two pointers, so O(n): the window grows at its right end and drops
+    each settle once it starts past it.
     """
-    n = len(pairs)
+    n = len(slots)
     total = 0
     j = 0
-    for s, v in pairs:
+    for s, v in zip(slots, values):
         end = s + F
-        while j < n and pairs[j][0] <= end:
-            total += pairs[j][1]
+        while j < n and slots[j] <= end:
+            total += values[j]
             j += 1
         if total > C:
             return s, total
@@ -639,11 +656,11 @@ def validate_window_bound(trace: EventTrace, params: ModelParams) -> None:
     This holds for every correct run of either machine: a unit of
     collateral settles at most one transaction in any window of F+1
     slots, because flushed collateral is unusable for F slots.  The
-    check is linear and every run pays it.  The error names the first
-    failing window in slot order, which is settle order in any trace
-    the machines write.
+    check is linear and every run pays it.  It reads the trace's settle
+    columns as they are: a machine logs its settles in strictly
+    increasing slot order, so the error names the first failing window.
     """
-    bad = first_overfull_window(sorted(trace.settles), params.C, params.F)
+    bad = first_overfull_window(trace.settle_slots, trace.settle_values, params.C, params.F)
     if bad is not None:
         s, total = bad
         raise CollateralError(

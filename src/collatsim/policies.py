@@ -88,7 +88,6 @@ class GroupFlushPolicy:
             bank.begin_slot(slot)
         if value is None:
             return 0
-        bank.trace.arrive(slot, value)
         hi = self.active * self.g
         lo = hi - self.g
         if bank.offline_until[lo] >= slot:  # step flushes groups whole: one return
@@ -173,7 +172,6 @@ class RandTwoPolicy:
             self.coins_drawn += 1
         if value is None:
             return 0
-        bank.trace.arrive(slot, value)
         if online and value <= bank.remaining[0] and (self.chosen == 1 or value > self.other):
             bank.settle(1, value, slot)
             return 1
@@ -217,7 +215,6 @@ class ThresholdPolicy:
             pool.begin_slot(slot)
         if value is None:
             return 0
-        pool.trace.arrive(slot, value)
         if pool.free < value * PPM:
             pool.trace.discard(slot, value)
             return 0

@@ -20,8 +20,6 @@ import csv
 import math
 import random
 from dataclasses import dataclass, field
-from itertools import islice
-from operator import itemgetter
 
 from .model import (
     CollateralError,
@@ -345,42 +343,83 @@ def write_sequence_csv(seq: TransactionSequence, path: str) -> None:
         writer.writerows(zip(seq.slots, seq.values))
 
 
-# read_sequence_csv converts this many rows at a time, so the rows it holds
-# besides the columns stay few however long the file is
-CSV_BLOCK_ROWS = 4096
+# read_sequence_csv reads a plain file this many bytes at a time, so the
+# text it holds besides the columns stays bounded however long the file is
+CSV_BLOCK_BYTES = 1 << 16
+# the header lines of a plain file: LF or CRLF ended, or all the file holds
+PLAIN_HEADERS = (b"slot,value\n", b"slot,value\r\n", b"slot,value")
 
 
 def read_sequence_csv(path: str) -> TransactionSequence:
     """The sequence in a CSV file of a ``slot,value`` header and int rows.
 
-    Blank lines are skipped and fields past the second ignored.  The rows
-    go into two int columns a block at a time at C speed, and the columns
-    are checked whole.  Should a block fail to convert, the file is read
-    again row by row, so that the error names its first bad row: a field
-    past the csv module's size limit, a row that is not two ints, or a
-    slot or value below 1.
+    A plain file, as ``write_sequence_csv`` writes one, is split a block
+    at a time at C speed.  Any other file is read row by row by the csv
+    module, as it always was: blank lines are skipped, fields past the
+    second ignored, and the error names the first bad row: a field past
+    the csv module's size limit, a row that is not two ints, or a slot
+    or value below 1.  Both give the same columns or the same error.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader, None)
-            if header != ["slot", "value"]:
-                raise InvalidSpec(f"expected header slot,value, got {header}")
-            slots: list[int] = []
-            values: list[int] = []
-            rows = filter(None, reader)
+    columns = _plain_columns(path)
+    if columns is None:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
             try:
-                while block := list(islice(rows, CSV_BLOCK_ROWS)):
-                    slots += map(int, map(itemgetter(0), block))
-                    values += map(int, map(itemgetter(1), block))
-            except (csv.Error, ValueError, IndexError):
-                fh.seek(0)
-                reader = csv.reader(fh)
-                next(reader)
-                slots, values = _checked_columns(path, reader)
-        except csv.Error as err:  # a field past the csv module's size limit
-            raise InvalidSpec(f"{path} line {reader.line_num}: {err}") from None
-    return TransactionSequence(slots, values)
+                header = next(reader, None)
+                if header != ["slot", "value"]:
+                    raise InvalidSpec(f"expected header slot,value, got {header}")
+                columns = _checked_columns(path, reader)
+            except csv.Error as err:  # a field past the csv module's size limit
+                raise InvalidSpec(f"{path} line {reader.line_num}: {err}") from None
+    return TransactionSequence(*columns)
+
+
+def _plain_columns(path: str) -> tuple[list[int], list[int]] | None:
+    """The columns of a plain file, or None if the file is not plain.
+
+    Plain is the header and then rows of two fields of ASCII digits, each
+    line ended by LF or CRLF (the last may be unended), with no blank line
+    and no field longer than ``csv.field_size_limit()``.  Such a file
+    decodes the same in any locale's codec, and the csv module splits it
+    exactly at its commas and line ends, so ``bytes.split`` and ``int``
+    give the columns it would.  A block ends at its last line end; the
+    partial line left is carried into the next.
+    """
+    limit = csv.field_size_limit()
+    slots: list[int] = []
+    values: list[int] = []
+    rest = b""
+    with open(path, "rb") as fh:
+        if fh.readline(len(PLAIN_HEADERS[1])) not in PLAIN_HEADERS:
+            return None
+        while True:
+            chunk = fh.read(CSV_BLOCK_BYTES)
+            if chunk:
+                text = rest + chunk
+                end = text.rfind(b"\n") + 1
+                body, rest = text[:end], text[end:]
+                if len(rest) > limit:  # a line past the size limit
+                    return None
+            else:  # the last line may be unended
+                body = rest + b"\n" if rest else b""
+            if b"\r" in body:
+                body = body.replace(b"\r\n", b"\n")
+            if body:
+                # what is not a digit must be a comma and a line end, row by row
+                separators = body.translate(None, b"0123456789")
+                if separators != b",\n" * (len(separators) // 2):
+                    return None
+                fields = body.replace(b"\n", b",").split(b",")
+                fields.pop()  # the empty field after the last line end
+                if len(body) > limit and max(map(len, fields)) > limit:
+                    return None
+                try:
+                    slots += map(int, fields[0::2])
+                    values += map(int, fields[1::2])
+                except ValueError:  # an empty field, or more digits than int() reads
+                    return None
+            if not chunk:
+                return slots, values
 
 
 def _checked_columns(path: str, reader) -> tuple[list[int], list[int]]:

@@ -92,6 +92,15 @@ def reference_ndjson(events) -> str:
     return "".join(_NDJSON.encode(to_json_obj(e)) + "\n" for e in events)
 
 
+def reference_first_overfull(pairs, C, F):
+    """Sum every window [s, s+F] from scratch, in the order given."""
+    for s, _ in pairs:
+        total = sum(v for t, v in pairs if s <= t <= s + F)
+        if total > C:
+            return s, total
+    return None
+
+
 def window_law_holds(pairs, C, F):
     """Every F+1-slot window ending at a member carries at most C (quadratic)."""
     return all(
@@ -233,6 +242,7 @@ class ReferencePool:
         self.free -= value
         self.committed += value
         self.settled += value
+        self.events.append(Event(slot, ARRIVE, value=value))
         self.events.append(Event(
             slot, SETTLE, value=value, available=self.free, committed=self.committed
         ))
@@ -294,8 +304,8 @@ class ReferenceThreshold:
         pool.begin_slot(slot)
         if value is None:
             return
-        pool.events.append(Event(slot, ARRIVE, value=value))
         if pool.free < value:
+            pool.events.append(Event(slot, ARRIVE, value=value))
             pool.events.append(Event(slot, DISCARD, value=value))
             return
         pool.settle(value, slot)
@@ -341,7 +351,6 @@ class ReferenceRandTwo:
         taken = self.shadow.step(slot, value)
         if value is None:
             return 0
-        bank.trace.arrive(slot, value)
         if taken == self.chosen:
             bank.settle(1, value, slot)
             return 1

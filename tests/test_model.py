@@ -195,7 +195,7 @@ def test_wallet_outage_window():
     assert bank.wallet_available(1, 4)
     assert bank.remaining == [10, 10]
     kinds = [e.kind for e in bank.trace.events]
-    assert kinds == [SETTLE, FLUSH, ONLINE]
+    assert kinds == [ARRIVE, SETTLE, FLUSH, ONLINE]
 
 
 def test_wallet_catch_up_logs_each_return_at_its_slot():
@@ -321,13 +321,14 @@ def test_ndjson_shapes():
     pool.settle(60, 1)
     pool.flush(8_360_000, 1)  # 836/100
     lines = [json.loads(line) for line in pool.trace.to_ndjson().splitlines()]
-    assert lines[0] == {
-        "slot": 1, "kind": "settle", "value": 60,
-        "available": 140, "committed": 60,
-    }
+    # a settle logs the offer's arrive with it
+    assert lines[:2] == [
+        {"slot": 1, "kind": "arrive", "value": 60},
+        {"slot": 1, "kind": "settle", "value": 60, "available": 140, "committed": 60},
+    ]
     # non-integral amounts serialize as exact num/den strings
-    assert lines[1]["flushAmount"] == "209/25"
-    assert lines[1]["committed"] == "1291/25"
+    assert lines[2]["flushAmount"] == "209/25"
+    assert lines[2]["committed"] == "1291/25"
 
 
 SLOTS = st.integers(min_value=1, max_value=10**9)
@@ -344,32 +345,36 @@ def _exact(units):
     return Fraction(units, PPM)
 
 
-# each trace method with its arguments, and the event it logs
+# each trace method with its arguments, and the events it logs: an offer's
+# discard or settle comes with its arrive
 TRACE_CALLS = st.one_of(
-    st.builds(lambda t, v: ("arrive", (t, v), Event(t, ARRIVE, value=v)), SLOTS, VALUES),
-    st.builds(lambda t, v: ("discard", (t, v), Event(t, DISCARD, value=v)), SLOTS, VALUES),
     st.builds(
-        lambda t, w, v: ("wallet_settle", (t, w, v), Event(t, SETTLE, w, v)),
+        lambda t, v: ("discard", (t, v), [Event(t, ARRIVE, value=v), Event(t, DISCARD, value=v)]),
+        SLOTS, VALUES,
+    ),
+    st.builds(
+        lambda t, w, v: ("wallet_settle", (t, w, v), [
+            Event(t, ARRIVE, value=v), Event(t, SETTLE, w, v)]),
         SLOTS, WALLETS, VALUES,
     ),
     st.builds(
-        lambda t, w, a: ("wallet_flush", (t, w, a), Event(t, FLUSH, w, flush_amount=a)),
+        lambda t, w, a: ("wallet_flush", (t, w, a), [Event(t, FLUSH, w, flush_amount=a)]),
         SLOTS, WALLETS, st.integers(min_value=0, max_value=10**9),
     ),
-    st.builds(lambda t, w: ("wallet_online", (t, w), Event(t, ONLINE, w)), SLOTS, WALLETS),
+    st.builds(lambda t, w: ("wallet_online", (t, w), [Event(t, ONLINE, w)]), SLOTS, WALLETS),
     st.builds(
-        lambda t, v, f, c: ("pool_settle", (t, v, f, c), Event(
-            t, SETTLE, value=v, available=_exact(f), committed=_exact(c))),
+        lambda t, v, f, c: ("pool_settle", (t, v, f, c), [Event(t, ARRIVE, value=v), Event(
+            t, SETTLE, value=v, available=_exact(f), committed=_exact(c))]),
         SLOTS, VALUES, UNITS, UNITS,
     ),
     st.builds(
-        lambda t, a, f, c: ("pool_flush", (t, a, f, c), Event(
-            t, FLUSH, flush_amount=_exact(a), available=_exact(f), committed=_exact(c))),
+        lambda t, a, f, c: ("pool_flush", (t, a, f, c), [Event(
+            t, FLUSH, flush_amount=_exact(a), available=_exact(f), committed=_exact(c))]),
         SLOTS, UNITS, UNITS, UNITS,
     ),
     st.builds(
-        lambda t, a, c: ("pool_online", (t, a, c), Event(
-            t, ONLINE, flush_amount=_exact(a), committed=_exact(c))),
+        lambda t, a, c: ("pool_online", (t, a, c), [Event(
+            t, ONLINE, flush_amount=_exact(a), committed=_exact(c))]),
         SLOTS, UNITS, UNITS,
     ),
 )
@@ -383,10 +388,12 @@ def test_ndjson_matches_json_module(calls):
     trace = EventTrace()
     for method, args, _ in calls:
         getattr(trace, method)(*args)
-    events = [event for _, _, event in calls]
+    events = [event for _, _, logged in calls for event in logged]
     assert trace.to_ndjson() == reference_ndjson(events)
     assert trace.events == events
-    assert trace.settles == [(e.slot, e.value) for e in events if e.kind == SETTLE]
+    settles = [e for e in events if e.kind == SETTLE]
+    assert trace.settle_slots == [e.slot for e in settles]
+    assert trace.settle_values == [e.value for e in settles]
     assert trace.flush_amounts == [
         e.flush_amount for e in events if e.kind == FLUSH and e.wallet is not None
     ]
@@ -410,7 +417,7 @@ def test_trace_totals():
     bank.flush(2, 2)
     assert clone.flushes == 1
     assert bank.flushes == 2
-    assert [e.kind for e in bank.trace.events] == [SETTLE, SETTLE, FLUSH, FLUSH]
+    assert [e.kind for e in bank.trace.events] == [ARRIVE, SETTLE, ARRIVE, SETTLE, FLUSH, FLUSH]
     pool = CollateralPool(params)
     pool.begin_slot(1)
     pool.settle(6, 1)

@@ -46,7 +46,8 @@ def test_window_check():
         ([], 1, 1, True),
     ]:
         assert window_law_holds(pairs, C, F) is holds
-        assert (first_overfull_window(pairs, C, F) is None) is holds
+        slots, values = [s for s, _ in pairs], [v for _, v in pairs]
+        assert (first_overfull_window(slots, values, C, F) is None) is holds
 
 
 def test_opt_value_examples():

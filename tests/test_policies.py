@@ -19,6 +19,7 @@ from collatsim.model import (
     InvalidParams,
     ModelParams,
     TransactionSequence,
+    validate_window_bound,
 )
 from collatsim.policies import (
     POLICY_KINDS,
@@ -34,6 +35,7 @@ from oracle_reference import (
     ReferenceBank,
     ReferenceRandTwo,
     ReferenceThreshold,
+    reference_first_overfull,
     reference_ndjson,
     run_every_slot,
 )
@@ -271,7 +273,7 @@ def test_rand2_mirrors_shadow_flushes():
     assert flush_events(pol) == [(3, 1, 4)]
     assert settle_slots(pol) == [1]
     assert pol.coins_drawn == 1  # second coin would come with the next online slot
-    assert len(pol.machine.trace.lines) == 9  # 4 arrive, 1 settle, 3 discard, 1 flush
+    assert len(pol.machine.trace.events) == 9  # 4 arrive, 1 settle, 3 discard, 1 flush
 
 
 def test_rand2_draws_one_coin_per_online_period():
@@ -358,10 +360,11 @@ COUNTER_PARAMS = {
 def step_and_check(policy, slot, value):
     """Step ``policy``; its return must name the wallet of the settle it
     logged in that step (the pool counts as 1), or be 0 if it logged none."""
-    lines = policy.machine.trace.lines
-    start = len(lines)
+    chunks = policy.machine.trace.chunks
+    start = len(chunks)
     taken = policy.step(slot, value)
-    settled = [e.get("wallet", 1) for e in map(json.loads, lines[start:]) if e["kind"] == SETTLE]
+    logged = "".join(chunks[start:]).splitlines()
+    settled = [e.get("wallet", 1) for e in map(json.loads, logged) if e["kind"] == SETTLE]
     assert settled == ([taken] if taken else [])
 
 
@@ -410,11 +413,13 @@ def test_counters_match_trace(symbols, kind, tau, seed):
     st.sampled_from(sorted(COUNTER_PARAMS)),
     st.sampled_from([0, 1]),
     st.integers(min_value=0, max_value=2**16),
+    st.integers(min_value=1, max_value=12),
+    st.integers(min_value=1, max_value=6),
 )
 @settings(max_examples=150, deadline=None)
-def test_trace_records_match_its_lines(symbols, kind, tau, seed):
-    # lines, settles and wallet flush amounts are all kept at log time; each
-    # must agree with the events parsed back from the lines
+def test_trace_records_match_its_lines(symbols, kind, tau, seed, C, F):
+    # the text, the settle columns and wallet flush amounts are all kept at
+    # log time; each must agree with the events parsed back from the lines
     pairs = [(i + 1, v) for i, v in enumerate(symbols) if v is not None]
     seq = TransactionSequence.from_pairs(pairs, horizon=len(symbols))
     policy = make_policy(kind, replace(COUNTER_PARAMS[kind], tau=tau), seed=seed)
@@ -422,10 +427,24 @@ def test_trace_records_match_its_lines(symbols, kind, tau, seed):
     trace = policy.machine.trace
     events = trace.events
     assert reference_ndjson(events) == trace.to_ndjson()
-    assert trace.settles == [(e.slot, e.value) for e in events if e.kind == SETTLE]
+    settles = [(e.slot, e.value) for e in events if e.kind == SETTLE]
+    assert list(zip(trace.settle_slots, trace.settle_values)) == settles
     assert trace.flush_amounts == [
         e.flush_amount for e in events if e.kind == FLUSH and e.wallet is not None
     ]
+    # the settles are logged in strictly increasing slot order, so the window
+    # check reads the columns unsorted and, under a C and F that it may
+    # break, judges them as the reference does
+    assert all(s < t for s, t in zip(trace.settle_slots, trace.settle_slots[1:]))
+    law = ModelParams(C=C, T=1, F=F)
+    bad = reference_first_overfull(settles, C, F)
+    if bad is None:
+        validate_window_bound(trace, law)
+    else:
+        s, total = bad
+        with pytest.raises(CollateralError) as err:
+            validate_window_bound(trace, law)
+        assert str(err.value) == f"window bound violated: {total} > C={C} in slots [{s}, {s + F}]"
 
 
 # fwf at k = 4 returns its wallets in rotation order, so a gap holding
@@ -686,7 +705,7 @@ def test_pool_ledger_is_integral():
     policy.finish(300)
     assert type(pool.committed) is int
     assert pool.flushes > 10
-    assert any('"flushAmount":"418/5"' in line for line in pool.trace.lines)
+    assert '"flushAmount":"418/5"' in pool.trace.to_ndjson()
 
 
 # sha256 of the NDJSON trace and utility, with terminal flushes off and on;

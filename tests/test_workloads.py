@@ -1,8 +1,12 @@
 """Workload generators, adversaries, and sequence files."""
 
+import csv
+import sys
+
 import pytest
 
 from collatsim import workloads
+from collatsim.cli import main
 from collatsim.model import CollateralError, InvalidParams, ModelParams, TransactionSequence
 from collatsim.workloads import (
     EpsilonDoesNotDivideC,
@@ -202,9 +206,10 @@ def test_thm3_guards():
     ],
 )
 def test_csv_reader_names_the_first_bad_row_past_a_block(tmp_path, monkeypatch, rows, message):
-    # blocks of two rows: four good rows and a blank line fill the first two
-    # blocks, so the fault lies in the third, and the error still names it
-    monkeypatch.setattr(workloads, "CSV_BLOCK_ROWS", 2)
+    # blocks of eight bytes: the first ones split plain rows, the blank line
+    # sends the file to the csv module's rows, and the error still names the
+    # fault past it
+    monkeypatch.setattr(workloads, "CSV_BLOCK_BYTES", 8)
     path = tmp_path / "seq.csv"
     path.write_text("slot,value\n1,1\n2,2\n\n3,3\n4,1\n" + "".join(r + "\n" for r in rows))
     with pytest.raises(CollateralError) as err:
@@ -213,16 +218,127 @@ def test_csv_reader_names_the_first_bad_row_past_a_block(tmp_path, monkeypatch, 
 
 
 def test_csv_reader_joins_its_blocks(tmp_path, monkeypatch):
-    # a good file, blank lines and extra fields included, converts in blocks
-    # and is never read again row by row
+    # a plain file, LF and CRLF line ends mixed and the last line unended,
+    # is split in blocks that end inside rows and inside a CRLF, and is
+    # never read row by row
     seq = gen_stochastic(WorkloadSpec("poisson-uniform", 600, 40, 3, 6))
     path = tmp_path / "seq.csv"
-    rows = (f"{s},{v}{'' if s % 4 else ',x'}\n\n" for s, v in zip(seq.slots, seq.values))
-    path.write_text("slot,value\n" + "".join(rows))
-    monkeypatch.setattr(workloads, "CSV_BLOCK_ROWS", 3)
+    rows = (f"{s},{v}{chr(13) if s % 2 else ''}\n" for s, v in zip(seq.slots, seq.values))
+    path.write_bytes(("slot,value\r\n" + "".join(rows)).rstrip().encode())
+    monkeypatch.setattr(workloads, "CSV_BLOCK_BYTES", 5)
     monkeypatch.setattr(workloads, "_checked_columns", None)
     back = read_sequence_csv(str(path))
     assert (back.slots, back.values) == (seq.slots, seq.values)
+
+
+# rows past the first 64 KiB block: the UTF-8 error's position is counted
+# from the start of the csv module's 8 KiB read that holds the bad byte
+ROWS_PAST_A_BLOCK = b"".join(b"%d,%d\n" % (s, 1 + s % 3) for s in range(1, 12001))
+# file bytes, and what reading them gives: the columns, or the CLI's one
+# error line (the file's path read as PATH); only a plain file (LF or CRLF
+# line ends, two fields of digits, no blank line) is split without the csv
+# module, and every other file gives what the csv module's rows give
+CSV_QUIRKS = {
+    "lf": (b"slot,value\n1,3\n2,2\n4,1\n", "[1, 2, 4] [3, 2, 1]"),
+    "crlf": (b"slot,value\r\n1,3\r\n2,2\r\n4,1\r\n", "[1, 2, 4] [3, 2, 1]"),
+    "no-final-newline": (b"slot,value\n1,3\n2,2\n4,1", "[1, 2, 4] [3, 2, 1]"),
+    "header-only": (b"slot,value\n", "[] []"),
+    "header-unended": (b"slot,value", "[] []"),
+    "header-then-cr": (b"slot,value\r", "[] []"),
+    "empty": (b"", "error: expected header slot,value, got None"),
+    "blank-line": (b"slot,value\n1,3\n\n2,2\n", "[1, 2] [3, 2]"),
+    "third-field": (b"slot,value\n1,3,x\n2,2,\n", "[1, 2] [3, 2]"),
+    "one-field": (
+        b"slot,value\n1\n2\n", "error: PATH line 2: expected slot,value integers, got ['1']"
+    ),
+    # as many commas as rows, but not one a row
+    "fields-misaligned": (
+        b"slot,value\n1,3,3\n4\n", "error: PATH line 3: expected slot,value integers, got ['4']"
+    ),
+    "quoted": (b'"slot","value"\n"1","3"\n"2",2\n', "[1, 2] [3, 2]"),
+    "bom": (
+        b"\xef\xbb\xbfslot,value\n1,3\n",
+        "error: expected header slot,value, got ['\\ufeffslot', 'value']",
+    ),
+    "lone-cr": (b"slot,value\r1,3\r2,2\r", "[1, 2] [3, 2]"),
+    # the csv module reads a NUL from Python 3.11 on, and refuses it before
+    "nul": (
+        b"slot,value\n1,3\x00\n",
+        "error: PATH line 2: line contains NUL" if sys.version_info < (3, 11)
+        else "error: PATH line 2: expected slot,value integers, got ['1', '3\\x00']",
+    ),
+    "long-digits": (
+        b"slot,value\n1," + b"1" * 131073 + b"\n",
+        "error: PATH line 2: field larger than field limit (131072)",
+    ),
+    "long-padded": (
+        b"slot,value\n1, " + b"1" * 131071 + b" \n",
+        "error: PATH line 2: field larger than field limit (131072)",
+    ),
+    "non-int": (
+        b"slot,value\n1,3\n2,x\n",
+        "error: PATH line 3: expected slot,value integers, got ['2', 'x']",
+    ),
+    "slot-0": (b"slot,value\n0,3\n", "error: slot must be >= 1, got 0"),
+    "repeated-slot": (
+        b"slot,value\n1,3\n2,2\n2,1\n", "error: slots must be strictly increasing: 2 then 2"
+    ),
+    "above-t": (b"slot,value\n1,3\n2,9\n", "error: value 9 at slot 2 exceeds cap 3"),
+    "bad-utf8-past-a-block": (
+        b"slot,value\n" + ROWS_PAST_A_BLOCK + b"12001,\xff\n",
+        "error: input is not UTF-8 text: 'utf-8' codec can't decode byte 0xff "
+        "in position 2991: invalid start byte",
+    ),
+}
+PLAIN_QUIRKS = ("lf", "crlf", "no-final-newline", "header-only", "header-unended", "slot-0",
+                "repeated-slot", "above-t")
+
+
+def test_csv_reader_keeps_the_csv_field_limit(tmp_path):
+    # int() reads a field of digits of any length up to its own cap, so the
+    # split must refuse a field the csv module's size limit refuses
+    path = tmp_path / "seq.csv"
+    limit = csv.field_size_limit(8)
+    try:
+        path.write_bytes(b"slot,value\n1,12345678\n")
+        assert read_sequence_csv(str(path)).values == (12345678,)
+        path.write_bytes(b"slot,value\n1,123456789\n")
+        with pytest.raises(InvalidSpec, match=r"line 2: field larger than field limit \(8\)$"):
+            read_sequence_csv(str(path))
+    finally:
+        csv.field_size_limit(limit)
+
+
+def read_outcome(capsys, path):
+    """The columns a run reads from ``path``, or its one error line."""
+    code = main(["simulate", "--policy", "fa", "--C", "12", "--k", "3", "--T", "3",
+                 "--F", "1", "--seq", str(path)])
+    err = capsys.readouterr().err
+    if code == 0:
+        seq = read_sequence_csv(str(path))
+        return f"{list(seq.slots)} {list(seq.values)}"
+    assert (code, err.count("\n")) == (2, 1)
+    return err.removesuffix("\n").replace(str(path), "PATH")
+
+
+@pytest.mark.parametrize("case", sorted(CSV_QUIRKS))
+def test_csv_reader_quirks(capsys, tmp_path, monkeypatch, case):
+    data, expected = CSV_QUIRKS[case]
+    path = tmp_path / "seq.csv"
+    path.write_bytes(data)
+    splits = []
+    plain_columns = workloads._plain_columns
+
+    def recorded(p):
+        splits.append(plain_columns(p))
+        return splits[-1]
+
+    monkeypatch.setattr(workloads, "_plain_columns", recorded)
+    assert read_outcome(capsys, path) == expected
+    assert (splits[0] is not None) is (case in PLAIN_QUIRKS)
+    # the csv module's rows alone give the same
+    monkeypatch.setattr(workloads, "_plain_columns", lambda p: None)
+    assert read_outcome(capsys, path) == expected
 
 
 def test_sequence_csv_round_trip(tmp_path):
