@@ -12,7 +12,6 @@ ratios, and a harness that measures policies against their proven bounds.
 from .model import (
     PPM,
     CollateralError,
-    Event,
     EventTrace,
     FlushExceedsCommitted,
     InsufficientCollateral,
@@ -79,7 +78,6 @@ __version__ = "0.1.0"
 __all__ = [
     "PPM",
     "CollateralError",
-    "Event",
     "EventTrace",
     "FlushExceedsCommitted",
     "InsufficientCollateral",

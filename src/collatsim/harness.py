@@ -41,6 +41,7 @@ from fractions import Fraction
 
 from . import formulas
 from .model import (
+    PPM,
     CollateralError,
     EventTrace,
     ModelParams,
@@ -776,7 +777,7 @@ def sweep(config: ExperimentConfig, param: str, values: list[float]) -> list[Swe
         raise ConfigError(f"sweep parameter must be eta or k, got {param!r}")
     p = config.params
     if param == "eta":
-        formula = formulas.eta_star(p.C, p.T, p.p_ppm / 10**6, p.tau)
+        formula = formulas.eta_star(p.C, p.T, p.p_ppm / PPM, p.tau)
     else:
         formula = formulas.k_star(p.C, p.T)[0]
     rows = []
@@ -784,7 +785,7 @@ def sweep(config: ExperimentConfig, param: str, values: list[float]) -> list[Swe
     for v in values:
         try:
             if param == "eta":
-                params = replace(p, eta_ppm=round(v * 10**6))
+                params = replace(p, eta_ppm=round(v * PPM))
                 cfg = replace(config, params=params, policy="eta")
             else:
                 k = int(v)

@@ -24,8 +24,8 @@ collateral returns, all of it whose outage ended before ``slot``.
 Each machine logs its run to an ``EventTrace``, which writes every event
 as its NDJSON line when it is logged, an offer's arrive line together
 with the line of its settle or discard, and keeps besides only the
-settles, as two int columns, and the wallet flush amounts; ``Event`` is
-the parsed form of one line.  A
+settles, as two int columns, and the wallet flush amounts.  The program
+only writes the trace; nothing here parses it back.  A
 ``TransactionSequence`` is built from its two int columns, slots and
 values, or from ``(slot, value)`` pairs.
 """
@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import json
 import sys
-from bisect import bisect_right, insort
+from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -184,11 +184,6 @@ class TransactionSequence:
         slots, values = zip(*pairs) if pairs else ((), ())
         return cls(slots, values, horizon)
 
-    def prefix(self, slot: int) -> "TransactionSequence":
-        """The sequence truncated to slots 1..slot (horizon = slot)."""
-        n = bisect_right(self.slots, slot)
-        return TransactionSequence(self.slots[:n], self.values[:n], slot)
-
     def offered_value(self) -> int:
         return sum(self.values)
 
@@ -276,11 +271,6 @@ class ModelParams:
         return Fraction(self.eta_ppm, PPM)
 
     @property
-    def wallet_size(self) -> int:
-        self.require_kwallet()
-        return self.C // self.k
-
-    @property
     def load_ratio(self) -> Fraction:
         """r = k*T/C, the wallet-model load."""
         return Fraction(self.k * self.T, self.C)
@@ -290,31 +280,6 @@ class ModelParams:
             raise InvalidParams(f"C={self.C} not divisible by k={self.k}")
         if self.k * self.T > self.C:
             raise InvalidParams(f"need k*T <= C, got k={self.k} T={self.T} C={self.C}")
-
-
-# trace event kinds
-ARRIVE = "arrive"
-SETTLE = "settle"
-DISCARD = "discard"
-FLUSH = "flush"
-ONLINE = "online"
-
-
-class Event(NamedTuple):
-    """One trace record, as ``EventTrace.events`` parses it from its line; a
-    field the event's kind does not use is None.
-
-    The amounts ``flush_amount``, ``available`` and ``committed`` are ints,
-    or Fractions where a pool tranche of eta*C is not integral.
-    """
-
-    slot: int
-    kind: str
-    wallet: int | None = None
-    value: int | None = None
-    flush_amount: int | Fraction | None = None
-    available: int | Fraction | None = None
-    committed: int | Fraction | None = None
 
 
 @lru_cache(maxsize=1024)  # balances recur: 88% hits in a 4,000-slot bursty eta run
@@ -352,8 +317,7 @@ class EventTrace:
     increasing slot order; and ``flush_amounts``, each wallet flush's
     amount, which the exhaustive verifier checks.  Pool flushes are not
     recorded there, since that verifier steps wallet policies only.
-    ``events`` parses the text back into ``Event`` tuples for readers of
-    the log.
+    Nothing in the program reads the text back: it is for the trace file.
     """
 
     __slots__ = ("chunks", "settle_slots", "settle_values", "flush_amounts")
@@ -411,23 +375,9 @@ class EventTrace:
             f'"committed":{ppm_amount(committed)}}}\n'
         )
 
-    @property
-    def events(self) -> list[Event]:
-        """The logged events, parsed back from their lines."""
-        return [_parse_event(line) for line in self.to_ndjson().splitlines()]
-
     def to_ndjson(self) -> str:
         """One compact JSON object per event and line, "" for no events."""
         return "".join(self.chunks)
-
-
-def _parse_event(line: str) -> Event:
-    obj = json.loads(line)
-    amounts = (obj.get(key) for key in ("flushAmount", "available", "committed"))
-    return Event(
-        obj["slot"], obj["kind"], obj.get("wallet"), obj.get("value"),
-        *(Fraction(a) if isinstance(a, str) else a for a in amounts),
-    )
 
 
 class WalletBank:

@@ -166,16 +166,6 @@ class WorkloadSpec:
         except KeyError as missing:
             raise InvalidSpec(f"workload spec missing field {missing}") from None
 
-    def to_json_obj(self) -> dict:
-        return {
-            "kind": self.kind,
-            "arrivalRatePerMille": self.arrival_rate_per_mille,
-            "valueParams": dict(self.value_params),
-            "horizon": self.horizon,
-            "seed": self.seed,
-            "maxValue": self.max_value,
-        }
-
     def with_seed(self, seed: int) -> "WorkloadSpec":
         return WorkloadSpec(
             self.kind, self.arrival_rate_per_mille, self.horizon, seed,
@@ -355,10 +345,10 @@ def read_sequence_csv(path: str) -> TransactionSequence:
 
     A plain file, as ``write_sequence_csv`` writes one, is split a block
     at a time at C speed.  Any other file is read row by row by the csv
-    module, as it always was: blank lines are skipped, fields past the
-    second ignored, and the error names the first bad row: a field past
-    the csv module's size limit, a row that is not two ints, or a slot
-    or value below 1.  Both give the same columns or the same error.
+    module: blank lines are skipped, fields past the second ignored, and
+    the error names the first bad row: a field past the csv module's size
+    limit, a row that is not two ints, or a slot or value below 1.  Both
+    give the same columns or the same error.
     """
     columns = _plain_columns(path)
     if columns is None:

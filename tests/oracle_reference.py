@@ -9,12 +9,12 @@ and meant for n <= 12.  ``greedy_feasible_value`` is a feasible lower bound
 at any size.  ``window_lp_reference`` enumerates every integer fill
 0 <= y_i <= v_i under the window law, the reference for the greedy LP
 bound ``window_upper_bound``; ``window_upper_bound_all_offsets`` is the
-partition bound, which that greedy never exceeds.  ``reference_ndjson`` writes a
-trace through the json module, as the reference for
-``EventTrace.to_ndjson``.  ``ReferencePool`` is the pool ledger in exact
-Fractions and ``ReferenceThreshold`` the threshold policy over it, the
-reference for the integer ledger of ``CollateralPool`` and
-``ThresholdPolicy``.  ``utility_optimum_reference`` runs every
+partition bound, which that greedy never exceeds.  ``reference_ndjson``
+writes ``Event`` tuples, the events of ``trace_reader``, through the json
+module, as the reference for ``EventTrace.to_ndjson``.  ``ReferencePool`` is
+the pool ledger in exact Fractions and ``ReferenceThreshold`` the threshold
+policy over it, the reference for the integer ledger of ``CollateralPool``
+and ``ThresholdPolicy``.  ``utility_optimum_reference`` runs every
 settle/discard and flush/keep schedule on ``ReferencePool``, as the
 reference for ``opt_general_utility``.  ``ReferenceRandTwo`` steps rand2
 through a whole two-wallet FlushAll run, the reference for
@@ -40,14 +40,8 @@ from collatsim.harness import (
     default_exhaust_policies,
 )
 from collatsim.model import (
-    ARRIVE,
-    DISCARD,
-    FLUSH,
-    ONLINE,
     PPM,
-    SETTLE,
     CollateralPool,
-    Event,
     EventTrace,
     FlushExceedsCommitted,
     InsufficientCollateral,
@@ -58,6 +52,7 @@ from collatsim.model import (
 )
 from collatsim.oracles import BudgetExceeded, opt_value_extend
 from collatsim.policies import make_policy
+from trace_reader import ARRIVE, DISCARD, FLUSH, ONLINE, SETTLE, Event, read_events
 
 _NDJSON = json.JSONEncoder(separators=(",", ":"))
 
@@ -452,7 +447,7 @@ def exhaustive_verify_reference(
     symbols = tuple(space.values) + (None,)
 
     def check_flushes(kind: str, trace: EventTrace, slot: int, pairs) -> None:
-        new_flushes = [e for e in trace.events if e.kind == "flush"]
+        new_flushes = [e for e in read_events(trace) if e.kind == "flush"]
         if not new_flushes:
             return
         summary.flush_events_checked += len(new_flushes)

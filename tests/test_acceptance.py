@@ -36,7 +36,6 @@ from collatsim.harness import (
     run_sequence,
 )
 from collatsim.model import (
-    FLUSH,
     PPM,
     ModelParams,
     TransactionSequence,
@@ -52,6 +51,7 @@ from collatsim.oracles import (
 from collatsim.policies import make_policy
 from collatsim.workloads import WorkloadSpec, fwf_killer_seq, gen_stochastic, thm3_seq
 from oracle_reference import opt_general_value_sim, window_law_holds
+from trace_reader import FLUSH, read_events
 
 EXACT = 1e-12
 
@@ -259,7 +259,7 @@ def test_c07_per_flush_invariants(
     # the wallet cannot fit a full-size transaction
     for trace in adversary_traces:
         # both setups have wallet size == T, so the floor size - T is zero
-        for e in trace.events:
+        for e in read_events(trace):
             if e.kind == FLUSH:
                 assert e.flush_amount > 0
                 flushes_audited += 1
@@ -269,7 +269,7 @@ def test_c07_per_flush_invariants(
         eta_c = Fraction(rec["params"].eta_ppm * rec["params"].C, PPM)
         last_committed = {}
         flushes = 0
-        for e in rec["trace"].events:
+        for e in read_events(rec["trace"]):
             if e.committed is not None:
                 last_committed[e.slot] = e.committed
             if e.kind == FLUSH:

@@ -106,7 +106,8 @@ def test_config_json_round_trip(tmp_path):
         "params": {"C": 20, "k": 2, "T": 6, "F": 1},
         "policy": "fwf",
         "seed": 3,
-        "workload": SIXES.to_json_obj(),
+        "workload": {"kind": "constant", "arrivalRatePerMille": 1000, "horizon": 6,
+                     "seed": 0, "maxValue": 6, "valueParams": {"value": 6}},
         "oracle": "brute-general",
         "repetitions": 2,
         "outputs": {"csv": str(tmp_path / "out.csv")},

@@ -7,14 +7,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from collatsim.model import (
-    ARRIVE,
-    DISCARD,
-    FLUSH,
-    ONLINE,
     PPM,
-    SETTLE,
     CollateralPool,
-    Event,
     EventTrace,
     FlushExceedsCommitted,
     InsufficientCollateral,
@@ -29,6 +23,7 @@ from collatsim.model import (
     validate_window_bound,
 )
 from oracle_reference import reference_ndjson
+from trace_reader import ARRIVE, DISCARD, FLUSH, ONLINE, SETTLE, Event, read_events
 
 
 def test_transaction_validation():
@@ -56,8 +51,6 @@ def test_sequence_accessors():
     assert seq.horizon == 4
     assert tuple(seq) == (Transaction(1, 3), Transaction(4, 2))
     assert seq.offered_value() == 5
-    assert tuple(seq.prefix(1)) == (Transaction(1, 3),)
-    assert seq.prefix(10) == TransactionSequence.from_pairs([(1, 3), (4, 2)], horizon=10)
     with pytest.raises(InvalidParams):
         seq.validate_values(2)  # 3 > T
     seq.validate_values(3)
@@ -95,8 +88,6 @@ def test_sequence_is_two_int_columns():
     assert seq == TransactionSequence.from_pairs([(1, 3), (4, 2), (6, 5)], 8)
     assert [(t.slot, t.value) for t in seq] == [(1, 3), (4, 2), (6, 5)]
     assert repr(seq) == "TransactionSequence((1, 4, 6), (3, 2, 5), horizon=8)"
-    assert seq.prefix(5) == TransactionSequence.from_pairs([(1, 3), (4, 2)], horizon=5)
-    assert seq.prefix(0) == TransactionSequence([], [], horizon=0)
     with pytest.raises(InvalidParams, match=r"^value 5 at slot 6 exceeds cap 4$"):
         seq.validate_values(4)
     with pytest.raises(InvalidParams, match=r"^value 3 at slot 1 exceeds cap 2$"):
@@ -156,7 +147,6 @@ def test_params_past_the_float_range_rejected(kwargs, name):
 
 def test_params_derived_quantities():
     params = ModelParams(C=12, T=3, F=1, k=2)
-    assert params.wallet_size == 6
     assert params.load_ratio == Fraction(1, 2)
     assert params.p == 1
     eta = ModelParams(C=200, T=60, F=1, p_ppm=100000, tau=5, eta_ppm=418000)
@@ -183,7 +173,7 @@ def test_wallet_outage_window():
 
     def came_online(slot):
         bank.begin_slot(slot)
-        return [e.wallet for e in bank.trace.events if e.kind == ONLINE and e.slot == slot]
+        return [e.wallet for e in read_events(bank.trace) if e.kind == ONLINE and e.slot == slot]
 
     assert came_online(2) == []
     assert not bank.wallet_available(1, 2)
@@ -194,7 +184,7 @@ def test_wallet_outage_window():
     assert came_online(4) == [1]
     assert bank.wallet_available(1, 4)
     assert bank.remaining == [10, 10]
-    kinds = [e.kind for e in bank.trace.events]
+    kinds = [e.kind for e in read_events(bank.trace)]
     assert kinds == [ARRIVE, SETTLE, FLUSH, ONLINE]
 
 
@@ -210,7 +200,7 @@ def test_wallet_catch_up_logs_each_return_at_its_slot():
     bank.flush(2, 2)
     bank.flush(1, 2)
     bank.begin_slot(9)
-    online = [(e.slot, e.wallet) for e in bank.trace.events if e.kind == ONLINE]
+    online = [(e.slot, e.wallet) for e in read_events(bank.trace) if e.kind == ONLINE]
     assert online == [(4, 3), (5, 1), (5, 2)]
     assert bank.remaining == [10, 10, 10]
     assert bank.offline_until == [0, 0, 0] and bank.outages == []
@@ -225,7 +215,7 @@ def test_pool_catch_up_logs_each_return_at_its_slot():
     pool.flush(3 * PPM, 2)
     pool.begin_slot(3)  # the first tranche is due; the second is not
     pool.begin_slot(7)
-    online = [(e.slot, e.flush_amount) for e in pool.trace.events if e.kind == ONLINE]
+    online = [(e.slot, e.flush_amount) for e in read_events(pool.trace) if e.kind == ONLINE]
     assert online == [(3, 2), (4, 3)]
     assert (pool.free, pool.committed, pool.inflight) == (10 * PPM, 0, [])
 
@@ -250,7 +240,7 @@ def test_wallet_flush_takes_whole_wallet():
     bank.begin_slot(1)
     bank.settle(2, 4, 1)
     bank.flush(2, 1)
-    flush_events = [e for e in bank.trace.events if e.kind == FLUSH]
+    flush_events = [e for e in read_events(bank.trace) if e.kind == FLUSH]
     assert len(flush_events) == 1
     assert flush_events[0].flush_amount == 4  # only the committed part moved
     bank.begin_slot(2)
@@ -390,7 +380,7 @@ def test_ndjson_matches_json_module(calls):
         getattr(trace, method)(*args)
     events = [event for _, _, logged in calls for event in logged]
     assert trace.to_ndjson() == reference_ndjson(events)
-    assert trace.events == events
+    assert read_events(trace) == events
     settles = [e for e in events if e.kind == SETTLE]
     assert trace.settle_slots == [e.slot for e in settles]
     assert trace.settle_values == [e.value for e in settles]
@@ -413,11 +403,12 @@ def test_trace_totals():
     bank.flush(1, 2)
     assert (bank.settled, bank.flushes) == (10, 1)
     clone = bank.clone()
-    assert (clone.settled, clone.flushes, clone.trace.events) == (10, 1, [])
+    assert (clone.settled, clone.flushes, read_events(clone.trace)) == (10, 1, [])
     bank.flush(2, 2)
     assert clone.flushes == 1
     assert bank.flushes == 2
-    assert [e.kind for e in bank.trace.events] == [ARRIVE, SETTLE, ARRIVE, SETTLE, FLUSH, FLUSH]
+    kinds = [e.kind for e in read_events(bank.trace)]
+    assert kinds == [ARRIVE, SETTLE, ARRIVE, SETTLE, FLUSH, FLUSH]
     pool = CollateralPool(params)
     pool.begin_slot(1)
     pool.settle(6, 1)

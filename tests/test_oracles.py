@@ -469,6 +469,6 @@ def test_opt_monotone_in_prefix(values):
     seq = seq_of(pairs)
     prev = 0
     for cut in range(1, len(values) + 1):
-        cur = opt_general_value(seq.prefix(cut), 12, 2)
+        cur = opt_general_value(seq_of(pairs[:cut]), 12, 2)
         assert cur >= prev
         prev = cur

@@ -1,7 +1,6 @@
 """Online policies: hand-checked traces, guards, determinism, mirroring."""
 
 import hashlib
-import json
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -11,10 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from collatsim.model import (
-    FLUSH,
-    ONLINE,
     PPM,
-    SETTLE,
     CollateralError,
     InvalidParams,
     ModelParams,
@@ -39,16 +35,17 @@ from oracle_reference import (
     reference_ndjson,
     run_every_slot,
 )
+from trace_reader import FLUSH, SETTLE, read_events, trace_problems, trace_totals
 
 
 def settle_slots(policy):
-    return [e.slot for e in policy.machine.trace.events if e.kind == SETTLE]
+    return [e.slot for e in read_events(policy.machine.trace) if e.kind == SETTLE]
 
 
 def flush_events(policy):
     return [
         (e.slot, e.wallet, e.flush_amount)
-        for e in policy.machine.trace.events if e.kind == FLUSH
+        for e in read_events(policy.machine.trace) if e.kind == FLUSH
     ]
 
 
@@ -93,7 +90,7 @@ def test_flush_when_full_strict_rotation():
     policy = make_policy("fwf", params)
     run_sequence(policy, seq)
     assert flush_events(policy) == [(2, 1, 3)]
-    settles = [(e.slot, e.wallet) for e in policy.machine.trace.events if e.kind == SETTLE]
+    settles = [(e.slot, e.wallet) for e in read_events(policy.machine.trace) if e.kind == SETTLE]
     assert settles == [(1, 1), (4, 2)]
 
 
@@ -174,7 +171,7 @@ def step_once(policy, slot, value):
     """A stepped copy's settled delta, flush amounts and state after slot."""
     fork = policy.clone()
     fork.step(slot, value)
-    amounts = [e.flush_amount for e in fork.machine.trace.events if e.kind == FLUSH]
+    amounts = [e.flush_amount for e in read_events(fork.machine.trace) if e.kind == FLUSH]
     return fork.machine.settled - policy.machine.settled, amounts, fork.state(slot)
 
 
@@ -273,7 +270,7 @@ def test_rand2_mirrors_shadow_flushes():
     assert flush_events(pol) == [(3, 1, 4)]
     assert settle_slots(pol) == [1]
     assert pol.coins_drawn == 1  # second coin would come with the next online slot
-    assert len(pol.machine.trace.events) == 9  # 4 arrive, 1 settle, 3 discard, 1 flush
+    assert len(read_events(pol.machine.trace)) == 9  # 4 arrive, 1 settle, 3 discard, 1 flush
 
 
 def test_rand2_draws_one_coin_per_online_period():
@@ -319,8 +316,8 @@ def test_policies_are_online(symbols):
         if head:
             part = make_policy(kind, params)
             run_sequence(part, TransactionSequence.from_pairs(head))
-            prefix_events = [e for e in whole.machine.trace.events if e.slot <= cut]
-            assert prefix_events == [e for e in part.machine.trace.events if e.slot <= cut]
+            prefix_events = [e for e in read_events(whole.machine.trace) if e.slot <= cut]
+            assert prefix_events == [e for e in read_events(part.machine.trace) if e.slot <= cut]
 
 
 @given(
@@ -334,17 +331,6 @@ def test_settled_never_exceeds_offered(values, kind):
     res = run_sequence(make_policy(kind, params), seq)
     assert 0 <= res.settled_value <= res.offered_value
     assert res.n_tx == len(values)
-
-
-def rescan(ndjson):
-    """The run totals read back from the NDJSON trace alone."""
-    events = [json.loads(line) for line in ndjson.splitlines()]
-    return {
-        "settled_value": sum(e["value"] for e in events if e["kind"] == "settle"),
-        "flush_count": sum(1 for e in events if e["kind"] == "flush"),
-        "n_tx": sum(1 for e in events if e["kind"] == "arrive"),
-        "offered_value": sum(e["value"] for e in events if e["kind"] == "arrive"),
-    }
 
 
 COUNTER_PARAMS = {
@@ -363,8 +349,8 @@ def step_and_check(policy, slot, value):
     chunks = policy.machine.trace.chunks
     start = len(chunks)
     taken = policy.step(slot, value)
-    logged = "".join(chunks[start:]).splitlines()
-    settled = [e.get("wallet", 1) for e in map(json.loads, logged) if e["kind"] == SETTLE]
+    logged = read_events("".join(chunks[start:]))
+    settled = [e.wallet or 1 for e in logged if e.kind == SETTLE]
     assert settled == ([taken] if taken else [])
 
 
@@ -381,7 +367,7 @@ def test_counters_match_trace(symbols, kind, tau, seed):
     seq = TransactionSequence.from_pairs(pairs, horizon=len(symbols))
     whole = make_policy(kind, params, seed=seed)
     res = run_sequence(whole, seq)
-    expected = rescan(whole.machine.trace.to_ndjson())
+    expected = trace_totals(whole.machine.trace)
     assert {name: getattr(res, name) for name in expected} == expected
     cut = len(symbols) // 2
     by_slot = dict(zip(seq.slots, seq.values))
@@ -403,8 +389,8 @@ def test_counters_match_trace(symbols, kind, tau, seed):
     assert (fork.machine.settled, fork.machine.flushes) == (
         res.settled_value, res.flush_count
     )
-    assert fork.machine.trace.events == [
-        e for e in whole.machine.trace.events if e.slot > cut
+    assert read_events(fork.machine.trace) == [
+        e for e in read_events(whole.machine.trace) if e.slot > cut
     ]
 
 
@@ -425,7 +411,7 @@ def test_trace_records_match_its_lines(symbols, kind, tau, seed, C, F):
     policy = make_policy(kind, replace(COUNTER_PARAMS[kind], tau=tau), seed=seed)
     run_sequence(policy, seq)
     trace = policy.machine.trace
-    events = trace.events
+    events = read_events(trace)
     assert reference_ndjson(events) == trace.to_ndjson()
     settles = [(e.slot, e.value) for e in events if e.kind == SETTLE]
     assert list(zip(trace.settle_slots, trace.settle_values)) == settles
@@ -501,6 +487,34 @@ def test_stepping_the_offers_equals_stepping_every_slot(run, tau, seed):
     assert policy.machine.trace.to_ndjson() == machine.trace.to_ndjson()
     assert (res.settled_value, res.flush_count) == (machine.settled, machine.flushes)
     assert getattr(policy, "coins_drawn", None) == getattr(reference, "coins_drawn", None)
+    # a reader that never imports collatsim finds no fault in the NDJSON,
+    # with the leftovers kept (tau = 0) or flushed
+    k = None if kind == "eta" else params.k
+    assert trace_problems(policy.machine.trace, params.C, params.F, k) == []
+
+
+def test_trace_checker_flags_machine_faults():
+    # a bank whose outages last F+1 slots returns a wallet flushed at t at
+    # t+F+2, and a pool whose outages last F-1 slots returns a tranche at t+F;
+    # checked against the true F, each trace shows its fault
+    params = ModelParams(C=12, T=3, F=2, k=2)
+    policy = make_policy("fwf", params)
+    policy.machine.params = replace(params, F=3)
+    for slot in range(1, 8):
+        policy.step(slot, 3)
+    assert trace_problems(policy.machine.trace, 12, 2, 2) == [
+        "event 12 (arrive at slot 6): wallet 1 flushed at slot 3 is still offline",
+        "event 15 (online at slot 7): wallet 1 flushed at slot 3 is back at slot 7, not 6",
+    ]
+    params = ModelParams(C=10, T=5, F=2, eta_ppm=500000)
+    policy = ThresholdPolicy(params)
+    policy.machine.params = replace(params, F=1)
+    for slot in range(1, 4):
+        policy.step(slot, 5)
+    assert trace_problems(policy.machine.trace, 10, 2) == [
+        "event 7 (online at slot 3): tranche flushed at slot 1 is back at slot 3, not 4",
+        "event 9 (settle at slot 3): slots [1, 3] settle 15 > C=10",
+    ]
 
 
 @st.composite
@@ -601,26 +615,11 @@ def test_threshold_pool_ledger(run):
         assert pool.free + pool.committed + sum(a for a, _ in pool.inflight) == params.C * PPM
         assert pool.committed < params.eta_ppm * params.C
     policy.finish(len(symbols))
-    # rebuild the balances and the tranche queue from the NDJSON alone
-    free, committed, inflight = Fraction(params.C), Fraction(0), []
-    for line in pool.trace.to_ndjson().splitlines():
-        e = json.loads(line)
-        if e["kind"] == SETTLE:
-            free -= e["value"]
-            committed += e["value"]
-        elif e["kind"] == FLUSH:
-            committed -= Fraction(e["flushAmount"])
-            inflight.append((Fraction(e["flushAmount"]), e["slot"] + params.F + 1))
-        elif e["kind"] == ONLINE:
-            assert inflight.pop(0) == (Fraction(e["flushAmount"]), e["slot"])
-            free += Fraction(e["flushAmount"])
-        if "available" in e:
-            assert Fraction(e["available"]) == free
-        if "committed" in e:
-            assert Fraction(e["committed"]) == committed
+    # the NDJSON alone rebuilds the balances and the tranche queue
+    assert trace_problems(pool.trace, params.C, params.F) == []
     # every tranche due by the last slot came back
-    assert all(back_at > len(symbols) for _, back_at in inflight)
-    assert free + committed + sum(a for a, _ in inflight) == params.C
+    assert all(back_at > len(symbols) for _, back_at in pool.inflight)
+    assert pool.free + pool.committed + sum(a for a, _ in pool.inflight) == params.C * PPM
 
 
 @st.composite
@@ -767,11 +766,12 @@ def test_golden_traces(kind, k):
         utility = params.p * res.settled_value - params.tau * res.flush_count
         assert (digest, str(utility)) == expected
         assert tau == 0 or res.utility == utility
+        assert trace_problems(ndjson, params.C, params.F, None if kind == "eta" else k) == []
     if kind == "eta":
         assert '"flushAmount":"418/5"' in ndjson
         return
     # the rotation wraps: wallet 1 flushes again after wallet k has flushed
-    flushed = [e.wallet for e in policy.machine.trace.events if e.kind == FLUSH]
+    flushed = [e.wallet for e in read_events(policy.machine.trace) if e.kind == FLUSH]
     assert 1 in flushed[flushed.index(k) + 1:]
 
 
@@ -786,6 +786,6 @@ def test_run_ndjson_matches_json_module(kind):
     policy = make_policy(kind, params, seed=7)
     run_sequence(policy, seq)
     ndjson = policy.machine.trace.to_ndjson()
-    assert ndjson == reference_ndjson(policy.machine.trace.events)
+    assert ndjson == reference_ndjson(read_events(policy.machine.trace))
     if kind == "eta":
         assert '"flushAmount":"418/5"' in ndjson

