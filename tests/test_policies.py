@@ -515,6 +515,16 @@ def test_trace_checker_flags_machine_faults():
         "event 7 (online at slot 3): tranche flushed at slot 1 is back at slot 3, not 4",
         "event 9 (settle at slot 3): slots [1, 3] settle 15 > C=10",
     ]
+    # a pool whose outages last F+1 slots returns a tranche flushed at 1 at
+    # slot 5; the run ends at 4 with no later event, so only the end shows it
+    policy = ThresholdPolicy(params)
+    policy.machine.params = replace(params, F=3)
+    for slot, value in enumerate([5, None, None, None], 1):
+        policy.step(slot, value)
+    assert trace_problems(policy.machine.trace, 10, 2) == []
+    assert trace_problems(policy.machine.trace, 10, 2, end=4) == [
+        "by the last slot, 4: tranche flushed at slot 1 is still out",
+    ]
 
 
 @st.composite
@@ -615,11 +625,16 @@ def test_threshold_pool_ledger(run):
         assert pool.free + pool.committed + sum(a for a, _ in pool.inflight) == params.C * PPM
         assert pool.committed < params.eta_ppm * params.C
     policy.finish(len(symbols))
-    # the NDJSON alone rebuilds the balances and the tranche queue
-    assert trace_problems(pool.trace, params.C, params.F) == []
+    # the NDJSON alone rebuilds the balances and the tranche queue, and
     # every tranche due by the last slot came back
-    assert all(back_at > len(symbols) for _, back_at in pool.inflight)
-    assert pool.free + pool.committed + sum(a for a, _ in pool.inflight) == params.C * PPM
+    assert trace_problems(pool.trace, params.C, params.F, end=len(symbols)) == []
+    # once every outage is over, each tranche, the finish flush's too, has
+    # come back exactly F+1 slots after its flush, and the pool is whole
+    back = len(symbols) + params.F + 2
+    pool.begin_slot(back)
+    assert trace_problems(pool.trace, params.C, params.F, end=back) == []
+    assert not pool.inflight
+    assert pool.free == params.C * PPM
 
 
 @st.composite

@@ -167,10 +167,14 @@ class _Pool:
         return problems
 
 
-def trace_problems(trace_or_text, C: int, F: int, k: int | None = None) -> list[str]:
+def trace_problems(
+    trace_or_text, C: int, F: int, k: int | None = None, end: int | None = None
+) -> list[str]:
     """Every fault found in a run's trace, each as one line; [] for none.
 
     ``k`` names a wallet bank of k wallets of C/k, None the pool of C.
+    ``end``, if given, is the run's last slot: a wallet or tranche due
+    back by it that the trace does not bring back is a fault too.
     Every trace: an event whose slot goes back; an ``arrive`` not followed
     at once by its own ``settle`` or ``discard``, or one of those with no
     arrive; more than C settled in some window of F+1 slots.  Wallets: a
@@ -187,7 +191,11 @@ def trace_problems(trace_or_text, C: int, F: int, k: int | None = None) -> list[
     problems = []
     last = 0
     arrive = None  # the offer awaiting its settle or discard
-    window, carried = deque(), 0  # the settles of the last F+1 slots
+    # the settles of the last F+1 slots.  bench/checks.window_violation
+    # holds the same linear check, but it belongs to the benchmark, which
+    # these tests do not import; oracle_reference's quadratic checks are
+    # references for collatsim's own, and import it
+    window, carried = deque(), 0
     for i, e in enumerate(read_events(trace_or_text), 1):
         where = f"event {i} ({e.kind} at slot {e.slot})"
         if e.slot < last:
@@ -213,4 +221,7 @@ def trace_problems(trace_or_text, C: int, F: int, k: int | None = None) -> list[
         problems += (f"{where}: {p}" for p in rules.see(e))
     if arrive is not None:
         problems.append(f"the last arrive, at slot {arrive[0]}, has no settle or discard")
+    if end is not None:
+        # a mark at the last slot: whatever was due back by it is overdue
+        problems += (f"by the last slot, {end}: {p}" for p in rules.see(Event(end, "end")))
     return problems
