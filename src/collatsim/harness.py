@@ -61,7 +61,7 @@ from .oracles import (
     opt_value_key,
     window_upper_bound,
 )
-from .policies import GroupFlushPolicy, make_policy
+from .policies import POLICY_KINDS, GroupFlushPolicy, make_policy
 from .workloads import (
     WorkloadSpec,
     epoch_burst_seq,
@@ -200,6 +200,10 @@ class ExperimentConfig:
         ]
         if len(sources) != 1:
             raise ConfigError("exactly one of workload, seq_file, sequence is required")
+        if self.policy not in POLICY_KINDS:  # make_policy's text, before anything runs
+            raise ConfigError(
+                f"unknown policy kind {self.policy!r}; expected one of {POLICY_KINDS}"
+            )
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "ExperimentConfig":

@@ -409,10 +409,6 @@ class WalletBank:
         self.flushes = 0
         self.trace = EventTrace()
 
-    def _check_index(self, i: int) -> None:
-        if not 1 <= i <= self.params.k:
-            raise IndexOutOfRange(f"wallet index {i} out of 1..{self.params.k}")
-
     def begin_slot(self, slot: int) -> None:
         """Restore every wallet whose outage ended before ``slot``, logging
         each ``online`` at its return slot, ordered by slot, then wallet."""
@@ -424,14 +420,6 @@ class WalletBank:
                 self.offline_until[j] = 0
                 self.trace.wallet_online(back, j + 1)
         self.next_back = outages[0][0] if outages else NOTHING_OUT
-
-    def wallet_available(self, i: int, slot: int) -> bool:
-        self._check_index(i)
-        return self.offline_until[i - 1] < slot
-
-    def committed(self, i: int) -> int:
-        self._check_index(i)
-        return self.size - self.remaining[i - 1]
 
     def settle(self, i: int, value: int, slot: int) -> None:
         """Settle an offer of ``value`` at ``slot`` in wallet i, which must be

@@ -52,9 +52,9 @@ def _flush_leftovers(policy, slot: int) -> None:
     wallet that holds committed value."""
     bank = policy.machine
     if policy.params.tau > 0:
-        for i in range(1, bank.params.k + 1):
-            if bank.wallet_available(i, slot) and bank.committed(i) > 0:
-                bank.flush(i, slot)
+        for j in range(bank.params.k):
+            if bank.offline_until[j] < slot and bank.remaining[j] < bank.size:
+                bank.flush(j + 1, slot)
 
 
 class GroupFlushPolicy:

@@ -44,6 +44,7 @@ from collatsim.model import (
     CollateralPool,
     EventTrace,
     FlushExceedsCommitted,
+    IndexOutOfRange,
     InsufficientCollateral,
     ModelParams,
     WalletBank,
@@ -340,7 +341,7 @@ class ReferenceRandTwo:
     def step(self, slot, value):
         bank = self.machine
         bank.begin_slot(slot)
-        if bank.wallet_available(1, slot) and self.chosen is None:
+        if bank.offline_until[0] < slot and self.chosen is None:
             self.chosen = 1 + self._coin()
             self.coins_drawn += 1
         taken = self.shadow.step(slot, value)
@@ -357,7 +358,7 @@ class ReferenceRandTwo:
 
     def finish(self, slot):
         bank = self.machine
-        if self.params.tau > 0 and bank.wallet_available(1, slot) and bank.committed(1) > 0:
+        if self.params.tau > 0 and bank.offline_until[0] < slot and bank.remaining[0] < bank.size:
             bank.flush(1, slot)
 
 
@@ -389,7 +390,8 @@ class ReferenceBank(WalletBank):
 
     def flush(self, i, slot, last=None):
         for wallet in range(i, (i if last is None else last) + 1):
-            self._check_index(wallet)
+            if not 1 <= wallet <= self.params.k:
+                raise IndexOutOfRange(f"wallet index {wallet} out of 1..{self.params.k}")
             j = wallet - 1
             if self.offline_until[j] >= slot:
                 raise WalletOffline(f"wallet {wallet} already offline at slot {slot}")

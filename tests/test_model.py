@@ -176,13 +176,12 @@ def test_wallet_outage_window():
         return [e.wallet for e in read_events(bank.trace) if e.kind == ONLINE and e.slot == slot]
 
     assert came_online(2) == []
-    assert not bank.wallet_available(1, 2)
-    assert bank.wallet_available(2, 2)
+    assert bank.offline_until[0] >= 2 > bank.offline_until[1]
     assert came_online(3) == []
-    assert not bank.wallet_available(1, 3)
+    assert bank.offline_until[0] >= 3
     assert bank.remaining == [4, 10]
     assert came_online(4) == [1]
-    assert bank.wallet_available(1, 4)
+    assert bank.offline_until[0] < 4
     assert bank.remaining == [10, 10]
     kinds = [e.kind for e in read_events(bank.trace)]
     assert kinds == [ARRIVE, SETTLE, FLUSH, ONLINE]
@@ -254,8 +253,8 @@ def test_wallet_conservation():
     bank.begin_slot(1)
     bank.settle(1, 5, 1)
     bank.settle(3, 2, 1)
-    for i in (1, 2, 3):
-        assert bank.committed(i) + bank.remaining[i - 1] == bank.size
+    assert bank.remaining == [bank.size - 5, bank.size, bank.size - 2]
+    assert bank.settled == 7
 
 
 def test_pool_lifecycle():

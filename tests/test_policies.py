@@ -1,6 +1,5 @@
 """Online policies: hand-checked traces, guards, determinism, mirroring."""
 
-import hashlib
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -36,6 +35,8 @@ from oracle_reference import (
     run_every_slot,
 )
 from trace_reader import FLUSH, SETTLE, read_events, trace_problems, trace_totals
+
+import identity_grid as grid
 
 
 def settle_slots(policy):
@@ -580,13 +581,12 @@ def test_group_outages_equal_per_wallet_outages(run):
     policy = make_policy(kind, params)
     reference = make_policy(kind, params)
     reference.machine = ReferenceBank(params)
-    wallets = range(1, params.k + 1)
 
     def step_both(slot, value):
         assert policy.step(slot, value) == reference.step(slot, value)
         assert policy.state(slot) == reference.state(slot)
-        assert [policy.machine.wallet_available(i, slot) for i in wallets] == [
-            reference.machine.wallet_available(i, slot) for i in wallets
+        assert [end < slot for end in policy.machine.offline_until] == [
+            end < slot for end in reference.machine.offline_until
         ]
 
     for slot, value in zip(seq.slots, seq.values):
@@ -722,71 +722,27 @@ def test_pool_ledger_is_integral():
     assert '"flushAmount":"418/5"' in pool.trace.to_ndjson()
 
 
-# sha256 of the NDJSON trace and utility, with terminal flushes off and on;
-# recorded from the three-class implementation so the one-rule policy is
-# held to the same bytes.  They were recorded at tau = 1 with the terminal
-# flushes a switch; tau now decides them, so the off half runs at tau = 0
-# and its utility is taken as p*V - 1*f from that run's counters
-GOLDEN = {
-    ("fa", 1): (("f896525694afda6472ed152f9084f6004c122376a097b251d93e198260dcd6c0", "20"),
-                ("01acc6ce1076ff1ce850833a33c8154c1b42042d80da9593edb6c33fbf534742", "19")),
-    ("fa", 2): (("cecdb7e6f1cacc882ccea17a2d23c8ec4244d38f7b8b4e2c68428737deb9f9d9", "61/2"),
-                ("cecdb7e6f1cacc882ccea17a2d23c8ec4244d38f7b8b4e2c68428737deb9f9d9", "61/2")),
-    ("fa", 3): (("ce9389c3263bfe69428687c15a702ac13c96fbb53fea0899d0ce5c1476139386", "33"),
-                ("ce9389c3263bfe69428687c15a702ac13c96fbb53fea0899d0ce5c1476139386", "33")),
-    ("fa", 4): (("b584a0579b2fc93063b88a0fe1bcbf0634f14854290405267b3a43976d808d9a", "40"),
-                ("c3a92063abd0e68a50965d949b233eb58de9f169a7ec7f02d82812c09bd83e1c", "37")),
-    ("fwf", 2): (("f5958ff14d3b96f2f458135cea9a0a006a908dcc12ad99dad059d0c38c873ad3", "65/2"),
-                 ("9ac3b59c891de7a52172f30e658c2b441f376db79223add30aea3f5f34d2226e", "63/2")),
-    ("fwf", 3): (("8b4f6d568726f616a366baab19bf30f1d3008773d60a60de3ffc11fa9ce235d3", "30"),
-                 ("2f3a711995e39a4d33883caf9795e6adc1c247369ef9da77c52444f843656fac", "29")),
-    ("fwf", 4): (("5c109b4cdedff8979923428082517d4c2a3c60a4bfebf3b768827ad6ad31bbec", "30"),
-                 ("5c109b4cdedff8979923428082517d4c2a3c60a4bfebf3b768827ad6ad31bbec", "30")),
-    ("ftwf", 2): (("cecdb7e6f1cacc882ccea17a2d23c8ec4244d38f7b8b4e2c68428737deb9f9d9", "61/2"),
-                  ("cecdb7e6f1cacc882ccea17a2d23c8ec4244d38f7b8b4e2c68428737deb9f9d9", "61/2")),
-    ("ftwf", 4): (("34c943d3f1dffbda918a40d7099fe94a2fdd5dfeca5ef0f596be1676a3b12ba1", "38"),
-                  ("a19a31bbd4749a92e8805e56d7b4ad7751201d4eef982674e43d14e2bb99e943", "37")),
-    ("ftwf", 6): (("a61763101aeaa6e83966ab3678a6a4ba958bc9722713724f1bfc4ab2001ddb48", "77/2"),
-                  ("a6efa635544c7c39e08be6e7f0e2e94438574cb7dfc6c2c8418d30e69d473f73", "75/2")),
-    # eta and rand2 were recorded before the pool became a ledger, which is
-    # held to the same bytes
-    ("eta", 1): (("53588076c72bdd83dfd07152dcf264150a00c9658cd1b29cb50f6dfad33cf0c9", "769/10"),
-                 ("53588076c72bdd83dfd07152dcf264150a00c9658cd1b29cb50f6dfad33cf0c9", "769/10")),
-    ("rand2", 1): (("774314bf8cec79a61988313b97c44939b84fc2ce06844e2748ca8930ad5ea29f", "29/2"),
-                   ("2db83ef90c027716c1503b1a9e39eee20cc217da17c3170e27db525cdd989f15", "27/2")),
-}
-
 # eta*C = 418/5 at C = 200, so the threshold policy's tranches are not integral
 ETA_418 = ModelParams(C=200, T=60, F=2, p_ppm=100000, tau=5, eta_ppm=418000)
 
 
-def golden_sequence(seed, T, slots=80):
-    rng = random.Random(seed)
-    pairs = [(s, 1 + int(rng.random() * T)) for s in range(1, slots + 1) if rng.random() < 0.8]
-    return TransactionSequence.from_pairs(pairs)
-
-
-@pytest.mark.parametrize("kind,k", sorted(GOLDEN))
-def test_golden_traces(kind, k):
-    if kind == "eta":
-        params = ETA_418
-    else:
-        params = ModelParams(C=6 * k, T=4, F=2, k=k, p_ppm=500000, tau=1)
-    seq = golden_sequence(1000 + k, params.T)
-    for tau, expected in zip((0, params.tau), GOLDEN[(kind, k)]):
-        policy = make_policy(kind, replace(params, tau=tau), seed=1000 + k)
-        res = run_sequence(policy, seq)
-        ndjson = policy.machine.trace.to_ndjson()
-        digest = hashlib.sha256(ndjson.encode()).hexdigest()
-        utility = params.p * res.settled_value - params.tau * res.flush_count
-        assert (digest, str(utility)) == expected
-        assert tau == 0 or res.utility == utility
-        assert trace_problems(ndjson, params.C, params.F, None if kind == "eta" else k) == []
+@pytest.mark.parametrize("case", grid.cases("traces"))
+def test_golden_traces(tmp_path, case):
+    # each policy's trace at tau 0 and at tau > 0, pinned by the identity grid
+    kind, k = case.split("-")
+    k = int(k)
+    C = ETA_418.C if kind == "eta" else 6 * k
+    for row_id in grid.case_rows("traces", case):
+        directory = tmp_path / row_id.rpartition(" ")[2]
+        directory.mkdir()
+        grid.check(row_id, directory)
+        ndjson = (directory / "trace.ndjson").read_text()
+        assert trace_problems(ndjson, C, 2, None if kind == "eta" else k) == []
     if kind == "eta":
         assert '"flushAmount":"418/5"' in ndjson
         return
     # the rotation wraps: wallet 1 flushes again after wallet k has flushed
-    flushed = [e.wallet for e in read_events(policy.machine.trace) if e.kind == FLUSH]
+    flushed = [e.wallet for e in read_events(ndjson) if e.kind == FLUSH]
     assert 1 in flushed[flushed.index(k) + 1:]
 
 
@@ -797,7 +753,7 @@ NDJSON_PARAMS = {**COUNTER_PARAMS, "eta": ETA_418}
 def test_run_ndjson_matches_json_module(kind):
     # tau > 0, so the wallet policies flush their leftovers at the end
     params = replace(NDJSON_PARAMS[kind], tau=1)
-    seq = golden_sequence(7, params.T, slots=300)
+    seq = TransactionSequence.from_pairs(grid.golden_pairs(7, params.T, slots=300))
     policy = make_policy(kind, params, seed=7)
     run_sequence(policy, seq)
     ndjson = policy.machine.trace.to_ndjson()
