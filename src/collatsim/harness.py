@@ -61,7 +61,7 @@ from .oracles import (
     opt_value_key,
     window_upper_bound,
 )
-from .policies import POLICY_KINDS, GroupFlushPolicy, make_policy
+from .policies import GroupFlushPolicy, check_policy_kind, make_policy
 from .workloads import (
     WorkloadSpec,
     epoch_burst_seq,
@@ -200,10 +200,7 @@ class ExperimentConfig:
         ]
         if len(sources) != 1:
             raise ConfigError("exactly one of workload, seq_file, sequence is required")
-        if self.policy not in POLICY_KINDS:  # make_policy's text, before anything runs
-            raise ConfigError(
-                f"unknown policy kind {self.policy!r}; expected one of {POLICY_KINDS}"
-            )
+        check_policy_kind(self.policy, ConfigError)  # before anything runs
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "ExperimentConfig":

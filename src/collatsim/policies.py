@@ -235,13 +235,17 @@ GROUP_SIZES = {"fa": None, "fwf": 1, "ftwf": 2}
 POLICY_KINDS = (*GROUP_SIZES, "rand2", "eta")
 
 
+def check_policy_kind(kind: str, error: type[Exception]) -> None:
+    if kind not in POLICY_KINDS:
+        raise error(f"unknown policy kind {kind!r}; expected one of {POLICY_KINDS}")
+
+
 def make_policy(kind: str, params: ModelParams, seed: int | None = None, coins=None):
     """Build a policy from its configuration string."""
+    check_policy_kind(kind, InvalidParams)
     if kind in GROUP_SIZES:
         g = GROUP_SIZES[kind]
         return GroupFlushPolicy(params, params.k if g is None else g, kind)
     if kind == "rand2":
         return RandTwoPolicy(params, seed=seed, coins=coins)
-    if kind == "eta":
-        return ThresholdPolicy(params)
-    raise InvalidParams(f"unknown policy kind {kind!r}; expected one of {POLICY_KINDS}")
+    return ThresholdPolicy(params)

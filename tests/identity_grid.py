@@ -206,6 +206,7 @@ SEQ_FILES = {
     "empty file": "",
     "non-int row above an oversized field": "slot,value\n1,x\n2," + "1" * 131_073 + "\n",
     "oversized field above a non-int row": "slot,value\n1," + "1" * 131_073 + "\n2,x\n",
+    "oversized field after a good row": "slot,value\n1,2\n2," + "1" * 131_073 + "\n",
     "header only": "slot,value\n",
     "blank line": "slot,value\n1,1\n\n2,2\n",
     "extra field": "slot,value\n1,1,9\n2,2\n",
@@ -596,25 +597,19 @@ def check(row_id: str, directory=None) -> Run:
     return run
 
 
-def section_of(row_id: str) -> str:
-    return row_id.partition("[")[0]
-
-
-def cases(section: str) -> list[str]:
-    """The case names of a section, in grid order."""
-    found = [row_id.partition("[")[2].partition("]")[0]
-             for row_id in ROWS if section_of(row_id) == section]
-    return list(dict.fromkeys(found))
-
-
-def case_rows(section: str, case: str) -> list[str]:
-    """The ids of the rows of ``section[case]``, in grid order."""
-    return [row_id for row_id in ROWS
-            if row_id == f"{section}[{case}]" or row_id.startswith(f"{section}[{case}] ")]
+def cases(section: str) -> dict[str, list[str]]:
+    """The ids of a section's rows by case, ``section[case]`` or
+    ``section[case] run``, in grid order."""
+    found = {}
+    for row_id in ROWS:
+        name, _, rest = row_id.partition("[")
+        if name == section:
+            found.setdefault(rest.partition("]")[0], []).append(row_id)
+    return found
 
 
 def check_case(section: str, case: str) -> None:
-    for row_id in case_rows(section, case):
+    for row_id in cases(section)[case]:
         check(row_id)
 
 

@@ -237,7 +237,7 @@ def test_a_batch_reads_its_sequence_file_once(monkeypatch, flags):
     reads = []
     read = harness.read_sequence_csv
     monkeypatch.setattr(harness, "read_sequence_csv", lambda path: reads.append(path) or read(path))
-    grid.check_case("batch", flags)
+    grid.check(f"batch[{flags}]")
     assert reads == ["seq.csv"]
 
 
@@ -289,8 +289,8 @@ def test_non_integer_csv_cell():
 
 
 def test_csv_field_past_the_size_limit():
-    err = refused("oversized field above a non-int row", section="seq-file")
-    assert err.startswith("error: seq.csv line 2: field larger than field limit")
+    err = refused("oversized field after a good row", section="seq-file")
+    assert err.startswith("error: seq.csv line 3: field larger than field limit")
     assert err.count("\n") == 1
 
 

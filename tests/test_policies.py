@@ -732,7 +732,7 @@ def test_golden_traces(tmp_path, case):
     kind, k = case.split("-")
     k = int(k)
     C = ETA_418.C if kind == "eta" else 6 * k
-    for row_id in grid.case_rows("traces", case):
+    for row_id in grid.cases("traces")[case]:
         directory = tmp_path / row_id.rpartition(" ")[2]
         directory.mkdir()
         grid.check(row_id, directory)
