@@ -223,6 +223,8 @@ def cmd_sweep(args) -> int:
             raise CollateralError(f"{flag} must be finite, got {x}")
     if not args.step > 0:
         raise CollateralError(f"--step must be positive, got {args.step}")
+    if args.from_ > args.to + 1e-12:  # the loop below would sweep no value
+        raise CollateralError(f"--from {args.from_} is above --to {args.to}: no setting to run")
     # below one ulp of the largest endpoint, v += step can stop advancing
     if args.step < math.ulp(max(abs(args.from_), abs(args.to + 1e-12))):
         raise CollateralError(f"--step {args.step} is too small to advance")
@@ -253,7 +255,7 @@ def cmd_sweep(args) -> int:
     _emit(
         {
             "param": args.param,
-            "formulaOptimum": rows[0].formula_optimum if rows else None,
+            "formulaOptimum": rows[0].formula_optimum,
             "rows": out_rows,
         }
     )

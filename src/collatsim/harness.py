@@ -7,10 +7,10 @@ returns the run's totals;
 ``exhaustive_verify`` checks the competitive bound with exact integer
 arithmetic on every prefix of every sequence over a small alphabet,
 stepping each state of a wallet rule and each value-DP key once per offer,
-deciding each policy's bound by one max-plus layer per slot over its own
+deciding each policy's bound by one forward max-plus pass over its own
 graph of (state, DP key) nodes, shared by the kinds of one rule and bound,
-and walking the tree of prefixes only where a layer shows a
-counterexample or a broken invariant below; ``sweep`` scans eta or k,
+and walking the tree of prefixes only when a pass finds a counterexample
+or a broken invariant; ``sweep`` scans eta or k,
 one ``measure_ratio`` run per setting with the window-bound oracle (the LP
 relaxation, an upper bound on opt), and marks the empirical optimum next
 to the formula one;
@@ -466,20 +466,19 @@ def exhaustive_verify(
     when the sum of weights from the root to it is positive.
 
     Each policy's bound is decided on its own graph of (state, DP key)
-    nodes, one layer per slot, since its weights, flushes and faults
-    depend on nothing else; kinds on one rule held to one bound share the
-    graph and its pass.  A forward pass collects the layers from the
-    root over every symbol; a backward max-plus pass gives each node the
-    flushes on all paths below it, whether an invariant of a kind on its
-    rule breaks below it, and its margin: the largest sum of weights from
-    it to a prefix below.
-    ``flush_events_checked`` sums the roots' flushes.  Then a depth-first
-    walk over the values then the gap lists the counterexamples and
-    violation texts in tree order, carrying per policy the slack
-    ``num*V_alg - den*V_opt``; it skips a subtree whose nodes are clean
-    and whose margins are at most the slacks, since that subtree holds
-    neither.  Only ``GroupFlushPolicy`` has such a state; other policies
-    raise ConfigError.
+    nodes, since its weights, flushes and faults depend on nothing else;
+    kinds on one rule held to one bound share the graph and its pass.  The
+    pass goes forward from the root, one max-plus layer per slot up to the
+    last, each node holding the number of prefixes that reach it and the
+    largest weight sum along one of them.  It adds prefixes times flushes
+    on every edge to ``flush_events_checked``, and finds a fault on an
+    edge that breaks an invariant of a kind on the rule, or that ends a
+    prefix (a value, not the gap) with a sum above 0.  When no pass finds
+    a fault there is nothing to list.  Otherwise a depth-first walk over
+    the values then the gap lists the counterexamples and violation texts
+    in tree order, carrying per policy V_alg to test
+    ``den*V_opt > num*V_alg``.  Only ``GroupFlushPolicy`` has such a
+    state; other policies raise ConfigError.
     """
     # two or more symbols over more slots than the cap has bits are over the
     # cap, so a long max_len is refused before the power is built
@@ -596,72 +595,50 @@ def exhaustive_verify(
     length = space.max_len
     root_sids = [table.intern(p.state(0), (p, 0)) for table, p in zip(tables, roots)]
     root_kid = dp_table.intern(opt_value_key({(): 0}, 0, space.F), ({(): 0}, 0, 0))
-    # layers[i][t] maps each (state id, DP key id) node of policy i at slot t
-    # to (flushes, dirty, margin) of the subtree below it; a node is dirty
-    # when an invariant of any kind on its rule breaks below it, which only
-    # makes the walk look at more subtrees
-    layers: list[list[dict]] = []
-    passes: dict = {}  # (rule, bound) -> the layers of its kinds
-    for i, (num, den) in enumerate(bounds):
-        group = rules[i], bounds[i]
-        if group in passes:
-            layers.append(passes[group])
-            continue
-        rows = tables[i].rows
-        nodes = [{(root_sids[i], root_kid)}]
-        for _ in range(1, length):
-            nodes.append({
-                (
-                    (rows[sid][s] or policy_step(i, sid, s))[0],
-                    (dp_table.rows[kid][s] or dp_step(kid, s))[0],
-                )
-                for sid, kid in nodes[-1]
-                for s in range(width)
-            })
-        below: dict = {}
-        for t in reversed(range(length)):
-            ends = t + 1 == length
-            entries = {}
-            for node in nodes[t]:
-                sid, kid = node
-                row, dp_row = rows[sid], dp_table.rows[kid]
-                flushes, dirty, margin = 0, False, -math.inf
-                for s, sym in enumerate(symbols):
+    gap = width - 1  # symbols[gap] is None
+
+    def forward(i: int) -> tuple[int, bool]:
+        """Policy i's max-plus pass: the flushes on all prefixes, and
+        whether an edge breaks an invariant or ends a counterexample."""
+        num, den = bounds[i]
+        rows, dp_rows = tables[i].rows, dp_table.rows
+        flushes, faulty = 0, False
+        # maps each (state id, DP key id) node at one slot to the number of
+        # prefixes reaching it and the largest weight sum along one of them
+        layer = {(root_sids[i], root_kid): (1, 0)}
+        for slot in range(1, length + 1):
+            below: dict = {}
+            for (sid, kid), (paths, best) in layer.items():
+                row, dp_row = rows[sid], dp_rows[kid]
+                for s in range(width):
                     child_kid, gain = dp_row[s] or dp_step(kid, s)
                     child_sid, delta, flushed, faults = row[s] or policy_step(i, sid, s)
-                    weight = den * gain - num * delta
-                    flushes += flushed
-                    if faults:
-                        dirty = True
-                    if sym is not None and weight > margin:
-                        margin = weight
-                    if not ends:
-                        child = below[child_sid, child_kid]
-                        flushes += child[0]
-                        if child[1]:
-                            dirty = True
-                        if weight + child[2] > margin:
-                            margin = weight + child[2]
-                entries[node] = (flushes, dirty, margin)
-            nodes[t] = below = entries
-        layers.append(nodes)
-        passes[group] = nodes
-    summary.flush_events_checked = sum(
-        layer[0][sid, root_kid][0] for layer, sid in zip(layers, root_sids)
-    )
+                    total = best + den * gain - num * delta
+                    flushes += paths * flushed
+                    if faults or (s != gap and total > 0):
+                        faulty = True
+                    if slot < length:
+                        child = child_sid, child_kid
+                        paths_in, best_in = below.get(child, (0, total))
+                        below[child] = paths_in + paths, best_in if best_in > total else total
+            layer = below
+        return flushes, faulty
+
+    passes: dict = {}  # (rule, bound) -> the pass its kinds share
+    for i in range(n):
+        group = rules[i], bounds[i]
+        if group not in passes:
+            passes[group] = forward(i)
+    summary.flush_events_checked = sum(passes[rules[i], bounds[i]][0] for i in range(n))
+    if not any(faulty for _, faulty in passes.values()):
+        return summary
 
     path: list = []  # the (slot, value) pairs from the root to the node
     violations = summary.invariant_violations
     counterexamples = summary.counterexamples
 
-    def walk(slot: int, sids: list, kid: int, slacks: list, v_opt: int) -> None:
+    def walk(slot: int, sids: list, kid: int, v_algs: list, v_opt: int) -> None:
         """List the counterexamples and violations below a node."""
-        for i in range(n):
-            _, dirty, margin = layers[i][slot][sids[i], kid]
-            if dirty or margin > slacks[i]:
-                break
-        else:
-            return
         nxt = slot + 1
         dp_row = dp_table.rows[kid]
         rows = [table.rows[sid] for table, sid in zip(tables, sids)]
@@ -669,34 +646,33 @@ def exhaustive_verify(
             child_kid, gain = dp_row[s]
             opt_child = v_opt + gain
             child_sids = []
-            child_slacks = []
+            child_algs = []
             for i in range(n):
                 child_sid, delta, _, faults = rows[i][s]
                 for j, fault in faults:
                     if j == i:
                         violations.append(fault.format(nxt, tuple(path)))
                 num, den = bounds[i]
-                weight = den * gain - num * delta
+                alg_child = v_algs[i] + delta
                 child_sids.append(child_sid)
-                child_slacks.append(slacks[i] - weight)
-                if sym is not None and weight > slacks[i]:
+                child_algs.append(alg_child)
+                if sym is not None and den * opt_child > num * alg_child:
                     counterexamples.append(
                         Counterexample(
-                            kinds[i], (*path, (nxt, sym)), opt_child,
-                            (slacks[i] - weight + den * opt_child) // num,
+                            kinds[i], (*path, (nxt, sym)), opt_child, alg_child,
                             policies[kinds[i]],
                         )
                     )
             if sym is not None:
                 path.append((nxt, sym))
             if nxt < length:
-                walk(nxt, child_sids, child_kid, child_slacks, opt_child)
+                walk(nxt, child_sids, child_kid, child_algs, opt_child)
             if sym is not None:
                 path.pop()
 
     walk(0, root_sids, root_kid, [0] * n, 0)
-    # walk's closure refers to itself: dropping it frees the graph and tables
-    # now, not at the cyclic GC's next pass
+    # walk's closure refers to itself: dropping it frees the tables now, not
+    # at the cyclic GC's next pass
     del walk
     return summary
 
@@ -771,8 +747,9 @@ def sweep(config: ExperimentConfig, param: str, values: list[float]) -> list[Swe
     Rows carry per-setting means over repetitions and the worst observed
     opt/alg value ratio, or the error that ended the setting.  The
     empirical best row is marked: highest mean utility for eta, lowest
-    worst ratio for k; the formula optimum rides along.  The rows go to
-    ``config.csv_path`` when it is set.
+    worst ratio for k; the formula optimum rides along.  When no setting
+    ran, ConfigError names the first refusal and nothing is written;
+    otherwise the rows go to ``config.csv_path`` when it is set.
     """
     if param not in ("eta", "k"):
         raise ConfigError(f"sweep parameter must be eta or k, got {param!r}")
@@ -819,12 +796,14 @@ def sweep(config: ExperimentConfig, param: str, values: list[float]) -> list[Swe
                 SweepRow(param=param, value=v, error=str(err), formula_optimum=formula)
             )
     candidates = [r for r in rows if r.error is None]
-    if candidates:
-        if param == "eta":
-            best = max(candidates, key=lambda r: r.mean_utility)
-        else:
-            best = min(candidates, key=lambda r: r.worst_ratio)
-        best.empirical_best = True
+    if not candidates:
+        first = f"; the first: {rows[0].error}" if rows else ""
+        raise ConfigError(f"no {param} setting ran{first}")
+    if param == "eta":
+        best = max(candidates, key=lambda r: r.mean_utility)
+    else:
+        best = min(candidates, key=lambda r: r.worst_ratio)
+    best.empirical_best = True
     if config.csv_path:
         write_results_csv(
             [

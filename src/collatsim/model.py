@@ -82,7 +82,6 @@ FIELD_KINDS = {
         and -sys.float_info.max <= v <= sys.float_info.max
     ),
     "a string": lambda v: isinstance(v, str),
-    "a boolean": lambda v: isinstance(v, bool),
     "an object": lambda v: isinstance(v, dict),
 }
 

@@ -475,7 +475,11 @@ CLI = {
     "sweep a trace": f"{SWEEP_K} --config config.json --trace sweep.ndjson",
     "sweep step 0": f"{SWEEP_ETA} --from 0.35 --to 0.5 --step=0",
     "sweep step -0.05": f"{SWEEP_ETA} --from 0.35 --to 0.5 --step=-0.05",
-    # a nan span sweeps no value and exits 0; an infinite one never ends
+    # a batch where no setting runs is refused, and leaves no sweep.csv
+    "sweep every setting refused": f"{SWEEP_ETA} --from 0.01 --to 0.1 --step 0.03 "
+                                   "--csv sweep.csv",
+    "sweep empty range": f"{SWEEP_ETA} --from 3 --to 1 --step 1 --csv sweep.csv",
+    # a nan span would sweep no value; an infinite one would never end
     **{f"sweep {flag}={value}": f"{SWEEP_ETA} --from=0.35 --to=0.5 --step=0.05 {flag}={value}"
        for flag, value in NON_FINITE},
     # 1e16 + 1.0 == 1e16: the loop would never advance

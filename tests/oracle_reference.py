@@ -22,7 +22,7 @@ through a whole two-wallet FlushAll run, the reference for
 reference for the grouped outages of ``WalletBank``.  ``run_every_slot`` is the
 per-slot driver that ``run_sequence`` is checked against.  ``exhaustive_verify_reference``
 walks every prefix of every short sequence explicitly, as the reference
-for the layered ``exhaustive_verify``.
+for the table-driven ``exhaustive_verify``.
 """
 
 import json
@@ -422,7 +422,8 @@ def exhaustive_verify_reference(
     Clones and steps every policy and extends the value DP once per
     prefix, in the same order, with the same flush-shape invariants and
     the same texts, so its summary must equal the one that
-    ``exhaustive_verify`` builds from per-policy layers, field for field.  It forks at every node of the full tree, whose
+    ``exhaustive_verify`` builds from its forward passes and transition
+    tables, field for field.  It forks at every node of the full tree, whose
     (|values| + 1)^L leaves are the sequences.
     """
     if space.sequence_count() > MAX_EXHAUST_SEQUENCES:

@@ -316,9 +316,8 @@ def verify_both_routes(space, policies):
 
 @pytest.mark.parametrize("k,F", list(product((1, 2, 3, 4), (1, 2, 3))))
 def test_exhaustive_verify_matches_the_explicit_walk(k, F):
-    # the walk may skip only subtrees that the explicit walk finds clean, so
     # every field agrees, counterexamples in walk order included; bounds 1
-    # and 3/2 fail often and make the walk list most subtrees
+    # and 3/2 fail often and send most spaces to the listing walk
     kinds = ("fa", "fwf", "ftwf") if k % 2 == 0 else ("fa", "fwf")
     bounds = [None] + [{kind: b for kind in kinds} for b in (Fraction(1), Fraction(3, 2))]
     for L, values, C, policies in product(
@@ -344,8 +343,8 @@ def test_exhaustive_verify_matches_the_explicit_walk_with_a_bound_per_policy():
 
 
 def test_exhaustive_verify_matches_the_explicit_walk_where_most_prefixes_fail():
-    # at bound 1 for all three policies nearly every margin exceeds its
-    # slack, so the walk lists most of the tree from the transition tables
+    # at bound 1 for all three policies nearly every prefix fails, so the
+    # walk lists most of the tree from the transition tables
     space = ExhaustSpace(C=6, k=2, T=3, F=2, max_len=6, values=(1, 2, 3))
     policies = {kind: Fraction(1) for kind in ("fa", "fwf", "ftwf")}
     layered, explicit = verify_both_routes(space, policies)
@@ -371,8 +370,8 @@ BOUNDS = st.integers(1, 4).flatmap(
 def test_exhaustive_verify_matches_the_explicit_walk_at_any_bounds(
     k, F, wide, L, values, bounds
 ):
-    # each policy's layers are decided against its own bound, so a skip that
-    # reads another policy's entry disagrees with the explicit walk; ftwf
+    # each policy is decided against its own bound, so a pass or walk that
+    # reads another policy's bound disagrees with the explicit walk; ftwf
     # needs even k
     if k % 2:
         del bounds["ftwf"]
@@ -416,8 +415,8 @@ def test_exhaustive_verify_matches_the_explicit_walk_on_violations(monkeypatch):
 def test_exhaustive_verify_matches_the_explicit_walk_when_one_policy_breaks(
     monkeypatch,
 ):
-    # only fwf's g = 1 breaks the rule, so its layers are dirty where fa's
-    # are clean, and a skip that reads fa's entry for fwf drops its violations
+    # only fwf's g = 1 breaks the rule, so only fwf's pass finds a fault, and
+    # the walk lists fwf's violations with fa clean beside it
     monkeypatch.setattr(
         GroupFlushPolicy, "step", flush_after_settling_one(GroupFlushPolicy.step, g=1)
     )
@@ -463,10 +462,8 @@ def test_exhaustive_verify_leaves_no_garbage_cycle(bound):
     assert bool(summary.counterexamples) == (bound is not None)
 
 
-def test_exhaustive_verify_skips_a_clean_space_at_the_root():
-    # fa settles every 1 here, so at bound 1 each margin equals its slack of
-    # 0: no subtree holds a counterexample and the walk stops at the root
-    space = ExhaustSpace(C=12, k=2, T=3, F=1, max_len=5, values=(1,))
+def walk_slots(space, policies):
+    """The summary, and the slot of each call of the listing walk, in order."""
     walks = []
 
     def count_walks(frame, event, arg):
@@ -475,11 +472,23 @@ def test_exhaustive_verify_skips_a_clean_space_at_the_root():
 
     sys.setprofile(count_walks)
     try:
-        summary = exhaustive_verify(space, {"fa": Fraction(1)})
+        summary = exhaustive_verify(space, policies)
     finally:
         sys.setprofile(None)
+    return summary, walks
+
+
+def test_exhaustive_verify_runs_no_walk_on_a_clean_space():
+    # fa settles every 1 here, so at bound 1 every weight sum is 0: no edge
+    # ends a counterexample or breaks an invariant, and no walk runs; at
+    # bound 1/2 every offer is one, and the walk lists them from the root
+    space = ExhaustSpace(C=12, k=2, T=3, F=1, max_len=5, values=(1,))
+    summary, walks = walk_slots(space, {"fa": Fraction(1)})
     assert summary.ok()
-    assert walks == [0]
+    assert walks == []
+    summary, walks = walk_slots(space, {"fa": Fraction(1, 2)})
+    assert len(summary.counterexamples) == summary.prefixes_checked
+    assert walks[0] == 0
 
 
 def test_exhaustive_verify_refuses_a_policy_without_a_state():
@@ -571,3 +580,20 @@ def test_sweep_k():
     rows = sweep(config, "k", [1, 2, 3, 4])
     assert rows[0].formula_optimum == pytest.approx(2.0)
     assert sum(1 for r in rows if r.empirical_best) == 1
+
+
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        ([0.01, 0.04], "no eta setting ran; the first: eta must satisfy T/C <= eta"),
+        ([], "no eta setting ran$"),
+    ],
+)
+def test_sweep_refuses_a_batch_where_no_setting_ran(tmp_path, values, message):
+    params = ModelParams(C=200, T=60, F=1)
+    spec = WorkloadSpec("poisson-uniform", 600, 30, 1, 60, {"min": 10, "max": 60})
+    out = tmp_path / "sweep.csv"
+    config = ExperimentConfig(params=params, policy="eta", workload=spec, csv_path=str(out))
+    with pytest.raises(ConfigError, match=message):
+        sweep(config, "eta", values)
+    assert not out.exists()
