@@ -60,7 +60,11 @@ def _add_run_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="JSON experiment config file")
     sub.add_argument("--policy", choices=POLICY_KINDS)
     _add_param_flags(sub)
-    sub.add_argument("--workload", help="workload spec: JSON file or inline JSON")
+    sub.add_argument(
+        "--workload",
+        help="workload spec: inline JSON when the value opens an object or array or is a "
+        "whole JSON value (0, \"x\", null, ...), else the JSON file it names",
+    )
     sub.add_argument("--seq", help="transaction sequence CSV (header slot,value)")
     sub.add_argument("--seed", type=int)
     sub.add_argument("--repetitions", type=int)
@@ -74,6 +78,20 @@ def _require_flags(flags: dict, context: str = "") -> None:
         raise CollateralError(
             f"missing required flags{context}: {', '.join('--' + m for m in missing)}"
         )
+
+
+def _inline_json(text: str) -> bool:
+    """Whether a --workload value is JSON itself rather than a file name: it
+    opens an object or an array, or it is a whole JSON value.  Malformed
+    text that opens an object or an array is still read as JSON, so its
+    error names the syntax, not a missing file."""
+    if text.lstrip().startswith(("{", "[")):
+        return True
+    try:
+        json.loads(text)
+    except ValueError:
+        return False
+    return True
 
 
 def _config_from_args(args) -> ExperimentConfig:
@@ -98,8 +116,8 @@ def _config_from_args(args) -> ExperimentConfig:
         obj.pop("seqFile", None)
         obj.pop("workload", None)
     for field, value in given.items():
-        if field == "workload":  # inline JSON, or the file it names
-            value = load_json(value, InvalidSpec, "workload", value.lstrip().startswith("{"))
+        if field == "workload":
+            value = load_json(value, InvalidSpec, "workload", _inline_json(value))
         section, _, key = field.rpartition(".")
         target = obj.setdefault(section, {}) if section else obj
         typed_field(ConfigError, section or "config", target, "an object")[key] = value

@@ -6,9 +6,11 @@ returns the run's totals;
 ``measure_ratio`` adds an oracle and the formula bound for the policy;
 ``exhaustive_verify`` checks the competitive bound with exact integer
 arithmetic on every prefix of every sequence over a small alphabet,
-stepping each state of a wallet rule and each value-DP key once per offer,
-deciding each policy's bound by one forward max-plus pass over its own
-graph of (state, DP key) nodes, shared by the kinds of one rule and bound,
+stepping each state of a wallet rule and each value-DP key once per offer
+(a DP table keeps each key with its rows), counting flushes from the
+prefixes per state on each rule's own graph, deciding each policy's bound
+by one forward max-plus pass over its graph of (state, DP key) nodes,
+each holding one weight sum, shared by the kinds of one rule and bound,
 and walking the tree of prefixes only when a pass finds a counterexample
 or a broken invariant; ``sweep`` scans eta or k,
 one ``measure_ratio`` run per setting with the window-bound oracle (the LP
@@ -57,8 +59,8 @@ from .oracles import (
     opt_general_value,
     opt_kwallet_value,
     opt_utility_upper_bound,
-    opt_value_extend,
-    opt_value_key,
+    opt_value_extend,  # unused here; bench/tracer.py times calls by this name
+    opt_value_key_step,
     window_upper_bound,
 )
 from .policies import GroupFlushPolicy, check_policy_kind, make_policy
@@ -406,11 +408,11 @@ class ExhaustSummary:
 class _StateTable:
     """States met by exhaustive_verify's walk and their transitions.
 
-    Each state gets a small id on first sight.  ``reps[id]`` is one object
-    in that state, kept with its slot, and ``rows[id]`` holds one
-    transition per symbol, filled when first asked for by stepping a copy
-    of that object.  A state's transitions do not depend on the object or
-    slot it was met with, so one representative serves every node.
+    Each state gets a small id on first sight.  ``reps[id]`` is what the
+    state is stepped from (a policy in that state with its slot, or a DP
+    key's rows), and ``rows[id]`` holds one transition per symbol, filled
+    when first asked for.  A state's transitions do not depend on the
+    representative it was met with, so one serves every node.
     """
 
     __slots__ = ("ids", "reps", "rows", "width")
@@ -453,30 +455,32 @@ def exhaustive_verify(
     likewise carry at least C/k).
 
     A node of the tree of prefixes is known by each policy's
-    ``state(slot)`` and the value DP's ``opt_value_key``.  Transition
-    tables, local to the call, hold what one offer does: per rule and
-    state the next state, the settled delta, the flush count and the
-    invariants its flushes break, tagged by kind; per DP key the next key
-    and the gain in V_opt.  Kinds with one group size g are one rule and
-    share a table, so a rule is stepped once for all its kinds (fa and
-    ftwf at k = 2).  A missing entry is filled once, by stepping a copy of
-    one object kept per state (a policy, or a DP layer with its slot).
+    ``state(slot)`` and the value DP's key, the rows of its layer with
+    slots made relative, less the dominated ones (``opt_value_key_step``).
+    Transition tables, local to the call, hold what one offer does: per
+    rule and state the next state, the settled delta, the flush count and
+    the invariants its flushes break, tagged by kind; per DP key the next
+    key and the gain in V_opt.  Kinds with one group size g are one rule
+    and share a table, so a rule is stepped once for all its kinds (fa and
+    ftwf at k = 2).  A state's row is filled once, by stepping copies of
+    one policy kept per state; a key's row by one ``opt_value_key_step``
+    per symbol from the rows kept with the key, dominated ones included.
     Along an edge, policy i with bound num/den has the weight
     ``den*gain - num*delta``, and a prefix is a counterexample exactly
     when the sum of weights from the root to it is positive.
 
-    Each policy's bound is decided on its own graph of (state, DP key)
-    nodes, since its weights, flushes and faults depend on nothing else;
-    kinds on one rule held to one bound share the graph and its pass.  The
-    pass goes forward from the root, one max-plus layer per slot up to the
-    last, each node holding the number of prefixes that reach it and the
-    largest weight sum along one of them.  It adds prefixes times flushes
-    on every edge to ``flush_events_checked``, and finds a fault on an
-    edge that breaks an invariant of a kind on the rule, or that ends a
-    prefix (a value, not the gap) with a sum above 0.  When no pass finds
-    a fault there is nothing to list.  Otherwise a depth-first walk over
-    the values then the gap lists the counterexamples and violation texts
-    in tree order, carrying per policy V_alg to test
+    Each rule's flushes and faults depend on its state alone, so one pass
+    per rule over its own graph of states, one layer per slot, counts the
+    prefixes that reach each state, adds prefixes times flushes on every
+    edge to ``flush_events_checked``, and finds an edge that breaks an
+    invariant of a kind on the rule.  Each policy's bound is decided on its
+    own graph of (state, DP key) nodes by one forward max-plus pass, one
+    layer per slot, each node holding the largest weight sum along a
+    prefix that reaches it; kinds on one rule held to one bound share the
+    pass.  When no
+    pass finds a fault there is nothing to list.  Otherwise a depth-first
+    walk over the values then the gap lists the counterexamples and
+    violation texts in tree order, carrying per policy V_alg to test
     ``den*V_opt > num*V_alg``.  Only ``GroupFlushPolicy`` has such a
     state; other policies raise ConfigError.
     """
@@ -552,85 +556,108 @@ def exhaustive_verify(
                 )
         return [f + " on {1}" for f in faults]
 
-    def policy_step(i: int, sid: int, s: int) -> tuple:
-        """Fill and return the transition of policy i's rule from state sid
-        on symbol s; its faults are (kind index, text) for every kind on
-        the rule."""
+    def policy_row(i: int, sid: int) -> list:
+        """The transitions of policy i's rule from state sid, one per symbol,
+        filled on first use; their faults are (kind index, text) for every
+        kind on the rule."""
         table = tables[i]
+        row = table.rows[sid]
+        if row[0] is not None:
+            return row
         policy, slot = table.reps[sid]
-        sym = symbols[s]
         nxt = slot + 1
-        # a clone's trace holds only the events of this step
-        p2 = policy.clone()
-        p2.step(nxt, sym)
-        amounts = p2.machine.trace.flush_amounts
-        faults = ()
-        if amounts:
-            faults = tuple(
-                (j, text) for j in peers[i] for text in broken_invariants(kinds[j], amounts)
+        for s, sym in enumerate(symbols):
+            # a clone's trace holds only the events of this step
+            p2 = policy.clone()
+            p2.step(nxt, sym)
+            amounts = p2.machine.trace.flush_amounts
+            faults = ()
+            if amounts:
+                faults = tuple(
+                    (j, text) for j in peers[i] for text in broken_invariants(kinds[j], amounts)
+                )
+            row[s] = (
+                table.intern(p2.state(nxt), (p2, nxt)),
+                p2.machine.settled - policy.machine.settled,
+                len(amounts),
+                faults,
             )
-        table.rows[sid][s] = edge = (
-            table.intern(p2.state(nxt), (p2, nxt)),
-            p2.machine.settled - policy.machine.settled,
-            len(amounts),
-            faults,
-        )
-        return edge
+        return row
 
-    def dp_step(kid: int, s: int) -> tuple:
-        """Fill and return the value DP's transition from key kid on symbol s."""
-        layer, slot, best = dp_table.reps[kid]
-        sym = symbols[s]
-        nxt = slot + 1
-        if sym is not None:
-            layer = opt_value_extend(layer, nxt, sym, space.C, space.F)
-        gain = max(layer.values()) - best
-        key = opt_value_key(layer, nxt, space.F)
-        dp_table.rows[kid][s] = edge = (
-            dp_table.intern(key, (layer, nxt, best + gain)),
-            gain,
-        )
-        return edge
+    def dp_row(kid: int) -> list:
+        """The value DP's transitions from key kid, one per symbol, filled
+        on first use."""
+        row = dp_table.rows[kid]
+        if row[0] is None:
+            window = dp_table.reps[kid]
+            for s, sym in enumerate(symbols):
+                child, key, gain = opt_value_key_step(window, sym, space.C, space.F)
+                row[s] = dp_table.intern(key, child), gain
+        return row
 
     length = space.max_len
     root_sids = [table.intern(p.state(0), (p, 0)) for table, p in zip(tables, roots)]
-    root_kid = dp_table.intern(opt_value_key({(): 0}, 0, space.F), ({(): 0}, 0, 0))
-    gap = width - 1  # symbols[gap] is None
+    root_key = (((), 0),)
+    root_kid = dp_table.intern(root_key, root_key)
 
-    def forward(i: int) -> tuple[int, bool]:
-        """Policy i's max-plus pass: the flushes on all prefixes, and
-        whether an edge breaks an invariant or ends a counterexample."""
+    def rule_pass(i: int) -> tuple[int, bool]:
+        """The flushes of policy i's rule on all prefixes, and whether one of
+        its steps breaks an invariant: one layer per slot of the rule's own
+        graph, each mapping a state to the number of prefixes reaching it."""
+        flushes, broken = 0, False
+        layer = {root_sids[i]: 1}
+        for _ in range(length):
+            below: dict = {}
+            get = below.get
+            for sid, paths in layer.items():
+                for child, _, flushed, faults in policy_row(i, sid):
+                    flushes += paths * flushed
+                    if faults:
+                        broken = True
+                    below[child] = get(child, 0) + paths
+            layer = below
+        return flushes, broken
+
+    def forward(i: int) -> bool:
+        """Policy i's max-plus pass, after its rule's pass has filled the
+        rule's rows: whether a prefix ends with a sum above 0."""
         num, den = bounds[i]
         rows, dp_rows = tables[i].rows, dp_table.rows
-        flushes, faulty = 0, False
-        # maps each (state id, DP key id) node at one slot to the number of
-        # prefixes reaching it and the largest weight sum along one of them
-        layer = {(root_sids[i], root_kid): (1, 0)}
-        for slot in range(1, length + 1):
+        # maps each (state id, DP key id) node at one slot to the largest
+        # weight sum along a prefix reaching it
+        layer = {(root_sids[i], root_kid): 0}
+        for _ in range(length - 1):
             below: dict = {}
-            for (sid, kid), (paths, best) in layer.items():
-                row, dp_row = rows[sid], dp_rows[kid]
-                for s in range(width):
-                    child_kid, gain = dp_row[s] or dp_step(kid, s)
-                    child_sid, delta, flushed, faults = row[s] or policy_step(i, sid, s)
+            get = below.get
+            for (sid, kid), best in layer.items():
+                dp_edges = dp_rows[kid]
+                if dp_edges[0] is None:
+                    dp_edges = dp_row(kid)
+                for (child_sid, delta, _, _), (child_kid, gain) in zip(rows[sid], dp_edges):
                     total = best + den * gain - num * delta
-                    flushes += paths * flushed
-                    if faults or (s != gap and total > 0):
-                        faulty = True
-                    if slot < length:
-                        child = child_sid, child_kid
-                        paths_in, best_in = below.get(child, (0, total))
-                        below[child] = paths_in + paths, best_in if best_in > total else total
+                    child = child_sid, child_kid
+                    if get(child, total - 1) < total:
+                        below[child] = total
             layer = below
-        return flushes, faulty
+        # a gap gains and settles nothing, so a prefix whose sum is above 0
+        # keeps it along gaps to the edges out of the last slot, which build
+        # no layer
+        for (sid, kid), best in layer.items():
+            for (_, delta, _, _), (_, gain) in zip(rows[sid], dp_row(kid)):
+                if best + den * gain - num * delta > 0:
+                    return True
+        return False
 
-    passes: dict = {}  # (rule, bound) -> the pass its kinds share
-    for i in range(n):
-        group = rules[i], bounds[i]
-        if group not in passes:
-            passes[group] = forward(i)
-    summary.flush_events_checked = sum(passes[rules[i], bounds[i]][0] for i in range(n))
-    if not any(faulty for _, faulty in passes.values()):
+    rule_passes = {}  # rule -> its pass, shared by its kinds
+    for i, rule in enumerate(rules):
+        if rule not in rule_passes:
+            rule_passes[rule] = rule_pass(i)
+    summary.flush_events_checked = sum(rule_passes[rule][0] for rule in rules)
+    # kinds on one rule held to one bound share the max-plus pass
+    groups = {(rules[i], bounds[i]): i for i in range(n)}
+    if not any(broken for _, broken in rule_passes.values()) and not any(
+        forward(i) for i in groups.values()
+    ):
         return summary
 
     path: list = []  # the (slot, value) pairs from the root to the node
@@ -640,10 +667,10 @@ def exhaustive_verify(
     def walk(slot: int, sids: list, kid: int, v_algs: list, v_opt: int) -> None:
         """List the counterexamples and violations below a node."""
         nxt = slot + 1
-        dp_row = dp_table.rows[kid]
+        dp_edges = dp_row(kid)
         rows = [table.rows[sid] for table, sid in zip(tables, sids)]
         for s, sym in enumerate(symbols):
-            child_kid, gain = dp_row[s]
+            child_kid, gain = dp_edges[s]
             opt_child = v_opt + gain
             child_sids = []
             child_algs = []

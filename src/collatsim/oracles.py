@@ -7,8 +7,12 @@ oracle is a DP over the settles of the last F slots, exact at any length;
 it refuses an input only when its layers would hold more than MAX_DP_CELLS
 cells in all, a cell being a state or one settle a state lists.  The tests
 re-derive it by subset enumeration and by simulating the pool state
-machine.  The utility and k-wallet oracles are branch-and-bound searches
-that refuse more than MAX_SEARCH_TRANSACTIONS transactions rather than
+machine.  ``opt_value_key_step`` steps the same DP on rows whose slots are
+relative, so that prefixes with equal windows share one key; the
+exhaustive verifier keeps one table entry per key, and the tests keep
+``opt_value_key``, which keys an absolute layer, as the step's reference.
+The utility and k-wallet oracles are branch-and-bound searches that
+refuse more than MAX_SEARCH_TRANSACTIONS transactions rather than
 silently taking forever.  Both searches score in ints, the utility search
 in units of 1/PPM, turned into a Fraction only at its return.
 
@@ -82,41 +86,54 @@ def opt_value_extend(
     return out
 
 
-def opt_value_key(
-    states: dict, slot: int, F: int
-) -> tuple[tuple[tuple[tuple[int, int], ...], int], ...]:
-    """A layer of opt_value_extend as a tuple free of absolute slots.
+def opt_value_key_step(
+    rows: tuple, value: int | None, C: int, F: int
+) -> tuple[tuple, tuple, int]:
+    """One slot of the value DP on rows free of absolute slots.
 
-    ``states`` is a layer whose offers all lie in slots 1 .. ``slot``.  Each
-    state becomes a row of the (slot - s, value) pairs it settled in slots
-    slot-F+1 .. slot, whatever F, mapped to how far its total lies below
-    the layer's best.  Older settles share no window with a later offer,
-    so states that differ only in them merge and keep the smaller gap.
-    The key is the sorted (row, gap) pairs, less the dominated rows: a
-    row is dropped when its copy without its oldest settle, ``row[1:]``,
-    is present with a gap no larger.  That copy has no more load in any
-    later window and at least the same total, so whatever the row's state
-    settles later the copy's can settle too, and the layer's best is the
-    same at every later slot with or without the row.  Before slot F+1 no
-    settle has left the window, each row's total is its own sum, and
-    ``row[1:]`` lies below it by the oldest value, so no row is dominated
-    there and the check is skipped.  Equal keys gain the same best total
-    on every later continuation.
+    ``rows`` are a layer's sorted (row, gap) pairs: a row lists the (slots
+    ago, value) settles of the last F slots, oldest first, and its gap is
+    how far the best total among the layer's states with that row lies
+    below the layer's best; the root is ``(((), 0),)``.  ``value`` is the
+    slot's offer, None for a quiet slot.  Returns the next rows, their key
+    and the gain in the layer's best.
+
+    Every row ages a slot, and the offer settles on it when the window
+    ending at the slot, the row and the offer, stays within C.  The settle
+    of F slots ago then leaves the window, and rows that differ only in it
+    merge and keep the smaller gap.  The key drops each dominated row, one
+    whose copy without its oldest settle, ``row[1:]``, is present with a
+    gap no larger: the copy has no more load in any later window and at
+    least the same total, so the best is the same at every later slot
+    without the row, and equal keys gain alike on every continuation.  The
+    rows keep it, since it may still dominate a later row.  Before slot F+1
+    no row is dominated, and the key is the rows themselves.
     """
-    best = max(states.values())
-    base = slot - F + 1
-    rows: dict = {}
-    get = rows.get
-    for state, total in states.items():
-        row = tuple((slot - s, v) for s, v in state if s >= base)
-        gap = best - total
-        if get(row, gap) >= gap:
-            rows[row] = gap
-    if slot <= F:
-        return tuple(sorted(rows.items()))
-    return tuple(sorted(
-        (row, gap) for row, gap in rows.items() if not row or get(row[1:], gap + 1) > gap
-    ))
+    last = F - 1
+    new = ((0, value),) if F else ()
+    out: dict = {}
+    get = out.get
+    for row, gap in rows:
+        load = value
+        if value is not None:
+            for _, v in row:
+                load += v
+        if row and row[0][0] == last:
+            row = row[1:]
+        row = tuple([(age + 1, v) for age, v in row])
+        if get(row, gap + 1) > gap:
+            out[row] = gap
+        if value is not None and load <= C:
+            row += new
+            gap -= value
+            if get(row, gap + 1) > gap:
+                out[row] = gap
+    gain = -min(out.values())
+    after = tuple(sorted((row, gap + gain) for row, gap in out.items()))
+    dominated = {row for row, gap in out.items() if row and get(row[1:], gap + 1) <= gap}
+    if not dominated:
+        return after, after, gain
+    return after, tuple(pair for pair in after if pair[0] not in dominated), gain
 
 
 def opt_general_value(

@@ -464,6 +464,9 @@ CLI = {
     "simulate empty --workload": f"simulate {RUN} --workload=",
     "simulate value above T": "simulate --policy fa --C 12 --T 2 --F 1 --seq seq.csv",
     "simulate workload file not an object": f"simulate {RUN} --workload array.json",
+    # an inline value that is JSON but not an object gets the file's refusal
+    "simulate inline workload array": f"simulate {RUN} --workload [1]",
+    "simulate inline workload number": f"simulate {RUN} --workload 0",
     "simulate unknown workload field": f"simulate {RUN} --workload "
                                        '{"kind":"constant","arrivalRatePerMille":1000,'
                                        '"horizon":6,"seed":0,"maxValue":6,'

@@ -500,6 +500,14 @@ def test_workload_file_not_an_object():
     assert "must be an object" in refused("simulate workload file not an object")
 
 
+@pytest.mark.parametrize("case, shown", [("array", "[1]"), ("number", "0")])
+def test_inline_workload_not_an_object(case, shown):
+    # JSON that is not an object is refused as the same text in a file is,
+    # not looked up as a file name
+    err = refused(f"simulate inline workload {case}")
+    assert err == f"error: workload spec must be an object, got {shown}\n"
+
+
 # 40 offers of 6 where a 3-slot window fits 12
 FORTY_SIXES = ("ratio", "--policy", "fa", "--oracle", "brute-general",
                "--C", "12", "--k", "2", "--T", "6", "--F", "2", "--workload",

@@ -10,6 +10,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from collatsim import harness
 from collatsim.harness import (
     MAX_REPETITIONS,
     ConfigError,
@@ -28,10 +29,10 @@ from collatsim.harness import (
     value_bound_fraction,
 )
 from collatsim.model import InvalidParams, ModelParams, TransactionSequence, load_json
-from collatsim.oracles import BudgetExceeded, opt_general_value
+from collatsim.oracles import BudgetExceeded, opt_general_value, opt_value_extend
 from collatsim.policies import GroupFlushPolicy, make_policy
 from collatsim.workloads import WorkloadSpec, thm3_seq
-from oracle_reference import exhaustive_verify_reference
+from oracle_reference import exhaustive_verify_reference, opt_value_key
 
 PARAMS = ModelParams(C=20, T=6, F=1, k=2)
 SIXES = WorkloadSpec(
@@ -243,6 +244,31 @@ def test_exhaustive_verify_counts_pinned(C, F):
 @pytest.mark.parametrize("C,F", sorted(EXHAUST_COUNTS_L7))
 def test_exhaustive_verify_counts_pinned_at_the_bench_length(C, F):
     assert exhaust_counts(C, F, 7) == EXHAUST_COUNTS_L7[(C, F)]
+
+
+def test_exhaustive_verify_keys_each_prefix_by_its_layer(monkeypatch):
+    # the value-DP table holds the key of every prefix's layer and no
+    # other; at C = 4, F = 4 a row dominated in one slot drops a row in
+    # the next, so keys stepped without the dominated rows would differ
+    space = ExhaustSpace(C=4, k=1, T=2, F=4, max_len=7, values=(1, 2))
+    tables = []
+
+    class Recorded(harness._StateTable):
+        def __init__(self, width):
+            super().__init__(width)
+            tables.append(self)
+
+    monkeypatch.setattr(harness, "_StateTable", Recorded)
+    assert exhaustive_verify(space, {"fa": Fraction(100)}).ok()
+    want = set()
+    for length in range(space.max_len + 1):
+        for symbols in product((None, *space.values), repeat=length):
+            layer = {(): 0}
+            for slot, value in enumerate(symbols, 1):
+                if value is not None:
+                    layer = opt_value_extend(layer, slot, value, space.C, space.F)
+            want.add(opt_value_key(layer, length, space.F))
+    assert set(tables[-1].ids) == want
 
 
 # Every counterexample to fa at bound 1 at L = 4 (k = 2, T = 3, values 1-3),

@@ -5,7 +5,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from collatsim import oracles
 from collatsim.model import PPM, ModelParams, TransactionSequence, first_overfull_window
@@ -16,12 +16,13 @@ from collatsim.oracles import (
     opt_kwallet_value,
     opt_utility_upper_bound,
     opt_value_extend,
-    opt_value_key,
+    opt_value_key_step,
     window_upper_bound,
 )
 from oracle_reference import (
     greedy_feasible_value,
     opt_general_value_sim,
+    opt_value_key,
     subset_optima,
     utility_optimum_reference,
     window_law_holds,
@@ -244,6 +245,83 @@ def test_equal_value_keys_gain_alike(C, F, values):
             want = step(first, slot, value)
             for layer, at in others:
                 assert step(layer, at, value) == want
+
+
+def layer_rows(states, slot, F):
+    """A layer's rows as opt_value_key_step takes them, dominated rows kept."""
+    return tuple(sorted(all_rows(states, slot, F).items()))
+
+
+@st.composite
+def keyed_layers(draw):
+    """A layer of opt_value_extend, the slot it was met at, C, F and the
+    next slot's offer (None for a quiet slot)."""
+    C = draw(st.integers(min_value=1, max_value=12))
+    F = draw(st.integers(min_value=0, max_value=9))
+    gaps = draw(st.lists(st.integers(min_value=1, max_value=3), max_size=9))
+    layer, slot = {(): 0}, 0
+    for gap in gaps:
+        slot += gap
+        layer = opt_value_extend(layer, slot, draw(st.integers(1, C + 2)), C, F)
+    slot += draw(st.integers(min_value=0, max_value=F + 2))
+    value = draw(st.none() | st.integers(min_value=1, max_value=C + 2))
+    return layer, slot, C, F, value
+
+
+# offers 2, 2, 1, 1, 2 at C = 4, F = 4: at slot 7 the row (3, 1), (2, 2), the
+# 1 of slot 4 and the 2 of slot 5, is dominated by the row (2, 2), the 2 of
+# slot 5 after the 2 of slot 1, which at slot 6 was dominated by the empty row
+DOMINATED_DOMINATOR = value_layer([(1, 2), (2, 2), (3, 1), (4, 1), (5, 2)], 4, 4)
+
+
+@given(keyed_layers())
+# a quiet slot; a slot at most F; F past the layer's last slot, where no
+# settle leaves the window; a row dominated by a row outside the key
+@example(({(): 0, ((1, 2),): 2}, 1, 5, 2, None))
+@example(({(): 0, ((1, 2),): 2, ((1, 2), (2, 3)): 5}, 2, 5, 3, 3))
+@example(({(): 0, ((1, 2),): 2, ((1, 2), (2, 3)): 5}, 4, 5, 10**8, 1))
+@example((DOMINATED_DOMINATOR, 6, 4, 4, None))
+@settings(max_examples=400, deadline=None)
+def test_opt_value_key_step_matches_the_layer_route(case):
+    # one step of a layer's rows equals extending the layer, then taking
+    # its rows and its key afresh
+    layer, slot, C, F, value = case
+    after = layer if value is None else opt_value_extend(layer, slot + 1, value, C, F)
+    want = (
+        layer_rows(after, slot + 1, F),
+        opt_value_key(after, slot + 1, F),
+        max(after.values()) - max(layer.values()),
+    )
+    assert opt_value_key_step(layer_rows(layer, slot, F), value, C, F) == want
+
+
+def test_opt_value_key_step_keeps_a_dominated_dominator():
+    # the key at slot 6 drops the row (1, 2), dominated by the empty row,
+    # but at slot 7 that row, aged to (2, 2), still drops (3, 1), (2, 2)
+    C = F = 4
+    rows = layer_rows(DOMINATED_DOMINATOR, 6, F)
+    key = opt_value_key(DOMINATED_DOMINATOR, 6, F)
+    assert key == (((), 0), (((3, 1), (2, 1)), 0), (((3, 1), (2, 1), (1, 2)), 0))
+    assert (((1, 2),), 0) in rows
+    after, next_key, gain = opt_value_key_step(rows, None, C, F)
+    assert gain == 0 and (((2, 2),), 0) in after
+    assert next_key == opt_value_key(DOMINATED_DOMINATOR, 7, F) == (((), 0),)
+    # stepped from the key alone, the row would stay
+    assert (((3, 1), (2, 2)), 0) in opt_value_key_step(key, None, C, F)[1]
+
+
+def test_opt_value_key_step_folds_like_the_layers():
+    # from the root, rows stepped slot by slot stay the rows of the layers
+    C, F = 5, 2
+    rows, layer, best = (((), 0),), {(): 0}, 0
+    for slot, value in enumerate([2, 3, None, 1, 3, None, None, 5, 1], 1):
+        if value is not None:
+            layer = opt_value_extend(layer, slot, value, C, F)
+        rows, key, gain = opt_value_key_step(rows, value, C, F)
+        best += gain
+        assert rows == layer_rows(layer, slot, F)
+        assert key == opt_value_key(layer, slot, F)
+        assert best == max(layer.values())
 
 
 @st.composite
