@@ -27,9 +27,10 @@ of its last repetition, so it keeps one trace at a time.
 ``ExperimentConfig.from_json_obj`` reads every run's settings, from a
 config file or the CLI's flags: a field left out takes the dataclass
 default, and a field it does not read is refused.
-Ratio and sweep results serialize to fixed-column CSVs through one
-writer; traces to newline-delimited JSON.  Identical config and seed
-reproduce byte-identical outputs.
+Each results CSV is written from its records through one writer, which
+takes the header from the first record's keys; traces are written as
+newline-delimited JSON.  Identical config and seed reproduce
+byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from __future__ import annotations
 import csv
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from functools import partial
 from fractions import Fraction
 
@@ -166,7 +167,6 @@ class RatioRow:
 
 @dataclass
 class RatioReport:
-    config: "ExperimentConfig"
     rows: list[RatioRow]
 
     def all_bounds_ok(self) -> bool:
@@ -262,8 +262,7 @@ def run_policy(config: ExperimentConfig) -> RunResult:
     if config.trace_path:
         write_trace_ndjson(policy.machine.trace, config.trace_path)
     if config.csv_path:
-        row = _csv_row(config, 0, config.seed, result, None)
-        write_results_csv([row], config.csv_path)
+        write_results_csv([_csv_row(config, result)], config.csv_path)
     return result
 
 
@@ -276,15 +275,11 @@ def measure_ratio(config: ExperimentConfig) -> RatioReport:
             seq = config.sequence_for(rep)
         policy = config.policy_for(rep)
         rows.append(_ratio_row(config, rep, seq, run_sequence(policy, seq)))
-    report = RatioReport(config, rows)
     if config.csv_path:
-        write_results_csv(
-            [_csv_row(config, r.run_id, r.seed, r.result, r) for r in rows],
-            config.csv_path,
-        )
+        write_results_csv([_csv_row(config, r.result, r) for r in rows], config.csv_path)
     if config.trace_path:
         write_trace_ndjson(policy.machine.trace, config.trace_path)
-    return report
+    return RatioReport(rows)
 
 
 def _ratio_row(
@@ -832,72 +827,24 @@ def sweep(config: ExperimentConfig, param: str, values: list[float]) -> list[Swe
         best = min(candidates, key=lambda r: r.worst_ratio)
     best.empirical_best = True
     if config.csv_path:
-        write_results_csv(
-            [
-                {
-                    "param": r.param,
-                    "value": r.value,
-                    "error": r.error or "",
-                    "mean_settled": _float_or_blank(r.mean_settled),
-                    "mean_flushes": _float_or_blank(r.mean_flushes),
-                    "mean_utility": _float_or_blank(r.mean_utility),
-                    "worst_ratio": _float_or_blank(r.worst_ratio),
-                    "empirical_best": str(r.empirical_best).lower(),
-                    "formula_optimum": r.formula_optimum,
-                }
-                for r in rows
-            ],
-            config.csv_path,
-            SWEEP_COLUMNS,
-        )
+        write_results_csv([asdict(r) for r in rows], config.csv_path)
     return rows
 
 
 # ---------------------------------------------------------------------------
 # serialization
 
-RESULT_COLUMNS = [
-    "run_id",
-    "policy",
-    "C",
-    "k",
-    "T",
-    "F",
-    "p_ppm",
-    "tau",
-    "eta_ppm",
-    "seed",
-    "n_tx",
-    "offered_value",
-    "settled_value",
-    "flush_count",
-    "utility_num",
-    "utility_den",
-    "opt_value",
-    "opt_utility_num",
-    "opt_utility_den",
-    "ratio_value",
-    "ratio_utility",
-    "bound",
-    "bound_ok",
-]
 
-
-SWEEP_COLUMNS = [
-    "param",
-    "value",
-    "error",
-    "mean_settled",
-    "mean_flushes",
-    "mean_utility",
-    "worst_ratio",
-    "empirical_best",
-    "formula_optimum",
-]
-
-
-def _float_or_blank(x) -> float | str:
-    return "" if x is None else float(x)
+def _cell(x):
+    """A results CSV cell: None blank, a bool true or false, a Fraction as a
+    float, anything else as it is."""
+    if x is None:
+        return ""
+    if isinstance(x, bool):
+        return "true" if x else "false"
+    if isinstance(x, Fraction):
+        return float(x)
+    return x
 
 
 def _ratio_str(ratio) -> str:
@@ -910,15 +857,14 @@ def _ratio_str(ratio) -> str:
 
 
 def _csv_row(
-    config: ExperimentConfig,
-    run_id: int,
-    seed: int,
-    result: RunResult,
-    ratio_row: RatioRow | None,
+    config: ExperimentConfig, result: RunResult, ratio_row: RatioRow | None = None
 ) -> dict:
-    p = config.params
-    row = {
-        "run_id": run_id,
+    """A results row: the run's params and totals, then its ratio row's
+    measures, blank without one (``simulate``'s run 0 at the config's seed)."""
+    p, r = config.params, ratio_row
+    opt_utility = r and r.opt_utility
+    return {
+        "run_id": r.run_id if r else 0,
         "policy": config.policy,
         "C": p.C,
         "k": p.k,
@@ -926,43 +872,30 @@ def _csv_row(
         "F": p.F,
         "p_ppm": p.p_ppm,
         "tau": p.tau,
-        "eta_ppm": "" if p.eta_ppm is None else p.eta_ppm,
-        "seed": seed,
+        "eta_ppm": p.eta_ppm,
+        "seed": r.seed if r else config.seed,
         "n_tx": result.n_tx,
         "offered_value": result.offered_value,
         "settled_value": result.settled_value,
         "flush_count": result.flush_count,
         "utility_num": result.utility.numerator,
         "utility_den": result.utility.denominator,
-        "opt_value": "",
-        "opt_utility_num": "",
-        "opt_utility_den": "",
-        "ratio_value": "",
-        "ratio_utility": "",
-        "bound": "",
-        "bound_ok": "",
+        "opt_value": r and r.opt_value,
+        "opt_utility_num": None if opt_utility is None else opt_utility.numerator,
+        "opt_utility_den": None if opt_utility is None else opt_utility.denominator,
+        "ratio_value": _ratio_str(r and r.ratio_value),
+        "ratio_utility": _ratio_str(r and r.ratio_utility),
+        "bound": r and r.bound,
+        "bound_ok": r and r.bound_ok,
     }
-    if ratio_row is not None:
-        row["opt_value"] = ratio_row.opt_value
-        if ratio_row.opt_utility is not None:
-            row["opt_utility_num"] = ratio_row.opt_utility.numerator
-            row["opt_utility_den"] = ratio_row.opt_utility.denominator
-        row["ratio_value"] = _ratio_str(ratio_row.ratio_value)
-        row["ratio_utility"] = _ratio_str(ratio_row.ratio_utility)
-        if ratio_row.bound is not None:
-            row["bound"] = repr(ratio_row.bound)
-            row["bound_ok"] = "true" if ratio_row.bound_ok else "false"
-    return row
 
 
-def write_results_csv(
-    rows: list[dict], path: str, columns: list[str] = RESULT_COLUMNS
-) -> None:
+def write_results_csv(rows: list[dict], path: str) -> None:
+    """Write records under the first one's keys, each cell by ``_cell``."""
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=columns)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+        writer = csv.writer(fh)
+        writer.writerow(rows[0])
+        writer.writerows([_cell(x) for x in row.values()] for row in rows)
 
 
 def write_trace_ndjson(trace: EventTrace, path: str) -> None:

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .model import PPM, CollateralError, ModelParams, Transaction, TransactionSequence
+from .model import PPM, CollateralError, ModelParams, TransactionSequence
 
 
 class BudgetExceeded(CollateralError):
@@ -136,48 +136,25 @@ def opt_value_key_step(
     return after, tuple(pair for pair in after if pair[0] not in dominated), gain
 
 
-def opt_general_value(
-    seq: TransactionSequence, C: int, F: int, return_witness: bool = False
-):
+def opt_general_value(seq: TransactionSequence, C: int, F: int) -> int:
     """Exact general-model optimum settled value, in O(n * 2^F).
 
     Folds opt_value_extend over the sequence, keeping only the current
-    layer unless a witness is asked for; the witness follows back-pointers
-    from the best final state through the kept layers.  Raises
-    BudgetExceeded once the layers built hold more than MAX_DP_CELLS cells
-    (states plus the settles they list) in all.
+    layer.  Raises BudgetExceeded once the layers built hold more than
+    MAX_DP_CELLS cells (states plus the settles they list) in all.
     """
     slots, values = seq.slots, seq.values
-    layers = [{(): 0}]
+    layer = {(): 0}
     cells = 0
     for i, (slot, value) in enumerate(zip(slots, values)):
-        layer = opt_value_extend(layers[-1], slot, value, C, F)
+        layer = opt_value_extend(layer, slot, value, C, F)
         cells += len(layer) + sum(map(len, layer))
         if cells > MAX_DP_CELLS:
             raise BudgetExceeded(
                 f"window DP exceeds {MAX_DP_CELLS} cells (states plus their "
                 f"settles) at transaction {i + 1} of {len(slots)} (F={F})"
             )
-        if return_witness:
-            layers.append(layer)
-        else:
-            layers[-1] = layer
-    state = max(layers[-1], key=layers[-1].get)
-    best = total = layers[-1][state]
-    if not return_witness:
-        return best
-    witness = []
-    for slot, value, layer in zip(reversed(slots), reversed(values), reversed(layers[:-1])):
-        # back-pointer: a state of the previous layer whose step reaches this one
-        state, prev = next(
-            (s, v)
-            for s, v in layer.items()
-            if opt_value_extend({s: v}, slot, value, C, F).get(state) == total
-        )
-        if prev < total:
-            witness.append(Transaction(slot, value))
-        total = prev
-    return best, tuple(reversed(witness))
+    return max(layer.values())
 
 
 def opt_kwallet_value(seq: TransactionSequence, params: ModelParams) -> int:

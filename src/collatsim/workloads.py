@@ -22,6 +22,7 @@ import random
 from dataclasses import dataclass, field
 
 from .model import (
+    FIELD_KINDS,
     CollateralError,
     InvalidParams,
     ModelParams,
@@ -73,21 +74,16 @@ def _offer(slots: list, values: list, slot: int, value: int) -> int:
     return value
 
 
-WORKLOAD_KINDS = (
-    "poisson-uniform",
-    "poisson-exponential",
-    "poisson-pareto",
-    "constant",
-    "bursty",
-)
-
-# valueParams knobs that each kind reads as plain numbers
-NUMBER_KNOBS = {
+# each workload kind and the valueParams knobs it reads, the rest refused;
+# min and max bound a uniform draw in ints, the others are plain numbers
+VALUE_KNOBS = {
+    "poisson-uniform": ("min", "max"),
     "poisson-exponential": ("mean",),
     "poisson-pareto": ("tailIndex",),
     "constant": ("value",),
-    "bursty": ("burstLen", "gapLen"),
+    "bursty": ("min", "max", "burstLen", "gapLen"),
 }
+WORKLOAD_KINDS = tuple(VALUE_KNOBS)
 
 
 # the fields WorkloadSpec.from_json_obj reads; it refuses any other
@@ -128,12 +124,15 @@ class WorkloadSpec:
         if self.max_value < 1:
             raise InvalidSpec(f"max_value must be positive, got {self.max_value}")
         vp = typed_field(InvalidSpec, "valueParams", self.value_params, "an object")
-        for knob in NUMBER_KNOBS.get(self.kind, ()):
-            if knob in vp:
+        knobs = VALUE_KNOBS[self.kind]
+        known_fields(InvalidSpec, f"{self.kind} valueParams", vp, knobs)
+        for knob in knobs:
+            if knob in vp and knob not in ("min", "max"):
                 typed_field(InvalidSpec, knob, vp[knob], "a finite number")
-        if self.kind in ("poisson-uniform", "bursty"):
+        if "min" in knobs:
             lo, hi = self.value_range()
-            if not (isinstance(lo, int) and isinstance(hi, int) and 1 <= lo <= hi):
+            is_int = FIELD_KINDS["an integer"]  # never a bool
+            if not (is_int(lo) and is_int(hi) and 1 <= lo <= hi):
                 raise InvalidSpec(f"bad uniform range [{lo}, {hi}]")
         if self.kind == "bursty":
             if vp.get("burstLen", 1) < 1 or vp.get("gapLen", 0) < 0:

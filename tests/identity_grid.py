@@ -372,6 +372,14 @@ PARAM_TYPES = [
     ("eta", {"k": 1, "eta_ppm": 418000.5}, "eta_ppm must be an integer or null"),
 ]
 SWEEP_K = "sweep --param k --from 1 --to 4 --step 1"
+# valueParams a workload kind does not read: a misspelled knob, another
+# kind's knobs, and a bool bound that would read as 1; each kind with the
+# knobs laid over CONSTANT's fields, and the text it is refused with
+VALUE_PARAMS_REFUSALS = [
+    ("poisson-exponential", {"maen": 0.5}, "unknown poisson-exponential valueParams field 'maen'"),
+    ("constant", {"min": 2, "max": 9}, "unknown constant valueParams field 'min'"),
+    ("poisson-uniform", {"min": True, "max": 3}, "bad uniform range [True, 3]"),
+]
 
 
 def config_rows():
@@ -471,6 +479,10 @@ CLI = {
                                        '{"kind":"constant","arrivalRatePerMille":1000,'
                                        '"horizon":6,"seed":0,"maxValue":6,'
                                        '"valueParam":{"value":6}}',
+    **{f"simulate {message}": "simulate --policy fa --C 12 --k 2 --T 3 --F 1 --workload "
+       + json.dumps(dict(CONSTANT, kind=kind, horizon=50, valueParams=knobs),
+                    separators=(",", ":"))
+       for kind, knobs, message in VALUE_PARAMS_REFUSALS},
     "ratio missing seq file": f"ratio {RUN} --seq absent.csv",
     "ratio value bound past the float range": f"ratio --policy eta --C {FLOAT_MAX_C} "
                                               f"--T {FLOAT_MAX_C // 10**6} --F 1 "

@@ -6,8 +6,10 @@ Two slow routes that share no code with ``collatsim.oracles``:
 ``opt_general_value_sim`` drives the real CollateralPool through every
 settle/discard choice.  Both are exponential in the number of transactions
 and meant for n <= 12.  ``greedy_feasible_value`` is a feasible lower bound
-at any size.  ``opt_value_key`` keys an absolute layer of
-``opt_value_extend``, the reference for ``opt_value_key_step``.
+at any size.  ``opt_general_witness`` reads an optimal schedule from
+back-pointers over every layer of ``opt_value_extend``.  ``opt_value_key``
+keys an absolute layer of ``opt_value_extend``, the reference for
+``opt_value_key_step``.
 ``window_lp_reference`` enumerates every integer fill 0 <= y_i <= v_i
 under the window law, the reference for the greedy LP
 bound ``window_upper_bound``; ``window_upper_bound_all_offsets`` is the
@@ -49,6 +51,7 @@ from collatsim.model import (
     IndexOutOfRange,
     InsufficientCollateral,
     ModelParams,
+    Transaction,
     WalletBank,
     WalletOffline,
     ZeroFlush,
@@ -208,6 +211,34 @@ def opt_value_key(
     return tuple(sorted(
         (row, gap) for row, gap in rows.items() if not row or get(row[1:], gap + 1) > gap
     ))
+
+
+def opt_general_witness(seq, C, F):
+    """The general-model optimum and a schedule that reaches it.
+
+    Keeps every layer of ``opt_value_extend`` and follows back-pointers
+    from the best final state: an offer is in the schedule where the
+    state it steps from has a smaller total.  The reference witness for
+    ``opt_general_value``, which keeps one layer and returns the value.
+    """
+    slots, values = seq.slots, seq.values
+    layers = [{(): 0}]
+    for slot, value in zip(slots, values):
+        layers.append(opt_value_extend(layers[-1], slot, value, C, F))
+    state = max(layers[-1], key=layers[-1].get)
+    best = total = layers[-1][state]
+    witness = []
+    for slot, value, layer in zip(reversed(slots), reversed(values), reversed(layers[:-1])):
+        # back-pointer: a state of the previous layer whose step reaches this one
+        state, prev = next(
+            (s, v)
+            for s, v in layer.items()
+            if opt_value_extend({s: v}, slot, value, C, F).get(state) == total
+        )
+        if prev < total:
+            witness.append(Transaction(slot, value))
+        total = prev
+    return best, tuple(reversed(witness))
 
 
 def opt_general_value_sim(seq, C, F):

@@ -50,7 +50,7 @@ from collatsim.oracles import (
 )
 from collatsim.policies import make_policy
 from collatsim.workloads import WorkloadSpec, fwf_killer_seq, gen_stochastic, thm3_seq
-from oracle_reference import opt_general_value_sim, window_law_holds
+from oracle_reference import opt_general_value_sim, opt_general_witness, window_law_holds
 from trace_reader import FLUSH, read_events
 
 EXACT = 1e-12
@@ -377,8 +377,8 @@ def test_c10_oracle_self_consistency():
             slot += rng.randint(1, 2)
             pairs.append((slot, rng.randint(1, C)))
         seq = TransactionSequence.from_pairs(pairs)
-        best, witness = opt_general_value(seq, C, F, return_witness=True)
-        assert best == opt_general_value_sim(seq, C, F)
+        best, witness = opt_general_witness(seq, C, F)
+        assert best == opt_general_value(seq, C, F) == opt_general_value_sim(seq, C, F)
         assert window_law_holds([(t.slot, t.value) for t in witness], C, F)
         assert sum(t.value for t in witness) == best
         # every policy trace obeys the same window law the optimum does;

@@ -833,6 +833,11 @@ def test_out_of_range_value_knob(capsys, tmp_path, kind, rate, knobs, message):
     assert message in err
 
 
+@pytest.mark.parametrize("kind, knobs, message", grid.VALUE_PARAMS_REFUSALS)
+def test_value_knob_the_kind_does_not_read(kind, knobs, message):
+    assert refused(f"simulate {message}") == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("policy, params, message", grid.PARAM_TYPES)
 def test_wrong_typed_model_param(policy, params, message):
     assert message in refused(f"simulate {message}", section="config")

@@ -22,6 +22,7 @@ from collatsim.oracles import (
 from oracle_reference import (
     greedy_feasible_value,
     opt_general_value_sim,
+    opt_general_witness,
     opt_value_key,
     subset_optima,
     utility_optimum_reference,
@@ -61,8 +62,8 @@ def test_opt_value_examples():
 
 def test_opt_value_witness():
     seq = seq_of(THREE_TENS)
-    best, witness = opt_general_value(seq, 10, 2, return_witness=True)
-    assert best == 10
+    best, witness = opt_general_witness(seq, 10, 2)
+    assert best == opt_general_value(seq, 10, 2) == 10
     assert sum(t.value for t in witness) == best
     assert window_law_holds([(t.slot, t.value) for t in witness], 10, 2)
 
@@ -86,7 +87,6 @@ def test_state_step_cap_is_exact(monkeypatch):
     seq = seq_of([(t, 1) for t in range(1, 6)])
     monkeypatch.setattr(oracles, "MAX_DP_CELLS", 191)
     assert opt_general_value(seq, 5, 5) == 5
-    assert opt_general_value(seq, 5, 5, return_witness=True)[0] == 5
     monkeypatch.setattr(oracles, "MAX_DP_CELLS", 190)
     with pytest.raises(BudgetExceeded, match="at transaction 5 of 5"):
         opt_general_value(seq, 5, 5)
@@ -108,8 +108,8 @@ def test_opt_value_sums_separated_segments():
                 slot += rng.randint(1, 2)
             expected += subset_optima(segment, C, F)[-1]
             pairs += segment
-        best, witness = opt_general_value(seq_of(pairs), C, F, return_witness=True)
-        assert best == expected
+        best, witness = opt_general_witness(seq_of(pairs), C, F)
+        assert best == opt_general_value(seq_of(pairs), C, F) == expected
         chosen = [(t.slot, t.value) for t in witness]
         assert sum(v for _, v in chosen) == best
         assert window_law_holds(chosen, C, F)
@@ -343,8 +343,8 @@ def test_dp_matches_subset_reference(instance):
     optima = subset_optima(pairs, C, F)
     assert fold_optima(pairs, C, F) == optima
     seq = seq_of(pairs) if pairs else TransactionSequence([], [], horizon=1)
-    best, witness = opt_general_value(seq, C, F, return_witness=True)
-    assert best == (optima[-1] if optima else 0)
+    best, witness = opt_general_witness(seq, C, F)
+    assert best == opt_general_value(seq, C, F) == (optima[-1] if optima else 0)
     assert sum(t.value for t in witness) == best
     chosen = [(t.slot, t.value) for t in witness]
     assert set(chosen) <= set(pairs) and chosen == sorted(chosen)

@@ -23,6 +23,16 @@ from collatsim.workloads import (
 )
 
 
+# each kind's own valueParams knobs
+KIND_KNOBS = {
+    "poisson-uniform": {"min": 1, "max": 6},
+    "poisson-exponential": {"mean": 2.5},
+    "poisson-pareto": {"tailIndex": 1.5},
+    "constant": {"value": 4},
+    "bursty": {"min": 1, "max": 6, "burstLen": 3, "gapLen": 2},
+}
+
+
 def test_spec_json_round_trip():
     spec = WorkloadSpec("poisson-uniform", 600, 40, 7, 60, {"min": 10, "max": 60})
     obj = {
@@ -46,11 +56,25 @@ def test_spec_rejects_bad_rate():
 
 @pytest.mark.parametrize("kind", ["poisson-uniform", "bursty"])
 @pytest.mark.parametrize("rate", [0, 600])
-@pytest.mark.parametrize("bad", [{"min": 5, "max": 2}, {"min": 0}, {"max": 0}, {"min": "1"}])
+@pytest.mark.parametrize(
+    "bad", [{"min": 5, "max": 2}, {"min": 0}, {"max": 0}, {"min": "1"}, {"min": True, "max": 3}]
+)
 def test_spec_rejects_bad_value_range(kind, rate, bad):
     # checked when the spec is made, not when an arrival first draws a value
     with pytest.raises(InvalidSpec, match="bad uniform range"):
         WorkloadSpec(kind, rate, 10, 0, 6, bad)
+
+
+# every kind refuses each other kind's knobs, and a misspelled one
+@pytest.mark.parametrize(
+    "kind, knob",
+    [(kind, knob) for kind in KIND_KNOBS
+     for knob in ["maen", *dict.fromkeys(k for knobs in KIND_KNOBS.values() for k in knobs)]
+     if knob not in KIND_KNOBS[kind]],
+)
+def test_spec_rejects_knobs_the_kind_does_not_read(kind, knob):
+    with pytest.raises(InvalidSpec, match=f"^unknown {kind} valueParams field '{knob}'$"):
+        WorkloadSpec(kind, 500, 10, 0, 6, {knob: 2})
 
 
 @pytest.mark.parametrize("bad", [{"burstLen": 0}, {"gapLen": -1}])
@@ -89,9 +113,7 @@ def test_gen_deterministic_per_seed():
 
 @pytest.mark.parametrize("kind", WORKLOAD_KINDS)
 def test_gen_values_in_range(kind):
-    params = {"min": 1, "max": 6, "mean": 2.5, "tailIndex": 1.5,
-              "value": 4, "burstLen": 3, "gapLen": 2}
-    spec = WorkloadSpec(kind, 800, 50, 11, 6, params)
+    spec = WorkloadSpec(kind, 800, 50, 11, 6, KIND_KNOBS[kind])
     seq = gen_stochastic(spec)
     assert seq.horizon == 50
     last = 0
