@@ -13,16 +13,12 @@ from .model import (
     PPM,
     CollateralError,
     EventTrace,
-    FlushExceedsCommitted,
-    InsufficientCollateral,
-    InvalidParams,
     ModelParams,
     RunResult,
     Transaction,
     TransactionSequence,
     WalletBank,
     CollateralPool,
-    WalletOffline,
     first_overfull_window,
     validate_window_bound,
 )
@@ -34,7 +30,6 @@ from .policies import (
     make_policy,
 )
 from .oracles import (
-    BudgetExceeded,
     opt_general_utility,
     opt_general_value,
     opt_kwallet_value,
@@ -79,16 +74,12 @@ __all__ = [
     "PPM",
     "CollateralError",
     "EventTrace",
-    "FlushExceedsCommitted",
-    "InsufficientCollateral",
-    "InvalidParams",
     "ModelParams",
     "RunResult",
     "Transaction",
     "TransactionSequence",
     "WalletBank",
     "CollateralPool",
-    "WalletOffline",
     "first_overfull_window",
     "validate_window_bound",
     "POLICY_KINDS",
@@ -96,7 +87,6 @@ __all__ = [
     "RandTwoPolicy",
     "ThresholdPolicy",
     "make_policy",
-    "BudgetExceeded",
     "opt_general_utility",
     "opt_general_value",
     "opt_kwallet_value",

@@ -23,7 +23,6 @@ from .harness import (
     ADVERSARY_KINDS,
     ORACLE_KINDS,
     PARAMS_FIELDS,
-    ConfigError,
     ExhaustSpace,
     ExperimentConfig,
     exhaustive_verify,
@@ -35,7 +34,6 @@ from .harness import (
 from .formulas import formulas_report
 from .model import CollateralError, ModelParams, load_json, typed_field
 from .policies import POLICY_KINDS
-from .workloads import InvalidSpec
 
 
 # each run flag and the config field it sets, "field" or "section.field"
@@ -101,13 +99,13 @@ def _config_from_args(args) -> ExperimentConfig:
     the file's source; ExperimentConfig.from_json_obj then reads the result.
     """
     if args.config:
-        obj = load_json(args.config, ConfigError, "config")
+        obj = load_json(args.config, "config")
     else:
         _require_flags(
             {"policy": args.policy, "C": args.C, "T": args.T, "F": args.F}, " without --config"
         )
         obj = {}
-    typed_field(ConfigError, "config", obj, "an object")
+    typed_field("config", obj, "an object")
     given = {
         field: value for name, field in FLAG_FIELDS.items()
         if (value := getattr(args, name, None)) is not None
@@ -117,10 +115,10 @@ def _config_from_args(args) -> ExperimentConfig:
         obj.pop("workload", None)
     for field, value in given.items():
         if field == "workload":
-            value = load_json(value, InvalidSpec, "workload", _inline_json(value))
+            value = load_json(value, "workload", _inline_json(value))
         section, _, key = field.rpartition(".")
         target = obj.setdefault(section, {}) if section else obj
-        typed_field(ConfigError, section or "config", target, "an object")[key] = value
+        typed_field(section or "config", target, "an object")[key] = value
     return ExperimentConfig.from_json_obj(obj)
 
 

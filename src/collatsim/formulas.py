@@ -203,7 +203,7 @@ def formulas_report(
     # past the float range the float arithmetic below overflows
     for name, value in (("C", C), ("T", T), ("k", k), ("tau", tau)):
         if value is not None:
-            typed_field(DomainError, name, value, "a finite number")
+            typed_field(name, value, "a finite number")
     out: dict = {"C": C, "T": T}
     real_k, int_k = k_star(C, T)
     out["kStar"] = {"real": real_k, "integer": int_k}

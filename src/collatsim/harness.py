@@ -39,7 +39,6 @@ import csv
 import math
 import sys
 from dataclasses import asdict, dataclass, replace
-from functools import partial
 from fractions import Fraction
 
 from . import formulas
@@ -55,7 +54,6 @@ from .model import (
     validate_window_bound,
 )
 from .oracles import (
-    BudgetExceeded,
     opt_general_utility,
     opt_general_value,
     opt_kwallet_value,
@@ -73,10 +71,6 @@ from .workloads import (
     read_sequence_csv,
     thm3_seq,
 )
-
-
-class ConfigError(CollateralError):
-    pass
 
 
 ORACLE_KINDS = ("brute-general", "brute-kwallet", "brute-utility", "window-bound")
@@ -190,19 +184,19 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         if self.oracle not in ORACLE_KINDS:
-            raise ConfigError(f"unknown oracle {self.oracle!r}; expected {ORACLE_KINDS}")
+            raise CollateralError(f"unknown oracle {self.oracle!r}; expected {ORACLE_KINDS}")
         if self.repetitions < 1:
-            raise ConfigError(f"repetitions must be positive, got {self.repetitions}")
+            raise CollateralError(f"repetitions must be positive, got {self.repetitions}")
         if self.repetitions > MAX_REPETITIONS:
-            raise ConfigError(
+            raise CollateralError(
                 f"repetitions must be at most {MAX_REPETITIONS}, got {self.repetitions}"
             )
         sources = [
             s for s in (self.workload, self.seq_file, self.sequence) if s is not None
         ]
         if len(sources) != 1:
-            raise ConfigError("exactly one of workload, seq_file, sequence is required")
-        check_policy_kind(self.policy, ConfigError)  # before anything runs
+            raise CollateralError("exactly one of workload, seq_file, sequence is required")
+        check_policy_kind(self.policy)  # before anything runs
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "ExperimentConfig":
@@ -211,36 +205,33 @@ class ExperimentConfig:
         Only ``params.C``, ``T``, ``F`` and ``policy`` are required: a field
         left out takes the dataclass default, and one not read is refused.
         """
-        known = partial(known_fields, ConfigError)
-        check = partial(typed_field, ConfigError)
-
         def given(*fields):
-            return {key: check(key, obj[key], kind) for key, kind in fields if key in obj}
+            return {key: typed_field(key, obj[key], kind) for key, kind in fields if key in obj}
 
         try:
-            known("config", check("config", obj, "an object"), CONFIG_FIELDS)
-            pp = known("params", check("params", obj["params"], "an object"), PARAMS_FIELDS)
+            known_fields("config", typed_field("config", obj, "an object"), CONFIG_FIELDS)
+            pp = known_fields(
+                "params", typed_field("params", obj["params"], "an object"), PARAMS_FIELDS
+            )
             # indexing names a missing C, T or F; ModelParams defaults the rest
             params = ModelParams(**dict(pp, C=pp["C"], T=pp["T"], F=pp["F"]))
             workload = obj.get("workload")
-            outputs = check("outputs", obj.get("outputs", {}), "an object")
-            known("outputs", outputs, ("csv", "trace"))
+            outputs = typed_field("outputs", obj.get("outputs", {}), "an object")
+            known_fields("outputs", outputs, ("csv", "trace"))
             return cls(
                 params=params,
-                policy=check("policy", obj["policy"], "a string"),
+                policy=typed_field("policy", obj["policy"], "a string"),
                 **given(("seed", "an integer")),
                 workload=None if workload is None else WorkloadSpec.from_json_obj(workload),
-                seq_file=check("seqFile", obj.get("seqFile"), "a string", True),
+                seq_file=typed_field("seqFile", obj.get("seqFile"), "a string", True),
                 **given(("oracle", "a string"), ("repetitions", "an integer")),
-                csv_path=check("outputs.csv", outputs.get("csv"), "a string", True),
-                trace_path=check("outputs.trace", outputs.get("trace"), "a string", True),
+                csv_path=typed_field("outputs.csv", outputs.get("csv"), "a string", True),
+                trace_path=typed_field("outputs.trace", outputs.get("trace"), "a string", True),
             )
         except KeyError as missing:
-            raise ConfigError(f"config missing field {missing}") from None
-        except CollateralError:
-            raise
+            raise CollateralError(f"config missing field {missing}") from None
         except (TypeError, ValueError) as err:
-            raise ConfigError(f"malformed config: {err}") from None
+            raise CollateralError(f"malformed config: {err}") from None
 
     def sequence_for(self, rep: int) -> TransactionSequence:
         """Repetition rep's sequence: the workload's draw for rep, else the
@@ -322,7 +313,7 @@ def _ratio_row(
     bound_ok = None
     if exact is not None:
         if exact > sys.float_info.max:
-            raise ConfigError(f"{bound_kind} bound is past the float range")
+            raise CollateralError(f"{bound_kind} bound is past the float range")
         bound = float(exact)
         if bound_kind == "value":
             lhs, rhs = opt_value, result.settled_value
@@ -364,14 +355,14 @@ class ExhaustSpace:
 
     def __post_init__(self) -> None:
         if self.max_len < 1:
-            raise ConfigError(f"max_len must be positive, got {self.max_len}")
+            raise CollateralError(f"max_len must be positive, got {self.max_len}")
         if not self.values:
-            raise ConfigError("values must not be empty")
+            raise CollateralError("values must not be empty")
         outside = [v for v in self.values if not 1 <= v <= self.T]
         if outside:
-            raise ConfigError(f"values must lie in [1, T={self.T}], got {outside}")
+            raise CollateralError(f"values must lie in [1, T={self.T}], got {outside}")
         if len(set(self.values)) != len(self.values):
-            raise ConfigError(f"values must be distinct, got {list(self.values)}")
+            raise CollateralError(f"values must be distinct, got {list(self.values)}")
 
     def sequence_count(self) -> int:
         return (len(self.values) + 1) ** self.max_len
@@ -477,7 +468,7 @@ def exhaustive_verify(
     walk over the values then the gap lists the counterexamples and
     violation texts in tree order, carrying per policy V_alg to test
     ``den*V_opt > num*V_alg``.  Only ``GroupFlushPolicy`` has such a
-    state; other policies raise ConfigError.
+    state; other policies raise CollateralError.
     """
     # two or more symbols over more slots than the cap has bits are over the
     # cap, so a long max_len is refused before the power is built
@@ -485,7 +476,7 @@ def exhaustive_verify(
         space.max_len > MAX_EXHAUST_SEQUENCES.bit_length()
         or space.sequence_count() > MAX_EXHAUST_SEQUENCES
     ):
-        raise BudgetExceeded(
+        raise CollateralError(
             f"{len(space.values) + 1}^{space.max_len} sequences exceed cap "
             f"{MAX_EXHAUST_SEQUENCES}"
         )
@@ -494,13 +485,13 @@ def exhaustive_verify(
     if policies is None:
         policies = default_exhaust_policies(params)
     if not policies:
-        raise ConfigError("no policy has a checkable bound at these parameters")
+        raise CollateralError("no policy has a checkable bound at these parameters")
     kinds = list(policies)
     n = len(kinds)
     roots = [make_policy(kind, params, seed=0) for kind in kinds]
     for kind, policy in zip(kinds, roots):
         if not isinstance(policy, GroupFlushPolicy):
-            raise ConfigError(
+            raise CollateralError(
                 f"exhaustive verification needs a wallet-group policy, got {kind!r}"
             )
     bounds = [(b.numerator, b.denominator) for b in policies.values()]
@@ -723,7 +714,7 @@ def run_adversary_demo(
     adversary that knows them, not rand2's expected ratio against an
     oblivious one.  The sequence then runs through ``measure_ratio`` with
     the exact window-DP optimum; one whose DP would pass the oracle's cap
-    raises BudgetExceeded, and one past MAX_ADVERSARY_OFFERS offers is
+    raises CollateralError, and one past MAX_ADVERSARY_OFFERS offers is
     refused while it is built.
     """
     policy = make_policy(target, params, seed=seed)
@@ -734,7 +725,7 @@ def run_adversary_demo(
     elif kind == "burst":
         seq = epoch_burst_seq(params, rounds)
     else:
-        raise ConfigError(f"unknown adversary {kind!r}; expected {ADVERSARY_KINDS}")
+        raise CollateralError(f"unknown adversary {kind!r}; expected {ADVERSARY_KINDS}")
     config = ExperimentConfig(params, target, seed=seed, sequence=seq)
     return measure_ratio(config).rows[0]
 
@@ -770,11 +761,11 @@ def sweep(config: ExperimentConfig, param: str, values: list[float]) -> list[Swe
     opt/alg value ratio, or the error that ended the setting.  The
     empirical best row is marked: highest mean utility for eta, lowest
     worst ratio for k; the formula optimum rides along.  When no setting
-    ran, ConfigError names the first refusal and nothing is written;
+    ran, CollateralError names the first refusal and nothing is written;
     otherwise the rows go to ``config.csv_path`` when it is set.
     """
     if param not in ("eta", "k"):
-        raise ConfigError(f"sweep parameter must be eta or k, got {param!r}")
+        raise CollateralError(f"sweep parameter must be eta or k, got {param!r}")
     p = config.params
     if param == "eta":
         formula = formulas.eta_star(p.C, p.T, p.p_ppm / PPM, p.tau)
@@ -790,7 +781,7 @@ def sweep(config: ExperimentConfig, param: str, values: list[float]) -> list[Swe
             else:
                 k = int(v)
                 if k != v:
-                    raise ConfigError(f"k must be integral, got {v}")
+                    raise CollateralError(f"k must be integral, got {v}")
                 params = replace(p, k=k)
                 params.require_kwallet()
                 cfg = replace(config, params=params)
@@ -820,7 +811,7 @@ def sweep(config: ExperimentConfig, param: str, values: list[float]) -> list[Swe
     candidates = [r for r in rows if r.error is None]
     if not candidates:
         first = f"; the first: {rows[0].error}" if rows else ""
-        raise ConfigError(f"no {param} setting ran{first}")
+        raise CollateralError(f"no {param} setting ran{first}")
     if param == "eta":
         best = max(candidates, key=lambda r: r.mean_utility)
     else:

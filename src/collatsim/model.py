@@ -47,31 +47,9 @@ NOTHING_OUT = sys.maxsize  # a machine's next_back while nothing is out
 
 
 class CollateralError(Exception):
-    """Base class for all domain errors raised by this package."""
-
-
-class InvalidParams(CollateralError):
-    pass
-
-
-class IndexOutOfRange(CollateralError):
-    pass
-
-
-class WalletOffline(CollateralError):
-    pass
-
-
-class InsufficientCollateral(CollateralError):
-    pass
-
-
-class FlushExceedsCommitted(CollateralError):
-    pass
-
-
-class ZeroFlush(CollateralError):
-    pass
+    """Every refusal this package raises, its text saying why; the one
+    subclass, ``formulas.DomainError``, marks an input a closed form has
+    no value for."""
 
 
 FIELD_KINDS = {
@@ -86,20 +64,20 @@ FIELD_KINDS = {
 }
 
 
-def typed_field(error: type, name: str, value, kind: str, optional: bool = False):
-    """Return an input field's ``value`` if it is ``kind``, else raise ``error``.
+def typed_field(name: str, value, kind: str, optional: bool = False):
+    """Return an input field's ``value`` if it is ``kind``, else raise CollateralError.
 
     ``kind`` is a key of FIELD_KINDS, and a bool is never a number.
     ``optional`` also admits None, as read for a field left out.
     """
     if not (optional and value is None or FIELD_KINDS[kind](value)):
         allowed = f"{kind} or null" if optional else kind
-        raise error(f"{name} must be {allowed}, got {value!r}")
+        raise CollateralError(f"{name} must be {allowed}, got {value!r}")
     return value
 
 
-def known_fields(error: type, where: str, obj, names: tuple[str, ...]):
-    """Return ``obj``; raise ``error`` on its first key not in ``names``.
+def known_fields(where: str, obj, names: tuple[str, ...]):
+    """Return ``obj``; raise CollateralError on its first key not in ``names``.
 
     Only an object's keys are checked: a value of another type is returned
     as it is, for the reader's own type check to refuse.
@@ -107,11 +85,11 @@ def known_fields(error: type, where: str, obj, names: tuple[str, ...]):
     if isinstance(obj, dict):
         for key in obj:
             if key not in names:
-                raise error(f"unknown {where} field {key!r}")
+                raise CollateralError(f"unknown {where} field {key!r}")
     return obj
 
 
-def load_json(source: str, error: type, what: str, inline: bool = False):
+def load_json(source: str, what: str, inline: bool = False):
     """The JSON value in the file ``source``, or in ``source`` itself if ``inline``."""
     text = source
     if not inline:  # read before parsing: a UnicodeDecodeError is a ValueError as well
@@ -120,7 +98,7 @@ def load_json(source: str, error: type, what: str, inline: bool = False):
     try:
         return json.loads(text)
     except (ValueError, RecursionError) as err:  # bad syntax, too many digits, too deep
-        raise error(f"{what} is not valid JSON: {err}") from None
+        raise CollateralError(f"{what} is not valid JSON: {err}") from None
 
 
 class _Offer(NamedTuple):
@@ -138,9 +116,9 @@ class Transaction(_Offer):
 
     def __new__(cls, slot: int, value: int) -> "Transaction":
         if slot < 1:
-            raise InvalidParams(f"slot must be >= 1, got {slot}")
+            raise CollateralError(f"slot must be >= 1, got {slot}")
         if value < 1:
-            raise InvalidParams(f"value must be >= 1, got {value}")
+            raise CollateralError(f"value must be >= 1, got {value}")
         return tuple.__new__(cls, (slot, value))
 
 
@@ -161,18 +139,18 @@ class TransactionSequence:
     def __init__(self, slots, values, horizon: int | None = None):
         slots, values = tuple(slots), tuple(values)
         if len(slots) != len(values):
-            raise InvalidParams(f"{len(slots)} slots but {len(values)} values")
+            raise CollateralError(f"{len(slots)} slots but {len(values)} values")
         if slots and (min(slots) < 1 or min(values) < 1):
             for slot, value in zip(slots, values):
                 Transaction(slot, value)  # raises at the first offender
         if not all(map(lt, slots, slots[1:])):
             a, b = next((a, b) for a, b in zip(slots, slots[1:]) if b <= a)
-            raise InvalidParams(f"slots must be strictly increasing: {a} then {b}")
+            raise CollateralError(f"slots must be strictly increasing: {a} then {b}")
         last = slots[-1] if slots else 0
         if horizon is None:
             horizon = last
         if horizon < last:
-            raise InvalidParams(f"horizon {horizon} precedes last slot {last}")
+            raise CollateralError(f"horizon {horizon} precedes last slot {last}")
         self.slots = slots
         self.values = values
         self.horizon = horizon
@@ -189,7 +167,9 @@ class TransactionSequence:
     def validate_values(self, T: int) -> None:
         if self.values and max(self.values) > T:
             i = next(i for i, v in enumerate(self.values) if v > T)
-            raise InvalidParams(f"value {self.values[i]} at slot {self.slots[i]} exceeds cap {T}")
+            raise CollateralError(
+                f"value {self.values[i]} at slot {self.slots[i]} exceeds cap {T}"
+            )
 
     def __len__(self) -> int:
         return len(self.slots)
@@ -207,6 +187,13 @@ class TransactionSequence:
 
     def __repr__(self) -> str:
         return f"TransactionSequence({self.slots!r}, {self.values!r}, horizon={self.horizon})"
+
+
+# A wallet bank keeps a list entry per wallet, and fa scans and flushes every
+# wallet of its group, so a run's time grows with k.  Through the CLI (CPython
+# 3.11, 2-vCPU VM) fa over 10^5 slots that all offer takes 1.75 s at a 54 MB
+# peak at k = 1,000, and 18.8 s at k = 10^4.
+MAX_WALLETS = 1_000
 
 
 @dataclass(frozen=True)
@@ -232,30 +219,30 @@ class ModelParams:
 
     def __post_init__(self) -> None:
         for name in ("C", "T", "F", "k", "p_ppm", "tau"):
-            typed_field(InvalidParams, name, getattr(self, name), "an integer")
+            typed_field(name, getattr(self, name), "an integer")
             if name in ("C", "T", "k", "tau"):  # the closed forms read them as floats
-                typed_field(InvalidParams, name, getattr(self, name), "a finite number")
-        typed_field(InvalidParams, "eta_ppm", self.eta_ppm, "an integer", optional=True)
+                typed_field(name, getattr(self, name), "a finite number")
+        typed_field("eta_ppm", self.eta_ppm, "an integer", optional=True)
         if self.C < 1:
-            raise InvalidParams(f"C must be positive, got {self.C}")
+            raise CollateralError(f"C must be positive, got {self.C}")
         if not 1 <= self.T <= self.C:
-            raise InvalidParams(f"T must satisfy 1 <= T <= C, got T={self.T} C={self.C}")
+            raise CollateralError(f"T must satisfy 1 <= T <= C, got T={self.T} C={self.C}")
         if self.F < 1:
-            raise InvalidParams(f"F must be positive, got {self.F}")
+            raise CollateralError(f"F must be positive, got {self.F}")
         if self.k < 1:
-            raise InvalidParams(f"k must be positive, got {self.k}")
+            raise CollateralError(f"k must be positive, got {self.k}")
         if not 1 <= self.p_ppm <= PPM:
-            raise InvalidParams(f"p_ppm must be in [1, {PPM}], got {self.p_ppm}")
+            raise CollateralError(f"p_ppm must be in [1, {PPM}], got {self.p_ppm}")
         if self.tau < 0:
-            raise InvalidParams(f"tau must be nonnegative, got {self.tau}")
+            raise CollateralError(f"tau must be nonnegative, got {self.tau}")
         # profitability assumption p*C > tau, checked in exact ppm units
         if self.p_ppm * self.C <= self.tau * PPM:
-            raise InvalidParams(
+            raise CollateralError(
                 f"p*C must exceed tau: p_ppm={self.p_ppm} C={self.C} tau={self.tau}"
             )
         if self.eta_ppm is not None:
             if self.eta_ppm * self.C < self.T * PPM or self.eta_ppm > PPM:
-                raise InvalidParams(
+                raise CollateralError(
                     f"eta must satisfy T/C <= eta <= 1, got eta_ppm={self.eta_ppm}"
                 )
 
@@ -266,7 +253,7 @@ class ModelParams:
     @property
     def eta(self) -> Fraction:
         if self.eta_ppm is None:
-            raise InvalidParams("eta_ppm is not set")
+            raise CollateralError("eta_ppm is not set")
         return Fraction(self.eta_ppm, PPM)
 
     @property
@@ -275,10 +262,12 @@ class ModelParams:
         return Fraction(self.k * self.T, self.C)
 
     def require_kwallet(self) -> None:
+        if self.k > MAX_WALLETS:
+            raise CollateralError(f"k must be at most {MAX_WALLETS}, got {self.k}")
         if self.C % self.k != 0:
-            raise InvalidParams(f"C={self.C} not divisible by k={self.k}")
+            raise CollateralError(f"C={self.C} not divisible by k={self.k}")
         if self.k * self.T > self.C:
-            raise InvalidParams(f"need k*T <= C, got k={self.k} T={self.T} C={self.C}")
+            raise CollateralError(f"need k*T <= C, got k={self.k} T={self.T} C={self.C}")
 
 
 @lru_cache(maxsize=1024)  # balances recur: 88% hits in a 4,000-slot bursty eta run
@@ -424,13 +413,13 @@ class WalletBank:
         """Settle an offer of ``value`` at ``slot`` in wallet i, which must be
         online with room for it, logging the offer's arrive and settle."""
         if not 1 <= i <= self.params.k:
-            raise IndexOutOfRange(f"wallet index {i} out of 1..{self.params.k}")
+            raise CollateralError(f"wallet index {i} out of 1..{self.params.k}")
         j = i - 1
         if self.offline_until[j] >= slot:
-            raise WalletOffline(f"wallet {i} offline at slot {slot}")
+            raise CollateralError(f"wallet {i} offline at slot {slot}")
         left = self.remaining[j]
         if value > left:
-            raise InsufficientCollateral(f"wallet {i} has {left}, needs {value}")
+            raise CollateralError(f"wallet {i} has {left}, needs {value}")
         self.remaining[j] = left - value
         self.settled += value
         self.trace.wallet_settle(slot, i, value)
@@ -440,11 +429,11 @@ class WalletBank:
         each flush in index order; each whole wallet goes, committed or not."""
         last = i if last is None else last
         if not 1 <= i <= last <= self.params.k:
-            raise IndexOutOfRange(f"wallets {i}..{last} out of 1..{self.params.k}")
+            raise CollateralError(f"wallets {i}..{last} out of 1..{self.params.k}")
         offline, lo = self.offline_until, i - 1
         for j in range(lo, last):
             if offline[j] >= slot:
-                raise WalletOffline(f"wallet {j + 1} already offline at slot {slot}")
+                raise CollateralError(f"wallet {j + 1} already offline at slot {slot}")
         until = slot + self.params.F
         for j in range(lo, last):
             self.trace.wallet_flush(slot, j + 1, self.size - self.remaining[j])
@@ -511,7 +500,7 @@ class CollateralPool:
         which must cover it, logging the offer's arrive and settle."""
         units = value * PPM
         if self.free < units:
-            raise InsufficientCollateral(
+            raise CollateralError(
                 f"pool has {Fraction(self.free, PPM)} available, needs {value}"
             )
         self.free -= units
@@ -522,9 +511,9 @@ class CollateralPool:
     def flush(self, amount: int, slot: int) -> None:
         """Flush ``amount`` units of 1/PPM of the committed collateral."""
         if amount <= 0:
-            raise ZeroFlush(f"flush amount must be positive, got {Fraction(amount, PPM)}")
+            raise CollateralError(f"flush amount must be positive, got {Fraction(amount, PPM)}")
         if amount > self.committed:
-            raise FlushExceedsCommitted(
+            raise CollateralError(
                 f"flush {Fraction(amount, PPM)} exceeds committed "
                 f"{Fraction(self.committed, PPM)}"
             )

@@ -30,10 +30,6 @@ from fractions import Fraction
 from .model import PPM, CollateralError, ModelParams, TransactionSequence
 
 
-class BudgetExceeded(CollateralError):
-    pass
-
-
 # The window DP's time and memory both grow with its states and their
 # lengths, so the cap counts each layer's states plus the settles they list.
 # Forty offers of 1 at C = F = 40 are refused after 1.2 s at 117 MB peak on a
@@ -45,7 +41,7 @@ MAX_SEARCH_TRANSACTIONS = 12
 
 def _check_search_size(n: int) -> None:
     if n > MAX_SEARCH_TRANSACTIONS:
-        raise BudgetExceeded(
+        raise CollateralError(
             f"{n} transactions exceed oracle budget {MAX_SEARCH_TRANSACTIONS}"
         )
 
@@ -140,7 +136,7 @@ def opt_general_value(seq: TransactionSequence, C: int, F: int) -> int:
     """Exact general-model optimum settled value, in O(n * 2^F).
 
     Folds opt_value_extend over the sequence, keeping only the current
-    layer.  Raises BudgetExceeded once the layers built hold more than
+    layer.  Raises CollateralError once the layers built hold more than
     MAX_DP_CELLS cells (states plus the settles they list) in all.
     """
     slots, values = seq.slots, seq.values
@@ -150,7 +146,7 @@ def opt_general_value(seq: TransactionSequence, C: int, F: int) -> int:
         layer = opt_value_extend(layer, slot, value, C, F)
         cells += len(layer) + sum(map(len, layer))
         if cells > MAX_DP_CELLS:
-            raise BudgetExceeded(
+            raise CollateralError(
                 f"window DP exceeds {MAX_DP_CELLS} cells (states plus their "
                 f"settles) at transaction {i + 1} of {len(slots)} (F={F})"
             )

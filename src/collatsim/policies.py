@@ -30,21 +30,7 @@ from __future__ import annotations
 import random
 from functools import partial
 
-from .model import (
-    PPM,
-    CollateralPool,
-    InvalidParams,
-    ModelParams,
-    WalletBank,
-)
-
-
-class OddWalletCount(InvalidParams):
-    pass
-
-
-class InvalidEta(InvalidParams):
-    pass
+from .model import PPM, CollateralError, CollateralPool, ModelParams, WalletBank
 
 
 def _flush_leftovers(policy, slot: int) -> None:
@@ -74,8 +60,8 @@ class GroupFlushPolicy:
         if g < 1 or params.k % g != 0:
             # sweep rows report this text, so ftwf keeps its wording
             if g == 2:
-                raise OddWalletCount(f"pair policy needs even k, got {params.k}")
-            raise OddWalletCount(f"groups of {g} need k divisible by {g}, got {params.k}")
+                raise CollateralError(f"pair policy needs even k, got {params.k}")
+            raise CollateralError(f"groups of {g} need k divisible by {g}, got {params.k}")
         self.params = params
         self.g = g
         self.name = name
@@ -152,9 +138,9 @@ class RandTwoPolicy:
 
     def __init__(self, params: ModelParams, seed: int | None = None, coins=None):
         if params.k != 1:
-            raise InvalidParams(f"rand2 runs a single wallet, got k={params.k}")
+            raise CollateralError(f"rand2 runs a single wallet, got k={params.k}")
         if coins is None and seed is None:
-            raise InvalidParams("rand2 needs a seed or an explicit coin source")
+            raise CollateralError("rand2 needs a seed or an explicit coin source")
         self.params = params
         self.machine = WalletBank(params)
         self._coin = coins if coins is not None else partial(random.Random(seed).getrandbits, 1)
@@ -204,7 +190,7 @@ class ThresholdPolicy:
 
     def __init__(self, params: ModelParams):
         if params.eta_ppm is None:
-            raise InvalidEta("threshold policy needs eta_ppm")
+            raise CollateralError("threshold policy needs eta_ppm")
         self.params = params
         self.machine = CollateralPool(params)
         self.tranche = params.eta_ppm * params.C
@@ -235,14 +221,14 @@ GROUP_SIZES = {"fa": None, "fwf": 1, "ftwf": 2}
 POLICY_KINDS = (*GROUP_SIZES, "rand2", "eta")
 
 
-def check_policy_kind(kind: str, error: type[Exception]) -> None:
+def check_policy_kind(kind: str) -> None:
     if kind not in POLICY_KINDS:
-        raise error(f"unknown policy kind {kind!r}; expected one of {POLICY_KINDS}")
+        raise CollateralError(f"unknown policy kind {kind!r}; expected one of {POLICY_KINDS}")
 
 
 def make_policy(kind: str, params: ModelParams, seed: int | None = None, coins=None):
     """Build a policy from its configuration string."""
-    check_policy_kind(kind, InvalidParams)
+    check_policy_kind(kind)
     if kind in GROUP_SIZES:
         g = GROUP_SIZES[kind]
         return GroupFlushPolicy(params, params.k if g is None else g, kind)

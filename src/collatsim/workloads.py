@@ -7,7 +7,7 @@ sequence.
 
 All generated values are ints in [1, max_value] and at most one
 transaction occupies a slot.  Generation is deterministic per seed.  The
-three adversarial builders raise TooManyOffers as soon as a sequence would
+three adversarial builders raise CollateralError as soon as a sequence would
 hold more than MAX_ADVERSARY_OFFERS offers, so no rounds, C/epsilon or F
 makes one grow without bound.  A run steps only the offers, so a sequence
 may reach any slot; only a stochastic workload, which draws once per slot
@@ -24,29 +24,12 @@ from dataclasses import dataclass, field
 from .model import (
     FIELD_KINDS,
     CollateralError,
-    InvalidParams,
     ModelParams,
     Transaction,
     TransactionSequence,
     known_fields,
     typed_field,
 )
-
-
-class InvalidSpec(CollateralError):
-    pass
-
-
-class NotSingleWallet(CollateralError):
-    pass
-
-
-class EpsilonDoesNotDivideC(CollateralError):
-    pass
-
-
-class TooManyOffers(CollateralError):
-    pass
 
 
 # The adversarial builders refuse to offer more than this.  The run, its
@@ -64,9 +47,9 @@ MAX_SLOTS = 100_000
 
 def _offer(slots: list, values: list, slot: int, value: int) -> int:
     """Append an adversary's next offer to the columns and return its value;
-    TooManyOffers past the cap."""
+    CollateralError past the cap."""
     if len(slots) == MAX_ADVERSARY_OFFERS:
-        raise TooManyOffers(
+        raise CollateralError(
             f"adversary sequence exceeds {MAX_ADVERSARY_OFFERS} offers at slot {slot}"
         )
     slots.append(slot)
@@ -110,37 +93,39 @@ class WorkloadSpec:
 
     def __post_init__(self) -> None:
         if self.kind not in WORKLOAD_KINDS:
-            raise InvalidSpec(f"unknown workload kind {self.kind!r}")
+            raise CollateralError(f"unknown workload kind {self.kind!r}")
         for name in ("arrival_rate_per_mille", "horizon", "seed", "max_value"):
-            typed_field(InvalidSpec, name, getattr(self, name), "an integer")
+            typed_field(name, getattr(self, name), "an integer")
         if not 0 <= self.arrival_rate_per_mille <= 1000:
-            raise InvalidSpec(
+            raise CollateralError(
                 f"arrival rate must be in [0, 1000], got {self.arrival_rate_per_mille}"
             )
         if self.horizon < 0:
-            raise InvalidSpec(f"horizon must be nonnegative, got {self.horizon}")
+            raise CollateralError(f"horizon must be nonnegative, got {self.horizon}")
         if self.horizon > MAX_SLOTS:
-            raise InvalidSpec(f"sequence runs to slot {self.horizon}, past {MAX_SLOTS} slots")
+            raise CollateralError(f"sequence runs to slot {self.horizon}, past {MAX_SLOTS} slots")
         if self.max_value < 1:
-            raise InvalidSpec(f"max_value must be positive, got {self.max_value}")
-        vp = typed_field(InvalidSpec, "valueParams", self.value_params, "an object")
+            raise CollateralError(f"max_value must be positive, got {self.max_value}")
+        # the exponential draw's default mean is max_value / 2, a float
+        typed_field("max_value", self.max_value, "a finite number")
+        vp = typed_field("valueParams", self.value_params, "an object")
         knobs = VALUE_KNOBS[self.kind]
-        known_fields(InvalidSpec, f"{self.kind} valueParams", vp, knobs)
+        known_fields(f"{self.kind} valueParams", vp, knobs)
         for knob in knobs:
             if knob in vp and knob not in ("min", "max"):
-                typed_field(InvalidSpec, knob, vp[knob], "a finite number")
+                typed_field(knob, vp[knob], "a finite number")
         if "min" in knobs:
             lo, hi = self.value_range()
             is_int = FIELD_KINDS["an integer"]  # never a bool
             if not (is_int(lo) and is_int(hi) and 1 <= lo <= hi):
-                raise InvalidSpec(f"bad uniform range [{lo}, {hi}]")
+                raise CollateralError(f"bad uniform range [{lo}, {hi}]")
         if self.kind == "bursty":
             if vp.get("burstLen", 1) < 1 or vp.get("gapLen", 0) < 0:
-                raise InvalidSpec(f"bursty needs burstLen >= 1, gapLen >= 0, got {vp}")
+                raise CollateralError(f"bursty needs burstLen >= 1, gapLen >= 0, got {vp}")
         if self.kind == "poisson-exponential" and vp.get("mean", 1) <= 0:
-            raise InvalidSpec(f"exponential mean must be positive, got {vp['mean']}")
+            raise CollateralError(f"exponential mean must be positive, got {vp['mean']}")
         if self.kind == "poisson-pareto" and vp.get("tailIndex", 1) <= 0:
-            raise InvalidSpec(f"pareto tail index must be positive, got {vp['tailIndex']}")
+            raise CollateralError(f"pareto tail index must be positive, got {vp['tailIndex']}")
 
     def value_range(self) -> tuple:
         """The [min, max] of a uniform value draw (poisson-uniform, bursty)."""
@@ -151,8 +136,8 @@ class WorkloadSpec:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "WorkloadSpec":
-        typed_field(InvalidSpec, "workload spec", obj, "an object")
-        known_fields(InvalidSpec, "workload", obj, WORKLOAD_FIELDS)
+        typed_field("workload spec", obj, "an object")
+        known_fields("workload", obj, WORKLOAD_FIELDS)
         try:
             return cls(
                 kind=obj["kind"],
@@ -163,7 +148,7 @@ class WorkloadSpec:
                 value_params=obj.get("valueParams", {}),
             )
         except KeyError as missing:
-            raise InvalidSpec(f"workload spec missing field {missing}") from None
+            raise CollateralError(f"workload spec missing field {missing}") from None
 
     def with_seed(self, seed: int) -> "WorkloadSpec":
         return WorkloadSpec(
@@ -234,13 +219,13 @@ def fwf_killer_seq(
     """
     params.require_kwallet()
     if params.k * params.T != params.C:
-        raise InvalidParams(
+        raise CollateralError(
             f"killer sequence needs T = C/k, got T={params.T} C={params.C} k={params.k}"
         )
     if not 1 <= epsilon < params.T:
-        raise InvalidParams(f"need 1 <= epsilon < C/k, got {epsilon}")
+        raise CollateralError(f"need 1 <= epsilon < C/k, got {epsilon}")
     if rounds < 1:
-        raise InvalidParams(f"rounds must be positive, got {rounds}")
+        raise CollateralError(f"rounds must be positive, got {rounds}")
     step = -(-params.F // params.k) + 1
     slots, values = [], []
     slot = 1
@@ -262,7 +247,7 @@ def epoch_burst_seq(params: ModelParams, epochs: int) -> TransactionSequence:
     """
     params.require_kwallet()
     if epochs < 1:
-        raise InvalidParams(f"epochs must be positive, got {epochs}")
+        raise CollateralError(f"epochs must be positive, got {epochs}")
     size = params.C // params.k
     fills = params.k * (size // params.T)
     slots, values = [], []
@@ -302,15 +287,15 @@ def thm3_seq(
     against an adversary fixed before the coins are drawn.
     """
     if params.k != 1:
-        raise NotSingleWallet(f"adversary targets one wallet, got k={params.k}")
+        raise CollateralError(f"adversary targets one wallet, got k={params.k}")
     if epsilon < 1 or params.C % epsilon != 0:
-        raise EpsilonDoesNotDivideC(
+        raise CollateralError(
             f"epsilon must divide C, got epsilon={epsilon} C={params.C}"
         )
     if rounds < 1:
-        raise InvalidParams(f"rounds must be positive, got {rounds}")
+        raise CollateralError(f"rounds must be positive, got {rounds}")
     if params.T != params.C:
-        raise InvalidParams(f"thm3 needs T = C, got T={params.T} C={params.C}")
+        raise CollateralError(f"thm3 needs T = C, got T={params.T} C={params.C}")
     slots, values = [], []
     slot = 0
     for round_no in range(rounds):
@@ -356,10 +341,10 @@ def read_sequence_csv(path: str) -> TransactionSequence:
             try:
                 header = next(reader, None)
                 if header != ["slot", "value"]:
-                    raise InvalidSpec(f"expected header slot,value, got {header}")
+                    raise CollateralError(f"expected header slot,value, got {header}")
                 columns = _checked_columns(path, reader)
             except csv.Error as err:  # a field past the csv module's size limit
-                raise InvalidSpec(f"{path} line {reader.line_num}: {err}") from None
+                raise CollateralError(f"{path} line {reader.line_num}: {err}") from None
     return TransactionSequence(*columns)
 
 
@@ -422,7 +407,7 @@ def _checked_columns(path: str, reader) -> tuple[list[int], list[int]]:
         try:
             slot, value = int(row[0]), int(row[1])
         except (ValueError, IndexError):
-            raise InvalidSpec(
+            raise CollateralError(
                 f"{path} line {reader.line_num}: expected slot,value integers, got {row}"
             ) from None
         Transaction(slot, value)  # its text for a slot or value below 1

@@ -483,6 +483,10 @@ CLI = {
        + json.dumps(dict(CONSTANT, kind=kind, horizon=50, valueParams=knobs),
                     separators=(",", ":"))
        for kind, knobs, message in VALUE_PARAMS_REFUSALS},
+    # the exponential draw's default mean, maxValue / 2, would overflow a float
+    "simulate exponential maxValue past the float range": f"simulate {RUN} --workload "
+    + json.dumps(dict(CONSTANT, kind="poisson-exponential", maxValue=int(BIG)),
+                 separators=(",", ":")),
     "ratio missing seq file": f"ratio {RUN} --seq absent.csv",
     "ratio value bound past the float range": f"ratio --policy eta --C {FLOAT_MAX_C} "
                                               f"--T {FLOAT_MAX_C // 10**6} --F 1 "
@@ -523,6 +527,9 @@ CLI = {
     "exhaust a long max-len": "exhaust --C 12 --k 2 --T 3 --F 2 --max-len 1000000 "
                               "--values 1,2",
     "exhaust k not dividing C": "exhaust --C 12 --k 5 --T 2 --F 1 --max-len 3 --values 1,2",
+    # a bank of 10^30 wallets would not fit a list's index
+    "exhaust k past the wallet cap": f"exhaust --C {10**30} --k {10**30} --T 1 --F 1 "
+                                     "--max-len 3 --values 1",
     "formulas p_ppm 0": "formulas --C 10 --T 3 --p-ppm 0 --tau 1",
     "formulas p_ppm above 1": "formulas --C 10 --T 3 --p-ppm 2000000 --tau 1",
     "formulas k below 0": "formulas --C 10 --T 3 --k -2",

@@ -37,7 +37,6 @@ from itertools import product
 
 from collatsim.harness import (
     MAX_EXHAUST_SEQUENCES,
-    ConfigError,
     Counterexample,
     ExhaustSpace,
     ExhaustSummary,
@@ -45,18 +44,14 @@ from collatsim.harness import (
 )
 from collatsim.model import (
     PPM,
+    CollateralError,
     CollateralPool,
     EventTrace,
-    FlushExceedsCommitted,
-    IndexOutOfRange,
-    InsufficientCollateral,
     ModelParams,
     Transaction,
     WalletBank,
-    WalletOffline,
-    ZeroFlush,
 )
-from collatsim.oracles import BudgetExceeded, opt_value_extend
+from collatsim.oracles import opt_value_extend
 from collatsim.policies import make_policy
 from trace_reader import ARRIVE, DISCARD, FLUSH, ONLINE, SETTLE, Event, read_events
 
@@ -302,7 +297,7 @@ class ReferencePool:
 
     def settle(self, value, slot):
         if self.free < value:
-            raise InsufficientCollateral(
+            raise CollateralError(
                 f"pool has {self.free} available, needs {value}"
             )
         self.free -= value
@@ -315,9 +310,9 @@ class ReferencePool:
 
     def flush(self, amount, slot):
         if amount <= 0:
-            raise ZeroFlush(f"flush amount must be positive, got {amount}")
+            raise CollateralError(f"flush amount must be positive, got {amount}")
         if amount > self.committed:
-            raise FlushExceedsCommitted(
+            raise CollateralError(
                 f"flush {amount} exceeds committed {self.committed}"
             )
         self.committed -= amount
@@ -348,7 +343,7 @@ def utility_optimum_reference(seq, params):
                     pool.settle(tx.value, tx.slot)
                 if choice & 2:
                     pool.flush(pool.committed, tx.slot)
-        except (InsufficientCollateral, ZeroFlush):
+        except CollateralError:  # a short balance or an empty flush
             continue
         if pool.committed > 0:
             pool.flush(pool.committed, seq.horizon)
@@ -461,10 +456,10 @@ class ReferenceBank(WalletBank):
     def flush(self, i, slot, last=None):
         for wallet in range(i, (i if last is None else last) + 1):
             if not 1 <= wallet <= self.params.k:
-                raise IndexOutOfRange(f"wallet index {wallet} out of 1..{self.params.k}")
+                raise CollateralError(f"wallet index {wallet} out of 1..{self.params.k}")
             j = wallet - 1
             if self.offline_until[j] >= slot:
-                raise WalletOffline(f"wallet {wallet} already offline at slot {slot}")
+                raise CollateralError(f"wallet {wallet} already offline at slot {slot}")
             self.trace.wallet_flush(slot, wallet, self.size - self.remaining[j])
             until = slot + self.params.F
             self.offline_until[j] = until
@@ -497,7 +492,7 @@ def exhaustive_verify_reference(
     (|values| + 1)^L leaves are the sequences.
     """
     if space.sequence_count() > MAX_EXHAUST_SEQUENCES:
-        raise BudgetExceeded(
+        raise CollateralError(
             f"{space.sequence_count()} sequences exceed cap {MAX_EXHAUST_SEQUENCES}"
         )
     params = ModelParams(C=space.C, T=space.T, F=space.F, k=space.k)
@@ -505,7 +500,7 @@ def exhaustive_verify_reference(
     if policies is None:
         policies = default_exhaust_policies(params)
     if not policies:
-        raise ConfigError("no policy has a checkable bound at these parameters")
+        raise CollateralError("no policy has a checkable bound at these parameters")
     size = params.C // params.k
     saturated = params.load_ratio == 1
     summary = ExhaustSummary(

@@ -914,6 +914,16 @@ def test_runs_reject_collateral_past_the_float_range(name):
     assert refused(name).startswith("error: C must be a finite number, got ")
 
 
+def test_workload_max_value_past_the_float_range_is_refused():
+    err = refused("simulate exponential maxValue past the float range")
+    assert err == f"error: max_value must be a finite number, got {10**400}\n"
+
+
+def test_wallet_count_past_the_cap_is_refused():
+    err = refused("exhaust k past the wallet cap")
+    assert err == f"error: k must be at most 1000, got {10**30}\n"
+
+
 def test_bound_past_the_float_range_is_refused():
     err = refused("ratio value bound past the float range")
     assert err == "error: value bound is past the float range\n"

@@ -3,6 +3,7 @@
 import csv
 import gc
 import json
+import re
 import sys
 from fractions import Fraction
 from itertools import product
@@ -13,7 +14,6 @@ from hypothesis import given, settings, strategies as st
 from collatsim import harness
 from collatsim.harness import (
     MAX_REPETITIONS,
-    ConfigError,
     ExhaustSpace,
     ExperimentConfig,
     default_exhaust_policies,
@@ -27,8 +27,8 @@ from collatsim.harness import (
     utility_bound_fraction,
     value_bound_fraction,
 )
-from collatsim.model import InvalidParams, ModelParams, TransactionSequence, load_json
-from collatsim.oracles import BudgetExceeded, opt_general_value, opt_value_extend
+from collatsim.model import CollateralError, ModelParams, TransactionSequence, load_json
+from collatsim.oracles import opt_general_value, opt_value_extend
 from collatsim.policies import GroupFlushPolicy, make_policy
 from collatsim.workloads import WorkloadSpec, thm3_seq
 from oracle_reference import exhaustive_verify_reference, opt_value_key
@@ -47,7 +47,7 @@ def config_with(**kwargs):
 
 def test_run_sequence_rejects_oversized_values():
     seq = TransactionSequence.from_pairs([(1, 7)])
-    with pytest.raises(InvalidParams):
+    with pytest.raises(CollateralError, match=r"^value 7 at slot 1 exceeds cap 6$"):
         run_sequence(make_policy("fa", PARAMS), seq)
 
 
@@ -88,16 +88,17 @@ def test_measure_ratio_utility_oracle():
 
 
 def test_config_needs_exactly_one_source(tmp_path):
-    with pytest.raises(ConfigError):
+    one_source = r"^exactly one of workload, seq_file, sequence is required$"
+    with pytest.raises(CollateralError, match=one_source):
         config_with(seq_file="x.csv")  # workload also set
-    with pytest.raises(ConfigError):
+    with pytest.raises(CollateralError, match=one_source):
         ExperimentConfig(params=PARAMS, policy="fa")
 
 
 def test_config_caps_the_repetitions():
     # a batch adds a row per repetition, so an unbounded count never ends
     assert config_with(repetitions=MAX_REPETITIONS).repetitions == MAX_REPETITIONS
-    with pytest.raises(ConfigError, match=r"^repetitions must be at most 10000, got 10+$"):
+    with pytest.raises(CollateralError, match=r"^repetitions must be at most 10000, got 10+$"):
         config_with(repetitions=10**12)
 
 
@@ -114,7 +115,7 @@ def test_config_json_round_trip(tmp_path):
     }
     path = tmp_path / "config.json"
     path.write_text(json.dumps(obj))
-    config = ExperimentConfig.from_json_obj(load_json(str(path), ConfigError, "config"))
+    config = ExperimentConfig.from_json_obj(load_json(str(path), "config"))
     assert config.policy == "fwf"
     assert config.repetitions == 2
     assert config.csv_path == str(tmp_path / "out.csv")
@@ -334,12 +335,12 @@ def test_exhaustive_verify_counterexamples_pinned(C, F):
 
 
 def verify_both_routes(space, policies):
-    """Both routes' summaries, or both routes' ConfigError texts."""
+    """Both routes' summaries, or both routes' refusal texts."""
     out = []
     for verify in (exhaustive_verify, exhaustive_verify_reference):
         try:
             out.append(verify(space, policies))
-        except ConfigError as err:
+        except CollateralError as err:
             out.append(str(err))
     return out
 
@@ -523,7 +524,8 @@ def test_exhaustive_verify_runs_no_walk_on_a_clean_space():
 
 def test_exhaustive_verify_refuses_a_policy_without_a_state():
     space = ExhaustSpace(C=4, k=1, T=2, F=1, max_len=3, values=(1, 2))
-    with pytest.raises(ConfigError, match="rand2"):
+    message = r"^exhaustive verification needs a wallet-group policy, got 'rand2'$"
+    with pytest.raises(CollateralError, match=message):
         exhaustive_verify(space, policies={"rand2": Fraction(2)})
 
 
@@ -545,19 +547,20 @@ def test_exhaustive_verify_runs_up_to_the_sequence_cap(values, max_len, sequence
 )
 def test_exhaustive_verify_refuses_past_the_sequence_cap(values, max_len, count):
     space = ExhaustSpace(C=8, k=2, T=4, F=1, max_len=max_len, values=values)
-    with pytest.raises(BudgetExceeded) as err:
+    with pytest.raises(CollateralError) as err:
         exhaustive_verify(space)
     assert str(err.value) == f"{count} sequences exceed cap 78125"
 
 
 def test_exhaust_space_rejects_no_values():
-    with pytest.raises(ConfigError, match="values must not be empty"):
+    with pytest.raises(CollateralError, match=r"^values must not be empty$"):
         ExhaustSpace(C=8, k=2, T=4, F=1, max_len=3, values=())
 
 
 @pytest.mark.parametrize("values", [(0, 1), (-1, 2)])
 def test_exhaust_space_rejects_values_below_1(values):
-    with pytest.raises(ConfigError, match=r"\[1, T=4\]"):
+    message = f"values must lie in [1, T=4], got [{values[0]}]"
+    with pytest.raises(CollateralError, match=f"^{re.escape(message)}$"):
         ExhaustSpace(C=8, k=2, T=4, F=1, max_len=3, values=values)
 
 
@@ -615,7 +618,8 @@ def test_sweep_k():
 @pytest.mark.parametrize(
     "values, message",
     [
-        ([0.01, 0.04], "no eta setting ran; the first: eta must satisfy T/C <= eta"),
+        ([0.01, 0.04],
+         "no eta setting ran; the first: eta must satisfy T/C <= eta <= 1, got eta_ppm=10000$"),
         ([], "no eta setting ran$"),
     ],
 )
@@ -624,6 +628,6 @@ def test_sweep_refuses_a_batch_where_no_setting_ran(tmp_path, values, message):
     spec = WorkloadSpec("poisson-uniform", 600, 30, 1, 60, {"min": 10, "max": 60})
     out = tmp_path / "sweep.csv"
     config = ExperimentConfig(params=params, policy="eta", workload=spec, csv_path=str(out))
-    with pytest.raises(ConfigError, match=message):
+    with pytest.raises(CollateralError, match=f"^{message}"):
         sweep(config, "eta", values)
     assert not out.exists()

@@ -1,25 +1,23 @@
 """Slot-level machinery: parameters, sequences, wallet banks, pools, traces."""
 
 import json
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from collatsim.model import (
+    MAX_WALLETS,
     PPM,
+    CollateralError,
     CollateralPool,
     EventTrace,
-    FlushExceedsCommitted,
-    InsufficientCollateral,
-    InvalidParams,
     ModelParams,
     RunResult,
     Transaction,
     TransactionSequence,
     WalletBank,
-    WalletOffline,
-    ZeroFlush,
     validate_window_bound,
 )
 from oracle_reference import reference_ndjson
@@ -27,11 +25,11 @@ from trace_reader import ARRIVE, DISCARD, FLUSH, ONLINE, SETTLE, Event, read_eve
 
 
 def test_transaction_validation():
-    with pytest.raises(InvalidParams, match=r"^slot must be >= 1, got 0$"):
+    with pytest.raises(CollateralError, match=r"^slot must be >= 1, got 0$"):
         Transaction(0, 5)
-    with pytest.raises(InvalidParams, match=r"^value must be >= 1, got 0$"):
+    with pytest.raises(CollateralError, match=r"^value must be >= 1, got 0$"):
         Transaction(1, 0)
-    with pytest.raises(InvalidParams, match=r"^value must be >= 1, got -2$"):
+    with pytest.raises(CollateralError, match=r"^value must be >= 1, got -2$"):
         Transaction(slot=4, value=-2)
     tx = Transaction(3, 7)
     assert (tx.slot, tx.value) == (3, 7)
@@ -40,9 +38,9 @@ def test_transaction_validation():
 
 
 def test_sequence_slots_strictly_increasing():
-    with pytest.raises(InvalidParams):
+    with pytest.raises(CollateralError, match=r"^slots must be strictly increasing: 2 then 2$"):
         TransactionSequence.from_pairs([(2, 1), (2, 1)])
-    with pytest.raises(InvalidParams):
+    with pytest.raises(CollateralError, match=r"^slots must be strictly increasing: 3 then 2$"):
         TransactionSequence.from_pairs([(3, 1), (2, 1)])
 
 
@@ -51,7 +49,7 @@ def test_sequence_accessors():
     assert seq.horizon == 4
     assert tuple(seq) == (Transaction(1, 3), Transaction(4, 2))
     assert seq.offered_value() == 5
-    with pytest.raises(InvalidParams):
+    with pytest.raises(CollateralError, match=r"^value 3 at slot 1 exceeds cap 2$"):
         seq.validate_values(2)  # 3 > T
     seq.validate_values(3)
 
@@ -77,7 +75,7 @@ def test_sequence_columns_name_the_first_fault(pairs, message):
         lambda: TransactionSequence(slots, values),
         lambda: TransactionSequence.from_pairs(pairs),
     ):
-        with pytest.raises(InvalidParams) as err:
+        with pytest.raises(CollateralError) as err:
             build()
         assert str(err.value) == message
 
@@ -88,40 +86,44 @@ def test_sequence_is_two_int_columns():
     assert seq == TransactionSequence.from_pairs([(1, 3), (4, 2), (6, 5)], 8)
     assert [(t.slot, t.value) for t in seq] == [(1, 3), (4, 2), (6, 5)]
     assert repr(seq) == "TransactionSequence((1, 4, 6), (3, 2, 5), horizon=8)"
-    with pytest.raises(InvalidParams, match=r"^value 5 at slot 6 exceeds cap 4$"):
+    with pytest.raises(CollateralError, match=r"^value 5 at slot 6 exceeds cap 4$"):
         seq.validate_values(4)
-    with pytest.raises(InvalidParams, match=r"^value 3 at slot 1 exceeds cap 2$"):
+    with pytest.raises(CollateralError, match=r"^value 3 at slot 1 exceeds cap 2$"):
         seq.validate_values(2)  # the first of three offenders
-    with pytest.raises(InvalidParams, match=r"^2 slots but 1 values$"):
+    with pytest.raises(CollateralError, match=r"^2 slots but 1 values$"):
         TransactionSequence([1, 2], [1])
 
 
 def test_sequence_explicit_horizon():
     seq = TransactionSequence([2], [1], horizon=9)
     assert seq.horizon == 9
-    with pytest.raises(InvalidParams):
+    with pytest.raises(CollateralError, match=r"^horizon 4 precedes last slot 5$"):
         TransactionSequence([5], [1], horizon=4)
 
 
+PARAMS_REFUSALS = [
+    (dict(C=0, T=1, F=1), "C must be positive, got 0"),
+    (dict(C=10, T=0, F=1), "T must satisfy 1 <= T <= C, got T=0 C=10"),
+    (dict(C=10, T=11, F=1), "T must satisfy 1 <= T <= C, got T=11 C=10"),
+    (dict(C=10, T=5, F=0), "F must be positive, got 0"),
+    (dict(C=10, T=5, F=1, k=0), "k must be positive, got 0"),
+    (dict(C=10, T=5, F=1, p_ppm=0), "p_ppm must be in [1, 1000000], got 0"),
+    (dict(C=10, T=5, F=1, p_ppm=10**6 + 1), "p_ppm must be in [1, 1000000], got 1000001"),
+    (dict(C=10, T=5, F=1, tau=-1), "tau must be nonnegative, got -1"),
+    # below the floor T/C
+    (dict(C=10, T=5, F=1, eta_ppm=100000), "eta must satisfy T/C <= eta <= 1, got eta_ppm=100000"),
+    (dict(C=10, T=5, F=1, eta_ppm=10**6 + 1),
+     "eta must satisfy T/C <= eta <= 1, got eta_ppm=1000001"),
+    # the whole collateral must be able to out-earn one flush
+    (dict(C=20, T=6, F=1, p_ppm=100000, tau=3), "p*C must exceed tau: p_ppm=100000 C=20 tau=3"),
+]
+
+
 @pytest.mark.parametrize(
-    "kwargs",
-    [
-        dict(C=0, T=1, F=1),
-        dict(C=10, T=0, F=1),
-        dict(C=10, T=11, F=1),
-        dict(C=10, T=5, F=0),
-        dict(C=10, T=5, F=1, k=0),
-        dict(C=10, T=5, F=1, p_ppm=0),
-        dict(C=10, T=5, F=1, p_ppm=10**6 + 1),
-        dict(C=10, T=5, F=1, tau=-1),
-        dict(C=10, T=5, F=1, eta_ppm=100000),  # below the floor T/C
-        dict(C=10, T=5, F=1, eta_ppm=10**6 + 1),
-        # the whole collateral must be able to out-earn one flush
-        dict(C=20, T=6, F=1, p_ppm=100000, tau=3),
-    ],
+    "kwargs, message", PARAMS_REFUSALS, ids=[f"kwargs{i}" for i in range(len(PARAMS_REFUSALS))]
 )
-def test_params_rejected(kwargs):
-    with pytest.raises(InvalidParams):
+def test_params_rejected(kwargs, message):
+    with pytest.raises(CollateralError, match=f"^{re.escape(message)}$"):
         ModelParams(**kwargs)
 
 
@@ -141,7 +143,8 @@ BIG = 10**400  # past the float range
 )
 def test_params_past_the_float_range_rejected(kwargs, name):
     # the closed-form bounds read C, T, k and tau as floats
-    with pytest.raises(InvalidParams, match=f"^{name} must be a finite number, got "):
+    message = f"^{name} must be a finite number, got {kwargs[name]}$"
+    with pytest.raises(CollateralError, match=message):
         ModelParams(**kwargs)
 
 
@@ -155,11 +158,22 @@ def test_params_derived_quantities():
 
 
 def test_params_kwallet_guard():
-    with pytest.raises(InvalidParams):
-        ModelParams(C=13, T=3, F=1, k=2).require_kwallet()  # k does not divide C
-    with pytest.raises(InvalidParams):
-        ModelParams(C=12, T=5, F=1, k=3).require_kwallet()  # kT > C
+    with pytest.raises(CollateralError, match=r"^C=13 not divisible by k=2$"):
+        ModelParams(C=13, T=3, F=1, k=2).require_kwallet()
+    with pytest.raises(CollateralError, match=r"^need k\*T <= C, got k=3 T=5 C=12$"):
+        ModelParams(C=12, T=5, F=1, k=3).require_kwallet()
     ModelParams(C=12, T=3, F=1, k=2).require_kwallet()
+
+
+def test_wallet_count_past_the_cap_refused():
+    # a bank keeps a list entry per wallet: past the cap it is refused
+    # before any is built, and 10^30 wallets would not fit an index at all
+    assert len(WalletBank(ModelParams(C=MAX_WALLETS, T=1, F=1, k=MAX_WALLETS)).remaining) == 1000
+    for k in (MAX_WALLETS + 1, 10**30):
+        params = ModelParams(C=k, T=1, F=1, k=k)
+        for build in (params.require_kwallet, lambda: WalletBank(params)):
+            with pytest.raises(CollateralError, match=f"^k must be at most 1000, got {k}$"):
+                build()
 
 
 def test_wallet_outage_window():
@@ -224,12 +238,12 @@ def test_wallet_settle_guards():
     bank = WalletBank(params)
     bank.begin_slot(1)
     bank.settle(1, 6, 1)
-    with pytest.raises(InsufficientCollateral):
-        bank.settle(1, 5, 1)  # only 4 left in wallet 1
+    with pytest.raises(CollateralError, match=r"^wallet 1 has 4, needs 5$"):
+        bank.settle(1, 5, 1)
     bank.flush(1, 1)
-    with pytest.raises(WalletOffline):
+    with pytest.raises(CollateralError, match=r"^wallet 1 offline at slot 2$"):
         bank.settle(1, 1, 2)
-    with pytest.raises(WalletOffline):
+    with pytest.raises(CollateralError, match=r"^wallet 1 already offline at slot 2$"):
         bank.flush(1, 2)
 
 
@@ -279,13 +293,13 @@ def test_pool_guards():
     pool = CollateralPool(params)
     pool.begin_slot(1)
     pool.settle(5, 1)
-    with pytest.raises(InsufficientCollateral, match=r"^pool has 5 available, needs 6$"):
+    with pytest.raises(CollateralError, match=r"^pool has 5 available, needs 6$"):
         pool.settle(5 + 1, 1)
-    with pytest.raises(ZeroFlush, match=r"^flush amount must be positive, got 0$"):
+    with pytest.raises(CollateralError, match=r"^flush amount must be positive, got 0$"):
         pool.flush(0, 1)
-    with pytest.raises(FlushExceedsCommitted, match=r"^flush 6 exceeds committed 5$"):
+    with pytest.raises(CollateralError, match=r"^flush 6 exceeds committed 5$"):
         pool.flush(6 * PPM, 1)
-    with pytest.raises(FlushExceedsCommitted, match=r"^flush 501/100 exceeds committed 5$"):
+    with pytest.raises(CollateralError, match=r"^flush 501/100 exceeds committed 5$"):
         pool.flush(5_010_000, 1)
     pool.flush(5 * PPM, 1)
     assert pool.committed == 0

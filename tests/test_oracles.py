@@ -8,9 +8,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from collatsim import oracles
-from collatsim.model import PPM, ModelParams, TransactionSequence, first_overfull_window
+from collatsim.model import (
+    PPM,
+    CollateralError,
+    ModelParams,
+    TransactionSequence,
+    first_overfull_window,
+)
 from collatsim.oracles import (
-    BudgetExceeded,
     opt_general_utility,
     opt_general_value,
     opt_kwallet_value,
@@ -77,7 +82,11 @@ def test_opt_value_budget():
     assert opt_general_value(seq_of([(t, 1) for t in range(1, 13)]), 12, 12) == 12
     # dense and wide: about 21,700 states per layer, refused at the cap
     dense = seq_of([(t, 1) for t in range(1, 301)])
-    with pytest.raises(BudgetExceeded, match=r"exceeds 8388608 cells"):
+    message = (
+        r"^window DP exceeds 8388608 cells \(states plus their settles\) "
+        r"at transaction 85 of 300 \(F=20\)$"
+    )
+    with pytest.raises(CollateralError, match=message):
         opt_general_value(dense, 5, 20)
 
 
@@ -88,7 +97,11 @@ def test_state_step_cap_is_exact(monkeypatch):
     monkeypatch.setattr(oracles, "MAX_DP_CELLS", 191)
     assert opt_general_value(seq, 5, 5) == 5
     monkeypatch.setattr(oracles, "MAX_DP_CELLS", 190)
-    with pytest.raises(BudgetExceeded, match="at transaction 5 of 5"):
+    message = (
+        r"^window DP exceeds 190 cells \(states plus their settles\) "
+        r"at transaction 5 of 5 \(F=5\)$"
+    )
+    with pytest.raises(CollateralError, match=message):
         opt_general_value(seq, 5, 5)
 
 

@@ -1,6 +1,7 @@
 """Online policies: hand-checked traces, guards, determinism, mirroring."""
 
 import random
+import re
 from dataclasses import replace
 from fractions import Fraction
 from itertools import product
@@ -11,15 +12,12 @@ from hypothesis import example, given, settings, strategies as st
 from collatsim.model import (
     PPM,
     CollateralError,
-    InvalidParams,
     ModelParams,
     TransactionSequence,
     validate_window_bound,
 )
 from collatsim.policies import (
     POLICY_KINDS,
-    InvalidEta,
-    OddWalletCount,
     GroupFlushPolicy,
     RandTwoPolicy,
     ThresholdPolicy,
@@ -117,13 +115,13 @@ def test_flush_two_when_full_advances_pairs():
 
 
 def test_flush_two_needs_even_k():
-    with pytest.raises(OddWalletCount):
+    with pytest.raises(CollateralError, match=r"^pair policy needs even k, got 3$"):
         make_policy("ftwf", ModelParams(C=9, T=3, F=1, k=3))
 
 
 @pytest.mark.parametrize("g", [0, 3, 8])
 def test_group_size_must_divide_k(g):
-    with pytest.raises(OddWalletCount):
+    with pytest.raises(CollateralError, match=f"^groups of {g} need k divisible by {g}, got 4$"):
         GroupFlushPolicy(ModelParams(C=12, T=3, F=1, k=4), g, "group")
 
 
@@ -239,7 +237,7 @@ def test_threshold_discards_when_short():
 
 
 def test_threshold_requires_eta():
-    with pytest.raises(InvalidEta):
+    with pytest.raises(CollateralError, match=r"^threshold policy needs eta_ppm$"):
         ThresholdPolicy(ModelParams(C=10, T=5, F=1))
 
 
@@ -291,12 +289,13 @@ def test_rand2_seeded_determinism():
 
 
 def test_rand2_needs_single_wallet():
-    with pytest.raises(InvalidParams):
+    with pytest.raises(CollateralError, match=r"^rand2 runs a single wallet, got k=2$"):
         RandTwoPolicy(ModelParams(C=10, T=5, F=1, k=2))
 
 
 def test_make_policy_unknown_kind():
-    with pytest.raises(InvalidParams):
+    message = f"unknown policy kind 'nope'; expected one of {POLICY_KINDS}"
+    with pytest.raises(CollateralError, match=f"^{re.escape(message)}$"):
         make_policy("nope", ModelParams(C=10, T=5, F=1))
 
 

@@ -1,17 +1,15 @@
 """Workload generators, adversaries, and sequence files."""
 
 import csv
+import re
 import sys
 
 import pytest
 
 from collatsim import workloads
 from collatsim.cli import main
-from collatsim.model import CollateralError, InvalidParams, ModelParams, TransactionSequence
+from collatsim.model import CollateralError, ModelParams, TransactionSequence
 from collatsim.workloads import (
-    EpsilonDoesNotDivideC,
-    InvalidSpec,
-    NotSingleWallet,
     WORKLOAD_KINDS,
     WorkloadSpec,
     epoch_burst_seq,
@@ -48,9 +46,9 @@ def test_spec_json_round_trip():
 
 
 def test_spec_rejects_bad_rate():
-    with pytest.raises(InvalidSpec):
+    with pytest.raises(CollateralError, match=r"^arrival rate must be in \[0, 1000\], got 1001$"):
         WorkloadSpec("constant", 1001, 10, 0, 5)
-    with pytest.raises(InvalidSpec):
+    with pytest.raises(CollateralError, match=r"^unknown workload kind 'martian'$"):
         WorkloadSpec("martian", 100, 10, 0, 5)
 
 
@@ -61,7 +59,8 @@ def test_spec_rejects_bad_rate():
 )
 def test_spec_rejects_bad_value_range(kind, rate, bad):
     # checked when the spec is made, not when an arrival first draws a value
-    with pytest.raises(InvalidSpec, match="bad uniform range"):
+    message = f"bad uniform range [{bad.get('min', 1)}, {bad.get('max', 6)}]"
+    with pytest.raises(CollateralError, match=f"^{re.escape(message)}$"):
         WorkloadSpec(kind, rate, 10, 0, 6, bad)
 
 
@@ -73,14 +72,15 @@ def test_spec_rejects_bad_value_range(kind, rate, bad):
      if knob not in KIND_KNOBS[kind]],
 )
 def test_spec_rejects_knobs_the_kind_does_not_read(kind, knob):
-    with pytest.raises(InvalidSpec, match=f"^unknown {kind} valueParams field '{knob}'$"):
+    with pytest.raises(CollateralError, match=f"^unknown {kind} valueParams field '{knob}'$"):
         WorkloadSpec(kind, 500, 10, 0, 6, {knob: 2})
 
 
 @pytest.mark.parametrize("bad", [{"burstLen": 0}, {"gapLen": -1}])
 def test_spec_rejects_bad_burst_shape(bad):
     # like the value range, checked when the spec is made
-    with pytest.raises(InvalidSpec, match="bursty needs burstLen >= 1"):
+    message = f"bursty needs burstLen >= 1, gapLen >= 0, got {bad}"
+    with pytest.raises(CollateralError, match=f"^{re.escape(message)}$"):
         WorkloadSpec("bursty", 0, 10, 0, 6, bad)
 
 
@@ -94,8 +94,17 @@ def test_draws_past_the_float_range_are_capped(kind, knobs):
     assert [t.value for t in seq] == [4] * 50
 
 
+@pytest.mark.parametrize("kind", WORKLOAD_KINDS)
+def test_spec_rejects_a_max_value_past_the_float_range(kind):
+    # poisson-exponential's default mean is max_value / 2, a float
+    big = 10**400
+    with pytest.raises(CollateralError, match=f"^max_value must be a finite number, got {big}$"):
+        WorkloadSpec(kind, 500, 10, 0, big)
+    assert WorkloadSpec(kind, 500, 10, 0, int(sys.float_info.max)).max_value > 10**308
+
+
 def test_spec_rejects_non_object_value_params():
-    with pytest.raises(InvalidSpec):
+    with pytest.raises(CollateralError, match=r"^valueParams must be an object, got \[1, 3\]$"):
         WorkloadSpec.from_json_obj(
             {"kind": "constant", "arrivalRatePerMille": 500, "horizon": 5,
              "seed": 0, "maxValue": 3, "valueParams": [1, 3]}
@@ -143,10 +152,11 @@ def test_killer_shape():
 
 
 def test_killer_guards():
-    with pytest.raises(InvalidParams):
-        fwf_killer_seq(ModelParams(C=20, T=6, F=1, k=2), 1, 3)  # r < 1
-    with pytest.raises(InvalidParams):
-        fwf_killer_seq(ModelParams(C=20, T=10, F=1, k=2), 10, 3)  # epsilon >= T
+    message = r"^killer sequence needs T = C/k, got T=6 C=20 k=2$"  # r < 1
+    with pytest.raises(CollateralError, match=message):
+        fwf_killer_seq(ModelParams(C=20, T=6, F=1, k=2), 1, 3)
+    with pytest.raises(CollateralError, match=r"^need 1 <= epsilon < C/k, got 10$"):
+        fwf_killer_seq(ModelParams(C=20, T=10, F=1, k=2), 10, 3)
 
 
 def test_epoch_burst_shape():
@@ -211,13 +221,13 @@ def test_thm3_rounds_are_separated_by_f_gaps():
 
 
 def test_thm3_guards():
-    with pytest.raises(NotSingleWallet, match="adversary targets one wallet, got k=2"):
+    with pytest.raises(CollateralError, match=r"^adversary targets one wallet, got k=2$"):
         thm3_seq(ModelParams(C=4, T=2, F=1, k=2), 2, 1, ScriptedTarget())
-    with pytest.raises(EpsilonDoesNotDivideC, match="epsilon must divide C"):
+    with pytest.raises(CollateralError, match=r"^epsilon must divide C, got epsilon=3 C=4$"):
         thm3_seq(ModelParams(C=4, T=4, F=1), 3, 1, ScriptedTarget())
-    with pytest.raises(InvalidParams, match="rounds must be positive, got 0"):
+    with pytest.raises(CollateralError, match=r"^rounds must be positive, got 0$"):
         thm3_seq(ModelParams(C=4, T=4, F=1), 2, 0, ScriptedTarget())
-    with pytest.raises(InvalidParams, match="thm3 needs T = C, got T=3 C=4"):
+    with pytest.raises(CollateralError, match=r"^thm3 needs T = C, got T=3 C=4$"):
         thm3_seq(ModelParams(C=4, T=3, F=1), 2, 1, ScriptedTarget())
 
 
@@ -329,7 +339,8 @@ def test_csv_reader_keeps_the_csv_field_limit(tmp_path):
         path.write_bytes(b"slot,value\n1,12345678\n")
         assert read_sequence_csv(str(path)).values == (12345678,)
         path.write_bytes(b"slot,value\n1,123456789\n")
-        with pytest.raises(InvalidSpec, match=r"line 2: field larger than field limit \(8\)$"):
+        message = f"^{re.escape(str(path))} line 2: field larger than field limit \\(8\\)$"
+        with pytest.raises(CollateralError, match=message):
             read_sequence_csv(str(path))
     finally:
         csv.field_size_limit(limit)
