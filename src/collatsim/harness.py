@@ -11,6 +11,7 @@ stepping each state of a wallet rule and each value-DP key once per offer
 prefixes per state on each rule's own graph, deciding each policy's bound
 by one forward max-plus pass over its graph of (state, DP key) nodes,
 each holding one weight sum, shared by the kinds of one rule and bound,
+that drops a node whose sum the slots left cannot lift above 0,
 and walking the tree of prefixes only when a pass finds a counterexample
 or a broken invariant; ``sweep`` scans eta or k,
 one ``measure_ratio`` run per setting with the window-bound oracle (the LP
@@ -463,7 +464,12 @@ def exhaustive_verify(
     own graph of (state, DP key) nodes by one forward max-plus pass, one
     layer per slot, each node holding the largest weight sum along a
     prefix that reaches it; kinds on one rule held to one bound share the
-    pass.  When no
+    pass.  An offer lifts the best by at most itself and a settled delta is
+    never negative, so no edge weighs more than ``top = den*max(values)``,
+    and a node at depth d whose sum is at most ``-top*(L - d)`` ends no
+    prefix above 0 at or below it: it is dropped before it enters its layer
+    (at ``num <= 0`` no weight is negative, so none is), and a DP key gets
+    its row only when a kept node reaches it.  When no
     pass finds a fault there is nothing to list.  Otherwise a depth-first
     walk over the values then the gap lists the counterexamples and
     violation texts in tree order, carrying per policy V_alg to test
@@ -609,10 +615,14 @@ def exhaustive_verify(
         rule's rows: whether a prefix ends with a sum above 0."""
         num, den = bounds[i]
         rows, dp_rows = tables[i].rows, dp_table.rows
+        # no edge weighs more than top, so a child at depth d whose sum is at
+        # most floor = -top*(L-d) ends no prefix above 0 and is dropped
+        top = den * max(space.values)
         # maps each (state id, DP key id) node at one slot to the largest
         # weight sum along a prefix reaching it
         layer = {(root_sids[i], root_kid): 0}
-        for _ in range(length - 1):
+        for depth in range(1, length):
+            floor = -top * (length - depth)
             below: dict = {}
             get = below.get
             for (sid, kid), best in layer.items():
@@ -622,7 +632,7 @@ def exhaustive_verify(
                 for (child_sid, delta, _, _), (child_kid, gain) in zip(rows[sid], dp_edges):
                     total = best + den * gain - num * delta
                     child = child_sid, child_kid
-                    if get(child, total - 1) < total:
+                    if get(child, floor) < total:
                         below[child] = total
             layer = below
         # a gap gains and settles nothing, so a prefix whose sum is above 0

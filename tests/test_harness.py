@@ -251,11 +251,9 @@ def test_exhaustive_verify_counts_pinned_at_the_bench_length(C, F):
     assert exhaust_counts(C, F, 7) == EXHAUST_COUNTS_L7[(C, F)]
 
 
-def test_exhaustive_verify_keys_each_prefix_by_its_layer(monkeypatch):
-    # the value-DP table holds the key of every prefix's layer and no
-    # other; at C = 4, F = 4 a row dominated in one slot drops a row in
-    # the next, so keys stepped without the dominated rows would differ
-    space = ExhaustSpace(C=4, k=1, T=2, F=4, max_len=7, values=(1, 2))
+def recorded_tables(monkeypatch) -> list:
+    """The transition tables exhaustive_verify makes from now on, in order;
+    each call makes its value-DP table last."""
     tables = []
 
     class Recorded(harness._StateTable):
@@ -264,7 +262,19 @@ def test_exhaustive_verify_keys_each_prefix_by_its_layer(monkeypatch):
             tables.append(self)
 
     monkeypatch.setattr(harness, "_StateTable", Recorded)
-    assert exhaustive_verify(space, {"fa": Fraction(100)}).ok()
+    return tables
+
+
+def test_exhaustive_verify_keys_each_prefix_by_its_layer(monkeypatch):
+    # the value-DP table holds the key of every prefix's layer and no
+    # other; at C = 4, F = 4 a row dominated in one slot drops a row in
+    # the next, so keys stepped without the dominated rows would differ.
+    # At bound 1 every weight sum is V_opt - V_alg >= 0, above every floor,
+    # so the forward pass drops no node and every key is built
+    space = ExhaustSpace(C=4, k=1, T=2, F=4, max_len=7, values=(1, 2))
+    tables = recorded_tables(monkeypatch)
+    layered, explicit = verify_both_routes(space, {"fa": Fraction(1)})
+    assert layered == explicit
     want = set()
     for length in range(space.max_len + 1):
         for symbols in product((None, *space.values), repeat=length):
@@ -274,6 +284,17 @@ def test_exhaustive_verify_keys_each_prefix_by_its_layer(monkeypatch):
                     layer = opt_value_extend(layer, slot, value, space.C, space.F)
             want.add(opt_value_key(layer, length, space.F))
     assert set(tables[-1].ids) == want
+
+
+def test_exhaustive_verify_drops_nodes_that_cannot_turn_positive(monkeypatch):
+    # at F >= max_len every prefix has its own DP key, 16,384 of them here;
+    # at the default bounds most nodes fall so far below 0 that the slots
+    # left cannot lift them above it, and only the keys that a kept node
+    # reaches are met
+    space = ExhaustSpace(C=12, k=2, T=3, F=10**8, max_len=7, values=(1, 2, 3))
+    tables = recorded_tables(monkeypatch)
+    assert exhaustive_verify(space).ok()
+    assert len(tables[-1].ids) <= 1_024
 
 
 # Every counterexample to fa at bound 1 at L = 4 (k = 2, T = 3, values 1-3),
@@ -392,7 +413,7 @@ BOUNDS = st.integers(1, 4).flatmap(
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(
     k=st.sampled_from((1, 2, 4)),
-    F=st.integers(1, 3),
+    F=st.sampled_from((1, 2, 3, 4, 5, 6, 10**8)),
     wide=st.booleans(),
     L=st.integers(1, 5),
     values=st.sets(st.integers(1, 3), min_size=1).map(sorted),
