@@ -7,7 +7,8 @@ returns the run's totals;
 ``exhaustive_verify`` checks the competitive bound with exact integer
 arithmetic on every prefix of every sequence over a small alphabet,
 stepping each state of a wallet rule and each value-DP key once per offer
-(a DP table keeps each key with its rows), counting flushes from the
+(a DP table keeps each key with its rows, which forget the settles that no
+offer of the space can push past C), counting flushes from the
 prefixes per state on each rule's own graph, deciding each policy's bound
 by one forward max-plus pass over its graph of (state, DP key) nodes,
 each holding one weight sum, shared by the kinds of one rule and bound,
@@ -444,6 +445,10 @@ def exhaustive_verify(
     A node of the tree of prefixes is known by each policy's
     ``state(slot)`` and the value DP's key, the rows of its layer with
     slots made relative, less the dominated ones (``opt_value_key_step``).
+    No offer exceeds ``max(values)``, so the rows forget the settles that
+    no later window can push past C with offers of at most that: at
+    C = 12, T = 3 and F <= 3 every settle is forgotten and one key serves
+    every prefix.
     Transition tables, local to the call, hold what one offer does: per
     rule and state the next state, the settled delta, the flush count and
     the invariants its flushes break, tagged by kind; per DP key the next
@@ -515,6 +520,7 @@ def exhaustive_verify(
         flush_events_checked=0,
     )
     symbols = tuple(space.values) + (None,)
+    largest = max(space.values)  # no offer is larger, so none lifts V_opt more
     width = len(symbols)
     # kinds with one group size g are one rule and share its table; peers[i]
     # lists the kinds on kind i's rule
@@ -583,7 +589,7 @@ def exhaustive_verify(
         if row[0] is None:
             window = dp_table.reps[kid]
             for s, sym in enumerate(symbols):
-                child, key, gain = opt_value_key_step(window, sym, space.C, space.F)
+                child, key, gain = opt_value_key_step(window, sym, space.C, space.F, largest)
                 row[s] = dp_table.intern(key, child), gain
         return row
 
@@ -617,7 +623,7 @@ def exhaustive_verify(
         rows, dp_rows = tables[i].rows, dp_table.rows
         # no edge weighs more than top, so a child at depth d whose sum is at
         # most floor = -top*(L-d) ends no prefix above 0 and is dropped
-        top = den * max(space.values)
+        top = den * largest
         # maps each (state id, DP key id) node at one slot to the largest
         # weight sum along a prefix reaching it
         layer = {(root_sids[i], root_kid): 0}

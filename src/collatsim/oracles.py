@@ -11,6 +11,8 @@ machine.  ``opt_value_key_step`` steps the same DP on rows whose slots are
 relative, so that prefixes with equal windows share one key; the
 exhaustive verifier keeps one table entry per key, and the tests keep
 ``opt_value_key``, which keys an absolute layer, as the step's reference.
+Its rows also forget the oldest settles that no later window can push
+past C given the largest offer still possible, so they block no offer.
 The utility and k-wallet oracles are branch-and-bound searches that
 refuse more than MAX_SEARCH_TRANSACTIONS transactions rather than
 silently taking forever.  Both searches score in ints, the utility search
@@ -83,47 +85,62 @@ def opt_value_extend(
 
 
 def opt_value_key_step(
-    rows: tuple, value: int | None, C: int, F: int
+    rows: tuple, value: int | None, C: int, F: int, top: int
 ) -> tuple[tuple, tuple, int]:
     """One slot of the value DP on rows free of absolute slots.
 
     ``rows`` are a layer's sorted (row, gap) pairs: a row lists the (slots
-    ago, value) settles of the last F slots, oldest first, and its gap is
-    how far the best total among the layer's states with that row lies
-    below the layer's best; the root is ``(((), 0),)``.  ``value`` is the
-    slot's offer, None for a quiet slot.  Returns the next rows, their key
-    and the gain in the layer's best.
+    ago, value) settles of the last F slots, oldest first, that a later
+    window can still push past C, and its gap is how far the best total
+    among the layer's states with that row lies below the layer's best;
+    the root is ``(((), 0),)``.  ``value`` is the slot's offer, None for a
+    quiet slot, and ``top`` the largest offer still possible, at least
+    every later offer.  Returns the next rows, their key and the gain in
+    the layer's best.
 
     Every row ages a slot, and the offer settles on it when the window
     ending at the slot, the row and the offer, stays within C.  The settle
-    of F slots ago then leaves the window, and rows that differ only in it
-    merge and keep the smaller gap.  The key drops each dominated row, one
-    whose copy without its oldest settle, ``row[1:]``, is present with a
-    gap no larger: the copy has no more load in any later window and at
-    least the same total, so the best is the same at every later slot
-    without the row, and equal keys gain alike on every continuation.  The
-    rows keep it, since it may still dominate a later row.  Before slot F+1
-    no row is dominated, and the key is the rows themselves.
+    of F slots ago then leaves the window.  Then the row forgets its
+    oldest settles while they cannot matter: a settle of a slots ago is
+    forgotten while ``load + (F - a)*top <= C``, ``load`` being its value
+    plus those of every younger settle.  A later window that holds it
+    holds every younger settle and at most F - a later offers, each at
+    most ``top``, so it stays within C whatever is settled later, and the
+    row allows the same settles on every continuation without it.  The
+    rule still holds after the row ages or takes an offer of at most
+    ``top``, so stepped rows equal the rows of the absolute layer with the
+    rule applied to each.  Rows made equal by either drop merge and keep
+    the smaller gap.  The key drops each dominated row, one whose copy
+    without its oldest settle, ``row[1:]``, is present with a gap no
+    larger: the copy has no more load in any later window and at least
+    the same total, so the best is the same at every later slot without
+    the row, and equal keys gain alike on every continuation.  The rows
+    keep it, since it may still dominate a later row.
     """
     last = F - 1
     new = ((0, value),) if F else ()
-    out: dict = {}
-    get = out.get
+    stepped = []
     for row, gap in rows:
-        load = value
-        if value is not None:
-            for _, v in row:
-                load += v
+        load = 0
+        for _, v in row:
+            load += v
+        settles = value is not None and load + value <= C
         if row and row[0][0] == last:
+            load -= row[0][1]
             row = row[1:]
         row = tuple([(age + 1, v) for age, v in row])
+        stepped.append((row, load, gap))
+        if settles:
+            stepped.append((row + new, load + value, gap - value))
+    out: dict = {}
+    get = out.get
+    for row, load, gap in stepped:
+        # forget the oldest settles that no later window can push past C
+        while row and load + (F - row[0][0]) * top <= C:
+            load -= row[0][1]
+            row = row[1:]
         if get(row, gap + 1) > gap:
             out[row] = gap
-        if value is not None and load <= C:
-            row += new
-            gap -= value
-            if get(row, gap + 1) > gap:
-                out[row] = gap
     gain = -min(out.values())
     after = tuple(sorted((row, gap + gain) for row, gap in out.items()))
     dominated = {row for row, gap in out.items() if row and get(row[1:], gap + 1) <= gap}

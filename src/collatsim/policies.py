@@ -102,12 +102,17 @@ class GroupFlushPolicy:
         search may treat them as one node.
         """
         bank = self.machine
-        ends = bank.offline_until
-        return (
-            self.active,
-            *(bank.size if end else left for left, end in zip(bank.remaining, ends)),
-            *(end - slot if end else -1 for end in ends),
-        )
+        size = bank.size
+        caps = [self.active]
+        ends = []
+        for left, end in zip(bank.remaining, bank.offline_until):
+            if end:
+                caps.append(size)
+                ends.append(end - slot)
+            else:
+                caps.append(left)
+                ends.append(-1)
+        return tuple(caps + ends)
 
     def clone(self) -> "GroupFlushPolicy":
         other = object.__new__(type(self))

@@ -8,8 +8,8 @@ settle/discard choice.  Both are exponential in the number of transactions
 and meant for n <= 12.  ``greedy_feasible_value`` is a feasible lower bound
 at any size.  ``opt_general_witness`` reads an optimal schedule from
 back-pointers over every layer of ``opt_value_extend``.  ``opt_value_key``
-keys an absolute layer of ``opt_value_extend``, the reference for
-``opt_value_key_step``.
+keys an absolute layer of ``opt_value_extend``, its rows cut by
+``forget_settles``, the reference for ``opt_value_key_step``.
 ``window_lp_reference`` enumerates every integer fill 0 <= y_i <= v_i
 under the window law, the reference for the greedy LP
 bound ``window_upper_bound``; ``window_upper_bound_all_offsets`` is the
@@ -171,38 +171,50 @@ def subset_optima(pairs, C, F):
     return optima
 
 
+def forget_settles(row: tuple, C: int, F: int, top: int) -> tuple:
+    """A row of (slots ago, value) settles, oldest first, less those that
+    no later window can push past C when no later offer exceeds ``top``.
+
+    From the oldest, a settle of a slots ago is forgotten while its value
+    plus the values of every younger settle in the row, and F - a more
+    offers of ``top``, come to at most C.
+    """
+    for i, (age, _) in enumerate(row):
+        if sum(v for _, v in row[i:]) + (F - age) * top > C:
+            return row[i:]
+    return ()
+
+
 def opt_value_key(
-    states: dict, slot: int, F: int
+    states: dict, slot: int, C: int, F: int, top: int
 ) -> tuple[tuple[tuple[tuple[int, int], ...], int], ...]:
     """A layer of opt_value_extend as a tuple free of absolute slots.
 
-    ``states`` is a layer whose offers all lie in slots 1 .. ``slot``.  Each
-    state becomes a row of the (slot - s, value) pairs it settled in slots
-    slot-F+1 .. slot, whatever F, mapped to how far its total lies below
-    the layer's best.  Older settles share no window with a later offer,
-    so states that differ only in them merge and keep the smaller gap.
-    The key is the sorted (row, gap) pairs, less the dominated rows: a
-    row is dropped when its copy without its oldest settle, ``row[1:]``,
-    is present with a gap no larger.  That copy has no more load in any
-    later window and at least the same total, so whatever the row's state
-    settles later the copy's can settle too, and the layer's best is the
-    same at every later slot with or without the row.  Before slot F+1 no
-    settle has left the window, each row's total is its own sum, and
-    ``row[1:]`` lies below it by the oldest value, so no row is dominated
-    there and the check is skipped.  Equal keys gain the same best total
-    on every later continuation.
+    ``states`` is a layer whose offers all lie in slots 1 .. ``slot``, and
+    no later offer exceeds ``top``.  Each state becomes a row of the
+    (slot - s, value) pairs it settled in slots slot-F+1 .. slot, whatever
+    F, less the settles that ``forget_settles`` drops, mapped to how far
+    its total lies below the layer's best.  Older settles share no window
+    with a later offer, and a forgotten settle shares only windows that
+    stay within C, so states that differ only in them merge and keep the
+    smaller gap.  The key is the sorted (row, gap) pairs, less the
+    dominated rows: a row is dropped when its copy without its oldest
+    settle, ``row[1:]``, is present with a gap no larger.  That copy has no
+    more load in any later window and at least the same total, so
+    whatever the row's state settles later the copy's can settle too, and
+    the layer's best is the same at every later slot with or without the
+    row.  Equal keys gain the same best total on every later continuation
+    whose offers are at most ``top``.
     """
     best = max(states.values())
     base = slot - F + 1
     rows: dict = {}
     get = rows.get
     for state, total in states.items():
-        row = tuple((slot - s, v) for s, v in state if s >= base)
+        row = forget_settles(tuple((slot - s, v) for s, v in state if s >= base), C, F, top)
         gap = best - total
         if get(row, gap) >= gap:
             rows[row] = gap
-    if slot <= F:
-        return tuple(sorted(rows.items()))
     return tuple(sorted(
         (row, gap) for row, gap in rows.items() if not row or get(row[1:], gap + 1) > gap
     ))

@@ -266,9 +266,11 @@ def recorded_tables(monkeypatch) -> list:
 
 
 def test_exhaustive_verify_keys_each_prefix_by_its_layer(monkeypatch):
-    # the value-DP table holds the key of every prefix's layer and no
-    # other; at C = 4, F = 4 a row dominated in one slot drops a row in
-    # the next, so keys stepped without the dominated rows would differ.
+    # the value-DP table holds the key of every prefix's layer, its rows
+    # forgetting the settles no window can push past C with offers of at
+    # most 2, and no other; at C = 4, F = 4 a row dominated in one slot
+    # drops a row in the next, so keys stepped without the dominated rows
+    # would differ.
     # At bound 1 every weight sum is V_opt - V_alg >= 0, above every floor,
     # so the forward pass drops no node and every key is built
     space = ExhaustSpace(C=4, k=1, T=2, F=4, max_len=7, values=(1, 2))
@@ -282,8 +284,25 @@ def test_exhaustive_verify_keys_each_prefix_by_its_layer(monkeypatch):
             for slot, value in enumerate(symbols, 1):
                 if value is not None:
                     layer = opt_value_extend(layer, slot, value, space.C, space.F)
-            want.add(opt_value_key(layer, length, space.F))
+            want.add(opt_value_key(layer, length, space.C, space.F, max(space.values)))
     assert set(tables[-1].ids) == want
+
+
+@pytest.mark.parametrize(
+    "C,F,keys", [(12, 1, 1), (12, 2, 1), (6, 1, 1), (6, 2, 27), (12, 3, 1)]
+)
+def test_exhaustive_verify_forgets_settles_no_window_can_push_past_C(monkeypatch, C, F, keys):
+    # at C = 12, T = 3 and F <= 3, any F+1 slots hold at most 12, so every
+    # settle is forgotten and the optimum takes every offer; the value-DP
+    # table holds one key where it held 4, 16 and 64 at F = 1, 2, 3.  At
+    # C = 6, F = 1 a settle and one more offer of at most 3 fit as well
+    # (4 keys before).  At F = 2 the last slot's settle is kept, and the
+    # one before it is forgotten when the two come to at most 3; no more
+    # than 27 keys are met (52 before)
+    space = ExhaustSpace(C=C, k=2, T=3, F=F, max_len=7, values=(1, 2, 3))
+    tables = recorded_tables(monkeypatch)
+    assert exhaustive_verify(space).ok()
+    assert len(tables[-1].ids) <= keys
 
 
 def test_exhaustive_verify_drops_nodes_that_cannot_turn_positive(monkeypatch):
@@ -414,22 +433,21 @@ BOUNDS = st.integers(1, 4).flatmap(
 @given(
     k=st.sampled_from((1, 2, 4)),
     F=st.sampled_from((1, 2, 3, 4, 5, 6, 10**8)),
-    wide=st.booleans(),
+    c=st.integers(3, 8),
     L=st.integers(1, 5),
     values=st.sets(st.integers(1, 3), min_size=1).map(sorted),
     bounds=st.fixed_dictionaries({kind: BOUNDS for kind in ("fa", "fwf", "ftwf")}),
 )
 def test_exhaustive_verify_matches_the_explicit_walk_at_any_bounds(
-    k, F, wide, L, values, bounds
+    k, F, c, L, values, bounds
 ):
     # each policy is decided against its own bound, so a pass or walk that
     # reads another policy's bound disagrees with the explicit walk; ftwf
-    # needs even k
+    # needs even k.  C = k*c with c in 3..8 lands on both sides of the
+    # loads at which the value DP forgets a settle
     if k % 2:
         del bounds["ftwf"]
-    space = ExhaustSpace(
-        C=(6 if wide else 3) * k, k=k, T=3, F=F, max_len=L, values=tuple(values)
-    )
+    space = ExhaustSpace(C=c * k, k=k, T=3, F=F, max_len=L, values=tuple(values))
     layered, explicit = verify_both_routes(space, bounds)
     assert layered == explicit, space
 

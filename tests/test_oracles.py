@@ -25,6 +25,7 @@ from collatsim.oracles import (
     window_upper_bound,
 )
 from oracle_reference import (
+    forget_settles,
     greedy_feasible_value,
     opt_general_value_sim,
     opt_general_witness,
@@ -163,18 +164,19 @@ def test_opt_value_key_drops_absolute_slots():
         return states
 
     pairs = [(1, 2), (2, 3), (4, 1), (5, 3)]
-    key = opt_value_key(layer(pairs), 5, F)
-    assert key == opt_value_key(layer([(s + 7, v) for s, v in pairs]), 12, F)
+    key = opt_value_key(layer(pairs), 5, C, F, 3)
+    assert key == opt_value_key(layer([(s + 7, v) for s, v in pairs]), 12, C, F, 3)
     # a row lists the (slots ago, value) settles of slots 4 and 5, and rows
-    # sort by them; settling both reaches the best total, 9, and settling
-    # neither falls 4 below it
-    assert key[0] == ((), 4) and key[-1] == (((1, 1), (0, 3)), 0)
+    # sort by them; settling both reaches the best total, 9.  The 1 of slot
+    # 4 settled alone shares its one later window with at most a 3, so it
+    # is forgotten, and its state, 3 below the best, joins the empty row
+    assert key[0] == ((), 3) and key[-1] == (((1, 1), (0, 3)), 0)
     # after F quiet slots no settle shares a window with a later offer, and
     # the states merge into one at the best total
-    assert opt_value_key(layer(pairs), 5 + F, F) == (((), 0),)
+    assert opt_value_key(layer(pairs), 5 + F, C, F, 3) == (((), 0),)
     # a row lists only the settles, so its size does not grow with F
     settled = opt_value_extend({(): 0}, 1, 2, C, 10**8)
-    assert opt_value_key(settled, 3, 10**8) == (((), 2), (((2, 2),), 0))
+    assert opt_value_key(settled, 3, C, 10**8, 2) == (((), 2), (((2, 2),), 0))
 
 
 def value_layer(pairs, C, F):
@@ -184,12 +186,13 @@ def value_layer(pairs, C, F):
     return states
 
 
-def all_rows(states, slot, F):
+def all_rows(states, slot, C, F, top):
     """Every row of a layer with its smallest gap, dominated rows kept."""
     best = max(states.values())
     rows = {}
     for state, total in states.items():
         row = tuple((slot - s, v) for s, v in state if s >= slot - F + 1)
+        row = forget_settles(row, C, F, top)
         rows[row] = min(rows.get(row, best - total), best - total)
     return rows
 
@@ -197,32 +200,36 @@ def all_rows(states, slot, F):
 def test_opt_value_key_drops_a_dominated_row():
     # offers 1, 1, 2 at C = 3, F = 2: settling the 1 of slot 2 and the 2
     # reaches the best, 3, and so does settling the 2 alone in the window
-    # (with the 1 of slot 1, now outside it), which leaves less load
+    # (with the 1 of slot 1, now outside it), which leaves less load.  With
+    # no offer above 2, the 1 of slot 2 settled alone shares its one later
+    # window with at most a 2, so it is forgotten and its row, at gap 1,
+    # merges with the empty one
     C, F = 3, 2
     states = value_layer([(1, 1), (2, 1), (3, 2)], C, F)
-    rows = all_rows(states, 3, F)
+    rows = all_rows(states, 3, C, F, 2)
     assert rows[((1, 1), (0, 2))] == 0 and rows[((0, 2),)] == 0
-    assert opt_value_key(states, 3, F) == (((), 2), (((0, 2),), 0), (((1, 1),), 1))
+    assert opt_value_key(states, 3, C, F, 2) == (((), 1), (((0, 2),), 0))
 
 
 def test_opt_value_key_merges_layers_that_differ_in_dominated_rows():
     # offers 2, 2, 1 and a lone 1 at slot 3, at C = 3, F = 2: the first
     # layer also lists the 2 of slot 2, alone at gap 1 and with the 1 at
     # gap 0, each no better than the same row without it, so both layers
-    # have the lone 1's key and gain alike on every next offer
-    C, F = 3, 2
+    # have the lone 1's key and gain alike on every next offer of at most
+    # top; at top > C no settle is forgotten
+    C, F, top = 3, 2, 4
     busy = value_layer([(1, 2), (2, 2), (3, 1)], C, F)
     lone = value_layer([(3, 1)], C, F)
-    assert all_rows(busy, 3, F) != all_rows(lone, 3, F)
-    assert opt_value_key(busy, 3, F) == opt_value_key(lone, 3, F) == (
+    assert all_rows(busy, 3, C, F, top) != all_rows(lone, 3, C, F, top)
+    assert opt_value_key(busy, 3, C, F, top) == opt_value_key(lone, 3, C, F, top) == (
         ((), 1), (((0, 1),), 0)
     )
 
     def step(layer, value):
         after = opt_value_extend(layer, 4, value, C, F)
-        return max(after.values()) - max(layer.values()), opt_value_key(after, 4, F)
+        return max(after.values()) - max(layer.values()), opt_value_key(after, 4, C, F, top)
 
-    for value in range(1, C + 2):
+    for value in range(1, top + 1):
         assert step(busy, value) == step(lone, value)
 
 
@@ -237,7 +244,10 @@ def test_equal_value_keys_gain_alike(C, F, values):
     # key at every node with that key, whatever its slots and history.  The
     # histories are every sequence of at most 4 slots, each slot offering
     # one of the values or nothing (None), so leading quiet slots shift
-    # them and trailing ones merge states that differ only in older settles
+    # them and trailing ones merge states that differ only in older
+    # settles; the keys forget settles as if no offer exceeded the largest
+    # value, and every next offer is at most that
+    top = max(values)
     by_key = {}
     for length in range(5):
         for symbols in product((None, *values), repeat=length):
@@ -245,40 +255,45 @@ def test_equal_value_keys_gain_alike(C, F, values):
             for slot, value in enumerate(symbols, 1):
                 if value is not None:
                     layer = opt_value_extend(layer, slot, value, C, F)
-            by_key.setdefault(opt_value_key(layer, length, F), []).append((layer, length))
+            by_key.setdefault(opt_value_key(layer, length, C, F, top), []).append(
+                (layer, length)
+            )
 
     def step(layer, slot, value):
         after = layer
         if value is not None:
             after = opt_value_extend(layer, slot + 1, value, C, F)
-        return max(after.values()) - max(layer.values()), opt_value_key(after, slot + 1, F)
+        return max(after.values()) - max(layer.values()), opt_value_key(
+            after, slot + 1, C, F, top
+        )
 
     for (first, slot), *others in by_key.values():
-        for value in (None, *range(1, C + 2)):
+        for value in (None, *range(1, top + 1)):
             want = step(first, slot, value)
             for layer, at in others:
                 assert step(layer, at, value) == want
 
 
-def layer_rows(states, slot, F):
+def layer_rows(states, slot, C, F, top):
     """A layer's rows as opt_value_key_step takes them, dominated rows kept."""
-    return tuple(sorted(all_rows(states, slot, F).items()))
+    return tuple(sorted(all_rows(states, slot, C, F, top).items()))
 
 
 @st.composite
 def keyed_layers(draw):
-    """A layer of opt_value_extend, the slot it was met at, C, F and the
-    next slot's offer (None for a quiet slot)."""
+    """A layer of opt_value_extend, the slot it was met at, C, F, the
+    largest offer top and the next slot's offer (None for a quiet slot)."""
     C = draw(st.integers(min_value=1, max_value=12))
     F = draw(st.integers(min_value=0, max_value=9))
+    top = draw(st.integers(min_value=1, max_value=C + 2))
     gaps = draw(st.lists(st.integers(min_value=1, max_value=3), max_size=9))
     layer, slot = {(): 0}, 0
     for gap in gaps:
         slot += gap
-        layer = opt_value_extend(layer, slot, draw(st.integers(1, C + 2)), C, F)
+        layer = opt_value_extend(layer, slot, draw(st.integers(1, top)), C, F)
     slot += draw(st.integers(min_value=0, max_value=F + 2))
-    value = draw(st.none() | st.integers(min_value=1, max_value=C + 2))
-    return layer, slot, C, F, value
+    value = draw(st.none() | st.integers(min_value=1, max_value=top))
+    return layer, slot, C, F, top, value
 
 
 # offers 2, 2, 1, 1, 2 at C = 4, F = 4: at slot 7 the row (3, 1), (2, 2), the
@@ -290,51 +305,99 @@ DOMINATED_DOMINATOR = value_layer([(1, 2), (2, 2), (3, 1), (4, 1), (5, 2)], 4, 4
 @given(keyed_layers())
 # a quiet slot; a slot at most F; F past the layer's last slot, where no
 # settle leaves the window; a row dominated by a row outside the key
-@example(({(): 0, ((1, 2),): 2}, 1, 5, 2, None))
-@example(({(): 0, ((1, 2),): 2, ((1, 2), (2, 3)): 5}, 2, 5, 3, 3))
-@example(({(): 0, ((1, 2),): 2, ((1, 2), (2, 3)): 5}, 4, 5, 10**8, 1))
-@example((DOMINATED_DOMINATOR, 6, 4, 4, None))
+@example(({(): 0, ((1, 2),): 2}, 1, 5, 2, 2, None))
+@example(({(): 0, ((1, 2),): 2, ((1, 2), (2, 3)): 5}, 2, 5, 3, 3, 3))
+@example(({(): 0, ((1, 2),): 2, ((1, 2), (2, 3)): 5}, 4, 5, 10**8, 3, 1))
+@example((DOMINATED_DOMINATOR, 6, 4, 4, 2, None))
 @settings(max_examples=400, deadline=None)
 def test_opt_value_key_step_matches_the_layer_route(case):
     # one step of a layer's rows equals extending the layer, then taking
     # its rows and its key afresh
-    layer, slot, C, F, value = case
+    layer, slot, C, F, top, value = case
     after = layer if value is None else opt_value_extend(layer, slot + 1, value, C, F)
     want = (
-        layer_rows(after, slot + 1, F),
-        opt_value_key(after, slot + 1, F),
+        layer_rows(after, slot + 1, C, F, top),
+        opt_value_key(after, slot + 1, C, F, top),
         max(after.values()) - max(layer.values()),
     )
-    assert opt_value_key_step(layer_rows(layer, slot, F), value, C, F) == want
+    assert opt_value_key_step(layer_rows(layer, slot, C, F, top), value, C, F, top) == want
 
 
 def test_opt_value_key_step_keeps_a_dominated_dominator():
     # the key at slot 6 drops the row (1, 2), dominated by the empty row,
-    # but at slot 7 that row, aged to (2, 2), still drops (3, 1), (2, 2)
+    # but at slot 7 that row, aged to (2, 2), still drops (3, 1), (2, 2);
+    # with no offer above 2 the row (3, 1), (2, 1) forgets its 1 of slot 3
+    # and merges with the dominated row (2, 1)
     C = F = 4
-    rows = layer_rows(DOMINATED_DOMINATOR, 6, F)
-    key = opt_value_key(DOMINATED_DOMINATOR, 6, F)
-    assert key == (((), 0), (((3, 1), (2, 1)), 0), (((3, 1), (2, 1), (1, 2)), 0))
+    rows = layer_rows(DOMINATED_DOMINATOR, 6, C, F, 2)
+    key = opt_value_key(DOMINATED_DOMINATOR, 6, C, F, 2)
+    assert key == (((), 0), (((3, 1), (2, 1), (1, 2)), 0))
     assert (((1, 2),), 0) in rows
-    after, next_key, gain = opt_value_key_step(rows, None, C, F)
+    after, next_key, gain = opt_value_key_step(rows, None, C, F, 2)
     assert gain == 0 and (((2, 2),), 0) in after
-    assert next_key == opt_value_key(DOMINATED_DOMINATOR, 7, F) == (((), 0),)
+    assert next_key == opt_value_key(DOMINATED_DOMINATOR, 7, C, F, 2) == (((), 0),)
     # stepped from the key alone, the row would stay
-    assert (((3, 1), (2, 2)), 0) in opt_value_key_step(key, None, C, F)[1]
+    assert (((3, 1), (2, 2)), 0) in opt_value_key_step(key, None, C, F, 2)[1]
+
+
+@st.composite
+def forget_cases(draw):
+    """C, F, the largest offer top, the (gap, value) offers of a layer, the
+    quiet slots after it and the offers of a later run."""
+    C = draw(st.integers(min_value=1, max_value=12))
+    F = draw(st.integers(min_value=1, max_value=6))
+    top = draw(st.integers(min_value=1, max_value=3))
+    offer = st.tuples(st.integers(1, 3), st.integers(1, top))
+    return (
+        C, F, top, draw(st.lists(offer)), draw(st.integers(min_value=0, max_value=F)),
+        draw(st.lists(offer, min_size=1, max_size=6)),
+    )
+
+
+@given(forget_cases())
+# the 2 of slot 1 is forgotten, the 3 of slot 2 is not: the window of slots
+# 2-4 would hold 9
+@example((8, 2, 3, [(1, 2), (1, 3)], 0, [(1, 3), (1, 3)]))
+@settings(max_examples=150, deadline=None)
+def test_forgotten_settles_change_no_later_optimum(case):
+    # a settle that forget_settles drops shares only windows that stay
+    # within C when no offer exceeds top, so each state of a layer, with
+    # and without its forgotten settles, reaches the same best total after
+    # every offer of a later run
+    C, F, top, earlier, quiet, later = case
+    layer, slot = {(): 0}, 0
+    for gap, value in earlier:
+        slot += gap
+        layer = opt_value_extend(layer, slot, value, C, F)
+    slot += quiet
+    for state in layer:
+        recent = tuple((slot - s, v) for s, v in state if s > slot - F)
+        kept = forget_settles(recent, C, F, top)
+        # settles older than F slots share no later window and stay
+        trimmed = state[: len(state) - len(recent)] + tuple((slot - a, v) for a, v in kept)
+        full, cut, at = {state: 0}, {trimmed: 0}, slot
+        for gap, value in later:
+            at += gap
+            full = opt_value_extend(full, at, value, C, F)
+            cut = opt_value_extend(cut, at, value, C, F)
+            assert max(cut.values()) == max(full.values())
 
 
 def test_opt_value_key_step_folds_like_the_layers():
-    # from the root, rows stepped slot by slot stay the rows of the layers
+    # from the root, rows stepped slot by slot stay the rows of the layers;
+    # in the second run no offer is above 2, so rows forget settles
     C, F = 5, 2
-    rows, layer, best = (((), 0),), {(): 0}, 0
-    for slot, value in enumerate([2, 3, None, 1, 3, None, None, 5, 1], 1):
-        if value is not None:
-            layer = opt_value_extend(layer, slot, value, C, F)
-        rows, key, gain = opt_value_key_step(rows, value, C, F)
-        best += gain
-        assert rows == layer_rows(layer, slot, F)
-        assert key == opt_value_key(layer, slot, F)
-        assert best == max(layer.values())
+    for offers in ([2, 3, None, 1, 3, None, None, 5, 1], [2, 1, None, 1, 2, 2, None, 1, 1]):
+        top = max(v for v in offers if v is not None)
+        rows, layer, best = (((), 0),), {(): 0}, 0
+        for slot, value in enumerate(offers, 1):
+            if value is not None:
+                layer = opt_value_extend(layer, slot, value, C, F)
+            rows, key, gain = opt_value_key_step(rows, value, C, F, top)
+            best += gain
+            assert rows == layer_rows(layer, slot, C, F, top)
+            assert key == opt_value_key(layer, slot, C, F, top)
+            assert best == max(layer.values())
 
 
 @st.composite

@@ -602,6 +602,32 @@ def test_group_outages_equal_per_wallet_outages(run):
     assert policy.state(back) == reference.state(back)
 
 
+@given(group_flush_runs())
+@settings(max_examples=100, deadline=None)
+def test_group_state_lists_each_wallets_room_then_its_outage(run):
+    # state(slot) is the active group, then per wallet its room, the full
+    # C/k while offline, then per wallet its outage end less slot, -1 while
+    # online
+    kind, params, seq = run
+    policy = make_policy(kind, params)
+
+    def from_bank(slot):
+        bank = policy.machine
+        rooms, ends = [], []
+        for j in range(params.k):
+            offline = bank.offline_until[j] != 0
+            rooms.append(bank.size if offline else bank.remaining[j])
+            ends.append(bank.offline_until[j] - slot if offline else -1)
+        return (policy.active, *rooms, *ends)
+
+    for slot, value in zip(seq.slots, seq.values):
+        policy.step(slot, value)
+        assert policy.state(slot) == from_bank(slot)
+    back = seq.horizon + params.F + 1
+    policy.step(back, None)
+    assert policy.state(back) == from_bank(back)
+
+
 @st.composite
 def threshold_runs(draw):
     """Valid threshold-policy params and a slot-by-slot arrival list."""
