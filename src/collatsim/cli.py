@@ -126,6 +126,11 @@ def _emit(obj: dict) -> None:
     print(json.dumps(obj, indent=2, sort_keys=True))
 
 
+def _number(x):
+    """A value as it is, or "inf" when it is unbounded: strict JSON has no Infinity."""
+    return "inf" if x == math.inf else x
+
+
 def _frac(f: Fraction | float | None):
     if f is None:
         return None
@@ -264,7 +269,7 @@ def cmd_sweep(args) -> int:
                 "meanSettled": _frac(r.mean_settled),
                 "meanFlushes": _frac(r.mean_flushes),
                 "meanUtility": _frac(r.mean_utility),
-                "worstRatio": r.worst_ratio,
+                "worstRatio": _number(r.worst_ratio),
                 "empiricalBest": r.empirical_best,
             }
         )
@@ -283,7 +288,7 @@ def cmd_formulas(args) -> int:
     if p_ppm is None and args.tau is not None:  # p defaults as ModelParams defaults it
         p_ppm = ModelParams.p_ppm
     report = formulas_report(args.C, args.T, k=args.k, p_ppm=p_ppm, tau=args.tau)
-    _emit(report)
+    _emit({name: _number(value) for name, value in report.items()})
     return 0
 
 

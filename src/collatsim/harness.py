@@ -7,8 +7,8 @@ returns the run's totals;
 ``exhaustive_verify`` checks the competitive bound with exact integer
 arithmetic on every prefix of every sequence over a small alphabet,
 stepping each state of a wallet rule and each value-DP key once per offer
-(a DP table keeps each key with its rows, which forget the settles that no
-offer of the space can push past C), counting flushes from the
+(a DP table keeps each key, whose rows forget the settles that no offer
+of the space can push past C), counting flushes from the
 prefixes per state on each rule's own graph, deciding each policy's bound
 by one forward max-plus pass over its graph of (state, DP key) nodes,
 each holding one weight sum, shared by the kinds of one rule and bound,
@@ -398,9 +398,9 @@ class _StateTable:
 
     Each state gets a small id on first sight.  ``reps[id]`` is what the
     state is stepped from (a policy in that state with its slot, or a DP
-    key's rows), and ``rows[id]`` holds one transition per symbol, filled
-    when first asked for.  A state's transitions do not depend on the
-    representative it was met with, so one serves every node.
+    key, its own representative), and ``rows[id]`` holds one transition per
+    symbol, filled when first asked for.  A state's transitions do not
+    depend on the representative it was met with, so one serves every node.
     """
 
     __slots__ = ("ids", "reps", "rows", "width")
@@ -456,7 +456,7 @@ def exhaustive_verify(
     and share a table, so a rule is stepped once for all its kinds (fa and
     ftwf at k = 2).  A state's row is filled once, by stepping copies of
     one policy kept per state; a key's row by one ``opt_value_key_step``
-    per symbol from the rows kept with the key, dominated ones included.
+    per symbol from the key itself.
     Along an edge, policy i with bound num/den has the weight
     ``den*gain - num*delta``, and a prefix is a counterexample exactly
     when the sum of weights from the root to it is positive.
@@ -526,7 +526,7 @@ def exhaustive_verify(
     # lists the kinds on kind i's rule
     rules = [p.g for p in roots]
     peers = [tuple(j for j in range(n) if rules[j] == rule) for rule in rules]
-    by_rule = {rule: _StateTable(width) for rule in rules}
+    by_rule = {rule: _StateTable(width) for rule in dict.fromkeys(rules)}
     tables = [by_rule[rule] for rule in rules]
     dp_table = _StateTable(width)
 
@@ -587,10 +587,10 @@ def exhaustive_verify(
         on first use."""
         row = dp_table.rows[kid]
         if row[0] is None:
-            window = dp_table.reps[kid]
+            key = dp_table.reps[kid]
             for s, sym in enumerate(symbols):
-                child, key, gain = opt_value_key_step(window, sym, space.C, space.F, largest)
-                row[s] = dp_table.intern(key, child), gain
+                child, gain = opt_value_key_step(key, sym, space.C, space.F, largest)
+                row[s] = dp_table.intern(child, child), gain
         return row
 
     length = space.max_len
@@ -622,12 +622,13 @@ def exhaustive_verify(
         num, den = bounds[i]
         rows, dp_rows = tables[i].rows, dp_table.rows
         # no edge weighs more than top, so a child at depth d whose sum is at
-        # most floor = -top*(L-d) ends no prefix above 0 and is dropped
+        # most floor = -top*(L-d), 0 at depth L, ends no prefix above 0 and is
+        # dropped; a gap gains and settles nothing, so a sum above 0 lasts to L
         top = den * largest
         # maps each (state id, DP key id) node at one slot to the largest
         # weight sum along a prefix reaching it
         layer = {(root_sids[i], root_kid): 0}
-        for depth in range(1, length):
+        for depth in range(1, length + 1):
             floor = -top * (length - depth)
             below: dict = {}
             get = below.get
@@ -641,14 +642,7 @@ def exhaustive_verify(
                     if get(child, floor) < total:
                         below[child] = total
             layer = below
-        # a gap gains and settles nothing, so a prefix whose sum is above 0
-        # keeps it along gaps to the edges out of the last slot, which build
-        # no layer
-        for (sid, kid), best in layer.items():
-            for (_, delta, _, _), (_, gain) in zip(rows[sid], dp_row(kid)):
-                if best + den * gain - num * delta > 0:
-                    return True
-        return False
+        return bool(layer)
 
     rule_passes = {}  # rule -> its pass, shared by its kinds
     for i, rule in enumerate(rules):

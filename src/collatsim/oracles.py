@@ -7,12 +7,12 @@ oracle is a DP over the settles of the last F slots, exact at any length;
 it refuses an input only when its layers would hold more than MAX_DP_CELLS
 cells in all, a cell being a state or one settle a state lists.  The tests
 re-derive it by subset enumeration and by simulating the pool state
-machine.  ``opt_value_key_step`` steps the same DP on rows whose slots are
-relative, so that prefixes with equal windows share one key; the
-exhaustive verifier keeps one table entry per key, and the tests keep
-``opt_value_key``, which keys an absolute layer, as the step's reference.
-Its rows also forget the oldest settles that no later window can push
-past C given the largest offer still possible, so they block no offer.
+machine.  ``opt_value_key_step`` steps the same DP on keys, slot-free rows
+less the dominated ones, so that prefixes with equal windows share one key;
+the exhaustive verifier keeps and steps each key alone.  A key's rows also
+forget the oldest settles that no later window can push past C given the
+largest offer still possible, so they block no offer.  The tests key the
+absolute layers, less the dominated rows' states, as the step's reference.
 The utility and k-wallet oracles are branch-and-bound searches that
 refuse more than MAX_SEARCH_TRANSACTIONS transactions rather than
 silently taking forever.  Both searches score in ints, the utility search
@@ -85,18 +85,18 @@ def opt_value_extend(
 
 
 def opt_value_key_step(
-    rows: tuple, value: int | None, C: int, F: int, top: int
-) -> tuple[tuple, tuple, int]:
-    """One slot of the value DP on rows free of absolute slots.
+    key: tuple, value: int | None, C: int, F: int, top: int
+) -> tuple[tuple, int]:
+    """One slot of the value DP on a key free of absolute slots.
 
-    ``rows`` are a layer's sorted (row, gap) pairs: a row lists the (slots
+    A key is a layer's sorted (row, gap) pairs: a row lists the (slots
     ago, value) settles of the last F slots, oldest first, that a later
     window can still push past C, and its gap is how far the best total
     among the layer's states with that row lies below the layer's best;
     the root is ``(((), 0),)``.  ``value`` is the slot's offer, None for a
     quiet slot, and ``top`` the largest offer still possible, at least
-    every later offer.  Returns the next rows, their key and the gain in
-    the layer's best.
+    every later offer.  Returns the next key and the gain in the layer's
+    best.
 
     Every row ages a slot, and the offer settles on it when the window
     ending at the slot, the row and the offer, stays within C.  The settle
@@ -108,19 +108,18 @@ def opt_value_key_step(
     most ``top``, so it stays within C whatever is settled later, and the
     row allows the same settles on every continuation without it.  The
     rule still holds after the row ages or takes an offer of at most
-    ``top``, so stepped rows equal the rows of the absolute layer with the
-    rule applied to each.  Rows made equal by either drop merge and keep
-    the smaller gap.  The key drops each dominated row, one whose copy
-    without its oldest settle, ``row[1:]``, is present with a gap no
-    larger: the copy has no more load in any later window and at least
-    the same total, so the best is the same at every later slot without
-    the row, and equal keys gain alike on every continuation.  The rows
-    keep it, since it may still dominate a later row.
+    ``top``.  Rows made equal by either drop merge and keep the smaller
+    gap.  The key drops each dominated row, one whose copy without its
+    oldest settle, ``row[1:]``, is present with a gap no larger: the copy
+    has no more load in any later window and at least the same total, so
+    whatever the row's states settle later the copy's can settle too, and
+    the best is the same at every later slot without the row.  So equal
+    keys gain alike on every continuation, and a key is the whole state.
     """
     last = F - 1
     new = ((0, value),) if F else ()
     stepped = []
-    for row, gap in rows:
+    for row, gap in key:
         load = 0
         for _, v in row:
             load += v
@@ -142,11 +141,9 @@ def opt_value_key_step(
         if get(row, gap + 1) > gap:
             out[row] = gap
     gain = -min(out.values())
-    after = tuple(sorted((row, gap + gain) for row, gap in out.items()))
-    dominated = {row for row, gap in out.items() if row and get(row[1:], gap + 1) <= gap}
-    if not dominated:
-        return after, after, gain
-    return after, tuple(pair for pair in after if pair[0] not in dominated), gain
+    return tuple(sorted(
+        (row, gap + gain) for row, gap in out.items() if not row or get(row[1:], gap + 1) > gap
+    )), gain
 
 
 def opt_general_value(seq: TransactionSequence, C: int, F: int) -> int:

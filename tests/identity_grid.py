@@ -538,9 +538,21 @@ CLI = {
 }
 
 
+# rows with their own files, which leave the other rows' directories as they were
+CLI_OWN_FILES = {
+    # rand2 settles none of one offer of 2 at C = 4: its worst ratio is unbounded
+    "sweep rand2 settles nothing": (
+        "sweep --param k --from 1 --to 1 --step 1 --policy rand2 --C 4 --T 3 --F 1 "
+        "--seq one.csv --seed 0", {"one.csv": csv_file([(1, 2)])},
+    ),
+}
+
+
 def cli_rows():
     for name, argv in CLI.items():
         yield Row(f"cli[{name}]", argv.split(), CLI_FILES)
+    for name, (argv, files) in CLI_OWN_FILES.items():
+        yield Row(f"cli[{name}]", argv.split(), files)
 
 
 SECTIONS = (

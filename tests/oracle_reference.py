@@ -9,7 +9,9 @@ and meant for n <= 12.  ``greedy_feasible_value`` is a feasible lower bound
 at any size.  ``opt_general_witness`` reads an optimal schedule from
 back-pointers over every layer of ``opt_value_extend``.  ``opt_value_key``
 keys an absolute layer of ``opt_value_extend``, its rows cut by
-``forget_settles``, the reference for ``opt_value_key_step``.
+``forget_settles``.  ``opt_value_pruned_step`` extends a layer and drops
+the states whose row its key drops; the keys of the layers it folds are
+the reference for ``opt_value_key_step``.
 ``window_lp_reference`` enumerates every integer fill 0 <= y_i <= v_i
 under the window law, the reference for the greedy LP
 bound ``window_upper_bound``; ``window_upper_bound_all_offsets`` is the
@@ -185,6 +187,12 @@ def forget_settles(row: tuple, C: int, F: int, top: int) -> tuple:
     return ()
 
 
+def value_row(state: tuple, slot: int, C: int, F: int, top: int) -> tuple:
+    """A state's (slot - s, value) settles of slots slot-F+1 .. slot, oldest
+    first, less those ``forget_settles`` drops: its row at ``slot``."""
+    return forget_settles(tuple((slot - s, v) for s, v in state if s > slot - F), C, F, top)
+
+
 def opt_value_key(
     states: dict, slot: int, C: int, F: int, top: int
 ) -> tuple[tuple[tuple[tuple[int, int], ...], int], ...]:
@@ -207,17 +215,37 @@ def opt_value_key(
     whose offers are at most ``top``.
     """
     best = max(states.values())
-    base = slot - F + 1
     rows: dict = {}
     get = rows.get
     for state, total in states.items():
-        row = forget_settles(tuple((slot - s, v) for s, v in state if s >= base), C, F, top)
+        row = value_row(state, slot, C, F, top)
         gap = best - total
         if get(row, gap) >= gap:
             rows[row] = gap
     return tuple(sorted(
         (row, gap) for row, gap in rows.items() if not row or get(row[1:], gap + 1) > gap
     ))
+
+
+def opt_value_pruned_step(
+    states: dict, slot: int, value: int | None, C: int, F: int, top: int
+) -> dict:
+    """One slot of the value DP with the dominated rows' states dropped.
+
+    ``states`` is the layer before ``slot``; its offer ``value``, None for a
+    quiet slot, extends it with ``opt_value_extend``.  Then every state whose
+    row ``opt_value_key`` drops as dominated goes: each has a state with a
+    shorter row and no smaller total, so the best is the same at every
+    later slot without it.  Folded from ``{(): 0}``, the layers keep what
+    ``opt_value_key_step`` keeps, and ``opt_value_key`` of each is its key.
+    """
+    if value is not None:
+        states = opt_value_extend(states, slot, value, C, F)
+    kept = {row for row, _ in opt_value_key(states, slot, C, F, top)}
+    return {
+        state: total for state, total in states.items()
+        if value_row(state, slot, C, F, top) in kept
+    }
 
 
 def opt_general_witness(seq, C, F):

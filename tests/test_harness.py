@@ -31,7 +31,11 @@ from collatsim.model import CollateralError, ModelParams, TransactionSequence, l
 from collatsim.oracles import opt_general_value, opt_value_extend
 from collatsim.policies import GroupFlushPolicy, make_policy
 from collatsim.workloads import WorkloadSpec, thm3_seq
-from oracle_reference import exhaustive_verify_reference, opt_value_key
+from oracle_reference import (
+    exhaustive_verify_reference,
+    opt_value_key,
+    opt_value_pruned_step,
+)
 
 PARAMS = ModelParams(C=20, T=6, F=1, k=2)
 SIXES = WorkloadSpec(
@@ -266,26 +270,42 @@ def recorded_tables(monkeypatch) -> list:
 
 
 def test_exhaustive_verify_keys_each_prefix_by_its_layer(monkeypatch):
-    # the value-DP table holds the key of every prefix's layer, its rows
+    # the value-DP table holds the key of every prefix's layer, folded
+    # without the states of the rows each slot's key drops, its rows
     # forgetting the settles no window can push past C with offers of at
-    # most 2, and no other; at C = 4, F = 4 a row dominated in one slot
-    # drops a row in the next, so keys stepped without the dominated rows
-    # would differ.
+    # most 2, and no other.  At C = 4, F = 4 a row dominated in one slot
+    # would drop a row in the next, so the keys of the whole layers differ
+    # from these.
     # At bound 1 every weight sum is V_opt - V_alg >= 0, above every floor,
     # so the forward pass drops no node and every key is built
     space = ExhaustSpace(C=4, k=1, T=2, F=4, max_len=7, values=(1, 2))
+    C, F, top = space.C, space.F, max(space.values)
     tables = recorded_tables(monkeypatch)
     layered, explicit = verify_both_routes(space, {"fa": Fraction(1)})
     assert layered == explicit
-    want = set()
+    want, whole = set(), set()
     for length in range(space.max_len + 1):
         for symbols in product((None, *space.values), repeat=length):
-            layer = {(): 0}
+            pruned, layer = {(): 0}, {(): 0}
             for slot, value in enumerate(symbols, 1):
+                pruned = opt_value_pruned_step(pruned, slot, value, C, F, top)
                 if value is not None:
-                    layer = opt_value_extend(layer, slot, value, space.C, space.F)
-            want.add(opt_value_key(layer, length, space.C, space.F, max(space.values)))
-    assert set(tables[-1].ids) == want
+                    layer = opt_value_extend(layer, slot, value, C, F)
+            want.add(opt_value_key(pruned, length, C, F, top))
+            whole.add(opt_value_key(layer, length, C, F, top))
+    assert set(tables[-1].ids) == want != whole
+
+
+def test_exhaustive_verify_makes_one_table_per_rule(monkeypatch):
+    # kinds with one group size share a rule and its table, and the value DP
+    # has one more: fa and ftwf at k = 2 (C = 6) are one rule, fa and fwf at
+    # C = 12 two
+    tables = recorded_tables(monkeypatch)
+    for C, made in ((6, 2), (12, 3)):
+        tables.clear()
+        space = ExhaustSpace(C=C, k=2, T=3, F=1, max_len=3, values=(1, 2, 3))
+        assert exhaustive_verify(space).ok()
+        assert len(tables) == made
 
 
 @pytest.mark.parametrize(

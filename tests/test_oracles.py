@@ -30,8 +30,10 @@ from oracle_reference import (
     opt_general_value_sim,
     opt_general_witness,
     opt_value_key,
+    opt_value_pruned_step,
     subset_optima,
     utility_optimum_reference,
+    value_row,
     window_law_holds,
     window_lp_reference,
     window_upper_bound_all_offsets,
@@ -191,8 +193,7 @@ def all_rows(states, slot, C, F, top):
     best = max(states.values())
     rows = {}
     for state, total in states.items():
-        row = tuple((slot - s, v) for s, v in state if s >= slot - F + 1)
-        row = forget_settles(row, C, F, top)
+        row = value_row(state, slot, C, F, top)
         rows[row] = min(rows.get(row, best - total), best - total)
     return rows
 
@@ -274,11 +275,6 @@ def test_equal_value_keys_gain_alike(C, F, values):
                 assert step(layer, at, value) == want
 
 
-def layer_rows(states, slot, C, F, top):
-    """A layer's rows as opt_value_key_step takes them, dominated rows kept."""
-    return tuple(sorted(all_rows(states, slot, C, F, top).items()))
-
-
 @st.composite
 def keyed_layers(draw):
     """A layer of opt_value_extend, the slot it was met at, C, F, the
@@ -311,33 +307,45 @@ DOMINATED_DOMINATOR = value_layer([(1, 2), (2, 2), (3, 1), (4, 1), (5, 2)], 4, 4
 @example((DOMINATED_DOMINATOR, 6, 4, 4, 2, None))
 @settings(max_examples=400, deadline=None)
 def test_opt_value_key_step_matches_the_layer_route(case):
-    # one step of a layer's rows equals extending the layer, then taking
-    # its rows and its key afresh
+    # one step of a layer's key equals dropping the layer's dominated rows'
+    # states, stepping it and keying it afresh; the gain is the whole
+    # layer's, since the dropped states reach no better total later
     layer, slot, C, F, top, value = case
-    after = layer if value is None else opt_value_extend(layer, slot + 1, value, C, F)
-    want = (
-        layer_rows(after, slot + 1, C, F, top),
-        opt_value_key(after, slot + 1, C, F, top),
-        max(after.values()) - max(layer.values()),
+    kept = opt_value_pruned_step(layer, slot, None, C, F, top)
+    after = opt_value_pruned_step(kept, slot + 1, value, C, F, top)
+    whole = layer if value is None else opt_value_extend(layer, slot + 1, value, C, F)
+    gain = max(whole.values()) - max(layer.values())
+    assert max(after.values()) - max(kept.values()) == gain
+    key = opt_value_key(layer, slot, C, F, top)
+    assert opt_value_key_step(key, value, C, F, top) == (
+        opt_value_key(after, slot + 1, C, F, top), gain
     )
-    assert opt_value_key_step(layer_rows(layer, slot, C, F, top), value, C, F, top) == want
 
 
 def test_opt_value_key_step_keeps_a_dominated_dominator():
-    # the key at slot 6 drops the row (1, 2), dominated by the empty row,
-    # but at slot 7 that row, aged to (2, 2), still drops (3, 1), (2, 2);
-    # with no offer above 2 the row (3, 1), (2, 1) forgets its 1 of slot 3
-    # and merges with the dominated row (2, 1)
+    # the key at slot 6 drops the row (1, 2), dominated by the empty row.
+    # In the whole layer at slot 7 that row, aged to (2, 2), drops
+    # (3, 1), (2, 2), and the key is one empty row; stepped from the key
+    # alone, (3, 1), (2, 2) stays.  With no offer above 2 the row
+    # (3, 1), (2, 1) forgets its 1 of slot 3 and merges with the row (2, 1)
     C = F = 4
-    rows = layer_rows(DOMINATED_DOMINATOR, 6, C, F, 2)
     key = opt_value_key(DOMINATED_DOMINATOR, 6, C, F, 2)
     assert key == (((), 0), (((3, 1), (2, 1), (1, 2)), 0))
-    assert (((1, 2),), 0) in rows
-    after, next_key, gain = opt_value_key_step(rows, None, C, F, 2)
-    assert gain == 0 and (((2, 2),), 0) in after
-    assert next_key == opt_value_key(DOMINATED_DOMINATOR, 7, C, F, 2) == (((), 0),)
-    # stepped from the key alone, the row would stay
-    assert (((3, 1), (2, 2)), 0) in opt_value_key_step(key, None, C, F, 2)[1]
+    assert all_rows(DOMINATED_DOMINATOR, 6, C, F, 2)[((1, 2),)] == 0
+    assert opt_value_key(DOMINATED_DOMINATOR, 7, C, F, 2) == (((), 0),)
+    stepped, gain = opt_value_key_step(key, None, C, F, 2)
+    assert gain == 0 and stepped == (((), 0), (((3, 1), (2, 2)), 0))
+    # the extra row changes no gain: on every run of three more slots the
+    # stepped gains sum to the whole layers' gain
+    best = max(DOMINATED_DOMINATOR.values())
+    for offers in product((None, 1, 2), repeat=3):
+        layer, at, total = DOMINATED_DOMINATOR, stepped, 0
+        for slot, value in enumerate(offers, 8):
+            if value is not None:
+                layer = opt_value_extend(layer, slot, value, C, F)
+            at, gain = opt_value_key_step(at, value, C, F, 2)
+            total += gain
+            assert total == max(layer.values()) - best
 
 
 @st.composite
@@ -384,20 +392,22 @@ def test_forgotten_settles_change_no_later_optimum(case):
 
 
 def test_opt_value_key_step_folds_like_the_layers():
-    # from the root, rows stepped slot by slot stay the rows of the layers;
-    # in the second run no offer is above 2, so rows forget settles
+    # from the root, keys stepped slot by slot stay the keys of the layers
+    # folded without their dominated rows' states, and the gains sum to the
+    # whole layers' best; in the second run no offer is above 2, so rows
+    # forget settles
     C, F = 5, 2
     for offers in ([2, 3, None, 1, 3, None, None, 5, 1], [2, 1, None, 1, 2, 2, None, 1, 1]):
         top = max(v for v in offers if v is not None)
-        rows, layer, best = (((), 0),), {(): 0}, 0
+        key, pruned, layer, best = (((), 0),), {(): 0}, {(): 0}, 0
         for slot, value in enumerate(offers, 1):
+            pruned = opt_value_pruned_step(pruned, slot, value, C, F, top)
             if value is not None:
                 layer = opt_value_extend(layer, slot, value, C, F)
-            rows, key, gain = opt_value_key_step(rows, value, C, F, top)
+            key, gain = opt_value_key_step(key, value, C, F, top)
             best += gain
-            assert rows == layer_rows(layer, slot, C, F, top)
-            assert key == opt_value_key(layer, slot, C, F, top)
-            assert best == max(layer.values())
+            assert key == opt_value_key(pruned, slot, C, F, top)
+            assert best == max(pruned.values()) == max(layer.values())
 
 
 @st.composite
