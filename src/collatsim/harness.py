@@ -7,9 +7,11 @@ returns the run's totals;
 ``exhaustive_verify`` checks the competitive bound with exact integer
 arithmetic on every prefix of every sequence over a small alphabet,
 stepping each state of a wallet rule and each value-DP key once per offer
-(a DP table keeps each key, whose rows forget the settles that no offer
-of the space can push past C), counting flushes from the
-prefixes per state on each rule's own graph, deciding each policy's bound
+(a rule's row holds each step's next state, settled delta and flushed
+amounts; a DP table keeps each key, whose rows forget the settles that no
+offer of the space can push past C), counting flushes from the
+prefixes per state on each rule's own graph, checking each step's amounts
+once per kind by ``flush_faults``, deciding each policy's bound
 by one forward max-plus pass over its graph of (state, DP key) nodes,
 each holding one weight sum, shared by the kinds of one rule and bound,
 that drops a node whose sum the slots left cannot lift above 0,
@@ -42,6 +44,7 @@ import math
 import sys
 from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
+from itertools import combinations
 
 from . import formulas
 from .model import (
@@ -394,30 +397,37 @@ class ExhaustSummary:
 
 
 class _StateTable:
-    """States met by exhaustive_verify's walk and their transitions.
+    """States met by exhaustive_verify and their transitions.
 
     Each state gets a small id on first sight.  ``reps[id]`` is what the
     state is stepped from (a policy in that state with its slot, or a DP
-    key, its own representative), and ``rows[id]`` holds one transition per
-    symbol, filled when first asked for.  A state's transitions do not
-    depend on the representative it was met with, so one serves every node.
+    key, its own representative), and ``rows[id]``, None until ``row``
+    first fills it, holds one transition per symbol.  A state's transitions
+    do not depend on the representative it was met with, so one serves
+    every node.
     """
 
-    __slots__ = ("ids", "reps", "rows", "width")
+    __slots__ = ("ids", "reps", "rows")
 
-    def __init__(self, width: int):
+    def __init__(self):
         self.ids: dict = {}
         self.reps: list = []
         self.rows: list = []
-        self.width = width
 
     def intern(self, state, rep) -> int:
         sid = self.ids.get(state)
         if sid is None:
             sid = self.ids[state] = len(self.reps)
             self.reps.append(rep)
-            self.rows.append([None] * self.width)
+            self.rows.append(None)
         return sid
+
+    def row(self, sid: int, fill) -> list:
+        """State sid's transitions, ``fill(rep, intern)`` on first use."""
+        row = self.rows[sid]
+        if row is None:
+            row = self.rows[sid] = fill(self.reps[sid], self.intern)
+        return row
 
 
 def default_exhaust_policies(params: ModelParams) -> dict[str, Fraction]:
@@ -430,17 +440,38 @@ def default_exhaust_policies(params: ModelParams) -> dict[str, Fraction]:
     return out
 
 
+def flush_faults(kind: str, amounts: list, params: ModelParams, slot: int, pairs) -> list[str]:
+    """The flush-shape invariants that one step of ``kind`` breaks, given the
+    amounts it flushed (at least one), the step's slot and the pairs before
+    it: a cyclic-flush wallet leaves more than C/k - T committed,
+    simultaneous flush-all wallets pairwise exceed C/k, and at r = 1 a
+    flush-all event carries at least C/2 total (a pair flush at least C/k)."""
+    size = params.C // params.k
+    saturated = params.k * params.T == params.C  # r = 1
+    faults = []
+    if kind == "fwf":
+        if amounts[0] <= size - params.T:
+            faults.append(f"fwf flush at slot {slot} carries {amounts[0]} <= C/k-T")
+    elif kind == "fa":
+        for (i, a), (j, b) in combinations(enumerate(amounts, 1), 2):
+            if a + b <= size:
+                faults.append(f"fa flush at slot {slot}: wallets {i},{j} carry {a}+{b} <= C/k")
+        if saturated and 2 * sum(amounts) < params.C:
+            faults.append(f"fa flush at slot {slot} carries {sum(amounts)} < C/2")
+    elif kind == "ftwf" and saturated:
+        if sum(amounts) < size:
+            faults.append(f"ftwf pair flush at slot {slot} carries {sum(amounts)} < C/k")
+    return [f"{fault} on {pairs}" for fault in faults]
+
+
 def exhaustive_verify(
     space: ExhaustSpace, policies: dict[str, Fraction] | None = None
 ) -> ExhaustSummary:
     """Check V_opt <= bound * V_alg on every prefix of every sequence.
 
     The comparison is exact integer arithmetic (bound is a Fraction,
-    zero additive slack).  Flush-shape invariants are checked on every
-    flush along the way: a cyclic-flush wallet leaves more than C/k - T
-    committed, simultaneous flush-all wallets pairwise exceed C/k, and
-    at r = 1 a flush-all event carries at least C/2 total (pair flushes
-    likewise carry at least C/k).
+    zero additive slack).  The flush-shape invariants of ``flush_faults``
+    are checked on every flush along the way.
 
     A node of the tree of prefixes is known by each policy's
     ``state(slot)`` and the value DP's key, the rows of its layer with
@@ -450,25 +481,25 @@ def exhaustive_verify(
     C = 12, T = 3 and F <= 3 every settle is forgotten and one key serves
     every prefix.
     Transition tables, local to the call, hold what one offer does: per
-    rule and state the next state, the settled delta, the flush count and
-    the invariants its flushes break, tagged by kind; per DP key the next
-    key and the gain in V_opt.  Kinds with one group size g are one rule
-    and share a table, so a rule is stepped once for all its kinds (fa and
-    ftwf at k = 2).  A state's row is filled once, by stepping copies of
+    rule and state the next state, the settled delta and the flushed
+    amounts; per DP key the next key and the gain in V_opt.  Kinds with
+    one group size g are one rule and share a table, so a rule is stepped
+    once for all its kinds (fa and ftwf at k = 2).  A state's row is filled once, by stepping copies of
     one policy kept per state; a key's row by one ``opt_value_key_step``
     per symbol from the key itself.
     Along an edge, policy i with bound num/den has the weight
     ``den*gain - num*delta``, and a prefix is a counterexample exactly
     when the sum of weights from the root to it is positive.
 
-    Each rule's flushes and faults depend on its state alone, so one pass
-    per rule over its own graph of states, one layer per slot, counts the
-    prefixes that reach each state, adds prefixes times flushes on every
-    edge to ``flush_events_checked``, and finds an edge that breaks an
-    invariant of a kind on the rule.  Each policy's bound is decided on its
-    own graph of (state, DP key) nodes by one forward max-plus pass, one
-    layer per slot, each node holding the largest weight sum along a
-    prefix that reaches it; kinds on one rule held to one bound share the
+    Each rule's flushes depend on its state alone, so one pass per rule
+    over its own graph of states, one layer per slot, counts the prefixes
+    that reach each state and adds prefixes times flushes on every edge to
+    ``flush_events_checked``.  The rows these passes fill are every edge
+    of the tree, and whether a step breaks an invariant depends on the
+    kind and the amounts alone, so each kind's rows are checked once for a
+    fault.  Each policy's bound is decided on its own graph of (state, DP
+    key) nodes by one forward max-plus pass, one layer per slot, each node
+    holding the largest weight sum along a prefix that reaches it; kinds on one rule held to one bound share the
     pass.  An offer lifts the best by at most itself and a settled delta is
     never negative, so no edge weighs more than ``top = den*max(values)``,
     and a node at depth d whose sum is at most ``-top*(L - d)`` ends no
@@ -506,8 +537,6 @@ def exhaustive_verify(
                 f"exhaustive verification needs a wallet-group policy, got {kind!r}"
             )
     bounds = [(b.numerator, b.denominator) for b in policies.values()]
-    size = params.C // params.k
-    saturated = params.load_ratio == 1
     # every sequence has max_len symbols, and each non-gap symbol ends a prefix
     sequences = space.sequence_count()
     summary = ExhaustSummary(
@@ -521,76 +550,35 @@ def exhaustive_verify(
     )
     symbols = tuple(space.values) + (None,)
     largest = max(space.values)  # no offer is larger, so none lifts V_opt more
-    width = len(symbols)
-    # kinds with one group size g are one rule and share its table; peers[i]
-    # lists the kinds on kind i's rule
+    # kinds with one group size g are one rule and share its table
     rules = [p.g for p in roots]
-    peers = [tuple(j for j in range(n) if rules[j] == rule) for rule in rules]
-    by_rule = {rule: _StateTable(width) for rule in dict.fromkeys(rules)}
+    by_rule = {rule: _StateTable() for rule in dict.fromkeys(rules)}
     tables = [by_rule[rule] for rule in rules]
-    dp_table = _StateTable(width)
+    dp_table = _StateTable()
 
-    def broken_invariants(kind: str, amounts: list) -> list[str]:
-        """The invariants one step's flushes break, as texts to format with
-        the slot ({0}) and the pairs before the step ({1})."""
-        faults = []
-        if kind == "fwf":
-            if amounts[0] <= size - params.T:
-                faults.append(f"fwf flush at slot {{0}} carries {amounts[0]} <= C/k-T")
-        elif kind == "fa":
-            for i in range(len(amounts)):
-                for j in range(i + 1, len(amounts)):
-                    if amounts[i] + amounts[j] <= size:
-                        faults.append(
-                            f"fa flush at slot {{0}}: wallets {i + 1},{j + 1} "
-                            f"carry {amounts[i]}+{amounts[j]} <= C/k"
-                        )
-            if saturated and 2 * sum(amounts) < params.C:
-                faults.append(f"fa flush at slot {{0}} carries {sum(amounts)} < C/2")
-        elif kind == "ftwf" and saturated:
-            if sum(amounts) < size:
-                faults.append(
-                    f"ftwf pair flush at slot {{0}} carries {sum(amounts)} < C/k"
-                )
-        return [f + " on {1}" for f in faults]
-
-    def policy_row(i: int, sid: int) -> list:
-        """The transitions of policy i's rule from state sid, one per symbol,
-        filled on first use; their faults are (kind index, text) for every
-        kind on the rule."""
-        table = tables[i]
-        row = table.rows[sid]
-        if row[0] is not None:
-            return row
-        policy, slot = table.reps[sid]
+    def step_policy(rep, intern) -> list:
+        """Per symbol, the id of the next state of a policy in rep's state,
+        the settled delta and the flushed amounts."""
+        policy, slot = rep
         nxt = slot + 1
-        for s, sym in enumerate(symbols):
+        row = []
+        for sym in symbols:
             # a clone's trace holds only the events of this step
             p2 = policy.clone()
             p2.step(nxt, sym)
-            amounts = p2.machine.trace.flush_amounts
-            faults = ()
-            if amounts:
-                faults = tuple(
-                    (j, text) for j in peers[i] for text in broken_invariants(kinds[j], amounts)
-                )
-            row[s] = (
-                table.intern(p2.state(nxt), (p2, nxt)),
+            row.append((
+                intern(p2.state(nxt), (p2, nxt)),
                 p2.machine.settled - policy.machine.settled,
-                len(amounts),
-                faults,
-            )
+                p2.machine.trace.flush_amounts,
+            ))
         return row
 
-    def dp_row(kid: int) -> list:
-        """The value DP's transitions from key kid, one per symbol, filled
-        on first use."""
-        row = dp_table.rows[kid]
-        if row[0] is None:
-            key = dp_table.reps[kid]
-            for s, sym in enumerate(symbols):
-                child, gain = opt_value_key_step(key, sym, space.C, space.F, largest)
-                row[s] = dp_table.intern(child, child), gain
+    def step_key(key, intern) -> list:
+        """Per symbol, the id of the value DP's next key and the gain."""
+        row = []
+        for sym in symbols:
+            child, gain = opt_value_key_step(key, sym, space.C, space.F, largest)
+            row.append((intern(child, child), gain))
         return row
 
     length = space.max_len
@@ -598,29 +586,28 @@ def exhaustive_verify(
     root_key = (((), 0),)
     root_kid = dp_table.intern(root_key, root_key)
 
-    def rule_pass(i: int) -> tuple[int, bool]:
-        """The flushes of policy i's rule on all prefixes, and whether one of
-        its steps breaks an invariant: one layer per slot of the rule's own
-        graph, each mapping a state to the number of prefixes reaching it."""
-        flushes, broken = 0, False
+    def rule_pass(i: int) -> int:
+        """The flushes of policy i's rule on all prefixes: one layer per slot
+        of the rule's own graph, each mapping a state to the number of
+        prefixes reaching it."""
+        table = tables[i]
+        flushes = 0
         layer = {root_sids[i]: 1}
         for _ in range(length):
             below: dict = {}
             get = below.get
             for sid, paths in layer.items():
-                for child, _, flushed, faults in policy_row(i, sid):
-                    flushes += paths * flushed
-                    if faults:
-                        broken = True
+                for child, _, amounts in table.row(sid, step_policy):
+                    flushes += paths * len(amounts)
                     below[child] = get(child, 0) + paths
             layer = below
-        return flushes, broken
+        return flushes
 
     def forward(i: int) -> bool:
         """Policy i's max-plus pass, after its rule's pass has filled the
         rule's rows: whether a prefix ends with a sum above 0."""
         num, den = bounds[i]
-        rows, dp_rows = tables[i].rows, dp_table.rows
+        rows, dp_row = tables[i].rows, dp_table.row
         # no edge weighs more than top, so a child at depth d whose sum is at
         # most floor = -top*(L-d), 0 at depth L, ends no prefix above 0 and is
         # dropped; a gap gains and settles nothing, so a sum above 0 lasts to L
@@ -633,10 +620,9 @@ def exhaustive_verify(
             below: dict = {}
             get = below.get
             for (sid, kid), best in layer.items():
-                dp_edges = dp_rows[kid]
-                if dp_edges[0] is None:
-                    dp_edges = dp_row(kid)
-                for (child_sid, delta, _, _), (child_kid, gain) in zip(rows[sid], dp_edges):
+                for (child_sid, delta, _), (child_kid, gain) in zip(
+                    rows[sid], dp_row(kid, step_key)
+                ):
                     total = best + den * gain - num * delta
                     child = child_sid, child_kid
                     if get(child, floor) < total:
@@ -644,16 +630,24 @@ def exhaustive_verify(
             layer = below
         return bool(layer)
 
-    rule_passes = {}  # rule -> its pass, shared by its kinds
+    rule_passes = {}  # rule -> its flushes, shared by its kinds
     for i, rule in enumerate(rules):
         if rule not in rule_passes:
             rule_passes[rule] = rule_pass(i)
-    summary.flush_events_checked = sum(rule_passes[rule][0] for rule in rules)
+    summary.flush_events_checked = sum(rule_passes[rule] for rule in rules)
+    # only whether a step breaks an invariant is read here, so the slot and
+    # the pairs are placeholders
+    broken = any(
+        flush_faults(kind, amounts, params, 0, ())
+        for kind, table in zip(kinds, tables)
+        for row in table.rows
+        if row is not None
+        for _, _, amounts in row
+        if amounts
+    )
     # kinds on one rule held to one bound share the max-plus pass
     groups = {(rules[i], bounds[i]): i for i in range(n)}
-    if not any(broken for _, broken in rule_passes.values()) and not any(
-        forward(i) for i in groups.values()
-    ):
+    if not broken and not any(forward(i) for i in groups.values()):
         return summary
 
     path: list = []  # the (slot, value) pairs from the root to the node
@@ -663,7 +657,7 @@ def exhaustive_verify(
     def walk(slot: int, sids: list, kid: int, v_algs: list, v_opt: int) -> None:
         """List the counterexamples and violations below a node."""
         nxt = slot + 1
-        dp_edges = dp_row(kid)
+        dp_edges = dp_table.row(kid, step_key)
         rows = [table.rows[sid] for table, sid in zip(tables, sids)]
         for s, sym in enumerate(symbols):
             child_kid, gain = dp_edges[s]
@@ -671,10 +665,9 @@ def exhaustive_verify(
             child_sids = []
             child_algs = []
             for i in range(n):
-                child_sid, delta, _, faults = rows[i][s]
-                for j, fault in faults:
-                    if j == i:
-                        violations.append(fault.format(nxt, tuple(path)))
+                child_sid, delta, amounts = rows[i][s]
+                if amounts:
+                    violations.extend(flush_faults(kinds[i], amounts, params, nxt, tuple(path)))
                 num, den = bounds[i]
                 alg_child = v_algs[i] + delta
                 child_sids.append(child_sid)

@@ -2,11 +2,13 @@
 
 A row is ``(id, argv, files)``: the argv after the program name and the
 input files, by relative name, that it reads.  ``digest`` runs a row by one
-recipe: ``cli.main(argv)`` in-process, in a fresh directory that holds only
-the row's files, so no absolute path reaches an output; then sha256 of the
-exit code (an argparse refusal's too), stdout, stderr and each file left in
-the directory, name and bytes, by name.  A row id reads ``section[case]``,
-or ``section[case] run`` when a case is several runs.
+recipe: ``run``, which calls ``cli.main(argv)`` in-process, in a fresh
+directory that holds only the row's files, so no absolute path reaches an
+output; then sha256 of the exit code (an argparse refusal's too), stdout,
+stderr and each file left in the directory, name and bytes, by name.
+``check`` also asks that a stdout, when there is one, be strict JSON.  A
+row id reads ``section[case]``, or ``section[case] run`` when a case is
+several runs.
 
 ``identity_grid.sha256`` holds the recorded digests.  A change that alters
 output on purpose records them again and names the rows that changed:
@@ -593,6 +595,23 @@ def hash_run(code: int, out: bytes, err: bytes, directory) -> str:
     return digest.hexdigest()
 
 
+def run(argv, directory) -> tuple[int, str, str]:
+    """``main(argv)`` run in ``directory``: its exit code, an argparse
+    refusal's too, its stdout and its stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(directory)
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = main(list(argv))
+            except SystemExit as refused:  # argparse's refusals
+                code = refused.code
+    finally:
+        os.chdir(cwd)
+    return code, out.getvalue(), err.getvalue()
+
+
 def digest(row_id: str, directory=None) -> Run:
     """Run the row by the recipe: in ``directory``, which must be empty and
     keeps the files, or else in a temporary one."""
@@ -601,18 +620,7 @@ def digest(row_id: str, directory=None) -> Run:
             return digest(row_id, scratch)
     row = ROWS[row_id]
     lay_out(row, directory)
-    out, err = io.StringIO(), io.StringIO()
-    cwd = os.getcwd()
-    os.chdir(directory)
-    try:
-        with redirect_stdout(out), redirect_stderr(err):
-            try:
-                code = main(list(row.argv))
-            except SystemExit as refused:  # argparse's refusals
-                code = refused.code
-    finally:
-        os.chdir(cwd)
-    out, err = out.getvalue(), err.getvalue()
+    code, out, err = run(row.argv, directory)
     return Run(hash_run(code, out.encode(), err.encode(), directory), code, out, err)
 
 
@@ -622,17 +630,28 @@ def recorded() -> dict[str, str]:
     return dict(line.rsplit(" ", 1) for line in RECORD.read_text().splitlines())
 
 
+def refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
 def check(row_id: str, directory=None) -> Run:
     """The row's run, whose digest must be the recorded one; a mismatch
-    names the row and shows the first lines of its stdout and stderr."""
-    run = digest(row_id, directory)
+    names the row and shows the first lines of its stdout and stderr.  A
+    row prints one JSON document or, refused, nothing; NaN and Infinity are
+    not JSON, so an unbounded value prints as "inf"."""
+    done = digest(row_id, directory)
     want = recorded().get(row_id)
-    out, err = ("\n".join(text.splitlines()[:8]) for text in (run.out, run.err))
-    assert run.sha256 == want, (
-        f"row {row_id!r}: digest {run.sha256}, recorded {want}\n"
+    out, err = ("\n".join(text.splitlines()[:8]) for text in (done.out, done.err))
+    assert done.sha256 == want, (
+        f"row {row_id!r}: digest {done.sha256}, recorded {want}\n"
         f"--- stdout\n{out}\n--- stderr\n{err}"
     )
-    return run
+    if done.out:
+        try:
+            json.loads(done.out, parse_constant=refuse_constant)
+        except ValueError as loose:
+            raise AssertionError(f"row {row_id!r}: stdout is not strict JSON: {loose}") from None
+    return done
 
 
 def cases(section: str) -> dict[str, list[str]]:

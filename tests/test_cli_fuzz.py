@@ -13,18 +13,16 @@ without a refusal there, a run would allocate memory rather than fail
 fast, while 10^30 is past any index at once.
 """
 
-import io
 import json
-import os
-from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from collatsim.cli import main
 from collatsim.harness import ADVERSARY_KINDS, ORACLE_KINDS
 from collatsim.policies import POLICY_KINDS
 from collatsim.workloads import VALUE_KNOBS, WORKLOAD_KINDS
+
+import identity_grid as grid
 
 HUGE = 10**30
 PAST_FLOAT = 10**400
@@ -111,22 +109,6 @@ def workdir(tmp_path_factory):
     return directory
 
 
-def run(argv, directory):
-    """The exit code and stderr of ``main(argv)`` run in ``directory``."""
-    out, err = io.StringIO(), io.StringIO()
-    cwd = os.getcwd()
-    os.chdir(directory)
-    try:
-        with redirect_stdout(out), redirect_stderr(err):
-            try:
-                code = main(argv)
-            except SystemExit as refused:  # argparse's refusals
-                code = refused.code
-    finally:
-        os.chdir(cwd)
-    return code, err.getvalue()
-
-
 # a bank of 10^30 wallets, and an exponential draw whose default mean,
 # maxValue / 2, is past the float range
 WALLETS_PAST_ANY_INDEX = ["exhaust", *f"--C {HUGE} --k {HUGE} --T 1 --F 1 --max-len 3".split(),
@@ -144,7 +126,7 @@ MEAN_PAST_THE_FLOAT_RANGE = [
 @example(argv=WALLETS_PAST_ANY_INDEX)
 @example(argv=MEAN_PAST_THE_FLOAT_RANGE)
 def test_every_exit_is_0_1_or_one_error_line(workdir, argv):
-    code, err = run(argv, workdir)
+    code, _, err = grid.run(argv, workdir)
     assert code in (0, 1, 2), (argv, code, err)
     if code == 2:
         assert err.startswith("error:") and err.count("\n") == 1 and err.endswith("\n"), argv

@@ -18,6 +18,7 @@ from collatsim.harness import (
     ExperimentConfig,
     default_exhaust_policies,
     exhaustive_verify,
+    flush_faults,
     measure_ratio,
     ratio_of,
     run_adversary_demo,
@@ -261,8 +262,8 @@ def recorded_tables(monkeypatch) -> list:
     tables = []
 
     class Recorded(harness._StateTable):
-        def __init__(self, width):
-            super().__init__(width)
+        def __init__(self):
+            super().__init__()
             tables.append(self)
 
     monkeypatch.setattr(harness, "_StateTable", Recorded)
@@ -579,6 +580,38 @@ def test_exhaustive_verify_runs_no_walk_on_a_clean_space():
     summary, walks = walk_slots(space, {"fa": Fraction(1, 2)})
     assert len(summary.counterexamples) == summary.prefixes_checked
     assert walks[0] == 0
+
+
+# (kind, C, k, T, amounts flushed, faults) just inside and just past each
+# flush-shape invariant's threshold, for a step at slot 5 after the pairs
+# ((4, 2),); r = kT/C
+FLUSH_FAULTS = [
+    # fwf: the flushed wallet carries more than C/k - T = 6 - 3
+    ("fwf", 12, 2, 3, [4], []),
+    ("fwf", 12, 2, 3, [3], ["fwf flush at slot 5 carries 3 <= C/k-T on ((4, 2),)"]),
+    # fa: any two wallets flushed together carry more than C/k = 4
+    ("fa", 12, 3, 2, [2, 3, 3], []),
+    ("fa", 12, 3, 2, [2, 3, 2], ["fa flush at slot 5: wallets 1,3 carry 2+2 <= C/k on ((4, 2),)"]),
+    # fa at r = 1: a flush carries at least C/2, 9/2 or 6 here, at r = 1/2 not
+    ("fa", 9, 1, 9, [5], []),
+    ("fa", 9, 1, 9, [4], ["fa flush at slot 5 carries 4 < C/2 on ((4, 2),)"]),
+    ("fa", 12, 2, 6, [6], []),
+    ("fa", 12, 2, 3, [5], []),
+    ("fa", 12, 2, 6, [2, 2], [
+        "fa flush at slot 5: wallets 1,2 carry 2+2 <= C/k on ((4, 2),)",
+        "fa flush at slot 5 carries 4 < C/2 on ((4, 2),)",
+    ]),
+    # ftwf at r = 1: a pair flush carries at least C/k = 3, at r = 2/3 not
+    ("ftwf", 12, 4, 3, [1, 2], []),
+    ("ftwf", 12, 4, 3, [1, 1], ["ftwf pair flush at slot 5 carries 2 < C/k on ((4, 2),)"]),
+    ("ftwf", 12, 4, 2, [1, 1], []),
+]
+
+
+@pytest.mark.parametrize("kind, C, k, T, amounts, faults", FLUSH_FAULTS)
+def test_flush_faults_at_each_threshold(kind, C, k, T, amounts, faults):
+    params = ModelParams(C=C, T=T, F=1, k=k)
+    assert flush_faults(kind, amounts, params, 5, ((4, 2),)) == faults
 
 
 def test_exhaustive_verify_refuses_a_policy_without_a_state():
