@@ -44,6 +44,7 @@ import math
 import sys
 from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
+from functools import partial
 from itertools import combinations
 
 from . import formulas
@@ -399,34 +400,32 @@ class ExhaustSummary:
 class _StateTable:
     """States met by exhaustive_verify and their transitions.
 
-    Each state gets a small id on first sight.  ``reps[id]`` is what the
-    state is stepped from (a policy in that state with its slot, or a DP
-    key, its own representative), and ``rows[id]``, None until ``row``
-    first fills it, holds one transition per symbol.  A state's transitions
-    do not depend on the representative it was met with, so one serves
-    every node.
+    Each state, a policy's ``state()`` tuple or a value-DP key, gets a
+    small id on first sight, and ``states[id]`` is the state.  ``rows[id]``,
+    None until ``row`` first fills it, holds one transition per symbol,
+    which is a function of the state alone.
     """
 
-    __slots__ = ("ids", "reps", "rows")
+    __slots__ = ("ids", "states", "rows")
 
     def __init__(self):
         self.ids: dict = {}
-        self.reps: list = []
+        self.states: list = []
         self.rows: list = []
 
-    def intern(self, state, rep) -> int:
+    def intern(self, state) -> int:
         sid = self.ids.get(state)
         if sid is None:
-            sid = self.ids[state] = len(self.reps)
-            self.reps.append(rep)
+            sid = self.ids[state] = len(self.states)
+            self.states.append(state)
             self.rows.append(None)
         return sid
 
     def row(self, sid: int, fill) -> list:
-        """State sid's transitions, ``fill(rep, intern)`` on first use."""
+        """State sid's transitions, ``fill(state, intern)`` on first use."""
         row = self.rows[sid]
         if row is None:
-            row = self.rows[sid] = fill(self.reps[sid], self.intern)
+            row = self.rows[sid] = fill(self.states[sid], self.intern)
         return row
 
 
@@ -440,7 +439,7 @@ def default_exhaust_policies(params: ModelParams) -> dict[str, Fraction]:
     return out
 
 
-def flush_faults(kind: str, amounts: list, params: ModelParams, slot: int, pairs) -> list[str]:
+def flush_faults(kind: str, amounts: tuple, params: ModelParams, slot: int, pairs) -> list[str]:
     """The flush-shape invariants that one step of ``kind`` breaks, given the
     amounts it flushed (at least one), the step's slot and the pairs before
     it: a cyclic-flush wallet leaves more than C/k - T committed,
@@ -484,9 +483,10 @@ def exhaustive_verify(
     rule and state the next state, the settled delta and the flushed
     amounts; per DP key the next key and the gain in V_opt.  Kinds with
     one group size g are one rule and share a table, so a rule is stepped
-    once for all its kinds (fa and ftwf at k = 2).  A state's row is filled once, by stepping copies of
-    one policy kept per state; a key's row by one ``opt_value_key_step``
-    per symbol from the key itself.
+    once for all its kinds (fa and ftwf at k = 2).  A state's row is filled
+    once, by the rule's ``GroupFlushPolicy.next_states`` on the state tuple
+    itself; a key's row by one ``opt_value_key_step`` per symbol from the
+    key itself.
     Along an edge, policy i with bound num/den has the weight
     ``den*gain - num*delta``, and a prefix is a counterexample exactly
     when the sum of weights from the root to it is positive.
@@ -556,48 +556,39 @@ def exhaustive_verify(
     tables = [by_rule[rule] for rule in rules]
     dp_table = _StateTable()
 
-    def step_policy(rep, intern) -> list:
-        """Per symbol, the id of the next state of a policy in rep's state,
+    def step_policy(policy, state, intern) -> list:
+        """Per symbol, the id of the next state of policy's rule from state,
         the settled delta and the flushed amounts."""
-        policy, slot = rep
-        nxt = slot + 1
-        row = []
-        for sym in symbols:
-            # a clone's trace holds only the events of this step
-            p2 = policy.clone()
-            p2.step(nxt, sym)
-            row.append((
-                intern(p2.state(nxt), (p2, nxt)),
-                p2.machine.settled - policy.machine.settled,
-                p2.machine.trace.flush_amounts,
-            ))
-        return row
+        return [
+            (intern(nxt), delta, amounts)
+            for nxt, delta, amounts in policy.next_states(state, symbols)
+        ]
 
     def step_key(key, intern) -> list:
         """Per symbol, the id of the value DP's next key and the gain."""
         row = []
         for sym in symbols:
             child, gain = opt_value_key_step(key, sym, space.C, space.F, largest)
-            row.append((intern(child, child), gain))
+            row.append((intern(child), gain))
         return row
 
     length = space.max_len
-    root_sids = [table.intern(p.state(0), (p, 0)) for table, p in zip(tables, roots)]
-    root_key = (((), 0),)
-    root_kid = dp_table.intern(root_key, root_key)
+    root_sids = [table.intern(p.state(0)) for table, p in zip(tables, roots)]
+    root_kid = dp_table.intern((((), 0),))
 
     def rule_pass(i: int) -> int:
         """The flushes of policy i's rule on all prefixes: one layer per slot
         of the rule's own graph, each mapping a state to the number of
         prefixes reaching it."""
         table = tables[i]
+        fill = partial(step_policy, roots[i])
         flushes = 0
         layer = {root_sids[i]: 1}
         for _ in range(length):
             below: dict = {}
             get = below.get
             for sid, paths in layer.items():
-                for child, _, amounts in table.row(sid, step_policy):
+                for child, _, amounts in table.row(sid, fill):
                     flushes += paths * len(amounts)
                     below[child] = get(child, 0) + paths
             layer = below

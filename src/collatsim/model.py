@@ -302,19 +302,16 @@ class EventTrace:
     order: the settle columns ``settle_slots`` and ``settle_values``, two
     int lists that the window check reads as they are, since a machine
     settles at most one offer a slot and so logs settles in strictly
-    increasing slot order; and ``flush_amounts``, each wallet flush's
-    amount, which the exhaustive verifier checks.  Pool flushes are not
-    recorded there, since that verifier steps wallet policies only.
-    Nothing in the program reads the text back: it is for the trace file.
+    increasing slot order.  Nothing in the program reads the text back:
+    it is for the trace file.
     """
 
-    __slots__ = ("chunks", "settle_slots", "settle_values", "flush_amounts")
+    __slots__ = ("chunks", "settle_slots", "settle_values")
 
     def __init__(self):
         self.chunks: list[str] = []
         self.settle_slots: list[int] = []
         self.settle_values: list[int] = []
-        self.flush_amounts: list[int] = []
 
     def discard(self, slot: int, value: int) -> None:
         s, v = str(slot), str(value)
@@ -336,7 +333,6 @@ class EventTrace:
         self.chunks.append(
             f'{{"slot":{slot},"kind":"flush","wallet":{wallet},"flushAmount":{amount}}}\n'
         )
-        self.flush_amounts.append(amount)
 
     def wallet_online(self, slot: int, wallet: int) -> None:
         self.chunks.append(f'{{"slot":{slot},"kind":"online","wallet":{wallet}}}\n')
@@ -379,7 +375,8 @@ class WalletBank:
     wallets; a caller may skip it while ``slot < next_back``, the earliest
     return (``NOTHING_OUT`` while no wallet is out).  `settled` and
     `flushes` (one per wallet) are the run's totals, which `clone` copies,
-    with an empty trace.
+    with an empty trace, for a test that forks a run.  The exhaustive
+    verifier forks no bank: it steps the policies' state tuples.
     """
 
     __slots__ = ("params", "size", "remaining", "offline_until", "outages",

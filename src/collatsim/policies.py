@@ -11,8 +11,10 @@ leftover committed collateral exactly when tau > 0, the threshold policy
 always does.  Policies are deterministic given params and seed.  Each
 keeps its state machine under ``machine``; the machine's counters are
 the run's totals and its trace only logs events.  The wallet-group
-policies also have ``clone``, which copies the state, counters included,
-and gives the copy an empty trace, so the exhaustive verifier can fork
+policies also have ``state``, everything later steps depend on as a
+flat tuple, and ``next_states``, the same rule read on that tuple, which
+the exhaustive verifier steps; and ``clone``, which copies the state,
+counters included, and gives the copy an empty trace, so a test can fork
 mid-run and read off the events of one step.
 
 The three deterministic wallet policies are one class, ``GroupFlushPolicy``:
@@ -113,6 +115,51 @@ class GroupFlushPolicy:
                 caps.append(left)
                 ends.append(-1)
         return tuple(caps + ends)
+
+    def next_states(self, state: tuple[int, ...], symbols) -> list[tuple]:
+        """What ``step(slot + 1, v)`` does for each v of ``symbols``, read on
+        ``state(slot)`` alone, without a policy in that state.
+
+        The rule of ``step`` on the tuple: each outage end ages by a slot,
+        an end of 0 coming back online (its capacity is already C/k).  A
+        gap, or an offer while the active group is out, changes nothing
+        more; an offer settles in the group's first wallet with room for
+        it; a misfit flushes the group's wallets, C/k less each one's room,
+        takes them out for F slots and makes the next group active.  Per
+        symbol the result is the next state, the settled delta and the
+        flushed amounts in wallet order, () when nothing flushed.
+        """
+        k, g = self.params.k, self.g
+        active = state[0]
+        caps = state[1:k + 1]
+        ends = tuple([e - 1 if e > 0 else -1 for e in state[k + 1:]])
+        aged = state[:k + 1] + ends
+        hi = active * g
+        lo = hi - g
+        if ends[lo] >= 0:  # groups go out whole, so the first wallet tells
+            return [(aged, 0, ())] * len(symbols)
+        out = []
+        misfit = None
+        for value in symbols:
+            if value is None:
+                out.append((aged, 0, ()))
+                continue
+            for i in range(lo, hi):
+                if value <= caps[i]:
+                    nxt = list(aged)
+                    nxt[i + 1] -= value
+                    out.append((tuple(nxt), value, ()))
+                    break
+            else:
+                if misfit is None:  # every misfit from one state flushes alike
+                    size = self.machine.size
+                    nxt = list(aged)
+                    nxt[0] = active + 1 if hi < k else 1
+                    nxt[lo + 1:hi + 1] = [size] * g
+                    nxt[k + lo + 1:k + hi + 1] = [self.params.F] * g
+                    misfit = tuple(nxt), 0, tuple([size - caps[i] for i in range(lo, hi)])
+                out.append(misfit)
+        return out
 
     def clone(self) -> "GroupFlushPolicy":
         other = object.__new__(type(self))

@@ -473,11 +473,15 @@ def test_exhaustive_verify_matches_the_explicit_walk_at_any_bounds(
     assert layered == explicit, space
 
 
-def flush_after_settling_one(step, g=None):
-    """A broken flush rule on top of ``step``: the active group also
-    flushes right after settling a 1, for group size g only if given."""
+def flush_after_settling_one(monkeypatch, g=None):
+    """Patch a broken flush rule into both routes of GroupFlushPolicy,
+    ``step`` on the object, which the explicit walk steps, and
+    ``next_states`` on the state tuple, which exhaustive_verify reads: the
+    active group also flushes right after settling a 1, for group size g
+    only if given."""
+    step, next_states = GroupFlushPolicy.step, GroupFlushPolicy.next_states
 
-    def broken(self, slot, value):
+    def broken_step(self, slot, value):
         taken = step(self, slot, value)
         if taken and value == 1 and g in (None, self.g):
             hi = self.active * self.g
@@ -486,15 +490,30 @@ def flush_after_settling_one(step, g=None):
             self.active = self.active % (self.params.k // self.g) + 1
         return taken
 
-    return broken
+    def broken_next_states(self, state, symbols):
+        k, size = self.params.k, self.params.C // self.params.k
+        hi = state[0] * self.g
+        lo = hi - self.g
+        out = []
+        for value, (nxt, delta, amounts) in zip(symbols, next_states(self, state, symbols)):
+            if delta and value == 1 and g in (None, self.g):
+                amounts = tuple(size - nxt[i + 1] for i in range(lo, hi))
+                nxt = list(nxt)
+                nxt[0] = state[0] % (k // self.g) + 1
+                nxt[lo + 1:hi + 1] = [size] * self.g
+                nxt[k + lo + 1:k + hi + 1] = [self.params.F] * self.g
+                nxt = tuple(nxt)
+            out.append((nxt, delta, amounts))
+        return out
+
+    monkeypatch.setattr(GroupFlushPolicy, "step", broken_step)
+    monkeypatch.setattr(GroupFlushPolicy, "next_states", broken_next_states)
 
 
 def test_exhaustive_verify_matches_the_explicit_walk_on_violations(monkeypatch):
     # the broken rule, shared by both routes, breaks the flush-shape
     # invariants on some subtrees and leaves others clean
-    monkeypatch.setattr(
-        GroupFlushPolicy, "step", flush_after_settling_one(GroupFlushPolicy.step)
-    )
+    flush_after_settling_one(monkeypatch)
     for C in (6, 12):
         space = ExhaustSpace(C=C, k=2, T=3, F=2, max_len=5, values=(1, 2, 3))
         layered, explicit = verify_both_routes(space, None)
@@ -508,9 +527,7 @@ def test_exhaustive_verify_matches_the_explicit_walk_when_one_policy_breaks(
 ):
     # only fwf's g = 1 breaks the rule, so only fwf's pass finds a fault, and
     # the walk lists fwf's violations with fa clean beside it
-    monkeypatch.setattr(
-        GroupFlushPolicy, "step", flush_after_settling_one(GroupFlushPolicy.step, g=1)
-    )
+    flush_after_settling_one(monkeypatch, g=1)
     for F in (1, 2):
         space = ExhaustSpace(C=12, k=2, T=3, F=F, max_len=5, values=(1, 2, 3))
         layered, explicit = verify_both_routes(space, None)
@@ -522,18 +539,20 @@ def test_exhaustive_verify_matches_the_explicit_walk_when_one_policy_breaks(
 
 def test_exhaustive_verify_steps_one_rule_once(monkeypatch):
     # at C = 6, k = 2 fa and ftwf are both the group rule with g = 2: one
-    # table serves both, so checking both clones no more than fa alone
-    clones = []
-    clone = GroupFlushPolicy.clone
+    # table serves both, so checking both steps no more (state, symbol)
+    # pairs than fa alone
+    steps = []
+    next_states = GroupFlushPolicy.next_states
     monkeypatch.setattr(
-        GroupFlushPolicy, "clone", lambda self: clones.append(self) or clone(self)
+        GroupFlushPolicy, "next_states",
+        lambda self, state, symbols: steps.extend(symbols) or next_states(self, state, symbols),
     )
     space = ExhaustSpace(C=6, k=2, T=3, F=2, max_len=7, values=(1, 2, 3))
     assert list(exhaustive_verify(space).policies) == ["fa", "ftwf"]
-    both = len(clones)
-    clones.clear()
+    both = len(steps)
+    steps.clear()
     exhaustive_verify(space, {"fa": Fraction(3)})
-    assert both == len(clones) == 52
+    assert both == len(steps) == 52
 
 
 @pytest.mark.parametrize("bound", [None, Fraction(1)])

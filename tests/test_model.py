@@ -386,8 +386,7 @@ TRACE_CALLS = st.one_of(
 @given(st.lists(TRACE_CALLS, max_size=12))
 def test_ndjson_matches_json_module(calls):
     # each event kind's template gives the json module's bytes, and the
-    # trace's records agree with the events logged: every settle, and the
-    # flushes of wallets only
+    # trace's settle columns agree with the settles logged
     trace = EventTrace()
     for method, args, _ in calls:
         getattr(trace, method)(*args)
@@ -397,9 +396,6 @@ def test_ndjson_matches_json_module(calls):
     settles = [e for e in events if e.kind == SETTLE]
     assert trace.settle_slots == [e.slot for e in settles]
     assert trace.settle_values == [e.value for e in settles]
-    assert trace.flush_amounts == [
-        e.flush_amount for e in events if e.kind == FLUSH and e.wallet is not None
-    ]
 
 
 def test_empty_trace_ndjson():

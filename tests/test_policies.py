@@ -174,16 +174,11 @@ def step_once(policy, slot, value):
     return fork.machine.settled - policy.machine.settled, amounts, fork.state(slot)
 
 
-@given(group_policies(), st.data())
-@settings(max_examples=40, deadline=None)
-def test_equal_group_states_step_alike(case, data):
-    # exhaustive_verify steps one policy per state and reuses the result at
-    # every node in that state, whatever its slot and history.  The
-    # histories are every sequence of at most 4 slots over some values and
-    # the quiet slot (None), so leading quiet slots shift them
-    kind, params = case
-    offers = (None, *range(1, params.T + 1))
-    values = data.draw(st.lists(st.sampled_from(offers[1:]), min_size=1, unique=True))
+def reachable_group_states(kind, params, values):
+    """Each state that some history reaches, mapped to the (policy, slot)
+    pairs in it after stepping its history.  The histories are every
+    sequence of at most 4 slots over values and the quiet slot (None), so
+    leading quiet slots shift them."""
     by_state = {}
     for length in range(5):
         for symbols in product((None, *values), repeat=length):
@@ -191,11 +186,86 @@ def test_equal_group_states_step_alike(case, data):
             for slot, value in enumerate(symbols, 1):
                 policy.step(slot, value)
             by_state.setdefault(policy.state(length), []).append((policy, length))
-    for (first, slot), *others in by_state.values():
+    return by_state
+
+
+@given(group_policies(), st.data())
+@settings(max_examples=40, deadline=None)
+def test_equal_group_states_step_alike(case, data):
+    # exhaustive_verify steps each state once and reuses the result at every
+    # node in that state, whatever its slot and history
+    kind, params = case
+    offers = (None, *range(1, params.T + 1))
+    values = data.draw(st.lists(st.sampled_from(offers[1:]), min_size=1, unique=True))
+    for (first, slot), *others in reachable_group_states(kind, params, values).values():
         for value in offers:
             want = step_once(first, slot + 1, value)
             for policy, at in others:
                 assert step_once(policy, at + 1, value) == want
+
+
+def next_states_as_steps(policy, slot, offers):
+    """``next_states`` on the policy's state after slot, one step_once
+    triple per offer."""
+    return [
+        (delta, list(amounts), nxt)
+        for nxt, delta, amounts in policy.next_states(policy.state(slot), offers)
+    ]
+
+
+@given(group_policies(), st.data())
+@settings(max_examples=40, deadline=None)
+def test_next_states_is_step_on_the_state_tuple(case, data):
+    # exhaustive_verify reads every transition off the state tuple; from
+    # every reachable state each offer must settle, flush and leave the
+    # state as stepping a policy in that state does
+    kind, params = case
+    offers = (None, *range(1, params.T + 1))
+    values = data.draw(st.lists(st.sampled_from(offers[1:]), min_size=1, unique=True))
+    for (policy, slot), *_ in reachable_group_states(kind, params, values).values():
+        want = [step_once(policy, slot + 1, value) for value in offers]
+        assert next_states_as_steps(policy, slot, offers) == want
+
+
+# (kind, C, k, F, history from slot 1, its state, an offer, the step's
+# settled delta, flushed amounts and next state)
+NEXT_STATES = [
+    # at F = 10^8 a flushed group stays out for the rest of any run: the ends
+    # age by one a slot and every offer is discarded
+    ("fa", 6, 2, 10**8, [3, 3, 3], (1, 3, 3, 10**8, 10**8), 1,
+     0, [], (1, 3, 3, 10**8 - 1, 10**8 - 1)),
+    ("fa", 6, 2, 10**8, [3, 3, 3, None], (1, 3, 3, 10**8 - 1, 10**8 - 1), None,
+     0, [], (1, 3, 3, 10**8 - 2, 10**8 - 2)),
+    # fa at k = 4 first fits across all four wallets, then flushes the four
+    # and stays on its one group
+    ("fa", 12, 4, 2, [3, 3, 2], (1, 0, 0, 1, 3, -1, -1, -1, -1), 2,
+     2, [], (1, 0, 0, 1, 1, -1, -1, -1, -1)),
+    ("fa", 12, 4, 2, [3, 3, 2, 3], (1, 0, 0, 1, 0, -1, -1, -1, -1), 2,
+     0, [3, 3, 2, 3], (1, 3, 3, 3, 3, 2, 2, 2, 2)),
+    # ftwf at k = 4 wraps from the second pair back to the first, whose
+    # outage ends this slot: an end of 0 comes back online
+    ("ftwf", 12, 4, 2, [3, 3, 3, 2, 3], (2, 3, 3, 1, 0, 0, 0, -1, -1), 2,
+     0, [2, 3], (1, 3, 3, 3, 3, -1, -1, 2, 2)),
+    # fwf rotates from the last wallet back to the first
+    ("fwf", 9, 3, 1, [3, 3, 3, 3, 2], (3, 3, 3, 1, -1, 0, -1), 2,
+     0, [2], (1, 3, 3, 3, -1, -1, 1)),
+]
+
+
+@pytest.mark.parametrize(
+    "kind, C, k, F, history, state, offer, delta, amounts, after", NEXT_STATES
+)
+def test_next_states_examples(kind, C, k, F, history, state, offer, delta, amounts, after):
+    policy = make_policy(kind, ModelParams(C=C, T=3, F=F, k=k))
+    for slot, value in enumerate(history, 1):
+        policy.step(slot, value)
+    slot = len(history)
+    assert policy.state(slot) == state
+    offers = (None, 1, 2, 3)
+    assert next_states_as_steps(policy, slot, offers) == [
+        step_once(policy, slot + 1, value) for value in offers
+    ]
+    assert next_states_as_steps(policy, slot, (offer,)) == [(delta, amounts, after)]
 
 
 def test_threshold_trace_integral():
@@ -404,8 +474,8 @@ def test_counters_match_trace(symbols, kind, tau, seed):
 )
 @settings(max_examples=150, deadline=None)
 def test_trace_records_match_its_lines(symbols, kind, tau, seed, C, F):
-    # the text, the settle columns and wallet flush amounts are all kept at
-    # log time; each must agree with the events parsed back from the lines
+    # the text and the settle columns are both kept at log time; each must
+    # agree with the events parsed back from the lines
     pairs = [(i + 1, v) for i, v in enumerate(symbols) if v is not None]
     seq = TransactionSequence.from_pairs(pairs, horizon=len(symbols))
     policy = make_policy(kind, replace(COUNTER_PARAMS[kind], tau=tau), seed=seed)
@@ -415,9 +485,6 @@ def test_trace_records_match_its_lines(symbols, kind, tau, seed, C, F):
     assert reference_ndjson(events) == trace.to_ndjson()
     settles = [(e.slot, e.value) for e in events if e.kind == SETTLE]
     assert list(zip(trace.settle_slots, trace.settle_values)) == settles
-    assert trace.flush_amounts == [
-        e.flush_amount for e in events if e.kind == FLUSH and e.wallet is not None
-    ]
     # the settles are logged in strictly increasing slot order, so the window
     # check reads the columns unsorted and, under a C and F that it may
     # break, judges them as the reference does
