@@ -485,8 +485,8 @@ def exhaustive_verify(
     one group size g are one rule and share a table, so a rule is stepped
     once for all its kinds (fa and ftwf at k = 2).  A state's row is filled
     once, by the rule's ``GroupFlushPolicy.next_states`` on the state tuple
-    itself; a key's row by one ``opt_value_key_step`` per symbol from the
-    key itself.
+    itself, which calls the ``offer`` that ``step`` calls in a run; a key's
+    row by one ``opt_value_key_step`` per symbol from the key itself.
     Along an edge, policy i with bound num/den has the weight
     ``den*gain - num*delta``, and a prefix is a counterexample exactly
     when the sum of weights from the root to it is positive.

@@ -189,10 +189,10 @@ class TransactionSequence:
         return f"TransactionSequence({self.slots!r}, {self.values!r}, horizon={self.horizon})"
 
 
-# A wallet bank keeps a list entry per wallet, and fa scans and flushes every
-# wallet of its group, so a run's time grows with k.  Through the CLI (CPython
-# 3.11, 2-vCPU VM) fa over 10^5 slots that all offer takes 1.75 s at a 54 MB
-# peak at k = 1,000, and 18.8 s at k = 10^4.
+# A group policy keeps a room and an outage end per wallet, and fa scans and
+# flushes every wallet of its group, so a run's time grows with k.  Through
+# the CLI (CPython 3.11, 2-vCPU VM) over 10^5 slots that all offer, fa takes
+# ~1.4 s and fwf ~0.3 s at k = 1,000 (53 MB peak), and fa ~11 s at k = 10^4.
 MAX_WALLETS = 1_000
 
 
@@ -286,17 +286,17 @@ class EventTrace:
     One method per logged call appends its NDJSON text to ``chunks``,
     from one f-string.  An offer's ``arrive`` line goes out with the line
     of its outcome, as one string that converts the slot and value once:
-    the policies log ``discard``, and the machines' ``settle`` logs
-    ``wallet_settle`` or ``pool_settle``.  The bank logs ``settle`` with
-    the wallet and value, ``flush`` with the wallet and its committed
-    value, and ``online`` with the wallet.  The pool logs ``settle`` with
-    the value and its ``available`` and ``committed`` balances after it,
-    ``flush`` with the tranche and the two balances, and ``online`` with
-    the returning tranche and ``committed``; its amounts are ints in
-    1/PPM, printed by the memoised ``ppm_amount``.  Every line's bytes
-    equal the json module's encoding of the same object with separators
-    ``(",", ":")``, keys in the order slot, kind, wallet, value,
-    flushAmount, available, committed.
+    the policies log ``discard``, and a settle logs ``wallet_settle`` or
+    ``pool_settle``.  A wallet's events, from a bank or a group policy, are
+    ``settle`` with the wallet and value, ``flush`` with the wallet and its
+    committed value, and ``online`` with the wallet.  The pool logs
+    ``settle`` with the value and its ``available`` and ``committed``
+    balances after it, ``flush`` with the tranche and the two balances,
+    and ``online`` with the returning tranche and ``committed``; its
+    amounts are ints in 1/PPM, printed by the memoised ``ppm_amount``.
+    Every line's bytes equal the json module's encoding of the same
+    object with separators ``(",", ":")``, keys in the order slot, kind,
+    wallet, value, flushAmount, available, committed.
 
     Beside the text the trace keeps what the program reads back, in log
     order: the settle columns ``settle_slots`` and ``settle_values``, two
@@ -367,16 +367,16 @@ class EventTrace:
 class WalletBank:
     """k wallets of size C/k each; a wallet flushes as a whole.
 
-    A wallet flushed at slot t is offline for slots t+1..t+F and comes
-    back online with remaining capacity restored to C/k at slot t+F+1.
-    `flush` takes consecutive wallets offline as one outage, a sorted
-    ``outages`` entry ``(back at, first index, end index)``, 0-based.
-    `begin_slot` comes first in a slot, slots increasing, and restores the
-    wallets; a caller may skip it while ``slot < next_back``, the earliest
-    return (``NOTHING_OUT`` while no wallet is out).  `settled` and
-    `flushes` (one per wallet) are the run's totals, which `clone` copies,
-    with an empty trace, for a test that forks a run.  The exhaustive
-    verifier forks no bank: it steps the policies' state tuples.
+    rand2's machine; ``GroupFlushPolicy`` keeps its own state.  A wallet
+    flushed at slot t is offline for slots t+1..t+F and comes back online
+    with remaining capacity restored to C/k at slot t+F+1.  `flush` takes
+    consecutive wallets offline as one outage, a sorted ``outages`` entry
+    ``(back at, first index, end index)``, 0-based.  `begin_slot` comes
+    first in a slot, slots increasing, and restores the wallets; a caller
+    may skip it while ``slot < next_back``, the earliest return
+    (``NOTHING_OUT`` while no wallet is out).  `settled` and `flushes`
+    (one per wallet) are the run's totals, which `clone` copies, with an
+    empty trace, for a test that forks a run.
     """
 
     __slots__ = ("params", "size", "remaining", "offline_until", "outages",
@@ -533,11 +533,9 @@ class RunResult:
     n_tx: int
 
     @classmethod
-    def from_machine(
-        cls, machine: "WalletBank | CollateralPool", seq: TransactionSequence
-    ) -> "RunResult":
-        """Totals from the machine's counters after it was stepped over seq;
-        utility charges tau once per flush, a wallet or a pool tranche."""
+    def from_machine(cls, machine, seq: TransactionSequence) -> "RunResult":
+        """Totals from the counters of a policy's ``machine`` after it was stepped
+        over seq; utility charges tau once per flush, a wallet or a pool tranche."""
         params = machine.params
         return cls(
             settled_value=machine.settled,

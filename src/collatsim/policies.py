@@ -10,12 +10,11 @@ of a ``TransactionSequence``, so no object is built per offer.
 leftover committed collateral exactly when tau > 0, the threshold policy
 always does.  Policies are deterministic given params and seed.  Each
 keeps its state machine under ``machine``; the machine's counters are
-the run's totals and its trace only logs events.  The wallet-group
-policies also have ``state``, everything later steps depend on as a
-flat tuple, and ``next_states``, the same rule read on that tuple, which
-the exhaustive verifier steps; and ``clone``, which copies the state,
-counters included, and gives the copy an empty trace, so a test can fork
-mid-run and read off the events of one step.
+the run's totals and its trace only logs events.  A wallet-group policy
+is its own machine: it keeps its state as one flat int list and steps
+it with one rule, ``offer``.  It also has ``state``, everything later
+steps depend on as a tuple, and ``next_states``, the rule applied to a
+copy of such a tuple, which the exhaustive verifier steps.
 
 The three deterministic wallet policies are one class, ``GroupFlushPolicy``:
 first fit within an active group of g wallets; on a misfit, discard the
@@ -30,19 +29,10 @@ follows a coin-chosen wallet of a two-wallet FlushAll.
 from __future__ import annotations
 
 import random
+from collections import deque
 from functools import partial
 
-from .model import PPM, CollateralError, CollateralPool, ModelParams, WalletBank
-
-
-def _flush_leftovers(policy, slot: int) -> None:
-    """The wallet policies' ``finish``: when tau > 0, flush every online
-    wallet that holds committed value."""
-    bank = policy.machine
-    if policy.params.tau > 0:
-        for j in range(bank.params.k):
-            if bank.offline_until[j] < slot and bank.remaining[j] < bank.size:
-                bank.flush(j + 1, slot)
+from .model import PPM, CollateralError, CollateralPool, EventTrace, ModelParams, WalletBank
 
 
 class GroupFlushPolicy:
@@ -56,6 +46,11 @@ class GroupFlushPolicy:
     are flushed in index order and the next group becomes active in
     cyclic order, even if a later group would be online sooner.
     ``name`` is the kind the policy was made as, which only labels it.
+
+    The policy is its own machine.  Its state ``st`` is laid out as
+    ``state()`` with absolute outage ends (-1 before a wallet's first
+    flush), and ``offer`` is the rule on it; ``outages`` queues each
+    flushed group's return, in flush order since every outage lasts F.
     """
 
     def __init__(self, params: ModelParams, g: int, name: str):
@@ -64,111 +59,114 @@ class GroupFlushPolicy:
             if g == 2:
                 raise CollateralError(f"pair policy needs even k, got {params.k}")
             raise CollateralError(f"groups of {g} need k divisible by {g}, got {params.k}")
+        params.require_kwallet()
         self.params = params
         self.g = g
         self.name = name
-        self.machine = WalletBank(params)
-        self.active = 1
+        self.k = params.k
+        self.size = params.C // params.k
+        self.st = [1] + [self.size] * self.k + [-1] * self.k
+        self.outages: deque[tuple[int, int, int]] = deque()  # (back at, first, past the last)
+        self.settled = 0
+        self.flushes = 0
+        self.trace = EventTrace()
+
+    @property
+    def machine(self) -> "GroupFlushPolicy":
+        return self
+
+    def offer(self, st: list[int], slot: int, value: int) -> int | list[int]:
+        """The rule: an offer of ``value`` at ``slot`` changes ``st`` in place.
+        Returns the wallet that settled it, 0 while the active group is
+        out, or on a misfit the amounts flushed, C/k less each room."""
+        g, k = self.g, self.k
+        hi = st[0] * g
+        if st[k + hi] >= slot:  # groups go out whole, so the last wallet tells
+            return 0
+        lo = hi - g
+        for i in range(lo + 1, hi + 1):
+            if value <= st[i]:
+                st[i] -= value
+                return i
+        st[0] = st[0] + 1 if hi < k else 1
+        return self._flush(st, lo + 1, hi, slot)
+
+    def _flush(self, st: list[int], first: int, last: int, slot: int) -> list[int]:
+        """Flush wallets first..last: their amounts; back at C/k after slot + F."""
+        k, size, end = self.k, self.size, slot + self.params.F
+        amounts = []
+        for i in range(first, last + 1):
+            amounts.append(size - st[i])
+            st[i] = size
+            st[k + i] = end
+        return amounts
 
     def step(self, slot: int, value: int | None) -> int:
-        bank = self.machine
-        if slot >= bank.next_back:
-            bank.begin_slot(slot)
+        trace, outages = self.trace, self.outages
+        while outages and outages[0][0] <= slot:
+            back, first, end = outages.popleft()
+            for i in range(first, end):
+                trace.wallet_online(back, i)
         if value is None:
             return 0
-        hi = self.active * self.g
-        lo = hi - self.g
-        if bank.offline_until[lo] >= slot:  # step flushes groups whole: one return
-            bank.trace.discard(slot, value)
-            return 0
-        remaining = bank.remaining
-        for i in range(lo, hi):
-            if value <= remaining[i]:
-                bank.settle(i + 1, value, slot)
-                return i + 1
-        bank.trace.discard(slot, value)
-        bank.flush(lo + 1, slot, hi)
-        self.active = self.active + 1 if hi < self.params.k else 1
+        st = self.st
+        active = st[0]
+        taken = self.offer(st, slot, value)
+        if taken and taken.__class__ is int:
+            self.settled += value
+            trace.wallet_settle(slot, taken, value)
+            return taken
+        trace.discard(slot, value)
+        if taken:  # a misfit flushed the group that was active
+            g = self.g
+            first = wallet = active * g - g + 1
+            for amount in taken:
+                trace.wallet_flush(slot, wallet, amount)
+                wallet += 1
+            self.flushes += g
+            outages.append((slot + self.params.F + 1, first, wallet))
         return 0
 
-    finish = _flush_leftovers
+    def finish(self, slot: int) -> None:
+        # tau > 0: flush each online wallet holding value; no step follows, so no return is queued
+        if self.params.tau > 0:
+            st, k = self.st, self.k
+            for i in range(1, k + 1):
+                if st[k + i] < slot and st[i] < self.size:
+                    (amount,) = self._flush(st, i, i, slot)
+                    self.trace.wallet_flush(slot, i, amount)
+                    self.flushes += 1
 
     def state(self, slot: int) -> tuple[int, ...]:
-        """Everything later steps depend on, as a flat tuple, after step(slot).
-
-        The active group, each wallet's capacity when next online (its
-        remaining capacity, or the full C/k it returns with when offline),
-        then each wallet's outage end relative to ``slot`` (-1 while
-        online).  Two policies of the same params and g with equal states
-        make the same decisions and flushes on any continuation, so a
-        search may treat them as one node.
-        """
-        bank = self.machine
-        size = bank.size
-        caps = [self.active]
-        ends = []
-        for left, end in zip(bank.remaining, bank.offline_until):
-            if end:
-                caps.append(size)
-                ends.append(end - slot)
-            else:
-                caps.append(left)
-                ends.append(-1)
-        return tuple(caps + ends)
+        """Everything later steps depend on, as a flat tuple, at any slot
+        from the last step on: the active group, each wallet's room (C/k
+        while offline), then each wallet's outage end less ``slot``, -1
+        while online.  Policies of one params and g in equal states act
+        alike on any continuation, so a search may merge them."""
+        return _relative(self.st, slot, self.k)
 
     def next_states(self, state: tuple[int, ...], symbols) -> list[tuple]:
-        """What ``step(slot + 1, v)`` does for each v of ``symbols``, read on
-        ``state(slot)`` alone, without a policy in that state.
-
-        The rule of ``step`` on the tuple: each outage end ages by a slot,
-        an end of 0 coming back online (its capacity is already C/k).  A
-        gap, or an offer while the active group is out, changes nothing
-        more; an offer settles in the group's first wallet with room for
-        it; a misfit flushes the group's wallets, C/k less each one's room,
-        takes them out for F slots and makes the next group active.  Per
-        symbol the result is the next state, the settled delta and the
-        flushed amounts in wallet order, () when nothing flushed.
-        """
-        k, g = self.params.k, self.g
-        active = state[0]
-        caps = state[1:k + 1]
-        ends = tuple([e - 1 if e > 0 else -1 for e in state[k + 1:]])
-        aged = state[:k + 1] + ends
-        hi = active * g
-        lo = hi - g
-        if ends[lo] >= 0:  # groups go out whole, so the first wallet tells
-            return [(aged, 0, ())] * len(symbols)
+        """Per v of ``symbols``, what ``step(slot + 1, v)`` does from
+        ``state(slot)``: the next state, the settled delta and the flushed
+        amounts, () if none.  Read a slot later, the state is slot 0 of a
+        run, and ``offer`` at slot 0 on a copy of it is the step."""
+        aged = _relative(state, 1, self.k)
         out = []
-        misfit = None
         for value in symbols:
-            if value is None:
+            st = list(aged)
+            taken = 0 if value is None else self.offer(st, 0, value)
+            if not taken:  # a gap, or an offer while the group is out
                 out.append((aged, 0, ()))
-                continue
-            for i in range(lo, hi):
-                if value <= caps[i]:
-                    nxt = list(aged)
-                    nxt[i + 1] -= value
-                    out.append((tuple(nxt), value, ()))
-                    break
+            elif taken.__class__ is int:
+                out.append((tuple(st), value, ()))
             else:
-                if misfit is None:  # every misfit from one state flushes alike
-                    size = self.machine.size
-                    nxt = list(aged)
-                    nxt[0] = active + 1 if hi < k else 1
-                    nxt[lo + 1:hi + 1] = [size] * g
-                    nxt[k + lo + 1:k + hi + 1] = [self.params.F] * g
-                    misfit = tuple(nxt), 0, tuple([size - caps[i] for i in range(lo, hi)])
-                out.append(misfit)
+                out.append((tuple(st), 0, tuple(taken)))
         return out
 
-    def clone(self) -> "GroupFlushPolicy":
-        other = object.__new__(type(self))
-        other.params = self.params
-        other.g = self.g
-        other.name = self.name
-        other.machine = self.machine.clone()
-        other.active = self.active
-        return other
+
+def _relative(st, slot: int, k: int) -> tuple[int, ...]:
+    """A group state with its outage ends made relative to ``slot``, -1 once over."""
+    return (*st[:k + 1], *[end - slot if end >= slot else -1 for end in st[k + 1:]])
 
 
 class RandTwoPolicy:
@@ -224,7 +222,10 @@ class RandTwoPolicy:
             self.other = self.params.C
         return 0
 
-    finish = _flush_leftovers
+    def finish(self, slot: int) -> None:
+        bank = self.machine
+        if self.params.tau > 0 and bank.offline_until[0] < slot and bank.remaining[0] < bank.size:
+            bank.flush(1, slot)
 
 
 class ThresholdPolicy:

@@ -24,10 +24,14 @@ and ``ThresholdPolicy``.  ``utility_optimum_reference`` runs every
 settle/discard and flush/keep schedule on ``ReferencePool``, as the
 reference for ``opt_general_utility``.  ``ReferenceRandTwo`` steps rand2
 through a whole two-wallet FlushAll run, the reference for
-``RandTwoPolicy``.  ``ReferenceBank`` keeps one outage per wallet, the
-reference for the grouped outages of ``WalletBank``.  ``run_every_slot`` is the
-per-slot driver that ``run_sequence`` is checked against.  ``exhaustive_verify_reference``
-walks every prefix of every short sequence explicitly, as the reference
+``RandTwoPolicy``.  ``ReferenceGroupPolicy`` steps the wallet-group rule
+on a ``WalletBank``, the reference for ``GroupFlushPolicy``'s one rule
+on its state list; ``reference_group_policy`` builds it for a kind.
+``ReferenceBank`` keeps one outage per wallet, the reference for the
+grouped outages of ``WalletBank``.  ``run_every_slot`` is the per-slot
+driver that ``run_sequence`` is checked against.
+``exhaustive_verify_reference`` walks every prefix of every short
+sequence explicitly, stepping ``ReferenceGroupPolicy``, as the reference
 for the table-driven ``exhaustive_verify``.
 """
 
@@ -54,7 +58,7 @@ from collatsim.model import (
     WalletBank,
 )
 from collatsim.oracles import opt_value_extend
-from collatsim.policies import make_policy
+from collatsim.policies import GROUP_SIZES, make_policy
 from trace_reader import ARRIVE, DISCARD, FLUSH, ONLINE, SETTLE, Event, read_events
 
 _NDJSON = json.JSONEncoder(separators=(",", ":"))
@@ -467,6 +471,90 @@ class ReferenceRandTwo:
             bank.flush(1, slot)
 
 
+class ReferenceGroupPolicy:
+    """``GroupFlushPolicy``'s rule stepped on a ``WalletBank``.
+
+    First fit within the active group of g wallets, read off the bank's
+    ``remaining`` and ``offline_until`` lists; on a misfit the offer is
+    discarded, the bank flushes the group's wallets as one outage and the
+    next group becomes active, cyclically.  The bank logs every event,
+    ``online`` lines included, from ``begin_slot``.  ``state(slot)`` reads
+    the state tuple back off the bank after ``step(slot)``, and
+    ``clone`` copies the state, counters included, with an empty trace,
+    so a test can fork mid-run and read off the events of one step.  The
+    reference for the one rule of ``GroupFlushPolicy.offer``, which
+    ``step`` and ``next_states`` call.
+    """
+
+    def __init__(self, params, g, name):
+        if g < 1 or params.k % g != 0:
+            if g == 2:
+                raise CollateralError(f"pair policy needs even k, got {params.k}")
+            raise CollateralError(f"groups of {g} need k divisible by {g}, got {params.k}")
+        self.params = params
+        self.g = g
+        self.name = name
+        self.machine = WalletBank(params)
+        self.active = 1
+
+    def step(self, slot, value):
+        bank = self.machine
+        if slot >= bank.next_back:
+            bank.begin_slot(slot)
+        if value is None:
+            return 0
+        hi = self.active * self.g
+        lo = hi - self.g
+        if bank.offline_until[lo] >= slot:  # step flushes groups whole: one return
+            bank.trace.discard(slot, value)
+            return 0
+        remaining = bank.remaining
+        for i in range(lo, hi):
+            if value <= remaining[i]:
+                bank.settle(i + 1, value, slot)
+                return i + 1
+        bank.trace.discard(slot, value)
+        bank.flush(lo + 1, slot, hi)
+        self.active = self.active + 1 if hi < self.params.k else 1
+        return 0
+
+    def finish(self, slot):
+        bank = self.machine
+        if self.params.tau > 0:
+            for j in range(bank.params.k):
+                if bank.offline_until[j] < slot and bank.remaining[j] < bank.size:
+                    bank.flush(j + 1, slot)
+
+    def state(self, slot):
+        bank = self.machine
+        size = bank.size
+        caps = [self.active]
+        ends = []
+        for left, end in zip(bank.remaining, bank.offline_until):
+            if end:
+                caps.append(size)
+                ends.append(end - slot)
+            else:
+                caps.append(left)
+                ends.append(-1)
+        return tuple(caps + ends)
+
+    def clone(self):
+        other = object.__new__(type(self))
+        other.params = self.params
+        other.g = self.g
+        other.name = self.name
+        other.machine = self.machine.clone()
+        other.active = self.active
+        return other
+
+
+def reference_group_policy(kind, params):
+    """The reference for ``make_policy(kind, params)`` of a wallet-group kind."""
+    g = GROUP_SIZES[kind]
+    return ReferenceGroupPolicy(params, params.k if g is None else g, kind)
+
+
 class ReferenceBank(WalletBank):
     """``WalletBank`` with one ``(back at, index)`` outage per wallet.
 
@@ -524,12 +612,13 @@ def exhaustive_verify_reference(
 ) -> ExhaustSummary:
     """The explicit walk whose counterexamples ``exhaustive_verify`` lists.
 
-    Clones and steps every policy and extends the value DP once per
-    prefix, in the same order, with the same flush-shape invariants and
-    the same texts, so its summary must equal the one that
-    ``exhaustive_verify`` builds from its forward passes and transition
-    tables, field for field.  It forks at every node of the full tree, whose
-    (|values| + 1)^L leaves are the sequences.
+    Clones and steps each kind's ``ReferenceGroupPolicy``, the object
+    route of the rule, and extends the value DP once per prefix, in the
+    same order, with the same flush-shape invariants and the same texts,
+    so its summary must equal the one that ``exhaustive_verify`` builds
+    from its forward passes and transition tables, field for field.  It
+    forks at every node of the full tree, whose (|values| + 1)^L leaves
+    are the sequences.
     """
     if space.sequence_count() > MAX_EXHAUST_SEQUENCES:
         raise CollateralError(
@@ -617,6 +706,6 @@ def exhaustive_verify_reference(
             else:
                 summary.sequences += 1
 
-    roots = [(kind, make_policy(kind, params, seed=0)) for kind in policies]
+    roots = [(kind, reference_group_policy(kind, params)) for kind in policies]
     walk(0, [], roots, {(): 0})
     return summary

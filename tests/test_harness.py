@@ -33,6 +33,7 @@ from collatsim.oracles import opt_general_value, opt_value_extend
 from collatsim.policies import GroupFlushPolicy, make_policy
 from collatsim.workloads import WorkloadSpec, thm3_seq
 from oracle_reference import (
+    ReferenceGroupPolicy,
     exhaustive_verify_reference,
     opt_value_key,
     opt_value_pruned_step,
@@ -473,47 +474,46 @@ def test_exhaustive_verify_matches_the_explicit_walk_at_any_bounds(
     assert layered == explicit, space
 
 
-def flush_after_settling_one(monkeypatch, g=None):
-    """Patch a broken flush rule into both routes of GroupFlushPolicy,
-    ``step`` on the object, which the explicit walk steps, and
-    ``next_states`` on the state tuple, which exhaustive_verify reads: the
-    active group also flushes right after settling a 1, for group size g
-    only if given."""
-    step, next_states = GroupFlushPolicy.step, GroupFlushPolicy.next_states
+def flush_on_a_fitting_one(monkeypatch, g=None):
+    """Patch a broken flush rule into ``GroupFlushPolicy.offer``, the one
+    rule, which exhaustive_verify reads through ``next_states``, and into
+    ``ReferenceGroupPolicy.step``, which the explicit walk steps: an offer
+    of 1 that fits in the online active group flushes the group and
+    rotates, as a misfit does, instead of settling, for group size g only
+    if given."""
+    offer, step = GroupFlushPolicy.offer, ReferenceGroupPolicy.step
+
+    def broken_offer(self, st, slot, value):
+        lo = (st[0] - 1) * self.g
+        if (
+            value == 1 and g in (None, self.g)
+            and st[self.k + 1 + lo] < slot and max(st[lo + 1:lo + 1 + self.g]) >= 1
+        ):
+            value = self.size + 1  # no wallet has room for it: the rule's misfit
+        return offer(self, st, slot, value)
 
     def broken_step(self, slot, value):
-        taken = step(self, slot, value)
-        if taken and value == 1 and g in (None, self.g):
-            hi = self.active * self.g
-            for i in range(hi - self.g + 1, hi + 1):
-                self.machine.flush(i, slot)
+        bank = self.machine
+        bank.begin_slot(slot)
+        lo = (self.active - 1) * self.g
+        if (
+            value == 1 and g in (None, self.g)
+            and bank.offline_until[lo] < slot and max(bank.remaining[lo:lo + self.g]) >= 1
+        ):
+            bank.trace.discard(slot, value)
+            bank.flush(lo + 1, slot, lo + self.g)
             self.active = self.active % (self.params.k // self.g) + 1
-        return taken
+            return 0
+        return step(self, slot, value)
 
-    def broken_next_states(self, state, symbols):
-        k, size = self.params.k, self.params.C // self.params.k
-        hi = state[0] * self.g
-        lo = hi - self.g
-        out = []
-        for value, (nxt, delta, amounts) in zip(symbols, next_states(self, state, symbols)):
-            if delta and value == 1 and g in (None, self.g):
-                amounts = tuple(size - nxt[i + 1] for i in range(lo, hi))
-                nxt = list(nxt)
-                nxt[0] = state[0] % (k // self.g) + 1
-                nxt[lo + 1:hi + 1] = [size] * self.g
-                nxt[k + lo + 1:k + hi + 1] = [self.params.F] * self.g
-                nxt = tuple(nxt)
-            out.append((nxt, delta, amounts))
-        return out
-
-    monkeypatch.setattr(GroupFlushPolicy, "step", broken_step)
-    monkeypatch.setattr(GroupFlushPolicy, "next_states", broken_next_states)
+    monkeypatch.setattr(GroupFlushPolicy, "offer", broken_offer)
+    monkeypatch.setattr(ReferenceGroupPolicy, "step", broken_step)
 
 
 def test_exhaustive_verify_matches_the_explicit_walk_on_violations(monkeypatch):
     # the broken rule, shared by both routes, breaks the flush-shape
     # invariants on some subtrees and leaves others clean
-    flush_after_settling_one(monkeypatch)
+    flush_on_a_fitting_one(monkeypatch)
     for C in (6, 12):
         space = ExhaustSpace(C=C, k=2, T=3, F=2, max_len=5, values=(1, 2, 3))
         layered, explicit = verify_both_routes(space, None)
@@ -527,7 +527,7 @@ def test_exhaustive_verify_matches_the_explicit_walk_when_one_policy_breaks(
 ):
     # only fwf's g = 1 breaks the rule, so only fwf's pass finds a fault, and
     # the walk lists fwf's violations with fa clean beside it
-    flush_after_settling_one(monkeypatch, g=1)
+    flush_on_a_fitting_one(monkeypatch, g=1)
     for F in (1, 2):
         space = ExhaustSpace(C=12, k=2, T=3, F=F, max_len=5, values=(1, 2, 3))
         layered, explicit = verify_both_routes(space, None)

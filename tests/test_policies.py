@@ -29,6 +29,7 @@ from oracle_reference import (
     ReferenceRandTwo,
     ReferenceThreshold,
     reference_first_overfull,
+    reference_group_policy,
     reference_ndjson,
     run_every_slot,
 )
@@ -126,13 +127,14 @@ def test_group_size_must_divide_k(g):
 
 
 def test_make_policy_gives_each_group_kind_its_g_and_name():
-    # at k = 4 the three group sizes differ; a clone keeps both fields
+    # at k = 4 the three group sizes differ; the reference's clone keeps both
+    # fields
     params = ModelParams(C=12, T=3, F=1, k=4)
     for kind, g in (("fa", 4), ("fwf", 1), ("ftwf", 2)):
         policy = make_policy(kind, params)
         assert type(policy) is GroupFlushPolicy
         assert (policy.g, policy.name) == (g, kind)
-        twin = policy.clone()
+        twin = reference_group_policy(kind, params).clone()
         assert (twin.g, twin.name) == (g, kind)
 
 
@@ -145,6 +147,8 @@ def test_group_state_is_relative_to_the_slot():
     for slot in range(2, 6):  # fills both wallets, then flushes them at slot 5
         early.step(slot, 3)
     assert early.state(5) == (1, 6, 6, 2, 2)
+    # read after the outage, with no step since, both wallets are back
+    assert early.state(10) == (1, 6, 6, -1, -1)
     # the same offers two quiet slots later reach the same state
     for slot in range(1, 8):
         late.step(slot, 3 if slot > 2 else None)
@@ -167,7 +171,8 @@ def group_policies(draw):
 
 
 def step_once(policy, slot, value):
-    """A stepped copy's settled delta, flush amounts and state after slot."""
+    """A stepped copy's settled delta, flush amounts and state after slot,
+    for a ``ReferenceGroupPolicy``."""
     fork = policy.clone()
     fork.step(slot, value)
     amounts = [e.flush_amount for e in read_events(fork.machine.trace) if e.kind == FLUSH]
@@ -175,14 +180,14 @@ def step_once(policy, slot, value):
 
 
 def reachable_group_states(kind, params, values):
-    """Each state that some history reaches, mapped to the (policy, slot)
-    pairs in it after stepping its history.  The histories are every
-    sequence of at most 4 slots over values and the quiet slot (None), so
-    leading quiet slots shift them."""
+    """Each state that some history reaches, mapped to the (reference
+    policy, slot) pairs in it after stepping its history.  The histories
+    are every sequence of at most 4 slots over values and the quiet slot
+    (None), so leading quiet slots shift them."""
     by_state = {}
     for length in range(5):
         for symbols in product((None, *values), repeat=length):
-            policy = make_policy(kind, params)
+            policy = reference_group_policy(kind, params)
             for slot, value in enumerate(symbols, 1):
                 policy.step(slot, value)
             by_state.setdefault(policy.state(length), []).append((policy, length))
@@ -205,11 +210,12 @@ def test_equal_group_states_step_alike(case, data):
 
 
 def next_states_as_steps(policy, slot, offers):
-    """``next_states`` on the policy's state after slot, one step_once
-    triple per offer."""
+    """``GroupFlushPolicy.next_states`` on the state of ``policy`` after
+    slot, one step_once triple per offer."""
+    rule = make_policy(policy.name, policy.params)
     return [
         (delta, list(amounts), nxt)
-        for nxt, delta, amounts in policy.next_states(policy.state(slot), offers)
+        for nxt, delta, amounts in rule.next_states(policy.state(slot), offers)
     ]
 
 
@@ -218,7 +224,7 @@ def next_states_as_steps(policy, slot, offers):
 def test_next_states_is_step_on_the_state_tuple(case, data):
     # exhaustive_verify reads every transition off the state tuple; from
     # every reachable state each offer must settle, flush and leave the
-    # state as stepping a policy in that state does
+    # state as stepping the reference policy in that state does
     kind, params = case
     offers = (None, *range(1, params.T + 1))
     values = data.draw(st.lists(st.sampled_from(offers[1:]), min_size=1, unique=True))
@@ -256,11 +262,12 @@ NEXT_STATES = [
     "kind, C, k, F, history, state, offer, delta, amounts, after", NEXT_STATES
 )
 def test_next_states_examples(kind, C, k, F, history, state, offer, delta, amounts, after):
-    policy = make_policy(kind, ModelParams(C=C, T=3, F=F, k=k))
+    params = ModelParams(C=C, T=3, F=F, k=k)
+    rule, policy = make_policy(kind, params), reference_group_policy(kind, params)
     for slot, value in enumerate(history, 1):
-        policy.step(slot, value)
+        assert rule.step(slot, value) == policy.step(slot, value)
     slot = len(history)
-    assert policy.state(slot) == state
+    assert rule.state(slot) == policy.state(slot) == state
     offers = (None, 1, 2, 3)
     assert next_states_as_steps(policy, slot, offers) == [
         step_once(policy, slot + 1, value) for value in offers
@@ -446,8 +453,11 @@ def test_counters_match_trace(symbols, kind, tau, seed):
         step_and_check(policy, slot, by_slot.get(slot))
     if kind not in ("fa", "fwf", "ftwf"):
         return
-    # stepping a clone of a wallet-group policy leaves the original's
-    # counters and trace alone
+    # stepping a clone of the reference wallet-group policy leaves the
+    # original's counters and trace alone
+    policy = reference_group_policy(kind, params)
+    for slot in range(1, cut + 1):
+        step_and_check(policy, slot, by_slot.get(slot))
     machine = policy.machine
     before = (machine.settled, machine.flushes, machine.trace.to_ndjson())
     fork = policy.clone()
@@ -565,7 +575,7 @@ def test_trace_checker_flags_machine_faults():
     # t+F+2, and a pool whose outages last F-1 slots returns a tranche at t+F;
     # checked against the true F, each trace shows its fault
     params = ModelParams(C=12, T=3, F=2, k=2)
-    policy = make_policy("fwf", params)
+    policy = reference_group_policy("fwf", params)
     policy.machine.params = replace(params, F=3)
     for slot in range(1, 8):
         policy.step(slot, 3)
@@ -644,8 +654,8 @@ def test_group_outages_equal_per_wallet_outages(run):
     # a group flushed as one outage decides, logs and returns as one flush
     # and one outage per wallet did
     kind, params, seq = run
-    policy = make_policy(kind, params)
-    reference = make_policy(kind, params)
+    policy = reference_group_policy(kind, params)
+    reference = reference_group_policy(kind, params)
     reference.machine = ReferenceBank(params)
 
     def step_both(slot, value):
@@ -670,13 +680,50 @@ def test_group_outages_equal_per_wallet_outages(run):
 
 
 @given(group_flush_runs())
-@settings(max_examples=100, deadline=None)
-def test_group_state_lists_each_wallets_room_then_its_outage(run):
-    # state(slot) is the active group, then per wallet its room, the full
-    # C/k while offline, then per wallet its outage end less slot, -1 while
-    # online
+@example(WRAPPED_RETURNS)
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_run_sequence_equals_the_reference_group_policy(run):
+    # the one rule on the state list, stepped on the offers alone, decides,
+    # logs and counts as the object route on a WalletBank stepped every slot
     kind, params, seq = run
     policy = make_policy(kind, params)
+    res = run_sequence(policy, seq)
+    reference = reference_group_policy(kind, params)
+    run_every_slot(reference, seq)
+    machine = reference.machine
+    assert policy.machine.trace.to_ndjson() == machine.trace.to_ndjson()
+    assert (res.settled_value, res.flush_count) == (machine.settled, machine.flushes)
+    assert policy.state(seq.horizon) == reference.state(seq.horizon)
+
+
+@given(group_flush_runs(), st.integers(min_value=1, max_value=8))
+@example(
+    ("fa", ModelParams(C=12, T=3, F=2, k=2),
+     TransactionSequence.from_pairs([(s, 3) for s in range(1, 6)])),
+    5,
+)
+@settings(max_examples=100, deadline=None)
+def test_group_state_past_the_last_step_is_the_state_a_quiet_step_leaves(run, later):
+    # state(slot) may be read at any slot after the last step: an outage
+    # that ended by then reads as online, as a quiet step there leaves it
+    kind, params, seq = run
+    read, stepped = make_policy(kind, params), make_policy(kind, params)
+    for policy in (read, stepped):
+        for slot, value in zip(seq.slots, seq.values):
+            policy.step(slot, value)
+    slot = (seq.slots[-1] if seq.slots else 0) + later
+    stepped.step(slot, None)
+    assert read.state(slot) == stepped.state(slot)
+
+
+@given(group_flush_runs())
+@settings(max_examples=100, deadline=None)
+def test_group_state_lists_each_wallets_room_then_its_outage(run):
+    # the reference's state(slot) is the active group, then per wallet its
+    # room, the full C/k while offline, then per wallet its outage end less
+    # slot, -1 while online
+    kind, params, seq = run
+    policy = reference_group_policy(kind, params)
 
     def from_bank(slot):
         bank = policy.machine
