@@ -3,8 +3,8 @@
 A settlement operator holds collateral C and commits part of it against
 incoming transactions; committed collateral is reclaimed only by flushing,
 which knocks the flushed capacity offline for F slots.  This package
-provides the slot-level machines (wallet banks and a divisible pool), the
-online policies from the accompanying analysis, brute-force offline
+provides the online policies from the accompanying analysis, over
+wallets or a divisible pool, stepped slot by slot, brute-force offline
 optima, workload generators and adversaries, closed-form competitive
 ratios, and a harness that measures policies against their proven bounds.
 """
@@ -17,7 +17,6 @@ from .model import (
     RunResult,
     Transaction,
     TransactionSequence,
-    WalletBank,
     CollateralPool,
     first_overfull_window,
     validate_window_bound,
@@ -78,7 +77,6 @@ __all__ = [
     "RunResult",
     "Transaction",
     "TransactionSequence",
-    "WalletBank",
     "CollateralPool",
     "first_overfull_window",
     "validate_window_bound",

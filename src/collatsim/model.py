@@ -1,4 +1,4 @@
-"""Core domain types and the two collateral state machines.
+"""Core domain types and the pool state machine.
 
 Money is integral throughout: collateral C, cap T, transaction values and
 the flush fee tau are nonnegative ints, while the settlement probability p
@@ -16,10 +16,10 @@ transaction arrives, then the settle-or-discard decision, then any flush.
 A flush at slot t puts the flushed collateral offline for slots
 t+1 .. t+F; it is usable again at slot t+F+1.
 
-Both machines are ledgers: they store their balances (a wallet's
-``remaining``, the pool's ``free`` and ``committed``) and update them in
-place on each operation.  Their ``begin_slot(slot)`` is the only place
-collateral returns, all of it whose outage ended before ``slot``.
+The pool is a ledger of its ``free`` and ``committed`` balances, updated
+in place; its ``begin_slot(slot)`` is the only place collateral returns,
+all of it whose outage ended before ``slot``.  Wallet policies are their
+own machines.
 
 Each machine logs its run to an ``EventTrace``, which writes every event
 as its NDJSON line when it is logged, an offer's arrive line together
@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import json
 import sys
-from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -43,7 +42,7 @@ from operator import lt
 from typing import NamedTuple
 
 PPM = 10**6
-NOTHING_OUT = sys.maxsize  # a machine's next_back while nothing is out
+NOTHING_OUT = sys.maxsize  # a pending return slot while nothing is out
 
 
 class CollateralError(Exception):
@@ -203,7 +202,7 @@ class ModelParams:
     C      total collateral (int > 0)
     T      per-transaction value cap (1 <= T <= C)
     F      outage length in slots after a flush (int >= 1)
-    k      wallet count for the wallet-bank machine (pool users leave k=1)
+    k      wallet count for the wallet policies (pool users leave k=1)
     p_ppm  settlement reward rate p in parts-per-million of value
     tau    flat fee per flush event (int >= 0); requires p*C > tau
     eta_ppm  optional flush threshold eta for the pool policy, in ppm of C
@@ -287,7 +286,7 @@ class EventTrace:
     from one f-string.  An offer's ``arrive`` line goes out with the line
     of its outcome, as one string that converts the slot and value once:
     the policies log ``discard``, and a settle logs ``wallet_settle`` or
-    ``pool_settle``.  A wallet's events, from a bank or a group policy, are
+    ``pool_settle``.  A wallet policy's events are
     ``settle`` with the wallet and value, ``flush`` with the wallet and its
     committed value, and ``online`` with the wallet.  The pool logs
     ``settle`` with the value and its ``available`` and ``committed``
@@ -362,95 +361,6 @@ class EventTrace:
     def to_ndjson(self) -> str:
         """One compact JSON object per event and line, "" for no events."""
         return "".join(self.chunks)
-
-
-class WalletBank:
-    """k wallets of size C/k each; a wallet flushes as a whole.
-
-    rand2's machine; ``GroupFlushPolicy`` keeps its own state.  A wallet
-    flushed at slot t is offline for slots t+1..t+F and comes back online
-    with remaining capacity restored to C/k at slot t+F+1.  `flush` takes
-    consecutive wallets offline as one outage, a sorted ``outages`` entry
-    ``(back at, first index, end index)``, 0-based.  `begin_slot` comes
-    first in a slot, slots increasing, and restores the wallets; a caller
-    may skip it while ``slot < next_back``, the earliest return
-    (``NOTHING_OUT`` while no wallet is out).  `settled` and `flushes`
-    (one per wallet) are the run's totals, which `clone` copies, with an
-    empty trace, for a test that forks a run.
-    """
-
-    __slots__ = ("params", "size", "remaining", "offline_until", "outages",
-                 "next_back", "settled", "flushes", "trace")
-
-    def __init__(self, params: ModelParams):
-        params.require_kwallet()
-        self.params = params
-        self.size = params.C // params.k
-        self.remaining = [self.size] * params.k
-        self.offline_until = [0] * params.k
-        self.outages: list[tuple[int, int, int]] = []
-        self.next_back = NOTHING_OUT
-        self.settled = 0
-        self.flushes = 0
-        self.trace = EventTrace()
-
-    def begin_slot(self, slot: int) -> None:
-        """Restore every wallet whose outage ended before ``slot``, logging
-        each ``online`` at its return slot, ordered by slot, then wallet."""
-        outages = self.outages
-        while outages and outages[0][0] <= slot:
-            back, lo, hi = outages.pop(0)
-            for j in range(lo, hi):
-                self.remaining[j] = self.size
-                self.offline_until[j] = 0
-                self.trace.wallet_online(back, j + 1)
-        self.next_back = outages[0][0] if outages else NOTHING_OUT
-
-    def settle(self, i: int, value: int, slot: int) -> None:
-        """Settle an offer of ``value`` at ``slot`` in wallet i, which must be
-        online with room for it, logging the offer's arrive and settle."""
-        if not 1 <= i <= self.params.k:
-            raise CollateralError(f"wallet index {i} out of 1..{self.params.k}")
-        j = i - 1
-        if self.offline_until[j] >= slot:
-            raise CollateralError(f"wallet {i} offline at slot {slot}")
-        left = self.remaining[j]
-        if value > left:
-            raise CollateralError(f"wallet {i} has {left}, needs {value}")
-        self.remaining[j] = left - value
-        self.settled += value
-        self.trace.wallet_settle(slot, i, value)
-
-    def flush(self, i: int, slot: int, last: int | None = None) -> None:
-        """Take wallets i..last (default i) offline as one outage, logging
-        each flush in index order; each whole wallet goes, committed or not."""
-        last = i if last is None else last
-        if not 1 <= i <= last <= self.params.k:
-            raise CollateralError(f"wallets {i}..{last} out of 1..{self.params.k}")
-        offline, lo = self.offline_until, i - 1
-        for j in range(lo, last):
-            if offline[j] >= slot:
-                raise CollateralError(f"wallet {j + 1} already offline at slot {slot}")
-        until = slot + self.params.F
-        for j in range(lo, last):
-            self.trace.wallet_flush(slot, j + 1, self.size - self.remaining[j])
-            offline[j] = until
-        insort(self.outages, (until + 1, lo, last))
-        self.next_back = self.outages[0][0]
-        self.flushes += last - lo
-
-    def clone(self) -> "WalletBank":
-        other = object.__new__(WalletBank)
-        other.params = self.params
-        other.size = self.size
-        other.remaining = list(self.remaining)
-        other.offline_until = list(self.offline_until)
-        other.outages = list(self.outages)
-        other.next_back = self.next_back
-        other.settled = self.settled
-        other.flushes = self.flushes
-        other.trace = EventTrace()
-        return other
 
 
 class CollateralPool:

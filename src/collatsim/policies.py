@@ -10,11 +10,11 @@ of a ``TransactionSequence``, so no object is built per offer.
 leftover committed collateral exactly when tau > 0, the threshold policy
 always does.  Policies are deterministic given params and seed.  Each
 keeps its state machine under ``machine``; the machine's counters are
-the run's totals and its trace only logs events.  A wallet-group policy
-is its own machine: it keeps its state as one flat int list and steps
-it with one rule, ``offer``.  It also has ``state``, everything later
-steps depend on as a tuple, and ``next_states``, the rule applied to a
-copy of such a tuple, which the exhaustive verifier steps.
+the run's totals and its trace only logs events.  A wallet policy is
+its own machine: it keeps its state as one flat int list and steps it
+with one rule, ``GroupFlushPolicy.offer``.  A group policy also has
+``state``, everything later steps depend on as a tuple, and
+``next_states``, the rule on a copy of one, which exhaust steps.
 
 The three deterministic wallet policies are one class, ``GroupFlushPolicy``:
 first fit within an active group of g wallets; on a misfit, discard the
@@ -23,7 +23,7 @@ during an outage of the active group are discarded as well.  The kinds
 differ only in g, which ``make_policy`` reads from ``GROUP_SIZES``:
 FlushAll ("fa") is g = k, FlushWhenFull ("fwf") g = 1 and
 FlushTwoWhenFull ("ftwf") g = 2.  RandTwo ("rand2") keeps one wallet that
-follows a coin-chosen wallet of a two-wallet FlushAll.
+follows a coin-chosen wallet of a two-wallet FlushAll's state list.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import random
 from collections import deque
 from functools import partial
 
-from .model import PPM, CollateralError, CollateralPool, EventTrace, ModelParams, WalletBank
+from .model import NOTHING_OUT, PPM, CollateralError, CollateralPool, EventTrace, ModelParams
 
 
 class GroupFlushPolicy:
@@ -61,15 +61,20 @@ class GroupFlushPolicy:
             raise CollateralError(f"groups of {g} need k divisible by {g}, got {params.k}")
         params.require_kwallet()
         self.params = params
-        self.g = g
         self.name = name
-        self.k = params.k
-        self.size = params.C // params.k
+        self.k, self.g, self.size, self.F = params.k, g, params.C // params.k, params.F
         self.st = [1] + [self.size] * self.k + [-1] * self.k
         self.outages: deque[tuple[int, int, int]] = deque()  # (back at, first, past the last)
         self.settled = 0
         self.flushes = 0
         self.trace = EventTrace()
+
+    @classmethod
+    def rule(cls, k: int, g: int, size: int, F: int) -> "GroupFlushPolicy":
+        """Only what ``offer`` reads, for rand2's shadow: 2C need not fit a ModelParams."""
+        rule = object.__new__(cls)
+        rule.k, rule.g, rule.size, rule.F = k, g, size, F
+        return rule
 
     @property
     def machine(self) -> "GroupFlushPolicy":
@@ -93,7 +98,7 @@ class GroupFlushPolicy:
 
     def _flush(self, st: list[int], first: int, last: int, slot: int) -> list[int]:
         """Flush wallets first..last: their amounts; back at C/k after slot + F."""
-        k, size, end = self.k, self.size, slot + self.params.F
+        k, size, end = self.k, self.size, slot + self.F
         amounts = []
         for i in range(first, last + 1):
             amounts.append(size - st[i])
@@ -124,7 +129,7 @@ class GroupFlushPolicy:
                 trace.wallet_flush(slot, wallet, amount)
                 wallet += 1
             self.flushes += g
-            outages.append((slot + self.params.F + 1, first, wallet))
+            outages.append((slot + self.F + 1, first, wallet))
         return 0
 
     def finish(self, slot: int) -> None:
@@ -153,9 +158,12 @@ class GroupFlushPolicy:
         aged = _relative(state, 1, self.k)
         out = []
         for value in symbols:
+            if value is None:
+                out.append((aged, 0, ()))
+                continue
             st = list(aged)
-            taken = 0 if value is None else self.offer(st, 0, value)
-            if not taken:  # a gap, or an offer while the group is out
+            taken = self.offer(st, 0, value)
+            if not taken:  # the group is out
                 out.append((aged, 0, ()))
             elif taken.__class__ is int:
                 out.append((tuple(st), value, ()))
@@ -172,16 +180,15 @@ def _relative(st, slot: int, k: int) -> tuple[int, ...]:
 class RandTwoPolicy:
     """One real wallet of size C that follows one wallet of a two-wallet FlushAll.
 
-    The simulated FlushAll has two wallets of size C and the same arrivals;
-    it tries wallet 1 first, then wallet 2, and flushes both on a misfit.  At
-    the first step with the real wallet online, at the start and after each
-    outage, a fair coin picks ``chosen``, one of FlushAll's wallets.  The
-    real wallet settles exactly what that wallet settles and flushes when
-    FlushAll does, so its room is the chosen wallet's room, and the other
-    wallet's room is the one int ``other``.
-
-    Coins come from ``coins`` (a zero-argument callable returning 0 or 1)
-    when given, else from a seeded RNG.
+    The shadow FlushAll, two wallets of size C with the same arrivals, is
+    the state list ``st = [1, room 1, room 2, end 1, end 2]`` that
+    ``GroupFlushPolicy.offer`` decides every offer on.  At the first step
+    with the real wallet online, at the start and after each outage, a fair
+    coin picks ``chosen``, one of the shadow's wallets.  The real wallet
+    settles what that wallet settles and flushes when the shadow misfits,
+    so its room is ``st[chosen]``.  Both go out for F slots; ``back`` is the
+    real wallet's return (``NOTHING_OUT`` while online).  Coins come from
+    ``coins``, a zero-argument callable returning 0 or 1, else a seeded RNG.
     """
 
     name = "rand2"
@@ -192,40 +199,53 @@ class RandTwoPolicy:
         if coins is None and seed is None:
             raise CollateralError("rand2 needs a seed or an explicit coin source")
         self.params = params
-        self.machine = WalletBank(params)
+        self._offer = GroupFlushPolicy.rule(2, 2, params.C, params.F).offer
+        self.st = [1, params.C, params.C, -1, -1]
         self._coin = coins if coins is not None else partial(random.Random(seed).getrandbits, 1)
         self.chosen: int | None = None
-        self.other = params.C
         self.coins_drawn = 0
+        self.back = NOTHING_OUT
+        self.settled = 0
+        self.flushes = 0
+        self.trace = EventTrace()
+
+    @property
+    def machine(self) -> "RandTwoPolicy":
+        return self
 
     def step(self, slot: int, value: int | None) -> int:
-        bank = self.machine
-        if slot >= bank.next_back:
-            bank.begin_slot(slot)
-        online = bank.offline_until[0] < slot
-        if online and self.chosen is None:
-            self.chosen = 1 + self._coin()
+        back = self.back
+        if slot >= back:
+            self.trace.wallet_online(back, 1)
+            back = self.back = NOTHING_OUT
+        chosen = self.chosen
+        if chosen is None and back == NOTHING_OUT:
+            chosen = self.chosen = 1 + self._coin()
             self.coins_drawn += 1
         if value is None:
             return 0
-        if online and value <= bank.remaining[0] and (self.chosen == 1 or value > self.other):
-            bank.settle(1, value, slot)
-            return 1
-        bank.trace.discard(slot, value)
-        if not online:
+        if chosen is None:  # out, and so is the shadow
+            self.trace.discard(slot, value)
             return 0
-        if value <= self.other:
-            self.other -= value
-        else:  # FlushAll's misfit
-            bank.flush(1, slot)
+        taken = self._offer(self.st, slot, value)
+        if taken == chosen:
+            self.settled += value
+            self.trace.wallet_settle(slot, 1, value)
+            return 1
+        self.trace.discard(slot, value)
+        if taken.__class__ is list:  # the shadow's misfit flushed both its wallets
+            self.trace.wallet_flush(slot, 1, taken[chosen - 1])
+            self.flushes += 1
             self.chosen = None
-            self.other = self.params.C
+            self.back = slot + self.params.F + 1
         return 0
 
     def finish(self, slot: int) -> None:
-        bank = self.machine
-        if self.params.tau > 0 and bank.offline_until[0] < slot and bank.remaining[0] < bank.size:
-            bank.flush(1, slot)
+        # tau > 0: flush the wallet if it is online and holds value; no step follows
+        chosen = self.chosen
+        if self.params.tau > 0 and chosen is not None and self.st[chosen] < self.params.C:
+            self.trace.wallet_flush(slot, 1, self.params.C - self.st[chosen])
+            self.flushes += 1
 
 
 class ThresholdPolicy:

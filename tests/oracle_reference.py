@@ -22,13 +22,13 @@ the pool ledger in exact Fractions and ``ReferenceThreshold`` the threshold
 policy over it, the reference for the integer ledger of ``CollateralPool``
 and ``ThresholdPolicy``.  ``utility_optimum_reference`` runs every
 settle/discard and flush/keep schedule on ``ReferencePool``, as the
-reference for ``opt_general_utility``.  ``ReferenceRandTwo`` steps rand2
-through a whole two-wallet FlushAll run, the reference for
-``RandTwoPolicy``.  ``ReferenceGroupPolicy`` steps the wallet-group rule
-on a ``WalletBank``, the reference for ``GroupFlushPolicy``'s one rule
-on its state list; ``reference_group_policy`` builds it for a kind.
-``ReferenceBank`` keeps one outage per wallet, the reference for the
-grouped outages of ``WalletBank``.  ``run_every_slot`` is the per-slot
+reference for ``opt_general_utility``.  ``ReferenceBank`` is a ledger of
+k wallets with one outage per wallet, the machine of both wallet
+references.  ``ReferenceGroupPolicy`` steps the wallet-group rule on it,
+the reference for ``GroupFlushPolicy``'s one rule on its state list;
+``reference_group_policy`` builds it for a kind.  ``ReferenceRandTwo``
+steps rand2 through a whole two-wallet FlushAll run of that reference,
+the reference for ``RandTwoPolicy``.  ``run_every_slot`` is the per-slot
 driver that ``run_sequence`` is checked against.
 ``exhaustive_verify_reference`` walks every prefix of every short
 sequence explicitly, stepping ``ReferenceGroupPolicy``, as the reference
@@ -55,10 +55,9 @@ from collatsim.model import (
     EventTrace,
     ModelParams,
     Transaction,
-    WalletBank,
 )
 from collatsim.oracles import opt_value_extend
-from collatsim.policies import GROUP_SIZES, make_policy
+from collatsim.policies import GROUP_SIZES
 from trace_reader import ARRIVE, DISCARD, FLUSH, ONLINE, SETTLE, Event, read_events
 
 _NDJSON = json.JSONEncoder(separators=(",", ":"))
@@ -422,22 +421,97 @@ class ReferenceThreshold:
             self.machine.flush(self.machine.committed, slot)
 
 
+class ReferenceBank:
+    """k wallets of size C/k each, one outage per wallet; a wallet flushes whole.
+
+    A wallet flushed at slot t is offline for slots t+1..t+F and comes back
+    online with its room restored to C/k at slot t+F+1.  ``flush(i, slot,
+    last)`` flushes wallets i..last (default i) one by one in index order,
+    each checked, logged and sorted into ``outages`` as ``(back at,
+    index)``, 0-based.  ``begin_slot`` comes first in every step, slots
+    increasing, and restores each wallet due, logging its ``online`` at its
+    return slot, ordered by slot, then wallet.  ``settled`` and
+    ``flushes`` (one per wallet) are the run's totals, which ``clone``
+    copies, with an empty trace, for a test that forks a run.  The machine
+    that ``ReferenceGroupPolicy`` and ``ReferenceRandTwo`` step; the
+    program's wallet policies keep their own state lists.
+    """
+
+    def __init__(self, params):
+        params.require_kwallet()
+        self.params = params
+        self.size = params.C // params.k
+        self.remaining = [self.size] * params.k
+        self.offline_until = [0] * params.k
+        self.outages = []
+        self.settled = 0
+        self.flushes = 0
+        self.trace = EventTrace()
+
+    def begin_slot(self, slot):
+        outages = self.outages
+        while outages and outages[0][0] <= slot:
+            back, j = outages.pop(0)
+            self.remaining[j] = self.size
+            self.offline_until[j] = 0
+            self.trace.wallet_online(back, j + 1)
+
+    def settle(self, i, value, slot):
+        """Settle an offer of ``value`` at ``slot`` in wallet i, which must be
+        online with room for it, logging the offer's arrive and settle."""
+        if not 1 <= i <= self.params.k:
+            raise CollateralError(f"wallet index {i} out of 1..{self.params.k}")
+        j = i - 1
+        if self.offline_until[j] >= slot:
+            raise CollateralError(f"wallet {i} offline at slot {slot}")
+        left = self.remaining[j]
+        if value > left:
+            raise CollateralError(f"wallet {i} has {left}, needs {value}")
+        self.remaining[j] = left - value
+        self.settled += value
+        self.trace.wallet_settle(slot, i, value)
+
+    def flush(self, i, slot, last=None):
+        for wallet in range(i, (i if last is None else last) + 1):
+            if not 1 <= wallet <= self.params.k:
+                raise CollateralError(f"wallet index {wallet} out of 1..{self.params.k}")
+            j = wallet - 1
+            if self.offline_until[j] >= slot:
+                raise CollateralError(f"wallet {wallet} already offline at slot {slot}")
+            self.trace.wallet_flush(slot, wallet, self.size - self.remaining[j])
+            until = slot + self.params.F
+            self.offline_until[j] = until
+            insort(self.outages, (until + 1, j))
+            self.flushes += 1
+
+    def clone(self):
+        other = object.__new__(ReferenceBank)
+        other.__dict__.update(self.__dict__)
+        other.remaining = list(self.remaining)
+        other.offline_until = list(self.offline_until)
+        other.outages = list(self.outages)
+        other.trace = EventTrace()
+        return other
+
+
 class ReferenceRandTwo:
     """rand2 driven by a whole two-wallet FlushAll run, the shadow.
 
-    The shadow FlushAll, with two wallets of size C each, is stepped on
-    every step and its trace is ignored.  A coin is drawn as in
-    ``RandTwoPolicy``, from ``coins`` or a ``random.Random(seed)``.  The
-    real wallet settles what the coin-chosen shadow wallet settles and
-    flushes when the online shadow misfits; the two flush in the same
-    slots with the same F, so they go offline and come back together.  The
-    reference for the one-wallet rule of ``RandTwoPolicy.step``.
+    The shadow is ``reference_group_policy("fa", ...)`` with two wallets
+    of size C each, stepped on every step, its trace ignored.  A coin is
+    drawn as in ``RandTwoPolicy``, from ``coins`` or a
+    ``random.Random(seed)``.  The real wallet, a one-wallet
+    ``ReferenceBank``, settles what the coin-chosen shadow wallet settles
+    and flushes when the online shadow misfits; the two flush in the same
+    slots with the same F, so they go offline and come back together.
+    The reference for ``RandTwoPolicy``, which decides each offer with the
+    program's rule, ``GroupFlushPolicy.offer``, on a state list.
     """
 
     def __init__(self, params: ModelParams, seed=None, coins=None):
         self.params = params
-        self.machine = WalletBank(params)
-        self.shadow = make_policy(
+        self.machine = ReferenceBank(params)
+        self.shadow = reference_group_policy(
             "fa", ModelParams(C=2 * params.C, T=params.T, F=params.F, k=2)
         )
         if coins is None:
@@ -472,18 +546,18 @@ class ReferenceRandTwo:
 
 
 class ReferenceGroupPolicy:
-    """``GroupFlushPolicy``'s rule stepped on a ``WalletBank``.
+    """``GroupFlushPolicy``'s rule stepped on a ``ReferenceBank``.
 
     First fit within the active group of g wallets, read off the bank's
     ``remaining`` and ``offline_until`` lists; on a misfit the offer is
-    discarded, the bank flushes the group's wallets as one outage and the
-    next group becomes active, cyclically.  The bank logs every event,
-    ``online`` lines included, from ``begin_slot``.  ``state(slot)`` reads
-    the state tuple back off the bank after ``step(slot)``, and
-    ``clone`` copies the state, counters included, with an empty trace,
-    so a test can fork mid-run and read off the events of one step.  The
-    reference for the one rule of ``GroupFlushPolicy.offer``, which
-    ``step`` and ``next_states`` call.
+    discarded, the bank flushes the group's wallets and the next group
+    becomes active, cyclically.  The bank logs every event, ``online``
+    lines included, from ``begin_slot``.  ``state(slot)`` reads the state
+    tuple back off the bank after ``step(slot)``, and ``clone`` copies the
+    state, counters included, with an empty trace, so a test can fork
+    mid-run and read off the events of one step.  The reference for the
+    one rule of ``GroupFlushPolicy.offer``, which ``step`` and
+    ``next_states`` call.
     """
 
     def __init__(self, params, g, name):
@@ -494,18 +568,17 @@ class ReferenceGroupPolicy:
         self.params = params
         self.g = g
         self.name = name
-        self.machine = WalletBank(params)
+        self.machine = ReferenceBank(params)
         self.active = 1
 
     def step(self, slot, value):
         bank = self.machine
-        if slot >= bank.next_back:
-            bank.begin_slot(slot)
+        bank.begin_slot(slot)
         if value is None:
             return 0
         hi = self.active * self.g
         lo = hi - self.g
-        if bank.offline_until[lo] >= slot:  # step flushes groups whole: one return
+        if bank.offline_until[lo] >= slot:  # step flushes groups whole
             bank.trace.discard(slot, value)
             return 0
         remaining = bank.remaining
@@ -553,46 +626,6 @@ def reference_group_policy(kind, params):
     """The reference for ``make_policy(kind, params)`` of a wallet-group kind."""
     g = GROUP_SIZES[kind]
     return ReferenceGroupPolicy(params, params.k if g is None else g, kind)
-
-
-class ReferenceBank(WalletBank):
-    """``WalletBank`` with one ``(back at, index)`` outage per wallet.
-
-    A flush of wallets i..last is one flush per wallet in index order,
-    each checked, logged and sorted into ``outages`` on its own, and
-    ``begin_slot`` restores the returns one wallet at a time.  Its
-    ``next_back`` stays 0, so a policy calls ``begin_slot`` on every step.
-    The reference for the one outage per flushed group, and the due-only
-    ``begin_slot``, of ``WalletBank``; a policy steps it once it is set as
-    the policy's ``machine``.
-    """
-
-    __slots__ = ()
-
-    def __init__(self, params):
-        super().__init__(params)
-        self.next_back = 0
-
-    def begin_slot(self, slot):
-        outages = self.outages
-        while outages and outages[0][0] <= slot:
-            back, j = outages.pop(0)
-            self.remaining[j] = self.size
-            self.offline_until[j] = 0
-            self.trace.wallet_online(back, j + 1)
-
-    def flush(self, i, slot, last=None):
-        for wallet in range(i, (i if last is None else last) + 1):
-            if not 1 <= wallet <= self.params.k:
-                raise CollateralError(f"wallet index {wallet} out of 1..{self.params.k}")
-            j = wallet - 1
-            if self.offline_until[j] >= slot:
-                raise CollateralError(f"wallet {wallet} already offline at slot {slot}")
-            self.trace.wallet_flush(slot, wallet, self.size - self.remaining[j])
-            until = slot + self.params.F
-            self.offline_until[j] = until
-            insort(self.outages, (until + 1, j))
-            self.flushes += 1
 
 
 def run_every_slot(policy, seq):

@@ -1,4 +1,5 @@
-"""Slot-level machinery: parameters, sequences, wallet banks, pools, traces."""
+"""Slot-level machinery: parameters, sequences, the test-side wallet bank,
+pools, traces."""
 
 import json
 import re
@@ -17,10 +18,10 @@ from collatsim.model import (
     RunResult,
     Transaction,
     TransactionSequence,
-    WalletBank,
     validate_window_bound,
 )
-from oracle_reference import reference_ndjson
+from collatsim.policies import make_policy
+from oracle_reference import ReferenceBank, reference_ndjson
 from trace_reader import ARRIVE, DISCARD, FLUSH, ONLINE, SETTLE, Event, read_events
 
 
@@ -166,12 +167,14 @@ def test_params_kwallet_guard():
 
 
 def test_wallet_count_past_the_cap_refused():
-    # a bank keeps a list entry per wallet: past the cap it is refused
-    # before any is built, and 10^30 wallets would not fit an index at all
-    assert len(WalletBank(ModelParams(C=MAX_WALLETS, T=1, F=1, k=MAX_WALLETS)).remaining) == 1000
+    # a wallet policy keeps a room and an outage end per wallet: past the
+    # cap it is refused before any is built, and 10^30 wallets would not
+    # fit an index at all
+    policy = make_policy("fa", ModelParams(C=MAX_WALLETS, T=1, F=1, k=MAX_WALLETS))
+    assert len(policy.state(0)) == 2 * 1000 + 1
     for k in (MAX_WALLETS + 1, 10**30):
         params = ModelParams(C=k, T=1, F=1, k=k)
-        for build in (params.require_kwallet, lambda: WalletBank(params)):
+        for build in (params.require_kwallet, lambda: make_policy("fa", params)):
             with pytest.raises(CollateralError, match=f"^k must be at most 1000, got {k}$"):
                 build()
 
@@ -179,7 +182,7 @@ def test_wallet_count_past_the_cap_refused():
 def test_wallet_outage_window():
     # flush at slot 1 with F=2: offline slots 2 and 3, back at 4
     params = ModelParams(C=20, T=6, F=2, k=2)
-    bank = WalletBank(params)
+    bank = ReferenceBank(params)
     bank.begin_slot(1)
     bank.settle(1, 6, 1)
     bank.flush(1, 1)
@@ -205,7 +208,7 @@ def test_wallet_catch_up_logs_each_return_at_its_slot():
     # F=2: wallet 3 flushed at 1 is back at 4, wallets 2 and 1 flushed at 2
     # (2 first) are back at 5; one begin_slot well past both restores all
     # three, ordered by return slot and then by wallet
-    bank = WalletBank(ModelParams(C=30, T=5, F=2, k=3))
+    bank = ReferenceBank(ModelParams(C=30, T=5, F=2, k=3))
     bank.begin_slot(1)
     bank.settle(3, 5, 1)
     bank.flush(3, 1)
@@ -235,7 +238,7 @@ def test_pool_catch_up_logs_each_return_at_its_slot():
 
 def test_wallet_settle_guards():
     params = ModelParams(C=20, T=6, F=1, k=2)
-    bank = WalletBank(params)
+    bank = ReferenceBank(params)
     bank.begin_slot(1)
     bank.settle(1, 6, 1)
     with pytest.raises(CollateralError, match=r"^wallet 1 has 4, needs 5$"):
@@ -249,7 +252,7 @@ def test_wallet_settle_guards():
 
 def test_wallet_flush_takes_whole_wallet():
     params = ModelParams(C=20, T=6, F=1, k=2)
-    bank = WalletBank(params)
+    bank = ReferenceBank(params)
     bank.begin_slot(1)
     bank.settle(2, 4, 1)
     bank.flush(2, 1)
@@ -263,7 +266,7 @@ def test_wallet_flush_takes_whole_wallet():
 
 def test_wallet_conservation():
     params = ModelParams(C=30, T=5, F=1, k=3)
-    bank = WalletBank(params)
+    bank = ReferenceBank(params)
     bank.begin_slot(1)
     bank.settle(1, 5, 1)
     bank.settle(3, 2, 1)
@@ -405,7 +408,7 @@ def test_empty_trace_ndjson():
 def test_trace_totals():
     # the bank counts its own totals; a clone copies them with an empty trace
     params = ModelParams(C=20, T=6, F=1, k=2)
-    bank = WalletBank(params)
+    bank = ReferenceBank(params)
     bank.begin_slot(1)
     bank.settle(1, 6, 1)
     bank.settle(2, 4, 2)
@@ -429,7 +432,7 @@ def test_trace_totals():
 def test_run_result_charging_modes():
     params = ModelParams(C=40, T=10, F=1, k=2, p_ppm=500000, tau=2)
     seq = TransactionSequence.from_pairs([(1, 10), (2, 10)])
-    bank = WalletBank(params)
+    bank = ReferenceBank(params)
     bank.begin_slot(1)
     bank.settle(1, seq.values[0], 1)
     bank.settle(2, seq.values[1], 2)
