@@ -15,6 +15,7 @@ from .model import (
     EventTrace,
     ModelParams,
     RunResult,
+    SettleLog,
     Transaction,
     TransactionSequence,
     CollateralPool,
@@ -75,6 +76,7 @@ __all__ = [
     "EventTrace",
     "ModelParams",
     "RunResult",
+    "SettleLog",
     "Transaction",
     "TransactionSequence",
     "CollateralPool",

@@ -1,9 +1,11 @@
 """Experiment harness: run policies, compare against oracles, verify bounds.
 
 The pieces, bottom up: ``run_sequence`` steps one policy over the offers
-of one sequence, validates the window invariant on the produced trace and
-returns the run's totals;
-``measure_ratio`` adds an oracle and the formula bound for the policy;
+of one sequence, validates the window invariant on the settles its sink
+kept and returns the run's totals;
+``measure_ratio`` adds an oracle and the formula bound for the policy,
+worked out once per policy kind and ``ModelParams`` and checked on a
+value row in ints;
 ``exhaustive_verify`` checks the competitive bound with exact integer
 arithmetic on every prefix of every sequence over a small alphabet,
 stepping each state of a wallet rule and each value-DP key once per offer
@@ -27,7 +29,10 @@ Every run charges the flush fee tau once per wallet flushed (or pool
 tranche), and flushes leftover committed value at the end exactly when
 tau > 0 (the threshold policy always does).  Results hold totals only: a
 run's log is its policy's ``machine.trace``, and a batch writes the trace
-of its last repetition, so it keeps one trace at a time.
+of its last repetition, so it keeps one trace at a time.  Only a run whose
+trace is written logs to an ``EventTrace``; every other run, the other
+repetitions, each sweep setting and every run without a trace path,
+logs to a ``SettleLog``, which formats no text.
 ``ExperimentConfig.from_json_obj`` reads every run's settings, from a
 config file or the CLI's flags: a field left out takes the dataclass
 default, and a field it does not read is refused.
@@ -44,7 +49,7 @@ import math
 import sys
 from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from itertools import combinations
 
 from . import formulas
@@ -54,6 +59,7 @@ from .model import (
     EventTrace,
     ModelParams,
     RunResult,
+    SettleLog,
     TransactionSequence,
     known_fields,
     typed_field,
@@ -96,7 +102,8 @@ def run_sequence(policy, seq: TransactionSequence) -> RunResult:
     policy's ``finish`` flushes the leftovers, wallet policies when tau > 0
     and the threshold policy always.  Utility charges tau once per wallet
     flushed, or per pool tranche.  The result holds totals only; the run's
-    log stays in ``policy.machine.trace``.
+    log stays in ``policy.machine.trace``, the sink the policy was made with,
+    and the window check reads its settle columns.
     """
     seq.validate_values(policy.params.T)
     step = policy.step
@@ -145,8 +152,37 @@ def ratio_of(opt, alg) -> Fraction | float:
     if opt == alg:
         return Fraction(1)
     if alg > 0:
-        return Fraction(opt) / Fraction(alg)
+        return Fraction(opt, alg)
     return math.inf
+
+
+def value_bound_holds(opt: int, settled: int, num: int, den: int) -> bool:
+    """Whether opt <= (num/den) * settled, decided in ints (den > 0)."""
+    return den * opt <= num * settled
+
+
+_NO_SLACK = Fraction(0)
+
+
+@lru_cache(maxsize=256)
+def _row_bound(policy: str, utility: bool, params: ModelParams) -> tuple | None:
+    """The bound a ratio row of ``policy`` checks: the utility bound for the
+    threshold policy when the row has an optimal ``utility``, else the value
+    bound.  ``(kind, exact, as a float, slack, numerator, denominator)``, or
+    None without one; a bound past the float range raises CollateralError.
+    ModelParams is frozen, so each (policy, utility, params) is worked out
+    once: sweeps and batches repeat them."""
+    exact = utility_bound_fraction(params) if policy == "eta" and utility else None
+    if exact is not None:
+        kind, slack = "utility", params.p * params.C + params.tau
+    else:
+        exact = value_bound_fraction(policy, params)
+        if exact is None:
+            return None
+        kind, slack = "value", _NO_SLACK
+    if exact > sys.float_info.max:
+        raise CollateralError(f"{kind} bound is past the float range")
+    return kind, exact, float(exact), slack, exact.numerator, exact.denominator
 
 
 @dataclass
@@ -248,13 +284,19 @@ class ExperimentConfig:
             return read_sequence_csv(self.seq_file)
         return gen_stochastic(self.workload.with_seed(self.workload.seed + rep))
 
-    def policy_for(self, rep: int):
-        return make_policy(self.policy, self.params, seed=self.seed + rep)
+    def policy_for(self, rep: int, trace: SettleLog | None = None):
+        """Repetition rep's policy, logging to ``trace`` (see ``make_policy``)."""
+        return make_policy(self.policy, self.params, seed=self.seed + rep, trace=trace)
+
+
+def _sink(written) -> SettleLog:
+    """A run's sink: the full ``EventTrace`` when its trace is written."""
+    return EventTrace() if written else SettleLog()
 
 
 def run_policy(config: ExperimentConfig) -> RunResult:
     """Run the configured policy once (repetition 0) and write outputs."""
-    policy = config.policy_for(0)
+    policy = config.policy_for(0, _sink(config.trace_path))
     result = run_sequence(policy, config.sequence_for(0))
     if config.trace_path:
         write_trace_ndjson(policy.machine.trace, config.trace_path)
@@ -265,12 +307,14 @@ def run_policy(config: ExperimentConfig) -> RunResult:
 
 def measure_ratio(config: ExperimentConfig) -> RatioReport:
     """Run repetitions, compare each against the configured oracle; rows
-    keep totals only, and the trace written is the last repetition's."""
+    keep totals only, and the trace written is the last repetition's, the
+    only one that logs its text."""
     rows = []
+    last = config.repetitions - 1
     for rep in range(config.repetitions):
         if rep == 0 or config.workload is not None:  # a file's is the same each time
             seq = config.sequence_for(rep)
-        policy = config.policy_for(rep)
+        policy = config.policy_for(rep, _sink(config.trace_path and rep == last))
         rows.append(_ratio_row(config, rep, seq, run_sequence(policy, seq)))
     if config.csv_path:
         write_results_csv([_csv_row(config, r.result, r) for r in rows], config.csv_path)
@@ -301,31 +345,15 @@ def _ratio_row(
     ratio_utility = (
         ratio_of(opt_utility, result.utility) if opt_utility is not None else None
     )
-    # pick the bound: utility bound for the threshold policy when
-    # utility numbers exist, else the value bound
-    exact = None
-    bound_kind = None
-    slack = Fraction(0)
-    if config.policy == "eta" and opt_utility is not None:
-        exact = utility_bound_fraction(params)
-        if exact is not None:
-            bound_kind = "utility"
-            slack = params.p * params.C + params.tau
-    if exact is None:
-        exact = value_bound_fraction(config.policy, params)
-        if exact is not None:
-            bound_kind = "value"
-    bound = None
-    bound_ok = None
-    if exact is not None:
-        if exact > sys.float_info.max:
-            raise CollateralError(f"{bound_kind} bound is past the float range")
-        bound = float(exact)
+    bound = bound_kind = bound_ok = None
+    slack = _NO_SLACK
+    chosen = _row_bound(config.policy, opt_utility is not None, params)
+    if chosen is not None:
+        bound_kind, exact, bound, slack, num, den = chosen
         if bound_kind == "value":
-            lhs, rhs = opt_value, result.settled_value
+            bound_ok = value_bound_holds(opt_value, result.settled_value, num, den)
         else:
-            lhs, rhs = opt_utility, result.utility
-        bound_ok = lhs <= exact * rhs + slack
+            bound_ok = opt_utility <= exact * result.utility + slack
     return RatioRow(
         run_id=rep,
         seed=config.seed + rep,
@@ -711,7 +739,7 @@ def run_adversary_demo(
     raises CollateralError, and one past MAX_ADVERSARY_OFFERS offers is
     refused while it is built.
     """
-    policy = make_policy(target, params, seed=seed)
+    policy = make_policy(target, params, seed=seed, trace=SettleLog())
     if kind == "thm3":
         seq = thm3_seq(params, epsilon, rounds, policy)
     elif kind == "fwfkiller":

@@ -21,11 +21,13 @@ in place; its ``begin_slot(slot)`` is the only place collateral returns,
 all of it whose outage ended before ``slot``.  Wallet policies are their
 own machines.
 
-Each machine logs its run to an ``EventTrace``, which writes every event
-as its NDJSON line when it is logged, an offer's arrive line together
-with the line of its settle or discard, and keeps besides only the
-settles, as two int columns, and the wallet flush amounts.  The program
-only writes the trace; nothing here parses it back.  A
+Each machine logs its run to the sink its driver gives it.  Both sinks
+keep the settles, as two int columns, for the window check.  A run whose
+trace is written gets an ``EventTrace``, which also writes every event as
+its NDJSON line when it is logged, an offer's arrive line together with
+the line of its settle or discard; any other run gets a ``SettleLog``,
+which keeps the settles alone.  The program only writes the trace;
+nothing here parses it back.  A
 ``TransactionSequence`` is built from its two int columns, slots and
 values, or from ``(slot, value)`` pairs.
 """
@@ -279,12 +281,45 @@ def ppm_amount(units: int) -> str:
     return f'"{units // g}/{PPM // g}"'
 
 
-class EventTrace:
-    """Append-only event log for one run; the machines count the totals.
+class SettleLog:
+    """The sink of a run whose NDJSON is not written: it keeps the settles.
+
+    It has the logged calls of ``EventTrace`` and keeps, in log order,
+    only what the program reads back, the settle columns ``settle_slots``
+    and ``settle_values``: two int lists that the window check reads as
+    they are, since a machine settles at most one offer a slot and so
+    logs settles in strictly increasing slot order.  Every other call
+    logs nothing.
+    """
+
+    __slots__ = ("settle_slots", "settle_values")
+
+    def __init__(self):
+        self.settle_slots: list[int] = []
+        self.settle_values: list[int] = []
+
+    def wallet_settle(self, slot: int, wallet: int, value: int) -> None:
+        self.settle_slots.append(slot)
+        self.settle_values.append(value)
+
+    def pool_settle(self, slot: int, value: int, free: int, committed: int) -> None:
+        self.settle_slots.append(slot)
+        self.settle_values.append(value)
+
+    def _nothing(self, *event) -> None:
+        pass
+
+    discard = wallet_flush = wallet_online = pool_flush = pool_online = _nothing
+
+
+class EventTrace(SettleLog):
+    """The sink of a run whose NDJSON is written: the settles and the text.
 
     One method per logged call appends its NDJSON text to ``chunks``,
-    from one f-string.  An offer's ``arrive`` line goes out with the line
-    of its outcome, as one string that converts the slot and value once:
+    from one f-string, and a settle also appends to the settle columns
+    it inherits; the machines count the totals.  An offer's ``arrive``
+    line goes out with the line of its outcome, as one string that
+    converts the slot and value once:
     the policies log ``discard``, and a settle logs ``wallet_settle`` or
     ``pool_settle``.  A wallet policy's events are
     ``settle`` with the wallet and value, ``flush`` with the wallet and its
@@ -295,22 +330,15 @@ class EventTrace:
     amounts are ints in 1/PPM, printed by the memoised ``ppm_amount``.
     Every line's bytes equal the json module's encoding of the same
     object with separators ``(",", ":")``, keys in the order slot, kind,
-    wallet, value, flushAmount, available, committed.
-
-    Beside the text the trace keeps what the program reads back, in log
-    order: the settle columns ``settle_slots`` and ``settle_values``, two
-    int lists that the window check reads as they are, since a machine
-    settles at most one offer a slot and so logs settles in strictly
-    increasing slot order.  Nothing in the program reads the text back:
-    it is for the trace file.
+    wallet, value, flushAmount, available, committed.  Nothing in the
+    program reads the text back: it is for the trace file.
     """
 
-    __slots__ = ("chunks", "settle_slots", "settle_values")
+    __slots__ = ("chunks",)
 
     def __init__(self):
+        super().__init__()
         self.chunks: list[str] = []
-        self.settle_slots: list[int] = []
-        self.settle_values: list[int] = []
 
     def discard(self, slot: int, value: int) -> None:
         s, v = str(slot), str(value)
@@ -376,13 +404,14 @@ class CollateralPool:
     place a tranche returns to ``free``; a caller may skip it while
     ``slot < next_back``, the earliest return (``NOTHING_OUT`` while no
     tranche is out).  `settled` and `flushes` count the run's settled
-    value and flushed tranches.
+    value and flushed tranches, and ``trace`` is the sink it logs to, a new
+    ``EventTrace`` unless one is given.
     """
 
     __slots__ = ("params", "free", "committed", "inflight", "next_back",
                  "settled", "flushes", "trace")
 
-    def __init__(self, params: ModelParams):
+    def __init__(self, params: ModelParams, trace: SettleLog | None = None):
         self.params = params
         self.free = params.C * PPM
         self.committed = 0
@@ -390,7 +419,7 @@ class CollateralPool:
         self.next_back = NOTHING_OUT
         self.settled = 0
         self.flushes = 0
-        self.trace = EventTrace()
+        self.trace = EventTrace() if trace is None else trace
 
     def begin_slot(self, slot: int) -> None:
         """Free every tranche whose outage ended before ``slot``, logging
@@ -434,7 +463,7 @@ class CollateralPool:
 @dataclass
 class RunResult:
     """Totals for one policy run; utility is exact.  The run's log is the
-    machine's trace, which the result does not hold."""
+    machine's sink, which the result does not hold."""
 
     settled_value: int
     flush_count: int
@@ -445,12 +474,13 @@ class RunResult:
     @classmethod
     def from_machine(cls, machine, seq: TransactionSequence) -> "RunResult":
         """Totals from the counters of a policy's ``machine`` after it was stepped
-        over seq; utility charges tau once per flush, a wallet or a pool tranche."""
-        params = machine.params
+        over seq; utility charges tau once per flush, a wallet or a pool tranche,
+        and is one Fraction of ints in 1/PPM."""
+        params, settled, flushes = machine.params, machine.settled, machine.flushes
         return cls(
-            settled_value=machine.settled,
-            flush_count=machine.flushes,
-            utility=params.p * machine.settled - params.tau * machine.flushes,
+            settled_value=settled,
+            flush_count=flushes,
+            utility=Fraction(params.p_ppm * settled - PPM * params.tau * flushes, PPM),
             offered_value=seq.offered_value(),
             n_tx=len(seq),
         )
@@ -481,14 +511,14 @@ def first_overfull_window(
     return None
 
 
-def validate_window_bound(trace: EventTrace, params: ModelParams) -> None:
+def validate_window_bound(trace: SettleLog, params: ModelParams) -> None:
     """Check that settled value in any F+1 consecutive slots is <= C.
 
     This holds for every correct run of either machine: a unit of
     collateral settles at most one transaction in any window of F+1
     slots, because flushed collateral is unusable for F slots.  The
-    check is linear and every run pays it.  It reads the trace's settle
-    columns as they are: a machine logs its settles in strictly
+    check is linear and every run pays it.  It reads the settle columns
+    of the run's sink, either kind, as they are: a machine logs its settles in strictly
     increasing slot order, so the error names the first failing window.
     """
     bad = first_overfull_window(trace.settle_slots, trace.settle_values, params.C, params.F)

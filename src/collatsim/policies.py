@@ -10,7 +10,10 @@ of a ``TransactionSequence``, so no object is built per offer.
 leftover committed collateral exactly when tau > 0, the threshold policy
 always does.  Policies are deterministic given params and seed.  Each
 keeps its state machine under ``machine``; the machine's counters are
-the run's totals and its trace only logs events.  A wallet policy is
+the run's totals and its ``trace`` only logs events, to the sink the
+driver passes as ``trace``: an ``EventTrace`` when the run's NDJSON is
+written (the default), else a ``SettleLog`` that keeps only the settles
+the window check reads.  A wallet policy is
 its own machine: it keeps its state as one flat int list and steps it
 with one rule, ``GroupFlushPolicy.offer``.  A group policy also has
 ``state``, everything later steps depend on as a tuple, and
@@ -32,7 +35,15 @@ import random
 from collections import deque
 from functools import partial
 
-from .model import NOTHING_OUT, PPM, CollateralError, CollateralPool, EventTrace, ModelParams
+from .model import (
+    NOTHING_OUT,
+    PPM,
+    CollateralError,
+    CollateralPool,
+    EventTrace,
+    ModelParams,
+    SettleLog,
+)
 
 
 class GroupFlushPolicy:
@@ -53,7 +64,7 @@ class GroupFlushPolicy:
     flushed group's return, in flush order since every outage lasts F.
     """
 
-    def __init__(self, params: ModelParams, g: int, name: str):
+    def __init__(self, params: ModelParams, g: int, name: str, trace: SettleLog | None = None):
         if g < 1 or params.k % g != 0:
             # sweep rows report this text, so ftwf keeps its wording
             if g == 2:
@@ -67,7 +78,7 @@ class GroupFlushPolicy:
         self.outages: deque[tuple[int, int, int]] = deque()  # (back at, first, past the last)
         self.settled = 0
         self.flushes = 0
-        self.trace = EventTrace()
+        self.trace = EventTrace() if trace is None else trace
 
     @classmethod
     def rule(cls, k: int, g: int, size: int, F: int) -> "GroupFlushPolicy":
@@ -193,7 +204,10 @@ class RandTwoPolicy:
 
     name = "rand2"
 
-    def __init__(self, params: ModelParams, seed: int | None = None, coins=None):
+    def __init__(
+        self, params: ModelParams, seed: int | None = None, coins=None,
+        trace: SettleLog | None = None,
+    ):
         if params.k != 1:
             raise CollateralError(f"rand2 runs a single wallet, got k={params.k}")
         if coins is None and seed is None:
@@ -207,7 +221,7 @@ class RandTwoPolicy:
         self.back = NOTHING_OUT
         self.settled = 0
         self.flushes = 0
-        self.trace = EventTrace()
+        self.trace = EventTrace() if trace is None else trace
 
     @property
     def machine(self) -> "RandTwoPolicy":
@@ -261,11 +275,11 @@ class ThresholdPolicy:
 
     name = "eta"
 
-    def __init__(self, params: ModelParams):
+    def __init__(self, params: ModelParams, trace: SettleLog | None = None):
         if params.eta_ppm is None:
             raise CollateralError("threshold policy needs eta_ppm")
         self.params = params
-        self.machine = CollateralPool(params)
+        self.machine = CollateralPool(params, trace)
         self.tranche = params.eta_ppm * params.C
 
     def step(self, slot: int, value: int | None) -> int:
@@ -299,12 +313,16 @@ def check_policy_kind(kind: str) -> None:
         raise CollateralError(f"unknown policy kind {kind!r}; expected one of {POLICY_KINDS}")
 
 
-def make_policy(kind: str, params: ModelParams, seed: int | None = None, coins=None):
-    """Build a policy from its configuration string."""
+def make_policy(
+    kind: str, params: ModelParams, seed: int | None = None, coins=None,
+    trace: SettleLog | None = None,
+):
+    """Build a policy from its configuration string; it logs to ``trace``,
+    a new ``EventTrace`` unless a sink is given."""
     check_policy_kind(kind)
     if kind in GROUP_SIZES:
         g = GROUP_SIZES[kind]
-        return GroupFlushPolicy(params, params.k if g is None else g, kind)
+        return GroupFlushPolicy(params, params.k if g is None else g, kind, trace)
     if kind == "rand2":
-        return RandTwoPolicy(params, seed=seed, coins=coins)
-    return ThresholdPolicy(params)
+        return RandTwoPolicy(params, seed=seed, coins=coins, trace=trace)
+    return ThresholdPolicy(params, trace)

@@ -1,5 +1,6 @@
 """Command-line entry points, driven through main() directly."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -11,7 +12,7 @@ import pytest
 import collatsim
 from collatsim import harness, oracles
 from collatsim.cli import build_parser, main
-from collatsim.model import Transaction
+from collatsim.model import EventTrace, SettleLog, Transaction
 
 import identity_grid as grid
 
@@ -241,11 +242,20 @@ def test_a_batch_reads_its_sequence_file_once(monkeypatch, flags):
     assert reads == ["seq.csv"]
 
 
-def test_ratio_writes_the_last_repetitions_trace(capsys, tmp_path):
+def test_ratio_writes_the_last_repetitions_trace(capsys, monkeypatch, tmp_path):
     # repetition r runs the policy at seed+r on the workload at its seed+r, so
     # of three the trace written is repetition 2's: the bytes of a simulate
-    # run at both seeds plus 2, and not those of repetition 0
+    # run at both seeds plus 2, and not those of repetition 0.  Only that
+    # repetition logs text: the two before it log to the untraced sink
     stream, params = grid.LONGRUN_ITEMS["rand2"]
+    sinks = []
+    make_policy = harness.make_policy
+
+    def recording(*args, trace=None, **kwargs):
+        sinks.append(type(trace))
+        return make_policy(*args, trace=trace, **kwargs)
+
+    monkeypatch.setattr(harness, "make_policy", recording)
 
     def trace_of(command, workload_seed, seed, *flags):
         workload = grid.longrun_workload(stream, workload_seed)
@@ -257,6 +267,11 @@ def test_ratio_writes_the_last_repetitions_trace(capsys, tmp_path):
         return path.read_bytes()
 
     written = trace_of("ratio", 5, 11, "--oracle", "window-bound", "--repetitions", "3")
+    assert sinks == [SettleLog, SettleLog, EventTrace]
+    # choosing a sink per repetition leaves the written bytes as they were
+    assert hashlib.sha256(written).hexdigest() == (
+        "4c5593deb54c91536850a4bee46366543aa5899ec2eae3dc8ca19bce8742928f"
+    )
     assert written == trace_of("simulate", 7, 13)
     assert written != trace_of("simulate", 5, 11)
     capsys.readouterr()

@@ -9,7 +9,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from collatsim import harness
 from collatsim.harness import (
@@ -27,6 +27,7 @@ from collatsim.harness import (
     sweep,
     utility_bound_fraction,
     value_bound_fraction,
+    value_bound_holds,
 )
 from collatsim.model import CollateralError, ModelParams, TransactionSequence, load_json
 from collatsim.oracles import opt_general_value, opt_value_extend
@@ -195,6 +196,24 @@ def test_ratio_of():
     assert ratio_of(0, 0) == 1
     assert ratio_of(5, 0) == float("inf")
     assert ratio_of(10, 4) == Fraction(5, 2)
+
+
+@given(
+    st.integers(min_value=0, max_value=10**9),
+    st.integers(min_value=0, max_value=10**9),
+    st.fractions(min_value=1, max_value=100, max_denominator=10**4),
+    st.booleans(),
+)
+@example(opt=3, settled=1, bound=Fraction(3), tie=False)
+@settings(max_examples=300, deadline=None)
+def test_value_bound_holds_is_the_exact_check(opt, settled, bound, tie):
+    # a ratio row's value check in ints, den*opt <= num*settled, decides as
+    # the exact comparison lhs <= exact * rhs + slack with no slack; half the
+    # cases are ties, den*opt == num*settled, which a strict check gets wrong
+    num, den = bound.numerator, bound.denominator
+    if tie:
+        opt, settled = num * (settled % 1000), den * (settled % 1000)
+    assert value_bound_holds(opt, settled, num, den) == (opt <= bound * settled + Fraction(0))
 
 
 def test_exhaustive_verify_smoke():

@@ -12,7 +12,9 @@ from hypothesis import example, given, settings, strategies as st
 from collatsim.model import (
     PPM,
     CollateralError,
+    EventTrace,
     ModelParams,
+    SettleLog,
     TransactionSequence,
     validate_window_bound,
 )
@@ -444,14 +446,25 @@ def step_and_check(policy, slot, value):
     assert settled == ([taken] if taken else [])
 
 
+def window_outcome(trace, law):
+    """The text validate_window_bound refuses the trace's settles with under
+    the params ``law``, or None when they keep the window law."""
+    try:
+        validate_window_bound(trace, law)
+    except CollateralError as err:
+        return str(err)
+    return None
+
+
 @given(
     st.lists(st.one_of(st.none(), st.integers(min_value=1, max_value=3)), max_size=30),
     st.sampled_from(sorted(COUNTER_PARAMS)),
     st.sampled_from([0, 1]),
     st.integers(min_value=0, max_value=2**16),
+    st.tuples(st.integers(min_value=1, max_value=12), st.integers(min_value=1, max_value=6)),
 )
 @settings(max_examples=150, deadline=None)
-def test_counters_match_trace(symbols, kind, tau, seed):
+def test_counters_match_trace(symbols, kind, tau, seed, law):
     params = replace(COUNTER_PARAMS[kind], tau=tau)
     pairs = [(i + 1, v) for i, v in enumerate(symbols) if v is not None]
     seq = TransactionSequence.from_pairs(pairs, horizon=len(symbols))
@@ -459,6 +472,15 @@ def test_counters_match_trace(symbols, kind, tau, seed):
     res = run_sequence(whole, seq)
     expected = trace_totals(whole.machine.trace)
     assert {name: getattr(res, name) for name in expected} == expected
+    # the same run on the untraced sink: the same totals and settle columns,
+    # and the window check, under a C and F it may break, judges both alike
+    bare = make_policy(kind, params, seed=seed, trace=SettleLog())
+    assert run_sequence(bare, seq) == res
+    kept, full = bare.machine.trace, whole.machine.trace
+    assert type(kept) is SettleLog and type(full) is EventTrace
+    assert (kept.settle_slots, kept.settle_values) == (full.settle_slots, full.settle_values)
+    law = ModelParams(C=law[0], T=1, F=law[1])
+    assert window_outcome(kept, law) == window_outcome(full, law)
     cut = len(symbols) // 2
     by_slot = dict(zip(seq.slots, seq.values))
     policy = make_policy(kind, params, seed=seed)
