@@ -28,7 +28,7 @@ target like any other ratio run.
 Every run charges the flush fee tau once per wallet flushed (or pool
 tranche), and flushes leftover committed value at the end exactly when
 tau > 0 (the threshold policy always does).  Results hold totals only: a
-run's log is its policy's ``machine.trace``, and a batch writes the trace
+run's log is its policy's ``trace``, and a batch writes the trace
 of its last repetition, so it keeps one trace at a time.  Only a run whose
 trace is written logs to an ``EventTrace``; every other run, the other
 repetitions, each sweep setting and every run without a trace path,
@@ -102,7 +102,7 @@ def run_sequence(policy, seq: TransactionSequence) -> RunResult:
     policy's ``finish`` flushes the leftovers, wallet policies when tau > 0
     and the threshold policy always.  Utility charges tau once per wallet
     flushed, or per pool tranche.  The result holds totals only; the run's
-    log stays in ``policy.machine.trace``, the sink the policy was made with,
+    log stays in ``policy.trace``, the sink the policy was made with,
     and the window check reads its settle columns.
     """
     seq.validate_values(policy.params.T)
@@ -112,8 +112,8 @@ def run_sequence(policy, seq: TransactionSequence) -> RunResult:
     if seq.horizon > (seq.slots[-1] if seq.slots else 0):
         policy.step(seq.horizon, None)
     policy.finish(seq.horizon)
-    validate_window_bound(policy.machine.trace, policy.params)
-    return RunResult.from_machine(policy.machine, seq)
+    validate_window_bound(policy.trace, policy.params)
+    return RunResult.from_machine(policy, seq)
 
 
 # per policy, its competitive bound on settled value as an exact closed
@@ -299,7 +299,7 @@ def run_policy(config: ExperimentConfig) -> RunResult:
     policy = config.policy_for(0, _sink(config.trace_path))
     result = run_sequence(policy, config.sequence_for(0))
     if config.trace_path:
-        write_trace_ndjson(policy.machine.trace, config.trace_path)
+        write_trace_ndjson(policy.trace, config.trace_path)
     if config.csv_path:
         write_results_csv([_csv_row(config, result)], config.csv_path)
     return result
@@ -319,7 +319,7 @@ def measure_ratio(config: ExperimentConfig) -> RatioReport:
     if config.csv_path:
         write_results_csv([_csv_row(config, r.result, r) for r in rows], config.csv_path)
     if config.trace_path:
-        write_trace_ndjson(policy.machine.trace, config.trace_path)
+        write_trace_ndjson(policy.trace, config.trace_path)
     return RatioReport(rows)
 
 

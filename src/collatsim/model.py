@@ -18,8 +18,9 @@ t+1 .. t+F; it is usable again at slot t+F+1.
 
 The pool is a ledger of its ``free`` and ``committed`` balances, updated
 in place; its ``begin_slot(slot)`` is the only place collateral returns,
-all of it whose outage ended before ``slot``.  Wallet policies are their
-own machines.
+all of it whose outage ended before ``slot``.  Every policy is its own
+machine: the threshold policy is a pool, and the wallet policies keep
+their state lists.
 
 Each machine logs its run to the sink its driver gives it.  Both sinks
 keep the settles, as two int columns, for the window check.  A run whose
@@ -405,7 +406,8 @@ class CollateralPool:
     ``slot < next_back``, the earliest return (``NOTHING_OUT`` while no
     tranche is out).  `settled` and `flushes` count the run's settled
     value and flushed tranches, and ``trace`` is the sink it logs to, a new
-    ``EventTrace`` unless one is given.
+    ``EventTrace`` unless one is given.  ``policies.ThresholdPolicy`` is a
+    pool that adds its rule and steps itself through these methods.
     """
 
     __slots__ = ("params", "free", "committed", "inflight", "next_back",
@@ -463,7 +465,7 @@ class CollateralPool:
 @dataclass
 class RunResult:
     """Totals for one policy run; utility is exact.  The run's log is the
-    machine's sink, which the result does not hold."""
+    policy's sink, which the result does not hold."""
 
     settled_value: int
     flush_count: int
@@ -473,9 +475,9 @@ class RunResult:
 
     @classmethod
     def from_machine(cls, machine, seq: TransactionSequence) -> "RunResult":
-        """Totals from the counters of a policy's ``machine`` after it was stepped
-        over seq; utility charges tau once per flush, a wallet or a pool tranche,
-        and is one Fraction of ints in 1/PPM."""
+        """Totals from the counters of ``machine``, a policy, after it was
+        stepped over seq; utility charges tau once per flush, a wallet or a
+        pool tranche, and is one Fraction of ints in 1/PPM."""
         params, settled, flushes = machine.params, machine.settled, machine.flushes
         return cls(
             settled_value=settled,

@@ -8,16 +8,17 @@ counting as 1, or 0 if nothing settled.  A run steps the two int columns
 of a ``TransactionSequence``, so no object is built per offer.
 ``finish(slot)`` runs once after the last step; wallet policies flush
 leftover committed collateral exactly when tau > 0, the threshold policy
-always does.  Policies are deterministic given params and seed.  Each
-keeps its state machine under ``machine``; the machine's counters are
-the run's totals and its ``trace`` only logs events, to the sink the
-driver passes as ``trace``: an ``EventTrace`` when the run's NDJSON is
-written (the default), else a ``SettleLog`` that keeps only the settles
-the window check reads.  A wallet policy is
-its own machine: it keeps its state as one flat int list and steps it
-with one rule, ``GroupFlushPolicy.offer``.  A group policy also has
-``state``, everything later steps depend on as a tuple, and
-``next_states``, the rule on a copy of one, which exhaust steps.
+always does.  Policies are deterministic given params and seed.  Every
+policy is its own state machine: its counters ``settled`` and
+``flushes`` are the run's totals and its ``trace`` only logs events, to
+the sink the driver passes as ``trace``: an ``EventTrace`` when the
+run's NDJSON is written (the default), else a ``SettleLog`` that keeps
+only the settles the window check reads.  A wallet policy keeps its
+state as one flat int list and steps it with one rule,
+``GroupFlushPolicy.offer``; the threshold policy is a ``CollateralPool``.
+A group policy also has ``state``, everything later steps depend on as
+a tuple, and ``next_states``, the rule on a copy of one, which exhaust
+steps.
 
 The three deterministic wallet policies are one class, ``GroupFlushPolicy``:
 first fit within an active group of g wallets; on a misfit, discard the
@@ -36,7 +37,6 @@ from collections import deque
 from functools import partial
 
 from .model import (
-    NOTHING_OUT,
     PPM,
     CollateralError,
     CollateralPool,
@@ -86,10 +86,6 @@ class GroupFlushPolicy:
         rule = object.__new__(cls)
         rule.k, rule.g, rule.size, rule.F = k, g, size, F
         return rule
-
-    @property
-    def machine(self) -> "GroupFlushPolicy":
-        return self
 
     def offer(self, st: list[int], slot: int, value: int) -> int | list[int]:
         """The rule: an offer of ``value`` at ``slot`` changes ``st`` in place.
@@ -197,9 +193,10 @@ class RandTwoPolicy:
     with the real wallet online, at the start and after each outage, a fair
     coin picks ``chosen``, one of the shadow's wallets.  The real wallet
     settles what that wallet settles and flushes when the shadow misfits,
-    so its room is ``st[chosen]``.  Both go out for F slots; ``back`` is the
-    real wallet's return (``NOTHING_OUT`` while online).  Coins come from
-    ``coins``, a zero-argument callable returning 0 or 1, else a seeded RNG.
+    so its room is ``st[chosen]``.  Both go out for F slots, so the real
+    wallet is out exactly while the shadow is, until ``st[3]``, the shadow's
+    outage end, and is back at ``st[3] + 1``.  Coins come from ``coins``, a
+    zero-argument callable returning 0 or 1, else a seeded RNG.
     """
 
     name = "rand2"
@@ -218,22 +215,15 @@ class RandTwoPolicy:
         self._coin = coins if coins is not None else partial(random.Random(seed).getrandbits, 1)
         self.chosen: int | None = None
         self.coins_drawn = 0
-        self.back = NOTHING_OUT
         self.settled = 0
         self.flushes = 0
         self.trace = EventTrace() if trace is None else trace
 
-    @property
-    def machine(self) -> "RandTwoPolicy":
-        return self
-
     def step(self, slot: int, value: int | None) -> int:
-        back = self.back
-        if slot >= back:
-            self.trace.wallet_online(back, 1)
-            back = self.back = NOTHING_OUT
-        chosen = self.chosen
-        if chosen is None and back == NOTHING_OUT:
+        st, chosen = self.st, self.chosen
+        if chosen is None and st[3] < slot:  # online: at the start, or back from an outage
+            if st[3] >= 0:
+                self.trace.wallet_online(st[3] + 1, 1)
             chosen = self.chosen = 1 + self._coin()
             self.coins_drawn += 1
         if value is None:
@@ -241,7 +231,7 @@ class RandTwoPolicy:
         if chosen is None:  # out, and so is the shadow
             self.trace.discard(slot, value)
             return 0
-        taken = self._offer(self.st, slot, value)
+        taken = self._offer(st, slot, value)
         if taken == chosen:
             self.settled += value
             self.trace.wallet_settle(slot, 1, value)
@@ -251,7 +241,6 @@ class RandTwoPolicy:
             self.trace.wallet_flush(slot, 1, taken[chosen - 1])
             self.flushes += 1
             self.chosen = None
-            self.back = slot + self.params.F + 1
         return 0
 
     def finish(self, slot: int) -> None:
@@ -262,45 +251,46 @@ class RandTwoPolicy:
             self.flushes += 1
 
 
-class ThresholdPolicy:
+class ThresholdPolicy(CollateralPool):
     """Pool policy A_eta: settle whenever possible, flush in eta*C tranches.
 
     A transaction settles iff the free balance covers it.  After a
     settle, once the committed reserve reaches eta*C, exactly eta*C is
     flushed.  At the end of a run the residual reserve is flushed in one
     final tranche whatever tau is, so the flush count is always
-    ceil(V / (eta*C)).  Amounts are the pool's units of 1/PPM, in
-    which the tranche eta*C is the int eta_ppm*C.
+    ceil(V / (eta*C)).  The policy is the pool it steps: it adds the
+    rule, and the pool's ``begin_slot``, ``settle`` and ``flush`` keep
+    the ledger, guards included.  Amounts are the pool's units of 1/PPM,
+    in which the tranche eta*C is the int eta_ppm*C.
     """
 
+    __slots__ = ("tranche",)
     name = "eta"
 
     def __init__(self, params: ModelParams, trace: SettleLog | None = None):
         if params.eta_ppm is None:
             raise CollateralError("threshold policy needs eta_ppm")
-        self.params = params
-        self.machine = CollateralPool(params, trace)
+        super().__init__(params, trace)
         self.tranche = params.eta_ppm * params.C
 
     def step(self, slot: int, value: int | None) -> int:
-        pool = self.machine
-        if slot >= pool.next_back:
-            pool.begin_slot(slot)
+        if slot >= self.next_back:
+            self.begin_slot(slot)
         if value is None:
             return 0
-        if pool.free < value * PPM:
-            pool.trace.discard(slot, value)
+        if self.free < value * PPM:
+            self.trace.discard(slot, value)
             return 0
-        pool.settle(value, slot)
+        self.settle(value, slot)
         # one tranche at most: the reserve was below eta*C, and ModelParams has T <= eta*C
-        if pool.committed >= self.tranche:
-            pool.flush(self.tranche, slot)
+        if self.committed >= self.tranche:
+            self.flush(self.tranche, slot)
         return 1
 
     def finish(self, slot: int) -> None:
         # the final partial tranche is part of the policy, not optional
-        if self.machine.committed > 0:
-            self.machine.flush(self.machine.committed, slot)
+        if self.committed > 0:
+            self.flush(self.committed, slot)
 
 
 # the group size g of each wallet-group kind; None stands for all k wallets

@@ -504,8 +504,9 @@ class ReferenceRandTwo:
     ``ReferenceBank``, settles what the coin-chosen shadow wallet settles
     and flushes when the online shadow misfits; the two flush in the same
     slots with the same F, so they go offline and come back together.
-    The reference for ``RandTwoPolicy``, which decides each offer with the
-    program's rule, ``GroupFlushPolicy.offer``, on a state list.
+    ``trace`` is the bank's.  The reference for ``RandTwoPolicy``, which
+    decides each offer with the program's rule, ``GroupFlushPolicy.offer``,
+    on a state list.
     """
 
     def __init__(self, params: ModelParams, seed=None, coins=None):
@@ -520,6 +521,10 @@ class ReferenceRandTwo:
         self._coin = coins
         self.chosen = None
         self.coins_drawn = 0
+
+    @property
+    def trace(self):
+        return self.machine.trace
 
     def step(self, slot, value):
         bank = self.machine
@@ -555,9 +560,9 @@ class ReferenceGroupPolicy:
     lines included, from ``begin_slot``.  ``state(slot)`` reads the state
     tuple back off the bank after ``step(slot)``, and ``clone`` copies the
     state, counters included, with an empty trace, so a test can fork
-    mid-run and read off the events of one step.  The reference for the
-    one rule of ``GroupFlushPolicy.offer``, which ``step`` and
-    ``next_states`` call.
+    mid-run and read off the events of one step.  ``trace`` is the bank's,
+    read where a program policy's own is.  The reference for the one rule
+    of ``GroupFlushPolicy.offer``, which ``step`` and ``next_states`` call.
     """
 
     def __init__(self, params, g, name):
@@ -570,6 +575,10 @@ class ReferenceGroupPolicy:
         self.name = name
         self.machine = ReferenceBank(params)
         self.active = 1
+
+    @property
+    def trace(self):
+        return self.machine.trace
 
     def step(self, slot, value):
         bank = self.machine

@@ -118,7 +118,7 @@ def adversary_traces(thm3_demo, killer_demos):
     for params, seq, demo in runs:
         policy = make_policy("fwf", params)
         assert run_sequence(policy, seq) == demo.result
-        traces.append(policy.machine.trace)
+        traces.append(policy.trace)
     return traces
 
 
@@ -168,7 +168,7 @@ def eta_study():
             records.append(
                 {
                     "params": params, "seq": seq, "result": res,
-                    "trace": policy.machine.trace,
+                    "trace": policy.trace,
                     "u_opt": u_opt, "alpha": alpha, "brute": brute,
                 }
             )
@@ -387,5 +387,5 @@ def test_c10_oracle_self_consistency():
             params = ModelParams(C=C, T=C, F=F, tau=1)  # tau > 0 adds the terminal flushes
             policy = make_policy("fa", params)
             run_sequence(policy, seq)
-            validate_window_bound(policy.machine.trace, params)
+            validate_window_bound(policy.trace, params)
     report(10, "200 instances: subset optimum == simulation optimum, witnesses feasible")

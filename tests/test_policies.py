@@ -40,13 +40,13 @@ import identity_grid as grid
 
 
 def settle_slots(policy):
-    return [e.slot for e in read_events(policy.machine.trace) if e.kind == SETTLE]
+    return [e.slot for e in read_events(policy.trace) if e.kind == SETTLE]
 
 
 def flush_events(policy):
     return [
         (e.slot, e.wallet, e.flush_amount)
-        for e in read_events(policy.machine.trace) if e.kind == FLUSH
+        for e in read_events(policy.trace) if e.kind == FLUSH
     ]
 
 
@@ -91,7 +91,7 @@ def test_flush_when_full_strict_rotation():
     policy = make_policy("fwf", params)
     run_sequence(policy, seq)
     assert flush_events(policy) == [(2, 1, 3)]
-    settles = [(e.slot, e.wallet) for e in read_events(policy.machine.trace) if e.kind == SETTLE]
+    settles = [(e.slot, e.wallet) for e in read_events(policy.trace) if e.kind == SETTLE]
     assert settles == [(1, 1), (4, 2)]
 
 
@@ -347,7 +347,7 @@ def test_rand2_mirrors_shadow_flushes():
     assert flush_events(pol) == [(3, 1, 4)]
     assert settle_slots(pol) == [1]
     assert pol.coins_drawn == 1  # second coin would come with the next online slot
-    assert len(read_events(pol.machine.trace)) == 9  # 4 arrive, 1 settle, 3 discard, 1 flush
+    assert len(read_events(pol.trace)) == 9  # 4 arrive, 1 settle, 3 discard, 1 flush
 
 
 def test_rand2_draws_one_coin_per_online_period():
@@ -363,7 +363,7 @@ def test_rand2_seeded_determinism():
     seq = TransactionSequence.from_pairs([(t, 3 + (t % 5)) for t in range(1, 15)])
     a, b = make_policy("rand2", params, seed=42), make_policy("rand2", params, seed=42)
     assert run_sequence(a, seq).settled_value == run_sequence(b, seq).settled_value
-    assert a.machine.trace.to_ndjson() == b.machine.trace.to_ndjson()
+    assert a.trace.to_ndjson() == b.trace.to_ndjson()
 
 
 def test_rand2_needs_single_wallet():
@@ -408,8 +408,8 @@ def test_policies_are_online(symbols):
         if head:
             part = make_policy(kind, params)
             run_sequence(part, TransactionSequence.from_pairs(head))
-            prefix_events = [e for e in read_events(whole.machine.trace) if e.slot <= cut]
-            assert prefix_events == [e for e in read_events(part.machine.trace) if e.slot <= cut]
+            prefix_events = [e for e in read_events(whole.trace) if e.slot <= cut]
+            assert prefix_events == [e for e in read_events(part.trace) if e.slot <= cut]
 
 
 @given(
@@ -438,7 +438,7 @@ COUNTER_PARAMS = {
 def step_and_check(policy, slot, value):
     """Step ``policy``; its return must name the wallet of the settle it
     logged in that step (the pool counts as 1), or be 0 if it logged none."""
-    chunks = policy.machine.trace.chunks
+    chunks = policy.trace.chunks
     start = len(chunks)
     taken = policy.step(slot, value)
     logged = read_events("".join(chunks[start:]))
@@ -470,13 +470,13 @@ def test_counters_match_trace(symbols, kind, tau, seed, law):
     seq = TransactionSequence.from_pairs(pairs, horizon=len(symbols))
     whole = make_policy(kind, params, seed=seed)
     res = run_sequence(whole, seq)
-    expected = trace_totals(whole.machine.trace)
+    expected = trace_totals(whole.trace)
     assert {name: getattr(res, name) for name in expected} == expected
     # the same run on the untraced sink: the same totals and settle columns,
     # and the window check, under a C and F it may break, judges both alike
     bare = make_policy(kind, params, seed=seed, trace=SettleLog())
     assert run_sequence(bare, seq) == res
-    kept, full = bare.machine.trace, whole.machine.trace
+    kept, full = bare.trace, whole.trace
     assert type(kept) is SettleLog and type(full) is EventTrace
     assert (kept.settle_slots, kept.settle_values) == (full.settle_slots, full.settle_values)
     law = ModelParams(C=law[0], T=1, F=law[1])
@@ -505,7 +505,7 @@ def test_counters_match_trace(symbols, kind, tau, seed, law):
         res.settled_value, res.flush_count
     )
     assert read_events(fork.machine.trace) == [
-        e for e in read_events(whole.machine.trace) if e.slot > cut
+        e for e in read_events(whole.trace) if e.slot > cut
     ]
 
 
@@ -525,7 +525,7 @@ def test_trace_records_match_its_lines(symbols, kind, tau, seed, C, F):
     seq = TransactionSequence.from_pairs(pairs, horizon=len(symbols))
     policy = make_policy(kind, replace(COUNTER_PARAMS[kind], tau=tau), seed=seed)
     run_sequence(policy, seq)
-    trace = policy.machine.trace
+    trace = policy.trace
     events = read_events(trace)
     assert reference_ndjson(events) == trace.to_ndjson()
     settles = [(e.slot, e.value) for e in events if e.kind == SETTLE]
@@ -595,14 +595,13 @@ def test_stepping_the_offers_equals_stepping_every_slot(run, tau, seed):
     res = run_sequence(policy, seq)
     reference = make_policy(kind, params, seed=seed)
     run_every_slot(reference, seq)
-    machine = reference.machine
-    assert policy.machine.trace.to_ndjson() == machine.trace.to_ndjson()
-    assert (res.settled_value, res.flush_count) == (machine.settled, machine.flushes)
+    assert policy.trace.to_ndjson() == reference.trace.to_ndjson()
+    assert (res.settled_value, res.flush_count) == (reference.settled, reference.flushes)
     assert getattr(policy, "coins_drawn", None) == getattr(reference, "coins_drawn", None)
     # a reader that never imports collatsim finds no fault in the NDJSON,
     # with the leftovers kept (tau = 0) or flushed
     k = None if kind == "eta" else params.k
-    assert trace_problems(policy.machine.trace, params.C, params.F, k) == []
+    assert trace_problems(policy.trace, params.C, params.F, k) == []
 
 
 def test_trace_checker_flags_machine_faults():
@@ -620,21 +619,21 @@ def test_trace_checker_flags_machine_faults():
     ]
     params = ModelParams(C=10, T=5, F=2, eta_ppm=500000)
     policy = ThresholdPolicy(params)
-    policy.machine.params = replace(params, F=1)
+    policy.params = replace(params, F=1)
     for slot in range(1, 4):
         policy.step(slot, 5)
-    assert trace_problems(policy.machine.trace, 10, 2) == [
+    assert trace_problems(policy.trace, 10, 2) == [
         "event 7 (online at slot 3): tranche flushed at slot 1 is back at slot 3, not 4",
         "event 9 (settle at slot 3): slots [1, 3] settle 15 > C=10",
     ]
     # a pool whose outages last F+1 slots returns a tranche flushed at 1 at
     # slot 5; the run ends at 4 with no later event, so only the end shows it
     policy = ThresholdPolicy(params)
-    policy.machine.params = replace(params, F=3)
+    policy.params = replace(params, F=3)
     for slot, value in enumerate([5, None, None, None], 1):
         policy.step(slot, value)
-    assert trace_problems(policy.machine.trace, 10, 2) == []
-    assert trace_problems(policy.machine.trace, 10, 2, end=4) == [
+    assert trace_problems(policy.trace, 10, 2) == []
+    assert trace_problems(policy.trace, 10, 2, end=4) == [
         "by the last slot, 4: tranche flushed at slot 1 is still out",
     ]
 
@@ -665,7 +664,7 @@ def test_rand2_equals_its_shadow_flush_all_reference(run, seed):
         assert policy.step(slot, value) == reference.step(slot, value)
     policy.finish(seq.horizon)
     reference.finish(seq.horizon)
-    ours, theirs = policy.machine, reference.machine
+    ours, theirs = policy, reference.machine
     assert ours.trace.to_ndjson() == theirs.trace.to_ndjson()
     assert (ours.settled, ours.flushes) == (theirs.settled, theirs.flushes)
     assert policy.coins_drawn == reference.coins_drawn
@@ -698,7 +697,7 @@ def test_run_sequence_equals_the_reference_group_policy(run):
     reference = reference_group_policy(kind, params)
     run_every_slot(reference, seq)
     machine = reference.machine
-    assert policy.machine.trace.to_ndjson() == machine.trace.to_ndjson()
+    assert policy.trace.to_ndjson() == machine.trace.to_ndjson()
     assert (res.settled_value, res.flush_count) == (machine.settled, machine.flushes)
     assert policy.state(seq.horizon) == reference.state(seq.horizon)
 
@@ -765,22 +764,21 @@ def threshold_runs(draw):
 def test_threshold_pool_ledger(run):
     params, symbols = run
     policy = ThresholdPolicy(params)
-    pool = policy.machine
     for slot, v in enumerate(symbols, 1):
         policy.step(slot, v)
-        assert pool.free + pool.committed + sum(a for a, _ in pool.inflight) == params.C * PPM
-        assert pool.committed < params.eta_ppm * params.C
+        assert policy.free + policy.committed + sum(a for a, _ in policy.inflight) == params.C * PPM
+        assert policy.committed < params.eta_ppm * params.C
     policy.finish(len(symbols))
     # the NDJSON alone rebuilds the balances and the tranche queue, and
     # every tranche due by the last slot came back
-    assert trace_problems(pool.trace, params.C, params.F, end=len(symbols)) == []
+    assert trace_problems(policy.trace, params.C, params.F, end=len(symbols)) == []
     # once every outage is over, each tranche, the finish flush's too, has
     # come back exactly F+1 slots after its flush, and the pool is whole
     back = len(symbols) + params.F + 2
-    pool.begin_slot(back)
-    assert trace_problems(pool.trace, params.C, params.F, end=back) == []
-    assert not pool.inflight
-    assert pool.free == params.C * PPM
+    policy.begin_slot(back)
+    assert trace_problems(policy.trace, params.C, params.F, end=back) == []
+    assert not policy.inflight
+    assert policy.free == params.C * PPM
 
 
 @st.composite
@@ -815,14 +813,14 @@ def test_integer_pool_matches_reference_ledger(run):
     # counters and error texts, eta*C whole or not
     params, symbols, ops = run
     policy, reference = ThresholdPolicy(params), ReferenceThreshold(params)
-    pool, ref = policy.machine, reference.machine
+    ref = reference.machine
 
     def same_ledgers():
-        assert pool.trace.to_ndjson() == reference_ndjson(ref.events)
-        assert Fraction(pool.free, PPM) == ref.free
-        assert Fraction(pool.committed, PPM) == ref.committed
-        assert [(Fraction(a, PPM), back) for a, back in pool.inflight] == ref.inflight
-        assert (pool.settled, pool.flushes) == (ref.settled, ref.flushes)
+        assert policy.trace.to_ndjson() == reference_ndjson(ref.events)
+        assert Fraction(policy.free, PPM) == ref.free
+        assert Fraction(policy.committed, PPM) == ref.committed
+        assert [(Fraction(a, PPM), back) for a, back in policy.inflight] == ref.inflight
+        assert (policy.settled, policy.flushes) == (ref.settled, ref.flushes)
 
     for slot, v in enumerate(symbols, 1):
         policy.step(slot, v)
@@ -832,18 +830,18 @@ def test_integer_pool_matches_reference_ledger(run):
     reference.finish(len(symbols))
     same_ledgers()
     slot = len(symbols) + 1
-    pool.begin_slot(slot)
+    policy.begin_slot(slot)
     ref.begin_slot(slot)
     for op, x in ops:
         outcomes = []
-        for ledger in (pool, ref):
+        for ledger in (policy, ref):
             try:
                 if op == "settle":
                     ledger.settle(x, slot)
                 elif x is None:
                     ledger.flush(ledger.committed, slot)
                 else:
-                    ledger.flush(x if ledger is pool else Fraction(x, PPM), slot)
+                    ledger.flush(x if ledger is policy else Fraction(x, PPM), slot)
                 outcomes.append(None)
             except CollateralError as err:
                 outcomes.append((type(err), str(err)))
@@ -856,16 +854,15 @@ def test_pool_ledger_is_integral():
     params = ModelParams(C=200, T=60, F=2, p_ppm=100000, tau=5, eta_ppm=418000)
     policy = ThresholdPolicy(params)
     assert policy.tranche == 83_600_000  # 418/5 = 83.6
-    pool = policy.machine
     rng = random.Random(6)
     for slot in range(1, 301):
         policy.step(slot, rng.randint(10, 60) if rng.random() < 0.6 else None)
-        assert type(pool.free) is int and type(pool.committed) is int
-        assert all(type(amount) is int for amount, _ in pool.inflight)
+        assert type(policy.free) is int and type(policy.committed) is int
+        assert all(type(amount) is int for amount, _ in policy.inflight)
     policy.finish(300)
-    assert type(pool.committed) is int
-    assert pool.flushes > 10
-    assert '"flushAmount":"418/5"' in pool.trace.to_ndjson()
+    assert type(policy.committed) is int
+    assert policy.flushes > 10
+    assert '"flushAmount":"418/5"' in policy.trace.to_ndjson()
 
 
 # eta*C = 418/5 at C = 200, so the threshold policy's tranches are not integral
@@ -902,7 +899,7 @@ def test_run_ndjson_matches_json_module(kind):
     seq = TransactionSequence.from_pairs(grid.golden_pairs(7, params.T, slots=300))
     policy = make_policy(kind, params, seed=7)
     run_sequence(policy, seq)
-    ndjson = policy.machine.trace.to_ndjson()
-    assert ndjson == reference_ndjson(read_events(policy.machine.trace))
+    ndjson = policy.trace.to_ndjson()
+    assert ndjson == reference_ndjson(read_events(policy.trace))
     if kind == "eta":
         assert '"flushAmount":"418/5"' in ndjson
