@@ -7,18 +7,18 @@ kept and returns the run's totals;
 worked out once per policy kind and ``ModelParams`` and checked on a
 value row in ints;
 ``exhaustive_verify`` checks the competitive bound with exact integer
-arithmetic on every prefix of every sequence over a small alphabet,
-stepping each state of a wallet rule and each value-DP key once per offer
-(a rule's row holds each step's next state, settled delta and flushed
-amounts; a DP table keeps each key, whose rows forget the settles that no
-offer of the space can push past C), counting flushes from the
-prefixes per state on each rule's own graph, checking each step's amounts
-once per kind by ``flush_faults``, deciding each policy's bound
-by one forward max-plus pass over its graph of (state, DP key) nodes,
-each holding one weight sum, shared by the kinds of one rule and bound,
-that drops a node whose sum the slots left cannot lift above 0,
-and walking the tree of prefixes only when a pass finds a counterexample
-or a broken invariant; ``sweep`` scans eta or k,
+arithmetic on every prefix of every sequence over a small alphabet, on
+one table per wallet rule and one for the value DP, each filling a
+state's row by one step call for all symbols (a rule's row holds each
+step's next state, settled delta and flushed amounts; a DP key's rows
+forget the settles that no offer of the space can push past C), counting
+flushes from the prefixes per state on each rule's own graph, checking
+each step's amounts once per kind by ``flush_faults``, deciding each
+policy's bound by one forward max-plus pass over its graph of (state, DP
+key) nodes, each holding one weight sum, shared by the kinds of one rule
+and bound, that drops a node whose sum the slots left cannot lift above
+0, and walking the tree of prefixes only when a pass finds a
+counterexample or a broken invariant; ``sweep`` scans eta or k,
 one ``measure_ratio`` run per setting with the window-bound oracle (the LP
 relaxation, an upper bound on opt), and marks the empirical optimum next
 to the formula one;
@@ -66,12 +66,13 @@ from .model import (
     validate_window_bound,
 )
 from .oracles import (
+    ROOT_KEY,
     opt_general_utility,
     opt_general_value,
     opt_kwallet_value,
     opt_utility_upper_bound,
     opt_value_extend,  # unused here; bench/tracer.py times calls by this name
-    opt_value_key_step,
+    opt_value_key_row,
     window_upper_bound,
 )
 from .policies import GroupFlushPolicy, check_policy_kind, make_policy
@@ -428,32 +429,34 @@ class ExhaustSummary:
 class _StateTable:
     """States met by exhaustive_verify and their transitions.
 
-    Each state, a policy's ``state()`` tuple or a value-DP key, gets a
-    small id on first sight, and ``states[id]`` is the state.  ``rows[id]``,
-    None until ``row`` first fills it, holds one transition per symbol,
-    which is a function of the state alone.
+    ``step(state)`` is a state's row, one transition per symbol, each
+    ``(next state, ...)``, a function of the state alone: a rule's
+    ``next_states`` or the value DP's ``opt_value_key_row``.  Each state
+    gets a small id on first sight, the root 0, and ``states[id]`` is the
+    state.  ``rows[id]``, None until ``row`` first fills it, is the state's
+    row with each next state replaced by its id.
     """
 
-    __slots__ = ("ids", "states", "rows")
+    __slots__ = ("ids", "states", "rows", "step")
 
-    def __init__(self):
-        self.ids: dict = {}
-        self.states: list = []
-        self.rows: list = []
+    def __init__(self, root, step):
+        self.ids: dict = {root: 0}
+        self.states: list = [root]
+        self.rows: list = [None]
+        self.step = step
 
-    def intern(self, state) -> int:
-        sid = self.ids.get(state)
-        if sid is None:
-            sid = self.ids[state] = len(self.states)
-            self.states.append(state)
-            self.rows.append(None)
-        return sid
-
-    def row(self, sid: int, fill) -> list:
-        """State sid's transitions, ``fill(state, intern)`` on first use."""
+    def row(self, sid: int) -> list:
+        """State sid's transitions, filled by ``step`` on first use."""
         row = self.rows[sid]
         if row is None:
-            row = self.rows[sid] = fill(self.states[sid], self.intern)
+            ids, states = self.ids, self.states
+            row = self.rows[sid] = []
+            for entry in self.step(states[sid]):
+                nid = ids.setdefault(entry[0], len(states))
+                if nid == len(states):
+                    states.append(entry[0])
+                    self.rows.append(None)
+                row.append((nid,) + entry[1:])
         return row
 
 
@@ -502,7 +505,7 @@ def exhaustive_verify(
 
     A node of the tree of prefixes is known by each policy's
     ``state(slot)`` and the value DP's key, the rows of its layer with
-    slots made relative, less the dominated ones (``opt_value_key_step``).
+    slots made relative, less the dominated ones (``opt_value_key_row``).
     No offer exceeds ``max(values)``, so the rows forget the settles that
     no later window can push past C with offers of at most that: at
     C = 12, T = 3 and F <= 3 every settle is forgotten and one key serves
@@ -511,34 +514,35 @@ def exhaustive_verify(
     rule and state the next state, the settled delta and the flushed
     amounts; per DP key the next key and the gain in V_opt.  Kinds with
     one group size g are one rule and share a table, so a rule is stepped
-    once for all its kinds (fa and ftwf at k = 2).  A state's row is filled
-    once, by the rule's ``GroupFlushPolicy.next_states`` on the state tuple
-    itself, which calls the ``offer`` that ``step`` calls in a run; a key's
-    row by one ``opt_value_key_step`` per symbol from the key itself.
+    once for all its kinds (fa and ftwf at k = 2).  Each is a
+    ``_StateTable`` of its root, id 0, and its step, which fills a state's
+    row once for all symbols: the rule's ``GroupFlushPolicy.next_states``
+    on the state tuple itself, which calls the ``offer`` that ``step``
+    calls in a run, or ``opt_value_key_row`` on the key itself.
     Along an edge, policy i with bound num/den has the weight
     ``den*gain - num*delta``, and a prefix is a counterexample exactly
     when the sum of weights from the root to it is positive.
 
-    Each rule's flushes depend on its state alone, so one pass per rule
-    over its own graph of states, one layer per slot, counts the prefixes
-    that reach each state and adds prefixes times flushes on every edge to
-    ``flush_events_checked``.  The rows these passes fill are every edge
-    of the tree, and whether a step breaks an invariant depends on the
-    kind and the amounts alone, so each kind's rows are checked once for a
-    fault.  Each policy's bound is decided on its own graph of (state, DP
-    key) nodes by one forward max-plus pass, one layer per slot, each node
-    holding the largest weight sum along a prefix that reaches it; kinds on one rule held to one bound share the
-    pass.  An offer lifts the best by at most itself and a settled delta is
-    never negative, so no edge weighs more than ``top = den*max(values)``,
-    and a node at depth d whose sum is at most ``-top*(L - d)`` ends no
-    prefix above 0 at or below it: it is dropped before it enters its layer
-    (at ``num <= 0`` no weight is negative, so none is), and a DP key gets
-    its row only when a kept node reaches it.  When no
-    pass finds a fault there is nothing to list.  Otherwise a depth-first
-    walk over the values then the gap lists the counterexamples and
-    violation texts in tree order, carrying per policy V_alg to test
-    ``den*V_opt > num*V_alg``.  Only ``GroupFlushPolicy`` has such a
-    state; other policies raise CollateralError.
+    Each rule's flushes depend on its state alone, so one pass per rule over
+    its own graph of states, one layer per slot, counts the prefixes that
+    reach each state and adds prefixes times flushes on every edge to
+    ``flush_events_checked``.  The rows these passes fill are every edge of
+    the tree, and whether a step breaks an invariant depends on the kind and
+    the amounts alone, so each kind's rows are checked once for a fault.
+    Each policy's bound is decided on its own graph of (state, DP key) nodes
+    by one forward max-plus pass, one layer per slot, each node holding the
+    largest weight sum along a prefix that reaches it; kinds on one rule
+    held to one bound share the pass.  An offer lifts the best by at most
+    itself and a settled delta is never negative, so no edge weighs more
+    than ``top = den*max(values)``, and a node at depth d whose sum is at
+    most ``-top*(L - d)`` ends no prefix above 0 at or below it: it is
+    dropped before it enters its layer (at ``num <= 0`` no weight is
+    negative, so none is), and a DP key gets its row only when a kept node
+    reaches it.  When no pass finds a fault there is nothing to list.
+    Otherwise a depth-first walk over the values then the gap lists the
+    counterexamples and violation texts in tree order, carrying per policy
+    V_alg to test ``den*V_opt > num*V_alg``.  Only ``GroupFlushPolicy`` has
+    such a state; other policies raise CollateralError.
     """
     # two or more symbols over more slots than the cap has bits are over the
     # cap, so a long max_len is refused before the power is built
@@ -579,69 +583,50 @@ def exhaustive_verify(
     symbols = tuple(space.values) + (None,)
     largest = max(space.values)  # no offer is larger, so none lifts V_opt more
     # kinds with one group size g are one rule and share its table
-    rules = [p.g for p in roots]
-    by_rule = {rule: _StateTable() for rule in dict.fromkeys(rules)}
-    tables = [by_rule[rule] for rule in rules]
-    dp_table = _StateTable()
-
-    def step_policy(policy, state, intern) -> list:
-        """Per symbol, the id of the next state of policy's rule from state,
-        the settled delta and the flushed amounts."""
-        return [
-            (intern(nxt), delta, amounts)
-            for nxt, delta, amounts in policy.next_states(state, symbols)
-        ]
-
-    def step_key(key, intern) -> list:
-        """Per symbol, the id of the value DP's next key and the gain."""
-        row = []
-        for sym in symbols:
-            child, gain = opt_value_key_step(key, sym, space.C, space.F, largest)
-            row.append((intern(child), gain))
-        return row
-
+    by_rule: dict = {}
+    for p in roots:
+        if p.g not in by_rule:
+            by_rule[p.g] = _StateTable(p.state(0), partial(p.next_states, symbols=symbols))
+    tables = [by_rule[p.g] for p in roots]
+    dp_table = _StateTable(
+        ROOT_KEY, partial(opt_value_key_row, symbols=symbols, C=space.C, F=space.F, top=largest)
+    )
     length = space.max_len
-    root_sids = [table.intern(p.state(0)) for table, p in zip(tables, roots)]
-    root_kid = dp_table.intern((((), 0),))
 
-    def rule_pass(i: int) -> int:
-        """The flushes of policy i's rule on all prefixes: one layer per slot
-        of the rule's own graph, each mapping a state to the number of
-        prefixes reaching it."""
-        table = tables[i]
-        fill = partial(step_policy, roots[i])
+    def rule_pass(table: _StateTable) -> int:
+        """The flushes of a rule on all prefixes: one layer per slot of the
+        rule's own graph, each mapping a state to the number of prefixes
+        reaching it."""
         flushes = 0
-        layer = {root_sids[i]: 1}
+        layer = {0: 1}
         for _ in range(length):
             below: dict = {}
             get = below.get
             for sid, paths in layer.items():
-                for child, _, amounts in table.row(sid, fill):
+                for child, _, amounts in table.row(sid):
                     flushes += paths * len(amounts)
                     below[child] = get(child, 0) + paths
             layer = below
         return flushes
 
-    def forward(i: int) -> bool:
-        """Policy i's max-plus pass, after its rule's pass has filled the
-        rule's rows: whether a prefix ends with a sum above 0."""
-        num, den = bounds[i]
-        rows, dp_row = tables[i].rows, dp_table.row
+    def forward(table: _StateTable, bound: tuple[int, int]) -> bool:
+        """The max-plus pass of a rule held to bound num/den, after the
+        rule's pass has filled its rows: whether a prefix ends with a sum
+        above 0."""
+        (num, den), rows, dp_row = bound, table.rows, dp_table.row
         # no edge weighs more than top, so a child at depth d whose sum is at
         # most floor = -top*(L-d), 0 at depth L, ends no prefix above 0 and is
         # dropped; a gap gains and settles nothing, so a sum above 0 lasts to L
         top = den * largest
         # maps each (state id, DP key id) node at one slot to the largest
         # weight sum along a prefix reaching it
-        layer = {(root_sids[i], root_kid): 0}
+        layer = {(0, 0): 0}
         for depth in range(1, length + 1):
             floor = -top * (length - depth)
             below: dict = {}
             get = below.get
             for (sid, kid), best in layer.items():
-                for (child_sid, delta, _), (child_kid, gain) in zip(
-                    rows[sid], dp_row(kid, step_key)
-                ):
+                for (child_sid, delta, _), (child_kid, gain) in zip(rows[sid], dp_row(kid)):
                     total = best + den * gain - num * delta
                     child = child_sid, child_kid
                     if get(child, floor) < total:
@@ -649,11 +634,8 @@ def exhaustive_verify(
             layer = below
         return bool(layer)
 
-    rule_passes = {}  # rule -> its flushes, shared by its kinds
-    for i, rule in enumerate(rules):
-        if rule not in rule_passes:
-            rule_passes[rule] = rule_pass(i)
-    summary.flush_events_checked = sum(rule_passes[rule] for rule in rules)
+    flushes = {table: rule_pass(table) for table in by_rule.values()}
+    summary.flush_events_checked = sum(flushes[table] for table in tables)
     # only whether a step breaks an invariant is read here, so the slot and
     # the pairs are placeholders
     broken = any(
@@ -665,8 +647,7 @@ def exhaustive_verify(
         if amounts
     )
     # kinds on one rule held to one bound share the max-plus pass
-    groups = {(rules[i], bounds[i]): i for i in range(n)}
-    if not broken and not any(forward(i) for i in groups.values()):
+    if not broken and not any(forward(*pair) for pair in dict.fromkeys(zip(tables, bounds))):
         return summary
 
     path: list = []  # the (slot, value) pairs from the root to the node
@@ -676,7 +657,7 @@ def exhaustive_verify(
     def walk(slot: int, sids: list, kid: int, v_algs: list, v_opt: int) -> None:
         """List the counterexamples and violations below a node."""
         nxt = slot + 1
-        dp_edges = dp_table.row(kid, step_key)
+        dp_edges = dp_table.row(kid)
         rows = [table.rows[sid] for table, sid in zip(tables, sids)]
         for s, sym in enumerate(symbols):
             child_kid, gain = dp_edges[s]
@@ -705,7 +686,7 @@ def exhaustive_verify(
             if sym is not None:
                 path.pop()
 
-    walk(0, root_sids, root_kid, [0] * n, 0)
+    walk(0, [0] * n, 0, [0] * n, 0)
     # walk's closure refers to itself: dropping it frees the tables now, not
     # at the cyclic GC's next pass
     del walk

@@ -7,9 +7,10 @@ oracle is a DP over the settles of the last F slots, exact at any length;
 it refuses an input only when its layers would hold more than MAX_DP_CELLS
 cells in all, a cell being a state or one settle a state lists.  The tests
 re-derive it by subset enumeration and by simulating the pool state
-machine.  ``opt_value_key_step`` steps the same DP on keys, slot-free rows
+machine.  ``opt_value_key_row`` steps the same DP on keys, slot-free rows
 less the dominated ones, so that prefixes with equal windows share one key;
-the exhaustive verifier keeps and steps each key alone.  A key's rows also
+from ``ROOT_KEY``, the exhaustive verifier keeps each key and steps it
+alone, once for all the symbols of its space.  A key's rows also
 forget the oldest settles that no later window can push past C given the
 largest offer still possible, so they block no offer.  The tests key the
 absolute layers, less the dominated rows' states, as the step's reference.
@@ -84,66 +85,79 @@ def opt_value_extend(
     return out
 
 
-def opt_value_key_step(
-    key: tuple, value: int | None, C: int, F: int, top: int
-) -> tuple[tuple, int]:
-    """One slot of the value DP on a key free of absolute slots.
+# the value DP's key before the first slot: one empty row, the best
+ROOT_KEY = (((), 0),)
+
+
+def opt_value_key_row(
+    key: tuple, symbols, C: int, F: int, top: int
+) -> list[tuple[tuple, int]]:
+    """One slot of the value DP on a key free of absolute slots, per symbol.
 
     A key is a layer's sorted (row, gap) pairs: a row lists the (slots
     ago, value) settles of the last F slots, oldest first, that a later
     window can still push past C, and its gap is how far the best total
     among the layer's states with that row lies below the layer's best;
-    the root is ``(((), 0),)``.  ``value`` is the slot's offer, None for a
-    quiet slot, and ``top`` the largest offer still possible, at least
-    every later offer.  Returns the next key and the gain in the layer's
-    best.
+    the root is ``ROOT_KEY``.  Each of ``symbols`` is the slot's offer,
+    None for a quiet slot, and ``top`` the largest offer still possible,
+    at least every later offer.  Returns, per symbol, the next key and the
+    gain in the layer's best.
 
-    Every row ages a slot, and the offer settles on it when the window
-    ending at the slot, the row and the offer, stays within C.  The settle
-    of F slots ago then leaves the window.  Then the row forgets its
-    oldest settles while they cannot matter: a settle of a slots ago is
-    forgotten while ``load + (F - a)*top <= C``, ``load`` being its value
-    plus those of every younger settle.  A later window that holds it
-    holds every younger settle and at most F - a later offers, each at
-    most ``top``, so it stays within C whatever is settled later, and the
-    row allows the same settles on every continuation without it.  The
-    rule still holds after the row ages or takes an offer of at most
-    ``top``.  Rows made equal by either drop merge and keep the smaller
-    gap.  The key drops each dominated row, one whose copy without its
-    oldest settle, ``row[1:]``, is present with a gap no larger: the copy
-    has no more load in any later window and at least the same total, so
-    whatever the row's states settle later the copy's can settle too, and
-    the best is the same at every later slot without the row.  So equal
-    keys gain alike on every continuation, and a key is the whole state.
+    Every row ages a slot, once for all symbols, and an offer settles on
+    it when the window ending at the slot, the row and the offer, stays
+    within C.  The settle of F slots ago then leaves the window.  Then the
+    row forgets its oldest settles while they cannot matter: a settle of
+    a slots ago is forgotten while ``load + (F - a)*top <= C``, ``load``
+    being its value plus those of every younger settle.  A later window
+    that holds it holds every younger settle and at most F - a later
+    offers, each at most ``top``, so it stays within C whatever is settled
+    later, and the row allows the same settles on every continuation
+    without it.  The rule still holds after the row ages or takes an offer
+    of at most ``top``.  Rows made equal by either drop merge and keep the
+    smaller gap.  The key drops each dominated row, one whose copy without
+    its oldest settle, ``row[1:]``, is present with a gap no larger: the
+    copy has no more load in any later window and at least the same
+    total, so whatever the row's states settle later the copy's can settle
+    too, and the best is the same at every later slot without the row.
+    So equal keys gain alike on every continuation, and a key is the
+    whole state.
     """
     last = F - 1
-    new = ((0, value),) if F else ()
-    stepped = []
+    aged = []  # per row: its load, then aged a slot, its load so and its gap
+    quiet: dict = {}  # the rows aged without an offer, forgotten and merged
+    get = quiet.get
     for row, gap in key:
-        load = 0
-        for _, v in row:
-            load += v
-        settles = value is not None and load + value <= C
+        kept = load = sum([v for _, v in row])
         if row and row[0][0] == last:
-            load -= row[0][1]
+            kept -= row[0][1]
             row = row[1:]
         row = tuple([(age + 1, v) for age, v in row])
-        stepped.append((row, load, gap))
-        if settles:
-            stepped.append((row + new, load + value, gap - value))
-    out: dict = {}
-    get = out.get
-    for row, load, gap in stepped:
+        aged.append((load, row, kept, gap))
         # forget the oldest settles that no later window can push past C
-        while row and load + (F - row[0][0]) * top <= C:
-            load -= row[0][1]
+        while row and kept + (F - row[0][0]) * top <= C:
+            kept -= row[0][1]
             row = row[1:]
         if get(row, gap + 1) > gap:
-            out[row] = gap
-    gain = -min(out.values())
-    return tuple(sorted(
-        (row, gap + gain) for row, gap in out.items() if not row or get(row[1:], gap + 1) > gap
-    )), gain
+            quiet[row] = gap
+    out = []
+    for value in symbols:
+        merged = dict(quiet)
+        get = merged.get
+        if value is not None:
+            for load, row, kept, gap in aged:
+                if load + value <= C:  # settled; at F = 0 it is forgotten at once
+                    row, kept, gap = row + ((0, value),), kept + value, gap - value
+                    while row and kept + (F - row[0][0]) * top <= C:
+                        kept -= row[0][1]
+                        row = row[1:]
+                    if get(row, gap + 1) > gap:
+                        merged[row] = gap
+        gain = -min(merged.values())
+        out.append((tuple(sorted(
+            (row, gap + gain) for row, gap in merged.items()
+            if not row or get(row[1:], gap + 1) > gap
+        )), gain))
+    return out
 
 
 def opt_general_value(seq: TransactionSequence, C: int, F: int) -> int:

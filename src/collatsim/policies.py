@@ -73,8 +73,7 @@ class GroupFlushPolicy:
         params.require_kwallet()
         self.params = params
         self.name = name
-        self.k, self.g, self.size, self.F = params.k, g, params.C // params.k, params.F
-        self.st = [1] + [self.size] * self.k + [-1] * self.k
+        self._fresh(params.k, g, params.C // params.k, params.F)
         self.outages: deque[tuple[int, int, int]] = deque()  # (back at, first, past the last)
         self.settled = 0
         self.flushes = 0
@@ -82,10 +81,15 @@ class GroupFlushPolicy:
 
     @classmethod
     def rule(cls, k: int, g: int, size: int, F: int) -> "GroupFlushPolicy":
-        """Only what ``offer`` reads, for rand2's shadow: 2C need not fit a ModelParams."""
+        """The rule alone, its ``st`` fresh, for rand2's shadow: 2C need not fit a ModelParams."""
         rule = object.__new__(cls)
-        rule.k, rule.g, rule.size, rule.F = k, g, size, F
+        rule._fresh(k, g, size, F)
         return rule
+
+    def _fresh(self, k: int, g: int, size: int, F: int) -> None:
+        """The rule's sizes and its start: group 1 active, every wallet empty and online."""
+        self.k, self.g, self.size, self.F = k, g, size, F
+        self.st = [1] + [size] * k + [-1] * k
 
     def offer(self, st: list[int], slot: int, value: int) -> int | list[int]:
         """The rule: an offer of ``value`` at ``slot`` changes ``st`` in place.
@@ -210,8 +214,8 @@ class RandTwoPolicy:
         if coins is None and seed is None:
             raise CollateralError("rand2 needs a seed or an explicit coin source")
         self.params = params
-        self._offer = GroupFlushPolicy.rule(2, 2, params.C, params.F).offer
-        self.st = [1, params.C, params.C, -1, -1]
+        shadow = GroupFlushPolicy.rule(2, 2, params.C, params.F)
+        self._offer, self.st = shadow.offer, shadow.st
         self._coin = coins if coins is not None else partial(random.Random(seed).getrandbits, 1)
         self.chosen: int | None = None
         self.coins_drawn = 0

@@ -537,6 +537,8 @@ CLI = {
     "formulas k below 0": "formulas --C 10 --T 3 --k -2",
     "formulas C past the float range": f"formulas --C {BIG} --T 1",
     "formulas tau past the float range": f"formulas --C 10 --T 3 --tau {BIG}",
+    # k = 2 and tau > 0: the one row that prints kwalletProfitInflation's value
+    "formulas kwallet profit inflation": "formulas --C 20 --T 6 --k 2 --p-ppm 500000 --tau 1",
 }
 
 
@@ -546,6 +548,12 @@ CLI_OWN_FILES = {
     "sweep rand2 settles nothing": (
         "sweep --param k --from 1 --to 1 --step 1 --policy rand2 --C 4 --T 3 --F 1 "
         "--seq one.csv --seed 0", {"one.csv": csv_file([(1, 2)])},
+    ),
+    # seed 0's coin picks the shadow's wallet 2, so rand2 settles none of one
+    # offer of 3 that the optimum settles: the ratio is unbounded
+    "ratio rand2 settles nothing": (
+        "ratio --policy rand2 --C 4 --T 4 --F 1 --seed 0 --seq one.csv --csv results.csv",
+        {"one.csv": csv_file([(1, 3)])},
     ),
 }
 

@@ -11,7 +11,7 @@ back-pointers over every layer of ``opt_value_extend``.  ``opt_value_key``
 keys an absolute layer of ``opt_value_extend``, its rows cut by
 ``forget_settles``.  ``opt_value_pruned_step`` extends a layer and drops
 the states whose row its key drops; the keys of the layers it folds are
-the reference for ``opt_value_key_step``.
+the reference for ``opt_value_key_row``, one symbol at a time.
 ``window_lp_reference`` enumerates every integer fill 0 <= y_i <= v_i
 under the window law, the reference for the greedy LP
 bound ``window_upper_bound``; ``window_upper_bound_all_offsets`` is the
@@ -240,7 +240,7 @@ def opt_value_pruned_step(
     row ``opt_value_key`` drops as dominated goes: each has a state with a
     shorter row and no smaller total, so the best is the same at every
     later slot without it.  Folded from ``{(): 0}``, the layers keep what
-    ``opt_value_key_step`` keeps, and ``opt_value_key`` of each is its key.
+    ``opt_value_key_row`` keeps, and ``opt_value_key`` of each is its key.
     """
     if value is not None:
         states = opt_value_extend(states, slot, value, C, F)

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -124,6 +125,32 @@ def test_exhaust(capsys):
     assert out["sequences"] == 27
     assert out["counterexamples"] == []
     assert out["invariantViolations"] == []
+
+
+def test_unbounded_ratio_prints_inf():
+    # the grid row pins the bytes, the CSV's ratio_value cell "inf" too
+    assert answer("ratio rand2 settles nothing")["rows"][0]["ratioValue"] == "inf"
+
+
+def test_formulas_kwallet_profit_inflation():
+    assert answer("formulas kwallet profit inflation")["kwalletProfitInflation"] == 1.6
+
+
+def test_exhaust_lists_a_counterexample(capsys, monkeypatch):
+    # fa held to bound 1 fails once: of three offers of 2 in a row its two
+    # wallets of 3 settle one each and the third misfits, while every two
+    # slots offer 4 <= C and the optimum settles all three
+    monkeypatch.setattr(harness, "default_exhaust_policies", lambda params: {"fa": Fraction(1)})
+    code, out = run_cli(
+        capsys, "exhaust", "--C", "6", "--k", "2", "--T", "3", "--F", "1",
+        "--max-len", "3", "--values", "1,2",
+    )
+    assert code == 1
+    assert out["policies"] == {"fa": 1.0}
+    assert out["counterexamples"] == [
+        {"policy": "fa", "sequence": [[1, 2], [2, 2], [3, 2]], "optValue": 6, "algValue": 4,
+         "bound": 1.0}
+    ]
 
 
 @pytest.mark.parametrize("flags", grid.cases("exhaust"))

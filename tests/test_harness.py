@@ -282,8 +282,8 @@ def recorded_tables(monkeypatch) -> list:
     tables = []
 
     class Recorded(harness._StateTable):
-        def __init__(self):
-            super().__init__()
+        def __init__(self, root, step):
+            super().__init__(root, step)
             tables.append(self)
 
     monkeypatch.setattr(harness, "_StateTable", Recorded)

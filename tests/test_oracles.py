@@ -16,12 +16,13 @@ from collatsim.model import (
     first_overfull_window,
 )
 from collatsim.oracles import (
+    ROOT_KEY,
     opt_general_utility,
     opt_general_value,
     opt_kwallet_value,
     opt_utility_upper_bound,
     opt_value_extend,
-    opt_value_key_step,
+    opt_value_key_row,
     window_upper_bound,
 )
 from oracle_reference import (
@@ -278,7 +279,8 @@ def test_equal_value_keys_gain_alike(C, F, values):
 @st.composite
 def keyed_layers(draw):
     """A layer of opt_value_extend, the slot it was met at, C, F, the
-    largest offer top and the next slot's offer (None for a quiet slot)."""
+    largest offer top and the symbols of the next slot, each an offer or
+    None for a quiet slot."""
     C = draw(st.integers(min_value=1, max_value=12))
     F = draw(st.integers(min_value=0, max_value=9))
     top = draw(st.integers(min_value=1, max_value=C + 2))
@@ -288,8 +290,9 @@ def keyed_layers(draw):
         slot += gap
         layer = opt_value_extend(layer, slot, draw(st.integers(1, top)), C, F)
     slot += draw(st.integers(min_value=0, max_value=F + 2))
-    value = draw(st.none() | st.integers(min_value=1, max_value=top))
-    return layer, slot, C, F, top, value
+    symbols = draw(st.lists(st.none() | st.integers(min_value=1, max_value=top), min_size=1,
+                            max_size=4))
+    return layer, slot, C, F, top, symbols
 
 
 # offers 2, 2, 1, 1, 2 at C = 4, F = 4: at slot 7 the row (3, 1), (2, 2), the
@@ -301,28 +304,30 @@ DOMINATED_DOMINATOR = value_layer([(1, 2), (2, 2), (3, 1), (4, 1), (5, 2)], 4, 4
 @given(keyed_layers())
 # a quiet slot; a slot at most F; F past the layer's last slot, where no
 # settle leaves the window; a row dominated by a row outside the key
-@example(({(): 0, ((1, 2),): 2}, 1, 5, 2, 2, None))
-@example(({(): 0, ((1, 2),): 2, ((1, 2), (2, 3)): 5}, 2, 5, 3, 3, 3))
-@example(({(): 0, ((1, 2),): 2, ((1, 2), (2, 3)): 5}, 4, 5, 10**8, 3, 1))
-@example((DOMINATED_DOMINATOR, 6, 4, 4, 2, None))
+@example(({(): 0, ((1, 2),): 2}, 1, 5, 2, 2, [None]))
+@example(({(): 0, ((1, 2),): 2, ((1, 2), (2, 3)): 5}, 2, 5, 3, 3, [3, None, 1]))
+@example(({(): 0, ((1, 2),): 2, ((1, 2), (2, 3)): 5}, 4, 5, 10**8, 3, [1, 3]))
+@example((DOMINATED_DOMINATOR, 6, 4, 4, 2, [None, 2, 1]))
 @settings(max_examples=400, deadline=None)
-def test_opt_value_key_step_matches_the_layer_route(case):
-    # one step of a layer's key equals dropping the layer's dominated rows'
-    # states, stepping it and keying it afresh; the gain is the whole
-    # layer's, since the dropped states reach no better total later
-    layer, slot, C, F, top, value = case
+def test_opt_value_key_row_matches_the_layer_route(case):
+    # a key's row holds, per symbol, what stepping that symbol alone does:
+    # dropping the layer's dominated rows' states, stepping it and keying it
+    # afresh; the gain is the whole layer's, since the dropped states reach
+    # no better total later
+    layer, slot, C, F, top, symbols = case
     kept = opt_value_pruned_step(layer, slot, None, C, F, top)
-    after = opt_value_pruned_step(kept, slot + 1, value, C, F, top)
-    whole = layer if value is None else opt_value_extend(layer, slot + 1, value, C, F)
-    gain = max(whole.values()) - max(layer.values())
-    assert max(after.values()) - max(kept.values()) == gain
     key = opt_value_key(layer, slot, C, F, top)
-    assert opt_value_key_step(key, value, C, F, top) == (
-        opt_value_key(after, slot + 1, C, F, top), gain
-    )
+    row = opt_value_key_row(key, symbols, C, F, top)
+    assert len(row) == len(symbols)
+    for value, stepped in zip(symbols, row):
+        after = opt_value_pruned_step(kept, slot + 1, value, C, F, top)
+        whole = layer if value is None else opt_value_extend(layer, slot + 1, value, C, F)
+        gain = max(whole.values()) - max(layer.values())
+        assert max(after.values()) - max(kept.values()) == gain
+        assert stepped == (opt_value_key(after, slot + 1, C, F, top), gain)
 
 
-def test_opt_value_key_step_keeps_a_dominated_dominator():
+def test_opt_value_key_row_keeps_a_dominated_dominator():
     # the key at slot 6 drops the row (1, 2), dominated by the empty row.
     # In the whole layer at slot 7 that row, aged to (2, 2), drops
     # (3, 1), (2, 2), and the key is one empty row; stepped from the key
@@ -333,7 +338,7 @@ def test_opt_value_key_step_keeps_a_dominated_dominator():
     assert key == (((), 0), (((3, 1), (2, 1), (1, 2)), 0))
     assert all_rows(DOMINATED_DOMINATOR, 6, C, F, 2)[((1, 2),)] == 0
     assert opt_value_key(DOMINATED_DOMINATOR, 7, C, F, 2) == (((), 0),)
-    stepped, gain = opt_value_key_step(key, None, C, F, 2)
+    [(stepped, gain)] = opt_value_key_row(key, (None,), C, F, 2)
     assert gain == 0 and stepped == (((), 0), (((3, 1), (2, 2)), 0))
     # the extra row changes no gain: on every run of three more slots the
     # stepped gains sum to the whole layers' gain
@@ -343,7 +348,7 @@ def test_opt_value_key_step_keeps_a_dominated_dominator():
         for slot, value in enumerate(offers, 8):
             if value is not None:
                 layer = opt_value_extend(layer, slot, value, C, F)
-            at, gain = opt_value_key_step(at, value, C, F, 2)
+            [(at, gain)] = opt_value_key_row(at, (value,), C, F, 2)
             total += gain
             assert total == max(layer.values()) - best
 
@@ -391,20 +396,21 @@ def test_forgotten_settles_change_no_later_optimum(case):
             assert max(cut.values()) == max(full.values())
 
 
-def test_opt_value_key_step_folds_like_the_layers():
-    # from the root, keys stepped slot by slot stay the keys of the layers
-    # folded without their dominated rows' states, and the gains sum to the
-    # whole layers' best; in the second run no offer is above 2, so rows
-    # forget settles
+def test_opt_value_key_row_folds_like_the_layers():
+    # from the root, the key of the empty layer, keys stepped slot by slot
+    # stay the keys of the layers folded without their dominated rows'
+    # states, and the gains sum to the whole layers' best; in the second run
+    # no offer is above 2, so rows forget settles
     C, F = 5, 2
     for offers in ([2, 3, None, 1, 3, None, None, 5, 1], [2, 1, None, 1, 2, 2, None, 1, 1]):
         top = max(v for v in offers if v is not None)
-        key, pruned, layer, best = (((), 0),), {(): 0}, {(): 0}, 0
+        assert ROOT_KEY == opt_value_key({(): 0}, 0, C, F, top)
+        key, pruned, layer, best = ROOT_KEY, {(): 0}, {(): 0}, 0
         for slot, value in enumerate(offers, 1):
             pruned = opt_value_pruned_step(pruned, slot, value, C, F, top)
             if value is not None:
                 layer = opt_value_extend(layer, slot, value, C, F)
-            key, gain = opt_value_key_step(key, value, C, F, top)
+            [(key, gain)] = opt_value_key_row(key, (value,), C, F, top)
             best += gain
             assert key == opt_value_key(pruned, slot, C, F, top)
             assert best == max(pruned.values()) == max(layer.values())

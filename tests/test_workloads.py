@@ -267,6 +267,17 @@ def test_csv_reader_joins_its_blocks(tmp_path, monkeypatch):
     assert (back.slots, back.values) == (seq.slots, seq.values)
 
 
+def int_reads(text: str) -> bool:
+    try:
+        int(text)
+    except ValueError:
+        return False
+    return True
+
+
+# whether int() reads 5,000 digits, which sys.get_int_max_str_digits() caps
+# on the Pythons that have it
+INT_READS_PAST_DIGITS = int_reads("1" * 5_000)
 # rows past the first 64 KiB block: the UTF-8 error's position is counted
 # from the start of the csv module's 8 KiB read that holds the bad byte
 ROWS_PAST_A_BLOCK = b"".join(b"%d,%d\n" % (s, 1 + s % 3) for s in range(1, 12001))
@@ -325,9 +336,26 @@ CSV_QUIRKS = {
         "error: input is not UTF-8 text: 'utf-8' codec can't decode byte 0xff "
         "in position 2991: invalid start byte",
     ),
+    # lines past the field size limit that no block's end splits: the split
+    # gives up on the line it carries before it reads the line's end
+    "long-line-of-short-fields": (b"slot,value\n1,3," + b"x," * 110_000 + b"\n", "[1] [3]"),
+    "long-digits-past-a-block": (
+        b"slot,value\n1," + b"1" * 200_000 + b"\n",
+        "error: PATH line 2: field larger than field limit (131072)",
+    ),
+    # fields of digits that int() does not read
+    "empty-field": (
+        b"slot,value\n1,\n", "error: PATH line 2: expected slot,value integers, got ['1', '']"
+    ),
+    # int() reads any number of digits on some Pythons and refuses more than
+    # sys.get_int_max_str_digits() on others, so only the two routes' agreement
+    # is pinned: None stands for the rows' outcome
+    "past-int-digits": (b"slot,value\n1," + b"1" * 5_000 + b"\n", None),
 }
-PLAIN_QUIRKS = ("lf", "crlf", "no-final-newline", "header-only", "header-unended", "slot-0",
-                "repeated-slot", "above-t")
+PLAIN_QUIRKS = (
+    "lf", "crlf", "no-final-newline", "header-only", "header-unended", "slot-0", "repeated-slot",
+    "above-t", *(["past-int-digits"] if INT_READS_PAST_DIGITS else []),
+)
 
 
 def test_csv_reader_keeps_the_csv_field_limit(tmp_path):
@@ -371,11 +399,12 @@ def test_csv_reader_quirks(capsys, tmp_path, monkeypatch, case):
         return splits[-1]
 
     monkeypatch.setattr(workloads, "_plain_columns", recorded)
-    assert read_outcome(capsys, path) == expected
+    outcome = read_outcome(capsys, path)
+    assert outcome == expected or expected is None
     assert (splits[0] is not None) is (case in PLAIN_QUIRKS)
     # the csv module's rows alone give the same
     monkeypatch.setattr(workloads, "_plain_columns", lambda p: None)
-    assert read_outcome(capsys, path) == expected
+    assert read_outcome(capsys, path) == outcome
 
 
 def test_sequence_csv_round_trip(tmp_path):
