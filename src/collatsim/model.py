@@ -22,13 +22,15 @@ all of it whose outage ended before ``slot``.  Every policy is its own
 machine: the threshold policy is a pool, and the wallet policies keep
 their state lists.
 
-Each machine logs its run to the sink its driver gives it.  Both sinks
-keep the settles, as two int columns, for the window check.  A run whose
+Each machine logs its run to the sink its driver gives it, and keeps no
+totals: the sink is the run's one record.  Both sinks keep the settles,
+as two int columns, for the window check, and count the flushes; a run's
+settled value and flush count are read off them.  A run whose
 trace is written gets an ``EventTrace``, which also writes every event as
 its NDJSON line when it is logged, an offer's arrive line together with
 the line of its settle or discard; any other run gets a ``SettleLog``,
-which keeps the settles alone.  The program only writes the trace;
-nothing here parses it back.  A
+which keeps the settles and the flush count alone.  The program only
+writes the trace; nothing here parses it back.  A
 ``TransactionSequence`` is built from its two int columns, slots and
 values, or from ``(slot, value)`` pairs.
 """
@@ -283,21 +285,24 @@ def ppm_amount(units: int) -> str:
 
 
 class SettleLog:
-    """The sink of a run whose NDJSON is not written: it keeps the settles.
+    """The sink of a run whose NDJSON is not written: the run's record.
 
     It has the logged calls of ``EventTrace`` and keeps, in log order,
-    only what the program reads back, the settle columns ``settle_slots``
-    and ``settle_values``: two int lists that the window check reads as
+    only what the program reads back: the settle columns ``settle_slots``
+    and ``settle_values``, two int lists that the window check reads as
     they are, since a machine settles at most one offer a slot and so
-    logs settles in strictly increasing slot order.  Every other call
-    logs nothing.
+    logs settles in strictly increasing slot order, and ``flushes``, the
+    count of flushed wallets and pool tranches.  A run's totals are
+    ``sum(settle_values)`` and ``flushes``.  Every other call logs
+    nothing.
     """
 
-    __slots__ = ("settle_slots", "settle_values")
+    __slots__ = ("settle_slots", "settle_values", "flushes")
 
     def __init__(self):
         self.settle_slots: list[int] = []
         self.settle_values: list[int] = []
+        self.flushes = 0
 
     def wallet_settle(self, slot: int, wallet: int, value: int) -> None:
         self.settle_slots.append(slot)
@@ -307,18 +312,22 @@ class SettleLog:
         self.settle_slots.append(slot)
         self.settle_values.append(value)
 
+    def _flushed(self, *event) -> None:
+        self.flushes += 1
+
     def _nothing(self, *event) -> None:
         pass
 
-    discard = wallet_flush = wallet_online = pool_flush = pool_online = _nothing
+    wallet_flush = pool_flush = _flushed
+    discard = wallet_online = pool_online = _nothing
 
 
 class EventTrace(SettleLog):
     """The sink of a run whose NDJSON is written: the settles and the text.
 
     One method per logged call appends its NDJSON text to ``chunks``,
-    from one f-string, and a settle also appends to the settle columns
-    it inherits; the machines count the totals.  An offer's ``arrive``
+    from one f-string; a settle also appends to the settle columns it
+    inherits, and a flush adds 1 to ``flushes``.  An offer's ``arrive``
     line goes out with the line of its outcome, as one string that
     converts the slot and value once:
     the policies log ``discard``, and a settle logs ``wallet_settle`` or
@@ -361,6 +370,7 @@ class EventTrace(SettleLog):
         self.chunks.append(
             f'{{"slot":{slot},"kind":"flush","wallet":{wallet},"flushAmount":{amount}}}\n'
         )
+        self.flushes += 1
 
     def wallet_online(self, slot: int, wallet: int) -> None:
         self.chunks.append(f'{{"slot":{slot},"kind":"online","wallet":{wallet}}}\n')
@@ -380,6 +390,7 @@ class EventTrace(SettleLog):
             f'{{"slot":{slot},"kind":"flush","flushAmount":{ppm_amount(amount)},'
             f'"available":{ppm_amount(free)},"committed":{ppm_amount(committed)}}}\n'
         )
+        self.flushes += 1
 
     def pool_online(self, slot: int, amount: int, committed: int) -> None:
         self.chunks.append(
@@ -404,14 +415,13 @@ class CollateralPool:
     `begin_slot` comes first in a slot, slots increasing, and is the only
     place a tranche returns to ``free``; a caller may skip it while
     ``slot < next_back``, the earliest return (``NOTHING_OUT`` while no
-    tranche is out).  `settled` and `flushes` count the run's settled
-    value and flushed tranches, and ``trace`` is the sink it logs to, a new
-    ``EventTrace`` unless one is given.  ``policies.ThresholdPolicy`` is a
+    tranche is out).  ``trace`` is the sink it logs to, a new
+    ``EventTrace`` unless one is given, and the run's record: the pool
+    keeps no totals.  ``policies.ThresholdPolicy`` is a
     pool that adds its rule and steps itself through these methods.
     """
 
-    __slots__ = ("params", "free", "committed", "inflight", "next_back",
-                 "settled", "flushes", "trace")
+    __slots__ = ("params", "free", "committed", "inflight", "next_back", "trace")
 
     def __init__(self, params: ModelParams, trace: SettleLog | None = None):
         self.params = params
@@ -419,8 +429,6 @@ class CollateralPool:
         self.committed = 0
         self.inflight: list[tuple[int, int]] = []  # (amount, back at slot)
         self.next_back = NOTHING_OUT
-        self.settled = 0
-        self.flushes = 0
         self.trace = EventTrace() if trace is None else trace
 
     def begin_slot(self, slot: int) -> None:
@@ -443,7 +451,6 @@ class CollateralPool:
             )
         self.free -= units
         self.committed += units
-        self.settled += value
         self.trace.pool_settle(slot, value, self.free, self.committed)
 
     def flush(self, amount: int, slot: int) -> None:
@@ -458,7 +465,6 @@ class CollateralPool:
         self.committed -= amount
         self.inflight.append((amount, slot + self.params.F + 1))
         self.next_back = self.inflight[0][1]
-        self.flushes += 1
         self.trace.pool_flush(slot, amount, self.free, self.committed)
 
 
@@ -475,14 +481,15 @@ class RunResult:
 
     @classmethod
     def from_machine(cls, machine, seq: TransactionSequence) -> "RunResult":
-        """Totals from the counters of ``machine``, a policy, after it was
+        """Totals read off the sink of ``machine``, a policy, after it was
         stepped over seq; utility charges tau once per flush, a wallet or a
         pool tranche, and is one Fraction of ints in 1/PPM."""
-        params, settled, flushes = machine.params, machine.settled, machine.flushes
+        params, trace = machine.params, machine.trace
+        settled = sum(trace.settle_values)
         return cls(
             settled_value=settled,
-            flush_count=flushes,
-            utility=Fraction(params.p_ppm * settled - PPM * params.tau * flushes, PPM),
+            flush_count=trace.flushes,
+            utility=Fraction(params.p_ppm * settled - PPM * params.tau * trace.flushes, PPM),
             offered_value=seq.offered_value(),
             n_tx=len(seq),
         )

@@ -9,11 +9,11 @@ of a ``TransactionSequence``, so no object is built per offer.
 ``finish(slot)`` runs once after the last step; wallet policies flush
 leftover committed collateral exactly when tau > 0, the threshold policy
 always does.  Policies are deterministic given params and seed.  Every
-policy is its own state machine: its counters ``settled`` and
-``flushes`` are the run's totals and its ``trace`` only logs events, to
-the sink the driver passes as ``trace``: an ``EventTrace`` when the
+policy is its own state machine and keeps no totals: it logs its events
+to the sink the driver passes as ``trace``, an ``EventTrace`` when the
 run's NDJSON is written (the default), else a ``SettleLog`` that keeps
-only the settles the window check reads.  A wallet policy keeps its
+only the settles and the flush count, and the run's totals are read off
+that sink.  A wallet policy keeps its
 state as one flat int list and steps it with one rule,
 ``GroupFlushPolicy.offer``; the threshold policy is a ``CollateralPool``.
 A group policy also has ``state``, everything later steps depend on as
@@ -75,8 +75,6 @@ class GroupFlushPolicy:
         self.name = name
         self._fresh(params.k, g, params.C // params.k, params.F)
         self.outages: deque[tuple[int, int, int]] = deque()  # (back at, first, past the last)
-        self.settled = 0
-        self.flushes = 0
         self.trace = EventTrace() if trace is None else trace
 
     @classmethod
@@ -129,7 +127,6 @@ class GroupFlushPolicy:
         active = st[0]
         taken = self.offer(st, slot, value)
         if taken and taken.__class__ is int:
-            self.settled += value
             trace.wallet_settle(slot, taken, value)
             return taken
         trace.discard(slot, value)
@@ -139,7 +136,6 @@ class GroupFlushPolicy:
             for amount in taken:
                 trace.wallet_flush(slot, wallet, amount)
                 wallet += 1
-            self.flushes += g
             outages.append((slot + self.F + 1, first, wallet))
         return 0
 
@@ -151,7 +147,6 @@ class GroupFlushPolicy:
                 if st[k + i] < slot and st[i] < self.size:
                     (amount,) = self._flush(st, i, i, slot)
                     self.trace.wallet_flush(slot, i, amount)
-                    self.flushes += 1
 
     def state(self, slot: int) -> tuple[int, ...]:
         """Everything later steps depend on, as a flat tuple, at any slot
@@ -218,9 +213,6 @@ class RandTwoPolicy:
         self._offer, self.st = shadow.offer, shadow.st
         self._coin = coins if coins is not None else partial(random.Random(seed).getrandbits, 1)
         self.chosen: int | None = None
-        self.coins_drawn = 0
-        self.settled = 0
-        self.flushes = 0
         self.trace = EventTrace() if trace is None else trace
 
     def step(self, slot: int, value: int | None) -> int:
@@ -229,7 +221,6 @@ class RandTwoPolicy:
             if st[3] >= 0:
                 self.trace.wallet_online(st[3] + 1, 1)
             chosen = self.chosen = 1 + self._coin()
-            self.coins_drawn += 1
         if value is None:
             return 0
         if chosen is None:  # out, and so is the shadow
@@ -237,13 +228,11 @@ class RandTwoPolicy:
             return 0
         taken = self._offer(st, slot, value)
         if taken == chosen:
-            self.settled += value
             self.trace.wallet_settle(slot, 1, value)
             return 1
         self.trace.discard(slot, value)
         if taken.__class__ is list:  # the shadow's misfit flushed both its wallets
             self.trace.wallet_flush(slot, 1, taken[chosen - 1])
-            self.flushes += 1
             self.chosen = None
         return 0
 
@@ -252,7 +241,6 @@ class RandTwoPolicy:
         chosen = self.chosen
         if self.params.tau > 0 and chosen is not None and self.st[chosen] < self.params.C:
             self.trace.wallet_flush(slot, 1, self.params.C - self.st[chosen])
-            self.flushes += 1
 
 
 class ThresholdPolicy(CollateralPool):

@@ -8,7 +8,8 @@ exit prints nothing there.
 An argv is a subcommand, then maybe a small run that works, then flags
 that override it, each with a value from a pool of edge values or one of
 the flag's own names.  A ``--workload`` value is JSON whose fields take the
-same kind of values.  No k or horizon is drawn between 10^5 and 10^18:
+same kind of values.  Every file flag may also name a directory or a file
+that is not there.  No k or horizon is drawn between 10^5 and 10^18:
 without a refusal there, a run would allocate memory rather than fail
 fast, while 10^30 is past any index at once.
 """
@@ -54,6 +55,10 @@ FILES = {
     "config.json": json.dumps({"params": {"C": 12, "k": 2, "T": 3, "F": 1}, "policy": "fa",
                                "seqFile": "seq.csv"}),
 }
+# for any flag that names a file: an empty directory, and a name in a
+# directory that is not there, so no run can write the file and a later
+# run read it
+NOT_FILES = ("adir", "gone/missing.csv")
 
 # the pool's kinds of value as JSON: numbers, strings and the non-finite
 # floats, and the top arrival rate, 1000 per mille, so that every slot offers
@@ -79,11 +84,11 @@ VALUES = {
     "--oracle": values(*ORACLE_KINDS),
     "--type": values(*ADVERSARY_KINDS),
     "--param": values("eta", "k"),
-    "--config": values("config.json"),
-    "--seq": values("seq.csv"),
-    "--csv": values("out.csv"),
-    "--trace": values("out.ndjson"),
-    "--workload": st.one_of(WORKLOADS, values()),
+    "--config": values("config.json", *NOT_FILES),
+    "--seq": values("seq.csv", *NOT_FILES),
+    "--csv": values("out.csv", *NOT_FILES),
+    "--trace": values("out.ndjson", *NOT_FILES),
+    "--workload": st.one_of(WORKLOADS, values(*NOT_FILES)),
 }
 
 
@@ -102,10 +107,12 @@ def argvs(draw):
 
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
-    """A directory holding the sequence and config files the runs read."""
+    """A directory holding the sequence and config files the runs read,
+    and the empty directory ``adir``."""
     directory = tmp_path_factory.mktemp("fuzz")
     for name, text in FILES.items():
         (directory / name).write_text(text)
+    (directory / NOT_FILES[0]).mkdir()
     return directory
 
 

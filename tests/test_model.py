@@ -16,6 +16,7 @@ from collatsim.model import (
     EventTrace,
     ModelParams,
     RunResult,
+    SettleLog,
     Transaction,
     TransactionSequence,
     validate_window_bound,
@@ -389,7 +390,7 @@ TRACE_CALLS = st.one_of(
 @given(st.lists(TRACE_CALLS, max_size=12))
 def test_ndjson_matches_json_module(calls):
     # each event kind's template gives the json module's bytes, and the
-    # trace's settle columns agree with the settles logged
+    # trace's settle columns and flush count agree with the events logged
     trace = EventTrace()
     for method, args, _ in calls:
         getattr(trace, method)(*args)
@@ -397,6 +398,7 @@ def test_ndjson_matches_json_module(calls):
     assert trace.to_ndjson() == reference_ndjson(events)
     assert read_events(trace) == events
     settles = [e for e in events if e.kind == SETTLE]
+    assert trace.flushes == sum(e.kind == FLUSH for e in events)
     assert trace.settle_slots == [e.slot for e in settles]
     assert trace.settle_values == [e.value for e in settles]
 
@@ -426,7 +428,24 @@ def test_trace_totals():
     pool.settle(6, 1)
     pool.flush(2_500_000, 1)  # 5/2
     pool.flush(3_500_000, 1)  # 7/2
-    assert (pool.settled, pool.flushes) == (6, 2)
+    assert (sum(pool.trace.settle_values), pool.trace.flushes) == (6, 2)
+    # either sink is a run's record: fed one run of calls, both keep the
+    # same settle columns and count one flush per wallet or tranche, each
+    # wallet of a slot's group flush included
+    calls = [
+        ("wallet_settle", 1, 1, 6), ("wallet_settle", 2, 2, 4), ("discard", 3, 6),
+        ("wallet_flush", 3, 1, 6), ("wallet_flush", 3, 2, 4), ("wallet_online", 5, 1),
+        ("wallet_online", 5, 2), ("pool_settle", 6, 6, 14 * PPM, 6 * PPM),
+        ("pool_flush", 6, 2_500_000, 14 * PPM, 3_500_000), ("pool_online", 8, 2_500_000, 0),
+    ]
+    kept, full = SettleLog(), EventTrace()
+    for sink in (kept, full):
+        for method, *args in calls:
+            getattr(sink, method)(*args)
+    assert (kept.settle_slots, kept.settle_values, kept.flushes) == ([1, 2, 6], [6, 4, 6], 3)
+    assert (full.settle_slots, full.settle_values, full.flushes) == (
+        kept.settle_slots, kept.settle_values, kept.flushes
+    )
 
 
 def test_run_result_charging_modes():

@@ -4,6 +4,7 @@ import random
 import re
 from dataclasses import replace
 from fractions import Fraction
+from functools import partial
 from itertools import product
 
 import pytest
@@ -48,6 +49,22 @@ def flush_events(policy):
         (e.slot, e.wallet, e.flush_amount)
         for e in read_events(policy.trace) if e.kind == FLUSH
     ]
+
+
+class CountingCoins:
+    """A rand2 coin source that counts its draws, each the next of ``coins``."""
+
+    def __init__(self, coins):
+        self.coins, self.drawn = coins, 0
+
+    def __call__(self):
+        self.drawn += 1
+        return self.coins()
+
+
+def seeded_coins(seed):
+    """Counted coins drawn as rand2 draws them from its seed."""
+    return CountingCoins(partial(random.Random(seed).getrandbits, 1))
 
 
 FIVE_SIXES = TransactionSequence.from_pairs([(t, 6) for t in range(1, 6)])
@@ -342,20 +359,21 @@ def test_rand2_follows_the_chosen_shadow_wallet():
 def test_rand2_mirrors_shadow_flushes():
     params = ModelParams(C=4, T=4, F=1)
     seq = TransactionSequence.from_pairs([(1, 4), (2, 4), (3, 4), (4, 4)])
-    pol = make_policy("rand2", params, coins=lambda: 0)
+    coins = CountingCoins(lambda: 0)
+    pol = make_policy("rand2", params, coins=coins)
     run_sequence(pol, seq)
     assert flush_events(pol) == [(3, 1, 4)]
     assert settle_slots(pol) == [1]
-    assert pol.coins_drawn == 1  # second coin would come with the next online slot
+    assert coins.drawn == 1  # second coin would come with the next online slot
     assert len(read_events(pol.trace)) == 9  # 4 arrive, 1 settle, 3 discard, 1 flush
 
 
 def test_rand2_draws_one_coin_per_online_period():
     params = ModelParams(C=4, T=4, F=1)
     seq = TransactionSequence.from_pairs([(1, 4), (2, 4), (3, 4), (5, 4), (6, 4)])
-    pol = make_policy("rand2", params, coins=lambda: 1)
-    run_sequence(pol, seq)
-    assert pol.coins_drawn == 2
+    coins = CountingCoins(lambda: 1)
+    run_sequence(make_policy("rand2", params, coins=coins), seq)
+    assert coins.drawn == 2
 
 
 def test_rand2_seeded_determinism():
@@ -369,6 +387,9 @@ def test_rand2_seeded_determinism():
 def test_rand2_needs_single_wallet():
     with pytest.raises(CollateralError, match=r"^rand2 runs a single wallet, got k=2$"):
         RandTwoPolicy(ModelParams(C=10, T=5, F=1, k=2))
+    # unseeded, random.Random(None) would draw from OS entropy: no run repeats
+    with pytest.raises(CollateralError, match=r"^rand2 needs a seed or an explicit coin source$"):
+        make_policy("rand2", ModelParams(C=10, T=5, F=1))
 
 
 def test_rand2_takes_a_collateral_whose_double_is_past_the_float_range():
@@ -376,9 +397,9 @@ def test_rand2_takes_a_collateral_whose_double_is_past_the_float_range():
     # would refuse here, so rand2 must build its shadow without one
     params = ModelParams(C=10**308, T=1, F=1, tau=1)
     seq = TransactionSequence.from_pairs([(1, 1), (2, 1), (4, 1)])
-    policy = make_policy("rand2", params, seed=0)
-    res = run_sequence(policy, seq)
-    assert (res.settled_value, res.flush_count, policy.coins_drawn) == (0, 0, 1)
+    coins = seeded_coins(0)
+    res = run_sequence(make_policy("rand2", params, coins=coins), seq)
+    assert (res.settled_value, res.flush_count, coins.drawn) == (0, 0, 1)
     policy = make_policy("rand2", params, coins=lambda: 0)
     res = run_sequence(policy, seq)
     assert (res.settled_value, res.flush_count) == (3, 1)
@@ -591,13 +612,16 @@ WRAPPED_RETURNS = (
 def test_stepping_the_offers_equals_stepping_every_slot(run, tau, seed):
     kind, params, seq = run
     params = replace(params, tau=tau)
-    policy = make_policy(kind, params, seed=seed)
+    ours, theirs = seeded_coins(seed), seeded_coins(seed)  # only rand2 draws
+    policy = make_policy(kind, params, coins=ours)
     res = run_sequence(policy, seq)
-    reference = make_policy(kind, params, seed=seed)
+    reference = make_policy(kind, params, coins=theirs)
     run_every_slot(reference, seq)
     assert policy.trace.to_ndjson() == reference.trace.to_ndjson()
-    assert (res.settled_value, res.flush_count) == (reference.settled, reference.flushes)
-    assert getattr(policy, "coins_drawn", None) == getattr(reference, "coins_drawn", None)
+    assert (res.settled_value, res.flush_count) == (
+        sum(reference.trace.settle_values), reference.trace.flushes
+    )
+    assert ours.drawn == theirs.drawn
     # a reader that never imports collatsim finds no fault in the NDJSON,
     # with the leftovers kept (tau = 0) or flushed
     k = None if kind == "eta" else params.k
@@ -656,7 +680,8 @@ def test_rand2_equals_its_shadow_flush_all_reference(run, seed):
     # decisions, coins and bytes as following a whole two-wallet FlushAll
     # of the reference, which shares no rule with it
     params, seq = run
-    policy = make_policy("rand2", params, seed=seed)
+    coins = seeded_coins(seed)
+    policy = make_policy("rand2", params, coins=coins)
     reference = ReferenceRandTwo(params, seed=seed)
     by_slot = dict(zip(seq.slots, seq.values))
     for slot in range(1, seq.horizon + 1):
@@ -664,10 +689,10 @@ def test_rand2_equals_its_shadow_flush_all_reference(run, seed):
         assert policy.step(slot, value) == reference.step(slot, value)
     policy.finish(seq.horizon)
     reference.finish(seq.horizon)
-    ours, theirs = policy, reference.machine
-    assert ours.trace.to_ndjson() == theirs.trace.to_ndjson()
-    assert (ours.settled, ours.flushes) == (theirs.settled, theirs.flushes)
-    assert policy.coins_drawn == reference.coins_drawn
+    ours, theirs = policy.trace, reference.machine
+    assert ours.to_ndjson() == theirs.trace.to_ndjson()
+    assert (sum(ours.settle_values), ours.flushes) == (theirs.settled, theirs.flushes)
+    assert coins.drawn == reference.coins_drawn
 
 
 @st.composite
@@ -820,7 +845,9 @@ def test_integer_pool_matches_reference_ledger(run):
         assert Fraction(policy.free, PPM) == ref.free
         assert Fraction(policy.committed, PPM) == ref.committed
         assert [(Fraction(a, PPM), back) for a, back in policy.inflight] == ref.inflight
-        assert (policy.settled, policy.flushes) == (ref.settled, ref.flushes)
+        assert (sum(policy.trace.settle_values), policy.trace.flushes) == (
+            ref.settled, ref.flushes
+        )
 
     for slot, v in enumerate(symbols, 1):
         policy.step(slot, v)
@@ -861,7 +888,7 @@ def test_pool_ledger_is_integral():
         assert all(type(amount) is int for amount, _ in policy.inflight)
     policy.finish(300)
     assert type(policy.committed) is int
-    assert policy.flushes > 10
+    assert policy.trace.flushes > 10
     assert '"flushAmount":"418/5"' in policy.trace.to_ndjson()
 
 
