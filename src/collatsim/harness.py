@@ -6,19 +6,9 @@ kept and returns the run's totals;
 ``measure_ratio`` adds an oracle and the formula bound for the policy,
 worked out once per policy kind and ``ModelParams`` and checked on a
 value row in ints;
-``exhaustive_verify`` checks the competitive bound with exact integer
-arithmetic on every prefix of every sequence over a small alphabet, on
-one table per wallet rule and one for the value DP, each filling a
-state's row by one step call for all symbols (a rule's row holds each
-step's next state, settled delta and flushed amounts; a DP key's rows
-forget the settles that no offer of the space can push past C), counting
-flushes from the prefixes per state on each rule's own graph, checking
-each step's amounts once per kind by ``flush_faults``, deciding each
-policy's bound by one forward max-plus pass over its graph of (state, DP
-key) nodes, each holding one weight sum, shared by the kinds of one rule
-and bound, that drops a node whose sum the slots left cannot lift above
-0, and walking the tree of prefixes only when a pass finds a
-counterexample or a broken invariant; ``sweep`` scans eta or k,
+``exhaustive_verify`` checks the competitive bound on every prefix of
+every sequence over a small alphabet on the state graphs of ``graph``;
+``sweep`` scans eta or k,
 one ``measure_ratio`` run per setting with the window-bound oracle (the LP
 relaxation, an upper bound on opt), and marks the empirical optimum next
 to the formula one;
@@ -53,6 +43,7 @@ from functools import lru_cache, partial
 from itertools import combinations
 
 from . import formulas
+from .graph import StateTable, forward, rule_pass
 from .model import (
     PPM,
     CollateralError,
@@ -426,40 +417,6 @@ class ExhaustSummary:
         return not self.counterexamples and not self.invariant_violations
 
 
-class _StateTable:
-    """States met by exhaustive_verify and their transitions.
-
-    ``step(state)`` is a state's row, one transition per symbol, each
-    ``(next state, ...)``, a function of the state alone: a rule's
-    ``next_states`` or the value DP's ``opt_value_key_row``.  Each state
-    gets a small id on first sight, the root 0, and ``states[id]`` is the
-    state.  ``rows[id]``, None until ``row`` first fills it, is the state's
-    row with each next state replaced by its id.
-    """
-
-    __slots__ = ("ids", "states", "rows", "step")
-
-    def __init__(self, root, step):
-        self.ids: dict = {root: 0}
-        self.states: list = [root]
-        self.rows: list = [None]
-        self.step = step
-
-    def row(self, sid: int) -> list:
-        """State sid's transitions, filled by ``step`` on first use."""
-        row = self.rows[sid]
-        if row is None:
-            ids, states = self.ids, self.states
-            row = self.rows[sid] = []
-            for entry in self.step(states[sid]):
-                nid = ids.setdefault(entry[0], len(states))
-                if nid == len(states):
-                    states.append(entry[0])
-                    self.rows.append(None)
-                row.append((nid,) + entry[1:])
-        return row
-
-
 def default_exhaust_policies(params: ModelParams) -> dict[str, Fraction]:
     """Policies with a per-sequence guarantee at these params, with exact bounds."""
     out: dict[str, Fraction] = {}
@@ -510,39 +467,26 @@ def exhaustive_verify(
     no later window can push past C with offers of at most that: at
     C = 12, T = 3 and F <= 3 every settle is forgotten and one key serves
     every prefix.
-    Transition tables, local to the call, hold what one offer does: per
-    rule and state the next state, the settled delta and the flushed
-    amounts; per DP key the next key and the gain in V_opt.  Kinds with
-    one group size g are one rule and share a table, so a rule is stepped
-    once for all its kinds (fa and ftwf at k = 2).  Each is a
-    ``_StateTable`` of its root, id 0, and its step, which fills a state's
-    row once for all symbols: the rule's ``GroupFlushPolicy.next_states``
-    on the state tuple itself, which calls the ``offer`` that ``step``
-    calls in a run, or ``opt_value_key_row`` on the key itself.
+    Transition tables, local to the call, are ``graph.StateTable``s.  Kinds
+    with one group size g are one rule and share one (fa and ftwf at k = 2),
+    filled by the rule's ``GroupFlushPolicy.next_states`` on the state
+    tuple, which calls the ``offer`` that ``step`` calls in a run; the value
+    DP's is filled by ``opt_value_key_row`` on the key itself.
     Along an edge, policy i with bound num/den has the weight
     ``den*gain - num*delta``, and a prefix is a counterexample exactly
     when the sum of weights from the root to it is positive.
 
-    Each rule's flushes depend on its state alone, so one pass per rule over
-    its own graph of states, one layer per slot, counts the prefixes that
-    reach each state and adds prefixes times flushes on every edge to
-    ``flush_events_checked``.  The rows these passes fill are every edge of
-    the tree, and whether a step breaks an invariant depends on the kind and
-    the amounts alone, so each kind's rows are checked once for a fault.
-    Each policy's bound is decided on its own graph of (state, DP key) nodes
-    by one forward max-plus pass, one layer per slot, each node holding the
-    largest weight sum along a prefix that reaches it; kinds on one rule
-    held to one bound share the pass.  An offer lifts the best by at most
-    itself and a settled delta is never negative, so no edge weighs more
-    than ``top = den*max(values)``, and a node at depth d whose sum is at
-    most ``-top*(L - d)`` ends no prefix above 0 at or below it: it is
-    dropped before it enters its layer (at ``num <= 0`` no weight is
-    negative, so none is), and a DP key gets its row only when a kept node
-    reaches it.  When no pass finds a fault there is nothing to list.
-    Otherwise a depth-first walk over the values then the gap lists the
-    counterexamples and violation texts in tree order, carrying per policy
-    V_alg to test ``den*V_opt > num*V_alg``.  Only ``GroupFlushPolicy`` has
-    such a state; other policies raise CollateralError.
+    Each rule's flushes depend on its state alone, so one ``rule_pass`` per
+    rule counts them on its own graph of states.  The rows these passes fill
+    are every edge of the tree, and whether a step breaks an invariant
+    depends on the kind and the amounts alone, so each kind's rows are
+    checked once for a fault.  Each policy's bound is decided on its own
+    graph of (state, DP key) nodes by one ``forward`` max-plus pass; kinds
+    on one rule held to one bound share the pass.  When no pass finds a
+    fault there is nothing to list.  Otherwise ``walk``, depth first over
+    the values then the gap, lists the counterexamples and violation texts
+    in tree order, carrying per policy V_alg to test ``den*V_opt > num*V_alg``.
+    Only ``GroupFlushPolicy`` has such a state; others raise CollateralError.
     """
     # two or more symbols over more slots than the cap has bits are over the
     # cap, so a long max_len is refused before the power is built
@@ -561,7 +505,6 @@ def exhaustive_verify(
     if not policies:
         raise CollateralError("no policy has a checkable bound at these parameters")
     kinds = list(policies)
-    n = len(kinds)
     roots = [make_policy(kind, params, seed=0) for kind in kinds]
     for kind, policy in zip(kinds, roots):
         if not isinstance(policy, GroupFlushPolicy):
@@ -569,6 +512,19 @@ def exhaustive_verify(
                 f"exhaustive verification needs a wallet-group policy, got {kind!r}"
             )
     bounds = [(b.numerator, b.denominator) for b in policies.values()]
+    symbols = tuple(space.values) + (None,)
+    largest = max(space.values)  # no offer is larger, so none lifts V_opt more
+    # kinds with one group size g are one rule and share its table
+    by_rule: dict = {}
+    for p in roots:
+        if p.g not in by_rule:
+            by_rule[p.g] = StateTable(p.state(0), partial(p.next_states, symbols=symbols))
+    tables = [by_rule[p.g] for p in roots]
+    dp_table = StateTable(
+        ROOT_KEY, partial(opt_value_key_row, symbols=symbols, C=space.C, F=space.F, top=largest)
+    )
+    length = space.max_len
+    flushes = {table: rule_pass(table, length) for table in by_rule.values()}
     # every sequence has max_len symbols, and each non-gap symbol ends a prefix
     sequences = space.sequence_count()
     summary = ExhaustSummary(
@@ -578,64 +534,8 @@ def exhaustive_verify(
         prefixes_checked=sequences - 1,
         counterexamples=[],
         invariant_violations=[],
-        flush_events_checked=0,
+        flush_events_checked=sum(flushes[table] for table in tables),
     )
-    symbols = tuple(space.values) + (None,)
-    largest = max(space.values)  # no offer is larger, so none lifts V_opt more
-    # kinds with one group size g are one rule and share its table
-    by_rule: dict = {}
-    for p in roots:
-        if p.g not in by_rule:
-            by_rule[p.g] = _StateTable(p.state(0), partial(p.next_states, symbols=symbols))
-    tables = [by_rule[p.g] for p in roots]
-    dp_table = _StateTable(
-        ROOT_KEY, partial(opt_value_key_row, symbols=symbols, C=space.C, F=space.F, top=largest)
-    )
-    length = space.max_len
-
-    def rule_pass(table: _StateTable) -> int:
-        """The flushes of a rule on all prefixes: one layer per slot of the
-        rule's own graph, each mapping a state to the number of prefixes
-        reaching it."""
-        flushes = 0
-        layer = {0: 1}
-        for _ in range(length):
-            below: dict = {}
-            get = below.get
-            for sid, paths in layer.items():
-                for child, _, amounts in table.row(sid):
-                    flushes += paths * len(amounts)
-                    below[child] = get(child, 0) + paths
-            layer = below
-        return flushes
-
-    def forward(table: _StateTable, bound: tuple[int, int]) -> bool:
-        """The max-plus pass of a rule held to bound num/den, after the
-        rule's pass has filled its rows: whether a prefix ends with a sum
-        above 0."""
-        (num, den), rows, dp_row = bound, table.rows, dp_table.row
-        # no edge weighs more than top, so a child at depth d whose sum is at
-        # most floor = -top*(L-d), 0 at depth L, ends no prefix above 0 and is
-        # dropped; a gap gains and settles nothing, so a sum above 0 lasts to L
-        top = den * largest
-        # maps each (state id, DP key id) node at one slot to the largest
-        # weight sum along a prefix reaching it
-        layer = {(0, 0): 0}
-        for depth in range(1, length + 1):
-            floor = -top * (length - depth)
-            below: dict = {}
-            get = below.get
-            for (sid, kid), best in layer.items():
-                for (child_sid, delta, _), (child_kid, gain) in zip(rows[sid], dp_row(kid)):
-                    total = best + den * gain - num * delta
-                    child = child_sid, child_kid
-                    if get(child, floor) < total:
-                        below[child] = total
-            layer = below
-        return bool(layer)
-
-    flushes = {table: rule_pass(table) for table in by_rule.values()}
-    summary.flush_events_checked = sum(flushes[table] for table in tables)
     # only whether a step breaks an invariant is read here, so the slot and
     # the pairs are placeholders
     broken = any(
@@ -647,50 +547,55 @@ def exhaustive_verify(
         if amounts
     )
     # kinds on one rule held to one bound share the max-plus pass
-    if not broken and not any(forward(*pair) for pair in dict.fromkeys(zip(tables, bounds))):
-        return summary
-
-    path: list = []  # the (slot, value) pairs from the root to the node
-    violations = summary.invariant_violations
-    counterexamples = summary.counterexamples
-
-    def walk(slot: int, sids: list, kid: int, v_algs: list, v_opt: int) -> None:
-        """List the counterexamples and violations below a node."""
-        nxt = slot + 1
-        dp_edges = dp_table.row(kid)
-        rows = [table.rows[sid] for table, sid in zip(tables, sids)]
-        for s, sym in enumerate(symbols):
-            child_kid, gain = dp_edges[s]
-            opt_child = v_opt + gain
-            child_sids = []
-            child_algs = []
-            for i in range(n):
-                child_sid, delta, amounts = rows[i][s]
-                if amounts:
-                    violations.extend(flush_faults(kinds[i], amounts, params, nxt, tuple(path)))
-                num, den = bounds[i]
-                alg_child = v_algs[i] + delta
-                child_sids.append(child_sid)
-                child_algs.append(alg_child)
-                if sym is not None and den * opt_child > num * alg_child:
-                    counterexamples.append(
-                        Counterexample(
-                            kinds[i], (*path, (nxt, sym)), opt_child, alg_child,
-                            policies[kinds[i]],
-                        )
-                    )
-            if sym is not None:
-                path.append((nxt, sym))
-            if nxt < length:
-                walk(nxt, child_sids, child_kid, child_algs, opt_child)
-            if sym is not None:
-                path.pop()
-
-    walk(0, [0] * n, 0, [0] * n, 0)
-    # walk's closure refers to itself: dropping it frees the tables now, not
-    # at the cyclic GC's next pass
-    del walk
+    if broken or any(
+        forward(table, dp_table, bound, largest, length)
+        for table, bound in dict.fromkeys(zip(tables, bounds))
+    ):
+        n = len(kinds)
+        walk(0, [0] * n, 0, [0] * n, 0, [], tables, dp_table, kinds, bounds, symbols, params,
+             summary)
     return summary
+
+
+def walk(
+    slot: int, sids: list, kid: int, v_algs: list, v_opt: int, path: list, tables: list,
+    dp_table: StateTable, kinds: list, bounds: list, symbols: tuple, params: ModelParams,
+    summary: ExhaustSummary,
+) -> None:
+    """List into ``summary`` what is found below the node after the pairs
+    ``path`` at ``slot``: policy i (``kinds[i]``, bound ``bounds[i]`` as
+    (num, den)) in state ``sids[i]`` of ``tables[i]`` with V_alg
+    ``v_algs[i]``, and the value DP at key ``kid`` with V_opt ``v_opt``."""
+    nxt = slot + 1
+    dp_edges = dp_table.row(kid)
+    rows = [table.rows[sid] for table, sid in zip(tables, sids)]
+    for s, sym in enumerate(symbols):
+        child_kid, gain = dp_edges[s]
+        opt_child = v_opt + gain
+        child_sids = []
+        child_algs = []
+        for i, kind in enumerate(kinds):
+            child_sid, delta, amounts = rows[i][s]
+            if amounts:
+                faults = flush_faults(kind, amounts, params, nxt, tuple(path))
+                summary.invariant_violations.extend(faults)
+            num, den = bounds[i]
+            alg_child = v_algs[i] + delta
+            child_sids.append(child_sid)
+            child_algs.append(alg_child)
+            if sym is not None and den * opt_child > num * alg_child:
+                summary.counterexamples.append(
+                    Counterexample(
+                        kind, (*path, (nxt, sym)), opt_child, alg_child, summary.policies[kind]
+                    )
+                )
+        if sym is not None:
+            path.append((nxt, sym))
+        if nxt < summary.space.max_len:
+            walk(nxt, child_sids, child_kid, child_algs, opt_child, path, tables, dp_table,
+                 kinds, bounds, symbols, params, summary)
+        if sym is not None:
+            path.pop()
 
 
 # ---------------------------------------------------------------------------

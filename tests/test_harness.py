@@ -281,12 +281,12 @@ def recorded_tables(monkeypatch) -> list:
     each call makes its value-DP table last."""
     tables = []
 
-    class Recorded(harness._StateTable):
+    class Recorded(harness.StateTable):
         def __init__(self, root, step):
             super().__init__(root, step)
             tables.append(self)
 
-    monkeypatch.setattr(harness, "_StateTable", Recorded)
+    monkeypatch.setattr(harness, "StateTable", Recorded)
     return tables
 
 
@@ -426,10 +426,11 @@ def verify_both_routes(space, policies):
     return out
 
 
-@pytest.mark.parametrize("k,F", list(product((1, 2, 3, 4), (1, 2, 3))))
+@pytest.mark.parametrize("k,F", list(product((1, 2, 3, 4), (1, 2, 3, 10**8))))
 def test_exhaustive_verify_matches_the_explicit_walk(k, F):
     # every field agrees, counterexamples in walk order included; bounds 1
-    # and 3/2 fail often and send most spaces to the listing walk
+    # and 3/2 fail often and send most spaces to the listing walk.  At
+    # F = 10^8 no settle leaves the window, so every prefix keeps its own DP key
     kinds = ("fa", "fwf", "ftwf") if k % 2 == 0 else ("fa", "fwf")
     bounds = [None] + [{kind: b for kind in kinds} for b in (Fraction(1), Fraction(3, 2))]
     for L, values, C, policies in product(
@@ -576,9 +577,8 @@ def test_exhaustive_verify_steps_one_rule_once(monkeypatch):
 
 @pytest.mark.parametrize("bound", [None, Fraction(1)])
 def test_exhaustive_verify_leaves_no_garbage_cycle(bound):
-    # the walk's closure refers to itself; once the call drops it, its graph
-    # and tables are freed by reference counting, with or without
-    # counterexamples listed
+    # once the call returns, its graph and tables are freed by reference
+    # counting, with or without counterexamples listed
     space = ExhaustSpace(C=6, k=2, T=3, F=2, max_len=5, values=(1, 2, 3))
     policies = None if bound is None else {"fa": bound, "ftwf": bound}
     gc.collect()
