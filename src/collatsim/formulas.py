@@ -35,7 +35,7 @@ def fa_ratio(k: int, r: Real) -> Real:
     if k < 1 or int(k) != k:
         raise DomainError(f"k must be a positive integer, got {k}")
     if not 0 < r <= 1:
-        raise DomainError(f"load ratio must be in (0, 1], got {r}")
+        raise DomainError(f"load ratio must be in (0, 1], got {float(r)}")
     if r == 1:
         return UNBOUNDED if k == 1 else Fraction(3)
     return (2 - r) / (1 - r)
@@ -49,7 +49,7 @@ def fwf_ratio(k: int, r: Real) -> Real:
     if k <= 1 or int(k) != k:
         raise DomainError(f"k must be an integer > 1, got {k}")
     if not 0 < r <= 1:
-        raise DomainError(f"load ratio must be in (0, 1], got {r}")
+        raise DomainError(f"load ratio must be in (0, 1], got {float(r)}")
     if r == 1:
         return UNBOUNDED
     return (k + 1) / (k * (1 - r))
@@ -213,9 +213,11 @@ def formulas_report(
     if p_ppm is not None and not 1 <= p_ppm <= PPM:
         raise DomainError(f"p_ppm must be in [1, {PPM}], got {p_ppm}")
     if k is not None:
-        r = k * T / C
+        # on the exact load ratio the two wallet ratios are the exact bounds
+        # that ratio and exhaust check, then correctly rounded
+        r = Fraction(k * T, C)
         out["k"] = k
-        out["loadRatio"] = r
+        out["loadRatio"] = float(r)
         out["faRatio"] = _float_or_error(fa_ratio, k, r)
         out["fwfRatio"] = _float_or_error(fwf_ratio, k, r)
         out["ftwfRatio"] = _float_or_error(ftwf_ratio, k)

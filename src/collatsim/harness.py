@@ -3,9 +3,9 @@
 The pieces, bottom up: ``run_sequence`` steps one policy over the offers
 of one sequence, validates the window invariant on the settles its sink
 kept and returns the run's totals;
-``measure_ratio`` adds an oracle and the formula bound for the policy,
-worked out once per policy kind and ``ModelParams`` and checked on a
-value row in ints;
+``measure_ratio`` adds an oracle and the policy's bound from
+``exact_bound``, worked out once per policy kind and ``ModelParams`` and
+checked on a value row in ints;
 ``exhaustive_verify`` checks the competitive bound on every prefix of
 every sequence over a small alphabet on the state graphs of ``graph``;
 ``sweep`` scans eta or k,
@@ -66,7 +66,7 @@ from .oracles import (
     opt_value_key_row,
     window_upper_bound,
 )
-from .policies import GroupFlushPolicy, check_policy_kind, make_policy
+from .policies import GROUP_SIZES, GroupFlushPolicy, check_policy_kind, make_policy
 from .workloads import (
     WorkloadSpec,
     epoch_burst_seq,
@@ -108,35 +108,28 @@ def run_sequence(policy, seq: TransactionSequence) -> RunResult:
     return RunResult.from_machine(policy, seq)
 
 
-# per policy, its competitive bound on settled value as an exact closed
+# per (policy kind, measure), its competitive bound as an exact closed
 # form of ModelParams; rand2 guarantees expectation only, so has none
-_VALUE_BOUNDS = {
-    "fa": lambda p: formulas.fa_ratio(p.k, p.load_ratio),
-    "fwf": lambda p: formulas.fwf_ratio(p.k, p.load_ratio),
-    "ftwf": lambda p: formulas.ftwf_ratio(p.k) if p.load_ratio == 1 else None,
-    "eta": lambda p: formulas.eta_alpha(p.eta, Fraction(p.C), p.T, p.p, 0),
+BOUNDS = {
+    ("fa", "value"): lambda p: formulas.fa_ratio(p.k, p.load_ratio),
+    ("fwf", "value"): lambda p: formulas.fwf_ratio(p.k, p.load_ratio),
+    ("ftwf", "value"): lambda p: formulas.ftwf_ratio(p.k) if p.load_ratio == 1 else None,
+    ("eta", "value"): lambda p: formulas.eta_alpha(p.eta, Fraction(p.C), p.T, p.p, 0),
+    ("eta", "utility"): lambda p: formulas.eta_alpha(p.eta, Fraction(p.C), p.T, p.p, p.tau),
 }
 
 
-def _exact_bound(closed_form, params: ModelParams) -> Fraction | None:
-    """closed_form(params), or None where it is out of domain or unbounded."""
+def exact_bound(kind: str, params: ModelParams, measure: str = "value") -> Fraction | None:
+    """The exact competitive bound of ``kind`` on ``measure`` at ``params``,
+    or None where the kind has none, or it is out of domain or unbounded."""
+    closed_form = BOUNDS.get((kind, measure))
+    if closed_form is None:
+        return None
     try:
         bound = closed_form(params)
     except formulas.DomainError:
         return None
     return None if bound == formulas.UNBOUNDED else bound
-
-
-def value_bound_fraction(kind: str, params: ModelParams) -> Fraction | None:
-    """Exact settled-value competitive bound for a policy, if one exists."""
-    return _exact_bound(_VALUE_BOUNDS.get(kind, lambda p: None), params)
-
-
-def utility_bound_fraction(params: ModelParams) -> Fraction | None:
-    """Exact utility bound for the threshold policy, if in domain."""
-    return _exact_bound(
-        lambda p: formulas.eta_alpha(p.eta, Fraction(p.C), p.T, p.p, p.tau), params
-    )
 
 
 def ratio_of(opt, alg) -> Fraction | float:
@@ -158,17 +151,17 @@ _NO_SLACK = Fraction(0)
 
 @lru_cache(maxsize=256)
 def _row_bound(policy: str, utility: bool, params: ModelParams) -> tuple | None:
-    """The bound a ratio row of ``policy`` checks: the utility bound for the
-    threshold policy when the row has an optimal ``utility``, else the value
-    bound.  ``(kind, exact, as a float, slack, numerator, denominator)``, or
+    """The bound a ratio row of ``policy`` checks: its utility bound when
+    the row has an optimal ``utility`` and the bound is in domain, else its
+    value bound.  ``(kind, exact, as a float, slack, numerator, denominator)``, or
     None without one; a bound past the float range raises CollateralError.
     ModelParams is frozen, so each (policy, utility, params) is worked out
     once: sweeps and batches repeat them."""
-    exact = utility_bound_fraction(params) if policy == "eta" and utility else None
+    exact = exact_bound(policy, params, "utility") if utility else None
     if exact is not None:
         kind, slack = "utility", params.p * params.C + params.tau
     else:
-        exact = value_bound_fraction(policy, params)
+        exact = exact_bound(policy, params)
         if exact is None:
             return None
         kind, slack = "value", _NO_SLACK
@@ -418,13 +411,10 @@ class ExhaustSummary:
 
 
 def default_exhaust_policies(params: ModelParams) -> dict[str, Fraction]:
-    """Policies with a per-sequence guarantee at these params, with exact bounds."""
-    out: dict[str, Fraction] = {}
-    for kind in ("fa", "fwf", "ftwf"):
-        b = value_bound_fraction(kind, params)
-        if b is not None:
-            out[kind] = b
-    return out
+    """The wallet policies with a per-sequence guarantee at these params,
+    with their exact value bounds."""
+    bounds = {kind: exact_bound(kind, params) for kind in GROUP_SIZES}
+    return {kind: bound for kind, bound in bounds.items() if bound is not None}
 
 
 def flush_faults(kind: str, amounts: tuple, params: ModelParams, slot: int, pairs) -> list[str]:

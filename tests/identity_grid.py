@@ -11,9 +11,14 @@ row id reads ``section[case]``, or ``section[case] run`` when a case is
 several runs.
 
 ``identity_grid.sha256`` holds the recorded digests.  A change that alters
-output on purpose records them again and names the rows that changed:
+output on purpose records them again and names the rows that changed.  Run
+as a script, this module writes the record to stdout and, to stderr, one
+``changed``, ``added`` or ``dropped`` line per row whose digest differs from
+the checked-in one.  A redirect straight onto the record would empty it
+before it is read, so write a new file and move it:
 
-    PYTHONPATH=src python3 tests/identity_grid.py > tests/identity_grid.sha256
+    PYTHONPATH=src python3 tests/identity_grid.py > grid.sha256
+    mv grid.sha256 tests/identity_grid.sha256
 """
 
 from __future__ import annotations
@@ -679,5 +684,11 @@ def check_case(section: str, case: str) -> None:
 
 
 if __name__ == "__main__":
+    was = recorded()
     for row_id in ROWS:
-        print(row_id, digest(row_id).sha256)
+        sha256 = digest(row_id).sha256
+        print(row_id, sha256)
+        if was.get(row_id) != sha256:
+            print("changed" if row_id in was else "added", row_id, file=sys.stderr)
+    for row_id in [row_id for row_id in was if row_id not in ROWS]:
+        print("dropped", row_id, file=sys.stderr)

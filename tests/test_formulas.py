@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,7 +22,9 @@ from collatsim.formulas import (
     k_star,
     kwallet_profit_inflation,
 )
+from collatsim.harness import exact_bound
 from collatsim.model import PPM, ModelParams
+from identity_grid import FORMULAS_C
 
 EXACT = 1e-12
 
@@ -223,3 +226,19 @@ def test_formulas_report():
     assert abs(report["beta"] - 0.5) < EXACT
     bare = formulas_report(20, 6)
     assert "beta" not in bare
+
+
+def test_formulas_prints_the_exact_wallet_bounds_rounded():
+    # the ratios formulas prints are the bounds ratio and exhaust check,
+    # correctly rounded: 3.5, not 3.4999999999999996, at C=10, T=3, k=2
+    assert formulas_report(10, 3, k=2)["faRatio"] == 3.5
+    for C, k in product(FORMULAS_C, range(1, 5)):
+        for T in range(1, C + 1):
+            report = formulas_report(C, T, k=k)
+            assert report["loadRatio"] == k * T / C
+            for kind, name in (("fa", "faRatio"), ("fwf", "fwfRatio")):
+                bound = exact_bound(kind, ModelParams(C=C, T=T, F=1, k=k))
+                if bound is None:  # out of domain, or unbounded
+                    assert isinstance(report[name], str) or report[name] == UNBOUNDED
+                else:
+                    assert report[name] == float(bound)

@@ -17,6 +17,7 @@ from collatsim.harness import (
     ExhaustSpace,
     ExperimentConfig,
     default_exhaust_policies,
+    exact_bound,
     exhaustive_verify,
     flush_faults,
     measure_ratio,
@@ -25,13 +26,12 @@ from collatsim.harness import (
     run_policy,
     run_sequence,
     sweep,
-    utility_bound_fraction,
-    value_bound_fraction,
     value_bound_holds,
 )
-from collatsim.model import CollateralError, ModelParams, TransactionSequence, load_json
+from collatsim.formulas import UNBOUNDED, DomainError, eta_alpha, fa_ratio, ftwf_ratio, fwf_ratio
+from collatsim.model import PPM, CollateralError, ModelParams, TransactionSequence, load_json
 from collatsim.oracles import opt_general_value, opt_value_extend
-from collatsim.policies import GroupFlushPolicy, make_policy
+from collatsim.policies import POLICY_KINDS, GroupFlushPolicy, make_policy
 from collatsim.workloads import WorkloadSpec, thm3_seq
 from oracle_reference import (
     ReferenceGroupPolicy,
@@ -92,6 +92,22 @@ def test_measure_ratio_utility_oracle():
     assert row.bound == 7.5
     assert row.slack == Fraction(25)  # pC + tau
     assert report.all_bounds_ok()
+
+
+@pytest.mark.parametrize("oracle", ["brute-utility", "window-bound"])
+def test_ratio_row_without_a_utility_bound_checks_the_value_bound(oracle):
+    # p/tau = 1/190 < 1/(eta C) = 1/83.6: eta has no utility bound here, so
+    # a row with an optimal utility falls back to the value bound
+    params = ModelParams(C=200, T=60, F=2, p_ppm=100000, tau=19, eta_ppm=418000)
+    assert exact_bound("eta", params, "utility") is None
+    seq = TransactionSequence.from_pairs([(t, 60) for t in range(1, 5)])
+    config = ExperimentConfig(params=params, policy="eta", sequence=seq, oracle=oracle)
+    row = measure_ratio(config).rows[0]
+    assert row.opt_utility is not None
+    assert row.bound_kind == "value"
+    assert row.bound == float(Fraction(500, 141))  # 1/(1 - eta - T/C)
+    assert row.slack == 0
+    assert row.bound_ok == (141 * row.opt_value <= 500 * row.result.settled_value)
 
 
 def test_config_needs_exactly_one_source(tmp_path):
@@ -175,21 +191,62 @@ def test_run_policy_writes_trace(tmp_path):
 
 
 def test_value_bounds():
-    assert value_bound_fraction("fa", ModelParams(C=6, T=3, F=1, k=2)) == 3
-    assert value_bound_fraction("fa", PARAMS) == Fraction(7, 2)  # (2-r)/(1-r), r=0.6
-    assert value_bound_fraction("fwf", PARAMS) == Fraction(15, 4)
+    assert exact_bound("fa", ModelParams(C=6, T=3, F=1, k=2)) == 3
+    assert exact_bound("fa", PARAMS) == Fraction(7, 2)  # (2-r)/(1-r), r=0.6
+    assert exact_bound("fwf", PARAMS) == Fraction(15, 4)
     # single-wallet FlushAll at r=1 has no bound at all
-    assert value_bound_fraction("fa", ModelParams(C=6, T=6, F=1)) is None
-    assert value_bound_fraction("ftwf", ModelParams(C=6, T=3, F=1, k=2)) == 3
-    assert value_bound_fraction("rand2", ModelParams(C=6, T=6, F=1)) is None
+    assert exact_bound("fa", ModelParams(C=6, T=6, F=1)) is None
+    assert exact_bound("ftwf", ModelParams(C=6, T=3, F=1, k=2)) == 3
+    assert exact_bound("rand2", ModelParams(C=6, T=6, F=1)) is None
 
 
 def test_utility_bound():
     params = ModelParams(C=200, T=60, F=1, p_ppm=100000, tau=5, eta_ppm=500000)
-    assert utility_bound_fraction(params) == Fraction(15, 2)
+    assert exact_bound("eta", params, "utility") == Fraction(15, 2)
     # eta too close to 1 - T/C: no finite guarantee
     none_params = ModelParams(C=200, T=60, F=1, p_ppm=100000, tau=5, eta_ppm=700000)
-    assert utility_bound_fraction(none_params) is None
+    assert exact_bound("eta", none_params, "utility") is None
+
+
+# each bound's closed form, called directly on the exact load and threshold
+CLOSED_FORMS = {
+    ("fa", "value"): lambda p: fa_ratio(p.k, Fraction(p.k * p.T, p.C)),
+    ("fwf", "value"): lambda p: fwf_ratio(p.k, Fraction(p.k * p.T, p.C)),
+    ("ftwf", "value"): lambda p: ftwf_ratio(p.k) if p.k * p.T == p.C else None,
+    ("eta", "value"): lambda p: eta_alpha(
+        Fraction(p.eta_ppm, PPM), Fraction(p.C), p.T, Fraction(p.p_ppm, PPM), 0
+    ),
+    ("eta", "utility"): lambda p: eta_alpha(
+        Fraction(p.eta_ppm, PPM), Fraction(p.C), p.T, Fraction(p.p_ppm, PPM), p.tau
+    ),
+}
+
+
+@st.composite
+def bound_params(draw):
+    """Params across every bound's domain edges: loads up to and past 1,
+    thresholds from T/C to 1, fees up to just under pC."""
+    C = draw(st.integers(1, 40))
+    T = draw(st.integers(1, C))
+    p_ppm = draw(st.sampled_from([1, 1000, 100000, 418000, PPM]))
+    tau = draw(st.integers(0, (p_ppm * C - 1) // PPM))
+    eta_ppm = draw(st.integers(-(-T * PPM // C), PPM))
+    k = draw(st.integers(1, 8))
+    return ModelParams(C=C, T=T, F=1, k=k, p_ppm=p_ppm, tau=tau, eta_ppm=eta_ppm)
+
+
+@given(bound_params())
+@settings(max_examples=300, deadline=None)
+def test_exact_bound_is_each_closed_form(params):
+    assert set(harness.BOUNDS) == set(CLOSED_FORMS)
+    for kind, measure in product(POLICY_KINDS, ("value", "utility")):
+        try:
+            want = CLOSED_FORMS.get((kind, measure), lambda p: None)(params)
+        except DomainError:
+            want = None
+        got = exact_bound(kind, params, measure)
+        assert got == (None if want == UNBOUNDED else want)
+        assert got is None or isinstance(got, Fraction)
 
 
 def test_ratio_of():
