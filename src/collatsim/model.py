@@ -274,7 +274,9 @@ class ModelParams:
             raise CollateralError(f"need k*T <= C, got k={self.k} T={self.T} C={self.C}")
 
 
-@lru_cache(maxsize=1024)  # balances recur: 88% hits in a 4,000-slot bursty eta run
+# balances recur: in one 4,000-slot bursty eta run at C=200, T=60, F=2 (seeds 1
+# and 97), a fresh memo hits 88% of its calls at eta_ppm 418000, 41% at 418123
+@lru_cache(maxsize=1024)
 def ppm_amount(units: int) -> str:
     """An amount of ``units``/PPM as NDJSON: an int when it is whole, else the
     quoted reduced "num/den", the bytes of ``str(Fraction(units, PPM))``."""

@@ -24,7 +24,7 @@ The three deterministic wallet policies are one class, ``GroupFlushPolicy``:
 first fit within an active group of g wallets; on a misfit, discard the
 transaction, flush the group and rotate to the next group.  Arrivals
 during an outage of the active group are discarded as well.  The kinds
-differ only in g, which ``make_policy`` reads from ``GROUP_SIZES``:
+differ only in g, which the policy reads off its kind in ``GROUP_SIZES``:
 FlushAll ("fa") is g = k, FlushWhenFull ("fwf") g = 1 and
 FlushTwoWhenFull ("ftwf") g = 2.  RandTwo ("rand2") keeps one wallet that
 follows a coin-chosen wallet of a two-wallet FlushAll's state list.
@@ -56,7 +56,8 @@ class GroupFlushPolicy:
     room for it; if none has room it is discarded, the group's wallets
     are flushed in index order and the next group becomes active in
     cyclic order, even if a later group would be online sooner.
-    ``name`` is the kind the policy was made as, which only labels it.
+    ``kind`` is a key of ``GROUP_SIZES``, which gives g; the policy keeps
+    it as ``name``.
 
     The policy is its own machine.  Its state ``st`` is laid out as
     ``state()`` with absolute outage ends (-1 before a wallet's first
@@ -64,15 +65,13 @@ class GroupFlushPolicy:
     flushed group's return, in flush order since every outage lasts F.
     """
 
-    def __init__(self, params: ModelParams, g: int, name: str, trace: SettleLog | None = None):
-        if g < 1 or params.k % g != 0:
-            # sweep rows report this text, so ftwf keeps its wording
-            if g == 2:
-                raise CollateralError(f"pair policy needs even k, got {params.k}")
-            raise CollateralError(f"groups of {g} need k divisible by {g}, got {params.k}")
+    def __init__(self, params: ModelParams, kind: str, trace: SettleLog | None = None):
+        g = GROUP_SIZES[kind] or params.k
+        if params.k % g != 0:  # only ftwf's pairs can fail to divide k
+            raise CollateralError(f"pair policy needs even k, got {params.k}")
         params.require_kwallet()
         self.params = params
-        self.name = name
+        self.name = kind
         self._fresh(params.k, g, params.C // params.k, params.F)
         self.outages: deque[tuple[int, int, int]] = deque()  # (back at, first, past the last)
         self.trace = EventTrace() if trace is None else trace
@@ -303,8 +302,7 @@ def make_policy(
     a new ``EventTrace`` unless a sink is given."""
     check_policy_kind(kind)
     if kind in GROUP_SIZES:
-        g = GROUP_SIZES[kind]
-        return GroupFlushPolicy(params, params.k if g is None else g, kind, trace)
+        return GroupFlushPolicy(params, kind, trace)
     if kind == "rand2":
         return RandTwoPolicy(params, seed=seed, coins=coins, trace=trace)
     return ThresholdPolicy(params, trace)

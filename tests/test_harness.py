@@ -753,7 +753,7 @@ def test_exhaust_space_rejects_values_below_1(values):
 
 def test_default_exhaust_policies():
     got = default_exhaust_policies(ModelParams(C=12, T=3, F=1, k=2))
-    assert got == {"fa": 3, "fwf": 3, "ftwf": None} or set(got) == {"fa", "fwf"}
+    assert got == {"fa": Fraction(3), "fwf": Fraction(3)}
 
 
 def test_thm3_seq_through_run_sequence():

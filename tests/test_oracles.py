@@ -109,6 +109,14 @@ def test_state_step_cap_is_exact(monkeypatch):
         opt_general_value(seq, 5, 5)
 
 
+@pytest.mark.parametrize("oracle", [opt_general_utility, opt_kwallet_value])
+def test_search_oracles_refuse_past_their_budget(oracle):
+    params = ModelParams(C=12, T=1, F=1)
+    assert oracle(seq_of([(t, 1) for t in range(1, 13)]), params) == 12
+    with pytest.raises(CollateralError, match=r"^13 transactions exceed oracle budget 12$"):
+        oracle(seq_of([(t, 1) for t in range(1, 14)]), params)
+
+
 def test_opt_value_sums_separated_segments():
     """Segments more than F slots apart share no window, so the optimum of
     the whole is the sum of the segments' subset optima."""
