@@ -13,6 +13,7 @@ each run flag given sets its field of the --config file's object, or of
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -126,17 +127,11 @@ def _emit(obj: dict) -> None:
     print(json.dumps(obj, indent=2, sort_keys=True))
 
 
-def _number(x):
-    """A value as it is, or "inf" when it is unbounded: strict JSON has no Infinity."""
-    return "inf" if x == math.inf else x
-
-
 def _frac(f: Fraction | float | None):
     if f is None:
         return None
     if f == math.inf:
         return "inf"
-    f = Fraction(f)
     return {"num": f.numerator, "den": f.denominator}
 
 
@@ -238,38 +233,42 @@ def cmd_exhaust(args) -> int:
 MAX_SWEEP_VALUES = 10_000
 
 
+def _exact_decimal(text: str) -> Fraction:
+    """A --from, --to or --step text as the exact decimal it reads.  Only a
+    finite decimal with an exponent of at most 3 digits is read: Fraction(text)
+    works out 10**exponent."""
+    exponent = text.lower().partition("e")[2].strip().lstrip("+-").lstrip("0_")
+    with contextlib.suppress(ValueError):  # float() reads decimals alone: no "1/0"
+        if math.isfinite(float(text)) and len(exponent) <= 3:
+            return Fraction(text)
+    raise argparse.ArgumentTypeError(
+        f"not a finite decimal with an exponent of at most 3 digits: {text!r}"
+    )
+
+
 def cmd_sweep(args) -> int:
-    for flag, x in (("--from", args.from_), ("--to", args.to), ("--step", args.step)):
-        if not math.isfinite(x):
-            raise CollateralError(f"{flag} must be finite, got {x}")
-    if not args.step > 0:
-        raise CollateralError(f"--step must be positive, got {args.step}")
-    if args.from_ > args.to + 1e-12:  # the loop below would sweep no value
-        raise CollateralError(f"--from {args.from_} is above --to {args.to}: no setting to run")
-    # below one ulp of the largest endpoint, v += step can stop advancing
-    if args.step < math.ulp(max(abs(args.from_), abs(args.to + 1e-12))):
-        raise CollateralError(f"--step {args.step} is too small to advance")
-    if (args.to - args.from_) / args.step > MAX_SWEEP_VALUES:
+    lo, hi, step = args.from_, args.to, args.step
+    if not step > 0:
+        raise CollateralError(f"--step must be positive, got {float(step)}")
+    if lo > hi:
+        raise CollateralError(f"--from {float(lo)} is above --to {float(hi)}: no setting to run")
+    if (hi - lo) / step > MAX_SWEEP_VALUES:
         raise CollateralError(f"sweep would exceed {MAX_SWEEP_VALUES} values")
     config = _config_from_args(args)
     if config.trace_path:
         raise CollateralError(f"sweep writes no trace, got {config.trace_path!r}")
-    values = []
-    v = args.from_
-    while v <= args.to + 1e-12:
-        values.append(round(v, 10))
-        v += args.step
+    values = [lo + i * step for i in range(int((hi - lo) / step) + 1)]
     rows = sweep(config, args.param, values)
     out_rows = []
     for r in rows:
         out_rows.append(
             {
-                "value": r.value,
+                "value": float(r.value),
                 "error": r.error,
                 "meanSettled": _frac(r.mean_settled),
                 "meanFlushes": _frac(r.mean_flushes),
                 "meanUtility": _frac(r.mean_utility),
-                "worstRatio": _number(r.worst_ratio),
+                "worstRatio": _frac(r.worst_ratio),
                 "empiricalBest": r.empirical_best,
             }
         )
@@ -284,11 +283,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_formulas(args) -> int:
-    p_ppm = args.p_ppm
-    if p_ppm is None and args.tau is not None:  # p defaults as ModelParams defaults it
-        p_ppm = ModelParams.p_ppm
-    report = formulas_report(args.C, args.T, k=args.k, p_ppm=p_ppm, tau=args.tau)
-    _emit({name: _number(value) for name, value in report.items()})
+    _emit(formulas_report(args.C, args.T, k=args.k, p_ppm=args.p_ppm, tau=args.tau))
     return 0
 
 
@@ -337,9 +332,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     swp = subs.add_parser("sweep", help="scan eta or k against the formula optimum")
     swp.add_argument("--param", choices=("eta", "k"), required=True)
-    swp.add_argument("--from", dest="from_", type=float, required=True)
-    swp.add_argument("--to", type=float, required=True)
-    swp.add_argument("--step", type=float, required=True)
+    swp.add_argument("--from", dest="from_", type=_exact_decimal, required=True)
+    swp.add_argument("--to", type=_exact_decimal, required=True)
+    swp.add_argument("--step", type=_exact_decimal, required=True)
     _add_run_flags(swp)
     swp.set_defaults(func=cmd_sweep)
 
@@ -347,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     frm.add_argument("--C", type=int, required=True)
     frm.add_argument("--T", type=int, required=True)
     frm.add_argument("--k", type=int, default=None)
-    frm.add_argument("--p-ppm", type=int)
+    frm.add_argument("--p-ppm", type=int, default=ModelParams.p_ppm)  # as ModelParams
     frm.add_argument("--tau", type=int, default=None)
     frm.set_defaults(func=cmd_formulas)
 

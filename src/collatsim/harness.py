@@ -114,8 +114,8 @@ BOUNDS = {
     ("fa", "value"): lambda p: formulas.fa_ratio(p.k, p.load_ratio),
     ("fwf", "value"): lambda p: formulas.fwf_ratio(p.k, p.load_ratio),
     ("ftwf", "value"): lambda p: formulas.ftwf_ratio(p.k) if p.load_ratio == 1 else None,
-    ("eta", "value"): lambda p: formulas.eta_alpha(p.eta, Fraction(p.C), p.T, p.p, 0),
-    ("eta", "utility"): lambda p: formulas.eta_alpha(p.eta, Fraction(p.C), p.T, p.p, p.tau),
+    ("eta", "value"): lambda p: formulas.eta_alpha(p.eta, p.C, p.T, p.p, 0),
+    ("eta", "utility"): lambda p: formulas.eta_alpha(p.eta, p.C, p.T, p.p, p.tau),
 }
 
 
@@ -635,12 +635,12 @@ def run_adversary_demo(
 @dataclass
 class SweepRow:
     param: str
-    value: float
+    value: Fraction
     error: str | None = None
     mean_settled: Fraction | None = None
     mean_flushes: Fraction | None = None
     mean_utility: Fraction | None = None
-    worst_ratio: float | None = None
+    worst_ratio: Fraction | float | None = None
     empirical_best: bool = False
     formula_optimum: float | None = None
 
@@ -649,24 +649,29 @@ def _mean(xs: list) -> Fraction:
     return sum(xs, Fraction(0)) / len(xs)
 
 
-def sweep(config: ExperimentConfig, param: str, values: list[float]) -> list[SweepRow]:
+def sweep(config: ExperimentConfig, param: str, values: list[Fraction]) -> list[SweepRow]:
     """Scan eta or k, rerunning the configured workload at each setting.
 
     Each setting is a ``measure_ratio`` run of the config with the
     window-bound oracle (the LP relaxation, an upper bound on opt) and no
-    outputs of its own; a sequence file is read once for all of them.
+    outputs of its own; a sequence file is read once for all of them.  An
+    eta value off the whole-ppm grid refuses the sweep before any run.
     Rows carry per-setting means over repetitions and the worst observed
     opt/alg value ratio, or the error that ended the setting.  The
-    empirical best row is marked: highest mean utility for eta, lowest
-    worst ratio for k; the formula optimum rides along.  When no setting
-    ran, CollateralError names the first refusal and nothing is written;
-    otherwise the rows go to ``config.csv_path`` when it is set.
+    empirical best row, decided exactly, is marked: highest mean utility
+    for eta, lowest worst ratio for k; the formula optimum rides along.
+    When no setting ran, CollateralError names the first refusal and
+    nothing is written; otherwise the rows go to ``config.csv_path`` when
+    it is set.
     """
     if param not in ("eta", "k"):
         raise CollateralError(f"sweep parameter must be eta or k, got {param!r}")
     p = config.params
     if param == "eta":
-        formula = formulas.eta_star(p.C, p.T, p.p_ppm / PPM, p.tau)
+        _, square, _ = formulas.eta_star(p.C, p.T, p.p_ppm, p.tau)
+        formula = formulas.nearest_float(0, max(square, Fraction(p.T, p.C) ** 2))
+        if off_grid := next((v for v in values if (v * PPM).denominator != 1), None):
+            raise CollateralError(f"eta setting {float(off_grid)} is not a whole number of ppm")
     else:
         formula = formulas.k_star(p.C, p.T)[0]
     rows = []
@@ -674,13 +679,12 @@ def sweep(config: ExperimentConfig, param: str, values: list[float]) -> list[Swe
     for v in values:
         try:
             if param == "eta":
-                params = replace(p, eta_ppm=round(v * PPM))
+                params = replace(p, eta_ppm=int(v * PPM))
                 cfg = replace(config, params=params, policy="eta")
+            elif v.denominator != 1:
+                raise CollateralError(f"k must be integral, got {float(v)}")
             else:
-                k = int(v)
-                if k != v:
-                    raise CollateralError(f"k must be integral, got {v}")
-                params = replace(p, k=k)
+                params = replace(p, k=int(v))
                 params.require_kwallet()
                 cfg = replace(config, params=params)
             if config.seq_file is not None:
@@ -698,7 +702,7 @@ def sweep(config: ExperimentConfig, param: str, values: list[float]) -> list[Swe
                     mean_settled=_mean([r.settled_value for r in results]),
                     mean_flushes=_mean([r.flush_count for r in results]),
                     mean_utility=_mean([r.utility for r in results]),
-                    worst_ratio=max(float(r.ratio_value) for r in runs),
+                    worst_ratio=max(r.ratio_value for r in runs),
                     formula_optimum=formula,
                 )
             )

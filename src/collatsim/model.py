@@ -224,7 +224,7 @@ class ModelParams:
     def __post_init__(self) -> None:
         for name in ("C", "T", "F", "k", "p_ppm", "tau"):
             typed_field(name, getattr(self, name), "an integer")
-            if name in ("C", "T", "k", "tau"):  # the closed forms read them as floats
+            if name in ("C", "T", "k", "tau"):  # as formulas_report bounds them
                 typed_field(name, getattr(self, name), "a finite number")
         typed_field("eta_ppm", self.eta_ppm, "an integer", optional=True)
         if self.C < 1:

@@ -508,9 +508,15 @@ CLI = {
     # a nan span would sweep no value; an infinite one would never end
     **{f"sweep {flag}={value}": f"{SWEEP_ETA} --from=0.35 --to=0.5 --step=0.05 {flag}={value}"
        for flag, value in NON_FINITE},
-    # 1e16 + 1.0 == 1e16: the loop would never advance
+    # 1e16 + 1.0 == 1e16 in floats; exact, the span holds 10^16 values
     "sweep step too small": f"{SWEEP_ETA} --from 1e16 --to 2e16 --step 1",
     "sweep past 10000 values": f"{SWEEP_ETA} --from 0 --to 1 --step 1e-9",
+    # Fraction(text) would work out 10**999999999
+    "sweep exponent past the cap": f"{SWEEP_ETA} --from=1e-999999999 --to 0.5 --step 0.05",
+    # eta runs in whole ppm: a half-ppm step is refused, naming its first
+    # value off the ppm grid, and a one-ppm step runs four settings
+    "sweep eta sub-ppm step": f"{SWEEP_ETA} --from 0.4 --to 0.4000015 --step 0.0000005",
+    "sweep eta whole ppm": f"{SWEEP_ETA} --from 0.4 --to 0.400003 --step 0.000001",
     "ratio C past the float range": f"ratio --policy fwf --C {4 * 10**400} --k 2 "
                                     f"--T {2 * 10**400 - 1} --F 1 --oracle window-bound "
                                     "--seq seq.csv",
@@ -544,6 +550,11 @@ CLI = {
     "formulas tau past the float range": f"formulas --C 10 --T 3 --tau {BIG}",
     # k = 2 and tau > 0: the one row that prints kwalletProfitInflation's value
     "formulas kwallet profit inflation": "formulas --C 20 --T 6 --k 2 --p-ppm 500000 --tau 1",
+    # (1 - T/C) beta = (T/C)^2 = 25/144: the raw optimum sits on the floor,
+    # unclamped, and the guarantee there is 59/4
+    "formulas raw optimum on the floor": "formulas --C 12 --T 5 --p-ppm 280000 --tau 1",
+    # clamped to T/C = 0.3, where the guarantee is 57/20
+    "formulas clamped guarantee": "formulas --C 20 --T 6 --p-ppm 1000000 --tau 1",
 }
 
 

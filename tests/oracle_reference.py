@@ -553,8 +553,9 @@ class ReferenceRandTwo:
 class ReferenceGroupPolicy:
     """``GroupFlushPolicy``'s rule stepped on a ``ReferenceBank``.
 
-    First fit within the active group of g wallets, read off the bank's
-    ``remaining`` and ``offline_until`` lists; on a misfit the offer is
+    First fit within the active group of g wallets, g read off ``kind`` in
+    ``GROUP_SIZES`` as ``GroupFlushPolicy`` reads it, and room read off the
+    bank's ``remaining`` and ``offline_until`` lists; on a misfit the offer is
     discarded, the bank flushes the group's wallets and the next group
     becomes active, cyclically.  The bank logs every event, ``online``
     lines included, from ``begin_slot``.  ``state(slot)`` reads the state
@@ -565,14 +566,13 @@ class ReferenceGroupPolicy:
     of ``GroupFlushPolicy.offer``, which ``step`` and ``next_states`` call.
     """
 
-    def __init__(self, params, g, name):
-        if g < 1 or params.k % g != 0:
-            if g == 2:
-                raise CollateralError(f"pair policy needs even k, got {params.k}")
-            raise CollateralError(f"groups of {g} need k divisible by {g}, got {params.k}")
+    def __init__(self, params, kind):
+        g = GROUP_SIZES[kind] or params.k
+        if params.k % g != 0:  # only ftwf's pairs can fail to divide k
+            raise CollateralError(f"pair policy needs even k, got {params.k}")
         self.params = params
         self.g = g
-        self.name = name
+        self.name = kind
         self.machine = ReferenceBank(params)
         self.active = 1
 
@@ -633,8 +633,7 @@ class ReferenceGroupPolicy:
 
 def reference_group_policy(kind, params):
     """The reference for ``make_policy(kind, params)`` of a wallet-group kind."""
-    g = GROUP_SIZES[kind]
-    return ReferenceGroupPolicy(params, params.k if g is None else g, kind)
+    return ReferenceGroupPolicy(params, kind)
 
 
 def run_every_slot(policy, seq):

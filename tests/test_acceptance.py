@@ -22,9 +22,8 @@ from collatsim.formulas import (
     DomainError,
     eta_alpha,
     eta_star,
-    eta_star_is_clamped,
-    eta_star_ratio,
     fa_ratio,
+    formulas_report,
     ftwf_ratio,
     fwf_ratio,
     k_star,
@@ -52,8 +51,6 @@ from collatsim.policies import make_policy
 from collatsim.workloads import WorkloadSpec, fwf_killer_seq, gen_stochastic, thm3_seq
 from oracle_reference import opt_general_value_sim, opt_general_witness, window_law_holds
 from trace_reader import FLUSH, read_events
-
-EXACT = 1e-12
 
 
 def report(n, detail):
@@ -156,9 +153,7 @@ def eta_study():
         instances.append((F, seq, u_opt, brute))
     records = []
     for eta_ppm in ETA_PPMS:
-        alpha = eta_alpha(
-            Fraction(eta_ppm, PPM), Fraction(200), 60, Fraction(100000, PPM), 5
-        )
+        alpha = eta_alpha(Fraction(eta_ppm, PPM), 200, 60, Fraction(100000, PPM), 5)
         for F, seq, u_opt, brute in instances:
             params = ModelParams(
                 C=200, T=60, F=F, p_ppm=100000, tau=5, eta_ppm=eta_ppm,
@@ -312,57 +307,72 @@ def test_c08_randomized_two_wallet_expectation():
     report(8, f"exact means {', '.join(details)} match half the shadow value; MC within 2%")
 
 
+def strictly_monotone_about(points, at_or_below):
+    """Whether the (x, ratio) points, in x order, fall strictly while x is
+    at or below the optimizer and rise strictly once it is passed."""
+    for (x0, r0), (x1, r1) in zip(points, points[1:]):
+        if at_or_below(x1) and not r1 < r0 or not at_or_below(x0) and not r1 > r0:
+            return False
+    return True
+
+
 def test_c09_formula_minimizers():
-    # spot values, exact to 1e-12
+    """The closed-form optimizers, decided in Fractions with no tolerance.
+
+    The fwf bound (k+1)C/(k(C - kT)) is log-convex in real k, since the
+    derivative of its log, T/(C - kT) - 1/(k(k+1)), increases; it is zero
+    at k* = sqrt(1 + C/T) - 1.  With a = 1 - T/C and beta = tau/(pC),
+    eta_alpha is (1 - beta) eta/((a - eta)(eta - beta)) on its domain, and
+    the derivative of its log, 1/(a - eta) - beta/(eta(eta - beta)), has
+    the one zero eta* = sqrt(a beta).  So on a rational grid each exact
+    ratio falls strictly up to its optimizer and rises strictly past it;
+    a grid point is compared with a surd optimizer by squares.
+    """
     for k in (1, 2, 5):
-        assert abs(fa_ratio(k, 0.5) - 3.0) < EXACT
-    assert abs(fwf_ratio(2, 0.5) - 3.0) < EXACT
-    assert abs(ftwf_ratio(4) - 2.5) < EXACT
-    real_k, int_k = k_star(16, 2)  # C/T = 8
-    assert abs(real_k - 2.0) < EXACT and int_k == 2
-    assert abs(eta_star(1, 0, 1.0, 0.25) - 0.5) < EXACT
-    assert abs(eta_star_ratio(1, 0, 1.0, 0.25) - 3.0) < EXACT
+        assert fa_ratio(k, Fraction(1, 2)) == 3
+    assert fwf_ratio(2, Fraction(1, 2)) == 3
+    assert ftwf_ratio(4) == Fraction(5, 2)
+    assert k_star(16, 2) == (2.0, 2)  # C/T = 8: k* = 3 - 1
+    # at T = 0 and beta = 1/4, eta* = 1/2 is rational and its guarantee is 3
+    assert eta_star(4, 0, PPM, 1) == (Fraction(1, 4), Fraction(1, 4), False)
+    assert eta_alpha(Fraction(1, 2), 4, 0, Fraction(1), 1) == 3
+    # (1 - T/C) beta = (T/C)^2 = 25/144: the raw optimum on the floor is not clamped
+    assert eta_star(12, 5, 280000, 1) == (Fraction(25, 84), Fraction(25, 144), False)
+    assert formulas_report(4, 1, p_ppm=PPM, tau=0)["etaStarRatio"] == 2.0
 
     rng = random.Random(20260824)
-    eta_tuples = 0
-    while eta_tuples < 20:
+    for _ in range(20):
+        T = rng.randint(1, 10)
+        C = T * rng.randint(4, 60) + rng.randint(0, T - 1)
+        ratios = {k: Fraction((k + 1) * C, k * (C - k * T)) for k in range(1, -(-C // T))}
+        assert k_star(C, T)[1] == min(ratios, key=ratios.get)
+        grid = [Fraction(j, 8) for j in range(8, 8 * C // T) if j * T < 8 * C]
+        points = [(k, (k + 1) * C / (k * (C - k * T))) for k in grid]
+        assert strictly_monotone_about(points, lambda k: (k + 1) ** 2 <= Fraction(C + T, T))
+
+    clamped_tuples = 0
+    for _ in range(24):
         C = rng.randint(10, 300)
         T = rng.randint(1, C // 3)
-        p = rng.uniform(0.05, 1.0)
-        frac = T / C
-        lo = (frac * frac / (1 - frac)) * 1.05  # keep the optimum unclamped
-        hi = (1 - frac) * 0.9
-        if lo >= hi:
-            continue
-        tau = rng.uniform(lo, hi) * p * C
-        if eta_star_is_clamped(C, T, p, tau):
-            continue
-        star = eta_star(C, T, p, tau)
-        at_star = eta_alpha(star, C, T, p, tau)
-        assert abs(at_star - eta_star_ratio(C, T, p, tau)) <= 1e-9 * at_star
-        eta = frac + 1e-4
-        while eta < 1 - frac - 1e-4:
+        p_ppm = rng.randint(PPM // 20, PPM)
+        tau = rng.randint(0, p_ppm * C // PPM - 1)
+        beta, square, clamped = eta_star(C, T, p_ppm, tau)
+        # (1 - T/C) beta < (T/C)^2, times C^2 p_ppm, in ints
+        assert clamped == ((C - T) * tau * PPM < T * T * p_ppm)
+        clamped_tuples += clamped
+        optimum = max(square, Fraction(T, C) ** 2)  # eta*, squared
+        near = math.isqrt(math.floor(optimum * PPM * PPM))
+        grid = sorted({*range(-(-T * PPM // C), PPM, 5000), *range(near - 2, near + 3)})
+        points = []
+        for eta_ppm in grid:
+            eta = Fraction(eta_ppm, PPM)
             try:
-                assert eta_alpha(eta, C, T, p, tau) >= at_star * (1 - 1e-6)
-            except DomainError:
+                points.append((eta, eta_alpha(eta, C, T, Fraction(p_ppm, PPM), tau)))
+            except DomainError:  # at or below beta, or at or past 1 - T/C
                 pass
-            eta += 1e-4
-        eta_tuples += 1
-
-    k_tuples = 0
-    while k_tuples < 20:
-        T = rng.randint(1, 10)
-        C = T * rng.randint(4, 60)
-        real_k, _ = k_star(C, T)
-        assert real_k > 1
-        at_star = (real_k + 1) / (real_k * (1 - real_k * T / C))
-        k = 1.0 + 1e-3
-        while k * T < C * (1 - 1e-9):
-            got = (k + 1) / (k * (1 - k * T / C))
-            assert got >= at_star * (1 - 1e-6)
-            k += 1e-3
-        k_tuples += 1
-    report(9, "20 threshold and 20 wallet-count tuples: grid minima at the closed forms")
+        assert strictly_monotone_about(points, lambda eta: eta * eta <= optimum)
+    assert 0 < clamped_tuples < 24
+    report(9, "20 wallet-count and 24 threshold tuples: exact grid minima at the closed forms")
 
 
 def test_c10_oracle_self_consistency():

@@ -13,7 +13,7 @@ import pytest
 import collatsim
 from collatsim import harness, oracles
 from collatsim.cli import build_parser, main
-from collatsim.model import EventTrace, SettleLog, Transaction
+from collatsim.model import PPM, EventTrace, SettleLog, Transaction
 
 import identity_grid as grid
 
@@ -134,6 +134,18 @@ def test_unbounded_ratio_prints_inf():
 
 def test_formulas_kwallet_profit_inflation():
     assert answer("formulas kwallet profit inflation")["kwalletProfitInflation"] == 1.6
+
+
+def test_formulas_decides_the_clamp_exactly():
+    report = answer("formulas raw optimum on the floor")
+    assert report["etaStar"] == {"raw": 5 / 12, "value": 5 / 12, "clamped": False}
+    assert report["etaStarRatio"] == report["etaAlphaAtStar"] == 14.75
+
+
+def test_formulas_prints_the_guarantee_at_the_clamped_optimum():
+    report = answer("formulas clamped guarantee")
+    assert report["etaStar"]["clamped"] and report["etaStar"]["value"] == 0.3
+    assert report["etaStarRatio"] == report["etaAlphaAtStar"] == 2.85
 
 
 def test_exhaust_lists_a_counterexample(capsys, monkeypatch):
@@ -485,11 +497,11 @@ def test_simulate_runs_up_to_the_slot_cap():
 @pytest.mark.parametrize(
     "span, expected",
     [
-        # 1e16 + 1.0 == 1e16: the loop would never advance
-        (("1e16", "2e16", "1"), "too small to advance"),
-        # 2**53 - 2 advances twice, then 2**53 + 1.0 rounds back to 2**53
-        (("9007199254740990", "9007199254740994", "1"), "too small to advance"),
-        (("1e300", "2e300", "1e280"), "too small to advance"),
+        # the grid is exact: 1e16 + 1 advances, so the span holds 10^16 values
+        (("1e16", "2e16", "1"), "exceed 10000 values"),
+        # past 2**53 each of the five settings runs, and eta refuses each
+        (("9007199254740990", "9007199254740994", "1"), "no eta setting ran"),
+        (("1e300", "2e300", "1e280"), "exceed 10000 values"),
         (("0", "1", "1e-9"), "exceed 10000 values"),
     ],
 )
@@ -507,10 +519,29 @@ def test_sweep_rejects_endless_or_huge_ranges(capsys, span, expected):
     assert expected in err
 
 
+def test_sweep_refuses_an_eta_step_below_one_ppm():
+    err = refused("sweep eta sub-ppm step")
+    assert err == "error: eta setting 0.4000005 is not a whole number of ppm\n"
+
+
+def test_sweep_runs_each_eta_ppm_once():
+    rows = answer("sweep eta whole ppm")["rows"]
+    assert [Fraction(str(r["value"])) * PPM for r in rows] == [400000, 400001, 400002, 400003]
+    # worstRatio prints as ratio prints its ratios
+    assert all(set(r["worstRatio"]) == {"num", "den"} for r in rows)
+
+
+def test_sweep_refuses_an_exponent_past_the_cap():
+    err = refused("sweep exponent past the cap")
+    assert err == ("error: argument --from: not a finite decimal with an exponent of at most "
+                   "3 digits: '1e-999999999'\n")
+
+
 @pytest.mark.parametrize("flag, value", grid.NON_FINITE)
 def test_sweep_rejects_non_finite_bounds(flag, value):
     err = refused(f"sweep {flag}={value}")
-    assert err == f"error: {flag} must be finite, got {float(value)}\n"
+    assert err == (f"error: argument {flag}: not a finite decimal with an exponent of at most "
+                   f"3 digits: {value!r}\n")
 
 
 WORKLOAD = {"kind": "constant", "arrivalRatePerMille": 500, "horizon": 10,
@@ -819,8 +850,14 @@ def test_main_reuses_its_parser(capsys, seq_csv):
         (["exhaust", "--C", "12", "--k", "2", "--T", "3", "--F", "2", "--max-len", "3",
           "--values", "-1,2"],
          "argument --values: expected one argument"),
+        # a sweep bound is an exact decimal: no fraction, no word
+        (["sweep", "--param", "k", "--from", "1/2", "--to", "1", "--step", "1"],
+         "argument --from: not a finite decimal with an exponent of at most 3 digits: '1/2'"),
+        (["sweep", "--param", "k", "--from", "1", "--to", "x", "--step", "1"],
+         "argument --to: not a finite decimal with an exponent of at most 3 digits: 'x'"),
     ],
-    ids=["missing-value", "bad-int", "bad-choice", "minus-inf", "minus-values"],
+    ids=["missing-value", "bad-int", "bad-choice", "minus-inf", "minus-values", "fraction",
+         "word"],
 )
 def test_argparse_refusals_are_one_error_line(capsys, argv, expected):
     with pytest.raises(SystemExit) as refused:

@@ -28,7 +28,7 @@ import identity_grid as grid
 HUGE = 10**30
 PAST_FLOAT = 10**400
 POOL = ("0", "-1", "1", "2", "3", "4", "12", str(HUGE), str(PAST_FLOAT),
-        "x", "", "nan", "inf", "-inf", "-1,2", "1,,2")
+        "x", "", "nan", "inf", "-inf", "-1,2", "1,,2", "0.0000005", "1e-999999999")
 
 PARAM_FLAGS = ("--C", "--k", "--T", "--F", "--eta-ppm", "--p-ppm", "--tau")
 RUN_FLAGS = ("--config", "--policy", *PARAM_FLAGS, "--workload", "--seq", "--seed",

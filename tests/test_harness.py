@@ -783,8 +783,9 @@ def test_sweep_eta_marks_best():
     config = ExperimentConfig(
         params=params, policy="eta", workload=spec, seed=2, repetitions=3
     )
-    rows = sweep(config, "eta", [0.35, 0.418, 0.5, 0.9])
-    assert [r.value for r in rows] == [0.35, 0.418, 0.5, 0.9]
+    values = [Fraction(v) for v in ("0.35", "0.418", "0.5", "0.9")]
+    rows = sweep(config, "eta", values)
+    assert [r.value for r in rows] == values
     assert sum(1 for r in rows if r.empirical_best) == 1
     assert rows[0].formula_optimum == pytest.approx(0.41833, abs=1e-4)
     ok_rows = [r for r in rows if r.error is None]
@@ -798,14 +799,14 @@ def test_sweep_k():
         params=params, policy="fwf", workload=spec, seed=4, repetitions=2
     )
     rows = sweep(config, "k", [1, 2, 3, 4])
-    assert rows[0].formula_optimum == pytest.approx(2.0)
+    assert rows[0].formula_optimum == 2.0  # sqrt(1 + 16/2) - 1, exactly
     assert sum(1 for r in rows if r.empirical_best) == 1
 
 
 @pytest.mark.parametrize(
     "values, message",
     [
-        ([0.01, 0.04],
+        ([Fraction(1, 100), Fraction(4, 100)],
          "no eta setting ran; the first: eta must satisfy T/C <= eta <= 1, got eta_ppm=10000$"),
         ([], "no eta setting ran$"),
     ],
